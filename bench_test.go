@@ -10,7 +10,8 @@ package repro
 //
 //	go test -bench=. -benchmem
 //
-// regenerates everything; see EXPERIMENTS.md for the mapping.
+// regenerates everything; see README "Regenerating the paper's
+// evaluation" for the mapping to the paper.
 
 import (
 	"fmt"
@@ -359,7 +360,7 @@ func itoa(n int) string {
 }
 
 // BenchmarkPipeVFS measures a pipe write/read through the sim File
-// layer alone (no VM), for the substrate table in EXPERIMENTS.md.
+// layer alone (no VM): the substrate cost under the pipeline scenarios.
 func BenchmarkPipeVFS(b *testing.B) {
 	sys, err := sim.NewSystem(sim.WithUserland("true"))
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"sort"
 	"strings"
 
@@ -17,11 +18,11 @@ var diffOut io.Writer = os.Stdout
 
 // runDiff is the `forkbench diff <old.json> <new.json>` subcommand:
 // the bench-drift gate. Both files are sweep outputs (JSON arrays of
-// load metrics, the BENCH_*.json format); runs are matched by their
-// configuration key and every virtual-time metric is compared exactly
-// — the simulator is deterministic, so any difference is a cost-model
-// change that must be acknowledged by regenerating the checked-in
-// baseline, not silently absorbed.
+// load metrics, the BENCH_SIM.json format); runs are matched by their
+// configuration key and every metric is compared exactly — the
+// simulator is deterministic, so any difference is a cost-model change
+// that must be acknowledged by regenerating the checked-in baseline,
+// not silently absorbed.
 func runDiff(args []string) error {
 	fs := flag.NewFlagSet("forkbench diff", flag.ExitOnError)
 	summary := fs.Bool("summary", false, "print one line per differing run (changed metric names only)")
@@ -142,44 +143,44 @@ func runKey(m *load.Metrics) string {
 		m.Scenario, m.Strategy, m.HeapBytes, m.RAMBytes, m.NumCPUs, m.Requests)
 }
 
-// metricFields is the comparison schema shared by diffMetrics and
-// summarizeMetrics: every scalar virtual-time metric a run reports,
-// in a fixed order.
-var metricFields = []struct {
-	name string
-	get  func(*load.Metrics) uint64
-}{
-	{"requests", func(m *load.Metrics) uint64 { return m.Requests }},
-	{"failed_requests", func(m *load.Metrics) uint64 { return m.FailedRequests }},
-	{"oom_kills", func(m *load.Metrics) uint64 { return m.OOMKills }},
-	{"creations", func(m *load.Metrics) uint64 { return m.Creations }},
-	{"virtual_ns", func(m *load.Metrics) uint64 { return m.VirtualNanos }},
-	{"peak_rss_bytes", func(m *load.Metrics) uint64 { return m.PeakRSSBytes }},
-	{"page_faults", func(m *load.Metrics) uint64 { return m.PageFaults }},
-	{"page_copies", func(m *load.Metrics) uint64 { return m.PageCopies }},
-	{"page_zeroes", func(m *load.Metrics) uint64 { return m.PageZeroes }},
-	{"pte_copies", func(m *load.Metrics) uint64 { return m.PTECopies }},
-	{"tlb_shootdowns", func(m *load.Metrics) uint64 { return m.TLBShootdowns }},
-	{"context_switches", func(m *load.Metrics) uint64 { return m.ContextSwitches }},
-	{"syscalls", func(m *load.Metrics) uint64 { return m.Syscalls }},
-	{"instructions", func(m *load.Metrics) uint64 { return m.Instructions }},
-	{"server_cpu_ns", func(m *load.Metrics) uint64 { return m.ServerCPUNanos }},
-	{"net_packets_sent", func(m *load.Metrics) uint64 { return m.NetPacketsSent }},
-	{"net_packets_recv", func(m *load.Metrics) uint64 { return m.NetPacketsRecv }},
-	{"net_bytes_sent", func(m *load.Metrics) uint64 { return m.NetBytesSent }},
-	{"net_bytes_recv", func(m *load.Metrics) uint64 { return m.NetBytesRecv }},
-	{"net_drops", func(m *load.Metrics) uint64 { return m.NetDrops }},
-	{"net_timeouts", func(m *load.Metrics) uint64 { return m.NetTimeouts }},
-	{"net_retries", func(m *load.Metrics) uint64 { return m.NetRetries }},
+// runKeyFields are the JSON keys of the dimensions runKey is built
+// from: they identify a run, so they are matched, not compared.
+var runKeyFields = map[string]bool{
+	"scenario": true, "strategy": true, "heap_bytes": true,
+	"ram_bytes": true, "num_cpus": true, "requests": true,
 }
+
+// metricField is one compared field of load.Metrics: its JSON key and
+// its reflect index path (through the embedded counter groups).
+type metricField struct {
+	name  string
+	index []int
+}
+
+// metricFields is the comparison schema shared by diffMetrics and
+// summarizeMetrics: every JSON field of load.Metrics but the run key,
+// in JSON order. It is read off the struct, so a metric added to
+// load.Metrics is gated without an edit here.
+var metricFields = func() []metricField {
+	var out []metricField
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(load.Metrics{})) {
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if f.Anonymous || name == "" || name == "-" || runKeyFields[name] {
+			continue
+		}
+		out = append(out, metricField{name, f.Index})
+	}
+	return out
+}()
 
 // summarizeMetrics renders a lone run's per-metric values (for runs
 // present in only one file, where there is nothing to diff against),
 // five metrics per line.
 func summarizeMetrics(m *load.Metrics) []string {
+	v := reflect.ValueOf(m).Elem()
 	fields := make([]string, len(metricFields))
 	for i, f := range metricFields {
-		fields[i] = fmt.Sprintf("%s=%d", f.name, f.get(m))
+		fields[i] = fmt.Sprintf("%s=%v", f.name, v.FieldByIndex(f.index))
 	}
 	var out []string
 	for len(fields) > 0 {
@@ -190,37 +191,33 @@ func summarizeMetrics(m *load.Metrics) []string {
 	return out
 }
 
-// diffMetrics compares every virtual-time metric of one run exactly.
+// diffMetrics compares every metric of one run exactly.
 func diffMetrics(o, n *load.Metrics) []string {
+	ov, nv := reflect.ValueOf(o).Elem(), reflect.ValueOf(n).Elem()
 	var out []string
 	for _, f := range metricFields {
-		if a, b := f.get(o), f.get(n); a != b {
-			out = append(out, fmt.Sprintf("%s %d -> %d", f.name, a, b))
-		}
+		out = diffValue(out, f.name, ov.FieldByIndex(f.index), nv.FieldByIndex(f.index))
 	}
-	// Per-CPU busy fractions are deterministic too, and not derivable
-	// from the totals above: a scheduler change that redistributes
-	// busy time across CPUs must not slip past the gate. Floats
-	// compare exactly — the simulator guarantees bit-stable output.
-	if len(o.CPUUtilization) != len(n.CPUUtilization) {
-		out = append(out, fmt.Sprintf("cpu_utilization has %d CPUs -> %d", len(o.CPUUtilization), len(n.CPUUtilization)))
+	return out
+}
+
+// diffValue appends the differences between a and b under name.
+// Scalars compare exactly, floats included — the simulator guarantees
+// bit-stable output. Slices (per-CPU utilization, the flow log)
+// compare element by element, so a scheduler or routing change that
+// preserves the totals still fails the gate.
+func diffValue(out []string, name string, a, b reflect.Value) []string {
+	if a.Kind() != reflect.Slice {
+		if !a.Equal(b) {
+			out = append(out, fmt.Sprintf("%s %+v -> %+v", name, a, b))
+		}
 		return out
 	}
-	for i := range o.CPUUtilization {
-		if o.CPUUtilization[i] != n.CPUUtilization[i] {
-			out = append(out, fmt.Sprintf("cpu_utilization[%d] %v -> %v", i, o.CPUUtilization[i], n.CPUUtilization[i]))
-		}
+	if a.Len() != b.Len() {
+		return append(out, fmt.Sprintf("%s has %d entries -> %d", name, a.Len(), b.Len()))
 	}
-	// The fabric's flow log is deterministic too: a routing change that
-	// preserves the totals must still fail the gate.
-	if len(o.NetFlows) != len(n.NetFlows) {
-		out = append(out, fmt.Sprintf("net_flows has %d flows -> %d", len(o.NetFlows), len(n.NetFlows)))
-		return out
-	}
-	for i := range o.NetFlows {
-		if o.NetFlows[i] != n.NetFlows[i] {
-			out = append(out, fmt.Sprintf("net_flows[%d] %+v -> %+v", i, o.NetFlows[i], n.NetFlows[i]))
-		}
+	for i := 0; i < a.Len(); i++ {
+		out = diffValue(out, fmt.Sprintf("%s[%d]", name, i), a.Index(i), b.Index(i))
 	}
 	return out
 }

@@ -1,7 +1,8 @@
 // Command forkbench regenerates the evaluation of "A fork() in the
 // road" (HotOS'19) on the simulator: Figure 1, the semantics matrix
-// (Table 1), and the E3–E10 claim experiments. See DESIGN.md for the
-// experiment index and EXPERIMENTS.md for paper-vs-measured notes.
+// (Table 1), and the E3–E16 claim experiments. The experiment index
+// is in internal/experiments; README "Regenerating the paper's
+// evaluation" maps each paper claim to its command.
 //
 // Usage:
 //
@@ -73,8 +74,8 @@
 //	               [-ram SIZE] [-cpus N] [-huge] [-json FILE]
 //
 // Each run is deterministic; -json writes every run's metrics as a
-// JSON array, the format of the repo's BENCH_*.json trajectory files
-// (regenerate with `forkbench load -sweep -json BENCH_PRn.json`).
+// JSON array, the format of the repo's BENCH_SIM.json baseline
+// (regenerate with `forkbench load -sweep -json BENCH_SIM.json`).
 // With -sweep, -cpus pins the whole baseline matrix to one CPU count
 // (the CI job runs it at 1 and 4); by default the matrix includes its
 // own 1/2/4/8-CPU sweep of the SMP scenarios. The sweep fans its
@@ -146,8 +147,8 @@
 //
 // The diff subcommand is the bench-drift gate: it compares two sweep
 // JSON files metric by metric and fails on any difference, so silent
-// cost-model changes fail CI instead of rotting the BENCH_*.json
-// trajectory. -summary prints one line per differing run (the changed
+// cost-model changes fail CI instead of rotting the BENCH_SIM.json
+// baseline. -summary prints one line per differing run (the changed
 // metric names only) for readable CI logs.
 package main
 
@@ -610,7 +611,7 @@ func runLoad(args []string) error {
 }
 
 // sweepConfigs is the standard baseline matrix behind
-// `forkbench load -sweep -json BENCH_PRn.json`: the prefork §5 cells
+// `forkbench load -sweep -json BENCH_SIM.json`: the prefork §5 cells
 // (fork vs spawn vs builder as the server heap grows), one
 // representative configuration of each other scenario, and the SMP
 // matrix — smpserver and buildfarm swept over 1/2/4/8 CPUs, where

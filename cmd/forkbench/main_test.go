@@ -146,7 +146,7 @@ func TestRunDiff(t *testing.T) {
 		return path
 	}
 	base := []*load.Metrics{
-		{Scenario: "prefork", Strategy: "fork+exec", HeapBytes: 1 << 20, NumCPUs: 1, Requests: 4, VirtualNanos: 1000, PTECopies: 50},
+		{Scenario: "prefork", Strategy: "fork+exec", HeapBytes: 1 << 20, NumCPUs: 1, Requests: 4, VirtualNanos: 1000, Counters: load.Counters{PTECopies: 50}},
 		{Scenario: "prefork", Strategy: "posix_spawn", HeapBytes: 1 << 20, NumCPUs: 1, Requests: 4, VirtualNanos: 100},
 	}
 	old := write("old.json", base)
@@ -156,7 +156,7 @@ func TestRunDiff(t *testing.T) {
 	}
 
 	drifted := []*load.Metrics{
-		{Scenario: "prefork", Strategy: "fork+exec", HeapBytes: 1 << 20, NumCPUs: 1, Requests: 4, VirtualNanos: 1001, PTECopies: 50},
+		{Scenario: "prefork", Strategy: "fork+exec", HeapBytes: 1 << 20, NumCPUs: 1, Requests: 4, VirtualNanos: 1001, Counters: load.Counters{PTECopies: 50}},
 		{Scenario: "prefork", Strategy: "posix_spawn", HeapBytes: 1 << 20, NumCPUs: 1, Requests: 4, VirtualNanos: 100},
 	}
 	if err := runDiff([]string{old, write("drift.json", drifted)}); err == nil {
@@ -202,8 +202,8 @@ func TestSweepConfigsCoverEveryScenario(t *testing.T) {
 	for _, s := range load.Scenarios() {
 		// The distributed cells and the migration cell stay out of the
 		// baseline matrix on purpose: the network and migration planes
-		// must be free when disabled, so BENCH_PR10.json is
-		// byte-identical back through BENCH_PR7.json. Their regression
+		// must be free when disabled, so BENCH_SIM.json does not
+		// move when they change. Their regression
 		// coverage is the metrics goldens and the net/migrate
 		// determinism gates, not the bench trajectory.
 		if s.Distributed() || s == load.Migrate {
@@ -247,8 +247,8 @@ func TestRunDiffLoneRunSummary(t *testing.T) {
 		return path
 	}
 	both := []*load.Metrics{
-		{Scenario: "prefork", Strategy: "fork+exec", HeapBytes: 1 << 20, NumCPUs: 1, Requests: 4, VirtualNanos: 1000, PTECopies: 50},
-		{Scenario: "prefork", Strategy: "posix_spawn", HeapBytes: 1 << 20, NumCPUs: 1, Requests: 4, VirtualNanos: 77, Syscalls: 9},
+		{Scenario: "prefork", Strategy: "fork+exec", HeapBytes: 1 << 20, NumCPUs: 1, Requests: 4, VirtualNanos: 1000, Counters: load.Counters{PTECopies: 50}},
+		{Scenario: "prefork", Strategy: "posix_spawn", HeapBytes: 1 << 20, NumCPUs: 1, Requests: 4, VirtualNanos: 77, Counters: load.Counters{Syscalls: 9}},
 	}
 	old := write("old.json", both)
 	short := write("short.json", both[:1])
@@ -380,11 +380,11 @@ func TestRunDiffSummary(t *testing.T) {
 		return path
 	}
 	old := write("old.json", []*load.Metrics{
-		{Scenario: "prefork", Strategy: "fork+exec", HeapBytes: 1 << 20, NumCPUs: 1, Requests: 4, VirtualNanos: 1000, PTECopies: 50},
-		{Scenario: "prefork", Strategy: "posix_spawn", HeapBytes: 1 << 20, NumCPUs: 1, Requests: 4, VirtualNanos: 77, Syscalls: 9},
+		{Scenario: "prefork", Strategy: "fork+exec", HeapBytes: 1 << 20, NumCPUs: 1, Requests: 4, VirtualNanos: 1000, Counters: load.Counters{PTECopies: 50}},
+		{Scenario: "prefork", Strategy: "posix_spawn", HeapBytes: 1 << 20, NumCPUs: 1, Requests: 4, VirtualNanos: 77, Counters: load.Counters{Syscalls: 9}},
 	})
 	drifted := write("new.json", []*load.Metrics{
-		{Scenario: "prefork", Strategy: "fork+exec", HeapBytes: 1 << 20, NumCPUs: 1, Requests: 4, VirtualNanos: 1001, PTECopies: 51},
+		{Scenario: "prefork", Strategy: "fork+exec", HeapBytes: 1 << 20, NumCPUs: 1, Requests: 4, VirtualNanos: 1001, Counters: load.Counters{PTECopies: 51}},
 	})
 
 	var buf bytes.Buffer

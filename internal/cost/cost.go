@@ -60,7 +60,8 @@ const MaxCPUs = 64
 // (HotOS'19): a minimal fork+exec around 50 µs, posix_spawn flat near
 // 165 µs, fork cost growing linearly with the number of page-table
 // entries copied (~65 µs per dirty MiB), and the fork/spawn crossover
-// in the low-MiB range. See EXPERIMENTS.md for the full rationale.
+// in the low-MiB range. See README "Regenerating the paper's
+// evaluation" for the experiments that check it.
 type Model struct {
 	// Trap and dispatch overheads.
 	SyscallEntry  Ticks // user→kernel trap + dispatch
@@ -121,8 +122,8 @@ type Model struct {
 	NetLinkLatency Ticks // one-way propagation delay (not CPU time)
 }
 
-// DefaultModel returns the calibrated model. See EXPERIMENTS.md for
-// the calibration rationale.
+// DefaultModel returns the calibrated model (see Model for the
+// calibration targets).
 func DefaultModel() Model {
 	return Model{
 		SyscallEntry:  300 * Nanosecond,

@@ -10,9 +10,9 @@ import (
 	"repro/internal/ulib"
 )
 
-// AblationResult collects the design-choice ablations DESIGN.md calls
-// out: COW vs eager fork (the paper's §2 history) and the §8
-// mitigation that refuses fork in multithreaded processes.
+// AblationResult collects the design-choice ablations: COW vs eager
+// fork (the paper's §2 history) and the §8 mitigation that refuses
+// fork in multithreaded processes.
 type AblationResult struct {
 	EagerRows []EagerRow
 	// MitigationDeadlock is the outcome of the threads demo without

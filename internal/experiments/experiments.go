@@ -1,18 +1,30 @@
 // Package experiments regenerates every figure and table of the
-// evaluation in "A fork() in the road" (HotOS'19), plus the ablation
-// experiments DESIGN.md calls out. Each experiment is a pure function
-// of its configuration: the simulator is deterministic, so repeated
-// runs produce identical numbers.
+// evaluation in "A fork() in the road" (HotOS'19), plus the design
+// ablations and the claims carried to servers, fleets, clusters and
+// the wire. Each experiment is a pure function of its configuration:
+// the simulator is deterministic, so repeated runs produce identical
+// numbers (E13 and E14, which time the host, are the exceptions).
 //
-// Experiment index (see DESIGN.md for the paper mapping):
+// Experiment index (README "Regenerating the paper's evaluation" maps
+// each to its paper claim and forkbench command):
 //
-//	Figure1    — process-creation latency vs parent address-space size
-//	Table1     — executable semantics matrix: fork vs alternatives
-//	CowTax     — E3: post-fork copy-on-write write amplification
-//	HugePages  — E4: fork cost with 4 KiB vs 2 MiB mappings
-//	Overcommit — E5: fork of large processes under commit policies
-//	Compose    — E6: the §4.2 composition failures, executed
-//	Scale      — E7: creation throughput vs parent size per method
+//	Figure1       — process-creation latency vs parent address-space size
+//	Table1        — executable semantics matrix: fork vs alternatives
+//	CowTax        — E3: post-fork copy-on-write write amplification
+//	HugePages     — E4: fork cost with 4 KiB vs 2 MiB mappings
+//	Overcommit    — E5: fork of large processes under commit policies
+//	Compose       — E6: the §4.2 composition failures, executed
+//	Scale         — E7: creation throughput vs parent size per method
+//	ServerClaim   — E8: prefork server throughput vs server heap
+//	CPUSweep      — E9: fork's snapshot tax vs core count
+//	FleetClaim    — E10: the server claim over a rolling-restart fleet
+//	ChaosClaim    — E11: survival under memory-pressure fault waves
+//	ScaleOutClaim — E12: autoscaler scale-out latency, fork vs spawn pools
+//	CloneClaim    — E13: host cost of a cold boot vs a template clone
+//	HostBench     — E14: the host-time trajectory over fleet sizes
+//	NetClaim      — E15: a backend restart behind a load balancer
+//	MigrateClaim  — E16: live-migration downtime vs heap size
+//	Ablations     — the design-choice ablations
 package experiments
 
 import (

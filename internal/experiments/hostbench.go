@@ -17,7 +17,7 @@ import (
 // stamp rate (fresh vs recycled shells), machines simulated per host
 // second over a fleet-size ladder, simulated requests per host second,
 // and the process's peak RSS — the numbers `BENCH_HOST.json` tracks
-// next to the virtual-time BENCH_PR*.json so raw-speed wins (or
+// next to the virtual-time BENCH_SIM.json so raw-speed wins (or
 // regressions) are visible in review, not just felt. Host-timed, so
 // the numbers vary run to run and machine to machine; the trajectory
 // file records them per runner, and CI publishes a fresh one as an

@@ -331,6 +331,36 @@ func (k *Kernel) LastStopInfo() StopInfo { return k.lastStop }
 // all CPUs.
 func (k *Kernel) ContextSwitches() uint64 { return k.contextSwitches }
 
+// Counters is a snapshot of the kernel's cost counters: the meter's
+// event counts plus the scheduler's context switches. sim/load's
+// Counters is this struct with JSON tags, converted directly, so the
+// two cannot drift apart without a compile error.
+type Counters struct {
+	PageFaults      uint64
+	PageCopies      uint64
+	PageZeroes      uint64
+	PTECopies       uint64
+	TLBShootdowns   uint64
+	ContextSwitches uint64
+	Syscalls        uint64
+	Instructions    uint64
+}
+
+// Counters snapshots the cost counters.
+func (k *Kernel) Counters() Counters {
+	m := k.meter
+	return Counters{
+		PageFaults:      m.PageFaults,
+		PageCopies:      m.PageCopies,
+		PageZeroes:      m.PageZeroes,
+		PTECopies:       m.PTECopies,
+		TLBShootdowns:   m.TLBShootdowns,
+		ContextSwitches: k.contextSwitches,
+		Syscalls:        m.Syscalls,
+		Instructions:    m.Instructions,
+	}
+}
+
 // CPUStates snapshots every CPU's scheduler state (diagnostics,
 // utilization reporting).
 func (k *Kernel) CPUStates() []CPUState {

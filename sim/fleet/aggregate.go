@@ -79,6 +79,52 @@ func (s *exactSum) SetText(t string) error {
 	return nil
 }
 
+// machineRollup is one machine as a one-machine fleet: its phases
+// summed, its restart and migration outage added to its virtual time,
+// its peak RSS the worst phase's. The fleet fold, the machine's own
+// rate, and the per-machine report row all read it.
+func machineRollup(mm *MachineMetrics) Aggregate {
+	r := Aggregate{Machines: 1}
+	for _, p := range mm.Phases {
+		r.TotalRequests += p.Requests
+		r.TotalCreations += p.Creations
+		r.FailedRequests += p.FailedRequests
+		r.OOMKills += p.OOMKills
+		r.TotalVirtualNanos += p.VirtualNanos
+		r.FleetPeakRSSBytes = max(r.FleetPeakRSSBytes, p.PeakRSSBytes)
+		r.Counters.Add(p.Counters)
+	}
+	r.TotalVirtualNanos += mm.RestartNanos + mm.MigrateNanos
+	r.MaxVirtualNanos = r.TotalVirtualNanos
+	r.PTECopies += mm.RestartPTECopies
+	r.RestartNanos, r.MaxRestartNanos = mm.RestartNanos, mm.RestartNanos
+	r.MigrateDowntimeNanos, r.MaxMigrateNanos = mm.MigrateNanos, mm.MigrateNanos
+	r.MigratePagesSent = mm.MigratePagesSent
+	r.MigrateRefusals = mm.MigrateRefused
+	return r
+}
+
+// add folds b into a: every sum and max rule of the fleet rollup. The
+// rate is not among them — it travels in an exactSum beside the
+// Aggregate, so grouped folds round identically.
+func (a *Aggregate) add(b *Aggregate) {
+	a.Machines += b.Machines
+	a.TotalRequests += b.TotalRequests
+	a.TotalCreations += b.TotalCreations
+	a.FailedRequests += b.FailedRequests
+	a.OOMKills += b.OOMKills
+	a.MaxVirtualNanos = max(a.MaxVirtualNanos, b.MaxVirtualNanos)
+	a.TotalVirtualNanos += b.TotalVirtualNanos
+	a.FleetPeakRSSBytes += b.FleetPeakRSSBytes
+	a.Counters.Add(b.Counters)
+	a.RestartNanos += b.RestartNanos
+	a.MaxRestartNanos = max(a.MaxRestartNanos, b.MaxRestartNanos)
+	a.MigrateDowntimeNanos += b.MigrateDowntimeNanos
+	a.MaxMigrateNanos = max(a.MaxMigrateNanos, b.MaxMigrateNanos)
+	a.MigratePagesSent += b.MigratePagesSent
+	a.MigrateRefusals += b.MigrateRefusals
+}
+
 // aggregator folds MachineMetrics into a running Aggregate — the
 // streaming replacement for materializing every machine's metrics and
 // merging at the end. All integer fields are sums or maxes and the one
@@ -92,82 +138,19 @@ type aggregator struct {
 
 // fold merges one machine's metrics in.
 func (a *aggregator) fold(mm *MachineMetrics) {
-	a.agg.Machines++
-	var machineNanos, machinePeak uint64
-	for _, p := range mm.Phases {
-		a.agg.TotalRequests += p.Requests
-		a.agg.TotalCreations += p.Creations
-		a.agg.FailedRequests += p.FailedRequests
-		a.agg.OOMKills += p.OOMKills
-		machineNanos += p.VirtualNanos
-		if p.PeakRSSBytes > machinePeak {
-			machinePeak = p.PeakRSSBytes
-		}
-		a.agg.PageFaults += p.PageFaults
-		a.agg.PageCopies += p.PageCopies
-		a.agg.PageZeroes += p.PageZeroes
-		a.agg.PTECopies += p.PTECopies
-		a.agg.TLBShootdowns += p.TLBShootdowns
-		a.agg.ContextSwitches += p.ContextSwitches
-		a.agg.Syscalls += p.Syscalls
-		a.agg.Instructions += p.Instructions
-	}
-	machineNanos += mm.RestartNanos + mm.MigrateNanos
-	a.agg.PTECopies += mm.RestartPTECopies
-	a.agg.TotalVirtualNanos += machineNanos
-	if machineNanos > a.agg.MaxVirtualNanos {
-		a.agg.MaxVirtualNanos = machineNanos
-	}
-	a.agg.FleetPeakRSSBytes += machinePeak
+	r := machineRollup(mm)
+	a.agg.add(&r)
 	a.rate.Add(mm.RequestsPerVSec)
-	a.agg.RestartNanos += mm.RestartNanos
-	if mm.RestartNanos > a.agg.MaxRestartNanos {
-		a.agg.MaxRestartNanos = mm.RestartNanos
-	}
-	a.agg.MigrateDowntimeNanos += mm.MigrateNanos
-	if mm.MigrateNanos > a.agg.MaxMigrateNanos {
-		a.agg.MaxMigrateNanos = mm.MigrateNanos
-	}
-	a.agg.MigratePagesSent += mm.MigratePagesSent
-	a.agg.MigrateRefusals += mm.MigrateRefused
 }
 
-// merge folds a shard's partial aggregate in (every field a sum or
-// max; the rate arrives as the shard's exact accumulator).
+// merge folds a shard's partial aggregate in; the rate arrives as the
+// shard's exact accumulator.
 func (a *aggregator) merge(p *shardPartial) error {
-	b := p.Aggregate
-	a.agg.Machines += b.Machines
-	a.agg.TotalRequests += b.TotalRequests
-	a.agg.TotalCreations += b.TotalCreations
-	a.agg.FailedRequests += b.FailedRequests
-	a.agg.OOMKills += b.OOMKills
-	if b.MaxVirtualNanos > a.agg.MaxVirtualNanos {
-		a.agg.MaxVirtualNanos = b.MaxVirtualNanos
-	}
-	a.agg.TotalVirtualNanos += b.TotalVirtualNanos
-	a.agg.FleetPeakRSSBytes += b.FleetPeakRSSBytes
-	a.agg.PageFaults += b.PageFaults
-	a.agg.PageCopies += b.PageCopies
-	a.agg.PageZeroes += b.PageZeroes
-	a.agg.PTECopies += b.PTECopies
-	a.agg.TLBShootdowns += b.TLBShootdowns
-	a.agg.ContextSwitches += b.ContextSwitches
-	a.agg.Syscalls += b.Syscalls
-	a.agg.Instructions += b.Instructions
-	a.agg.RestartNanos += b.RestartNanos
-	if b.MaxRestartNanos > a.agg.MaxRestartNanos {
-		a.agg.MaxRestartNanos = b.MaxRestartNanos
-	}
-	a.agg.MigrateDowntimeNanos += b.MigrateDowntimeNanos
-	if b.MaxMigrateNanos > a.agg.MaxMigrateNanos {
-		a.agg.MaxMigrateNanos = b.MaxMigrateNanos
-	}
-	a.agg.MigratePagesSent += b.MigratePagesSent
-	a.agg.MigrateRefusals += b.MigrateRefusals
 	var s exactSum
 	if err := s.SetText(p.RateSum); err != nil {
 		return err
 	}
+	a.agg.add(&p.Aggregate)
 	a.rate.Merge(&s)
 	return nil
 }

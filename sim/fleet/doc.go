@@ -74,6 +74,16 @@
 //     is byte-identical to an unsharded run (CI's shard gate cmp's
 //     -shards 1 vs 4).
 //
+// Every rollup rule lives in one place. machineRollup turns one
+// machine's phases, restart tax and migration outage into a
+// one-machine Aggregate, and (*Aggregate).add holds every sum and max;
+// the streaming fold is add(rollup), the shard merge is add(partial),
+// and the machine's own rate and its report row read the rollup. The
+// cost counters are load.Counters, embedded, so a counter added there
+// reaches the Aggregate, the fold and the shard merge with no edit
+// here; a new fleet-level field is one field on Aggregate, set in
+// machineRollup, plus its rule in add.
+//
 // `forkbench hostbench` (experiments.HostBench, E14) measures the
 // resulting host-time trajectory — stamp rates, machines per host
 // second, peak RSS over a fleet-size ladder — into BENCH_HOST.json.

@@ -403,18 +403,12 @@ type Aggregate struct {
 	// fleet's worst-case simultaneous memory footprint.
 	FleetPeakRSSBytes uint64 `json:"fleet_peak_rss_bytes"`
 
-	// Cost-meter totals across every machine and phase. PageCopies
-	// is the fleet COW tax; TLBShootdowns the fleet's remote-CPU
-	// IPIs — §5's fork costs at datacenter scale. PTECopies includes
-	// the rolling wave's pool-creation bill (RestartPTECopies).
-	PageFaults      uint64 `json:"page_faults"`
-	PageCopies      uint64 `json:"page_copies"`
-	PageZeroes      uint64 `json:"page_zeroes"`
-	PTECopies       uint64 `json:"pte_copies"`
-	TLBShootdowns   uint64 `json:"tlb_shootdowns"`
-	ContextSwitches uint64 `json:"context_switches"`
-	Syscalls        uint64 `json:"syscalls"`
-	Instructions    uint64 `json:"instructions"`
+	// Counters total the cost counters across every machine and
+	// phase. PageCopies is the fleet COW tax; TLBShootdowns the
+	// fleet's remote-CPU IPIs — §5's fork costs at datacenter scale.
+	// PTECopies includes the rolling wave's pool-creation bill
+	// (RestartPTECopies).
+	load.Counters
 
 	// RestartNanos totals the fleet's re-warm tax across the rolling
 	// wave; MaxRestartNanos is the worst single machine.
@@ -534,13 +528,10 @@ func runMachine(spec Spec, id int, tpls *templates) (*MachineMetrics, *restartDe
 		if err != nil {
 			return nil, nil, fmt.Errorf("warm phase: %w", err)
 		}
-		rr, d, err := runRestartedMachine(ms, tpls)
+		d, err := runRestartedMachine(ms, tpls, mm, warm)
 		if err != nil {
 			return nil, nil, fmt.Errorf("restart phase: %w", err)
 		}
-		mm.Phases = []*load.Metrics{warm, rr.Serve}
-		mm.RestartNanos = rr.RestartNanos
-		mm.RestartPTECopies = rr.RestartPTECopies
 		dbg = d
 	case Rebalance:
 		warm, err := tpls.run(ms.loadConfig())
@@ -592,14 +583,8 @@ func runMachine(spec Spec, id int, tpls *templates) (*MachineMetrics, *restartDe
 		mm.Phases = []*load.Metrics{m}
 	}
 
-	var requests, nanos uint64
-	for _, p := range mm.Phases {
-		requests += p.Requests
-		nanos += p.VirtualNanos
-	}
-	nanos += mm.RestartNanos + mm.MigrateNanos
-	if nanos > 0 {
-		mm.RequestsPerVSec = float64(requests) * 1e9 / float64(nanos)
+	if r := machineRollup(mm); r.TotalVirtualNanos > 0 {
+		mm.RequestsPerVSec = float64(r.TotalRequests) * 1e9 / float64(r.TotalVirtualNanos)
 	}
 	return mm, dbg, nil
 }
@@ -650,21 +635,13 @@ func (r *Result) Render() string {
 	fmt.Fprintf(&b, "  machine breakdown:\n")
 	fmt.Fprintf(&b, "    %-4s %-5s %-10s %-12s %-10s %-10s %-8s\n",
 		"id", "cpus", "req/virt-s", "virtual", "peak RSS", "COW", "IPIs")
-	for _, mm := range r.Machines {
-		var nanos, peak, cow, ipis uint64
-		for _, p := range mm.Phases {
-			nanos += p.VirtualNanos
-			if p.PeakRSSBytes > peak {
-				peak = p.PeakRSSBytes
-			}
-			cow += p.PageCopies
-			ipis += p.TLBShootdowns
-		}
-		nanos += mm.RestartNanos
+	for i := range r.Machines {
+		mm := &r.Machines[i]
+		m := machineRollup(mm)
 		fmt.Fprintf(&b, "    %-4d %-5d %-10.0f %-12s %-10s %-10d %-8d\n",
 			mm.Machine, mm.CPUs, mm.RequestsPerVSec,
-			fmt.Sprintf("%.3fms", float64(nanos)/1e6),
-			load.HumanBytes(peak), cow, ipis)
+			fmt.Sprintf("%.3fms", float64(m.TotalVirtualNanos)/1e6),
+			load.HumanBytes(m.FleetPeakRSSBytes), m.PageCopies, m.TLBShootdowns)
 	}
 	return b.String()
 }

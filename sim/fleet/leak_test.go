@@ -138,8 +138,8 @@ func TestAggregateMergesInMachineOrder(t *testing.T) {
 		{
 			Machine: 0, CPUs: 1,
 			Phases: []*load.Metrics{
-				{Requests: 10, Creations: 10, VirtualNanos: 100, PeakRSSBytes: 500, PageCopies: 3},
-				{Requests: 5, Creations: 5, VirtualNanos: 50, PeakRSSBytes: 800, PageCopies: 1},
+				{Requests: 10, Creations: 10, VirtualNanos: 100, PeakRSSBytes: 500, Counters: load.Counters{PageCopies: 3}},
+				{Requests: 5, Creations: 5, VirtualNanos: 50, PeakRSSBytes: 800, Counters: load.Counters{PageCopies: 1}},
 			},
 			RestartNanos:    25,
 			RequestsPerVSec: 2,
@@ -147,7 +147,7 @@ func TestAggregateMergesInMachineOrder(t *testing.T) {
 		{
 			Machine: 1, CPUs: 2,
 			Phases: []*load.Metrics{
-				{Requests: 20, Creations: 22, VirtualNanos: 300, PeakRSSBytes: 600, TLBShootdowns: 7},
+				{Requests: 20, Creations: 22, VirtualNanos: 300, PeakRSSBytes: 600, Counters: load.Counters{TLBShootdowns: 7}},
 			},
 			RequestsPerVSec: 3,
 		},

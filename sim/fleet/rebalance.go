@@ -32,14 +32,7 @@ func runRebalancedMachine(ms machineSpec, tpls *templates, mm *MachineMetrics, w
 		// Not serializable one-sided: the entangled worker pins the
 		// machine, and the wave pays the full restart for it.
 		mm.MigrateRefused = mig.MigrateRefused
-		rr, dbg, err := runRestartedMachine(ms, tpls)
-		if err != nil {
-			return nil, err
-		}
-		mm.Phases = []*load.Metrics{warm, rr.Serve}
-		mm.RestartNanos = rr.RestartNanos
-		mm.RestartPTECopies = rr.RestartPTECopies
-		return dbg, nil
+		return runRestartedMachine(ms, tpls, mm, warm)
 	}
 
 	mm.MigrateNanos = mig.MigrateDowntimeNanos

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/sim"
@@ -110,5 +112,32 @@ func TestRebalanceAggregates(t *testing.T) {
 	}
 	if a.MigrateRefusals != 0 {
 		t.Errorf("refusals = %d, want 0", a.MigrateRefusals)
+	}
+}
+
+// TestRebalanceRenderRowsMatchMakespan: the per-machine "virtual"
+// column counts the migration outage, as the aggregate does. Two
+// identical machines each take exactly the makespan.
+func TestRebalanceRenderRowsMatchMakespan(t *testing.T) {
+	res, err := Run(Spec{Machines: 2, Scenario: Rebalance, Via: sim.ForkExec,
+		Requests: 2, HeapBytes: 8 << 20, KeepPerMachine: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	makespan := fmt.Sprintf("%.3fms", float64(res.Aggregate.MaxVirtualNanos)/1e6)
+	out := res.Render()
+	_, rows, ok := strings.Cut(out, "IPIs")
+	if !ok {
+		t.Fatalf("no machine breakdown:\n%s", out)
+	}
+	n := 0
+	for _, line := range strings.Split(strings.TrimSpace(rows), "\n") {
+		if cols := strings.Fields(line); len(cols) < 4 || cols[3] != makespan {
+			t.Errorf("row %q: virtual time is not the makespan %s", line, makespan)
+		}
+		n++
+	}
+	if n != 2 {
+		t.Errorf("%d machine rows, want 2:\n%s", n, out)
 	}
 }

@@ -13,16 +13,6 @@ type restartDebug struct {
 	BasePages, EndPages uint64
 }
 
-// restartResult is the replacement instance's measured outcome: the
-// serve-phase metrics, the warm-up time, and the warm-up's page-table
-// bill (the pool workers' Θ(heap) duplication under fork), which the
-// serve-phase meter reset would otherwise discard.
-type restartResult struct {
-	Serve            *load.Metrics
-	RestartNanos     uint64
-	RestartPTECopies uint64
-}
-
 // runRestartedMachine is the second half of a rolling restart: the
 // machine's replacement instance. It boots fresh, repays the warm-up
 // tax — dirty the server heap (load.Prepare), pre-create the worker
@@ -31,11 +21,15 @@ type restartResult struct {
 // identically to the warm phase's load.Run). Under fork every pool
 // worker duplicates the freshly dirtied heap's page tables (Θ(heap)
 // each); under spawn or the builder the pool comes up at a flat cost.
-// The returned restart tax is the virtual time from boot to
-// ready-to-serve. The boot itself is stamped from tpls' boot-only
-// template (nil = cold boot); the warm-up is NOT stamped — repaying
-// it inside measured virtual time is the whole point of the wave.
-func runRestartedMachine(ms machineSpec, tpls *templates) (*restartResult, *restartDebug, error) {
+// It records the machine's phases as warm then the replacement's
+// serve phase, the restart tax (virtual time from boot to
+// ready-to-serve) in mm.RestartNanos, and the warm-up's page-table
+// bill, which the serve phase's meter reset would otherwise discard,
+// in mm.RestartPTECopies. The boot itself is stamped from tpls'
+// boot-only template (nil = cold boot); the warm-up is NOT stamped —
+// repaying it inside measured virtual time is the whole point of the
+// wave.
+func runRestartedMachine(ms machineSpec, tpls *templates, mm *MachineMetrics, warm *load.Metrics) (*restartDebug, error) {
 	cfg := ms.loadConfig()
 	cfg.Scenario = load.Prefork // the wave serves prefork-style traffic
 	// Size RAM once and pin it in the config, so the booted machine
@@ -46,7 +40,7 @@ func runRestartedMachine(ms machineSpec, tpls *templates) (*restartResult, *rest
 	}
 	sys, bootTpl, err := tpls.bootSystem(ms.CPUs, cfg.RAMBytes)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	k := sys.Kernel()
 
@@ -56,7 +50,7 @@ func runRestartedMachine(ms machineSpec, tpls *templates) (*restartResult, *rest
 	t0 := k.Elapsed()
 	prep, err := load.Prepare(sys, cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	dbg := &restartDebug{BaseProcs: k.ProcessCount(), BasePages: k.Phys().AllocatedPages()}
 	pool := make([]*sim.Process, 0, ms.Workers)
@@ -72,23 +66,23 @@ func runRestartedMachine(ms machineSpec, tpls *templates) (*restartResult, *rest
 		p, err := sys.Command("true").Via(ms.Via).Create()
 		if err != nil {
 			teardown()
-			return nil, nil, err
+			return nil, err
 		}
 		pool = append(pool, p)
 	}
-	res := &restartResult{
-		RestartNanos:     uint64(k.Elapsed() - t0),
-		RestartPTECopies: k.Meter().PTECopies - pteBase,
-	}
+	mm.RestartNanos = uint64(k.Elapsed() - t0)
+	mm.RestartPTECopies = k.Meter().PTECopies - pteBase
 
 	// Ready to serve. The pool stays resident through the serve
 	// phase, so its footprint is in the measured peak RSS. (Run
 	// zeroes the meter first: the pool's creation bill is recorded
 	// above, not in the serve-phase counters.)
-	if res.Serve, err = prep.Run(); err != nil {
+	serve, err := prep.Run()
+	if err != nil {
 		teardown()
-		return nil, nil, err
+		return nil, err
 	}
+	mm.Phases = []*load.Metrics{warm, serve}
 
 	// The wave moves on: this instance's pool is torn down by the
 	// *next* restart in a real deploy; here it closes the books so
@@ -99,5 +93,5 @@ func runRestartedMachine(ms machineSpec, tpls *templates) (*restartResult, *rest
 	if bootTpl != nil {
 		bootTpl.Release(sys)
 	}
-	return res, dbg, nil
+	return dbg, nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/sim"
+	"repro/sim/load"
 )
 
 // TestExactSumOrderIndependent: the exact accumulator's whole reason to
@@ -96,6 +97,11 @@ func TestStreamingMatchesLegacyAggregate(t *testing.T) {
 		{Machines: 5, Scenario: Heterogeneous, Via: sim.ForkExec, Requests: 2, HeapBytes: 4 << 20},
 		{Machines: 4, Scenario: Surge, Via: sim.Spawn, Requests: 3, HeapBytes: 4 << 20, SurgeFactor: 2},
 		{Machines: 4, Scenario: Chaos, Via: sim.ForkExec, Requests: 6, HeapBytes: 4 << 20, FaultSeed: 3},
+		// The migrate sums and maxes, and a vfork machine's restart
+		// fallback beside them.
+		{Machines: 4, Scenario: Rebalance, Via: sim.ForkExec, Requests: 3, HeapBytes: 4 << 20},
+		{Machines: 2, Scenario: Rebalance, Via: sim.VforkExec, Requests: 2, HeapBytes: 4 << 20},
+		{Machines: 4, Scenario: Uniform, Load: load.NetLB, Via: sim.ForkExec, Requests: 8, HeapBytes: 4 << 20},
 	}
 	runAt := func(t *testing.T, spec Spec, gomaxprocs int) *Result {
 		t.Helper()
@@ -109,7 +115,14 @@ func TestStreamingMatchesLegacyAggregate(t *testing.T) {
 	}
 	for _, spec := range specs {
 		spec := spec
-		t.Run(string(spec.Scenario), func(t *testing.T) {
+		name := string(spec.Scenario)
+		if spec.Load != "" {
+			name += "-" + string(spec.Load)
+		}
+		if spec.Via == sim.VforkExec {
+			name += "-vfork"
+		}
+		t.Run(name, func(t *testing.T) {
 			kept := spec
 			kept.KeepPerMachine = true
 			var prevJSON []byte

@@ -84,6 +84,19 @@
 // The fleet's Rebalance scenario runs this cell per machine, falling
 // back to the rolling-restart tax when the checkpoint refuses.
 //
+// Metrics declares each counter once. The cost counters are the
+// embedded Counters struct — a tagged copy of the kernel's
+// kernel.Counters snapshot, converted directly so the two cannot drift
+// — and the wire counters the embedded NetCounters. Every scenario
+// measures through one window: opened after warm-up (meters zeroed,
+// context-switch baseline noted), closed into its Metrics (Counters
+// summed over the cell's kernels, fabric totals and flow log filled,
+// rates computed). A new counter is one field in Counters (plus the
+// kernel snapshot it is read from) with its rule in Counters.Add, or
+// one field in NetCounters filled where the window reads the fabric.
+// sim/fleet's Aggregate embeds Counters and `forkbench diff` reads its
+// field list off Metrics, so neither needs a further edit.
+//
 // The forkbench CLI fronts this package (`forkbench load`), and
 // internal/experiments uses it to regenerate the §5 server-claim
 // table. The sim/fleet package runs many of these machines at once —

@@ -5,10 +5,12 @@ import (
 	"strings"
 
 	"repro/internal/addrspace"
+	"repro/internal/cost"
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/sim"
 	"repro/sim/fault"
+	simnet "repro/sim/net"
 )
 
 // Scenario names a workload shape. The string form is the CLI name.
@@ -230,18 +232,9 @@ type Metrics struct {
 	// memory during the loop (huge frames counted at full size).
 	PeakRSSBytes uint64 `json:"peak_rss_bytes"`
 
-	// Cost-meter event counters for the loop: PageCopies is the
-	// COW-fault tax (plus eager-fork copies where selected), and
-	// TLBShootdowns the remote-CPU IPIs — the SMP fork tax, always 0
-	// on one CPU.
-	PageFaults      uint64 `json:"page_faults"`
-	PageCopies      uint64 `json:"page_copies"`
-	PageZeroes      uint64 `json:"page_zeroes"`
-	PTECopies       uint64 `json:"pte_copies"`
-	TLBShootdowns   uint64 `json:"tlb_shootdowns"`
-	ContextSwitches uint64 `json:"context_switches"`
-	Syscalls        uint64 `json:"syscalls"`
-	Instructions    uint64 `json:"instructions"`
+	// Counters are the loop's cost counters, summed over every
+	// machine in the cell.
+	Counters
 
 	// CPUUtilization is, per CPU, the busy fraction of the virtual
 	// time that CPU advanced during the loop (index = CPU id;
@@ -254,22 +247,8 @@ type Metrics struct {
 	// by the SMPServer scenario; 0 elsewhere).
 	ServerCPUNanos uint64 `json:"server_cpu_ns,omitempty"`
 
-	// Wire counters, set by the distributed scenarios (netlb,
-	// kvshard) and zero — and absent from the JSON — everywhere
-	// else, so single-machine reports are byte-identical to runs of
-	// a binary without networking. Packets/bytes are fabric totals
-	// across every node; NetDrops counts frames the fault schedule
-	// ate (send-side plus delivery-side); NetTimeouts is client
-	// attempts that outlived their deadline and NetRetries the ones
-	// re-sent (a timeout past the attempt budget fails the request
-	// into FailedRequests instead).
-	NetPacketsSent uint64 `json:"net_packets_sent,omitempty"`
-	NetPacketsRecv uint64 `json:"net_packets_recv,omitempty"`
-	NetBytesSent   uint64 `json:"net_bytes_sent,omitempty"`
-	NetBytesRecv   uint64 `json:"net_bytes_recv,omitempty"`
-	NetDrops       uint64 `json:"net_drops,omitempty"`
-	NetTimeouts    uint64 `json:"net_timeouts,omitempty"`
-	NetRetries     uint64 `json:"net_retries,omitempty"`
+	// NetCounters are the wire counters of the network cells.
+	NetCounters
 
 	// Live-migration counters, set only by the Migrate scenario (and
 	// omitted from the JSON elsewhere). MigrateRounds is pre-copy
@@ -300,6 +279,99 @@ type NetFlow struct {
 	Packets uint64 `json:"packets"`
 	Bytes   uint64 `json:"bytes"`
 	Drops   uint64 `json:"drops,omitempty"`
+}
+
+// Counters are the cost counters of a measured loop: PageCopies is the
+// COW-fault tax (plus eager-fork copies where selected), and
+// TLBShootdowns the remote-CPU IPIs — the SMP fork tax, always 0 on
+// one CPU. Every field is a sum; Add is the one place that says so,
+// and the fleet rollup and the forkbench diff gate derive from this
+// declaration.
+type Counters struct {
+	PageFaults      uint64 `json:"page_faults"`
+	PageCopies      uint64 `json:"page_copies"`
+	PageZeroes      uint64 `json:"page_zeroes"`
+	PTECopies       uint64 `json:"pte_copies"`
+	TLBShootdowns   uint64 `json:"tlb_shootdowns"`
+	ContextSwitches uint64 `json:"context_switches"`
+	Syscalls        uint64 `json:"syscalls"`
+	Instructions    uint64 `json:"instructions"`
+}
+
+// Add folds o into c.
+func (c *Counters) Add(o Counters) {
+	c.PageFaults += o.PageFaults
+	c.PageCopies += o.PageCopies
+	c.PageZeroes += o.PageZeroes
+	c.PTECopies += o.PTECopies
+	c.TLBShootdowns += o.TLBShootdowns
+	c.ContextSwitches += o.ContextSwitches
+	c.Syscalls += o.Syscalls
+	c.Instructions += o.Instructions
+}
+
+// NetCounters are the wire counters, set by the network cells (netlb,
+// kvshard, migrate) and zero — and absent from the JSON — everywhere
+// else, so single-machine reports are byte-identical to runs of a
+// binary without networking. Packets/bytes are fabric totals across
+// every node; NetDrops counts frames the fault schedule ate (send-side
+// plus delivery-side); NetTimeouts is client attempts that outlived
+// their deadline and NetRetries the ones re-sent (a timeout past the
+// attempt budget fails the request into FailedRequests instead).
+type NetCounters struct {
+	NetPacketsSent uint64 `json:"net_packets_sent,omitempty"`
+	NetPacketsRecv uint64 `json:"net_packets_recv,omitempty"`
+	NetBytesSent   uint64 `json:"net_bytes_sent,omitempty"`
+	NetBytesRecv   uint64 `json:"net_bytes_recv,omitempty"`
+	NetDrops       uint64 `json:"net_drops,omitempty"`
+	NetTimeouts    uint64 `json:"net_timeouts,omitempty"`
+	NetRetries     uint64 `json:"net_retries,omitempty"`
+}
+
+// window is one measured interval over a cell's machines: every
+// scenario opens it after warm-up and closes it into its Metrics.
+type window struct {
+	ks  []*kernel.Kernel
+	csw uint64 // Σ context switches at open
+}
+
+// openWindow zeroes the kernels' meters and notes their context-switch
+// baseline.
+func openWindow(ks ...*kernel.Kernel) window {
+	w := window{ks: ks}
+	for _, k := range ks {
+		k.Meter().ResetCounters()
+		w.csw += k.ContextSwitches()
+	}
+	return w
+}
+
+// close sums the window's Counters into m, fills the wire counters and
+// flow log from fab (nil for single-machine runs), and computes the
+// per-virtual-second rates from m's totals.
+func (w *window) close(m *Metrics, fab *simnet.Fabric) {
+	for _, k := range w.ks {
+		m.Counters.Add(Counters(k.Counters()))
+	}
+	m.ContextSwitches -= w.csw
+	if fab != nil {
+		tot := fab.Totals()
+		m.NetPacketsSent = tot.PacketsSent
+		m.NetPacketsRecv = tot.PacketsRecv
+		m.NetBytesSent = tot.BytesSent
+		m.NetBytesRecv = tot.BytesRecv
+		m.NetDrops = tot.DropsSend + tot.DropsRecv
+		for _, fl := range fab.Flows() {
+			m.NetFlows = append(m.NetFlows, NetFlow{
+				Src: fl.Src, Dst: fl.Dst, Flow: fl.Flow,
+				Packets: fl.Packets, Bytes: fl.Bytes, Drops: fl.Drops,
+			})
+		}
+	}
+	if m.VirtualNanos > 0 {
+		m.RequestsPerVSec = float64(m.Requests) * 1e9 / float64(m.VirtualNanos)
+		m.CreationsPerVSec = float64(m.Creations) * 1e9 / float64(m.VirtualNanos)
+	}
 }
 
 // Render formats the metrics as an aligned block for the CLI.
@@ -530,14 +602,12 @@ func (p *Prepared) Run() (*Metrics, error) {
 	heap := p.heapBytes
 
 	meter := d.k.Meter()
-	meter.ResetCounters()
-	cswBase := d.k.ContextSwitches()
+	w := openWindow(d.k)
 	oomBase := d.k.OOMKills
-	busyBase := make([]uint64, cfg.CPUs)
-	clockBase := make([]uint64, cfg.CPUs)
-	for _, cs := range d.k.CPUStates() {
-		busyBase[cs.CPU] = uint64(cs.Busy)
-		clockBase[cs.CPU] = uint64(cs.Clock)
+	busyBase := make([]cost.Ticks, cfg.CPUs)
+	clockBase := make([]cost.Ticks, cfg.CPUs)
+	for i := range busyBase {
+		busyBase[i], clockBase[i] = meter.CPUBusy(i), meter.CPUClock(i)
 	}
 	t0 := d.k.Elapsed()
 	d.sample()
@@ -563,7 +633,6 @@ func (p *Prepared) Run() (*Metrics, error) {
 		return nil, fmt.Errorf("load: %s via %v: %w", cfg.Scenario, cfg.Via, err)
 	}
 
-	elapsed := uint64(d.k.Elapsed() - t0)
 	m := &Metrics{
 		Scenario:  string(cfg.Scenario),
 		Strategy:  cfg.Via.String(),
@@ -576,28 +645,16 @@ func (p *Prepared) Run() (*Metrics, error) {
 		FailedRequests: d.failed,
 		OOMKills:       uint64(d.k.OOMKills - oomBase),
 
-		VirtualNanos: elapsed,
+		VirtualNanos: uint64(d.k.Elapsed() - t0),
 		PeakRSSBytes: d.peakPages * uint64(mem.PageSize),
-
-		PageFaults:      meter.PageFaults,
-		PageCopies:      meter.PageCopies,
-		PageZeroes:      meter.PageZeroes,
-		PTECopies:       meter.PTECopies,
-		TLBShootdowns:   meter.TLBShootdowns,
-		ContextSwitches: d.k.ContextSwitches() - cswBase,
-		Syscalls:        meter.Syscalls,
-		Instructions:    meter.Instructions,
 
 		CPUUtilization: make([]float64, cfg.CPUs),
 		ServerCPUNanos: d.serverCPU,
 	}
-	if elapsed > 0 {
-		m.RequestsPerVSec = float64(m.Requests) * 1e9 / float64(elapsed)
-		m.CreationsPerVSec = float64(m.Creations) * 1e9 / float64(elapsed)
-	}
-	for _, cs := range d.k.CPUStates() {
-		if advanced := uint64(cs.Clock) - clockBase[cs.CPU]; advanced > 0 {
-			m.CPUUtilization[cs.CPU] = float64(uint64(cs.Busy)-busyBase[cs.CPU]) / float64(advanced)
+	w.close(m, nil)
+	for i := range m.CPUUtilization {
+		if advanced := meter.CPUClock(i) - clockBase[i]; advanced > 0 {
+			m.CPUUtilization[i] = float64(meter.CPUBusy(i)-busyBase[i]) / float64(advanced)
 		}
 	}
 	return m, nil

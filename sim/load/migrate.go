@@ -141,10 +141,8 @@ func runMigrateCell(cfg Config) (*Metrics, error) {
 	}
 
 	// Measure from here, warm-up excluded like every scenario.
-	srcK, dstK := src.Kernel(), dst.Kernel()
-	srcK.Meter().ResetCounters()
-	dstK.Meter().ResetCounters()
-	cswBase := srcK.ContextSwitches() + dstK.ContextSwitches()
+	srcK := src.Kernel()
+	w := openWindow(srcK, dst.Kernel())
 	t0 := srcK.Elapsed()
 
 	for i := 0; i < cfg.Requests; i++ {
@@ -153,7 +151,6 @@ func runMigrateCell(cfg Config) (*Metrics, error) {
 		}
 	}
 
-	elapsed := uint64(srcK.Elapsed() - t0)
 	m := &Metrics{
 		Scenario:  string(cfg.Scenario),
 		Strategy:  cfg.Via.String(),
@@ -164,7 +161,7 @@ func runMigrateCell(cfg Config) (*Metrics, error) {
 		Requests:  c.migrations,
 		Creations: c.creations,
 
-		VirtualNanos: elapsed,
+		VirtualNanos: uint64(srcK.Elapsed() - t0),
 		PeakRSSBytes: c.peakPages * uint64(mem.PageSize),
 
 		MigrateRounds:        c.roundsRun,
@@ -172,32 +169,7 @@ func runMigrateCell(cfg Config) (*Metrics, error) {
 		MigrateDowntimeNanos: uint64(c.downtime),
 		MigrateRefused:       c.refused,
 	}
-	for _, meter := range []*cost.Meter{srcK.Meter(), dstK.Meter()} {
-		m.PageFaults += meter.PageFaults
-		m.PageCopies += meter.PageCopies
-		m.PageZeroes += meter.PageZeroes
-		m.PTECopies += meter.PTECopies
-		m.TLBShootdowns += meter.TLBShootdowns
-		m.Syscalls += meter.Syscalls
-		m.Instructions += meter.Instructions
-	}
-	m.ContextSwitches = srcK.ContextSwitches() + dstK.ContextSwitches() - cswBase
-	tot := fab.Totals()
-	m.NetPacketsSent = tot.PacketsSent
-	m.NetPacketsRecv = tot.PacketsRecv
-	m.NetBytesSent = tot.BytesSent
-	m.NetBytesRecv = tot.BytesRecv
-	m.NetDrops = tot.DropsSend + tot.DropsRecv
-	for _, fl := range fab.Flows() {
-		m.NetFlows = append(m.NetFlows, NetFlow{
-			Src: fl.Src, Dst: fl.Dst, Flow: fl.Flow,
-			Packets: fl.Packets, Bytes: fl.Bytes, Drops: fl.Drops,
-		})
-	}
-	if elapsed > 0 {
-		m.RequestsPerVSec = float64(m.Requests) * 1e9 / float64(elapsed)
-		m.CreationsPerVSec = float64(m.Creations) * 1e9 / float64(elapsed)
-	}
+	w.close(m, fab)
 	return m, nil
 }
 

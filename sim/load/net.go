@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/cost"
+	"repro/internal/kernel"
 	simnet "repro/sim/net"
 )
 
@@ -184,11 +185,11 @@ func runNetCell(cfg Config, st *ServerTemplates) (*Metrics, error) {
 
 	// Measure from here: the loop's counters exclude warm-up, like
 	// every other scenario.
-	cswBase := make([]uint64, n)
+	ks := make([]*kernel.Kernel, n)
 	for i, s := range c.servers {
-		s.k.Meter().ResetCounters()
-		cswBase[i] = s.k.ContextSwitches()
+		ks[i] = s.k
 	}
+	w := openWindow(ks...)
 
 	// Seed the closed loop and run the merged event queue dry:
 	// earliest of (next packet arrival, next timer), packets first on
@@ -216,7 +217,6 @@ func runNetCell(cfg Config, st *ServerTemplates) (*Metrics, error) {
 		return nil, fmt.Errorf("load: %s via %v: %w", cfg.Scenario, cfg.Via, c.err)
 	}
 
-	elapsed := uint64(c.lastDone)
 	m := &Metrics{
 		Scenario:  string(cfg.Scenario),
 		Strategy:  cfg.Via.String(),
@@ -228,41 +228,13 @@ func runNetCell(cfg Config, st *ServerTemplates) (*Metrics, error) {
 		Creations:      c.creations,
 		FailedRequests: c.failedReqs,
 
-		VirtualNanos: elapsed,
-
-		NetTimeouts: c.timeouts,
-		NetRetries:  c.retries,
+		VirtualNanos: uint64(c.lastDone),
 	}
-	tot := fab.Totals()
-	m.NetPacketsSent = tot.PacketsSent
-	m.NetPacketsRecv = tot.PacketsRecv
-	m.NetBytesSent = tot.BytesSent
-	m.NetBytesRecv = tot.BytesRecv
-	m.NetDrops = tot.DropsSend + tot.DropsRecv
-	for _, fl := range fab.Flows() {
-		m.NetFlows = append(m.NetFlows, NetFlow{
-			Src: fl.Src, Dst: fl.Dst, Flow: fl.Flow,
-			Packets: fl.Packets, Bytes: fl.Bytes, Drops: fl.Drops,
-		})
+	m.NetTimeouts, m.NetRetries = c.timeouts, c.retries
+	for _, s := range c.servers {
+		m.PeakRSSBytes = max(m.PeakRSSBytes, s.PeakRSSBytes())
 	}
-	for i, s := range c.servers {
-		meter := s.k.Meter()
-		m.PageFaults += meter.PageFaults
-		m.PageCopies += meter.PageCopies
-		m.PageZeroes += meter.PageZeroes
-		m.PTECopies += meter.PTECopies
-		m.TLBShootdowns += meter.TLBShootdowns
-		m.Syscalls += meter.Syscalls
-		m.Instructions += meter.Instructions
-		m.ContextSwitches += s.k.ContextSwitches() - cswBase[i]
-		if rss := s.PeakRSSBytes(); rss > m.PeakRSSBytes {
-			m.PeakRSSBytes = rss
-		}
-	}
-	if elapsed > 0 {
-		m.RequestsPerVSec = float64(m.Requests) * 1e9 / float64(elapsed)
-		m.CreationsPerVSec = float64(m.Creations) * 1e9 / float64(elapsed)
-	}
+	w.close(m, fab)
 	return m, nil
 }
 
