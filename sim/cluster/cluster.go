@@ -99,7 +99,7 @@ type engine struct {
 	// scale-out of that shape is stamped from the template in O(live
 	// structures) host time instead of Θ(heap). Virtual-time behaviour
 	// (measured scale-out latency included) is identical either way.
-	boots *load.ServerTemplates
+	boots *load.Templates
 }
 
 // Run executes the cluster to completion: boot the pools' minimum
@@ -118,7 +118,7 @@ func Run(spec Spec) (*Report, error) {
 		dt:       spec.ReconcileEveryNanos,
 		lastKill: make([]int, spec.Zones),
 		workers:  fleet.PoolSize(spec.Parallelism, 0),
-		boots:    load.NewServerTemplates(),
+		boots:    load.NewTemplates(),
 	}
 	for z := range e.lastKill {
 		e.lastKill[z] = -1

@@ -43,10 +43,10 @@
 // re-warm tax — the cluster-layer version (migrate a zone out rather
 // than kill and backfill) is ROADMAP item 3.
 //
-// Scale-out machines boot from frozen server templates
-// (load.ServerTemplates over sim.System.Snapshot): the ready-to-serve
-// master is warmed once per shape and host-COW-stamped per node, so
-// the *host* cost of a scale-out stops being Θ(heap) while the
-// *virtual* warm-up latency the autoscaler measures is unchanged (see
-// README "Template machines & O(1) clone").
+// Scale-out machines are stamped from the run's load.Templates cache,
+// the one source of warmed machines (nil means cold): the
+// ready-to-serve server master is warmed once per shape and
+// host-COW-stamped per node, so the *host* cost of a scale-out stops
+// being Θ(heap) while the *virtual* warm-up latency the autoscaler
+// measures is unchanged (see README "Template machines & O(1) clone").
 package cluster

@@ -61,7 +61,7 @@
 // turning the paper's §5 "fork poisons servers" claim into measured
 // throughput (see `forkbench load`). The sim/fleet subpackage scales
 // that to a fleet: N independent machines multiplexed across host
-// cores with results merged in machine-id order, so the aggregate
+// cores with results merged by order-independent rules, so the aggregate
 // report inherits the bit-for-bit determinism guarantee at any host
 // parallelism (see `forkbench fleet`). The sim/cluster subpackage
 // adds the elasticity layer above that: named node pools scaled by a

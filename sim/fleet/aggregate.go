@@ -162,9 +162,9 @@ func (a *aggregator) aggregate() Aggregate {
 	return agg
 }
 
-// aggregate merges per-machine metrics in machine-id order — the
-// legacy in-memory reference the streaming tests compare against, and
-// the primitive the hand-built-fleet tests exercise.
+// aggregate folds per-machine metrics serially — the in-memory
+// reference the streaming tests compare against, and the primitive the
+// hand-built-fleet tests exercise.
 func aggregate(machines []MachineMetrics) Aggregate {
 	var a aggregator
 	for i := range machines {
@@ -173,26 +173,24 @@ func aggregate(machines []MachineMetrics) Aggregate {
 	return a.aggregate()
 }
 
-// merger is the streaming machine-id-ordered merge point the fleet's
-// host workers feed: finished machines are folded into the aggregator
-// strictly in id order, buffering out-of-order arrivals. forEach's
-// workers claim ids in increasing order, so the pending buffer holds
-// at most workers-1 entries — constant memory however large the fleet.
-// Per-machine metrics are kept only when requested (Spec.KeepPerMachine).
+// merger is the streaming merge point the fleet's host workers feed:
+// each finished machine folds into the aggregator as it arrives — every
+// fold rule is a sum or a max and the rate an exactSum, so arrival
+// order cannot change the result — and, when Spec.KeepPerMachine asks
+// for the breakdown, lands in its id's slot of a preallocated slice.
 type merger struct {
-	mu      sync.Mutex
-	next    int
-	pending map[int]*MachineMetrics
-	agg     aggregator
-	keep    []MachineMetrics
+	mu   sync.Mutex
+	lo   int
+	agg  aggregator
+	keep []MachineMetrics
 }
 
 // newMerger merges ids [lo, lo+n), keeping per-machine metrics when
 // keep is set.
 func newMerger(lo, n int, keep bool) *merger {
-	m := &merger{next: lo, pending: map[int]*MachineMetrics{}}
+	m := &merger{lo: lo}
 	if keep {
-		m.keep = make([]MachineMetrics, 0, n)
+		m.keep = make([]MachineMetrics, n)
 	}
 	return m
 }
@@ -201,17 +199,8 @@ func newMerger(lo, n int, keep bool) *merger {
 func (m *merger) add(id int, mm *MachineMetrics) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.pending[id] = mm
-	for {
-		nxt, ok := m.pending[m.next]
-		if !ok {
-			return
-		}
-		delete(m.pending, m.next)
-		m.agg.fold(nxt)
-		if m.keep != nil {
-			m.keep = append(m.keep, *nxt)
-		}
-		m.next++
+	m.agg.fold(mm)
+	if m.keep != nil {
+		m.keep[id-m.lo] = *mm
 	}
 }

@@ -8,8 +8,8 @@
 // A fleet.Spec describes N machines, each derived deterministically
 // from (spec, machine id): shape (CPUs), strategy, workload, and
 // scale. Run executes the machines concurrently on a host worker pool
-// bounded by GOMAXPROCS and merges results in machine-id order, so the
-// aggregate report is byte-identical at any host parallelism — the
+// bounded by GOMAXPROCS and merges results by order-independent rules,
+// so the aggregate report is byte-identical at any host parallelism — the
 // determinism guarantee sim makes for one machine, promoted to the
 // fleet:
 //
@@ -59,11 +59,13 @@
 // virtual-time byte (README "Host-scale fleets"):
 //
 //   - Streaming aggregation: finished machines fold into the Aggregate
-//     in machine-id order as they complete and are dropped, so a fleet
-//     of any size runs in O(workers) report memory. Spec.KeepPerMachine
-//     retains the Result.Machines breakdown. The fleet rate folds
-//     through an exact (big.Int-scaled) accumulator, so grouped merges
-//     round identically to the serial fold.
+//     as they complete and are dropped, so a fleet of any size runs in
+//     constant report memory. Every fold rule is a sum or a max and the
+//     fleet rate folds through an exact (big.Int-scaled) accumulator,
+//     so the fold is order-independent: any arrival order, and any
+//     grouping into shards, rounds identically to the serial fold.
+//     Spec.KeepPerMachine retains the Result.Machines breakdown, each
+//     machine in its id's slot.
 //   - Machine reuse: a finished machine's allocations recycle into its
 //     template's next stamp (sim.Template.Release); a recycled clone is
 //     byte-identical to a fresh one.
@@ -98,12 +100,17 @@
 // bounds in virtual time (experiments.ScaleOutClaim, `forkbench
 // cluster`).
 //
-// Machines are stamped from frozen templates, not cold-booted: one
-// warmed master per distinct (shape, strategy, workload) is frozen
-// via sim.System.Snapshot and host-COW-cloned per machine, so fleet
-// host cost stops being Θ(heap)×N (Spec.ColdBoot opts out; the report
-// is byte-identical either way, which CI's clone-equivalence gate
-// enforces — see README "Template machines & O(1) clone").
+// Every warmed machine comes from load.Templates; nil means cold. A
+// run holds one cache, and every phase stamps from it: the serve
+// phases and the rebalance wave's migration source from the template
+// of their load.Shape, the rolling wave's replacement instance (a
+// load.Server, whose warm-up is the restart tax) from the template of
+// its load.ServerShape. Each template is warmed once via
+// sim.System.Snapshot and host-COW-cloned per machine, so fleet host
+// cost stops being Θ(heap)×N. Spec.ColdBoot holds a nil cache instead;
+// the report is byte-identical either way, which CI's
+// clone-equivalence gate enforces for the rolling and rebalance waves
+// (see README "Template machines & O(1) clone").
 //
 // Distributed loads (load.NetLB, load.KVShard) run one sim/net cell
 // per fleet machine: the cell is a self-contained deterministic

@@ -130,8 +130,8 @@ type Spec struct {
 	// Parallelism bounds the host worker pool that multiplexes the
 	// fleet's machines across host goroutines (default and ceiling:
 	// GOMAXPROCS). It affects host wall-clock time only, never the
-	// Result: machines are independent simulations merged in
-	// machine-id order.
+	// Result: machines are independent simulations, folded by
+	// order-independent rules.
 	Parallelism int
 
 	// Shards fans the fleet's machine-id ranges across that many
@@ -374,8 +374,9 @@ type MachineMetrics struct {
 	RequestsPerVSec float64 `json:"requests_per_vsec"`
 }
 
-// Aggregate is the fleet-wide rollup, merged in machine-id order so it
-// is byte-identical regardless of host parallelism. Rates sum across
+// Aggregate is the fleet-wide rollup: every rule a sum or a max, the
+// rate an exact sum, so it is byte-identical regardless of host
+// parallelism and machine completion order. Rates sum across
 // machines (they are concurrent hosts); virtual times report both the
 // makespan (slowest machine) and the fleet total (machine-seconds).
 type Aggregate struct {
@@ -467,10 +468,10 @@ func (s Spec) result() *Result {
 // Run executes the fleet: every machine is an independent,
 // deterministic sim.System driven to completion on a host worker pool
 // bounded by GOMAXPROCS (or Spec.Parallelism if lower) — and, with
-// Spec.Shards > 1, fanned across worker OS processes — with results
-// merged in machine-id order. Finished machines stream into a
-// constant-memory aggregate as they complete; the Result's JSON is
-// byte-identical at any host parallelism and shard count.
+// Spec.Shards > 1, fanned across worker OS processes. Finished machines
+// stream into a constant-memory, order-independent aggregate as they
+// complete (the kept breakdown in machine-id order); the Result's JSON
+// is byte-identical at any host parallelism and shard count.
 func Run(spec Spec) (*Result, error) {
 	spec = spec.withDefaults()
 	if err := spec.validate(); err != nil {
@@ -496,13 +497,17 @@ func Run(spec Spec) (*Result, error) {
 }
 
 // runRange streams machines [lo, hi) through the worker pool into a
-// machine-id-ordered merger — the common core of the in-process run
-// and each shard worker.
+// merger — the common core of the in-process run and each shard
+// worker. Every machine is stamped from one template cache shared by
+// the range's workers, or cold-booted under Spec.ColdBoot.
 func runRange(spec Spec, lo, hi, workers int) (*merger, error) {
-	tpls := newTemplates(spec.ColdBoot)
+	var tc *load.Templates
+	if !spec.ColdBoot {
+		tc = load.NewTemplates()
+	}
 	m := newMerger(lo, hi-lo, spec.KeepPerMachine)
 	err := forEach(workers, hi-lo, func(i int) error {
-		mm, _, err := runMachine(spec, lo+i, tpls)
+		mm, _, err := runMachine(spec, lo+i, tc)
 		if err != nil {
 			return fmt.Errorf("fleet: machine %d: %w", lo+i, err)
 		}
@@ -516,33 +521,30 @@ func runRange(spec Spec, lo, hi, workers int) (*merger, error) {
 }
 
 // runMachine executes machine id's phases, stamping each phase's
-// machine from tpls (nil = cold boots). The returned debug state
-// carries the rolling runner's leak-check counters for the tests.
-func runMachine(spec Spec, id int, tpls *templates) (*MachineMetrics, *restartDebug, error) {
+// machine from tc (nil = cold boots). A replacement instance's Drain
+// books — rolling restarts and rebalance fallbacks — come back for the
+// leak-invariant tests.
+func runMachine(spec Spec, id int, tc *load.Templates) (*MachineMetrics, *load.DrainStats, error) {
 	ms := spec.machine(id)
 	mm := &MachineMetrics{Machine: ms.ID, CPUs: ms.CPUs, Strategy: ms.Via.String()}
-	var dbg *restartDebug
+	var books *load.DrainStats
 	switch spec.Scenario {
 	case RollingRestart:
-		warm, err := tpls.run(ms.loadConfig())
+		warm, err := tc.Run(ms.loadConfig())
 		if err != nil {
 			return nil, nil, fmt.Errorf("warm phase: %w", err)
 		}
-		d, err := runRestartedMachine(ms, tpls, mm, warm)
-		if err != nil {
+		if books, err = runRestartedMachine(ms, tc, mm, warm); err != nil {
 			return nil, nil, fmt.Errorf("restart phase: %w", err)
 		}
-		dbg = d
 	case Rebalance:
-		warm, err := tpls.run(ms.loadConfig())
+		warm, err := tc.Run(ms.loadConfig())
 		if err != nil {
 			return nil, nil, fmt.Errorf("warm phase: %w", err)
 		}
-		d, err := runRebalancedMachine(ms, tpls, mm, warm)
-		if err != nil {
+		if books, err = runRebalancedMachine(ms, tc, mm, warm); err != nil {
 			return nil, nil, fmt.Errorf("rebalance phase: %w", err)
 		}
-		dbg = d
 	case Chaos:
 		// Chaos serves failure-tolerant traffic (validate pinned
 		// Spec.Load) under this machine's derived wave schedule. The
@@ -557,26 +559,26 @@ func runMachine(spec Spec, id int, tpls *templates) (*MachineMetrics, *restartDe
 		} else {
 			cfg.Faults = fault.Chaos(spec.FaultSeed, ms.ID)
 		}
-		m, err := tpls.run(cfg)
+		m, err := tc.Run(cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("chaos phase: %w", err)
 		}
 		mm.Phases = []*load.Metrics{m}
 	case Surge:
-		base, err := tpls.run(ms.loadConfig())
+		base, err := tc.Run(ms.loadConfig())
 		if err != nil {
 			return nil, nil, fmt.Errorf("baseline phase: %w", err)
 		}
 		spike := ms.loadConfig()
 		spike.Requests = ms.Requests * spec.SurgeFactor
 		spike.Window = ms.baseWindow() * spec.SurgeFactor
-		surge, err := tpls.run(spike)
+		surge, err := tc.Run(spike)
 		if err != nil {
 			return nil, nil, fmt.Errorf("surge phase: %w", err)
 		}
 		mm.Phases = []*load.Metrics{base, surge}
 	default: // Uniform, Heterogeneous
-		m, err := tpls.run(ms.loadConfig())
+		m, err := tc.Run(ms.loadConfig())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -586,7 +588,7 @@ func runMachine(spec Spec, id int, tpls *templates) (*MachineMetrics, *restartDe
 	if r := machineRollup(mm); r.TotalVirtualNanos > 0 {
 		mm.RequestsPerVSec = float64(r.TotalRequests) * 1e9 / float64(r.TotalVirtualNanos)
 	}
-	return mm, dbg, nil
+	return mm, books, nil
 }
 
 // JSON renders the result as the byte-stable fleet report: same Spec,

@@ -10,10 +10,10 @@ import (
 
 // TestRollingRestartLeaksNothing is the fleet leak invariant: after a
 // rolling restart — warm pool created through any strategy, traffic
-// served, pool torn down — every machine's process and physical-frame
-// counts must be exactly back at the post-warm-up baseline. A fleet
-// that leaks a page per restart wave loses a machine's worth of RAM
-// over enough deploys.
+// served, pool torn down — every machine's process, physical-frame,
+// and commit counts must be exactly back at the post-warm-up baseline.
+// A fleet that leaks a page per restart wave loses a machine's worth
+// of RAM over enough deploys.
 func TestRollingRestartLeaksNothing(t *testing.T) {
 	for _, via := range append(sim.Strategies(), sim.EagerForkExec) {
 		via := via
@@ -25,18 +25,19 @@ func TestRollingRestartLeaksNothing(t *testing.T) {
 				Requests:  4,
 				HeapBytes: 8 << 20,
 			}.withDefaults()
-			tpls := newTemplates(false)
+			tc := load.NewTemplates()
 			for id := 0; id < spec.Machines; id++ {
-				_, dbg, err := runMachine(spec, id, tpls)
+				_, books, err := runMachine(spec, id, tc)
 				if err != nil {
 					t.Fatalf("machine %d: %v", id, err)
 				}
-				if dbg == nil {
-					t.Fatalf("machine %d: rolling runner returned no debug state", id)
+				if books == nil {
+					t.Fatalf("machine %d: rolling runner returned no drain books", id)
 				}
-				if dbg.EndProcs != dbg.BaseProcs || dbg.EndPages != dbg.BasePages {
-					t.Errorf("machine %d leaked: procs %d -> %d, pages %d -> %d",
-						id, dbg.BaseProcs, dbg.EndProcs, dbg.BasePages, dbg.EndPages)
+				if books.EndProcs != books.BaseProcs || books.EndPages != books.BasePages || books.EndCommit != books.BaseCommit {
+					t.Errorf("machine %d leaked: procs %d -> %d, pages %d -> %d, commit %d -> %d",
+						id, books.BaseProcs, books.EndProcs, books.BasePages, books.EndPages,
+						books.BaseCommit, books.EndCommit)
 				}
 			}
 		})
@@ -181,7 +182,7 @@ func TestRollingRestartTax(t *testing.T) {
 	run := func(via sim.Strategy) *MachineMetrics {
 		spec := Spec{Machines: 1, Scenario: RollingRestart, Via: via,
 			Requests: 4, HeapBytes: 32 << 20}.withDefaults()
-		mm, _, err := runMachine(spec, 0, newTemplates(false))
+		mm, _, err := runMachine(spec, 0, load.NewTemplates())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,14 +41,14 @@ func NewMachine(id, zone int, cfg load.Config) (*Machine, error) {
 	return NewMachineFrom(nil, id, zone, cfg)
 }
 
-// NewMachineFrom is NewMachine with a server-template cache: the
-// machine is stamped from tc's frozen warmed server for cfg's shape
-// (warmed on first use) instead of booting from scratch, so a
-// cluster's scale-out host cost is O(live structures) per machine,
-// not Θ(heap). A nil cache cold-boots, exactly like NewMachine. The
-// machine's virtual-time behaviour — warm-up latency included — is
-// identical either way.
-func NewMachineFrom(tc *load.ServerTemplates, id, zone int, cfg load.Config) (*Machine, error) {
+// NewMachineFrom is NewMachine with a template cache: the machine is
+// stamped from tc's frozen warmed server for cfg's shape (warmed on
+// first use) instead of booting from scratch, so a cluster's scale-out
+// host cost is O(live structures) per machine, not Θ(heap). A nil
+// cache cold-boots, exactly like NewMachine. The machine's
+// virtual-time behaviour — warm-up latency included — is identical
+// either way.
+func NewMachineFrom(tc *load.Templates, id, zone int, cfg load.Config) (*Machine, error) {
 	srv, err := tc.Server(cfg)
 	if err != nil {
 		return nil, err

@@ -12,18 +12,20 @@ import (
 // cell runs the iterative pre-copy — during which the machine still
 // serves — and only the stop-and-copy residue is outage, recorded in
 // mm.MigrateNanos. The machine then serves its second phase at its new
-// home, bookkept identically to the warm phase.
+// home, bookkept identically to the warm phase. Like every phase, the
+// cell's source machine is stamped from tc (cold-booted when tc is
+// nil).
 //
 // A worker the checkpoint refuses to serialize (the strategy left it
 // entangled with its machine — a vfork borrower's address space) can
 // not be migrated: the machine falls back to the full rolling restart,
 // and mm.RestartNanos carries the re-warm tax the refusal cost.
-func runRebalancedMachine(ms machineSpec, tpls *templates, mm *MachineMetrics, warm *load.Metrics) (*restartDebug, error) {
+func runRebalancedMachine(ms machineSpec, tc *load.Templates, mm *MachineMetrics, warm *load.Metrics) (*load.DrainStats, error) {
 	mcfg := ms.loadConfig()
 	mcfg.Scenario = load.Migrate
 	mcfg.Requests = 1 // one migration: this machine's resident worker
 	mcfg.Workers = 0  // default pre-copy rounds, not the pool size
-	mig, err := load.Run(mcfg)
+	mig, err := tc.Run(mcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -32,12 +34,12 @@ func runRebalancedMachine(ms machineSpec, tpls *templates, mm *MachineMetrics, w
 		// Not serializable one-sided: the entangled worker pins the
 		// machine, and the wave pays the full restart for it.
 		mm.MigrateRefused = mig.MigrateRefused
-		return runRestartedMachine(ms, tpls, mm, warm)
+		return runRestartedMachine(ms, tc, mm, warm)
 	}
 
 	mm.MigrateNanos = mig.MigrateDowntimeNanos
 	mm.MigratePagesSent = mig.MigratePagesSent
-	serve, err := tpls.run(ms.loadConfig())
+	serve, err := tc.Run(ms.loadConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -84,6 +84,16 @@
 // The fleet's Rebalance scenario runs this cell per machine, falling
 // back to the rolling-restart tax when the checkpoint refuses.
 //
+// Every warmed machine comes from Templates; nil means cold.
+// Templates.Run is the one scenario dispatch, and it stamps each
+// machine a run needs from the cache: a Template per Shape (booted,
+// server heap dirtied) for single-machine runs and migration sources,
+// a ServerTemplate per ServerShape (a Server with its worker pool
+// parked) for network-cell backends, sim/fleet's rolling-wave
+// replacements, and sim/cluster's nodes. Run is (*Templates)(nil).Run:
+// every machine boots and warms cold through the same recipe, so a
+// stamped run and a cold run produce byte-identical Metrics.
+//
 // Metrics declares each counter once. The cost counters are the
 // embedded Counters struct — a tagged copy of the kernel's
 // kernel.Counters snapshot, converted directly so the two cannot drift

@@ -118,14 +118,6 @@ type Config struct {
 	// it. 0 = no per-request working set.
 	RequestWorkMiB int
 
-	// OnSample, when non-nil, receives a mid-run metric Snapshot at
-	// every driver sample point — the peak-occupancy instants the
-	// scenarios already probe for the RSS high-water mark. The hook
-	// runs on the driver's goroutine inside virtual time; it must not
-	// mutate the machine. sim/cluster's autoscaler watches machines
-	// through it.
-	OnSample func(Snapshot)
-
 	// Faults, when non-nil, runs the measured loop in chaos mode:
 	// the schedule is installed after warm-up (so setup stays
 	// clean), per-request failures are tolerated and counted in
@@ -437,20 +429,17 @@ func HumanBytes(n uint64) string {
 	return fmt.Sprintf("%dB", n)
 }
 
-// Snapshot is one mid-run metric sample: the machine's live state at a
-// driver sample point, on its own virtual clock. Deterministic — the
-// same Config produces the same sequence of Snapshots.
+// Snapshot is one live metric sample of a Server's machine, on its own
+// virtual clock (see Server.Sample).
 type Snapshot struct {
 	// VirtualNanos is the machine's virtual time at the sample
 	// (since boot, warm-up included).
 	VirtualNanos uint64
-	// Requests/FailedRequests/Creations are the loop's running
+	// Requests/FailedRequests/Creations are the server's running
 	// totals at the sample.
 	Requests       uint64
 	FailedRequests uint64
 	Creations      uint64
-	// InFlight is how many requests the driver currently holds live.
-	InFlight int
 	// RSSBytes is the machine's current resident physical memory.
 	RSSBytes uint64
 }
@@ -467,31 +456,16 @@ type driver struct {
 	creations uint64
 	failed    uint64
 	peakPages uint64
-	inflight  int
 
 	// serverCPU is the virtual CPU time the SMPServer scenario's
 	// server process executed during the loop.
 	serverCPU uint64
 }
 
-// sample records the physical-memory high-water mark and feeds the
-// mid-run sampling hook; scenarios call it at their peak-occupancy
-// points (with driver.inflight set to the live request count).
+// sample records the physical-memory high-water mark; scenarios call
+// it at their peak-occupancy points.
 func (d *driver) sample() {
-	a := d.k.Phys().AllocatedPages()
-	if a > d.peakPages {
-		d.peakPages = a
-	}
-	if d.cfg.OnSample != nil {
-		d.cfg.OnSample(Snapshot{
-			VirtualNanos:   uint64(d.k.Elapsed()),
-			Requests:       d.requests,
-			FailedRequests: d.failed,
-			Creations:      d.creations,
-			InFlight:       d.inflight,
-			RSSBytes:       a * uint64(mem.PageSize),
-		})
-	}
+	d.peakPages = max(d.peakPages, d.k.Phys().AllocatedPages())
 }
 
 // DefaultWindow reports a scenario's steady-state in-flight request
@@ -524,13 +498,15 @@ type Prepared struct {
 	sys       *sim.System
 	heapStart uint64
 	heapBytes uint64
+
+	// tpl is the template the machine was stamped from (nil when
+	// cold-booted); release recycles the machine into it.
+	tpl *sim.Template
 }
 
 // Prepare warms an existing machine for cfg's scenario — the step
-// between boot and the measured loop. sim/fleet's rolling-restart
-// driver calls it directly so a replacement instance's warm-up cost
-// (heap dirtying, pool creation) can be measured separately from its
-// serve phase.
+// between boot and the measured loop. NewServer calls it between boot
+// and pool creation, so a server's warm-up is measured whole.
 func Prepare(sys *sim.System, cfg Config) (*Prepared, error) {
 	cfg = cfg.withDefaults()
 
@@ -558,46 +534,24 @@ func Prepare(sys *sim.System, cfg Config) (*Prepared, error) {
 // host-cost experiment) can inspect the warmed state before Run.
 func (p *Prepared) System() *sim.System { return p.sys }
 
-// Run boots a fresh machine, warms it, and executes one scenario,
-// reporting its metrics. Counters are zeroed after the warm-up, so
-// boot and heap-dirtying cost is excluded from the measured loop.
+// Run boots a fresh machine (or cell), warms it, and executes one
+// scenario, reporting its metrics: (*Templates)(nil).Run, the cold
+// path. Counters are zeroed after the warm-up, so boot and
+// heap-dirtying cost is excluded from the measured loop.
 func Run(cfg Config) (*Metrics, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Scenario.Distributed() {
-		return runNetCell(cfg, nil)
-	}
-	if cfg.Scenario == Migrate {
-		// Also a network cell: cfg.Faults is the wire's schedule.
-		return runMigrateCell(cfg)
-	}
-	if cfg.Faults != nil && cfg.Scenario != Prefork {
-		return nil, fmt.Errorf("load: scenario %s does not support fault injection (only prefork and the distributed scenarios are failure-tolerant)", cfg.Scenario)
-	}
-	sys, err := sim.NewSystem(
-		sim.WithRAM(cfg.RAMBytes),
-		sim.WithCPUs(cfg.CPUs),
-		sim.WithUserland("true", "echo", "cat", "hog", "smpspin"),
-	)
-	if err != nil {
-		return nil, err
-	}
-	p, err := Prepare(sys, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Chaos arms only now: warm-up (boot, heap dirtying) stays clean,
-	// the measured loop runs under the schedule.
-	if cfg.Faults != nil {
-		sys.SetFaultSchedule(cfg.Faults)
-	}
-	return p.Run()
+	return (*Templates)(nil).Run(cfg)
 }
 
 // Run executes the prepared scenario once, measuring from the current
-// virtual instant: counters are zeroed, the loop runs, and the
-// metrics are assembled. Call it once per Prepare.
+// virtual instant: cfg.Faults is armed (only now, so warm-up stays
+// clean and the measured loop runs under the schedule), counters are
+// zeroed, the loop runs, and the metrics are assembled. Call it once
+// per Prepare.
 func (p *Prepared) Run() (*Metrics, error) {
 	cfg := p.cfg
+	if cfg.Faults != nil {
+		p.sys.SetFaultSchedule(cfg.Faults)
+	}
 	d := &driver{cfg: cfg, sys: p.sys, k: p.sys.Kernel(), heapStart: p.heapStart}
 	heap := p.heapBytes
 
@@ -658,4 +612,25 @@ func (p *Prepared) Run() (*Metrics, error) {
 		}
 	}
 	return m, nil
+}
+
+// runOnce runs the prepared scenario and, once its Metrics are plain
+// data, releases the machine.
+func (p *Prepared) runOnce() (*Metrics, error) {
+	m, err := p.Run()
+	if err != nil {
+		return nil, err
+	}
+	p.release()
+	return m, nil
+}
+
+// release retires the machine: a stamped one's allocations recycle
+// into its template's next stamp (host-side only), a cold one is
+// dropped. The Prepared cannot run afterwards.
+func (p *Prepared) release() {
+	if p.tpl != nil {
+		p.tpl.Release(p.sys)
+	}
+	p.sys = nil
 }

@@ -91,29 +91,21 @@ func pageRecBytes(recs []addrspace.PageRecord) uint64 {
 	return n
 }
 
-// runMigrateCell executes the Migrate scenario.
-func runMigrateCell(cfg Config) (*Metrics, error) {
+// runMigrateCell executes the Migrate scenario. The source machine is
+// stamped from tc (cold-booted when tc is nil) and released back into
+// its template after the cell; the destination always boots cold.
+func runMigrateCell(cfg Config, tc *Templates) (*Metrics, error) {
 	cfg = cfg.withDefaults()
-	boot := func() (*sim.System, error) {
-		return sim.NewSystem(
-			sim.WithRAM(cfg.RAMBytes),
-			sim.WithCPUs(cfg.CPUs),
-			sim.WithUserland("true", "echo", "cat", "hog", "smpspin"),
-		)
-	}
-	src, err := boot()
+	// The source is a warmed server, stamped like any single-machine
+	// run: its dirty heap is what the fork-family migrants drag along.
+	prep, err := tc.stamp(cfg)
 	if err != nil {
 		return nil, err
 	}
-	// The source is a warmed server — Prepare dirties the resident
-	// heap the fork-family migrants will drag along.
-	prep, err := Prepare(src, cfg)
-	if err != nil {
-		return nil, err
-	}
+	src := prep.sys
 	// The destination boots identically but stays cold: the migrant's
 	// state arrives over the wire, not from a local warm-up.
-	dst, err := boot()
+	dst, err := boot(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -170,6 +162,7 @@ func runMigrateCell(cfg Config) (*Metrics, error) {
 		MigrateRefused:       c.refused,
 	}
 	w.close(m, fab)
+	prep.release()
 	return m, nil
 }
 

@@ -123,9 +123,9 @@ const netClientAddr = 0
 const netLBAddr = 1
 
 // runNetCell executes one distributed scenario. Backends are stamped
-// from st when non-nil (the fleet's warm-template path) and
-// cold-booted otherwise; both produce byte-identical Metrics.
-func runNetCell(cfg Config, st *ServerTemplates) (*Metrics, error) {
+// from tc's server templates, or cold-booted when tc is nil; both
+// produce byte-identical Metrics.
+func runNetCell(cfg Config, tc *Templates) (*Metrics, error) {
 	cfg = cfg.withDefaults()
 	n := cfg.Nodes
 
@@ -157,9 +157,8 @@ func runNetCell(cfg Config, st *ServerTemplates) (*Metrics, error) {
 	bcfg := cfg
 	bcfg.Scenario = Prefork
 	bcfg.Faults = nil
-	bcfg.OnSample = nil
 	for i := 0; i < n; i++ {
-		s, err := st.Server(bcfg)
+		s, err := tc.Server(bcfg)
 		if err != nil {
 			return nil, fmt.Errorf("load: %s backend %d: %w", cfg.Scenario, i, err)
 		}
@@ -220,7 +219,7 @@ func runNetCell(cfg Config, st *ServerTemplates) (*Metrics, error) {
 	m := &Metrics{
 		Scenario:  string(cfg.Scenario),
 		Strategy:  cfg.Via.String(),
-		HeapBytes: c.servers[0].cfg.HeapBytes,
+		HeapBytes: cfg.HeapBytes,
 		RAMBytes:  cfg.RAMBytes,
 		NumCPUs:   cfg.CPUs,
 

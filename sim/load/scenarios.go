@@ -59,7 +59,6 @@ func (d *driver) prefork() error {
 		// Sample while workers are live, so the peak reflects the
 		// per-request footprint (stack, image, mirrored page table),
 		// not just the server heap.
-		d.inflight = len(inflight)
 		d.sample()
 		cmd := inflight[0]
 		inflight = inflight[1:]
@@ -121,7 +120,6 @@ func (d *driver) pipeline() error {
 		}
 		// Drop the host's pipe ends so EOF propagates stage to stage.
 		closeAll()
-		d.inflight = depth
 		d.sample()
 		for j := range cmds {
 			if err := cmds[j].Wait(); err != nil {
@@ -281,7 +279,6 @@ func (d *driver) buildfarm() error {
 			launched++
 			inflight = append(inflight, cmd)
 		}
-		d.inflight = len(inflight)
 		d.sample()
 		cmd := inflight[0]
 		inflight = inflight[1:]
@@ -312,7 +309,6 @@ func (d *driver) forkstorm() error {
 			cmds = append(cmds, cmd)
 			d.creations++
 		}
-		d.inflight = len(cmds)
 		d.sample()
 		for _, cmd := range cmds {
 			if err := cmd.Wait(); err != nil {

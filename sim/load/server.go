@@ -16,33 +16,34 @@ import (
 // heap, pre-created worker pool, all on the machine's virtual clock,
 // so fork's Θ(heap) pool tax is in the measured scale-out latency),
 // ServeBatch is one reconcile step's worth of traffic, and Drain is
-// scale-down (the leak invariant checks its books).
+// scale-down (the leak invariant checks its books). sim/fleet's rolling
+// wave uses one as a machine's replacement instance: the warm-up is the
+// restart tax, and Run is the measured serve phase. The network cells'
+// backends are Servers too.
 //
 // A Server is single-goroutine: the caller serializes ServeBatch /
-// Sample / Drain. Distinct Servers are independent machines and may
+// Run / Sample / Drain. Distinct Servers are independent machines and may
 // run host-parallel.
 type Server struct {
-	cfg     Config
-	workers int
-	sys     *sim.System
-	k       *kernel.Kernel
-	pool    []*sim.Process
-
-	// tpl is the template this server was stamped from (nil when
-	// cold-booted); Drain recycles the machine's allocations back
-	// into it once the books are closed.
-	tpl *sim.Template
-
-	warmNanos uint64
-	warmPTEs  uint64
-
-	// Post-warm-up resource baselines: what Drain must get back to.
-	baseProcs          int
-	basePages, baseCmt uint64
+	// p is the warmed machine: its resolved Config, its server heap,
+	// and the template it was stamped from (nil when cold-booted),
+	// which Drain recycles the machine into once the books are closed.
+	p    *Prepared
+	k    *kernel.Kernel
+	pool []*sim.Process
+	warm warmup
 
 	requests, failed, creations uint64
 	peakPages                   uint64
 	drained                     bool
+}
+
+// warmup is a server's warm-up record: its virtual time and page-table
+// bill, and the post-warm-up resource baselines Drain must get back to.
+type warmup struct {
+	nanos, ptes        uint64
+	baseProcs          int
+	basePages, baseCmt uint64
 }
 
 // Batch is one ServeBatch's outcome.
@@ -77,44 +78,35 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("load: Server serves prefork traffic only, not %q", cfg.Scenario)
 	}
 	cfg.Scenario = Prefork
-	rawWorkers := cfg.Workers
+	workers := cfg.ServerShape().Workers
 	cfg = cfg.withDefaults()
-	workers := rawWorkers
-	if workers <= 0 {
-		workers = 4 * cfg.CPUs
-	}
-	sys, err := sim.NewSystem(
-		sim.WithRAM(cfg.RAMBytes),
-		sim.WithCPUs(cfg.CPUs),
-		sim.WithUserland("true", "hog"),
-	)
+	sys, err := boot(cfg)
 	if err != nil {
 		return nil, err
 	}
 	k := sys.Kernel()
 
-	t0 := k.Elapsed()
-	pteBase := k.Meter().PTECopies
-	if _, err := Prepare(sys, cfg); err != nil {
+	t0, pteBase := k.Elapsed(), k.Meter().PTECopies
+	p, err := Prepare(sys, cfg)
+	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		cfg: cfg, workers: workers, sys: sys, k: k,
+	s := &Server{p: p, k: k, warm: warmup{
 		baseProcs: k.ProcessCount(),
 		basePages: k.Phys().AllocatedPages(),
 		baseCmt:   k.Phys().Committed(),
-	}
+	}}
 	for i := 0; i < workers; i++ {
-		p, err := sys.Command("true").Via(cfg.Via).Create()
+		w, err := sys.Command("true").Via(cfg.Via).Create()
 		if err != nil {
 			s.teardown()
 			return nil, fmt.Errorf("load: warm pool worker %d via %v: %w", i, cfg.Via, err)
 		}
-		s.pool = append(s.pool, p)
+		s.pool = append(s.pool, w)
 	}
-	s.warmNanos = uint64(k.Elapsed() - t0)
-	s.warmPTEs = k.Meter().PTECopies - pteBase
-	s.observe(0)
+	s.warm.nanos = uint64(k.Elapsed() - t0)
+	s.warm.ptes = k.Meter().PTECopies - pteBase
+	s.observe()
 	return s, nil
 }
 
@@ -122,10 +114,11 @@ func NewServer(cfg Config) (*Server, error) {
 // set the worker is a hog that allocates and write-touches its own
 // working set, otherwise it is a trivial exit.
 func (s *Server) request() *sim.Cmd {
-	if s.cfg.RequestWorkMiB > 0 {
-		return s.sys.Command("hog", strconv.Itoa(s.cfg.RequestWorkMiB)).Via(s.cfg.Via)
+	cfg := s.p.cfg
+	if cfg.RequestWorkMiB > 0 {
+		return s.p.sys.Command("hog", strconv.Itoa(cfg.RequestWorkMiB)).Via(cfg.Via)
 	}
-	return s.sys.Command("true").Via(s.cfg.Via)
+	return s.p.sys.Command("true").Via(cfg.Via)
 }
 
 // ServeBatch serves up to n requests in the scenario's closed loop
@@ -139,9 +132,9 @@ func (s *Server) ServeBatch(n int, budgetNanos uint64) (Batch, error) {
 	if s.drained {
 		return Batch{}, fmt.Errorf("load: ServeBatch on a drained server")
 	}
-	window := s.cfg.Window
+	window := s.p.cfg.Window
 	if window < 1 {
-		window = DefaultWindow(Prefork, s.cfg.CPUs)
+		window = DefaultWindow(Prefork, s.p.cfg.CPUs)
 	}
 	t0 := s.k.Elapsed()
 	var b Batch
@@ -167,7 +160,7 @@ func (s *Server) ServeBatch(n int, budgetNanos uint64) (Batch, error) {
 			}
 			continue // every launch in this window failed
 		}
-		s.observe(len(inflight))
+		s.observe()
 		cmd := inflight[0]
 		inflight = inflight[1:]
 		if err := cmd.Wait(); err != nil {
@@ -180,27 +173,13 @@ func (s *Server) ServeBatch(n int, budgetNanos uint64) (Batch, error) {
 	s.failed += uint64(b.Failed)
 	s.creations += b.Creations
 	b.Nanos = uint64(s.k.Elapsed() - t0)
-	s.observe(0)
+	s.observe()
 	return b, nil
 }
 
-// observe updates the RSS high-water mark and fires the mid-run
-// sampling hook with the server's running totals.
-func (s *Server) observe(inflight int) {
-	a := s.k.Phys().AllocatedPages()
-	if a > s.peakPages {
-		s.peakPages = a
-	}
-	if s.cfg.OnSample != nil {
-		s.cfg.OnSample(Snapshot{
-			VirtualNanos:   uint64(s.k.Elapsed()),
-			Requests:       s.requests,
-			FailedRequests: s.failed,
-			Creations:      s.creations,
-			InFlight:       inflight,
-			RSSBytes:       a * uint64(mem.PageSize),
-		})
-	}
+// observe updates the RSS high-water mark.
+func (s *Server) observe() {
+	s.peakPages = max(s.peakPages, s.k.Phys().AllocatedPages())
 }
 
 // Sample reports the machine's live state: cumulative request totals
@@ -218,17 +197,29 @@ func (s *Server) Sample() Snapshot {
 // WarmupNanos is the virtual time from boot to ready-to-serve: heap
 // dirtying plus pool creation — the scale-out latency sim/cluster
 // charges a new machine.
-func (s *Server) WarmupNanos() uint64 { return s.warmNanos }
+func (s *Server) WarmupNanos() uint64 { return s.warm.nanos }
 
 // WarmupPTECopies is the warm-up's page-table bill: under fork each
 // pool worker duplicates the freshly dirtied heap's page tables.
-func (s *Server) WarmupPTECopies() uint64 { return s.warmPTEs }
+func (s *Server) WarmupPTECopies() uint64 { return s.warm.ptes }
 
 // PeakRSSBytes is the resident-memory high-water mark observed so far.
 func (s *Server) PeakRSSBytes() uint64 { return s.peakPages * uint64(mem.PageSize) }
 
 // Elapsed is the machine's virtual clock (nanoseconds since boot).
 func (s *Server) Elapsed() uint64 { return uint64(s.k.Elapsed()) }
+
+// Run serves one measured scenario pass on the server's machine —
+// cfg.Requests prefork requests, measured exactly as Prepared.Run
+// measures a single-machine run — with the warm pool resident, so its
+// footprint is in the peak RSS. The pass's counters start at zero: the
+// warm-up's bill is WarmupNanos and WarmupPTECopies, not the pass's.
+func (s *Server) Run() (*Metrics, error) {
+	if s.drained {
+		return nil, fmt.Errorf("load: Run on a drained server")
+	}
+	return s.p.Run()
+}
 
 // Drain tears down the worker pool — scale-down — and reports the
 // resource books: a leak-free strategy returns process, frame, and
@@ -240,18 +231,16 @@ func (s *Server) Drain() (DrainStats, error) {
 	}
 	s.teardown()
 	stats := DrainStats{
-		BaseProcs: s.baseProcs, EndProcs: s.k.ProcessCount(),
-		BasePages: s.basePages, EndPages: s.k.Phys().AllocatedPages(),
-		BaseCommit: s.baseCmt, EndCommit: s.k.Phys().Committed(),
+		BaseProcs: s.warm.baseProcs, EndProcs: s.k.ProcessCount(),
+		BasePages: s.warm.basePages, EndPages: s.k.Phys().AllocatedPages(),
+		BaseCommit: s.warm.baseCmt, EndCommit: s.k.Phys().Committed(),
 	}
-	if s.tpl != nil {
-		// Books are closed; recycle the machine's allocations into
-		// the template's next stamp. Nil the handles so a late
-		// Sample/ServeBatch fails loudly instead of reading whatever
-		// machine is stamped into the recycled shell next.
-		s.tpl.Release(s.sys)
-		s.sys, s.k = nil, nil
-	}
+	// Books are closed; recycle the machine into the template it was
+	// stamped from. Nil the handles so a late Sample/ServeBatch fails
+	// loudly instead of reading whatever machine is stamped into the
+	// recycled shell next.
+	s.p.release()
+	s.k = nil
 	return stats, nil
 }
 

@@ -132,43 +132,38 @@ func TestServerWarmupForkVsSpawn(t *testing.T) {
 	}
 }
 
-// TestOnSampleHook: the mid-run sampling hook fires at the drivers'
-// peak-occupancy points with a monotonic virtual clock, live in-flight
-// counts, and running totals that end at the final metrics.
-func TestOnSampleHook(t *testing.T) {
-	var snaps []load.Snapshot
-	m, err := load.Run(load.Config{
-		Scenario: load.Prefork, Via: sim.Spawn,
-		Requests: 16, HeapBytes: 4 << 20, CPUs: 2,
-		OnSample: func(s load.Snapshot) { snaps = append(snaps, s) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) == 0 {
-		t.Fatal("hook never fired")
-	}
-	sawInflight := false
-	for i, s := range snaps {
-		if i > 0 && s.VirtualNanos < snaps[i-1].VirtualNanos {
-			t.Fatalf("sample %d clock went backwards: %d after %d", i, s.VirtualNanos, snaps[i-1].VirtualNanos)
+// TestServerRunStampedMatchesCold: a server's measured serve pass — the
+// rolling wave's replacement phase — reports the same Metrics whether
+// the server was cold-booted or stamped from a template (fresh or
+// recycled shell), and a drained server refuses it.
+func TestServerRunStampedMatchesCold(t *testing.T) {
+	cfg := load.Config{Via: sim.ForkExec, CPUs: 2, Requests: 6, HeapBytes: 4 << 20, Workers: 3}
+	run := func(tc *load.Templates) []byte {
+		t.Helper()
+		s, err := tc.Server(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if s.InFlight > 0 {
-			sawInflight = true
+		m, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if s.RSSBytes == 0 {
-			t.Fatalf("sample %d reports zero RSS", i)
+		if m.Requests != 6 {
+			t.Errorf("serve pass completed %d requests, want 6", m.Requests)
 		}
+		if _, err := s.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(); err == nil {
+			t.Error("Run after Drain succeeded")
+		}
+		return metricsJSON(t, m)
 	}
-	if !sawInflight {
-		t.Error("no sample saw a live request")
-	}
-	// The driver samples at peak occupancy, before draining the last
-	// request: the final snapshot has every creation on the books and
-	// one request still in flight.
-	last := snaps[len(snaps)-1]
-	if last.Creations != m.Creations || last.Requests != m.Requests-1 || last.InFlight != 1 {
-		t.Errorf("last sample requests=%d creations=%d inflight=%d; metrics %d/%d",
-			last.Requests, last.Creations, last.InFlight, m.Requests, m.Creations)
+	cold := run(nil)
+	tc := load.NewTemplates()
+	for i := 1; i <= 2; i++ {
+		if got := run(tc); string(got) != string(cold) {
+			t.Errorf("stamp %d differs from cold:\nstamped: %s\ncold:    %s", i, got, cold)
+		}
 	}
 }

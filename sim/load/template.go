@@ -30,6 +30,29 @@ func (cfg Config) Shape() Shape {
 	}
 }
 
+// boot cold-boots a machine of cfg's resolved shape with the scenario
+// userland. It is the package's only machine boot: every cold run,
+// Server, migration destination, and template warm-up starts here, so
+// a stamped machine and a cold one cannot differ in what they booted.
+func boot(cfg Config) (*sim.System, error) {
+	return sim.NewSystem(
+		sim.WithRAM(cfg.RAMBytes),
+		sim.WithCPUs(cfg.CPUs),
+		sim.WithUserland("true", "echo", "cat", "hog", "smpspin"),
+	)
+}
+
+// warm boots a machine for cfg's Shape and dirties its server heap:
+// the recipe every Template freezes and every cold run repeats.
+func warm(cfg Config) (*Prepared, error) {
+	cfg = cfg.withDefaults()
+	sys, err := boot(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return Prepare(sys, cfg)
+}
+
 // Template is a frozen machine warmed for one Shape: booted, userland
 // installed, server heap mapped and dirtied — the state Run reaches
 // just before it zeroes the counters and enters the scenario loop.
@@ -44,37 +67,31 @@ type Template struct {
 	heapBytes uint64
 }
 
-// NewTemplate boots and warms one machine for cfg's Shape and freezes
-// it. The boot sequence is identical to Run's, so a stamped run and a
-// cold run produce byte-identical Metrics.
+// NewTemplate warms one machine for cfg's Shape — the cold path's
+// recipe exactly — and freezes it, so a stamped run and a cold run
+// produce byte-identical Metrics.
 func NewTemplate(cfg Config) (*Template, error) {
-	cfg = cfg.withDefaults()
-	sys, err := sim.NewSystem(
-		sim.WithRAM(cfg.RAMBytes),
-		sim.WithCPUs(cfg.CPUs),
-		sim.WithUserland("true", "echo", "cat", "hog", "smpspin"),
-	)
+	p, err := warm(cfg)
 	if err != nil {
 		return nil, err
 	}
-	p, err := Prepare(sys, cfg)
+	return freeze(p)
+}
+
+// freeze snapshots a warmed machine into a Template of its Shape.
+func freeze(p *Prepared) (*Template, error) {
+	tpl, err := p.sys.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	tpl, err := sys.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return &Template{shape: cfg.Shape(), tpl: tpl, heapStart: p.heapStart, heapBytes: p.heapBytes}, nil
+	return &Template{shape: p.cfg.Shape(), tpl: tpl, heapStart: p.heapStart, heapBytes: p.heapBytes}, nil
 }
 
 // Shape reports the template's warm shape.
 func (t *Template) Shape() Shape { return t.shape }
 
 // Stamp clones the template into a fresh machine prepared for cfg's
-// scenario. cfg must resolve to the template's Shape. Fault schedules
-// are not installed here (Run installs them after warm-up, and so does
-// Template.Run — same ordering, same op counters).
+// scenario. cfg must resolve to the template's Shape.
 func (t *Template) Stamp(cfg Config) (*Prepared, error) {
 	cfg = cfg.withDefaults()
 	if s := cfg.Shape(); s != t.shape {
@@ -84,94 +101,19 @@ func (t *Template) Stamp(cfg Config) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{cfg: cfg, sys: sys, heapStart: t.heapStart, heapBytes: t.heapBytes}, nil
+	return &Prepared{cfg: cfg, sys: sys, heapStart: t.heapStart, heapBytes: t.heapBytes, tpl: t.tpl}, nil
 }
 
-// Run executes one scenario on a machine stamped from the template —
-// the template-backed equivalent of the package-level Run, returning
-// byte-identical Metrics at a fraction of the host cost.
+// Run executes one single-machine scenario on a machine stamped from
+// the template, then recycles the machine into the template's next
+// stamp. Templates.Run is the dispatch that also routes the network
+// cells and vets fault support.
 func (t *Template) Run(cfg Config) (*Metrics, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Faults != nil && cfg.Scenario != Prefork {
-		return nil, fmt.Errorf("load: scenario %s does not support fault injection (only prefork is failure-tolerant)", cfg.Scenario)
-	}
 	p, err := t.Stamp(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Faults != nil {
-		p.sys.SetFaultSchedule(cfg.Faults)
-	}
-	m, err := p.Run()
-	if err != nil {
-		return nil, err
-	}
-	// The stamped machine is done: recycle its allocations into the
-	// template's next stamp (host-side only; Metrics are plain data).
-	t.tpl.Release(p.sys)
-	p.sys = nil
-	return m, nil
-}
-
-// Templates is a concurrency-safe cache of one Template per Shape:
-// a fleet warms each distinct machine shape once and stamps all N
-// machines from it. Deterministic — a template's content is a pure
-// function of its Shape, so cache hits and misses cannot change any
-// result.
-type Templates struct {
-	mu sync.Mutex
-	m  map[Shape]*Template
-
-	// servers backs the distributed scenarios: their cells stamp
-	// backend Servers from here instead of cold-booting each one.
-	servers *ServerTemplates
-}
-
-// NewTemplates returns an empty cache.
-func NewTemplates() *Templates {
-	return &Templates{m: map[Shape]*Template{}, servers: NewServerTemplates()}
-}
-
-// Get returns the cached template for cfg's Shape, warming one on the
-// first request.
-func (tc *Templates) Get(cfg Config) (*Template, error) {
-	shape := cfg.Shape()
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if t, ok := tc.m[shape]; ok {
-		return t, nil
-	}
-	t, err := NewTemplate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	tc.m[shape] = t
-	return t, nil
-}
-
-// Run executes cfg on a machine stamped from the cached template for
-// its Shape (warming it on first use). A nil cache falls back to the
-// cold Run path.
-func (tc *Templates) Run(cfg Config) (*Metrics, error) {
-	if tc == nil {
-		return Run(cfg)
-	}
-	if cfg.Scenario.Distributed() {
-		// A distributed cell is its own topology of Server machines;
-		// it stamps them from the server cache (byte-identical to the
-		// cold path) rather than from a scenario template.
-		return runNetCell(cfg, tc.servers)
-	}
-	if cfg.Scenario == Migrate {
-		// A migration cell boots its own source/destination pair; no
-		// single-machine scenario template matches it.
-		return runMigrateCell(cfg.withDefaults())
-	}
-	t, err := tc.Get(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return t.Run(cfg)
+	return p.runOnce()
 }
 
 // ServerShape is the warm shape of a prefork Server: everything
@@ -212,39 +154,23 @@ func (cfg Config) ServerShape() ServerShape {
 // host time per machine.
 type ServerTemplate struct {
 	shape    ServerShape
-	tpl      *sim.Template
-	workers  int
+	machine  *Template
 	poolPids []int
-
-	warmNanos uint64
-	warmPTEs  uint64
-
-	baseProcs          int
-	basePages, baseCmt uint64
+	warm     warmup
 }
 
 // NewServerTemplate warms one server for cfg's ServerShape and
 // freezes it.
 func NewServerTemplate(cfg Config) (*ServerTemplate, error) {
-	cfg.OnSample = nil // per-machine hooks attach at Stamp time
 	s, err := NewServer(cfg)
 	if err != nil {
 		return nil, err
 	}
-	tpl, err := s.sys.Snapshot()
+	machine, err := freeze(s.p)
 	if err != nil {
 		return nil, err
 	}
-	st := &ServerTemplate{
-		shape:     cfg.ServerShape(),
-		tpl:       tpl,
-		workers:   s.workers,
-		warmNanos: s.warmNanos,
-		warmPTEs:  s.warmPTEs,
-		baseProcs: s.baseProcs,
-		basePages: s.basePages,
-		baseCmt:   s.baseCmt,
-	}
+	st := &ServerTemplate{shape: cfg.ServerShape(), machine: machine, warm: s.warm}
 	for _, p := range s.pool {
 		st.poolPids = append(st.poolPids, p.Pid())
 	}
@@ -252,70 +178,120 @@ func NewServerTemplate(cfg Config) (*ServerTemplate, error) {
 }
 
 // Stamp clones a fresh, independent Server from the template,
-// re-adopting the parked worker pool by pid and attaching cfg's
-// per-machine hooks (OnSample) and serve-phase knobs (Window,
-// RequestWorkMiB). cfg must resolve to the template's ServerShape.
+// re-adopting the parked worker pool by pid and taking cfg's
+// serve-phase knobs (Requests, Window, RequestWorkMiB). cfg must
+// resolve to the template's ServerShape.
 func (t *ServerTemplate) Stamp(cfg Config) (*Server, error) {
 	if s := cfg.ServerShape(); s != t.shape {
 		return nil, fmt.Errorf("load: stamp server shape %+v from template shape %+v", s, t.shape)
 	}
 	cfg.Scenario = Prefork
-	cfg = cfg.withDefaults()
-	sys, err := t.tpl.Clone()
+	p, err := t.machine.Stamp(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		cfg: cfg, workers: t.workers, sys: sys, k: sys.Kernel(), tpl: t.tpl,
-		warmNanos: t.warmNanos, warmPTEs: t.warmPTEs,
-		baseProcs: t.baseProcs, basePages: t.basePages, baseCmt: t.baseCmt,
-	}
+	s := &Server{p: p, k: p.sys.Kernel(), warm: t.warm}
 	for _, pid := range t.poolPids {
-		p, err := sys.FindProcess(pid)
+		w, err := p.sys.FindProcess(pid)
 		if err != nil {
 			return nil, fmt.Errorf("load: re-adopt pool worker: %w", err)
 		}
-		s.pool = append(s.pool, p)
+		s.pool = append(s.pool, w)
 	}
-	s.observe(0)
+	s.observe()
 	return s, nil
 }
 
-// ServerTemplates is a concurrency-safe cache of one ServerTemplate
-// per ServerShape — sim/cluster warms each pool's machine shape once
-// and stamps every scale-out boot from it, so scale-out host cost
-// stops being Θ(heap).
-type ServerTemplates struct {
-	mu sync.Mutex
-	m  map[ServerShape]*ServerTemplate
+// Templates is the one cache of warmed machines: a frozen Template per
+// Shape (single-machine runs, migration sources) and a frozen
+// ServerTemplate per ServerShape (network-cell backends, rolling-wave
+// replacements, cluster nodes). Each shape warms once; every later
+// machine of that shape is stamped from it. A nil *Templates
+// cold-boots on every path. Safe for concurrent use, and deterministic:
+// a template's content is a pure function of its shape, so cache hits
+// and misses cannot change any result.
+type Templates struct {
+	mu      sync.Mutex
+	shapes  map[Shape]*Template
+	servers map[ServerShape]*ServerTemplate
 }
 
-// NewServerTemplates returns an empty cache.
-func NewServerTemplates() *ServerTemplates {
-	return &ServerTemplates{m: map[ServerShape]*ServerTemplate{}}
+// NewTemplates returns an empty cache.
+func NewTemplates() *Templates {
+	return &Templates{shapes: map[Shape]*Template{}, servers: map[ServerShape]*ServerTemplate{}}
+}
+
+// cached returns m[key], warming it on first use. The warm-up runs
+// under tc.mu, so each shape warms exactly once.
+func cached[K comparable, T any](tc *Templates, m map[K]*T, key K, build func() (*T, error)) (*T, error) {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	if t, ok := m[key]; ok {
+		return t, nil
+	}
+	t, err := build()
+	if err != nil {
+		return nil, err
+	}
+	m[key] = t
+	return t, nil
+}
+
+// Get returns the cached template for cfg's Shape, warming one on the
+// first request (a nil cache warms an uncached one).
+func (tc *Templates) Get(cfg Config) (*Template, error) {
+	if tc == nil {
+		return NewTemplate(cfg)
+	}
+	return cached(tc, tc.shapes, cfg.Shape(), func() (*Template, error) { return NewTemplate(cfg) })
 }
 
 // Server stamps a ready-to-serve Server for cfg from the cached
-// template for its ServerShape (warming one on first use). A nil
-// cache falls back to a cold NewServer boot.
-func (tc *ServerTemplates) Server(cfg Config) (*Server, error) {
+// template for its ServerShape, warming one on first use. A nil cache
+// cold-boots it with NewServer.
+func (tc *Templates) Server(cfg Config) (*Server, error) {
 	if tc == nil {
 		return NewServer(cfg)
 	}
-	shape := cfg.ServerShape()
-	tc.mu.Lock()
-	t, ok := tc.m[shape]
-	if !ok {
-		var err error
-		warmCfg := cfg
-		warmCfg.OnSample = nil
-		t, err = NewServerTemplate(warmCfg)
-		if err != nil {
-			tc.mu.Unlock()
-			return nil, err
-		}
-		tc.m[shape] = t
+	t, err := cached(tc, tc.servers, cfg.ServerShape(), func() (*ServerTemplate, error) { return NewServerTemplate(cfg) })
+	if err != nil {
+		return nil, err
 	}
-	tc.mu.Unlock()
 	return t.Stamp(cfg)
+}
+
+// stamp returns a machine warmed for cfg's Shape: stamped from the
+// cached template, or booted and warmed cold when tc is nil.
+func (tc *Templates) stamp(cfg Config) (*Prepared, error) {
+	if tc == nil {
+		return warm(cfg)
+	}
+	t, err := tc.Get(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return t.Stamp(cfg)
+}
+
+// Run executes one scenario on machines from the cache — stamped from
+// their templates, or cold-booted when tc is nil, which is what the
+// package-level Run does. It is the package's one scenario dispatch:
+// the network cells get their own topology, and fault schedules are
+// vetted here.
+func (tc *Templates) Run(cfg Config) (*Metrics, error) {
+	cfg = cfg.withDefaults()
+	switch {
+	case cfg.Scenario.Distributed():
+		return runNetCell(cfg, tc)
+	case cfg.Scenario == Migrate:
+		// Also a network cell: cfg.Faults is the wire's schedule.
+		return runMigrateCell(cfg, tc)
+	case cfg.Faults != nil && cfg.Scenario != Prefork:
+		return nil, fmt.Errorf("load: scenario %s does not support fault injection (only prefork and the distributed scenarios are failure-tolerant)", cfg.Scenario)
+	}
+	p, err := tc.stamp(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return p.runOnce()
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/sim"
+	"repro/sim/fault"
 )
 
 // TestTemplateRunMatchesColdRun is the clone-equivalence property: for
@@ -14,11 +15,13 @@ import (
 // machine built cold — same virtual nanoseconds, same fault counts,
 // same per-CPU utilisation, everything. The stamped side runs through
 // a shared Templates cache, so the test also exercises one template
-// serving many scenarios and strategies of the same warm Shape.
+// serving many scenarios and strategies of the same warm Shape. The
+// Migrate row pins the stamped (and recycled) migration source against
+// a cold one, vfork's refusal included.
 func TestTemplateRunMatchesColdRun(t *testing.T) {
 	tc := NewTemplates()
 	for _, cpus := range []int{1, 2, 8} {
-		for _, scen := range []Scenario{Prefork, ForkStorm, SMPServer} {
+		for _, scen := range []Scenario{Prefork, ForkStorm, SMPServer, Migrate} {
 			for _, via := range append(sim.Strategies(), sim.EagerForkExec) {
 				cfg := Config{
 					Scenario: scen, Via: via, CPUs: cpus,
@@ -82,5 +85,20 @@ func TestTemplateStampShapeMismatch(t *testing.T) {
 	}
 	if _, err := tpl.Stamp(Config{Scenario: Prefork, Via: sim.Spawn, HeapBytes: 8 << 20}); err == nil {
 		t.Error("stamp with mismatched heap succeeded")
+	}
+}
+
+// TestRunDispatchIsShared: the cold path is the nil cache's Run, so it
+// and a live cache vet a config identically — a fault schedule on a
+// scenario that cannot tolerate one fails with the same error on both.
+func TestRunDispatchIsShared(t *testing.T) {
+	cfg := Config{Scenario: Pipeline, HeapBytes: 4 << 20, Faults: fault.Chaos(1, 0)}
+	_, coldErr := Run(cfg)
+	_, stampErr := NewTemplates().Run(cfg)
+	if coldErr == nil || stampErr == nil {
+		t.Fatalf("pipeline accepted a fault schedule: cold %v, stamped %v", coldErr, stampErr)
+	}
+	if coldErr.Error() != stampErr.Error() {
+		t.Errorf("cold and stamped paths disagree:\ncold:    %v\nstamped: %v", coldErr, stampErr)
 	}
 }
