@@ -724,9 +724,7 @@ func (s *Space) CloneEager() (*Space, error) {
 // Destroy releases every resident page, page-table page, and commit
 // reservation. The space must not be used afterwards.
 func (s *Space) Destroy() {
-	s.pt.Destroy(func(_ uint64, e pagetable.PTE) {
-		s.releaseEntry(e)
-	})
+	s.rssPages -= s.pt.Destroy(nil)
 	if s.commitPages > 0 {
 		s.phys.Unreserve(s.commitPages)
 		s.commitPages = 0

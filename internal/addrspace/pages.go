@@ -115,15 +115,24 @@ func (s *Space) DirtyPages() uint64 {
 // That is what the pre-copy rounds of live migration do — each round
 // re-ships the pages dirtied since the last, overwriting the stale
 // copy the destination already holds.
+//
+// Records arrive from images and off the wire, so a record that cannot
+// be a page of its VMA — a va not aligned to the VMA's page size, a
+// FlagHuge that disagrees with the VMA, or Data that is neither nil
+// nor exactly one page — fails with EINVAL before anything changes.
 func (s *Space) InstallPage(r PageRecord) error {
 	v := s.FindVMA(r.VA)
 	if v == nil {
 		return errno.EFAULT
 	}
+	huge := r.Flags&pagetable.FlagHuge != 0
+	size := v.pageSize()
+	if huge != v.Huge || r.VA%size != 0 || (r.Data != nil && uint64(len(r.Data)) != size) {
+		return errno.EINVAL
+	}
 	if old, ok := s.pt.Unmap(r.VA); ok {
 		s.releaseEntry(old)
 	}
-	huge := r.Flags&pagetable.FlagHuge != 0
 	var f mem.FrameID
 	var err error
 	if huge {

@@ -2,8 +2,10 @@ package addrspace
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
+	"repro/internal/errno"
 	"repro/internal/mem"
 	"repro/internal/pagetable"
 )
@@ -146,5 +148,48 @@ func TestInstallPageRoundTrip(t *testing.T) {
 	// Installing outside any VMA refuses rather than corrupting.
 	if err := dst.InstallPage(PageRecord{VA: 0x9000000}); err == nil {
 		t.Error("InstallPage outside a VMA succeeded")
+	}
+}
+
+// TestInstallPageRejectsMisfitRecords: a record that cannot be a page
+// of its VMA fails with EINVAL before InstallPage unmaps anything, so
+// the page already resident there survives and RSS does not move.
+func TestInstallPageRejectsMisfitRecords(t *testing.T) {
+	s, phys := newSpace(64, mem.CommitHeuristic)
+	const small, huge = uint64(0x200000), uint64(0x400000)
+	if _, err := s.Map(small, 2*mem.PageSize, Read|Write, MapOpts{Name: "heap"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Map(huge, mem.HugeSize, Read|Write, MapOpts{Name: "huge", Huge: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Touch(small, 2*mem.PageSize, AccessWrite); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Touch(huge, mem.HugeSize, AccessWrite); err != nil {
+		t.Fatal(err)
+	}
+	rss, frames := s.RSS(), phys.AllocatedPages()
+	w := pagetable.FlagWritable
+	for _, r := range []PageRecord{
+		{VA: small + 8, Flags: w},
+		{VA: small, Flags: w | pagetable.FlagHuge},
+		{VA: small, Flags: w, Data: make([]byte, mem.PageSize+1)},
+		{VA: small, Flags: w, Data: []byte{1}},
+		{VA: huge, Flags: w},
+		{VA: huge + mem.PageSize, Flags: w | pagetable.FlagHuge},
+		{VA: huge, Flags: w | pagetable.FlagHuge, Data: make([]byte, mem.PageSize)},
+	} {
+		if err := s.InstallPage(r); !errors.Is(err, errno.EINVAL) {
+			t.Errorf("InstallPage(va %#x flags %v data %d) = %v, want EINVAL", r.VA, r.Flags, len(r.Data), err)
+		}
+	}
+	if s.RSS() != rss || phys.AllocatedPages() != frames {
+		t.Errorf("RSS %d, frames %d after rejected installs; want %d, %d", s.RSS(), phys.AllocatedPages(), rss, frames)
+	}
+	for _, va := range []uint64{small, huge} {
+		if _, ok := s.PageTable().Lookup(va); !ok {
+			t.Errorf("resident page %#x was unmapped by a rejected install", va)
+		}
 	}
 }

@@ -283,6 +283,11 @@ func (k *Kernel) RestoreProcess(img *ProcImage) (*Process, error) {
 		}
 		descInos[i] = ino
 	}
+	for _, fi := range img.FDs {
+		if fi.Desc < 0 || fi.Desc >= len(img.Descs) {
+			return nil, fmt.Errorf("restore %q: fd %d: description %d of %d: %w", img.Name, fi.FD, fi.Desc, len(img.Descs), errno.EINVAL)
+		}
+	}
 
 	p := k.newProcess(img.Name, nil)
 	p.cwd = cwd

@@ -277,3 +277,85 @@ func TestQuickWriteReadRoundtrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestBatchRefsMatchPerFrameLoop: IncRefs and DecRefs are exactly a
+// loop of IncRef and DecRef — same counts, same frees charged, and the
+// same free-list order, so every later Alloc hands out the same id.
+func TestBatchRefsMatchPerFrameLoop(t *testing.T) {
+	build := func() (*Physical, []FrameID, FrameID) {
+		p := newPhys(4<<20, 0, CommitHeuristic)
+		a := make([]FrameID, 8)
+		for i := range a {
+			a[i], _ = p.Alloc()
+		}
+		h, err := p.AllocHuge()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.IncRef(a[1])
+		p.IncRef(a[1])
+		p.IncRef(a[3])
+		return p, a, h
+	}
+	batch, a, h := build()
+	loop, _, _ := build()
+
+	// share bumps a1 twice, a3 and h once; drop then frees a0, a2, a5,
+	// a6 and h on their last reference, leaves a1 shared, and walks the
+	// repeated a3 down through the in-line path to its free.
+	share := []FrameID{a[1], a[3], a[1], h}
+	drop := []FrameID{a[0], a[1], a[3], a[3], a[3], a[5], h, h, a[2], a[6]}
+	batch.IncRefs(share)
+	batch.DecRefs(drop)
+	for _, f := range share {
+		loop.IncRef(f)
+	}
+	for _, f := range drop {
+		loop.DecRef(f)
+	}
+
+	for _, f := range []FrameID{a[1], a[4], a[7]} {
+		if got, want := batch.Refs(f), loop.Refs(f); got != want {
+			t.Errorf("Refs(%d) = %d, per-frame loop %d", f, got, want)
+		}
+	}
+	if got := batch.Refs(a[1]); got != 4 {
+		t.Errorf("Refs(a1) = %d, want 4 (still shared)", got)
+	}
+	if got, want := batch.AllocatedPages(), loop.AllocatedPages(); got != want || got != 3 {
+		t.Errorf("AllocatedPages = %d, per-frame loop %d, want 3", got, want)
+	}
+	if got, want := batch.meter.Now(), loop.meter.Now(); got != want {
+		t.Errorf("meter clock = %v, per-frame loop %v", got, want)
+	}
+	for i := 0; i < 8; i++ {
+		got, err1 := batch.Alloc()
+		want, err2 := loop.Alloc()
+		if err1 != nil || err2 != nil || got != want {
+			t.Fatalf("Alloc #%d = %d (%v), per-frame loop %d (%v)", i, got, err1, want, err2)
+		}
+	}
+	if hb, _ := batch.AllocHuge(); hb != h {
+		t.Errorf("AllocHuge = %d, want the freed huge frame %d", hb, h)
+	}
+
+	// A free id panics in the batch exactly as in DecRef / IncRef.
+	free, _, _ := build()
+	free.DecRef(a[0])
+	for name, f := range map[string]func(){
+		"DecRefs": func() { free.DecRefs([]FrameID{a[2], a[0]}) },
+		"IncRefs": func() { free.IncRefs([]FrameID{a[0]}) },
+	} {
+		got := recoverPanic(f)
+		want := recoverPanic(func() { free.DecRef(a[0]) })
+		if got == nil || got != want {
+			t.Errorf("%s on a free frame panicked %v, DecRef %v", name, got, want)
+		}
+	}
+}
+
+func recoverPanic(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}

@@ -7,6 +7,12 @@
 // tree, allocating mirror nodes and copying one entry per mapped page,
 // so its virtual-time cost is Θ(mapped pages) — exactly the linear
 // growth the paper's Figure 1 shows.
+//
+// Every present entry holds one reference on its frame. Map and MapHuge
+// take over the caller's reference. CloneCOW and CloneEager take their
+// own for each entry they install. Unmap hands the entry's reference
+// back to the caller. Destroy(nil) drops every remaining reference;
+// Destroy(release) hands each one to release instead.
 package pagetable
 
 import (
@@ -511,38 +517,21 @@ func (t *Table) CloneCOW() *Table {
 // itself, or an owned copy when pn was template-shared — so the caller
 // (and CloneCOW for the root) can relink it into the parent table.
 func (c *Table) cloneNode(pn, cn *node, level int, cc *cloneCounts) *node {
+	if level == 0 {
+		return c.cloneLeaf(pn, cn, cc)
+	}
 	for i := 0; i < entriesPerNode; i++ {
-		if level == 0 || (level == 1 && pn.ptes[i].Present() && pn.ptes[i].Huge()) {
-			e := pn.ptes[i]
-			if !e.Present() {
-				continue
-			}
-			if e.Shared() {
-				// Shared mapping: same frame, full perms.
-				c.phys.IncRef(e.Frame())
-				cn.ptes[i] = e
-				cc.writes++
-				cc.copies++
-				continue
-			}
-			// Private mapping: drop write permission on both
-			// sides and tag COW (even already-read-only pages
-			// get the frame shared; keeping COW only on pages
-			// that were writable preserves their eventual
-			// write-back permission).
+		if e := pn.ptes[i]; level == 1 && e.Present() && e.Huge() {
 			c.phys.IncRef(e.Frame())
-			shared := e.Without(FlagWritable)
-			if e.Writable() || e.COW() {
-				shared = shared.With(FlagCOW)
-			}
-			if shared != e {
+			ce := forkEntry(e)
+			if ce != e {
 				if pn.shared {
 					pn = ownedCopy(pn)
 				}
-				pn.ptes[i] = shared
+				pn.ptes[i] = ce
 				cc.writes++
 			}
-			cn.ptes[i] = shared
+			cn.ptes[i] = ce
 			cc.writes++
 			cc.copies++
 			continue
@@ -560,6 +549,51 @@ func (c *Table) cloneNode(pn, cn *node, level int, cc *cloneCounts) *node {
 		}
 	}
 	return pn
+}
+
+// cloneLeaf is cloneNode for a level-0 node. It takes the frame
+// references for the whole leaf in one IncRefs call; the ids gather in
+// a stack buffer, so the walk allocates nothing on the host.
+func (c *Table) cloneLeaf(pn, cn *node, cc *cloneCounts) *node {
+	var frames [entriesPerNode]mem.FrameID
+	n := 0
+	for i := 0; i < entriesPerNode; i++ {
+		e := pn.ptes[i]
+		if !e.Present() {
+			continue
+		}
+		frames[n] = e.Frame()
+		n++
+		ce := forkEntry(e)
+		if ce != e {
+			if pn.shared {
+				pn = ownedCopy(pn)
+			}
+			pn.ptes[i] = ce
+			cc.writes++
+		}
+		cn.ptes[i] = ce
+	}
+	cc.writes += uint64(n)
+	cc.copies += uint64(n)
+	c.phys.IncRefs(frames[:n])
+	return pn
+}
+
+// forkEntry is the entry both tables hold after a COW fork. A shared
+// mapping keeps its frame and full permissions. A private mapping
+// loses write permission and is tagged COW (even an already-read-only
+// page gets its frame shared; keeping COW only on pages that were
+// writable preserves their eventual write-back permission).
+func forkEntry(e PTE) PTE {
+	if e.Shared() {
+		return e
+	}
+	ce := e.Without(FlagWritable)
+	if e.Writable() || e.COW() {
+		ce = ce.With(FlagCOW)
+	}
+	return ce
 }
 
 // CloneEager builds a fully copied table for a child, 1970s-style: a
@@ -615,37 +649,59 @@ func (c *Table) cloneEagerNode(pn, cn *node, level int, cc *cloneCounts) error {
 	return nil
 }
 
-// Destroy tears the tree down, invoking release for every present leaf
-// entry (the caller drops frame references there) and charging the
-// node-free cost for every page-table page including the root.
-func (t *Table) Destroy(release func(va uint64, e PTE)) {
-	freed := uint64(1) // the root
-	t.destroyNode(t.root, 0, Levels-1, release, &freed)
+// Destroy tears the tree down and returns how many 4 KiB pages its
+// entries mapped (a huge entry counts 512), charging the node-free
+// cost for every page-table page including the root.
+//
+// With release == nil the table drops every entry's frame reference
+// itself, one DecRefs call per leaf, in ascending va order. Otherwise
+// release is called for every present leaf entry, in the same order,
+// and takes over that entry's reference.
+func (t *Table) Destroy(release func(va uint64, e PTE)) (pages uint64) {
+	td := teardown{phys: t.phys, release: release, nodes: 1} // the root
+	td.node(t.root, 0, Levels-1)
 	if !t.root.shared {
 		putNode(t.root)
 	}
 	t.root = nil
-	t.meter.Charge(cost.Ticks(freed) * t.meter.Model.PTNodeFree)
+	t.meter.Charge(cost.Ticks(td.nodes) * t.meter.Model.PTNodeFree)
 	t.entries, t.nodes, t.hugeEntries = 0, 0, 0
 	for i := range t.tlb {
 		t.tlb[i].valid = false
 	}
+	return td.pages
 }
 
-// destroyNode zeroes every slot as it walks, so each node goes back to
-// the pool fully cleared and newNode needs no re-initialisation. The
-// per-node free cost is accumulated into freed and charged in one batch
-// by Destroy. Template-shared nodes are left untouched and unpooled —
+// teardown is one Destroy walk: where each entry's frame reference
+// goes, and the page-table pages and mapped pages counted on the way.
+type teardown struct {
+	phys    *mem.Physical
+	release func(va uint64, e PTE) // nil: drop references through phys
+	nodes   uint64                 // page-table pages freed, root included
+	pages   uint64                 // 4 KiB pages the entries mapped
+}
+
+// node zeroes every slot as it walks, so each node goes back to the
+// pool fully cleared and newNode needs no re-initialisation. The
+// per-node free cost is counted here and charged in one batch by
+// Destroy. Template-shared nodes are left untouched and unpooled —
 // other tables still alias them — but their frees are still counted:
 // the clone logically owned and freed them, and the cold machine it
 // must stay metric-identical to charges for every one.
-func (t *Table) destroyNode(n *node, base uint64, level int, release func(uint64, PTE), freed *uint64) {
+func (td *teardown) node(n *node, base uint64, level int) {
+	if level == 0 {
+		td.leaf(n, base)
+		return
+	}
 	span := uint64(1) << (mem.PageShift + uint(level)*LevelBits)
 	for i := 0; i < entriesPerNode; i++ {
 		va := base + uint64(i)*span
-		if level == 0 || (level == 1 && n.ptes[i].Present() && n.ptes[i].Huge()) {
-			if n.ptes[i].Present() && release != nil {
-				release(va, n.ptes[i])
+		if level == 1 && n.ptes[i].Present() && n.ptes[i].Huge() {
+			td.pages += mem.FramesPerHuge
+			if td.release != nil {
+				td.release(va, n.ptes[i])
+			} else {
+				td.phys.DecRef(n.ptes[i].Frame())
 			}
 			if !n.shared {
 				n.ptes[i] = 0
@@ -653,14 +709,38 @@ func (t *Table) destroyNode(n *node, base uint64, level int, release func(uint64
 			continue
 		}
 		if kid := n.kids[i]; kid != nil {
-			t.destroyNode(kid, va, level-1, release, freed)
+			td.node(kid, va, level-1)
 			if !kid.shared {
 				putNode(kid)
 			}
 			if !n.shared {
 				n.kids[i] = nil
 			}
-			*freed++
+			td.nodes++
 		}
+	}
+}
+
+// leaf releases a level-0 node's entries. Without a release callback
+// the frame ids gather in a stack buffer and go to one DecRefs call.
+func (td *teardown) leaf(n *node, base uint64) {
+	var frames [entriesPerNode]mem.FrameID
+	k := 0
+	for i := 0; i < entriesPerNode; i++ {
+		e := n.ptes[i]
+		if !e.Present() {
+			continue
+		}
+		if td.release != nil {
+			td.release(base+uint64(i)<<mem.PageShift, e)
+		} else {
+			frames[k] = e.Frame()
+			k++
+		}
+		td.pages++
+	}
+	td.phys.DecRefs(frames[:k])
+	if !n.shared {
+		n.ptes = [entriesPerNode]PTE{}
 	}
 }

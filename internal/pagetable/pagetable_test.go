@@ -202,12 +202,12 @@ func TestDestroyReleasesEverything(t *testing.T) {
 		tbl.Map(0x1000*(i+1), Make(f, FlagWritable))
 	}
 	n := 0
-	tbl.Destroy(func(_ uint64, e PTE) {
+	pages := tbl.Destroy(func(_ uint64, e PTE) {
 		phys.DecRef(e.Frame())
 		n++
 	})
-	if n != 100 {
-		t.Errorf("released %d, want 100", n)
+	if n != 100 || pages != 100 {
+		t.Errorf("released %d, Destroy reported %d pages; want 100", n, pages)
 	}
 	if phys.AllocatedPages() != 0 {
 		t.Errorf("%d pages leaked", phys.AllocatedPages())

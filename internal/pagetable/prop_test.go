@@ -154,6 +154,36 @@ func (h *propHarness) verify(tag string, tab *pagetable.Table, model map[uint64]
 	}
 }
 
+// modelPages counts the 4 KiB pages a model maps, a huge entry
+// counting 512.
+func modelPages(model map[uint64]pagetable.PTE) uint64 {
+	var n uint64
+	for _, e := range model {
+		if e.Huge() {
+			n += mem.FramesPerHuge
+		} else {
+			n++
+		}
+	}
+	return n
+}
+
+// destroy tears tab down, through Destroy(nil) when viaNil and through
+// a DecRef callback otherwise, and checks the pages it reports.
+func (h *propHarness) destroy(tag string, tab *pagetable.Table, viaNil bool, want uint64) {
+	var got uint64
+	if viaNil {
+		got = tab.Destroy(nil)
+	} else {
+		got = tab.Destroy(func(va uint64, e pagetable.PTE) {
+			h.phys.DecRef(e.Frame())
+		})
+	}
+	if got != want {
+		h.t.Fatalf("%s: Destroy(nil=%v) reported %d pages, model %d", tag, viaNil, got, want)
+	}
+}
+
 // cloneModels derives the post-CloneCOW parent and child models: both
 // sides of a private mapping lose write permission and gain COW (if it
 // was ever writable); shared mappings pass through untouched.
@@ -244,24 +274,20 @@ func (h *propHarness) step(op, b1 byte, r uint16) {
 		h.model = newParent
 		h.verify("post-clone parent", h.tab, newParent)
 		h.verify("clone child", child, childModel)
-		child.Destroy(func(va uint64, e pagetable.PTE) {
-			h.phys.DecRef(e.Frame())
-		})
+		h.destroy("clone child", child, b1&1 == 0, modelPages(childModel))
 	case 7: // eager clone: fresh frames for private entries
 		child, err := h.tab.CloneEager()
-		if err != nil {
-			// Mid-clone ENOMEM: the partial table must still tear
-			// down cleanly without corrupting refcounts.
-			child.Destroy(func(va uint64, e pagetable.PTE) {
-				h.phys.DecRef(e.Frame())
-			})
-			return
-		}
 		seen := map[uint64]pagetable.PTE{}
 		child.Visit(func(va uint64, e pagetable.PTE) pagetable.PTE {
 			seen[va] = e
 			return e
 		})
+		if err != nil {
+			// Mid-clone ENOMEM: the partial table must still tear
+			// down cleanly without corrupting refcounts.
+			h.destroy("partial eager clone", child, b1&1 == 0, modelPages(seen))
+			return
+		}
 		if len(seen) != len(h.model) {
 			h.t.Fatalf("eager clone: %d entries, model %d", len(seen), len(h.model))
 		}
@@ -277,23 +303,19 @@ func (h *propHarness) step(op, b1 byte, r uint16) {
 				h.t.Fatalf("eager clone copied shared frame at %#x", va)
 			}
 		}
-		child.Destroy(func(va uint64, e pagetable.PTE) {
-			h.phys.DecRef(e.Frame())
-		})
+		h.destroy("eager clone", child, b1&1 == 0, modelPages(h.model))
 	}
 }
 
-// runOps interprets ops 4 bytes at a time, then destroys the table and
-// checks that every physical frame came back.
+// runOps interprets ops 4 bytes at a time, then destroys the table
+// with Destroy(nil) and checks that every physical frame came back.
 func runOps(t testing.TB, ops []byte) {
 	h := newPropHarness(t)
 	for i := 0; i+4 <= len(ops); i += 4 {
 		h.step(ops[i], ops[i+1], uint16(ops[i+2])|uint16(ops[i+3])<<8)
 	}
 	h.verify("final", h.tab, h.model)
-	h.tab.Destroy(func(va uint64, e pagetable.PTE) {
-		h.phys.DecRef(e.Frame())
-	})
+	h.destroy("final", h.tab, true, modelPages(h.model))
 	if got := h.phys.AllocatedPages(); got != 0 {
 		t.Fatalf("frame leak: %d pages still allocated after Destroy", got)
 	}

@@ -6,7 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/addrspace"
+	"repro/internal/errno"
 	"repro/internal/kernel"
+	"repro/internal/pagetable"
 	"repro/sim"
 	"repro/sim/fault"
 )
@@ -130,5 +133,75 @@ func TestCheckpointRefusalSurfaces(t *testing.T) {
 	}
 	if !strings.Contains(ce.Reason, "borrowed") {
 		t.Errorf("reason = %q, want the vfork borrow named", ce.Reason)
+	}
+}
+
+// TestRestoreRejectsCorruptImages: a corrupted image is bad input, so
+// Restore must refuse it with EINVAL, never panic, and unwind whatever
+// it built — the target's process table, allocated frames and commit
+// charge all return to their values before the call. The page cases
+// corrupt the highest-addressed record, so every other page is
+// installed first and the unwind has real frames to give back, through
+// the address space's Destroy.
+func TestRestoreRejectsCorruptImages(t *testing.T) {
+	top := func(img *kernel.ProcImage) *addrspace.PageRecord {
+		r := &img.Pages[0]
+		for i := range img.Pages {
+			if img.Pages[i].VA > r.VA {
+				r = &img.Pages[i]
+			}
+		}
+		return r
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(img *kernel.ProcImage)
+	}{
+		{"fd-desc-past-end", func(img *kernel.ProcImage) { img.FDs[len(img.FDs)-1].Desc = len(img.Descs) }},
+		{"fd-desc-negative", func(img *kernel.ProcImage) { img.FDs[0].Desc = -1 }},
+		{"page-va-unaligned", func(img *kernel.ProcImage) { top(img).VA += 8 }},
+		{"page-data-past-frame", func(img *kernel.ProcImage) { top(img).Data = make([]byte, 4097) }},
+		{"page-data-short", func(img *kernel.ProcImage) { top(img).Data = []byte{1} }},
+		{"page-huge-in-4k-region", func(img *kernel.ProcImage) { top(img).Flags |= pagetable.FlagHuge }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := newSys(t, sim.WithUserland("echo"))
+			p, err := src.Command("echo", "corrupt").Via(sim.Spawn).Create()
+			if err != nil {
+				t.Fatal(err)
+			}
+			img, err := p.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw := img.Raw()
+			if len(raw.FDs) == 0 || len(raw.Pages) == 0 {
+				t.Fatalf("image has %d fds and %d pages; the cases need both", len(raw.FDs), len(raw.Pages))
+			}
+			// Two more valid pages just below the top one (an unstarted
+			// echo has touched only its top stack page).
+			for i := uint64(1); i <= 2; i++ {
+				r := *top(raw)
+				r.VA -= i * 4096
+				raw.Pages = append(raw.Pages, r)
+			}
+			tc.corrupt(raw)
+
+			dst := newSys(t, sim.WithUserland("echo"))
+			k := dst.Kernel()
+			procs, frames, commit := k.ProcessCount(), k.Phys().AllocatedPages(), k.Phys().Committed()
+			if _, err := dst.Restore(img); !errors.Is(err, errno.EINVAL) {
+				t.Fatalf("Restore err = %v, want EINVAL", err)
+			}
+			if got := k.ProcessCount(); got != procs {
+				t.Errorf("processes %d after the refused restore, %d before", got, procs)
+			}
+			if got := k.Phys().AllocatedPages(); got != frames {
+				t.Errorf("allocated pages %d after the refused restore, %d before", got, frames)
+			}
+			if got := k.Phys().Committed(); got != commit {
+				t.Errorf("committed pages %d after the refused restore, %d before", got, commit)
+			}
+		})
 	}
 }
