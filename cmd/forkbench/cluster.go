@@ -20,7 +20,6 @@ func runCluster(args []string) error {
 	fs := flag.NewFlagSet("forkbench cluster", flag.ExitOnError)
 	scenario := fs.String("scenario", "surge", "surge|zoneoutage|heteropools|netsplit")
 	heap := fs.String("heap", "64MiB", "per-machine server heap size")
-	parallel := fs.Int("parallel", 0, "host worker bound (0 = GOMAXPROCS)")
 	jsonPath := fs.String("json", "", "write the cluster report to FILE as byte-stable JSON")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to FILE")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile to FILE")
@@ -42,7 +41,6 @@ func runCluster(args []string) error {
 	if err != nil {
 		return err
 	}
-	spec.Parallelism = *parallel
 	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		return err

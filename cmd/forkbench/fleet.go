@@ -30,7 +30,6 @@ func runFleet(args []string) error {
 	surge := fs.Int("surge", 0, "surge-phase window/volume multiplier (0 = 4)")
 	seed := fs.Uint64("seed", 0, "chaos fault-wave seed (0 = 1)")
 	heap := fs.String("heap", "64MiB", "per-machine server heap size")
-	parallel := fs.Int("parallel", 0, "host worker bound (0 = GOMAXPROCS)")
 	shards := fs.Int("shards", 0, "fan machine ranges across N worker OS processes (0/1 = in-process; host cost only, the report is byte-identical)")
 	permachine := fs.Bool("permachine", false, "keep the per-machine breakdown in the report (off: stream machines into the aggregate in constant memory)")
 	jsonPath := fs.String("json", "", "write the fleet report to FILE as byte-stable JSON")
@@ -79,7 +78,6 @@ func runFleet(args []string) error {
 		SurgeFactor:    *surge,
 		FaultSeed:      *seed,
 		HeapBytes:      heapBytes,
-		Parallelism:    *parallel,
 		Shards:         *shards,
 		KeepPerMachine: *permachine,
 		ColdBoot:       *cold,

@@ -90,7 +90,7 @@
 //	                [-scenario uniform|rolling|rebalance|hetero|surge|chaos]
 //	                [-load SCENARIO] [-via STRATEGY] [-cpus N] [-n REQUESTS]
 //	                [-workers N] [-surge K] [-seed N] [-heap SIZE]
-//	                [-parallel N] [-shards N] [-permachine] [-json FILE]
+//	                [-shards N] [-permachine] [-json FILE]
 //	                [-cpuprofile FILE] [-memprofile FILE]
 //
 // Its stdout is byte-identical at every GOMAXPROCS setting — host
@@ -121,7 +121,7 @@
 // loop against a traffic plan:
 //
 //	forkbench cluster [-scenario surge|zoneoutage|heteropools|netsplit]
-//	                  [-heap SIZE] [-parallel N] [-json FILE]
+//	                  [-heap SIZE] [-json FILE]
 //
 // Its stdout — pool table plus reconcile trace — is byte-identical at
 // every GOMAXPROCS; the CI cluster determinism gate byte-compares the
@@ -587,8 +587,8 @@ func runLoad(args []string) error {
 	// gate diffs the sweep JSON at GOMAXPROCS 1 vs 4 to hold it to
 	// that. Host wall-clock goes to stderr.
 	start := time.Now()
-	hostWorkers := fleet.PoolSize(0, len(configs))
-	all, err := fleet.RunAll(hostWorkers, configs)
+	hostWorkers := fleet.PoolSize(len(configs))
+	all, err := fleet.RunAll(configs)
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -72,16 +73,32 @@ func TestRunLoadWritesJSON(t *testing.T) {
 	}
 }
 
-// TestRunLoadRejectsJunk pins the error paths.
+// TestRunLoadRejectsJunk pins the error paths. A negative count must
+// come back as a *load.SpecError naming its field, not a panic.
 func TestRunLoadRejectsJunk(t *testing.T) {
-	for _, args := range [][]string{
-		{"-scenario", "bogus"},
-		{"-via", "bogus"},
-		{"-heap", "xMiB"},
-		{"extra-positional"},
+	for _, c := range []struct {
+		args  []string
+		field string // the *load.SpecError field, if one is expected
+	}{
+		{[]string{"-scenario", "bogus"}, ""},
+		{[]string{"-via", "bogus"}, ""},
+		{[]string{"-heap", "xMiB"}, ""},
+		{[]string{"extra-positional"}, ""},
+		{[]string{"-scenario", "netlb", "-n", "-3"}, "Requests"},
+		{[]string{"-scenario", "kvshard", "-n", "-1"}, "Requests"},
+		{[]string{"-scenario", "kvshard", "-nodes", "-2"}, "Nodes"},
+		{[]string{"-scenario", "netlb", "-nodes", "-1"}, "Nodes"},
+		{[]string{"-scenario", "forkstorm", "-workers", "-1", "-n", "1"}, "Workers"},
+		{[]string{"-scenario", "buildfarm", "-n", "-5"}, "Requests"},
 	} {
-		if err := runLoad(args); err == nil {
-			t.Errorf("runLoad(%v) succeeded, want error", args)
+		err := runLoad(c.args)
+		if err == nil {
+			t.Errorf("runLoad(%v) succeeded, want error", c.args)
+			continue
+		}
+		var se *load.SpecError
+		if c.field != "" && (!errors.As(err, &se) || se.Field != c.field) {
+			t.Errorf("runLoad(%v) = %v, want *load.SpecError on %s", c.args, err, c.field)
 		}
 	}
 }

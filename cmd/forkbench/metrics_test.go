@@ -34,6 +34,10 @@ var metricsGoldens = []struct {
 	// The cluster netsplit scenario: pool/zone counters while a zone
 	// is partitioned but alive.
 	{"metrics_cluster_netsplit.prom", []string{"-cluster", "netsplit", "-heap", "4MiB"}},
+	// The prefork server under memory-pressure and kill waves: both
+	// failure kinds of the shared closed loop — creations refused and
+	// workers lost after creation — in the per-machine counters.
+	{"metrics_prefork_chaos.prom", []string{"-scenario", "prefork", "-via", "fork", "-machines", "4", "-n", "32", "-heap", "4MiB", "-seed", "3"}},
 }
 
 // TestRunMetricsGoldens drives `forkbench metrics` end to end and

@@ -58,7 +58,7 @@ func ServerClaim(maxHeap uint64, requests int) (*ServerClaimResult, error) {
 			})
 		}
 	}
-	ms, err := fleet.RunAll(0, cfgs)
+	ms, err := fleet.RunAll(cfgs)
 	if err != nil {
 		return nil, err
 	}

@@ -106,7 +106,7 @@ func CPUSweep(cfg CPUSweepConfig) (*CPUSweepResult, error) {
 		farm.Via = sim.Spawn
 		cfgs = append(cfgs, farm)
 	}
-	ms, err := fleet.RunAll(0, cfgs)
+	ms, err := fleet.RunAll(cfgs)
 	if err != nil {
 		return nil, fmt.Errorf("cpusweep: %w", err)
 	}

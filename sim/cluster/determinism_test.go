@@ -49,24 +49,6 @@ func TestClusterDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestClusterParallelismKnobDoesNotChangeResult: the explicit host
-// worker count is a performance knob only.
-func TestClusterParallelismKnobDoesNotChangeResult(t *testing.T) {
-	var base []byte
-	for _, par := range []int{1, 2, 8} {
-		spec := cluster.SurgeSpec(4 << 20)
-		spec.Parallelism = par
-		data := runJSON(t, spec, 4)
-		if base == nil {
-			base = data
-			continue
-		}
-		if !bytes.Equal(base, data) {
-			t.Fatalf("Parallelism=%d changed the report", par)
-		}
-	}
-}
-
 // TestClusterSeedChangesRouting: the balancer seed is real — a
 // different seed may route differently — but each seed is itself
 // stable. (Totals still match; only placement details may move.)

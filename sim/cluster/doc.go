@@ -40,8 +40,9 @@
 // checkpoint/migration plane (sim.Process.Checkpoint, sim/load's
 // Migrate cell, sim/fleet's Rebalance wave) relocates a running
 // worker for its stop-and-copy downtime instead of a machine's full
-// re-warm tax — the cluster-layer version (migrate a zone out rather
-// than kill and backfill) is ROADMAP item 3.
+// re-warm tax. The cluster-layer version (migrate a zone out rather
+// than kill and backfill) is not built: the autoscaler still drains
+// by kill and backfill.
 //
 // Scale-out machines are stamped from the run's load.Templates cache,
 // the one source of warmed machines (nil means cold): the

@@ -5,7 +5,7 @@ import (
 
 	"repro/sim"
 	"repro/sim/fault"
-	"repro/sim/fleet"
+	"repro/sim/load"
 )
 
 // PoolSpec declares one named node pool: a homogeneous set of machines
@@ -130,11 +130,6 @@ type Spec struct {
 	// unreachable, so it takes no traffic — fault.ZonePartition is
 	// the network-split schedule.
 	Faults fault.Schedule
-
-	// Parallelism bounds the host worker pool machines are simulated
-	// on (default and ceiling: GOMAXPROCS). Host wall-clock only;
-	// never the Report.
-	Parallelism int
 }
 
 // withDefaults resolves every zero field, including per-pool shapes.
@@ -200,7 +195,7 @@ func (s Spec) withDefaults() Spec {
 }
 
 // Validate reports whether the spec, after defaulting, is one Run can
-// honour. Every failure is a *fleet.SpecError naming the offending
+// honour. Every failure is a *load.SpecError naming the offending
 // field ("Pools[web].MinMachines"). The only invalid zero Spec field
 // is Pools: a cluster needs at least one pool.
 func (s Spec) Validate() error {
@@ -208,8 +203,8 @@ func (s Spec) Validate() error {
 }
 
 // specErr builds a cluster.Spec validation failure.
-func specErr(field, format string, args ...any) *fleet.SpecError {
-	return &fleet.SpecError{Spec: "cluster.Spec", Field: field, Reason: fmt.Sprintf(format, args...)}
+func specErr(field, format string, args ...any) *load.SpecError {
+	return &load.SpecError{Spec: "cluster.Spec", Field: field, Reason: fmt.Sprintf(format, args...)}
 }
 
 // validate runs after withDefaults: zero fields are already resolved,

@@ -5,11 +5,11 @@ import (
 	"testing"
 
 	"repro/sim"
-	"repro/sim/fleet"
+	"repro/sim/load"
 )
 
 // TestSpecValidate drives cluster.Spec validation through every typed
-// failure: each bad spec must yield a *fleet.SpecError naming the
+// failure: each bad spec must yield a *load.SpecError naming the
 // cluster spec and the offending field.
 func TestSpecValidate(t *testing.T) {
 	pool := func(mutate func(*PoolSpec)) []PoolSpec {
@@ -56,9 +56,9 @@ func TestSpecValidate(t *testing.T) {
 				}
 				return
 			}
-			var se *fleet.SpecError
+			var se *load.SpecError
 			if !errors.As(err, &se) {
-				t.Fatalf("Validate() = %v, want *fleet.SpecError", err)
+				t.Fatalf("Validate() = %v, want *load.SpecError", err)
 			}
 			if se.Spec != "cluster.Spec" {
 				t.Errorf("Spec = %q, want cluster.Spec", se.Spec)
@@ -74,7 +74,7 @@ func TestSpecValidate(t *testing.T) {
 // machine and surfaces the same typed error.
 func TestRunRejectsInvalidSpec(t *testing.T) {
 	_, err := Run(Spec{})
-	var se *fleet.SpecError
+	var se *load.SpecError
 	if !errors.As(err, &se) || se.Field != "Pools" {
 		t.Fatalf("Run(zero spec) = %v, want SpecError on Pools", err)
 	}

@@ -77,29 +77,30 @@ func TestFleetDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestParallelismDoesNotChangeResult pins the same guarantee for the
-// explicit Spec.Parallelism knob: the worker-pool width is a
-// host-performance control, never a semantic one.
-func TestParallelismDoesNotChangeResult(t *testing.T) {
-	base := fleet.Spec{Machines: 6, Scenario: fleet.Uniform, Via: sim.ForkExec, Requests: 5, HeapBytes: 4 << 20}
-	var first []byte
-	for _, par := range []int{1, 2, 8} {
-		spec := base
-		spec.Parallelism = par
-		res, err := fleet.Run(spec)
-		if err != nil {
-			t.Fatal(err)
+// TestForEachDeterministicError: the exported parallel-for returns the
+// lowest failing index's error at any worker count.
+func TestForEachDeterministicError(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		calls := make([]bool, 16)
+		err := fleet.ForEach(workers, 16, func(i int) error {
+			calls[i] = true
+			if i == 5 || i == 11 {
+				return &indexErr{i}
+			}
+			return nil
+		})
+		ie, ok := err.(*indexErr)
+		if !ok || ie.i != 5 {
+			t.Fatalf("workers=%d: err = %v, want index 5", workers, err)
 		}
-		data, err := res.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first == nil {
-			first = data
-			continue
-		}
-		if !bytes.Equal(first, data) {
-			t.Errorf("Parallelism=%d changed the report:\n%s\nvs\n%s", par, first, data)
+		for i := 0; i <= 5; i++ {
+			if !calls[i] {
+				t.Errorf("workers=%d: index %d never ran", workers, i)
+			}
 		}
 	}
 }
+
+type indexErr struct{ i int }
+
+func (e *indexErr) Error() string { return "fail" }

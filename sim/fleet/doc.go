@@ -20,7 +20,7 @@
 //	})
 //	data, _ := res.JSON() // byte-stable: same Spec, same bytes
 //
-// Five fleet scenarios express behaviour one machine cannot:
+// Six fleet scenarios express behaviour one machine cannot:
 //
 //	Uniform        — N identical machines each driving a sim/load
 //	                 scenario; the parallel substrate the forkbench
@@ -30,6 +30,13 @@
 //	                 warm-up tax (dirty heap + pre-created worker
 //	                 pool, Θ(heap) per pool worker under fork), then
 //	                 serves again. Spawn-based fleets re-warm flat.
+//	Rebalance      — the deploy wave by live migration: each machine's
+//	                 resident worker moves to the fresh instance over
+//	                 the wire (load.Migrate), so the outage is only
+//	                 the stop-and-copy downtime — Θ(dirty heap) under
+//	                 fork, ~flat under spawn; a worker the checkpoint
+//	                 refuses (a vfork borrower) falls back to the full
+//	                 rolling restart.
 //	Heterogeneous  — machine shapes cycle 1/2/4/8 CPUs with traffic
 //	                 scaled to the core count; fork's TLB-shootdown
 //	                 tax concentrates on the big machines.
@@ -94,10 +101,10 @@
 // internal/experiments extends the §5 server-claim table to fleet
 // scale with it (experiments.FleetClaim, `forkbench fleetclaim`).
 //
-// The sim/cluster subpackage builds the autoscaling layer on top:
-// Machine wraps one persistent load.Server as a cluster node, and
-// cluster's reconcile loop boots and retires Machines between pool
-// bounds in virtual time (experiments.ScaleOutClaim, `forkbench
+// The sim/cluster package builds the autoscaling layer on top: each
+// cluster node is one persistent load.Server, and cluster's reconcile
+// loop boots and retires them between pool bounds in virtual time on
+// this package's ForEach (experiments.ScaleOutClaim, `forkbench
 // cluster`).
 //
 // Every warmed machine comes from load.Templates; nil means cold. A
@@ -105,12 +112,12 @@
 // phases and the rebalance wave's migration source from the template
 // of their load.Shape, the rolling wave's replacement instance (a
 // load.Server, whose warm-up is the restart tax) from the template of
-// its load.ServerShape. Each template is warmed once via
-// sim.System.Snapshot and host-COW-cloned per machine, so fleet host
-// cost stops being Θ(heap)×N. Spec.ColdBoot holds a nil cache instead;
-// the report is byte-identical either way, which CI's
+// its server shape, which adds the parked pool. Each template is
+// warmed once via sim.System.Snapshot and host-COW-cloned per machine,
+// so fleet host cost stops being Θ(heap)×N. Spec.ColdBoot holds a nil
+// cache instead; the report is byte-identical either way, which CI's
 // clone-equivalence gate enforces for the rolling and rebalance waves
-// (see README "Template machines & O(1) clone").
+// and the network cells (see README "Template machines & O(1) clone").
 //
 // Distributed loads (load.NetLB, load.KVShard) run one sim/net cell
 // per fleet machine: the cell is a self-contained deterministic

@@ -127,20 +127,14 @@ type Spec struct {
 	// every run at any host parallelism.
 	FaultSeed uint64
 
-	// Parallelism bounds the host worker pool that multiplexes the
-	// fleet's machines across host goroutines (default and ceiling:
-	// GOMAXPROCS). It affects host wall-clock time only, never the
-	// Result: machines are independent simulations, folded by
-	// order-independent rules.
-	Parallelism int
-
 	// Shards fans the fleet's machine-id ranges across that many
 	// worker OS processes (os/exec re-invocations of this binary; the
 	// host program must call MaybeShardWorker early in main). Each
 	// worker streams its contiguous id range and emits a partial
 	// aggregate; the parent merges partials in shard order, which is
 	// id order, so the Result is byte-identical to an unsharded run.
-	// 0 or 1 runs in-process. Host-side only, like Parallelism.
+	// 0 or 1 runs in-process. Host-side only: it never changes the
+	// Result.
 	Shards int
 
 	// KeepPerMachine retains the per-machine metrics breakdown on
@@ -151,7 +145,7 @@ type Spec struct {
 
 	// ColdBoot disables the per-shape template cache: every machine
 	// boots and warms from scratch instead of being stamped from a
-	// frozen warmed template. Like Parallelism it affects host cost
+	// frozen warmed template. Like Shards it affects host cost
 	// only, never the Result — a stamped machine is logically the
 	// warmed machine itself. The CI clone-equivalence gate runs the
 	// same Spec both ways and byte-compares the reports.
@@ -189,32 +183,14 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// SpecError is a typed validation failure: which Spec field is wrong
-// and why. Callers that build specs programmatically (sim/cluster, the
-// CLI) can branch on Field instead of parsing messages.
-type SpecError struct {
-	// Spec names the offending spec type ("fleet.Spec"; sim/cluster
-	// reuses the type with its own names).
-	Spec string
-	// Field is the offending field, dotted for nested specs
-	// ("Pools[web].MinMachines").
-	Field string
-	// Reason says what about the value is unacceptable.
-	Reason string
-}
-
-func (e *SpecError) Error() string {
-	return fmt.Sprintf("%s: invalid %s: %s", e.Spec, e.Field, e.Reason)
-}
-
 // specErr builds a fleet.Spec validation failure.
-func specErr(field, format string, args ...any) *SpecError {
-	return &SpecError{Spec: "fleet.Spec", Field: field, Reason: fmt.Sprintf(format, args...)}
+func specErr(field, format string, args ...any) *load.SpecError {
+	return &load.SpecError{Spec: "fleet.Spec", Field: field, Reason: fmt.Sprintf(format, args...)}
 }
 
 // Validate reports whether the spec, after defaulting, is one Run can
-// honour. Every failure is a *SpecError. The zero Spec is valid (all
-// defaults).
+// honour. Every failure is a *load.SpecError. The zero Spec is valid
+// (all defaults).
 func (s Spec) Validate() error {
 	return s.withDefaults().validate()
 }
@@ -467,11 +443,11 @@ func (s Spec) result() *Result {
 
 // Run executes the fleet: every machine is an independent,
 // deterministic sim.System driven to completion on a host worker pool
-// bounded by GOMAXPROCS (or Spec.Parallelism if lower) — and, with
-// Spec.Shards > 1, fanned across worker OS processes. Finished machines
-// stream into a constant-memory, order-independent aggregate as they
-// complete (the kept breakdown in machine-id order); the Result's JSON
-// is byte-identical at any host parallelism and shard count.
+// bounded by GOMAXPROCS — and, with Spec.Shards > 1, fanned across
+// worker OS processes. Finished machines stream into a
+// constant-memory, order-independent aggregate as they complete (the
+// kept breakdown in machine-id order); the Result's JSON is
+// byte-identical at any host parallelism and shard count.
 func Run(spec Spec) (*Result, error) {
 	spec = spec.withDefaults()
 	if err := spec.validate(); err != nil {
@@ -480,7 +456,7 @@ func Run(spec Spec) (*Result, error) {
 	if spec.Shards > 1 {
 		return runSharded(spec)
 	}
-	workers := poolSize(spec.Parallelism, spec.Machines)
+	workers := PoolSize(spec.Machines)
 	start := time.Now()
 	m, err := runRange(spec, 0, spec.Machines, workers)
 	if err != nil {
@@ -506,7 +482,7 @@ func runRange(spec Spec, lo, hi, workers int) (*merger, error) {
 		tc = load.NewTemplates()
 	}
 	m := newMerger(lo, hi-lo, spec.KeepPerMachine)
-	err := forEach(workers, hi-lo, func(i int) error {
+	err := ForEach(workers, hi-lo, func(i int) error {
 		mm, _, err := runMachine(spec, lo+i, tc)
 		if err != nil {
 			return fmt.Errorf("fleet: machine %d: %w", lo+i, err)
@@ -648,17 +624,17 @@ func (r *Result) Render() string {
 	return b.String()
 }
 
-// RunAll runs every config on a host worker pool bounded by GOMAXPROCS
-// (or parallelism if lower), returning metrics in input order — the
-// primitive `forkbench load -sweep` and the experiment tables fan out
-// on. Each config is an independent machine, warmed once per distinct
-// machine shape and stamped per run (see load.Templates); results are
+// RunAll runs every config on a host worker pool bounded by
+// GOMAXPROCS, returning metrics in input order — the primitive
+// `forkbench load -sweep` and the experiment tables fan out on. Each
+// config is an independent machine, warmed once per distinct machine
+// shape and stamped per run (see load.Templates); results are
 // position-merged, so the output is identical to running the configs
 // serially through load.Run.
-func RunAll(parallelism int, cfgs []load.Config) ([]*load.Metrics, error) {
+func RunAll(cfgs []load.Config) ([]*load.Metrics, error) {
 	tc := load.NewTemplates()
 	ms := make([]*load.Metrics, len(cfgs))
-	err := forEach(poolSize(parallelism, len(cfgs)), len(cfgs), func(i int) error {
+	err := ForEach(PoolSize(len(cfgs)), len(cfgs), func(i int) error {
 		m, err := tc.Run(cfgs[i])
 		if err != nil {
 			return err
@@ -672,42 +648,26 @@ func RunAll(parallelism int, cfgs []load.Config) ([]*load.Metrics, error) {
 	return ms, nil
 }
 
-// PoolSize reports the host worker count a fleet of n machines would
-// use at the given requested parallelism: min(GOMAXPROCS, requested,
-// n), and at least 1.
-func PoolSize(parallelism, n int) int { return poolSize(parallelism, n) }
-
-func poolSize(parallelism, n int) int {
+// PoolSize reports the host worker count for n independent machines:
+// min(GOMAXPROCS, n), or GOMAXPROCS when n is 0 (no bound).
+func PoolSize(n int) int {
 	workers := runtime.GOMAXPROCS(0)
-	if parallelism > 0 && parallelism < workers {
-		workers = parallelism
-	}
 	if n > 0 && workers > n {
 		workers = n
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	return workers
 }
 
 // ForEach runs f(0..n-1) on a pool of host goroutines — the fleet's
-// deterministic parallel-for, exported for sim/cluster's reconcile
-// loop (each step serves every live machine host-parallel, then merges
-// in machine-id order). Indices are claimed in increasing order; after
-// a failure no new indices start and the lowest failing index's error
-// is returned, so the outcome is identical at any worker count.
+// deterministic parallel-for, also sim/cluster's reconcile loop's
+// (each step serves every live machine host-parallel, then merges in
+// machine-id order). Once any index fails, no *new* indices are
+// claimed (in-flight ones finish), and the error for the lowest index
+// wins. That stays deterministic at every worker count: indices are
+// claimed in increasing order, so every index below the first failure
+// has already been claimed and run, and the lowest failing index is
+// therefore always observed.
 func ForEach(workers, n int, f func(i int) error) error {
-	return forEach(workers, n, f)
-}
-
-// forEach runs f(0..n-1) on a pool of host goroutines. Once any index
-// fails, no *new* indices are claimed (in-flight ones finish), and the
-// error for the lowest index wins. That stays deterministic at every
-// worker count: indices are claimed in increasing order, so every
-// index below the first failure has already been claimed and run, and
-// the lowest failing index is therefore always observed.
-func forEach(workers, n int, f func(i int) error) error {
 	if n == 0 {
 		return nil
 	}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/sim"
@@ -97,15 +98,17 @@ func TestSpecValidation(t *testing.T) {
 
 // TestRunAllMatchesSerial pins RunAll's contract: position-merged
 // results identical to running each config serially, and the lowest
-// failing index's error reported.
+// failing index's error reported. GOMAXPROCS is raised so the pool
+// runs parallel even on a one-CPU host.
 func TestRunAllMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	cfgs := []load.Config{
 		{Scenario: load.Prefork, Via: sim.ForkExec, Requests: 5, HeapBytes: 4 << 20},
 		{Scenario: load.Prefork, Via: sim.Spawn, Requests: 5, HeapBytes: 4 << 20},
 		{Scenario: load.ForkStorm, Via: sim.Spawn, Requests: 1, Workers: 8, HeapBytes: 4 << 20},
 		{Scenario: load.Prefork, Via: sim.Builder, Requests: 3, HeapBytes: 4 << 20, CPUs: 2},
 	}
-	parallel, err := RunAll(8, cfgs)
+	parallel, err := RunAll(cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +129,7 @@ func TestRunAllMatchesSerial(t *testing.T) {
 	// error is the lowest failing index's regardless of host timing.
 	broken := append([]load.Config{}, cfgs...)
 	broken[1].Scenario = "bogus"
-	if _, err := RunAll(8, broken); err == nil {
+	if _, err := RunAll(broken); err == nil {
 		t.Error("RunAll with a broken config succeeded")
 	}
 }
@@ -202,5 +205,32 @@ func TestRollingRestartTax(t *testing.T) {
 	}
 	if spawn.RestartPTECopies != 0 {
 		t.Errorf("spawn pool paid %d PTE copies, want 0", spawn.RestartPTECopies)
+	}
+}
+
+// TestMachineWarmupScalesWithHeapUnderFork: the cluster premise at
+// machine granularity — a fork machine's replacement warm-up grows
+// with the dirty heap, a spawn machine's stays flat.
+func TestMachineWarmupScalesWithHeapUnderFork(t *testing.T) {
+	warm := func(via sim.Strategy, heap uint64) uint64 {
+		t.Helper()
+		spec := Spec{Machines: 1, Scenario: RollingRestart, Via: via,
+			Requests: 4, HeapBytes: heap, Workers: 4}.withDefaults()
+		mm, _, err := runMachine(spec, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mm.RestartNanos
+	}
+	forkSmall, forkBig := warm(sim.ForkExec, 8<<20), warm(sim.ForkExec, 64<<20)
+	if forkBig <= forkSmall {
+		t.Errorf("fork warm-up flat across heap growth: %d vs %d", forkSmall, forkBig)
+	}
+	spawnSmall, spawnBig := warm(sim.Spawn, 8<<20), warm(sim.Spawn, 64<<20)
+	// Spawn still dirties the bigger heap; only the pool-creation part
+	// must stay flat. Compare the fork:spawn gap instead of absolutes.
+	if forkBig-forkSmall <= spawnBig-spawnSmall {
+		t.Errorf("heap growth cost fork %d vs spawn %d, want fork to pay more",
+			forkBig-forkSmall, spawnBig-spawnSmall)
 	}
 }

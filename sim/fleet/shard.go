@@ -70,7 +70,7 @@ func runShardWorker(payload string, w io.Writer) error {
 	if job.Lo < 0 || job.Hi <= job.Lo || job.Hi > spec.Machines {
 		return fmt.Errorf("bad machine range [%d, %d) of %d", job.Lo, job.Hi, spec.Machines)
 	}
-	m, err := runRange(spec, job.Lo, job.Hi, poolSize(spec.Parallelism, job.Hi-job.Lo))
+	m, err := runRange(spec, job.Lo, job.Hi, PoolSize(job.Hi-job.Lo))
 	if err != nil {
 		return err
 	}
@@ -156,7 +156,7 @@ func runSharded(spec Spec) (*Result, error) {
 	res.Machines = keep
 	res.Aggregate = agg.aggregate()
 	res.HostElapsed = time.Since(start)
-	res.HostWorkers = poolSize(spec.Parallelism, (spec.Machines+shards-1)/shards)
+	res.HostWorkers = PoolSize((spec.Machines + shards - 1) / shards)
 	res.HostShards = shards
 	res.HostPeakRSSBytes = peak
 	return res, nil

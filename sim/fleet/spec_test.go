@@ -8,8 +8,8 @@ import (
 )
 
 // TestSpecValidate is the table over fleet.Spec validation: every
-// rejection is a *SpecError naming the offending field, defaults keep
-// the zero Spec valid, and in-range values pass.
+// rejection is a *load.SpecError naming the offending field, defaults
+// keep the zero Spec valid, and in-range values pass.
 func TestSpecValidate(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -40,9 +40,9 @@ func TestSpecValidate(t *testing.T) {
 				}
 				return
 			}
-			var se *SpecError
+			var se *load.SpecError
 			if !errors.As(err, &se) {
-				t.Fatalf("Validate() = %v (%T), want *SpecError", err, err)
+				t.Fatalf("Validate() = %v (%T), want *load.SpecError", err, err)
 			}
 			if se.Field != c.wantField {
 				t.Errorf("SpecError.Field = %q, want %q (err: %v)", se.Field, c.wantField, se)
@@ -57,7 +57,7 @@ func TestSpecValidate(t *testing.T) {
 // TestSpecErrorMessage pins the rendered form branching-averse callers
 // (the CLI) print.
 func TestSpecErrorMessage(t *testing.T) {
-	e := &SpecError{Spec: "fleet.Spec", Field: "Machines", Reason: "-1 machines (want 1..4096)"}
+	e := &load.SpecError{Spec: "fleet.Spec", Field: "Machines", Reason: "-1 machines (want 1..4096)"}
 	want := "fleet.Spec: invalid Machines: -1 machines (want 1..4096)"
 	if e.Error() != want {
 		t.Errorf("Error() = %q, want %q", e.Error(), want)
@@ -67,8 +67,8 @@ func TestSpecErrorMessage(t *testing.T) {
 // TestRunRejectsInvalidSpec: Run surfaces the typed error.
 func TestRunRejectsInvalidSpec(t *testing.T) {
 	_, err := Run(Spec{Machines: -3})
-	var se *SpecError
+	var se *load.SpecError
 	if !errors.As(err, &se) || se.Field != "Machines" {
-		t.Fatalf("Run(-3 machines) = %v, want *SpecError{Field: Machines}", err)
+		t.Fatalf("Run(-3 machines) = %v, want *load.SpecError{Field: Machines}", err)
 	}
 }

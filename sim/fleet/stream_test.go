@@ -198,8 +198,8 @@ func TestFleetMachineCap(t *testing.T) {
 		t.Errorf("1<<20 machines should validate: %v", err)
 	}
 	err := (Spec{Machines: 1<<20 + 1}).Validate()
-	var se *SpecError
+	var se *load.SpecError
 	if !errors.As(err, &se) || se.Field != "Machines" {
-		t.Errorf("1<<20+1 machines: got %v, want SpecError on Machines", err)
+		t.Errorf("1<<20+1 machines: got %v, want load.SpecError on Machines", err)
 	}
 }

@@ -38,8 +38,9 @@
 //	             grows with the core count, while fork-less snapshots
 //	             through the cross-process API stay IPI-free.
 //	BuildFarm  — a parallel build keeping 2*CPUs compile jobs in
-//	             flight, each with a private working set; measures how
-//	             the creation strategy scales job launch with cores.
+//	             flight, each with a private working set (default
+//	             4 MiB); measures how the creation strategy scales job
+//	             launch with cores.
 //
 // Every run is a pure function of its Config: the simulator has no
 // host-time or randomness inputs, so two runs with the same Config
@@ -86,13 +87,23 @@
 //
 // Every warmed machine comes from Templates; nil means cold.
 // Templates.Run is the one scenario dispatch, and it stamps each
-// machine a run needs from the cache: a Template per Shape (booted,
-// server heap dirtied) for single-machine runs and migration sources,
-// a ServerTemplate per ServerShape (a Server with its worker pool
-// parked) for network-cell backends, sim/fleet's rolling-wave
-// replacements, and sim/cluster's nodes. Run is (*Templates)(nil).Run:
-// every machine boots and warms cold through the same recipe, so a
-// stamped run and a cold run produce byte-identical Metrics.
+// machine a run needs from the cache, which holds one Template per
+// Shape: booted with its server heap dirtied for single-machine runs
+// and migration sources, plus a parked worker pool (Shape.Via and
+// Shape.Pool, zero for a scenario machine) for the Servers that
+// Templates.Server stamps — network-cell backends, sim/fleet's
+// rolling-wave replacements, and sim/cluster's nodes. Run is
+// (*Templates)(nil).Run: every machine boots and warms cold through
+// the same recipe, so a stamped run and a cold run produce
+// byte-identical Metrics. Templates.Run and Templates.Server reject a
+// negative count with a *SpecError before any machine boots.
+//
+// Prefork, BuildFarm and a Server's batches are one closed loop: a
+// window of requests in flight, each a worker created fresh through
+// Config.Via, its body a trivial exit or a RequestWorkMiB working set.
+// What differs between them comes from the Config — the window, the
+// request body, whether a fault schedule is armed — never from which
+// caller runs the loop.
 //
 // Metrics declares each counter once. The cost counters are the
 // embedded Counters struct — a tagged copy of the kernel's

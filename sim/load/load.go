@@ -110,18 +110,18 @@ type Config struct {
 	// (default 3). The single-machine scenarios ignore it.
 	Nodes int
 
-	// RequestWorkMiB gives every request served by a Server a private
-	// working set: the worker allocates and write-touches this many
-	// MiB (the hog program) before exiting, so a request costs CPU
-	// and memory beyond its creation. Used by Server/ServeBatch
-	// (sim/cluster's per-request body); the scenario drivers ignore
-	// it. 0 = no per-request working set.
+	// RequestWorkMiB gives every request of the closed loop (Prefork,
+	// BuildFarm, a Server's batches) a private working set: the
+	// worker allocates and write-touches this many MiB (the hog
+	// program) before exiting, so a request costs CPU and memory
+	// beyond its creation. BuildFarm defaults it to 4, a compile
+	// job's footprint; elsewhere 0 = no per-request working set.
 	RequestWorkMiB int
 
 	// Faults, when non-nil, runs the measured loop in chaos mode:
 	// the schedule is installed after warm-up (so setup stays
 	// clean), per-request failures are tolerated and counted in
-	// Metrics.FailedRequests instead of aborting the run, and the
+	// Metrics.FailedRequests instead of failing the run, and the
 	// driver consults fault.PointKill once per request so kill-wave
 	// schedules can crash in-flight workers. Only the failure-
 	// tolerant scenarios (currently Prefork) accept it. Schedules
@@ -175,6 +175,9 @@ func (cfg Config) withDefaults() Config {
 			cfg.Workers = 3
 		}
 	}
+	if cfg.RequestWorkMiB == 0 && cfg.Scenario == BuildFarm {
+		cfg.RequestWorkMiB = 4
+	}
 	if cfg.HeapBytes == 0 {
 		cfg.HeapBytes = 64 << 20
 	}
@@ -193,6 +196,40 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
+// SpecError is a typed validation failure: which field of which spec
+// is wrong and why. load.Config, fleet.Spec and cluster.Spec all
+// reject junk with it, so callers that build specs programmatically
+// (sim/cluster, the CLI) can branch on Field instead of parsing
+// messages.
+type SpecError struct {
+	// Spec names the offending spec type ("load.Config",
+	// "fleet.Spec", "cluster.Spec").
+	Spec string
+	// Field is the offending field, dotted for nested specs
+	// ("Pools[web].MinMachines").
+	Field string
+	// Reason says what about the value is unacceptable.
+	Reason string
+}
+
+func (e *SpecError) Error() string {
+	return fmt.Sprintf("%s: invalid %s: %s", e.Spec, e.Field, e.Reason)
+}
+
+// validate rejects the counts withDefaults cannot resolve: zero
+// selects a default, a negative count is junk. Templates.Run and
+// Templates.Server call it before any machine boots.
+func (cfg Config) validate() error {
+	fields := []string{"Requests", "Workers", "Window", "Nodes", "RequestWorkMiB"}
+	for i, n := range []int{cfg.Requests, cfg.Workers, cfg.Window, cfg.Nodes, cfg.RequestWorkMiB} {
+		if n < 0 {
+			return &SpecError{Spec: "load.Config", Field: fields[i],
+				Reason: fmt.Sprintf("%d (want >= 0; 0 selects the default)", n)}
+		}
+	}
+	return nil
+}
+
 // Metrics is the deterministic result of one run. All quantities are
 // virtual-time: two runs with the same Config produce identical
 // Metrics, bit for bit.
@@ -209,7 +246,7 @@ type Metrics struct {
 	Creations uint64 `json:"creations"`
 
 	// FailedRequests counts requests lost to injected faults (chaos
-	// mode only — a clean run aborts on the first failure instead).
+	// mode only — a clean run fails on a lost request instead).
 	// OOMKills counts workers the OOM killer reaped during the loop.
 	FailedRequests uint64 `json:"failed_requests,omitempty"`
 	OOMKills       uint64 `json:"oom_kills,omitempty"`
@@ -429,21 +466,6 @@ func HumanBytes(n uint64) string {
 	return fmt.Sprintf("%dB", n)
 }
 
-// Snapshot is one live metric sample of a Server's machine, on its own
-// virtual clock (see Server.Sample).
-type Snapshot struct {
-	// VirtualNanos is the machine's virtual time at the sample
-	// (since boot, warm-up included).
-	VirtualNanos uint64
-	// Requests/FailedRequests/Creations are the server's running
-	// totals at the sample.
-	Requests       uint64
-	FailedRequests uint64
-	Creations      uint64
-	// RSSBytes is the machine's current resident physical memory.
-	RSSBytes uint64
-}
-
 // driver carries one run's state: the booted machine, the server heap
 // VMA, and the counters accumulated by the scenario loop.
 type driver struct {
@@ -530,6 +552,11 @@ func Prepare(sys *sim.System, cfg Config) (*Prepared, error) {
 	return &Prepared{cfg: cfg, sys: sys, heapStart: vma.Start, heapBytes: heap}, nil
 }
 
+// driver starts a scenario loop on the prepared machine.
+func (p *Prepared) driver() *driver {
+	return &driver{cfg: p.cfg, sys: p.sys, k: p.sys.Kernel(), heapStart: p.heapStart}
+}
+
 // System is the prepared machine — exposed so callers (tests, the E13
 // host-cost experiment) can inspect the warmed state before Run.
 func (p *Prepared) System() *sim.System { return p.sys }
@@ -552,7 +579,7 @@ func (p *Prepared) Run() (*Metrics, error) {
 	if cfg.Faults != nil {
 		p.sys.SetFaultSchedule(cfg.Faults)
 	}
-	d := &driver{cfg: cfg, sys: p.sys, k: p.sys.Kernel(), heapStart: p.heapStart}
+	d := p.driver()
 	heap := p.heapBytes
 
 	meter := d.k.Meter()
@@ -568,8 +595,15 @@ func (p *Prepared) Run() (*Metrics, error) {
 
 	var err error
 	switch cfg.Scenario {
-	case Prefork:
-		err = d.prefork()
+	case Prefork, BuildFarm:
+		// The closed loop. Chaos mode (cfg.Faults) counts its lost
+		// requests; a clean run fails on the first.
+		var b Batch
+		b, err = d.serve(cfg.Requests, 0)
+		d.requests, d.creations, d.failed = uint64(b.Served), b.Creations, uint64(b.Failed)
+		if cfg.Faults != nil {
+			err = nil
+		}
 	case Pipeline:
 		err = d.pipeline()
 	case Checkpoint:
@@ -578,8 +612,6 @@ func (p *Prepared) Run() (*Metrics, error) {
 		err = d.forkstorm()
 	case SMPServer:
 		err = d.smpserver()
-	case BuildFarm:
-		err = d.buildfarm()
 	default:
 		err = fmt.Errorf("load: unknown scenario %q", cfg.Scenario)
 	}
@@ -611,17 +643,6 @@ func (p *Prepared) Run() (*Metrics, error) {
 			m.CPUUtilization[i] = float64(meter.CPUBusy(i)-busyBase[i]) / float64(advanced)
 		}
 	}
-	return m, nil
-}
-
-// runOnce runs the prepared scenario and, once its Metrics are plain
-// data, releases the machine.
-func (p *Prepared) runOnce() (*Metrics, error) {
-	m, err := p.Run()
-	if err != nil {
-		return nil, err
-	}
-	p.release()
 	return m, nil
 }
 

@@ -186,7 +186,7 @@ func runNetCell(cfg Config, tc *Templates) (*Metrics, error) {
 	// every other scenario.
 	ks := make([]*kernel.Kernel, n)
 	for i, s := range c.servers {
-		ks[i] = s.k
+		ks[i] = s.d.k
 	}
 	w := openWindow(ks...)
 

@@ -19,7 +19,7 @@ func metricsJSON(t *testing.T, m *load.Metrics) []byte {
 }
 
 // TestTemplateRecycleNoBleed is the machine-reuse isolation test: after
-// Template.Run releases a stamped machine back into the template's
+// Templates.Run releases a stamped machine back into its template's
 // recycle pool, the next stamp lands in that recycled shell — and must
 // behave exactly like a stamp into a fresh shell, which must behave
 // exactly like a cold boot. Any state bleeding through the recycled
@@ -32,10 +32,7 @@ func TestTemplateRecycleNoBleed(t *testing.T) {
 				Scenario: load.Prefork, Via: via, CPUs: 2,
 				Requests: 8, HeapBytes: 4 << 20,
 			}
-			tpl, err := load.NewTemplate(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			tc := load.NewTemplates()
 			cold, err := load.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -44,7 +41,7 @@ func TestTemplateRecycleNoBleed(t *testing.T) {
 			// Run 1 stamps a fresh shell; runs 2 and 3 stamp the shell
 			// the previous run released.
 			for i := 1; i <= 3; i++ {
-				m, err := tpl.Run(cfg)
+				m, err := tc.Run(cfg)
 				if err != nil {
 					t.Fatalf("run %d: %v", i, err)
 				}
@@ -57,26 +54,23 @@ func TestTemplateRecycleNoBleed(t *testing.T) {
 }
 
 // TestTemplateRecycleAcrossScenarios interleaves different workloads
-// through one template's recycle pool: a shell that just ran one
-// scenario must serve the next with no cross-scenario bleed.
+// of one shape through its template's recycle pool: a shell that just
+// ran one scenario must serve the next with no cross-scenario bleed.
 func TestTemplateRecycleAcrossScenarios(t *testing.T) {
 	base := load.Config{Via: sim.ForkExec, CPUs: 2, Requests: 6, HeapBytes: 4 << 20}
 	prefork, pipeline := base, base
 	prefork.Scenario = load.Prefork
 	pipeline.Scenario = load.Pipeline
 
-	tpl, err := load.NewTemplate(prefork)
+	tc := load.NewTemplates()
+	first, err := tc.Run(prefork)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := tpl.Run(prefork)
-	if err != nil {
+	if _, err := tc.Run(pipeline); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tpl.Run(pipeline); err != nil {
-		t.Fatal(err)
-	}
-	again, err := tpl.Run(prefork)
+	again, err := tc.Run(prefork)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +80,9 @@ func TestTemplateRecycleAcrossScenarios(t *testing.T) {
 }
 
 // TestServerTemplateRecycleReturnsToBaseline drives the server recycle
-// path end to end: stamp, serve, drain (which recycles the machine into
-// the template), then stamp and serve again. The second server must
+// path end to end through the cache: stamp a Server from its template,
+// serve, drain (which recycles the machine into the template), then
+// stamp and serve again. The second server must
 // reproduce the first byte for byte — batches, drain books, warm-up
 // numbers — and every drain must return process, frame, and commit
 // counts to the post-warm-up baseline.
@@ -95,10 +90,7 @@ func TestServerTemplateRecycleReturnsToBaseline(t *testing.T) {
 	for _, via := range []sim.Strategy{sim.ForkExec, sim.Spawn} {
 		t.Run(via.String(), func(t *testing.T) {
 			cfg := load.Config{Via: via, CPUs: 1, HeapBytes: 4 << 20, Workers: 2}
-			st, err := load.NewServerTemplate(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			tc := load.NewTemplates()
 			type run struct {
 				batch load.Batch
 				drain load.DrainStats
@@ -106,7 +98,7 @@ func TestServerTemplateRecycleReturnsToBaseline(t *testing.T) {
 			}
 			one := func() run {
 				t.Helper()
-				s, err := st.Stamp(cfg)
+				s, err := tc.Server(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -138,11 +130,7 @@ func TestServerTemplateRecycleReturnsToBaseline(t *testing.T) {
 // shell next.
 func TestServerDrainSevers(t *testing.T) {
 	cfg := load.Config{Via: sim.Spawn, CPUs: 1, HeapBytes: 4 << 20, Workers: 1}
-	st, err := load.NewServerTemplate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := st.Stamp(cfg)
+	s, err := load.NewTemplates().Server(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

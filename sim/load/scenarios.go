@@ -10,51 +10,66 @@ import (
 	"repro/sim/fault"
 )
 
-// prefork is the fork-per-request web server: every synthetic request
-// is handled by a freshly created worker process. The server keeps one
-// request in flight per CPU (closed loop with a CPU-wide window), so
-// on a multicore machine the workers genuinely overlap in virtual
-// time. Under fork the per-request cost includes duplicating the
-// server's page tables — Θ(heap) — so throughput falls as the server
-// grows; under spawn or the builder it is flat. This is §5's server
-// claim as a workload.
+// serve is the package's one closed request loop, and §5's server
+// claim as a workload: every request is handled by a freshly created
+// worker process (see request). It keeps a window of requests in
+// flight — Config.Window, else the scenario's DefaultWindow — so on a
+// multicore machine the workers genuinely overlap in virtual time.
+// Under fork the per-request cost includes duplicating the server's
+// page tables — Θ(heap) — so throughput falls as the server grows;
+// under spawn or the builder it is flat. A build farm is the same loop
+// over compile jobs with a compiler-sized working set: the jobs
+// overlap on a multicore machine, and the creation strategy decides
+// whether job launch serializes on the parent's page tables (fork) or
+// stays flat (spawn/builder).
 //
-// With Config.Faults installed the loop runs in chaos mode: a failed
-// creation or a worker lost to an injected fault (ENOMEM, OOM kill, a
-// kill-wave crash via fault.PointKill) counts against FailedRequests
-// and the server keeps serving — the survival metric E11 reports —
-// instead of aborting the run.
-func (d *driver) prefork() error {
+// The scenarios launch n = Requests; a Server's ServeBatch also passes
+// a budget, past which (budgetNanos > 0) no new request launches and
+// the loop drains what is in flight.
+//
+// Failures never abort the loop: a refused creation or a worker lost
+// mid-request counts in Batch.Failed, and the first one's cause is
+// returned once the loop drains. A clean scenario run fails on it; a
+// Server and a chaos run keep serving — the survival metric E11
+// reports. With Config.Faults armed (chaos mode) the loop also
+// consults fault.PointKill once per request, so kill-wave schedules
+// can crash in-flight workers.
+func (d *driver) serve(n int, budgetNanos uint64) (Batch, error) {
 	window := d.cfg.Window
 	if window < 1 {
-		window = DefaultWindow(Prefork, d.cfg.CPUs)
+		window = DefaultWindow(d.cfg.Scenario, d.cfg.CPUs)
 	}
 	chaos := d.cfg.Faults != nil
+	t0 := d.k.Elapsed()
+	overBudget := func() bool {
+		return budgetNanos > 0 && uint64(d.k.Elapsed()-t0) >= budgetNanos
+	}
+	var b Batch
+	var first error
+	fail := func(err error) {
+		b.Failed++
+		if first == nil {
+			first = err
+		}
+	}
 	var inflight []*sim.Cmd
 	launched := 0
-	abort := func(err error) error {
-		for _, cmd := range inflight {
-			cmd.Process.Kill()
-			cmd.Wait()
-		}
-		return err
-	}
-	for launched < d.cfg.Requests || len(inflight) > 0 {
-		for len(inflight) < window && launched < d.cfg.Requests {
-			cmd := d.sys.Command("true").Via(d.cfg.Via)
+	for launched < n || len(inflight) > 0 {
+		for len(inflight) < window && launched < n && !overBudget() {
+			cmd := d.request()
 			launched++
 			if err := cmd.Start(); err != nil {
-				if chaos {
-					d.failed++ // creation refused: the request is lost, the server survives
-					continue
-				}
-				return abort(err)
+				fail(err) // creation refused: the request is lost, the server survives
+				continue
 			}
-			d.creations++
+			b.Creations++
 			inflight = append(inflight, cmd)
 		}
 		if len(inflight) == 0 {
-			continue // every launch in this window failed under chaos
+			if overBudget() {
+				break
+			}
+			continue // every launch in this window failed
 		}
 		// Sample while workers are live, so the peak reflects the
 		// per-request footprint (stack, image, mirrored page table),
@@ -66,16 +81,24 @@ func (d *driver) prefork() error {
 			// Kill wave: the worker crashes mid-request.
 			cmd.Process.Kill()
 		}
-		switch err := cmd.Wait(); {
-		case err == nil:
-			d.requests++
-		case chaos:
-			d.failed++ // worker died (injected ENOMEM, OOM kill, crash)
-		default:
-			return abort(err)
+		if err := cmd.Wait(); err != nil {
+			fail(err) // worker died (injected ENOMEM, OOM kill, crash)
+		} else {
+			b.Served++
 		}
 	}
-	return nil
+	b.Nanos = uint64(d.k.Elapsed() - t0)
+	return b, first
+}
+
+// request builds one request's worker command: a hog that allocates
+// and write-touches RequestWorkMiB of its own when that is set,
+// otherwise a trivial exit.
+func (d *driver) request() *sim.Cmd {
+	if mib := d.cfg.RequestWorkMiB; mib > 0 {
+		return d.sys.Command("hog", strconv.Itoa(mib)).Via(d.cfg.Via)
+	}
+	return d.sys.Command("true").Via(d.cfg.Via)
 }
 
 // pipeline is the shell farm: each unit of work builds an
@@ -247,47 +270,6 @@ func (d *driver) smpserver() error {
 		d.requests++
 	}
 	return finish(nil)
-}
-
-// buildfarm is the parallel build: a driver keeps 2*CPUs compile jobs
-// in flight, each a freshly created process that allocates and
-// write-touches a private working set (4 MiB, a compiler-sized
-// footprint) and exits. On a multicore machine the jobs overlap; the
-// creation strategy decides whether job launch serializes on the
-// parent's page tables (fork) or stays flat (spawn/builder).
-func (d *driver) buildfarm() error {
-	window := d.cfg.Window
-	if window < 1 {
-		window = DefaultWindow(BuildFarm, d.cfg.CPUs)
-	}
-	var inflight []*sim.Cmd
-	launched := 0
-	abort := func(err error) error {
-		for _, cmd := range inflight {
-			cmd.Process.Kill()
-			cmd.Wait()
-		}
-		return err
-	}
-	for d.requests < uint64(d.cfg.Requests) {
-		for len(inflight) < window && launched < d.cfg.Requests {
-			cmd := d.sys.Command("hog", "4").Via(d.cfg.Via)
-			if err := cmd.Start(); err != nil {
-				return abort(err)
-			}
-			d.creations++
-			launched++
-			inflight = append(inflight, cmd)
-		}
-		d.sample()
-		cmd := inflight[0]
-		inflight = inflight[1:]
-		if err := cmd.Wait(); err != nil {
-			return abort(err)
-		}
-		d.requests++
-	}
-	return nil
 }
 
 // forkstorm launches Workers children back to back without waiting,

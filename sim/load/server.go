@@ -2,9 +2,7 @@ package load
 
 import (
 	"fmt"
-	"strconv"
 
-	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/sim"
 )
@@ -22,20 +20,19 @@ import (
 // backends are Servers too.
 //
 // A Server is single-goroutine: the caller serializes ServeBatch /
-// Run / Sample / Drain. Distinct Servers are independent machines and may
-// run host-parallel.
+// Run / Drain. Distinct Servers are independent machines and may run
+// host-parallel.
 type Server struct {
 	// p is the warmed machine: its resolved Config, its server heap,
 	// and the template it was stamped from (nil when cold-booted),
 	// which Drain recycles the machine into once the books are closed.
-	p    *Prepared
-	k    *kernel.Kernel
-	pool []*sim.Process
-	warm warmup
-
-	requests, failed, creations uint64
-	peakPages                   uint64
-	drained                     bool
+	p *Prepared
+	// d is the server's request loop: every ServeBatch runs through
+	// it, and its high-water mark is the server's peak RSS.
+	d       *driver
+	pool    []*sim.Process
+	warm    warmup
+	drained bool
 }
 
 // warmup is a server's warm-up record: its virtual time and page-table
@@ -78,7 +75,7 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("load: Server serves prefork traffic only, not %q", cfg.Scenario)
 	}
 	cfg.Scenario = Prefork
-	workers := cfg.ServerShape().Workers
+	workers := cfg.serverShape().Pool
 	cfg = cfg.withDefaults()
 	sys, err := boot(cfg)
 	if err != nil {
@@ -91,11 +88,11 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{p: p, k: k, warm: warmup{
+	s := newServer(p, warmup{
 		baseProcs: k.ProcessCount(),
 		basePages: k.Phys().AllocatedPages(),
 		baseCmt:   k.Phys().Committed(),
-	}}
+	})
 	for i := 0; i < workers; i++ {
 		w, err := sys.Command("true").Via(cfg.Via).Create()
 		if err != nil {
@@ -106,92 +103,31 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s.warm.nanos = uint64(k.Elapsed() - t0)
 	s.warm.ptes = k.Meter().PTECopies - pteBase
-	s.observe()
+	s.d.sample()
 	return s, nil
 }
 
-// request builds one request's worker command: with RequestWorkMiB
-// set the worker is a hog that allocates and write-touches its own
-// working set, otherwise it is a trivial exit.
-func (s *Server) request() *sim.Cmd {
-	cfg := s.p.cfg
-	if cfg.RequestWorkMiB > 0 {
-		return s.p.sys.Command("hog", strconv.Itoa(cfg.RequestWorkMiB)).Via(cfg.Via)
-	}
-	return s.p.sys.Command("true").Via(cfg.Via)
+// newServer wraps a warmed machine with its warm-up record and its
+// request loop.
+func newServer(p *Prepared, w warmup) *Server {
+	return &Server{p: p, d: p.driver(), warm: w}
 }
 
-// ServeBatch serves up to n requests in the scenario's closed loop
-// (Window in flight, each request a fresh worker via cfg.Via). When
-// budgetNanos > 0 the server stops launching new requests once the
-// batch has consumed that much virtual time — leftover requests are
-// the caller's backlog — but always drains what is in flight, so the
-// returned Nanos may overshoot the budget by up to one request.
-// Failures (creation refused, worker lost) are tolerated and counted.
+// ServeBatch serves up to n requests through the closed loop (see
+// driver.serve: a window of requests in flight, each a fresh worker
+// via cfg.Via). When budgetNanos > 0 the server stops launching new
+// requests once the batch has consumed that much virtual time —
+// leftover requests are the caller's backlog — but always drains what
+// is in flight, so the returned Nanos may overshoot the budget by up to
+// one request. Failures (creation refused, worker lost) are tolerated
+// and counted.
 func (s *Server) ServeBatch(n int, budgetNanos uint64) (Batch, error) {
 	if s.drained {
 		return Batch{}, fmt.Errorf("load: ServeBatch on a drained server")
 	}
-	window := s.p.cfg.Window
-	if window < 1 {
-		window = DefaultWindow(Prefork, s.p.cfg.CPUs)
-	}
-	t0 := s.k.Elapsed()
-	var b Batch
-	var inflight []*sim.Cmd
-	launched := 0
-	overBudget := func() bool {
-		return budgetNanos > 0 && uint64(s.k.Elapsed()-t0) >= budgetNanos
-	}
-	for launched < n || len(inflight) > 0 {
-		for len(inflight) < window && launched < n && !overBudget() {
-			cmd := s.request()
-			launched++
-			if err := cmd.Start(); err != nil {
-				b.Failed++ // creation refused: the request is lost
-				continue
-			}
-			b.Creations++
-			inflight = append(inflight, cmd)
-		}
-		if len(inflight) == 0 {
-			if overBudget() || launched >= n {
-				break
-			}
-			continue // every launch in this window failed
-		}
-		s.observe()
-		cmd := inflight[0]
-		inflight = inflight[1:]
-		if err := cmd.Wait(); err != nil {
-			b.Failed++ // worker died mid-request
-		} else {
-			b.Served++
-		}
-	}
-	s.requests += uint64(b.Served)
-	s.failed += uint64(b.Failed)
-	s.creations += b.Creations
-	b.Nanos = uint64(s.k.Elapsed() - t0)
-	s.observe()
+	b, _ := s.d.serve(n, budgetNanos)
+	s.d.sample()
 	return b, nil
-}
-
-// observe updates the RSS high-water mark.
-func (s *Server) observe() {
-	s.peakPages = max(s.peakPages, s.k.Phys().AllocatedPages())
-}
-
-// Sample reports the machine's live state: cumulative request totals
-// and current resident memory, on its own virtual clock.
-func (s *Server) Sample() Snapshot {
-	return Snapshot{
-		VirtualNanos:   uint64(s.k.Elapsed()),
-		Requests:       s.requests,
-		FailedRequests: s.failed,
-		Creations:      s.creations,
-		RSSBytes:       s.k.Phys().AllocatedPages() * uint64(mem.PageSize),
-	}
 }
 
 // WarmupNanos is the virtual time from boot to ready-to-serve: heap
@@ -204,10 +140,7 @@ func (s *Server) WarmupNanos() uint64 { return s.warm.nanos }
 func (s *Server) WarmupPTECopies() uint64 { return s.warm.ptes }
 
 // PeakRSSBytes is the resident-memory high-water mark observed so far.
-func (s *Server) PeakRSSBytes() uint64 { return s.peakPages * uint64(mem.PageSize) }
-
-// Elapsed is the machine's virtual clock (nanoseconds since boot).
-func (s *Server) Elapsed() uint64 { return uint64(s.k.Elapsed()) }
+func (s *Server) PeakRSSBytes() uint64 { return s.d.peakPages * uint64(mem.PageSize) }
 
 // Run serves one measured scenario pass on the server's machine —
 // cfg.Requests prefork requests, measured exactly as Prepared.Run
@@ -230,17 +163,17 @@ func (s *Server) Drain() (DrainStats, error) {
 		return DrainStats{}, fmt.Errorf("load: Drain on a drained server")
 	}
 	s.teardown()
+	k := s.d.k
 	stats := DrainStats{
-		BaseProcs: s.warm.baseProcs, EndProcs: s.k.ProcessCount(),
-		BasePages: s.warm.basePages, EndPages: s.k.Phys().AllocatedPages(),
-		BaseCommit: s.warm.baseCmt, EndCommit: s.k.Phys().Committed(),
+		BaseProcs: s.warm.baseProcs, EndProcs: k.ProcessCount(),
+		BasePages: s.warm.basePages, EndPages: k.Phys().AllocatedPages(),
+		BaseCommit: s.warm.baseCmt, EndCommit: k.Phys().Committed(),
 	}
 	// Books are closed; recycle the machine into the template it was
-	// stamped from. Nil the handles so a late Sample/ServeBatch fails
-	// loudly instead of reading whatever machine is stamped into the
-	// recycled shell next.
+	// stamped from. Nil the loop's handles so nothing late can reach
+	// whatever machine is stamped into the recycled shell next.
 	s.p.release()
-	s.k = nil
+	s.d.sys, s.d.k = nil, nil
 	return stats, nil
 }
 

@@ -8,10 +8,10 @@ import (
 )
 
 // TestServerServesAndDrains: the persistent server serves batches
-// across the closed loop, the running totals add up, and Drain
-// returns process, frame, and commit counts to the post-warm-up
-// baseline under every strategy — the scale-down leak invariant at
-// its source.
+// across the closed loop, each batch counts the workers it created,
+// and Drain returns process, frame, and commit counts to the
+// post-warm-up baseline under every strategy — the scale-down leak
+// invariant at its source.
 func TestServerServesAndDrains(t *testing.T) {
 	for _, via := range sim.Strategies() {
 		if via == sim.EmulatedFork {
@@ -39,15 +39,14 @@ func TestServerServesAndDrains(t *testing.T) {
 				t.Errorf("batches served %d/%d failed %d/%d, want 8/5 0/0",
 					b1.Served, b2.Served, b1.Failed, b2.Failed)
 			}
+			if b1.Creations != 8 || b2.Creations != 5 {
+				t.Errorf("batches created %d/%d workers, want 8/5", b1.Creations, b2.Creations)
+			}
 			if b1.Nanos == 0 || b2.Nanos == 0 {
 				t.Error("batch consumed no virtual time")
 			}
-			snap := s.Sample()
-			if snap.Requests != 13 || snap.Creations != 13 {
-				t.Errorf("sample totals %d/%d, want 13/13", snap.Requests, snap.Creations)
-			}
-			if snap.RSSBytes < 4<<20 {
-				t.Errorf("sampled RSS %d below resident heap", snap.RSSBytes)
+			if rss := s.PeakRSSBytes(); rss < 4<<20 {
+				t.Errorf("peak RSS %d below resident heap", rss)
 			}
 			d, err := s.Drain()
 			if err != nil {
@@ -74,10 +73,11 @@ func TestServerServesAndDrains(t *testing.T) {
 
 // TestServerBudgetStopsLaunching: a batch under a virtual-time budget
 // serves fewer requests than offered — the leftover is the caller's
-// backlog — and identical configs leave identical leftovers (the
-// reconcile loop's determinism rests on this).
+// backlog — and identical configs leave identical leftovers, down to
+// the batch that serves them (the reconcile loop's determinism rests
+// on this).
 func TestServerBudgetStopsLaunching(t *testing.T) {
-	run := func() (load.Batch, uint64) {
+	run := func() [2]load.Batch {
 		t.Helper()
 		s, err := load.NewServer(load.Config{
 			Via: sim.ForkExec, HeapBytes: 16 << 20, Workers: 2, RequestWorkMiB: 1,
@@ -85,15 +85,21 @@ func TestServerBudgetStopsLaunching(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer s.Drain()
 		// One fork of a 16 MiB parent costs ~1ms virtual; 2ms cannot
 		// fit 50 requests.
 		b, err := s.ServeBatch(50, 2_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b, s.Elapsed()
+		rest, err := s.ServeBatch(50-b.Served, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [2]load.Batch{b, rest}
 	}
-	b, elapsed := run()
+	first := run()
+	b := first[0]
 	if b.Served >= 50 {
 		t.Errorf("served all %d requests under a 2ms budget", b.Served)
 	}
@@ -103,20 +109,22 @@ func TestServerBudgetStopsLaunching(t *testing.T) {
 	if b.Nanos < 2_000_000 {
 		t.Errorf("batch stopped at %dns, before the budget", b.Nanos)
 	}
-	b2, elapsed2 := run()
-	if b != b2 || elapsed != elapsed2 {
-		t.Errorf("budgeted batch not deterministic: %+v @%d vs %+v @%d", b, elapsed, b2, elapsed2)
+	if rest := first[1]; b.Served+rest.Served != 50 {
+		t.Errorf("budgeted %d + leftover %d requests, want 50", b.Served, rest.Served)
+	}
+	if again := run(); again != first {
+		t.Errorf("budgeted batches not deterministic: %+v vs %+v", first, again)
 	}
 }
 
 // TestServerWarmupForkVsSpawn pins the cluster experiment's premise:
 // with a dirty heap and a pre-created pool, a fork machine's warm-up
 // (Θ(heap) page-table duplication per worker) costs more virtual time
-// than a spawn machine's.
+// than a spawn machine's, and grows with the heap faster than spawn's.
 func TestServerWarmupForkVsSpawn(t *testing.T) {
-	warm := func(via sim.Strategy) uint64 {
+	warm := func(t *testing.T, via sim.Strategy, heap uint64) uint64 {
 		t.Helper()
-		s, err := load.NewServer(load.Config{Via: via, HeapBytes: 64 << 20, Workers: 8})
+		s, err := load.NewServer(load.Config{Via: via, HeapBytes: heap, Workers: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,9 +134,24 @@ func TestServerWarmupForkVsSpawn(t *testing.T) {
 		}
 		return s.WarmupNanos()
 	}
-	fork, spawn := warm(sim.ForkExec), warm(sim.Spawn)
-	if fork <= spawn {
-		t.Errorf("fork warm-up %dns not above spawn %dns", fork, spawn)
+	small, big := uint64(8<<20), uint64(64<<20)
+	fork, spawn := map[uint64]uint64{}, map[uint64]uint64{}
+	for _, heap := range []uint64{small, big} {
+		t.Run(load.HumanBytes(heap), func(t *testing.T) {
+			fork[heap], spawn[heap] = warm(t, sim.ForkExec, heap), warm(t, sim.Spawn, heap)
+			if fork[heap] <= spawn[heap] {
+				t.Errorf("fork warm-up %dns not above spawn %dns", fork[heap], spawn[heap])
+			}
+		})
+	}
+	if fork[big] <= fork[small] {
+		t.Errorf("fork warm-up flat across heap growth: %d vs %d", fork[small], fork[big])
+	}
+	// Spawn still dirties the bigger heap; only the pool-creation part
+	// must stay flat. Compare the fork:spawn gap instead of absolutes.
+	if fork[big]-fork[small] <= spawn[big]-spawn[small] {
+		t.Errorf("heap growth cost fork %d vs spawn %d, want fork to pay more",
+			fork[big]-fork[small], spawn[big]-spawn[small])
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // Shape is a warm machine shape: everything the boot-and-warm phase of
-// a scenario run depends on. Two Configs with the same Shape warm
+// a machine depends on. Two Configs with the same Shape warm
 // byte-identical machines, whatever their scenario, strategy, or
 // request volume — which is why one frozen Template per Shape can
 // serve every scenario in a sweep.
@@ -17,9 +17,16 @@ type Shape struct {
 	RAMBytes  uint64
 	HeapBytes uint64
 	HugePages bool
+
+	// Via and Pool are a Server's parked worker pool: the strategy it
+	// was pre-created through and its size. Both are zero for a
+	// scenario machine, which parks no pool, so every scenario and
+	// strategy of one machine shape still shares one template.
+	Via  sim.Strategy
+	Pool int
 }
 
-// Shape reports cfg's resolved warm shape.
+// Shape reports cfg's resolved warm shape as a scenario machine.
 func (cfg Config) Shape() Shape {
 	cfg = cfg.withDefaults()
 	return Shape{
@@ -28,6 +35,18 @@ func (cfg Config) Shape() Shape {
 		HeapBytes: cfg.HeapBytes,
 		HugePages: cfg.HugePages,
 	}
+}
+
+// serverShape reports cfg's resolved warm shape as a Server: the
+// machine's shape plus its pool of Workers (default 4×CPUs — a server
+// keeps spare workers beyond its steady-state window).
+func (cfg Config) serverShape() Shape {
+	s := cfg.Shape()
+	s.Via, s.Pool = cfg.Via, cfg.Workers
+	if s.Pool <= 0 {
+		s.Pool = 4 * s.CPUs
+	}
+	return s
 }
 
 // boot cold-boots a machine of cfg's resolved shape with the scenario
@@ -55,16 +74,22 @@ func warm(cfg Config) (*Prepared, error) {
 
 // Template is a frozen machine warmed for one Shape: booted, userland
 // installed, server heap mapped and dirtied — the state Run reaches
-// just before it zeroes the counters and enters the scenario loop.
-// Stamping a run out of it skips the Θ(heap) warm-up the cold path
-// repeats per machine; virtual-time metrics are unchanged because a
-// clone is logically the warmed machine itself. Safe for concurrent
-// Stamp calls.
+// just before it zeroes the counters and enters the scenario loop. A
+// server's template is also frozen with its worker pool parked, and
+// records the warm-up that pool cost. Stamping a machine out of it
+// skips the Θ(heap) warm-up the cold path repeats per machine;
+// virtual-time metrics are unchanged because a clone is logically the
+// warmed machine itself. Safe for concurrent Stamp calls.
 type Template struct {
 	shape     Shape
 	tpl       *sim.Template
 	heapStart uint64
 	heapBytes uint64
+
+	// pool is a server template's parked workers, by pid, and warm its
+	// warm-up record; both are empty for a scenario machine.
+	pool []int
+	warm warmup
 }
 
 // NewTemplate warms one machine for cfg's Shape — the cold path's
@@ -75,165 +100,113 @@ func NewTemplate(cfg Config) (*Template, error) {
 	if err != nil {
 		return nil, err
 	}
-	return freeze(p)
+	return freeze(p, cfg.Shape())
 }
 
-// freeze snapshots a warmed machine into a Template of its Shape.
-func freeze(p *Prepared) (*Template, error) {
+// newServerTemplate warms one Server for cfg's server shape and
+// freezes it with its parked pool and warm-up record, so a Server
+// stamped from it reproduces NewServer's post-warm-up state — warm-up
+// cost, baselines, and pool included — without re-paying the warm-up
+// host time per machine.
+func newServerTemplate(cfg Config) (*Template, error) {
+	s, err := NewServer(cfg)
+	if err != nil {
+		return nil, err
+	}
+	t, err := freeze(s.p, cfg.serverShape())
+	if err != nil {
+		return nil, err
+	}
+	t.warm = s.warm
+	for _, w := range s.pool {
+		t.pool = append(t.pool, w.Pid())
+	}
+	return t, nil
+}
+
+// freeze snapshots a warmed machine into a Template of shape s.
+func freeze(p *Prepared, s Shape) (*Template, error) {
 	tpl, err := p.sys.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	return &Template{shape: p.cfg.Shape(), tpl: tpl, heapStart: p.heapStart, heapBytes: p.heapBytes}, nil
+	return &Template{shape: s, tpl: tpl, heapStart: p.heapStart, heapBytes: p.heapBytes}, nil
 }
-
-// Shape reports the template's warm shape.
-func (t *Template) Shape() Shape { return t.shape }
 
 // Stamp clones the template into a fresh machine prepared for cfg's
 // scenario. cfg must resolve to the template's Shape.
 func (t *Template) Stamp(cfg Config) (*Prepared, error) {
-	cfg = cfg.withDefaults()
-	if s := cfg.Shape(); s != t.shape {
+	return t.clone(cfg, cfg.Shape())
+}
+
+// clone stamps a fresh machine for cfg, whose resolved shape s must be
+// the template's.
+func (t *Template) clone(cfg Config, s Shape) (*Prepared, error) {
+	if s != t.shape {
 		return nil, fmt.Errorf("load: stamp shape %+v from template shape %+v", s, t.shape)
 	}
 	sys, err := t.tpl.Clone()
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{cfg: cfg, sys: sys, heapStart: t.heapStart, heapBytes: t.heapBytes, tpl: t.tpl}, nil
+	return &Prepared{cfg: cfg.withDefaults(), sys: sys, heapStart: t.heapStart, heapBytes: t.heapBytes, tpl: t.tpl}, nil
 }
 
-// Run executes one single-machine scenario on a machine stamped from
-// the template, then recycles the machine into the template's next
-// stamp. Templates.Run is the dispatch that also routes the network
-// cells and vets fault support.
-func (t *Template) Run(cfg Config) (*Metrics, error) {
-	p, err := t.Stamp(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return p.runOnce()
-}
-
-// ServerShape is the warm shape of a prefork Server: everything
-// NewServer's boot-and-warm depends on, pool strategy and size
-// included.
-type ServerShape struct {
-	Via       sim.Strategy
-	CPUs      int
-	RAMBytes  uint64
-	HeapBytes uint64
-	HugePages bool
-	Workers   int
-}
-
-// ServerShape reports cfg's resolved server warm shape (Workers
-// resolved to NewServer's 4×CPUs default when zero).
-func (cfg Config) ServerShape() ServerShape {
-	workers := cfg.Workers
-	cfg.Scenario = Prefork
-	cfg = cfg.withDefaults()
-	if workers <= 0 {
-		workers = 4 * cfg.CPUs
-	}
-	return ServerShape{
-		Via:       cfg.Via,
-		CPUs:      cfg.CPUs,
-		RAMBytes:  cfg.RAMBytes,
-		HeapBytes: cfg.HeapBytes,
-		HugePages: cfg.HugePages,
-		Workers:   workers,
-	}
-}
-
-// ServerTemplate is a frozen ready-to-serve Server: booted, heap
-// dirtied, worker pool pre-created through the configured strategy.
-// Stamping reproduces NewServer's post-warm-up state — warm-up cost,
-// baselines, and parked pool included — without re-paying the warm-up
-// host time per machine.
-type ServerTemplate struct {
-	shape    ServerShape
-	machine  *Template
-	poolPids []int
-	warm     warmup
-}
-
-// NewServerTemplate warms one server for cfg's ServerShape and
-// freezes it.
-func NewServerTemplate(cfg Config) (*ServerTemplate, error) {
-	s, err := NewServer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	machine, err := freeze(s.p)
-	if err != nil {
-		return nil, err
-	}
-	st := &ServerTemplate{shape: cfg.ServerShape(), machine: machine, warm: s.warm}
-	for _, p := range s.pool {
-		st.poolPids = append(st.poolPids, p.Pid())
-	}
-	return st, nil
-}
-
-// Stamp clones a fresh, independent Server from the template,
+// server clones a fresh, independent Server from a server template,
 // re-adopting the parked worker pool by pid and taking cfg's
 // serve-phase knobs (Requests, Window, RequestWorkMiB). cfg must
-// resolve to the template's ServerShape.
-func (t *ServerTemplate) Stamp(cfg Config) (*Server, error) {
-	if s := cfg.ServerShape(); s != t.shape {
-		return nil, fmt.Errorf("load: stamp server shape %+v from template shape %+v", s, t.shape)
-	}
+// resolve to the template's server shape.
+func (t *Template) server(cfg Config) (*Server, error) {
+	s := cfg.serverShape()
 	cfg.Scenario = Prefork
-	p, err := t.machine.Stamp(cfg)
+	p, err := t.clone(cfg, s)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{p: p, k: p.sys.Kernel(), warm: t.warm}
-	for _, pid := range t.poolPids {
+	srv := newServer(p, t.warm)
+	for _, pid := range t.pool {
 		w, err := p.sys.FindProcess(pid)
 		if err != nil {
 			return nil, fmt.Errorf("load: re-adopt pool worker: %w", err)
 		}
-		s.pool = append(s.pool, w)
+		srv.pool = append(srv.pool, w)
 	}
-	s.observe()
-	return s, nil
+	srv.d.sample()
+	return srv, nil
 }
 
 // Templates is the one cache of warmed machines: a frozen Template per
-// Shape (single-machine runs, migration sources) and a frozen
-// ServerTemplate per ServerShape (network-cell backends, rolling-wave
-// replacements, cluster nodes). Each shape warms once; every later
-// machine of that shape is stamped from it. A nil *Templates
-// cold-boots on every path. Safe for concurrent use, and deterministic:
-// a template's content is a pure function of its shape, so cache hits
-// and misses cannot change any result.
+// Shape — scenario machines for single-machine runs and migration
+// sources, servers with their pools parked for network-cell backends,
+// rolling-wave replacements, and cluster nodes. Each shape warms once;
+// every later machine of that shape is stamped from it. A nil
+// *Templates cold-boots on every path. Safe for concurrent use, and
+// deterministic: a template's content is a pure function of its shape,
+// so cache hits and misses cannot change any result.
 type Templates struct {
-	mu      sync.Mutex
-	shapes  map[Shape]*Template
-	servers map[ServerShape]*ServerTemplate
+	mu     sync.Mutex
+	shapes map[Shape]*Template
 }
 
 // NewTemplates returns an empty cache.
 func NewTemplates() *Templates {
-	return &Templates{shapes: map[Shape]*Template{}, servers: map[ServerShape]*ServerTemplate{}}
+	return &Templates{shapes: map[Shape]*Template{}}
 }
 
-// cached returns m[key], warming it on first use. The warm-up runs
-// under tc.mu, so each shape warms exactly once.
-func cached[K comparable, T any](tc *Templates, m map[K]*T, key K, build func() (*T, error)) (*T, error) {
+// template returns the cached template for shape s, warming it with
+// build on first use. The warm-up runs under tc.mu, so each shape
+// warms exactly once.
+func (tc *Templates) template(s Shape, build func() (*Template, error)) (*Template, error) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	if t, ok := m[key]; ok {
+	if t, ok := tc.shapes[s]; ok {
 		return t, nil
 	}
 	t, err := build()
 	if err != nil {
 		return nil, err
 	}
-	m[key] = t
+	tc.shapes[s] = t
 	return t, nil
 }
 
@@ -243,21 +216,24 @@ func (tc *Templates) Get(cfg Config) (*Template, error) {
 	if tc == nil {
 		return NewTemplate(cfg)
 	}
-	return cached(tc, tc.shapes, cfg.Shape(), func() (*Template, error) { return NewTemplate(cfg) })
+	return tc.template(cfg.Shape(), func() (*Template, error) { return NewTemplate(cfg) })
 }
 
 // Server stamps a ready-to-serve Server for cfg from the cached
-// template for its ServerShape, warming one on first use. A nil cache
+// template of its server shape, warming one on first use. A nil cache
 // cold-boots it with NewServer.
 func (tc *Templates) Server(cfg Config) (*Server, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	if tc == nil {
 		return NewServer(cfg)
 	}
-	t, err := cached(tc, tc.servers, cfg.ServerShape(), func() (*ServerTemplate, error) { return NewServerTemplate(cfg) })
+	t, err := tc.template(cfg.serverShape(), func() (*Template, error) { return newServerTemplate(cfg) })
 	if err != nil {
 		return nil, err
 	}
-	return t.Stamp(cfg)
+	return t.server(cfg)
 }
 
 // stamp returns a machine warmed for cfg's Shape: stamped from the
@@ -276,9 +252,12 @@ func (tc *Templates) stamp(cfg Config) (*Prepared, error) {
 // Run executes one scenario on machines from the cache — stamped from
 // their templates, or cold-booted when tc is nil, which is what the
 // package-level Run does. It is the package's one scenario dispatch:
-// the network cells get their own topology, and fault schedules are
-// vetted here.
+// counts are vetted, the network cells get their own topology, and
+// fault schedules are vetted here.
 func (tc *Templates) Run(cfg Config) (*Metrics, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	switch {
 	case cfg.Scenario.Distributed():
@@ -293,5 +272,11 @@ func (tc *Templates) Run(cfg Config) (*Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.runOnce()
+	m, err := p.Run()
+	if err != nil {
+		return nil, err
+	}
+	// The Metrics are plain data: the machine can be recycled.
+	p.release()
+	return m, nil
 }

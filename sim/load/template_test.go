@@ -2,6 +2,7 @@ package load
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -55,7 +56,10 @@ func TestTemplateRunMatchesColdRun(t *testing.T) {
 
 // TestTemplateShapeSharing pins the cache key: configs differing only
 // in scenario, strategy, or request volume share one template; configs
-// differing in warm shape (heap, CPUs) do not.
+// differing in warm shape (heap, CPUs) do not. A Server of the same
+// machine fields is a different shape — its pool is parked in the
+// template — so it gets its own entry in the one map, and a second
+// Server of that shape stamps from it instead of warming again.
 func TestTemplateShapeSharing(t *testing.T) {
 	tc := NewTemplates()
 	base := Config{Scenario: Prefork, Via: sim.Spawn, Requests: 2, HeapBytes: 4 << 20}
@@ -72,6 +76,31 @@ func TestTemplateShapeSharing(t *testing.T) {
 	diff.HeapBytes = 8 << 20
 	if c, _ := tc.Get(diff); c == a {
 		t.Error("different heap resolved to the same template")
+	}
+
+	var st *Template
+	for i := 1; i <= 2; i++ {
+		s, err := tc.Server(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		got := tc.shapes[base.serverShape()]
+		if got == nil || got == a {
+			t.Fatalf("server %d: server shape resolved to the scenario template", i)
+		}
+		if st != nil && got != st {
+			t.Errorf("server %d warmed a second template for its shape", i)
+		}
+		st = got
+		if len(tc.shapes) != 3 {
+			t.Errorf("server %d: %d templates cached, want 3 (two machine shapes, one server shape)", i, len(tc.shapes))
+		}
+		if _, err := st.Stamp(base); err == nil {
+			t.Error("stamped a scenario machine from a server template")
+		}
 	}
 }
 
@@ -100,5 +129,44 @@ func TestRunDispatchIsShared(t *testing.T) {
 	}
 	if coldErr.Error() != stampErr.Error() {
 		t.Errorf("cold and stamped paths disagree:\ncold:    %v\nstamped: %v", coldErr, stampErr)
+	}
+}
+
+// TestNegativeCountsRejected: a negative count is junk no default can
+// resolve. Every entry point — the cold Run, a live cache's Run, and
+// Server on either — rejects it with a *SpecError naming the field
+// before any machine boots, instead of panicking mid-run.
+func TestNegativeCountsRejected(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"Requests", Config{Scenario: NetLB, Requests: -3}},
+		{"Requests", Config{Scenario: BuildFarm, Requests: -5}},
+		{"Workers", Config{Scenario: ForkStorm, Workers: -1, Requests: 1}},
+		{"Window", Config{Scenario: Prefork, Window: -2}},
+		{"Nodes", Config{Scenario: KVShard, Nodes: -2}},
+		{"RequestWorkMiB", Config{Scenario: Prefork, RequestWorkMiB: -1}},
+	} {
+		c.cfg.HeapBytes = 4 << 20
+		srv := c.cfg
+		srv.Scenario = ""
+		for name, run := range map[string]func() error{
+			"Run":              func() error { _, err := Run(c.cfg); return err },
+			"Templates.Run":    func() error { _, err := NewTemplates().Run(c.cfg); return err },
+			"Server":           func() error { _, err := (*Templates)(nil).Server(srv); return err },
+			"Templates.Server": func() error { _, err := NewTemplates().Server(srv); return err },
+		} {
+			t.Run(fmt.Sprintf("%s/%s/%s", c.cfg.Scenario, c.field, name), func(t *testing.T) {
+				var se *SpecError
+				err := run()
+				if !errors.As(err, &se) {
+					t.Fatalf("got %v, want *SpecError", err)
+				}
+				if se.Spec != "load.Config" || se.Field != c.field || se.Reason == "" {
+					t.Errorf("SpecError %+v, want load.Config field %s", se, c.field)
+				}
+			})
+		}
 	}
 }
