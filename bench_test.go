@@ -76,7 +76,7 @@ func benchCreation(b *testing.B, st sim.Strategy, size uint64, huge bool) {
 func BenchmarkFigure1(b *testing.B) {
 	sizes := []uint64{1 * mib, 16 * mib, 256 * mib, 1024 * mib}
 	for _, size := range sizes {
-		name := experiments.HumanBytes(size)
+		name := load.HumanBytes(size)
 		b.Run("fork+exec/"+name, func(b *testing.B) {
 			benchCreation(b, sim.ForkExec, size, false)
 		})
@@ -169,8 +169,10 @@ func BenchmarkSpawnScale(b *testing.B) {
 // prefork server draining synthetic requests, one worker process per
 // request, swept over creation strategy × server heap. The virt-req/s
 // metric is the reproduction's number: flat for spawn and the builder,
-// collapsing with heap size for fork+exec. BENCH_PR2.json pins these
-// values (regenerate with `forkbench load -sweep -json BENCH_PR2.json`).
+// collapsing with heap size for fork+exec. These six configurations
+// are rows 0–5 of BENCH_SIM.json, which CI's bench-drift gate holds
+// byte for byte (regenerate with `forkbench load -sweep -json
+// BENCH_SIM.json`).
 func BenchmarkLoadPrefork(b *testing.B) {
 	vias := []struct {
 		name string
@@ -182,7 +184,7 @@ func BenchmarkLoadPrefork(b *testing.B) {
 	}
 	for _, heap := range []uint64{64 * mib, 256 * mib} {
 		for _, v := range vias {
-			b.Run(fmt.Sprintf("%s/%s", v.name, experiments.HumanBytes(heap)), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/%s", v.name, load.HumanBytes(heap)), func(b *testing.B) {
 				var reqPerVSec float64
 				for i := 0; i < b.N; i++ {
 					m, err := load.Run(load.Config{

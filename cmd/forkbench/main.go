@@ -1,8 +1,8 @@
 // Command forkbench regenerates the evaluation of "A fork() in the
 // road" (HotOS'19) on the simulator: Figure 1, the semantics matrix
-// (Table 1), and the E3–E16 claim experiments. The experiment index
-// is in internal/experiments; README "Regenerating the paper's
-// evaluation" maps each paper claim to its command.
+// (Table 1), and the E3–E12, E15 and E16 claim experiments. The
+// experiment index is in internal/experiments; README "Regenerating
+// the paper's evaluation" maps each paper claim to its command.
 //
 // Usage:
 //
@@ -11,17 +11,21 @@
 //	forkbench fleet [fleet flags]
 //	forkbench cluster [cluster flags]
 //	forkbench metrics [metrics flags]
-//	forkbench hostbench [hostbench flags]
 //	forkbench trace [trace flags] [prog arg...]
 //	forkbench diff [-summary] <old.json> <new.json>
 //
 //	experiments: fig1 table1 cowtax hugepages overcommit compose scale
-//	             ablations strategies server cpusweep fleetclaim chaos
-//	             scaleout clonebench netclaim migrate all
+//	             ablations server cpusweep fleetclaim chaos scaleout
+//	             netclaim migrate strategies all
 //
-//	-max SIZE     largest parent for sweeps (default 1GiB for fig1)
+//	-max SIZE     largest parent for sweeps (default 1GiB; each
+//	              experiment clamps it to the heap it is sized for)
 //	-reps N       repetitions per fig1 point (default 5)
 //	-eager        include the 1970s eager-copy fork line in fig1
+//
+// "all" runs every experiment in the order listed. Its output is a
+// pure function of the flags, so the CI experiments golden gate
+// byte-compares it with testdata/experiments_all.txt.
 //
 // "strategies" demonstrates the public sim API: one workload launched
 // through every process-creation strategy the paper compares
@@ -38,16 +42,12 @@
 // measurable). "scaleout" is E12: identical fork and spawn node pools
 // racing the same traffic surge through sim/cluster's autoscaler —
 // scale-out latency is Θ(heap) under fork, flat under spawn, and the
-// gap is missed surge SLOs. "clonebench" is E13, the only host-timed
-// experiment: cold boot+warm per machine vs snapshot-once-then-clone
-// (sim.System.Snapshot / sim.Template.Clone) over a heap ladder, plus
-// the measured break-even heap size below which templating stops
-// paying — the harness's own answer to Θ(heap) process creation.
-// "netclaim" is E15, the re-warm tax on the wire: the netlb cell
-// (sim/load's L7 balancer) restarts one backend mid-run; the
-// replacement's worker-pool warm-up is Θ(heap) under fork and flat
-// under spawn, and the client retry timeout sits between the two, so
-// fork turns the restart into a retry storm the spawn pool absorbs.
+// gap is missed surge SLOs. "netclaim" is E15, the re-warm tax on the
+// wire: the netlb cell (sim/load's L7 balancer) restarts one backend
+// mid-run; the replacement's worker-pool warm-up is Θ(heap) under fork
+// and flat under spawn, and the client retry timeout sits between the
+// two, so fork turns the restart into a retry storm the spawn pool
+// absorbs.
 // "migrate" is E16, live migration: checkpoint a running worker,
 // pre-copy its pages over sim/net while it keeps dirtying them, then
 // stop-and-copy the residue — downtime grows with the dirty heap for
@@ -104,18 +104,6 @@
 // each machine's fault schedule from (-seed, machine id); the CI chaos
 // determinism gate byte-compares its JSON at GOMAXPROCS 1 vs 4.
 //
-// The hostbench subcommand is E14, the host-time trajectory: how fast
-// this computer simulates fleets (template stamp rate fresh vs into a
-// recycled shell, machines and simulated requests per host second over
-// a fleet-size ladder, peak RSS):
-//
-//	forkbench hostbench [-sizes N,N,...] [-n REQUESTS] [-heap SIZE]
-//	                    [-shards N] [-stamps N] [-json FILE]
-//
-// Like clonebench it is host-timed — numbers vary run to run — and
-// -json writes the BENCH_HOST.json trajectory format that CI publishes
-// as an informational artifact (report, don't fail).
-//
 // The cluster subcommand runs the autoscaling orchestrator
 // (sim/cluster): named node pools scaled by a virtual-time reconcile
 // loop against a traffic plan:
@@ -155,8 +143,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -169,8 +160,8 @@ import (
 	"repro/sim/load"
 )
 
-func parseSize(s string) (uint64, error) {
-	s = strings.TrimSpace(s)
+func parseSize(in string) (uint64, error) {
+	s := strings.TrimSpace(in)
 	mult := uint64(1)
 	switch {
 	case strings.HasSuffix(s, "GiB"), strings.HasSuffix(s, "G"):
@@ -187,7 +178,21 @@ func parseSize(s string) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bad size %q", s)
 	}
+	if n > math.MaxUint64/mult {
+		return 0, fmt.Errorf("size %q overflows 64 bits", in)
+	}
 	return n * mult, nil
+}
+
+// subcommands are the modes that take their own flags; any other
+// first argument names an experiment.
+var subcommands = map[string]func(args []string) error{
+	"load":    runLoad,
+	"fleet":   runFleet,
+	"cluster": runCluster,
+	"metrics": runMetrics,
+	"trace":   runTrace,
+	"diff":    runDiff,
 }
 
 func main() {
@@ -199,50 +204,22 @@ func main() {
 	reps := flag.Int("reps", 5, "repetitions per fig1 point")
 	eager := flag.Bool("eager", false, "include eager-copy fork line in fig1")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: forkbench [flags] fig1|table1|cowtax|hugepages|overcommit|compose|scale|ablations|strategies|server|cpusweep|fleetclaim|chaos|scaleout|clonebench|netclaim|migrate|all\n")
+		names := make([]string, len(experimentTable))
+		for i, e := range experimentTable {
+			names[i] = e.name
+		}
+		fmt.Fprintf(os.Stderr, "usage: forkbench [flags] %s|all\n", strings.Join(names, "|"))
 		fmt.Fprintf(os.Stderr, "       forkbench load [load flags]        (see forkbench load -h)\n")
 		fmt.Fprintf(os.Stderr, "       forkbench fleet [fleet flags]      (see forkbench fleet -h)\n")
 		fmt.Fprintf(os.Stderr, "       forkbench cluster [cluster flags]  (see forkbench cluster -h)\n")
 		fmt.Fprintf(os.Stderr, "       forkbench metrics [metrics flags]  (see forkbench metrics -h)\n")
-		fmt.Fprintf(os.Stderr, "       forkbench hostbench [bench flags]  (see forkbench hostbench -h)\n")
 		fmt.Fprintf(os.Stderr, "       forkbench trace [trace flags]      (see forkbench trace -h)\n")
 		fmt.Fprintf(os.Stderr, "       forkbench diff [-summary] <old.json> <new.json>\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	switch flag.Arg(0) {
-	case "load":
-		if err := runLoad(flag.Args()[1:]); err != nil {
-			fatal(err)
-		}
-		return
-	case "fleet":
-		if err := runFleet(flag.Args()[1:]); err != nil {
-			fatal(err)
-		}
-		return
-	case "cluster":
-		if err := runCluster(flag.Args()[1:]); err != nil {
-			fatal(err)
-		}
-		return
-	case "metrics":
-		if err := runMetrics(flag.Args()[1:]); err != nil {
-			fatal(err)
-		}
-		return
-	case "hostbench":
-		if err := runHostbench(flag.Args()[1:]); err != nil {
-			fatal(err)
-		}
-		return
-	case "trace":
-		if err := runTrace(flag.Args()[1:]); err != nil {
-			fatal(err)
-		}
-		return
-	case "diff":
-		if err := runDiff(flag.Args()[1:]); err != nil {
+	if run, ok := subcommands[flag.Arg(0)]; ok {
+		if err := run(flag.Args()[1:]); err != nil {
 			fatal(err)
 		}
 		return
@@ -255,241 +232,161 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-
-	what := flag.Arg(0)
-	runAll := what == "all"
-	ran := false
-
-	if runAll || what == "fig1" {
-		ran = true
-		res, err := experiments.Figure1(experiments.Fig1Config{
-			MaxBytes: maxBytes, Reps: *reps, IncludeEager: *eager,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res.Render())
-		if cx, ok := res.Crossover(); ok {
-			fmt.Printf("spawn overtakes fork+exec at parent size %s\n\n", experiments.HumanBytes(cx))
-		}
-	}
-	if runAll || what == "table1" {
-		ran = true
-		res, err := experiments.Table1()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res.Render())
-	}
-	if runAll || what == "cowtax" {
-		ran = true
-		res, err := experiments.CowTax(0)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res.Render())
-	}
-	if runAll || what == "hugepages" {
-		ran = true
-		hmax := maxBytes
-		if hmax > 512*experiments.MiB {
-			hmax = 512 * experiments.MiB
-		}
-		res, err := experiments.HugePages(0, hmax)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res.Render())
-	}
-	if runAll || what == "overcommit" {
-		ran = true
-		res, err := experiments.Overcommit(0)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res.Render())
-	}
-	if runAll || what == "compose" {
-		ran = true
-		res, err := experiments.Compose()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res.Render())
-	}
-	if runAll || what == "scale" {
-		ran = true
-		smax := maxBytes
-		if smax > 256*experiments.MiB {
-			smax = 256 * experiments.MiB
-		}
-		res, err := experiments.Scale(0, smax)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res.Render())
-	}
-	if runAll || what == "ablations" {
-		ran = true
-		amax := maxBytes
-		if amax > 128*experiments.MiB {
-			amax = 128 * experiments.MiB
-		}
-		res, err := experiments.Ablations(amax)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res.Render())
-	}
-	if runAll || what == "server" {
-		ran = true
-		smax := maxBytes
-		if smax > 256*experiments.MiB {
-			smax = 256 * experiments.MiB
-		}
-		res, err := experiments.ServerClaim(smax, 0)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res.Render())
-	}
-	if runAll || what == "cpusweep" {
-		ran = true
-		cmax := maxBytes
-		if cmax > 64*experiments.MiB {
-			cmax = 64 * experiments.MiB
-		}
-		res, err := experiments.CPUSweep(experiments.CPUSweepConfig{HeapBytes: cmax})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res.Render())
-	}
-	if runAll || what == "fleetclaim" {
-		ran = true
-		fmax := maxBytes
-		if fmax > 64*experiments.MiB {
-			fmax = 64 * experiments.MiB
-		}
-		res, err := experiments.FleetClaim(experiments.FleetClaimConfig{HeapBytes: fmax})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res.Render())
-	}
-	if runAll || what == "chaos" {
-		ran = true
-		cmax := maxBytes
-		if cmax > 64*experiments.MiB {
-			cmax = 64 * experiments.MiB
-		}
-		res, err := experiments.ChaosClaim(experiments.ChaosClaimConfig{HeapBytes: cmax})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res.Render())
-	}
-	if runAll || what == "scaleout" {
-		ran = true
-		smax := maxBytes
-		if smax > 64*experiments.MiB {
-			smax = 64 * experiments.MiB
-		}
-		var ladder []uint64
-		for _, h := range []uint64{4 * experiments.MiB, 16 * experiments.MiB, 64 * experiments.MiB} {
-			if h <= smax {
-				ladder = append(ladder, h)
-			}
-		}
-		if len(ladder) == 0 {
-			ladder = []uint64{smax}
-		}
-		res, err := experiments.ScaleOutClaim(experiments.ScaleOutConfig{HeapSizes: ladder})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res.Render())
-	}
-	if runAll || what == "netclaim" {
-		ran = true
-		nmax := maxBytes
-		if nmax > 64*experiments.MiB {
-			nmax = 64 * experiments.MiB
-		}
-		res, err := experiments.NetClaim(experiments.NetClaimConfig{HeapBytes: nmax})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res.Render())
-	}
-	if runAll || what == "migrate" {
-		ran = true
-		mmax := maxBytes
-		if mmax > 64*experiments.MiB {
-			mmax = 64 * experiments.MiB
-		}
-		var ladder []uint64
-		for _, h := range []uint64{4 * experiments.MiB, 16 * experiments.MiB, 64 * experiments.MiB} {
-			if h <= mmax {
-				ladder = append(ladder, h)
-			}
-		}
-		res, err := experiments.MigrateClaim(experiments.MigrateConfig{HeapSizes: ladder})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res.Render())
-	}
-	if runAll || what == "clonebench" {
-		ran = true
-		cmax := maxBytes
-		if cmax > 64*experiments.MiB {
-			cmax = 64 * experiments.MiB
-		}
-		var ladder []uint64
-		for _, h := range []uint64{4 * experiments.MiB, 16 * experiments.MiB, 64 * experiments.MiB} {
-			if h <= cmax {
-				ladder = append(ladder, h)
-			}
-		}
-		if len(ladder) == 0 {
-			ladder = []uint64{cmax}
-		}
-		res, err := experiments.CloneClaim(experiments.CloneConfig{HeapSizes: ladder})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res.Render())
-	}
-	if runAll || what == "strategies" {
-		ran = true
-		if err := strategies(maxBytes); err != nil {
-			fatal(err)
-		}
-	}
-	if !ran {
+	err = runExperiments(flag.Arg(0), options{max: maxBytes, reps: *reps, eager: *eager}, os.Stdout)
+	if errors.Is(err, errUnknownExperiment) {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if err != nil {
+		fatal(err)
+	}
+}
+
+// options are the experiment flags.
+type options struct {
+	max   uint64 // -max, clamped to the entry's cap before it runs
+	reps  int    // -reps
+	eager bool   // -eager
+}
+
+// An experiment is one entry of experimentTable. A non-zero cap
+// clamps -max to the largest heap the experiment is sized for; run
+// returns the experiment's stdout.
+type experiment struct {
+	name string
+	cap  uint64
+	run  func(options) (string, error)
+}
+
+// experimentTable is every experiment, in the order `forkbench all`
+// runs them.
+var experimentTable = []experiment{
+	{"fig1", 0, fig1},
+	{"table1", 0, func(options) (string, error) { return render(experiments.Table1()) }},
+	{"cowtax", 0, func(options) (string, error) { return render(experiments.CowTax(0)) }},
+	{"hugepages", 512 * experiments.MiB, func(o options) (string, error) {
+		return render(experiments.HugePages(0, o.max))
+	}},
+	{"overcommit", 0, func(options) (string, error) { return render(experiments.Overcommit(0)) }},
+	{"compose", 0, func(options) (string, error) { return render(experiments.Compose()) }},
+	{"scale", 256 * experiments.MiB, func(o options) (string, error) {
+		return render(experiments.Scale(0, o.max))
+	}},
+	{"ablations", 128 * experiments.MiB, func(o options) (string, error) {
+		return render(experiments.Ablations(o.max))
+	}},
+	{"server", 256 * experiments.MiB, func(o options) (string, error) {
+		return render(experiments.ServerClaim(o.max, 0))
+	}},
+	{"cpusweep", 64 * experiments.MiB, func(o options) (string, error) {
+		return render(experiments.CPUSweep(experiments.CPUSweepConfig{HeapBytes: o.max}))
+	}},
+	{"fleetclaim", 64 * experiments.MiB, func(o options) (string, error) {
+		return render(experiments.FleetClaim(experiments.FleetClaimConfig{HeapBytes: o.max}))
+	}},
+	{"chaos", 64 * experiments.MiB, func(o options) (string, error) {
+		return render(experiments.ChaosClaim(experiments.ChaosClaimConfig{HeapBytes: o.max}))
+	}},
+	{"scaleout", 64 * experiments.MiB, func(o options) (string, error) {
+		return render(experiments.ScaleOutClaim(experiments.ScaleOutConfig{HeapSizes: ladder(o.max)}))
+	}},
+	{"netclaim", 64 * experiments.MiB, func(o options) (string, error) {
+		return render(experiments.NetClaim(experiments.NetClaimConfig{HeapBytes: o.max}))
+	}},
+	{"migrate", 64 * experiments.MiB, func(o options) (string, error) {
+		return render(experiments.MigrateClaim(experiments.MigrateConfig{HeapSizes: ladder(o.max)}))
+	}},
+	{"strategies", 64 * experiments.MiB, strategies},
+}
+
+// errUnknownExperiment is returned for a name that is neither in
+// experimentTable nor "all".
+var errUnknownExperiment = errors.New("unknown experiment")
+
+// runExperiments runs the named experiment, or every one in table
+// order for "all", writing each one's output to w as it finishes.
+func runExperiments(name string, o options, w io.Writer) error {
+	if o.max == 0 {
+		return errors.New("-max must be larger than 0")
+	}
+	ran := false
+	for _, e := range experimentTable {
+		if name != "all" && name != e.name {
+			continue
+		}
+		ran = true
+		eo := o
+		if e.cap != 0 {
+			eo.max = min(eo.max, e.cap)
+		}
+		out, err := e.run(eo)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
+		}
+		if _, err := io.WriteString(w, out); err != nil {
+			return err
+		}
+	}
+	if !ran {
+		return fmt.Errorf("%w %q", errUnknownExperiment, name)
+	}
+	return nil
+}
+
+// ladder is the heap ladder of the experiments that sweep {4, 16, 64}
+// MiB: the rungs up to max, or max alone when no rung fits.
+func ladder(max uint64) []uint64 {
+	var out []uint64
+	for _, h := range []uint64{4 * experiments.MiB, 16 * experiments.MiB, 64 * experiments.MiB} {
+		if h <= max {
+			out = append(out, h)
+		}
+	}
+	if len(out) == 0 {
+		out = []uint64{max}
+	}
+	return out
+}
+
+// render is an experiment's stdout: its rendered table and a blank
+// line.
+func render[R interface{ Render() string }](r R, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return r.Render() + "\n", nil
+}
+
+// fig1 is Figure 1 followed by the parent size at which spawn
+// overtakes fork+exec.
+func fig1(o options) (string, error) {
+	res, err := experiments.Figure1(experiments.Fig1Config{
+		MaxBytes: o.max, Reps: o.reps, IncludeEager: o.eager,
+	})
+	if err != nil {
+		return "", err
+	}
+	out := res.Render() + "\n"
+	if cx, ok := res.Crossover(); ok {
+		out += fmt.Sprintf("spawn overtakes fork+exec at parent size %s\n\n", load.HumanBytes(cx))
+	}
+	return out, nil
 }
 
 // strategies runs one workload through all five creation APIs via the
 // public sim package and reports creation latency from a dirty parent
 // — Figure 1's point made interactively.
-func strategies(parentBytes uint64) error {
-	if parentBytes > 64*experiments.MiB {
-		parentBytes = 64 * experiments.MiB
-	}
+func strategies(o options) (string, error) {
 	sys, err := sim.NewSystem(sim.WithRAM(4 << 30))
 	if err != nil {
-		return err
+		return "", err
 	}
-	if err := sys.DirtyHost(parentBytes, false); err != nil {
-		return err
+	if err := sys.DirtyHost(o.max, false); err != nil {
+		return "", err
 	}
-	fmt.Printf("one workload, five creation APIs (parent dirties %s):\n\n",
-		experiments.HumanBytes(parentBytes))
-	fmt.Printf("%-22s %-14s %s\n", "strategy", "creation", "output")
+	var b strings.Builder
+	fmt.Fprintf(&b, "one workload, five creation APIs (parent dirties %s):\n\n", load.HumanBytes(o.max))
+	fmt.Fprintf(&b, "%-22s %-14s %s\n", "strategy", "creation", "output")
 	var reference string
 	for _, st := range sim.Strategies() {
 		var buf bytes.Buffer
@@ -497,24 +394,24 @@ func strategies(parentBytes uint64) error {
 		cmd.Stdout = &buf
 		p, err := cmd.Create()
 		if err != nil {
-			return fmt.Errorf("%v: %w", st, err)
+			return "", fmt.Errorf("%v: %w", st, err)
 		}
 		if err := p.Start(); err != nil {
-			return fmt.Errorf("%v: %w", st, err)
+			return "", fmt.Errorf("%v: %w", st, err)
 		}
 		if err := cmd.Wait(); err != nil {
-			return fmt.Errorf("%v: %w", st, err)
+			return "", fmt.Errorf("%v: %w", st, err)
 		}
 		out := strings.TrimSuffix(buf.String(), "\n")
-		fmt.Printf("%-22v %-14v %q\n", st, p.CreationCost(), out)
+		fmt.Fprintf(&b, "%-22v %-14v %q\n", st, p.CreationCost(), out)
 		if reference == "" {
 			reference = out
 		} else if out != reference {
-			return fmt.Errorf("%v produced %q, others %q", st, out, reference)
+			return "", fmt.Errorf("%v produced %q, others %q", st, out, reference)
 		}
 	}
-	fmt.Printf("\nidentical output under every strategy; only the creation cost differs.\n\n")
-	return nil
+	b.WriteString("\nidentical output under every strategy; only the creation cost differs.\n\n")
+	return b.String(), nil
 }
 
 // runLoad is the `forkbench load` subcommand: it parses the load

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/sim/cluster"
 	"repro/sim/fleet"
 	"repro/sim/load"
@@ -31,6 +32,8 @@ func TestParseSize(t *testing.T) {
 		{"", 0, true},
 		{"xMiB", 0, true},
 		{"GiB", 0, true},
+		{"17179869184GiB", 0, true}, // 2^64 bytes: wrapped to 0
+		{"17179869185GiB", 0, true}, // wrapped to 1GiB
 	}
 	for _, c := range cases {
 		got, err := parseSize(c.in)
@@ -48,6 +51,74 @@ func TestParseSize(t *testing.T) {
 			t.Errorf("parseSize(%q) = %d, want %d", c.in, got, c.want)
 		}
 	}
+}
+
+// TestRunExperimentsGolden pins the paper's whole evaluation: every
+// experiment's stdout at the default flags, in `forkbench all` order,
+// must byte-match the checked-in golden. The CI experiments golden
+// gate runs the binary against it at GOMAXPROCS 1 and 4. Regenerate
+// on purpose with
+//
+//	go test ./cmd/forkbench -run TestRunExperimentsGolden -update
+func TestRunExperimentsGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := runExperiments("all", options{max: experiments.GiB, reps: 5}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "experiments_all.txt", buf.Bytes())
+}
+
+// TestRunExperimentsLadderHonoursMax: an experiment that sweeps the
+// {4, 16, 64} MiB heap ladder runs -max alone when no rung fits under
+// it, and -max 0 is refused before any experiment runs.
+func TestRunExperimentsLadderHonoursMax(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		heapCol int // the heap column of the experiment's table
+		rows    int // one per strategy; a scaleout row holds both pools
+	}{
+		{"migrate", 1, 4},
+		{"scaleout", 0, 1},
+	} {
+		var buf bytes.Buffer
+		if err := runExperiments(c.name, options{max: 2 * experiments.MiB, reps: 1}, &buf); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		rows := tableRows(buf.String())
+		seen := map[string]bool{}
+		for _, r := range rows {
+			if r[c.heapCol] != "2MiB" || seen[r[0]] {
+				t.Errorf("%s -max 2MiB: row %q, want one 2MiB row per strategy", c.name, r)
+			}
+			seen[r[0]] = true
+		}
+		if len(rows) != c.rows {
+			t.Errorf("%s -max 2MiB: %d rows, want %d:\n%s", c.name, len(rows), c.rows, buf.String())
+		}
+	}
+	var buf bytes.Buffer
+	if err := runExperiments("all", options{max: 0, reps: 1}, &buf); err == nil || buf.Len() != 0 {
+		t.Errorf("-max 0: err %v after %d bytes of output, want an error before any experiment", err, buf.Len())
+	}
+}
+
+// tableRows returns the whitespace-separated cells of each row of the
+// first table in out: the lines between its dashed rule and the next
+// blank line.
+func tableRows(out string) [][]string {
+	var rows [][]string
+	inTable := false
+	for _, l := range strings.Split(out, "\n") {
+		switch {
+		case !inTable:
+			inTable = strings.HasPrefix(l, "--")
+		case strings.TrimSpace(l) == "":
+			return rows
+		default:
+			rows = append(rows, strings.Fields(l))
+		}
+	}
+	return rows
 }
 
 // TestRunLoadWritesJSON drives the load subcommand end to end at a

@@ -13,9 +13,10 @@ import (
 	"repro/sim/load"
 )
 
-// updateGoldens rewrites the checked-in metrics goldens:
+// updateGoldens rewrites the checked-in testdata goldens, the metrics
+// goldens and the experiments golden:
 //
-//	go test ./cmd/forkbench -run TestRunMetricsGoldens -update
+//	go test ./cmd/forkbench -run 'TestRunMetricsGoldens|TestRunExperimentsGolden' -update
 var updateGoldens = flag.Bool("update", false, "rewrite the testdata goldens")
 
 // metricsGoldens is the frozen invocation set: every case is a pure
@@ -53,21 +54,34 @@ func TestRunMetricsGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			golden := filepath.Join("testdata", c.name)
-			if *updateGoldens {
-				if err := os.WriteFile(golden, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("%v (regenerate with -update)", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("metrics drifted from %s (regenerate with -update if intended):\ngot:\n%s\nwant:\n%s", golden, got, want)
-			}
+			checkGolden(t, c.name, got)
 		})
+	}
+}
+
+// checkGolden byte-compares got with testdata/name, naming the first
+// line that differs, or rewrites the file under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
+	if *updateGoldens {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(got, want) {
+		g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		i := 0
+		for i < len(g)-1 && i < len(w)-1 && g[i] == w[i] {
+			i++
+		}
+		t.Errorf("output drifted from %s at line %d (regenerate with -update if intended):\ngot:  %q\nwant: %q",
+			golden, i+1, g[i], w[i])
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/kernel"
 	"repro/internal/ulib"
+	"repro/sim/load"
 )
 
 // AblationResult collects the design-choice ablations: COW vs eager
@@ -99,7 +100,7 @@ func (r *AblationResult) Render() string {
 	rows := [][]string{{"parent size", "COW fork+exec", "eager fork+exec", "eager/COW"}}
 	for _, e := range r.EagerRows {
 		rows = append(rows, []string{
-			HumanBytes(e.SizeBytes),
+			load.HumanBytes(e.SizeBytes),
 			fmt.Sprintf("%.1fµs", e.COW.Micros()),
 			fmt.Sprintf("%.1fµs", e.Eager.Micros()),
 			fmt.Sprintf("%.1fx", float64(e.Eager)/float64(e.COW)),

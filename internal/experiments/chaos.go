@@ -123,6 +123,6 @@ func (r *ChaosClaimResult) Render() string {
 			"identical deterministic ENOMEM waves and worker kill waves hit every strategy; fork's\n"+
 			"Θ(heap) commit reservations are what the pressure windows refuse (§4.6's overcommit\n"+
 			"argument), so the fork server drops traffic the spawn server serves.\n\n",
-		HumanBytes(r.HeapBytes), r.Requests, r.Seed)
+		load.HumanBytes(r.HeapBytes), r.Requests, r.Seed)
 	return head + renderTable(rows)
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/ulib"
+	"repro/sim/load"
 )
 
 // ---------------------------------------------------------------
@@ -165,7 +166,7 @@ func (r *HugePagesResult) Render() string {
 	for _, size := range order {
 		e := bySize[size]
 		rows = append(rows, []string{
-			HumanBytes(size),
+			load.HumanBytes(size),
 			fmt.Sprintf("%.1fµs", e[0].ForkExec.Micros()), fmt.Sprint(e[0].PTECopies),
 			fmt.Sprintf("%.1fµs", e[1].ForkExec.Micros()), fmt.Sprint(e[1].PTECopies),
 			fmt.Sprintf("%.1fx", float64(e[0].ForkExec)/float64(e[1].ForkExec)),
@@ -244,7 +245,7 @@ func (r *OvercommitResult) Render() string {
 		})
 	}
 	return fmt.Sprintf("E5: fork of a large process, RAM=%s (strict fails early; heuristic OOM-kills late)\n",
-		HumanBytes(r.RAM)) + renderTable(rows)
+		load.HumanBytes(r.RAM)) + renderTable(rows)
 }
 
 // ---------------------------------------------------------------
@@ -442,7 +443,7 @@ func (r *ScaleResult) Render() string {
 		}
 	}
 	for _, size := range order {
-		row := []string{HumanBytes(size)}
+		row := []string{load.HumanBytes(size)}
 		for _, m := range methods {
 			cell := "-"
 			for _, p := range r.Points {

@@ -3,7 +3,9 @@
 // ablations and the claims carried to servers, fleets, clusters and
 // the wire. Each experiment is a pure function of its configuration:
 // the simulator is deterministic, so repeated runs produce identical
-// numbers (E13 and E14, which time the host, are the exceptions).
+// numbers. Host time is measured by the bench/ module and the Go
+// benchmarks instead; E13 and E14 timed the host here until bench/
+// replaced them, and their numbers are not reused.
 //
 // Experiment index (README "Regenerating the paper's evaluation" maps
 // each to its paper claim and forkbench command):
@@ -20,8 +22,6 @@
 //	FleetClaim    — E10: the server claim over a rolling-restart fleet
 //	ChaosClaim    — E11: survival under memory-pressure fault waves
 //	ScaleOutClaim — E12: autoscaler scale-out latency, fork vs spawn pools
-//	CloneClaim    — E13: host cost of a cold boot vs a template clone
-//	HostBench     — E14: the host-time trajectory over fleet sizes
 //	NetClaim      — E15: a backend restart behind a load balancer
 //	MigrateClaim  — E16: live-migration downtime vs heap size
 //	Ablations     — the design-choice ablations
@@ -88,19 +88,6 @@ func BuildParent(k *kernel.Kernel, name string, size uint64, huge bool) (*kernel
 		return nil, fmt.Errorf("experiments: touch: %w", err)
 	}
 	return p, nil
-}
-
-// HumanBytes formats a byte count compactly (powers of two).
-func HumanBytes(n uint64) string {
-	switch {
-	case n >= GiB && n%GiB == 0:
-		return fmt.Sprintf("%dGiB", n/GiB)
-	case n >= MiB && n%MiB == 0:
-		return fmt.Sprintf("%dMiB", n/MiB)
-	case n >= KiB && n%KiB == 0:
-		return fmt.Sprintf("%dKiB", n/KiB)
-	}
-	return fmt.Sprintf("%dB", n)
 }
 
 // SizeSweep returns a doubling size series [min, max].

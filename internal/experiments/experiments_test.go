@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/sim"
+	"repro/sim/load"
 )
 
 // TestFigure1Shape checks the paper's qualitative claims on a reduced
@@ -33,26 +34,26 @@ func TestFigure1Shape(t *testing.T) {
 	fSmall, fBig := get(core.MethodForkExec, small), get(core.MethodForkExec, big)
 	if fBig < 8*fSmall {
 		t.Errorf("fork+exec not scaling: %0.1fµs at %s vs %0.1fµs at %s",
-			fSmall, HumanBytes(small), fBig, HumanBytes(big))
+			fSmall, load.HumanBytes(small), fBig, load.HumanBytes(big))
 	}
 
 	// spawn and vfork+exec are flat (within 25%).
 	for _, m := range []core.Method{core.MethodSpawn, core.MethodVforkExec} {
 		a, b := get(m, small), get(m, big)
 		if b > 1.25*a || a > 1.25*b {
-			t.Errorf("%v not flat: %0.1fµs at %s vs %0.1fµs at %s", m, a, HumanBytes(small), b, HumanBytes(big))
+			t.Errorf("%v not flat: %0.1fµs at %s vs %0.1fµs at %s", m, a, load.HumanBytes(small), b, load.HumanBytes(big))
 		}
 	}
 
 	// fork beats spawn when the parent is tiny...
 	if fSmall >= get(core.MethodSpawn, small) {
 		t.Errorf("fork+exec (%0.1fµs) should beat spawn (%0.1fµs) at %s",
-			fSmall, get(core.MethodSpawn, small), HumanBytes(small))
+			fSmall, get(core.MethodSpawn, small), load.HumanBytes(small))
 	}
 	// ...and loses by a wide margin when it is large.
 	if fBig <= 3*get(core.MethodSpawn, big) {
 		t.Errorf("fork+exec (%0.1fµs) should be ≫ spawn (%0.1fµs) at %s",
-			fBig, get(core.MethodSpawn, big), HumanBytes(big))
+			fBig, get(core.MethodSpawn, big), load.HumanBytes(big))
 	}
 
 	// The crossover sits in the low-MiB range (paper: ~1 MiB).
@@ -61,9 +62,9 @@ func TestFigure1Shape(t *testing.T) {
 		t.Fatalf("no crossover found")
 	}
 	if cx < 512*KiB || cx > 16*MiB {
-		t.Errorf("crossover at %s, want within [512KiB, 16MiB]", HumanBytes(cx))
+		t.Errorf("crossover at %s, want within [512KiB, 16MiB]", load.HumanBytes(cx))
 	}
-	t.Logf("\n%s\ncrossover at %s", res.Render(), HumanBytes(cx))
+	t.Logf("\n%s\ncrossover at %s", res.Render(), load.HumanBytes(cx))
 }
 
 func TestFigure1Deterministic(t *testing.T) {
@@ -87,7 +88,7 @@ func TestFigure1Deterministic(t *testing.T) {
 	// Within a run, reps are identical too (min == max).
 	for _, p := range a.Points {
 		if p.Min != p.Max {
-			t.Errorf("%v/%s: min %v != max %v (nondeterminism)", p.Method, HumanBytes(p.SizeBytes), p.Min, p.Max)
+			t.Errorf("%v/%s: min %v != max %v (nondeterminism)", p.Method, load.HumanBytes(p.SizeBytes), p.Min, p.Max)
 		}
 	}
 }
@@ -172,10 +173,10 @@ func TestHugePages(t *testing.T) {
 			}
 		}
 		if small.PTECopies != huge.PTECopies*512 {
-			t.Errorf("%s: PTE ratio %d/%d, want 512x", HumanBytes(size), small.PTECopies, huge.PTECopies)
+			t.Errorf("%s: PTE ratio %d/%d, want 512x", load.HumanBytes(size), small.PTECopies, huge.PTECopies)
 		}
 		if huge.ForkExec >= small.ForkExec {
-			t.Errorf("%s: huge fork (%v) not faster than 4K fork (%v)", HumanBytes(size), huge.ForkExec, small.ForkExec)
+			t.Errorf("%s: huge fork (%v) not faster than 4K fork (%v)", load.HumanBytes(size), huge.ForkExec, small.ForkExec)
 		}
 	}
 	t.Logf("\n%s", res.Render())
@@ -251,7 +252,7 @@ func TestAblations(t *testing.T) {
 	for _, row := range res.EagerRows {
 		if row.Eager <= row.COW {
 			t.Errorf("%s: eager fork (%v) should cost more than COW (%v)",
-				HumanBytes(row.SizeBytes), row.Eager, row.COW)
+				load.HumanBytes(row.SizeBytes), row.Eager, row.COW)
 		}
 	}
 	if res.MitigationDeadlock != "deadlock" {
@@ -289,7 +290,7 @@ func TestServerClaimShape(t *testing.T) {
 	}
 	for _, via := range []sim.Strategy{sim.Spawn, sim.Builder} {
 		if get(via, big) <= get(sim.ForkExec, big) {
-			t.Errorf("%v does not beat fork+exec at %s", via, HumanBytes(big))
+			t.Errorf("%v does not beat fork+exec at %s", via, load.HumanBytes(big))
 		}
 	}
 	if r := res.Render(); len(r) == 0 {
@@ -447,11 +448,11 @@ func TestScaleOutClaimShape(t *testing.T) {
 	}
 	for _, p := range res.Points {
 		if len(p.Fork.ScaleOuts) == 0 || len(p.Spawn.ScaleOuts) == 0 {
-			t.Fatalf("heap %s: a pool never scaled out", HumanBytes(p.HeapBytes))
+			t.Fatalf("heap %s: a pool never scaled out", load.HumanBytes(p.HeapBytes))
 		}
 		if p.Fork.Served != p.Spawn.Served || p.Fork.Failed != 0 {
 			t.Errorf("heap %s: pools saw different demand (%d vs %d served, %d failed)",
-				HumanBytes(p.HeapBytes), p.Fork.Served, p.Spawn.Served, p.Fork.Failed)
+				load.HumanBytes(p.HeapBytes), p.Fork.Served, p.Spawn.Served, p.Fork.Failed)
 		}
 	}
 	small, big := res.Points[0], res.Points[1]
@@ -558,7 +559,7 @@ func TestMigrateClaimShape(t *testing.T) {
 	for _, p := range byStrategy["vfork+exec"] {
 		if p.M.Requests != 0 || p.M.MigrateRefused != 1 {
 			t.Errorf("vfork at %s: migrated %d, refused %d; want 0/1",
-				HumanBytes(p.HeapBytes), p.M.Requests, p.M.MigrateRefused)
+				load.HumanBytes(p.HeapBytes), p.M.Requests, p.M.MigrateRefused)
 		}
 		if p.M.MigrateDowntimeNanos != 0 || p.M.NetPacketsSent != 0 {
 			t.Errorf("vfork refusal still cost: %dns, %d pkts",

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/kernel"
 	"repro/internal/ulib"
+	"repro/sim/load"
 )
 
 // Fig1Config parameterises Figure 1.
@@ -119,7 +120,7 @@ func fig1Measure(cfg Fig1Config, size uint64, huge bool, methods []core.Method) 
 		// parent's PTEs to read-only; steady state is what the
 		// paper plots.
 		if _, err := core.MeasureCreation(k, parent, m, "/bin/true"); err != nil {
-			return nil, fmt.Errorf("figure1 %v/%s warmup: %w", m, HumanBytes(size), err)
+			return nil, fmt.Errorf("figure1 %v/%s warmup: %w", m, load.HumanBytes(size), err)
 		}
 		pt := Fig1Point{Method: m, SizeBytes: size, Min: ^cost.Ticks(0)}
 		var sum cost.Ticks
@@ -128,7 +129,7 @@ func fig1Measure(cfg Fig1Config, size uint64, huge bool, methods []core.Method) 
 		for r := 0; r < cfg.Reps; r++ {
 			el, err := core.MeasureCreation(k, parent, m, "/bin/true")
 			if err != nil {
-				return nil, fmt.Errorf("figure1 %v/%s: %w", m, HumanBytes(size), err)
+				return nil, fmt.Errorf("figure1 %v/%s: %w", m, load.HumanBytes(size), err)
 			}
 			sum += el
 			if el < pt.Min {
@@ -162,7 +163,7 @@ func (r *Fig1Result) Render() string {
 	}
 	rows := [][]string{head}
 	for _, size := range SizeSweep(r.Config.MinBytes, r.Config.MaxBytes) {
-		row := []string{HumanBytes(size)}
+		row := []string{load.HumanBytes(size)}
 		for _, m := range methods {
 			cell := "-"
 			for _, p := range r.Points {

@@ -115,6 +115,6 @@ func (r *FleetClaimResult) Render() string {
 		"E10 — the server claim at fleet scale (rolling restart, heap %s, %d CPUs and %d requests per machine):\n"+
 			"each replacement instance repays its warm-up tax before serving; under fork that is\n"+
 			"Θ(heap) page-table duplication per pool worker, paid machine by machine across the wave.\n\n",
-		HumanBytes(r.HeapBytes), r.CPUs, r.Requests)
+		load.HumanBytes(r.HeapBytes), r.CPUs, r.Requests)
 	return head + renderTable(rows)
 }

@@ -75,7 +75,7 @@ func MigrateClaim(cfg MigrateConfig) (*MigrateResult, error) {
 				HeapBytes: heap,
 			})
 			if err != nil {
-				return nil, fmt.Errorf("migrate %v/%s: %w", via, HumanBytes(heap), err)
+				return nil, fmt.Errorf("migrate %v/%s: %w", via, load.HumanBytes(heap), err)
 			}
 			res.Points = append(res.Points, MigratePoint{
 				Strategy: via.String(), HeapBytes: heap, M: m,
@@ -102,7 +102,7 @@ func (r *MigrateResult) Render() string {
 		}
 		rows = append(rows, []string{
 			p.Strategy,
-			HumanBytes(p.HeapBytes),
+			load.HumanBytes(p.HeapBytes),
 			fmt.Sprint(p.M.Requests),
 			fmt.Sprint(p.M.MigrateRefused),
 			fmt.Sprint(p.M.MigrateRounds),

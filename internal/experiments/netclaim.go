@@ -100,6 +100,6 @@ func (r *NetClaimResult) Render() string {
 			"duplication per worker under fork, flat under spawn. The client retry timeout sits\n"+
 			"between the two warm-up times, so fork turns the restart into a retry storm the\n"+
 			"spawn pool simply absorbs.\n\n",
-		HumanBytes(r.HeapBytes), r.Requests, r.Nodes)
+		load.HumanBytes(r.HeapBytes), r.Requests, r.Nodes)
 	return head + renderTable(rows)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/sim/cluster"
+	"repro/sim/load"
 )
 
 // ---------------------------------------------------------------
@@ -60,7 +61,7 @@ func ScaleOutClaim(cfg ScaleOutConfig) (*ScaleOutResult, error) {
 	for _, heap := range cfg.HeapSizes {
 		rep, err := cluster.Run(cluster.SurgeSpec(heap))
 		if err != nil {
-			return nil, fmt.Errorf("scaleoutclaim @%s: %w", HumanBytes(heap), err)
+			return nil, fmt.Errorf("scaleoutclaim @%s: %w", load.HumanBytes(heap), err)
 		}
 		pt := ScaleOutPoint{HeapBytes: heap}
 		for _, p := range rep.Pools {
@@ -87,7 +88,7 @@ func (r *ScaleOutResult) Render() string {
 	}}
 	for _, p := range r.Points {
 		rows = append(rows, []string{
-			HumanBytes(p.HeapBytes),
+			load.HumanBytes(p.HeapBytes),
 			fmt.Sprintf("%.1fms", float64(p.Fork.MeanScaleOutNanos)/1e6),
 			fmt.Sprintf("%.1fms", float64(p.Spawn.MeanScaleOutNanos)/1e6),
 			fmt.Sprintf("%.2fx", p.Ratio()),

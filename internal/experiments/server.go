@@ -90,7 +90,7 @@ func (r *ServerClaimResult) Render() string {
 		cells[p.HeapBytes][p.Via] = p.Metrics
 	}
 	for _, heap := range order {
-		row := []string{HumanBytes(heap)}
+		row := []string{load.HumanBytes(heap)}
 		for _, v := range vias {
 			if m := cells[heap][v]; m != nil {
 				row = append(row, fmt.Sprintf("%.0f", m.RequestsPerVSec))

@@ -151,6 +151,6 @@ func (r *CPUSweepResult) Render() string {
 		"E9 — fork on multicore (heap %s, %d snapshots mid-traffic):\n"+
 			"fork's snapshot tax grows with the core count (one IPI per remote core\n"+
 			"per COW event); the fork-less snapshot and spawn-based job launch stay flat.\n\n",
-		HumanBytes(r.HeapBytes), r.Snapshots)
+		load.HumanBytes(r.HeapBytes), r.Snapshots)
 	return head + renderTable(rows)
 }

@@ -76,9 +76,10 @@
 // structures) host time instead of Θ(heap) while charging zero
 // simulated cost — a clone's metrics and traces are byte-identical to
 // a cold-booted machine's. sim/load, sim/fleet, and sim/cluster all
-// stamp their machines from templates; `forkbench clonebench` (E13)
-// measures the host-side win (see README "Template machines & O(1)
-// clone").
+// stamp their machines from templates; the bench/ module's
+// template_clone probe and sim/load's BenchmarkStamp and
+// BenchmarkColdBootWarm measure the host-side win (see README
+// "Template machines & O(1) clone").
 //
 // Processes are movable: Process.Checkpoint serializes one process
 // into a self-contained Image (a priced page-table walk; the process

@@ -93,9 +93,9 @@
 // here; a new fleet-level field is one field on Aggregate, set in
 // machineRollup, plus its rule in add.
 //
-// `forkbench hostbench` (experiments.HostBench, E14) measures the
-// resulting host-time trajectory — stamp rates, machines per host
-// second, peak RSS over a fleet-size ladder — into BENCH_HOST.json.
+// The host time of a fleet is measured by the bench/ module's
+// fleet-mix workload; BenchmarkFleet100k holds a 100,000-machine fleet
+// under 1 GiB of peak RSS.
 //
 // The forkbench CLI fronts this package (`forkbench fleet`), and
 // internal/experiments extends the §5 server-claim table to fleet

@@ -524,9 +524,9 @@ func runMachine(spec Spec, id int, tc *load.Templates) (*MachineMetrics, *load.D
 	case Chaos:
 		// Chaos serves failure-tolerant traffic (validate pinned
 		// Spec.Load) under this machine's derived wave schedule. The
-		// template is warmed clean; the schedule installs on the
-		// stamped clone after warm-up, exactly as the cold path
-		// installs it after Prepare. A distributed load's schedule
+		// template is warmed clean; Prepared.Run installs the schedule
+		// on the stamped clone after warm-up, exactly as on a
+		// cold-booted machine. A distributed load's schedule
 		// targets the cell's wire (drop waves at the net fault
 		// points) instead of the machines' memory paths.
 		cfg := ms.loadConfig()

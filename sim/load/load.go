@@ -526,10 +526,10 @@ type Prepared struct {
 	tpl *sim.Template
 }
 
-// Prepare warms an existing machine for cfg's scenario — the step
+// prepare warms an existing machine for cfg's scenario — the step
 // between boot and the measured loop. NewServer calls it between boot
 // and pool creation, so a server's warm-up is measured whole.
-func Prepare(sys *sim.System, cfg Config) (*Prepared, error) {
+func prepare(sys *sim.System, cfg Config) (*Prepared, error) {
 	cfg = cfg.withDefaults()
 
 	// The server's resident, dirty heap — what fork must duplicate
@@ -557,8 +557,8 @@ func (p *Prepared) driver() *driver {
 	return &driver{cfg: p.cfg, sys: p.sys, k: p.sys.Kernel(), heapStart: p.heapStart}
 }
 
-// System is the prepared machine — exposed so callers (tests, the E13
-// host-cost experiment) can inspect the warmed state before Run.
+// System is the prepared machine — exposed so callers (tests, the
+// bench probes) can inspect the warmed state before Run.
 func (p *Prepared) System() *sim.System { return p.sys }
 
 // Run boots a fresh machine (or cell), warms it, and executes one
@@ -573,7 +573,7 @@ func Run(cfg Config) (*Metrics, error) {
 // virtual instant: cfg.Faults is armed (only now, so warm-up stays
 // clean and the measured loop runs under the schedule), counters are
 // zeroed, the loop runs, and the metrics are assembled. Call it once
-// per Prepare.
+// per prepare.
 func (p *Prepared) Run() (*Metrics, error) {
 	cfg := p.cfg
 	if cfg.Faults != nil {

@@ -84,7 +84,7 @@ func NewServer(cfg Config) (*Server, error) {
 	k := sys.Kernel()
 
 	t0, pteBase := k.Elapsed(), k.Meter().PTECopies
-	p, err := Prepare(sys, cfg)
+	p, err := prepare(sys, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -69,7 +69,7 @@ func warm(cfg Config) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Prepare(sys, cfg)
+	return prepare(sys, cfg)
 }
 
 // Template is a frozen machine warmed for one Shape: booted, userland
@@ -92,10 +92,10 @@ type Template struct {
 	warm warmup
 }
 
-// NewTemplate warms one machine for cfg's Shape — the cold path's
+// newTemplate warms one machine for cfg's Shape — the cold path's
 // recipe exactly — and freezes it, so a stamped run and a cold run
 // produce byte-identical Metrics.
-func NewTemplate(cfg Config) (*Template, error) {
+func newTemplate(cfg Config) (*Template, error) {
 	p, err := warm(cfg)
 	if err != nil {
 		return nil, err
@@ -214,9 +214,9 @@ func (tc *Templates) template(s Shape, build func() (*Template, error)) (*Templa
 // first request (a nil cache warms an uncached one).
 func (tc *Templates) Get(cfg Config) (*Template, error) {
 	if tc == nil {
-		return NewTemplate(cfg)
+		return newTemplate(cfg)
 	}
-	return tc.template(cfg.Shape(), func() (*Template, error) { return NewTemplate(cfg) })
+	return tc.template(cfg.Shape(), func() (*Template, error) { return newTemplate(cfg) })
 }
 
 // Server stamps a ready-to-serve Server for cfg from the cached

@@ -14,7 +14,7 @@ import (
 // pages) show up as an order-of-magnitude jump.
 func BenchmarkStamp(b *testing.B) {
 	cfg := Config{Scenario: Prefork, Via: sim.Spawn, HeapBytes: 64 << 20}
-	tpl, err := NewTemplate(cfg)
+	tpl, err := newTemplate(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -27,8 +27,8 @@ func BenchmarkStamp(b *testing.B) {
 }
 
 // BenchmarkColdBootWarm is BenchmarkStamp's baseline: the same warmed
-// machine built from scratch. The ratio between the two is E13's
-// headline number (forkbench clonebench).
+// machine built from scratch. The ratio between the two is the host
+// time a template saves per machine.
 func BenchmarkColdBootWarm(b *testing.B) {
 	cfg := Config{Scenario: Prefork, Via: sim.Spawn, HeapBytes: 64 << 20}.withDefaults()
 	b.ResetTimer()
@@ -41,7 +41,7 @@ func BenchmarkColdBootWarm(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Prepare(sys, cfg); err != nil {
+		if _, err := prepare(sys, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

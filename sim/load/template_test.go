@@ -108,7 +108,7 @@ func TestTemplateShapeSharing(t *testing.T) {
 // config whose resolved shape differs from the template's must fail
 // rather than silently produce a wrong-shaped machine.
 func TestTemplateStampShapeMismatch(t *testing.T) {
-	tpl, err := NewTemplate(Config{Scenario: Prefork, Via: sim.Spawn, HeapBytes: 4 << 20})
+	tpl, err := newTemplate(Config{Scenario: Prefork, Via: sim.Spawn, HeapBytes: 4 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
