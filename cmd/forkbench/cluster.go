@@ -14,7 +14,7 @@ import (
 // scenario (sim/cluster's autoscaling reconcile loop) and print the
 // byte-stable report — pool table plus reconcile trace. Everything on
 // stdout is a pure function of the flags, identical at any GOMAXPROCS,
-// so the CI cluster determinism gate can diff it; host wall clock goes
+// so the CI determinism gate can diff it; host wall clock goes
 // to stderr.
 func runCluster(args []string) error {
 	fs := flag.NewFlagSet("forkbench cluster", flag.ExitOnError)

@@ -30,7 +30,6 @@ func runFleet(args []string) error {
 	surge := fs.Int("surge", 0, "surge-phase window/volume multiplier (0 = 4)")
 	seed := fs.Uint64("seed", 0, "chaos fault-wave seed (0 = 1)")
 	heap := fs.String("heap", "64MiB", "per-machine server heap size")
-	shards := fs.Int("shards", 0, "fan machine ranges across N worker OS processes (0/1 = in-process; host cost only, the report is byte-identical)")
 	permachine := fs.Bool("permachine", false, "keep the per-machine breakdown in the report (off: stream machines into the aggregate in constant memory)")
 	jsonPath := fs.String("json", "", "write the fleet report to FILE as byte-stable JSON")
 	cold := fs.Bool("cold", false, "cold-boot every machine instead of stamping from templates (host cost only; the report is byte-identical either way)")
@@ -78,7 +77,6 @@ func runFleet(args []string) error {
 		SurgeFactor:    *surge,
 		FaultSeed:      *seed,
 		HeapBytes:      heapBytes,
-		Shards:         *shards,
 		KeepPerMachine: *permachine,
 		ColdBoot:       *cold,
 	})
@@ -89,8 +87,8 @@ func runFleet(args []string) error {
 		return err
 	}
 	fmt.Println(res.Render())
-	fmt.Fprintf(os.Stderr, "host: %d machines on %d worker(s) x %d shard(s) in %s (GOMAXPROCS %d, peak RSS %s)\n",
-		res.Aggregate.Machines, res.HostWorkers, res.HostShards,
+	fmt.Fprintf(os.Stderr, "host: %d machines on %d worker(s) in %s (GOMAXPROCS %d, peak RSS %s)\n",
+		res.Aggregate.Machines, res.HostWorkers,
 		res.HostElapsed.Round(time.Microsecond), runtime.GOMAXPROCS(0),
 		load.HumanBytes(res.HostPeakRSSBytes))
 	if *jsonPath != "" {

@@ -90,19 +90,16 @@
 //	                [-scenario uniform|rolling|rebalance|hetero|surge|chaos]
 //	                [-load SCENARIO] [-via STRATEGY] [-cpus N] [-n REQUESTS]
 //	                [-workers N] [-surge K] [-seed N] [-heap SIZE]
-//	                [-shards N] [-permachine] [-json FILE]
+//	                [-permachine] [-cold] [-json FILE]
 //	                [-cpuprofile FILE] [-memprofile FILE]
 //
 // Its stdout is byte-identical at every GOMAXPROCS setting — host
-// wall-clock, worker/shard counts, and peak RSS go to stderr. Machines
+// wall-clock, worker count, and peak RSS go to stderr. Machines
 // stream into a constant-memory aggregate as they finish; -permachine
 // keeps the per-machine breakdown (and its O(machines) report memory).
-// -shards fans contiguous machine-id ranges across worker OS processes
-// (re-invocations of this binary) whose partial aggregates merge in
-// shard order, byte-identical to the in-process run — the CI sharded
-// determinism gate compares -shards 1 vs 4. The chaos scenario derives
-// each machine's fault schedule from (-seed, machine id); the CI chaos
-// determinism gate byte-compares its JSON at GOMAXPROCS 1 vs 4.
+// The chaos scenario derives each machine's fault schedule from
+// (-seed, machine id); the CI determinism gate byte-compares its JSON
+// at GOMAXPROCS 1 vs 4.
 //
 // The cluster subcommand runs the autoscaling orchestrator
 // (sim/cluster): named node pools scaled by a virtual-time reconcile
@@ -112,7 +109,7 @@
 //	                  [-heap SIZE] [-json FILE]
 //
 // Its stdout — pool table plus reconcile trace — is byte-identical at
-// every GOMAXPROCS; the CI cluster determinism gate byte-compares the
+// every GOMAXPROCS; the CI determinism gate byte-compares the
 // zoneoutage JSON at GOMAXPROCS 1 vs 4. The netsplit scenario severs a
 // zone's links (fault.ZonePartition) without killing its machines: the
 // balancer's reachability probe routes around the partition and heals
@@ -196,10 +193,6 @@ var subcommands = map[string]func(args []string) error{
 }
 
 func main() {
-	// A `fleet -shards N` parent re-invokes this binary once per
-	// shard; a worker invocation runs its machine range and exits
-	// here, before flag parsing.
-	fleet.MaybeShardWorker()
 	maxFlag := flag.String("max", "1GiB", "largest parent size for sweeps")
 	reps := flag.Int("reps", 5, "repetitions per fig1 point")
 	eager := flag.Bool("eager", false, "include eager-copy fork line in fig1")

@@ -198,6 +198,34 @@ func TestRunFleetWritesJSON(t *testing.T) {
 	}
 }
 
+// TestRunFleetGolden pins `forkbench fleet`'s JSON report for every
+// fleet scenario at three machines, plus a fleet of netlb cells: the
+// concatenated reports — exact-sum fleet rate, migration outage and
+// restart tax included — must byte-match the checked-in golden.
+// Regenerate on purpose with
+//
+//	go test ./cmd/forkbench -run TestRunFleetGolden -update
+func TestRunFleetGolden(t *testing.T) {
+	var runs [][]string
+	for _, s := range fleet.Scenarios() {
+		runs = append(runs, []string{"-scenario", string(s), "-n", "4"})
+	}
+	runs = append(runs, []string{"-scenario", "uniform", "-load", "netlb", "-n", "8"})
+	var all []byte
+	for _, args := range runs {
+		path := filepath.Join(t.TempDir(), "fleet.json")
+		if err := runFleet(append([]string{"-machines", "3", "-heap", "4MiB", "-json", path}, args...)); err != nil {
+			t.Fatalf("fleet %v: %v", args, err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, data...)
+	}
+	checkGolden(t, "fleet_reports.json", all)
+}
+
 // TestRunFleetRejectsJunk pins the fleet flag error paths.
 func TestRunFleetRejectsJunk(t *testing.T) {
 	for _, args := range [][]string{
@@ -210,6 +238,9 @@ func TestRunFleetRejectsJunk(t *testing.T) {
 		// Chaos needs the failure-tolerant prefork driver; the
 		// report must never claim a load that did not run.
 		{"-scenario", "chaos", "-load", "buildfarm"},
+		// A migration is the rebalance wave's own cell, not a
+		// per-machine load whose counters the fleet would drop.
+		{"-load", "migrate"},
 	} {
 		if err := runFleet(args); err == nil {
 			t.Errorf("runFleet(%v) succeeded, want error", args)

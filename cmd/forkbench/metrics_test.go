@@ -14,9 +14,9 @@ import (
 )
 
 // updateGoldens rewrites the checked-in testdata goldens, the metrics
-// goldens and the experiments golden:
+// goldens, the experiments golden and the fleet reports golden:
 //
-//	go test ./cmd/forkbench -run 'TestRunMetricsGoldens|TestRunExperimentsGolden' -update
+//	go test ./cmd/forkbench -run 'TestRunMetricsGoldens|TestRunExperimentsGolden|TestRunFleetGolden' -update
 var updateGoldens = flag.Bool("update", false, "rewrite the testdata goldens")
 
 // metricsGoldens is the frozen invocation set: every case is a pure
@@ -148,6 +148,7 @@ func TestRunMetricsRejectsJunk(t *testing.T) {
 		{"-cluster", "bogus"},
 		{"-machines", "0"},
 		{"extra-positional"},
+		{"-scenario", "migrate"},
 	} {
 		if err := runMetrics(args); err == nil {
 			t.Errorf("runMetrics(%v) succeeded, want error", args)

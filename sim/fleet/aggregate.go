@@ -12,10 +12,11 @@ import (
 // exponent and accumulated in a big.Int scaled to 2^-1074 units (the
 // smallest subnormal), so the running sum carries no rounding error at
 // all and Float64 returns the correctly rounded total. Order
-// independence is what lets the fleet merge machine rates per shard
-// and still emit the byte-identical aggregate a serial fold produces —
-// plain float addition is not associative, and a grouped sum would
-// drift in the last ulp.
+// independence is what lets the fleet's host workers fold machine
+// rates in completion order and still emit the byte-identical
+// aggregate a serial machine-id-order fold produces — plain float
+// addition is not associative, and a reordered sum would drift in the
+// last ulp.
 type exactSum struct {
 	acc big.Int
 }
@@ -48,11 +49,6 @@ func (s *exactSum) Add(v float64) {
 	}
 }
 
-// Merge folds another sum in. Exact, so merge order cannot matter.
-func (s *exactSum) Merge(o *exactSum) {
-	s.acc.Add(&s.acc, &o.acc)
-}
-
 // Float64 is the correctly rounded total.
 func (s *exactSum) Float64() float64 {
 	if s.acc.Sign() == 0 {
@@ -66,17 +62,6 @@ func (s *exactSum) Float64() float64 {
 	f.SetMantExp(f, -1074) // scale back from 2^-1074 units
 	v, _ := f.Float64()
 	return v
-}
-
-// Text serializes the accumulator for the shard wire protocol
-// (hex two's-complement-free big.Int text); SetText parses it back.
-func (s *exactSum) Text() string { return s.acc.Text(16) }
-
-func (s *exactSum) SetText(t string) error {
-	if _, ok := s.acc.SetString(t, 16); !ok {
-		return fmt.Errorf("fleet: bad rate-sum %q", t)
-	}
-	return nil
 }
 
 // machineRollup is one machine as a one-machine fleet: its phases
@@ -106,7 +91,7 @@ func machineRollup(mm *MachineMetrics) Aggregate {
 
 // add folds b into a: every sum and max rule of the fleet rollup. The
 // rate is not among them — it travels in an exactSum beside the
-// Aggregate, so grouped folds round identically.
+// Aggregate, so any fold order rounds identically.
 func (a *Aggregate) add(b *Aggregate) {
 	a.Machines += b.Machines
 	a.TotalRequests += b.TotalRequests
@@ -128,8 +113,8 @@ func (a *Aggregate) add(b *Aggregate) {
 // aggregator folds MachineMetrics into a running Aggregate — the
 // streaming replacement for materializing every machine's metrics and
 // merging at the end. All integer fields are sums or maxes and the one
-// float rate is an exactSum, so the fold is order-independent and a
-// shard-grouped merge equals the serial machine-id-order fold bit for
+// float rate is an exactSum, so the fold is order-independent: folding
+// in completion order equals the serial machine-id-order fold bit for
 // bit.
 type aggregator struct {
 	agg  Aggregate
@@ -141,18 +126,6 @@ func (a *aggregator) fold(mm *MachineMetrics) {
 	r := machineRollup(mm)
 	a.agg.add(&r)
 	a.rate.Add(mm.RequestsPerVSec)
-}
-
-// merge folds a shard's partial aggregate in; the rate arrives as the
-// shard's exact accumulator.
-func (a *aggregator) merge(p *shardPartial) error {
-	var s exactSum
-	if err := s.SetText(p.RateSum); err != nil {
-		return err
-	}
-	a.agg.add(&p.Aggregate)
-	a.rate.Merge(&s)
-	return nil
 }
 
 // aggregate finalizes the rollup, rounding the exact rate sum once.
@@ -180,15 +153,14 @@ func aggregate(machines []MachineMetrics) Aggregate {
 // for the breakdown, lands in its id's slot of a preallocated slice.
 type merger struct {
 	mu   sync.Mutex
-	lo   int
 	agg  aggregator
 	keep []MachineMetrics
 }
 
-// newMerger merges ids [lo, lo+n), keeping per-machine metrics when
-// keep is set.
-func newMerger(lo, n int, keep bool) *merger {
-	m := &merger{lo: lo}
+// newMerger merges ids [0, n), keeping per-machine metrics when keep
+// is set.
+func newMerger(n int, keep bool) *merger {
+	m := &merger{}
 	if keep {
 		m.keep = make([]MachineMetrics, n)
 	}
@@ -201,6 +173,6 @@ func (m *merger) add(id int, mm *MachineMetrics) {
 	defer m.mu.Unlock()
 	m.agg.fold(mm)
 	if m.keep != nil {
-		m.keep[id-m.lo] = *mm
+		m.keep[id] = *mm
 	}
 }

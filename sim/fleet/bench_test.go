@@ -37,7 +37,7 @@ func BenchmarkFleet100k(b *testing.B) {
 		}
 		b.ReportMetric(float64(spec.Machines)/b.Elapsed().Seconds()/float64(i+1), "machines/s")
 	}
-	peak := HostPeakRSS()
+	peak := hostPeakRSS()
 	b.ReportMetric(float64(peak)/(1<<20), "peakRSS-MiB")
 	if peak >= 1<<30 {
 		b.Fatalf("peak RSS %d bytes: the 100k-machine fleet must run under 1 GiB", peak)

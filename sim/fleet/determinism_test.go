@@ -53,6 +53,7 @@ func TestFleetDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		// guarantee extends to it unchanged — wire chaos included.
 		{Machines: 4, Scenario: fleet.Uniform, Load: load.NetLB, Via: sim.ForkExec, Requests: 12, HeapBytes: 8 << 20},
 		{Machines: 4, Scenario: fleet.Chaos, Load: load.KVShard, Via: sim.Spawn, Requests: 12, HeapBytes: 8 << 20, FaultSeed: 5},
+		{Machines: 4, Scenario: fleet.Chaos, Load: load.NetLB, Via: sim.ForkExec, Requests: 9, HeapBytes: 4 << 20, FaultSeed: 7},
 		// The rebalance wave: each machine live-migrates its resident
 		// worker through a two-machine cell; the cell is
 		// single-threaded, so downtime, pages shipped, and vfork

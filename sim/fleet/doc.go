@@ -56,42 +56,34 @@
 // RunAll is the lower-level primitive: an order-preserving parallel
 // map over arbitrary load.Configs, used by `forkbench load -sweep`
 // and the experiment tables so the full strategy x scenario x cpus
-// matrix runs concurrently. Host wall-clock, worker/shard counts, and
-// peak RSS are reported on Result (HostElapsed, HostWorkers,
-// HostShards, HostPeakRSSBytes) but never marshalled: the JSON answers
-// "what did the fleet do", the host fields answer "how fast did this
-// computer simulate it".
+// matrix runs concurrently. Host wall-clock, worker count, and peak
+// RSS are reported on Result (HostElapsed, HostWorkers,
+// HostPeakRSSBytes) but never marshalled: the JSON answers "what did
+// the fleet do", the host fields answer "how fast did this computer
+// simulate it".
 //
-// Three host-side mechanisms keep Run host-scalable without touching a
+// Two host-side mechanisms keep Run host-scalable without touching a
 // virtual-time byte (README "Host-scale fleets"):
 //
 //   - Streaming aggregation: finished machines fold into the Aggregate
 //     as they complete and are dropped, so a fleet of any size runs in
 //     constant report memory. Every fold rule is a sum or a max and the
 //     fleet rate folds through an exact (big.Int-scaled) accumulator,
-//     so the fold is order-independent: any arrival order, and any
-//     grouping into shards, rounds identically to the serial fold.
-//     Spec.KeepPerMachine retains the Result.Machines breakdown, each
-//     machine in its id's slot.
+//     so the fold is order-independent: any completion order rounds
+//     identically to the serial fold. Spec.KeepPerMachine retains the
+//     Result.Machines breakdown, each machine in its id's slot.
 //   - Machine reuse: a finished machine's allocations recycle into its
 //     template's next stamp (sim.Template.Release); a recycled clone is
 //     byte-identical to a fresh one.
-//   - Multi-process sharding: Spec.Shards > 1 fans contiguous id ranges
-//     across worker OS processes that re-exec this binary — host
-//     programs call MaybeShardWorker at the top of main — and partial
-//     aggregates merge in shard order, which is id order, so the report
-//     is byte-identical to an unsharded run (CI's shard gate cmp's
-//     -shards 1 vs 4).
 //
 // Every rollup rule lives in one place. machineRollup turns one
 // machine's phases, restart tax and migration outage into a
 // one-machine Aggregate, and (*Aggregate).add holds every sum and max;
-// the streaming fold is add(rollup), the shard merge is add(partial),
-// and the machine's own rate and its report row read the rollup. The
-// cost counters are load.Counters, embedded, so a counter added there
-// reaches the Aggregate, the fold and the shard merge with no edit
-// here; a new fleet-level field is one field on Aggregate, set in
-// machineRollup, plus its rule in add.
+// the streaming fold is add(rollup), and the machine's own rate and
+// its report row read the rollup. The cost counters are load.Counters,
+// embedded, so a counter added there reaches the Aggregate and the
+// fold with no edit here; a new fleet-level field is one field on
+// Aggregate, set in machineRollup, plus its rule in add.
 //
 // The host time of a fleet is measured by the bench/ module's
 // fleet-mix workload; BenchmarkFleet100k holds a 100,000-machine fleet
@@ -121,9 +113,12 @@
 //
 // Distributed loads (load.NetLB, load.KVShard) run one sim/net cell
 // per fleet machine: the cell is a self-contained deterministic
-// simulation, so fleet parallelism and -shards apply to distributed
-// workloads unchanged, and the chaos scenario swaps its per-machine
-// fault schedule for fault.NetChaos — wire-level drops instead of
-// memory pressure (the CI net determinism gate byte-compares the
-// result at GOMAXPROCS 1 vs 4 and -shards 1 vs 4).
+// simulation, so fleet parallelism applies to distributed workloads
+// unchanged, and the chaos scenario swaps its per-machine fault
+// schedule for fault.NetChaos — wire-level drops instead of memory
+// pressure (the CI determinism gate byte-compares the netlb result at
+// GOMAXPROCS 1 vs 4, and the clone-equivalence gate the kvshard chaos
+// result cold at 1 vs stamped at 4). load.Migrate is not a per-machine
+// load: the Rebalance scenario runs one migrate cell per machine and
+// rolls up its downtime.
 package fleet

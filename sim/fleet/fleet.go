@@ -127,16 +127,6 @@ type Spec struct {
 	// every run at any host parallelism.
 	FaultSeed uint64
 
-	// Shards fans the fleet's machine-id ranges across that many
-	// worker OS processes (os/exec re-invocations of this binary; the
-	// host program must call MaybeShardWorker early in main). Each
-	// worker streams its contiguous id range and emits a partial
-	// aggregate; the parent merges partials in shard order, which is
-	// id order, so the Result is byte-identical to an unsharded run.
-	// 0 or 1 runs in-process. Host-side only: it never changes the
-	// Result.
-	Shards int
-
 	// KeepPerMachine retains the per-machine metrics breakdown on
 	// Result.Machines. Off by default: the streaming aggregation path
 	// folds each finished machine into the Aggregate and drops it, so
@@ -145,10 +135,10 @@ type Spec struct {
 
 	// ColdBoot disables the per-shape template cache: every machine
 	// boots and warms from scratch instead of being stamped from a
-	// frozen warmed template. Like Shards it affects host cost
-	// only, never the Result — a stamped machine is logically the
-	// warmed machine itself. The CI clone-equivalence gate runs the
-	// same Spec both ways and byte-compares the reports.
+	// frozen warmed template. It affects host cost only, never the
+	// Result — a stamped machine is logically the warmed machine
+	// itself. The CI clone-equivalence gate runs the same Spec both
+	// ways and byte-compares the reports.
 	ColdBoot bool
 }
 
@@ -202,9 +192,6 @@ func (s Spec) validate() error {
 	if s.Machines < 1 || s.Machines > 1<<20 {
 		return specErr("Machines", "%d machines (want 1..1048576)", s.Machines)
 	}
-	if s.Shards < 0 || s.Shards > 256 {
-		return specErr("Shards", "%d shards (want 0..256)", s.Shards)
-	}
 	if s.CPUs < 1 || s.CPUs > 64 {
 		return specErr("CPUs", "%d CPUs per machine (want 1..64)", s.CPUs)
 	}
@@ -217,13 +204,20 @@ func (s Spec) validate() error {
 	if s.SurgeFactor < 1 {
 		return specErr("SurgeFactor", "surge factor %d (want >= 1)", s.SurgeFactor)
 	}
+	if s.Load == load.Migrate {
+		// A migration is a two-machine cell whose downtime and pages
+		// sent only the rebalance wave rolls up; as a serve-phase load
+		// the fleet would count each migration as a request and drop
+		// the rest. The rebalance wave builds its own migrate cell.
+		return specErr("Load", "migrate is not a per-machine load (the rebalance scenario migrates each machine)")
+	}
 	if s.Scenario == RollingRestart && s.Load.Distributed() {
 		// The rolling wave restarts a single machine and serves
 		// prefork traffic through it; a distributed cell restarts
 		// its backend inside the load itself (load.NetLB).
 		return specErr("Load", "rolling restart requires a single-machine load (got %s)", s.Load)
 	}
-	if s.Scenario == Rebalance && (s.Load.Distributed() || s.Load == load.Migrate) {
+	if s.Scenario == Rebalance && s.Load.Distributed() {
 		// The rebalance wave migrates each machine's resident worker
 		// through its own two-machine cell; the serve phases need a
 		// single-machine load around it.
@@ -404,10 +398,10 @@ type Aggregate struct {
 }
 
 // Result is one fleet run. Everything serialized by JSON is a pure
-// function of the Spec; the host-side fields (wall clock, worker and
-// shard counts, peak RSS) are reported separately and never
-// marshalled, so the emitted report is byte-stable across hosts,
-// GOMAXPROCS settings, and shard counts.
+// function of the Spec; the host-side fields (wall clock, worker
+// count, peak RSS) are reported separately and never marshalled, so
+// the emitted report is byte-stable across hosts and GOMAXPROCS
+// settings.
 type Result struct {
 	Scenario  string `json:"scenario"`
 	Load      string `json:"load"`
@@ -421,79 +415,54 @@ type Result struct {
 	Aggregate Aggregate        `json:"aggregate"`
 
 	// Host-side measurements, deliberately excluded from JSON: the
-	// wall-clock the run took, the host goroutines per process, the
-	// worker processes, and the host peak RSS (worst process for a
-	// sharded run).
+	// wall-clock the run took, the host goroutines it ran on, and the
+	// process's host peak RSS.
 	HostElapsed      time.Duration `json:"-"`
 	HostWorkers      int           `json:"-"`
-	HostShards       int           `json:"-"`
 	HostPeakRSSBytes uint64        `json:"-"`
-}
-
-// result builds the Result shell every path (in-process or sharded)
-// fills in.
-func (s Spec) result() *Result {
-	return &Result{
-		Scenario:  string(s.Scenario),
-		Load:      string(s.Load),
-		Strategy:  s.Via.String(),
-		HeapBytes: s.HeapBytes,
-	}
 }
 
 // Run executes the fleet: every machine is an independent,
 // deterministic sim.System driven to completion on a host worker pool
-// bounded by GOMAXPROCS — and, with Spec.Shards > 1, fanned across
-// worker OS processes. Finished machines stream into a
-// constant-memory, order-independent aggregate as they complete (the
-// kept breakdown in machine-id order); the Result's JSON is
-// byte-identical at any host parallelism and shard count.
+// bounded by GOMAXPROCS, stamped from one template cache the workers
+// share (or cold-booted under Spec.ColdBoot). Finished machines stream
+// into a constant-memory, order-independent aggregate as they complete
+// (the kept breakdown in machine-id order); the Result's JSON is
+// byte-identical at any host parallelism.
 func Run(spec Spec) (*Result, error) {
 	spec = spec.withDefaults()
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	if spec.Shards > 1 {
-		return runSharded(spec)
-	}
 	workers := PoolSize(spec.Machines)
 	start := time.Now()
-	m, err := runRange(spec, 0, spec.Machines, workers)
-	if err != nil {
-		return nil, err
-	}
-	res := spec.result()
-	res.Machines = m.keep
-	res.Aggregate = m.agg.aggregate()
-	res.HostElapsed = time.Since(start)
-	res.HostWorkers = workers
-	res.HostShards = 1
-	res.HostPeakRSSBytes = HostPeakRSS()
-	return res, nil
-}
-
-// runRange streams machines [lo, hi) through the worker pool into a
-// merger — the common core of the in-process run and each shard
-// worker. Every machine is stamped from one template cache shared by
-// the range's workers, or cold-booted under Spec.ColdBoot.
-func runRange(spec Spec, lo, hi, workers int) (*merger, error) {
 	var tc *load.Templates
 	if !spec.ColdBoot {
 		tc = load.NewTemplates()
 	}
-	m := newMerger(lo, hi-lo, spec.KeepPerMachine)
-	err := ForEach(workers, hi-lo, func(i int) error {
-		mm, _, err := runMachine(spec, lo+i, tc)
+	m := newMerger(spec.Machines, spec.KeepPerMachine)
+	err := ForEach(workers, spec.Machines, func(id int) error {
+		mm, _, err := runMachine(spec, id, tc)
 		if err != nil {
-			return fmt.Errorf("fleet: machine %d: %w", lo+i, err)
+			return fmt.Errorf("fleet: machine %d: %w", id, err)
 		}
-		m.add(lo+i, mm)
+		m.add(id, mm)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return m, nil
+	return &Result{
+		Scenario:         string(spec.Scenario),
+		Load:             string(spec.Load),
+		Strategy:         spec.Via.String(),
+		HeapBytes:        spec.HeapBytes,
+		Machines:         m.keep,
+		Aggregate:        m.agg.aggregate(),
+		HostElapsed:      time.Since(start),
+		HostWorkers:      workers,
+		HostPeakRSSBytes: hostPeakRSS(),
+	}, nil
 }
 
 // runMachine executes machine id's phases, stamping each phase's

@@ -2,21 +2,19 @@ package fleet
 
 import (
 	"os"
-	"os/exec"
 	"runtime"
 	"strconv"
 	"strings"
-	"syscall"
 )
 
-// HostPeakRSS reports the calling process's peak resident set in bytes
+// hostPeakRSS reports the calling process's peak resident set in bytes
 // — the memory half of the host-scale story (a 100k-machine fleet must
 // stream, pool, and stay under a real bound, not just finish). Read
 // from /proc/self/status (VmHWM) where available; elsewhere it falls
 // back to the Go runtime's reserved-from-OS figure, which bounds RSS
 // from above. Host-side and monotone within a process: never part of
 // the byte-stable report.
-func HostPeakRSS() uint64 {
+func hostPeakRSS() uint64 {
 	if data, err := os.ReadFile("/proc/self/status"); err == nil {
 		for _, line := range strings.Split(string(data), "\n") {
 			if !strings.HasPrefix(line, "VmHWM:") {
@@ -33,18 +31,4 @@ func HostPeakRSS() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.Sys
-}
-
-// childPeakRSS reports a finished shard worker's peak resident set via
-// its rusage (ru_maxrss is KiB on Linux). Zero when unavailable; the
-// worker also self-reports via shardPartial, so this is a cross-check
-// that covers memory the worker freed before sampling itself.
-func childPeakRSS(cmd *exec.Cmd) uint64 {
-	if cmd.ProcessState == nil {
-		return 0
-	}
-	if ru, ok := cmd.ProcessState.SysUsage().(*syscall.Rusage); ok && ru != nil {
-		return uint64(ru.Maxrss) << 10
-	}
-	return 0
 }

@@ -71,7 +71,6 @@ func TestSpecValidation(t *testing.T) {
 	bad := []Spec{
 		{Machines: -1},
 		{Machines: 1<<20 + 1},
-		{Shards: -1},
 		{CPUs: 65},
 		{CPUs: -2},
 		{Requests: -4},

@@ -20,8 +20,6 @@ func TestSpecValidate(t *testing.T) {
 		{"full valid", Spec{Machines: 8, Scenario: Surge, Load: load.BuildFarm, CPUs: 4, Requests: 10, Workers: 3, SurgeFactor: 2}, ""},
 		{"negative machines", Spec{Machines: -1}, "Machines"},
 		{"too many machines", Spec{Machines: 1<<20 + 1}, "Machines"},
-		{"negative shards", Spec{Shards: -1}, "Shards"},
-		{"too many shards", Spec{Shards: 257}, "Shards"},
 		{"negative cpus", Spec{CPUs: -2}, "CPUs"},
 		{"too many cpus", Spec{CPUs: 65}, "CPUs"},
 		{"negative requests", Spec{Requests: -1}, "Requests"},
@@ -30,6 +28,12 @@ func TestSpecValidate(t *testing.T) {
 		{"unknown load", Spec{Load: "webscale"}, "Load"},
 		{"unknown scenario", Spec{Scenario: "cloudburst"}, "Scenario"},
 		{"chaos needs prefork", Spec{Scenario: Chaos, Load: load.Pipeline}, "Load"},
+		// A migration is the rebalance wave's own cell, never a
+		// per-machine load: the fleet would drop its counters.
+		{"uniform migrate", Spec{Scenario: Uniform, Load: load.Migrate}, "Load"},
+		{"surge migrate", Spec{Scenario: Surge, Load: load.Migrate}, "Load"},
+		{"rolling migrate", Spec{Scenario: RollingRestart, Load: load.Migrate}, "Load"},
+		{"rebalance migrate", Spec{Scenario: Rebalance, Load: load.Migrate}, "Load"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"errors"
-	"math"
 	"runtime"
 	"testing"
 
@@ -12,11 +11,11 @@ import (
 )
 
 // TestExactSumOrderIndependent: the exact accumulator's whole reason to
-// exist. Plain float64 addition is not associative — summing these
-// values serially vs in two groups drifts in the last ulp — but the
-// exact sum must produce one correctly rounded total however the values
-// are grouped, because the sharded fleet sums rates per shard and then
-// merges.
+// exist. Plain float64 addition is not associative — folding these
+// values from a different starting point drifts, in the last ulp or
+// worse — but the exact sum must produce one correctly rounded total in
+// any order, because the fleet's host workers fold machine rates in
+// completion order.
 func TestExactSumOrderIndependent(t *testing.T) {
 	values := []float64{
 		1e16, 1, -1e16, 0.1, 1e-30, 2.5e8, -0.1, 3.141592653589793,
@@ -26,17 +25,13 @@ func TestExactSumOrderIndependent(t *testing.T) {
 	for _, v := range values {
 		serial.Add(v)
 	}
-	for split := 1; split < len(values); split++ {
-		var lo, hi exactSum
-		for _, v := range values[:split] {
-			lo.Add(v)
+	for r := 1; r < len(values); r++ {
+		var rotated exactSum
+		for i := range values {
+			rotated.Add(values[(r+i)%len(values)])
 		}
-		for _, v := range values[split:] {
-			hi.Add(v)
-		}
-		lo.Merge(&hi)
-		if got, want := lo.Float64(), serial.Float64(); got != want {
-			t.Errorf("split at %d: grouped sum %v != serial sum %v", split, got, want)
+		if got, want := rotated.Float64(), serial.Float64(); got != want {
+			t.Errorf("rotation %d: sum %v != serial sum %v", r, got, want)
 		}
 	}
 	// And the rounding is exact, not merely consistent: 1e16 + 1 - 1e16
@@ -52,34 +47,6 @@ func TestExactSumOrderIndependent(t *testing.T) {
 	big, one := 1e16, 1.0 // variables: constant folding would sum exactly
 	if naive := big + one - big; naive == 1 {
 		t.Errorf("float64 fold gave %v; the test's premise is wrong", naive)
-	}
-}
-
-// TestExactSumTextRoundTrip exercises the shard wire format: the
-// accumulator must survive Text/SetText bit-exactly, including negative
-// totals and subnormals.
-func TestExactSumTextRoundTrip(t *testing.T) {
-	for _, vals := range [][]float64{
-		{},
-		{0},
-		{1.5, -2.25, 1e-310},
-		{-math.MaxFloat64 / 4, 123456.789},
-	} {
-		var s exactSum
-		for _, v := range vals {
-			s.Add(v)
-		}
-		var back exactSum
-		if err := back.SetText(s.Text()); err != nil {
-			t.Fatalf("SetText(%q): %v", s.Text(), err)
-		}
-		if got, want := back.Float64(), s.Float64(); got != want {
-			t.Errorf("round trip of %v: %v != %v", vals, got, want)
-		}
-	}
-	var s exactSum
-	if err := s.SetText("not hex"); err == nil {
-		t.Error("SetText accepted garbage")
 	}
 }
 
@@ -176,7 +143,7 @@ func TestMergerBuffersOutOfOrder(t *testing.T) {
 			RequestsPerVSec: 1 / float64(i+1), // rounding-sensitive rates
 		}
 	}
-	m := newMerger(0, n, true)
+	m := newMerger(n, true)
 	for i := n - 1; i >= 0; i-- {
 		m.add(i, &machines[i])
 	}

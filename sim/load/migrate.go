@@ -47,7 +47,7 @@ import (
 // re-sent in deterministic waves, and a link that stays dead fails the
 // run rather than hanging it. Everything is single-threaded discrete
 // event simulation like the other network cells — bit-identical at any
-// GOMAXPROCS or shard count.
+// GOMAXPROCS.
 
 // Cell wiring: source and destination addresses, the page-stream chunk
 // size, the metadata frame that rides with the final residue, and the

@@ -8,10 +8,10 @@
 // one-way propagation latency — and Deliver hands packets back in
 // (arrival time, destination address, sequence) order: exactly the
 // machine-id merge the fleet runner uses, so any topology replays
-// bit-for-bit at any GOMAXPROCS and any -shards count. CPU-side costs
-// are the *caller's* to charge (the kernel NIC does it in net_send /
-// net_recv; harness nodes add them to their own clocks); the fabric
-// itself only moves virtual time along the wire.
+// bit-for-bit at any GOMAXPROCS. CPU-side costs are the *caller's* to
+// charge (the kernel NIC does it in net_send / net_recv; harness nodes
+// add them to their own clocks); the fabric itself only moves virtual
+// time along the wire.
 //
 // Failure is a first-class input, like everywhere else in the
 // simulator: every send consults fault.PointNetSend and every
