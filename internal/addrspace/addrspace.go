@@ -166,15 +166,6 @@ func (s *Space) RSS() uint64 { return s.rssPages << mem.PageShift }
 // Committed reports this space's commit charge in bytes.
 func (s *Space) Committed() uint64 { return s.commitPages << mem.PageShift }
 
-// MappedBytes reports the total size of all VMAs.
-func (s *Space) MappedBytes() uint64 {
-	var n uint64
-	for _, v := range s.vmas {
-		n += v.Len()
-	}
-	return n
-}
-
 // VMAs returns the VMA list (not a copy; callers must not mutate).
 func (s *Space) VMAs() []*VMA { return s.vmas }
 

@@ -36,10 +36,12 @@ func (r *PageRecord) Pages() uint64 {
 	return 1
 }
 
-// CapturePages walks the page table in ascending va order and returns
-// a record per resident page — the checkpoint serialization pass,
-// priced at one page copy per captured 4 KiB (HugeCopy for huge
-// pages).
+// CapturePages walks the page table and returns a record per resident
+// page in strictly ascending va order (a huge page is one record, at
+// its base) — the checkpoint serialization pass, priced at one page
+// copy per captured 4 KiB (HugeCopy for huge pages). That order is the
+// contract RestoreProcess checks: it installs an image's records in
+// one pass and refuses a record that breaks it.
 //
 // dirtyOnly restricts the capture to pages with FlagDirty set: the
 // pre-copy rounds of live migration, which only re-ship what was
@@ -51,6 +53,9 @@ func (r *PageRecord) Pages() uint64 {
 // page as a protection violation.
 func (s *Space) CapturePages(dirtyOnly, rearm bool) []PageRecord {
 	var out []PageRecord
+	if !dirtyOnly {
+		out = make([]PageRecord, 0, s.pt.Entries())
+	}
 	downgraded := 0
 	s.pt.Visit(func(va uint64, e pagetable.PTE) pagetable.PTE {
 		if dirtyOnly && e&pagetable.FlagDirty == 0 {

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/addrspace"
 	"repro/internal/cost"
@@ -249,11 +248,15 @@ func (k *Kernel) CheckpointProcess(p *Process, opts CheckpointOpts) (*ProcImage,
 // RestoreProcess rebuilds img as a new process on k — the receiving
 // half of a migration. Name-references resolve against k's own
 // filesystem (executable images and open files must exist there);
-// pages install into freshly allocated frames; threads come back with
+// pages install into freshly allocated frames in one pass, in the
+// order img.Pages gives them, which must be the strictly ascending va
+// order CapturePages emits: a record at or below its predecessor's va
+// (out of order, or a duplicate) fails with EINVAL and unwinds like any
+// other corrupt record. Later pre-copy rounds are not merged into an
+// image; they go through Space.InstallPage. Threads come back with
 // their exact TIDs, parked ones parked and everything else runnable.
-// When img.Pages carries several pre-copy rounds appended in order,
-// the last record per address wins. The restored process is parentless
-// (like a synthetic root) and charged the natural construction costs.
+// The restored process is parentless (like a synthetic root) and
+// charged the natural construction costs.
 func (k *Kernel) RestoreProcess(img *ProcImage) (*Process, error) {
 	// Resolve every name before touching kernel state, so most
 	// failures need no unwind at all.
@@ -318,19 +321,13 @@ func (k *Kernel) RestoreProcess(img *ProcImage) (*Process, error) {
 	}
 	p.space.RestoreBrk(img.BrkBase, img.Brk)
 
-	// Last record per address wins, installed in ascending va order.
-	last := map[uint64]int{}
 	for i := range img.Pages {
-		last[img.Pages[i].VA] = i
-	}
-	idxs := make([]int, 0, len(last))
-	for _, i := range last {
-		idxs = append(idxs, i)
-	}
-	sort.Slice(idxs, func(a, b int) bool { return img.Pages[idxs[a]].VA < img.Pages[idxs[b]].VA })
-	for _, i := range idxs {
-		if err := p.space.InstallPage(img.Pages[i]); err != nil {
-			return fail(fmt.Errorf("restore %q: page %#x: %w", img.Name, img.Pages[i].VA, err))
+		r := &img.Pages[i]
+		if i > 0 && r.VA <= img.Pages[i-1].VA {
+			return fail(fmt.Errorf("restore %q: page %#x after page %#x: %w", img.Name, r.VA, img.Pages[i-1].VA, errno.EINVAL))
+		}
+		if err := p.space.InstallPage(*r); err != nil {
+			return fail(fmt.Errorf("restore %q: page %#x: %w", img.Name, r.VA, err))
 		}
 	}
 

@@ -11,6 +11,7 @@
 package mem
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/cost"
@@ -166,17 +167,11 @@ func (p *Physical) FreePages() uint64 { return p.totalPages - p.allocatedPages }
 // frame accounts for 512).
 func (p *Physical) AllocatedPages() uint64 { return p.allocatedPages }
 
-// CommitLimit reports the commit ceiling in pages.
-func (p *Physical) CommitLimit() uint64 { return p.commitLimit }
-
 // Committed reports the pages currently reserved.
 func (p *Physical) Committed() uint64 { return p.committed }
 
 // Policy reports the commit policy in force.
 func (p *Physical) Policy() CommitPolicy { return p.policy }
-
-// SetPolicy changes the overcommit policy (used by experiments).
-func (p *Physical) SetPolicy(pol CommitPolicy) { p.policy = pol }
 
 // SetInjector installs the machine's fault injector (kernel boot).
 func (p *Physical) SetInjector(i *fault.Injector) { p.inj = i }
@@ -412,14 +407,7 @@ func (p *Physical) Write(f FrameID, off int, data []byte) {
 	}
 	fd := p.data[f]
 	if fd == nil {
-		allZero := true
-		for _, b := range data {
-			if b != 0 {
-				allZero = false
-				break
-			}
-		}
-		if allZero {
+		if allZero(data) {
 			return
 		}
 		fd = &frameData{bytes: make([]byte, f.Size())}
@@ -438,6 +426,22 @@ func (p *Physical) Write(f FrameID, off int, data []byte) {
 		fd.shared = false
 	}
 	copy(fd.bytes[off:], data)
+}
+
+// zeroPage is the all-zero page allZero compares writes against.
+var zeroPage [PageSize]byte
+
+// allZero reports whether b holds only zero bytes, a page-sized chunk
+// at a time.
+func allZero(b []byte) bool {
+	for len(b) > 0 {
+		n := min(len(b), PageSize)
+		if !bytes.Equal(b[:n], zeroPage[:n]) {
+			return false
+		}
+		b = b[n:]
+	}
+	return true
 }
 
 // Materialised reports whether f has real backing storage (false ⇒

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -93,6 +94,42 @@ func TestLazyMaterialisation(t *testing.T) {
 		if buf[i] != b {
 			t.Errorf("read[%d] = %d, want %d", i, buf[i], b)
 		}
+	}
+
+	// Whole-frame writes: only a non-zero byte materialises, even one
+	// in the last chunk the zero check compares.
+	for _, tc := range []struct {
+		name string
+		huge bool
+		last byte
+		want bool
+	}{
+		{"zero-page-stays-lazy", false, 0, false},
+		{"last-byte-page-materialises", false, 1, true},
+		{"last-byte-huge-materialises", true, 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newPhys(4<<20, 0, CommitHeuristic)
+			alloc := p.Alloc
+			if tc.huge {
+				alloc = p.AllocHuge
+			}
+			f, err := alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := make([]byte, f.Size())
+			data[len(data)-1] = tc.last
+			p.Write(f, 0, data)
+			if got := p.Materialised(f); got != tc.want {
+				t.Fatalf("materialised = %v after a %d-byte write ending in %d, want %v", got, len(data), tc.last, tc.want)
+			}
+			got := make([]byte, f.Size())
+			p.Read(f, 0, got)
+			if !bytes.Equal(got, data) {
+				t.Error("frame does not read back what was written")
+			}
+		})
 	}
 }
 

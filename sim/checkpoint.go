@@ -23,8 +23,10 @@ type Image struct {
 	raw *kernel.ProcImage
 }
 
-// Raw exposes the substrate image (advanced: migration drivers that
-// merge pre-copy rounds).
+// Raw exposes the substrate image (advanced: its page records and
+// descriptor tables). Live migration's later pre-copy rounds are not
+// merged into an image; they install into the restored space through
+// addrspace.Space.InstallPage.
 func (img *Image) Raw() *kernel.ProcImage { return img.raw }
 
 // PageBytes reports the image's page payload — what a migration ships
@@ -64,10 +66,14 @@ func (s *System) ProcessOf(raw *kernel.Process) *Process {
 
 // Restore reconstructs a checkpointed process on s — the receiving
 // half of a migration. Every name in the image (cwd, executable
-// backing, open files) must resolve in s's filesystem. The restored
-// process is parentless; threads that were runnable or blocked on the
-// source come back runnable (blocked syscalls are restartable and
-// re-block on this machine's queues), parked threads stay parked.
+// backing, open files) must resolve in s's filesystem. Pages install
+// in one pass in the image's order, which must be the strictly
+// ascending address order Checkpoint produced; an image edited out of
+// that order (or with two records for one address) fails with EINVAL
+// and releases everything the restore had built. The restored process
+// is parentless; threads that were runnable or blocked on the source
+// come back runnable (blocked syscalls are restartable and re-block on
+// this machine's queues), parked threads stay parked.
 func (s *System) Restore(img *Image) (*Process, error) {
 	raw, err := s.k.RestoreProcess(img.raw)
 	if err != nil {

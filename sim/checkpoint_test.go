@@ -136,23 +136,57 @@ func TestCheckpointRefusalSurfaces(t *testing.T) {
 	}
 }
 
+// TestRestoreMixedPageSizes: a checkpoint of a space holding both
+// 2 MiB and 4 KiB pages lists them in one strictly ascending sequence
+// (a huge page is one record, at its base), and restore installs that
+// sequence as given, rebuilding the same resident set.
+func TestRestoreMixedPageSizes(t *testing.T) {
+	src := newSys(t)
+	if err := src.DirtyHost(4<<20, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.DirtyHost(64<<10, false); err != nil {
+		t.Fatal(err)
+	}
+	img, err := src.ProcessOf(src.Host()).Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := img.Raw().Pages
+	var huge, small int
+	for i := range pages {
+		if i > 0 && pages[i].VA <= pages[i-1].VA {
+			t.Fatalf("record %d at %#x follows %#x: capture order is not strictly ascending", i, pages[i].VA, pages[i-1].VA)
+		}
+		if pages[i].Pages() > 1 {
+			huge++
+		} else {
+			small++
+		}
+	}
+	if huge != 2 || small != 16 {
+		t.Fatalf("image has %d huge and %d 4 KiB records, want 2 and 16", huge, small)
+	}
+	p, err := newSys(t).Restore(img)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if got, want := p.Raw().Space().RSS(), src.Host().Space().RSS(); got != want {
+		t.Errorf("restored RSS %d bytes, source %d", got, want)
+	}
+}
+
 // TestRestoreRejectsCorruptImages: a corrupted image is bad input, so
 // Restore must refuse it with EINVAL, never panic, and unwind whatever
 // it built — the target's process table, allocated frames and commit
-// charge all return to their values before the call. The page cases
-// corrupt the highest-addressed record, so every other page is
-// installed first and the unwind has real frames to give back, through
-// the address space's Destroy.
+// charge all return to their values before the call. Page records
+// install in one pass in the image's order, which must be strictly
+// ascending va, so the page cases corrupt the last (highest-addressed)
+// record or the order itself: other pages are installed first and the
+// unwind has real frames to give back, through the address space's
+// Destroy.
 func TestRestoreRejectsCorruptImages(t *testing.T) {
-	top := func(img *kernel.ProcImage) *addrspace.PageRecord {
-		r := &img.Pages[0]
-		for i := range img.Pages {
-			if img.Pages[i].VA > r.VA {
-				r = &img.Pages[i]
-			}
-		}
-		return r
-	}
+	top := func(img *kernel.ProcImage) *addrspace.PageRecord { return &img.Pages[len(img.Pages)-1] }
 	for _, tc := range []struct {
 		name    string
 		corrupt func(img *kernel.ProcImage)
@@ -163,6 +197,11 @@ func TestRestoreRejectsCorruptImages(t *testing.T) {
 		{"page-data-past-frame", func(img *kernel.ProcImage) { top(img).Data = make([]byte, 4097) }},
 		{"page-data-short", func(img *kernel.ProcImage) { top(img).Data = []byte{1} }},
 		{"page-huge-in-4k-region", func(img *kernel.ProcImage) { top(img).Flags |= pagetable.FlagHuge }},
+		{"page-out-of-order", func(img *kernel.ProcImage) {
+			n := len(img.Pages)
+			img.Pages[n-2], img.Pages[n-1] = img.Pages[n-1], img.Pages[n-2]
+		}},
+		{"page-duplicate-va", func(img *kernel.ProcImage) { img.Pages = append(img.Pages, *top(img)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := newSys(t, sim.WithUserland("echo"))
@@ -178,12 +217,18 @@ func TestRestoreRejectsCorruptImages(t *testing.T) {
 			if len(raw.FDs) == 0 || len(raw.Pages) == 0 {
 				t.Fatalf("image has %d fds and %d pages; the cases need both", len(raw.FDs), len(raw.Pages))
 			}
-			// Two more valid pages just below the top one (an unstarted
-			// echo has touched only its top stack page).
-			for i := uint64(1); i <= 2; i++ {
-				r := *top(raw)
-				r.VA -= i * 4096
-				raw.Pages = append(raw.Pages, r)
+			// Two more valid pages just below the top one, in ascending
+			// order before it (an unstarted echo has touched only its top
+			// stack page).
+			last := *top(raw)
+			lo, mid := last, last
+			lo.VA -= 2 * 4096
+			mid.VA -= 4096
+			raw.Pages = append(raw.Pages[:len(raw.Pages)-1], lo, mid, last)
+			for i := 1; i < len(raw.Pages); i++ {
+				if raw.Pages[i].VA <= raw.Pages[i-1].VA {
+					t.Fatalf("uncorrupted image is not strictly ascending at record %d", i)
+				}
 			}
 			tc.corrupt(raw)
 

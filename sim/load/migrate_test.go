@@ -90,35 +90,39 @@ func TestMigrateDowntimeScalesWithHeap(t *testing.T) {
 
 // TestMigrateAllStrategies: every creation strategy either migrates or
 // refuses cleanly, and the fork family ships strictly more state than
-// the self-contained strategies.
+// the self-contained strategies. With HugePages the fork family's
+// round-0 images carry the inherited heap as 2 MiB records, which
+// restore must accept in capture order.
 func TestMigrateAllStrategies(t *testing.T) {
 	forkFamily := map[sim.Strategy]bool{
 		sim.ForkExec: true, sim.EmulatedFork: true, sim.EagerForkExec: true,
 	}
-	spawnPages := uint64(0)
-	for _, via := range []sim.Strategy{
-		sim.Spawn, sim.ForkExec, sim.VforkExec, sim.Builder,
-		sim.EmulatedFork, sim.EagerForkExec,
-	} {
-		m := runMigrate(t, Config{Via: via, Requests: 1, HeapBytes: 4 << 20})
-		if via == sim.VforkExec {
-			if m.Requests != 0 || m.MigrateRefused != 1 {
-				t.Errorf("vfork: %d migrated / %d refused, want 0/1", m.Requests, m.MigrateRefused)
+	for _, huge := range []bool{false, true} {
+		spawnPages := uint64(0)
+		for _, via := range []sim.Strategy{
+			sim.Spawn, sim.ForkExec, sim.VforkExec, sim.Builder,
+			sim.EmulatedFork, sim.EagerForkExec,
+		} {
+			m := runMigrate(t, Config{Via: via, Requests: 1, HeapBytes: 4 << 20, HugePages: huge})
+			if via == sim.VforkExec {
+				if m.Requests != 0 || m.MigrateRefused != 1 {
+					t.Errorf("vfork huge=%v: %d migrated / %d refused, want 0/1", huge, m.Requests, m.MigrateRefused)
+				}
+				if m.MigrateDowntimeNanos != 0 || m.NetPacketsSent != 0 {
+					t.Errorf("vfork huge=%v refusal still paid downtime %dns and %d packets",
+						huge, m.MigrateDowntimeNanos, m.NetPacketsSent)
+				}
+				continue
 			}
-			if m.MigrateDowntimeNanos != 0 || m.NetPacketsSent != 0 {
-				t.Errorf("vfork refusal still paid downtime %dns and %d packets",
-					m.MigrateDowntimeNanos, m.NetPacketsSent)
+			if m.Requests != 1 || m.MigrateRefused != 0 {
+				t.Errorf("%v huge=%v: %d migrated / %d refused, want 1/0", via, huge, m.Requests, m.MigrateRefused)
 			}
-			continue
-		}
-		if m.Requests != 1 || m.MigrateRefused != 0 {
-			t.Errorf("%v: %d migrated / %d refused, want 1/0", via, m.Requests, m.MigrateRefused)
-		}
-		if via == sim.Spawn {
-			spawnPages = m.MigratePagesSent
-		}
-		if forkFamily[via] && m.MigratePagesSent <= spawnPages {
-			t.Errorf("%v shipped %d pages, not more than spawn's %d", via, m.MigratePagesSent, spawnPages)
+			if via == sim.Spawn {
+				spawnPages = m.MigratePagesSent
+			}
+			if forkFamily[via] && m.MigratePagesSent <= spawnPages {
+				t.Errorf("%v huge=%v shipped %d pages, not more than spawn's %d", via, huge, m.MigratePagesSent, spawnPages)
+			}
 		}
 	}
 }
