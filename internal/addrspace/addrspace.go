@@ -556,8 +556,12 @@ func pteFlags(p Prot) pagetable.PTE {
 
 // Translate resolves va to a frame and intra-frame offset, faulting as
 // needed. It is the kernel's copyin/copyout and the VM's load/store
-// path.
+// path. An address outside the 48-bit space is EFAULT before any walk
+// or charge, as a non-canonical address raises #GP on x86.
 func (s *Space) Translate(va uint64, access Access) (mem.FrameID, int, error) {
+	if va >= pagetable.MaxVA {
+		return mem.NoFrame, 0, errno.EFAULT
+	}
 	for tries := 0; tries < 3; tries++ {
 		pte, ok := s.pt.Lookup(va &^ (mem.PageSize - 1))
 		if ok && (access != AccessWrite || pte.Writable()) {

@@ -1,6 +1,8 @@
 package pagetable
 
 import (
+	"math/bits"
+
 	"repro/internal/cost"
 	"repro/internal/mem"
 )
@@ -20,7 +22,8 @@ import (
 // keeps running and must break sharing before writing nodes the
 // template now aliases. Stamping from a frozen template passes false —
 // its tree was marked when the template was made, so the stamp only
-// reads it and concurrent stamps remain race-free without locks. (An
+// reads it, even through its leaf cache, and concurrent stamps remain
+// race-free without locks. (An
 // unmarked source cloned with markSrc=false is marked anyway; that
 // combination only arises single-threaded, outside the template
 // contract.)
@@ -52,9 +55,11 @@ func markShared(n *node, level int) {
 	if level == 0 {
 		return
 	}
-	for i := 0; i < entriesPerNode; i++ {
-		if n.kids[i] != nil {
-			markShared(n.kids[i], level-1)
+	for w, word := range n.used {
+		for ; word != 0; word &= word - 1 {
+			if kid := n.kids[w*64+bits.TrailingZeros64(word)]; kid != nil {
+				markShared(kid, level-1)
+			}
 		}
 	}
 }

@@ -8,6 +8,13 @@
 // so its virtual-time cost is Θ(mapped pages) — exactly the linear
 // growth the paper's Figure 1 shows.
 //
+// The host, by contrast, visits only populated state: each node keeps
+// an occupancy bitmap, so clone, teardown and Visit skip empty slots,
+// and each table caches the last leaf it walked, so the lookups and
+// writes of one fault share a single host walk. Neither moves a
+// charge — every walk, entry write and node is priced as before, and
+// the virtual cost is still Θ(mapped pages).
+//
 // Every present entry holds one reference on its frame. Map and MapHuge
 // take over the caller's reference. CloneCOW and CloneEager take their
 // own for each entry they install. Unmap hands the entry's reference
@@ -17,6 +24,7 @@ package pagetable
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/cost"
@@ -109,6 +117,7 @@ const (
 	MaxVA = uint64(1) << VABits
 
 	entriesPerNode = 1 << LevelBits // 512
+	usedWords      = entriesPerNode / 64
 	tlbSize        = 64
 )
 
@@ -124,6 +133,15 @@ type node struct {
 	// huge PTE, never both).
 	kids [entriesPerNode]*node
 	ptes [entriesPerNode]PTE
+
+	// used is the occupancy bitmap: bit i%64 of used[i/64] is set
+	// exactly when slot i holds a kid or a present entry. Map, MapHuge
+	// and Unmap keep it exact, and an empty slot is all zero. The walks
+	// that must see every populated slot read it instead of scanning
+	// 512: interior nodes iterate their set bits; leaves skip empty
+	// 64-slot words but scan the rest straight through, since a fork
+	// parent's leaves are dense.
+	used [usedWords]uint64
 
 	// shared marks a node host-COW-aliased by a frozen template and
 	// its clones (see CloneHost): it is immutable, referenced by any
@@ -141,15 +159,20 @@ func ownedCopy(n *node) *node {
 	c := newNode()
 	c.ptes = n.ptes
 	c.kids = n.kids
+	c.used = n.used
 	return c
 }
+
+func (n *node) occupy(i int) { n.used[uint(i)/64] |= 1 << (uint(i) % 64) }
+func (n *node) vacate(i int) { n.used[uint(i)/64] &^= 1 << (uint(i) % 64) }
 
 // nodePool recycles radix nodes between tables. Fork-heavy workloads
 // allocate and destroy a mirror node per page-table page per child;
 // without pooling that is an 8 KiB host allocation each, and at tens of
 // thousands of creations the garbage collector dominates the
-// simulator's own run time. Nodes are returned zeroed (destroyNode
-// clears every slot as it walks), so Get needs no re-initialisation.
+// simulator's own run time. Nodes are returned zeroed (Destroy's
+// teardown clears every used slot as it walks), so Get needs no
+// re-initialisation.
 // sync.Pool keeps this safe under `go test -race` with parallel tests.
 var nodePool = sync.Pool{New: func() any { return new(node) }}
 
@@ -173,6 +196,21 @@ type Table struct {
 	hugeEntries int
 
 	tlb [tlbSize]tlbEntry
+
+	// leaf is the level-0 node the last walk reached, covering the
+	// 2 MiB region leafKey (va >> mem.HugeShift), so the Lookup, Map
+	// and Lookup of a demand fault, or the Lookup and Update of a COW
+	// break, walk the tree once. It is always the node the tree links
+	// at leafKey: a full walk re-caches the leaf it reaches, and an
+	// ancestor it copies out keeps the same kids; only Destroy, Visit
+	// and CloneCOW free or relink nodes off their own path, and they
+	// reset it. Readers use it as is. Writers use it only when it is
+	// not template-shared (a CloneHost may have shared it since it
+	// was cached), because a shared leaf must be copied out and
+	// relinked by the full walk. Host state only: a hit charges what
+	// the walk did.
+	leaf    *node
+	leafKey uint64
 }
 
 // New creates an empty table. The root node is charged like any other
@@ -194,18 +232,18 @@ func (t *Table) Nodes() int { return t.nodes }
 
 func (t *Table) tlbSlot(vpn uint64) *tlbEntry { return &t.tlb[vpn%tlbSize] }
 
-// InvalidateTLB drops any cached translation for va. Operations on
-// huge mappings do a full FlushTLB instead, since a single huge entry
+// invalidateTLB drops any cached translation for va. Operations on
+// huge mappings do a full flushTLB instead, since a single huge entry
 // backs 512 cached vpns.
-func (t *Table) InvalidateTLB(va uint64) {
+func (t *Table) invalidateTLB(va uint64) {
 	vpn := va >> mem.PageShift
 	if s := t.tlbSlot(vpn); s.valid && s.vpn == vpn {
 		s.valid = false
 	}
 }
 
-// FlushTLB drops all cached translations and charges the flush cost.
-func (t *Table) FlushTLB() {
+// flushTLB drops all cached translations and charges the flush cost.
+func (t *Table) flushTLB() {
 	for i := range t.tlb {
 		t.tlb[i].valid = false
 	}
@@ -218,19 +256,24 @@ func checkVA(va uint64) {
 	}
 }
 
-// Map installs a 4 KiB mapping for va (page-aligned). Any existing
-// entry is overwritten; the caller is responsible for frame refcounts
-// of a replaced entry (use Unmap first if that matters).
-func (t *Table) Map(va uint64, e PTE) {
-	checkVA(va)
-	if va&(mem.PageSize-1) != 0 {
-		panic(fmt.Sprintf("pagetable: unaligned map %#x", va))
+// cached returns the cached leaf when it covers va, and nil otherwise.
+func (t *Table) cached(va uint64) *node {
+	if t.leafKey == va>>mem.HugeShift {
+		return t.leaf
 	}
+	return nil
+}
+
+// ownPath returns the node at level stop on va's path, ready to be
+// written: missing nodes are allocated and charged, template-shared
+// ones copied out of the way (host-only; logically the clone owned
+// them all along). A 4 KiB path (stop 0) may not cross a huge mapping.
+func (t *Table) ownPath(va uint64, stop int) *node {
 	if t.root.shared {
 		t.root = ownedCopy(t.root)
 	}
 	n := t.root
-	for level := Levels - 1; level > 0; level-- {
+	for level := Levels - 1; level > stop; level-- {
 		i := index(va, level)
 		if level == 1 && n.ptes[i].Present() && n.ptes[i].Huge() {
 			panic(fmt.Sprintf("pagetable: 4K map %#x overlaps huge mapping", va))
@@ -240,6 +283,7 @@ func (t *Table) Map(va uint64, e PTE) {
 		case kid == nil:
 			kid = newNode()
 			n.kids[i] = kid
+			n.occupy(i)
 			t.nodes++
 			t.meter.Charge(t.meter.Model.PTNodeAlloc)
 			t.meter.PTNodes++
@@ -249,13 +293,30 @@ func (t *Table) Map(va uint64, e PTE) {
 		}
 		n = kid
 	}
+	return n
+}
+
+// Map installs a 4 KiB mapping for va (page-aligned). Any existing
+// entry is overwritten; the caller is responsible for frame refcounts
+// of a replaced entry (use Unmap first if that matters).
+func (t *Table) Map(va uint64, e PTE) {
+	checkVA(va)
+	if va&(mem.PageSize-1) != 0 {
+		panic(fmt.Sprintf("pagetable: unaligned map %#x", va))
+	}
+	n := t.cached(va)
+	if n == nil || n.shared {
+		n = t.ownPath(va, 0)
+		t.leaf, t.leafKey = n, va>>mem.HugeShift
+	}
 	i := index(va, 0)
 	if !n.ptes[i].Present() {
 		t.entries++
+		n.occupy(i)
 	}
 	n.ptes[i] = e | FlagPresent
 	t.meter.Charge(t.meter.Model.PTEWrite)
-	t.InvalidateTLB(va)
+	t.invalidateTLB(va)
 }
 
 // MapHuge installs a 2 MiB mapping at va (2 MiB-aligned) at level 1.
@@ -264,26 +325,7 @@ func (t *Table) MapHuge(va uint64, e PTE) {
 	if va&(mem.HugeSize-1) != 0 {
 		panic(fmt.Sprintf("pagetable: unaligned huge map %#x", va))
 	}
-	if t.root.shared {
-		t.root = ownedCopy(t.root)
-	}
-	n := t.root
-	for level := Levels - 1; level > 1; level-- {
-		i := index(va, level)
-		kid := n.kids[i]
-		switch {
-		case kid == nil:
-			kid = newNode()
-			n.kids[i] = kid
-			t.nodes++
-			t.meter.Charge(t.meter.Model.PTNodeAlloc)
-			t.meter.PTNodes++
-		case kid.shared:
-			kid = ownedCopy(kid)
-			n.kids[i] = kid
-		}
-		n = kid
-	}
+	n := t.ownPath(va, 1)
 	i := index(va, 1)
 	if n.kids[i] != nil {
 		panic(fmt.Sprintf("pagetable: huge map %#x overlaps 4K mappings", va))
@@ -291,65 +333,70 @@ func (t *Table) MapHuge(va uint64, e PTE) {
 	if !n.ptes[i].Present() {
 		t.entries++
 		t.hugeEntries++
+		n.occupy(i)
 	}
 	n.ptes[i] = e | FlagPresent | FlagHuge
 	t.meter.Charge(t.meter.Model.PTEWrite)
-	t.FlushTLB()
+	t.flushTLB()
 }
 
-// lookup returns the leaf slot holding va's translation, or nil.
-// hugeBase receives the huge mapping's base va when the translation is
-// huge.
-func (t *Table) lookupSlot(va uint64) (slot *PTE, huge bool) {
-	n := t.root
-	for level := Levels - 1; level > 0; level-- {
-		i := index(va, level)
-		if level == 1 {
-			if n.ptes[i].Present() && n.ptes[i].Huge() {
-				return &n.ptes[i], true
+// lookupSlot finds the slot holding va's translation: slot i of node
+// n, a level-1 node for a huge mapping. n is nil when va is unmapped.
+// A walk that reaches a leaf caches it.
+func (t *Table) lookupSlot(va uint64) (n *node, i int) {
+	if n = t.cached(va); n == nil {
+		n = t.root
+		for level := Levels - 1; level > 0; level-- {
+			i = index(va, level)
+			if level == 1 && n.ptes[i].Present() && n.ptes[i].Huge() {
+				return n, i
+			}
+			if n = n.kids[i]; n == nil {
+				return nil, 0
 			}
 		}
-		if n.kids[i] == nil {
-			return nil, false
-		}
-		n = n.kids[i]
+		t.leaf, t.leafKey = n, va>>mem.HugeShift
 	}
-	i := index(va, 0)
+	i = index(va, 0)
 	if !n.ptes[i].Present() {
-		return nil, false
+		return nil, 0
 	}
-	return &n.ptes[i], false
+	return n, i
 }
 
-// lookupSlotOwn is lookupSlot for writers: every node on the returned
-// slot's path is owned by this table, with template-shared nodes
-// copied out of the way (host-only; charges nothing — logically the
-// clone owned them all along).
-func (t *Table) lookupSlotOwn(va uint64) (slot *PTE, huge bool) {
-	if t.root.shared {
-		t.root = ownedCopy(t.root)
+// lookupSlotOwn is lookupSlot for writers, and also reports whether
+// the slot is a huge mapping's: every node on the returned slot's path
+// is owned by this table, with template-shared nodes copied out of the
+// way (host-only; charges nothing — logically the clone owned them all
+// along).
+func (t *Table) lookupSlotOwn(va uint64) (n *node, i int, huge bool) {
+	if n = t.cached(va); n == nil || n.shared {
+		if t.root.shared {
+			t.root = ownedCopy(t.root)
+		}
+		n = t.root
+		for level := Levels - 1; level > 0; level-- {
+			i = index(va, level)
+			if level == 1 && n.ptes[i].Present() && n.ptes[i].Huge() {
+				return n, i, true
+			}
+			kid := n.kids[i]
+			if kid == nil {
+				return nil, 0, false
+			}
+			if kid.shared {
+				kid = ownedCopy(kid)
+				n.kids[i] = kid
+			}
+			n = kid
+		}
+		t.leaf, t.leafKey = n, va>>mem.HugeShift
 	}
-	n := t.root
-	for level := Levels - 1; level > 0; level-- {
-		i := index(va, level)
-		if level == 1 && n.ptes[i].Present() && n.ptes[i].Huge() {
-			return &n.ptes[i], true
-		}
-		kid := n.kids[i]
-		if kid == nil {
-			return nil, false
-		}
-		if kid.shared {
-			kid = ownedCopy(kid)
-			n.kids[i] = kid
-		}
-		n = kid
-	}
-	i := index(va, 0)
+	i = index(va, 0)
 	if !n.ptes[i].Present() {
-		return nil, false
+		return nil, 0, false
 	}
-	return &n.ptes[i], false
+	return n, i, false
 }
 
 // Lookup translates va. The TLB is consulted first; a miss charges the
@@ -361,31 +408,32 @@ func (t *Table) Lookup(va uint64) (PTE, bool) {
 		return s.pte, true
 	}
 	t.meter.Charge(t.meter.Model.PTWalk)
-	slot, _ := t.lookupSlot(va)
-	if slot == nil {
+	n, i := t.lookupSlot(va)
+	if n == nil {
 		return 0, false
 	}
-	*t.tlbSlot(vpn) = tlbEntry{vpn: vpn, pte: *slot, valid: true}
-	return *slot, true
+	e := n.ptes[i]
+	*t.tlbSlot(vpn) = tlbEntry{vpn: vpn, pte: e, valid: true}
+	return e, true
 }
 
 // Update rewrites the existing entry covering va (COW break, dirty and
 // accessed bits). It panics if va is unmapped.
 func (t *Table) Update(va uint64, e PTE) {
 	checkVA(va)
-	slot, huge := t.lookupSlotOwn(va)
-	if slot == nil {
+	n, i, huge := t.lookupSlotOwn(va)
+	if n == nil {
 		panic(fmt.Sprintf("pagetable: update of unmapped va %#x", va))
 	}
 	if huge {
 		e |= FlagHuge
 	}
-	*slot = e | FlagPresent
+	n.ptes[i] = e | FlagPresent
 	t.meter.Charge(t.meter.Model.PTEWrite)
 	if huge {
-		t.FlushTLB()
+		t.flushTLB()
 	} else {
-		t.InvalidateTLB(va)
+		t.invalidateTLB(va)
 	}
 }
 
@@ -394,24 +442,25 @@ func (t *Table) Update(va uint64, e PTE) {
 // the frame reference.
 func (t *Table) Unmap(va uint64) (PTE, bool) {
 	checkVA(va)
-	slot, huge := t.lookupSlotOwn(va)
-	if slot == nil {
+	n, i, huge := t.lookupSlotOwn(va)
+	if n == nil {
 		return 0, false
 	}
-	old := *slot
+	old := n.ptes[i]
 	if huge && va&(mem.HugeSize-1) != 0 {
 		panic(fmt.Sprintf("pagetable: unmap %#x inside huge mapping", va))
 	}
-	*slot = 0
+	n.ptes[i] = 0
+	n.vacate(i)
 	t.entries--
 	if huge {
 		t.hugeEntries--
 	}
 	t.meter.Charge(t.meter.Model.PTEWrite)
 	if huge {
-		t.FlushTLB()
+		t.flushTLB()
 	} else {
-		t.InvalidateTLB(va)
+		t.invalidateTLB(va)
 	}
 	return old, true
 }
@@ -422,10 +471,11 @@ func (t *Table) Unmap(va uint64) (PTE, bool) {
 // Rewrites charge a PTE write; the TLB is flushed afterwards if any
 // entry changed.
 func (t *Table) Visit(fn func(va uint64, e PTE) PTE) {
+	t.leaf = nil // a rewrite relinks every shared node it copies out
 	root, changed := t.visit(t.root, 0, Levels-1, fn)
 	t.root = root
 	if changed {
-		t.FlushTLB()
+		t.flushTLB()
 	}
 }
 
@@ -435,38 +485,61 @@ func (t *Table) Visit(fn func(va uint64, e PTE) PTE) {
 func (t *Table) visit(n *node, base uint64, level int, fn func(uint64, PTE) PTE) (*node, bool) {
 	changed := false
 	span := uint64(1) << (mem.PageShift + uint(level)*LevelBits)
-	for i := 0; i < entriesPerNode; i++ {
-		va := base + uint64(i)*span
-		if level == 0 || (level == 1 && n.ptes[i].Present() && n.ptes[i].Huge()) {
-			e := n.ptes[i]
-			if !e.Present() {
+	if level == 0 {
+		for w, word := range n.used {
+			if word == 0 {
 				continue
 			}
-			ne := fn(va, e)
-			if ne != e {
-				if n.shared {
-					n = ownedCopy(n)
+			for i := w * 64; i < w*64+64; i++ {
+				if n.ptes[i].Present() {
+					var ch bool
+					n, ch = t.visitEntry(n, i, base+uint64(i)*span, fn)
+					changed = changed || ch
 				}
-				n.ptes[i] = ne | FlagPresent
-				t.meter.Charge(t.meter.Model.PTEWrite)
-				changed = true
 			}
-			continue
 		}
-		if kid := n.kids[i]; kid != nil {
-			nk, ch := t.visit(kid, va, level-1, fn)
-			if nk != kid {
-				if n.shared {
-					n = ownedCopy(n)
-				}
-				n.kids[i] = nk
+		return n, changed
+	}
+	for w, word := range n.used {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			va := base + uint64(i)*span
+			if level == 1 && n.ptes[i].Present() && n.ptes[i].Huge() {
+				var ch bool
+				n, ch = t.visitEntry(n, i, va, fn)
+				changed = changed || ch
+				continue
 			}
-			if ch {
-				changed = true
+			if kid := n.kids[i]; kid != nil {
+				nk, ch := t.visit(kid, va, level-1, fn)
+				if nk != kid {
+					if n.shared {
+						n = ownedCopy(n)
+					}
+					n.kids[i] = nk
+				}
+				changed = changed || ch
 			}
 		}
 	}
 	return n, changed
+}
+
+// visitEntry hands the present entry in slot i of n to fn and stores
+// what fn returns, through an owned copy of n if n is template-shared.
+// It returns the node written through and whether the entry changed.
+func (t *Table) visitEntry(n *node, i int, va uint64, fn func(uint64, PTE) PTE) (*node, bool) {
+	e := n.ptes[i]
+	ne := fn(va, e)
+	if ne == e {
+		return n, false
+	}
+	if n.shared {
+		n = ownedCopy(n)
+	}
+	n.ptes[i] = ne | FlagPresent
+	t.meter.Charge(t.meter.Model.PTEWrite)
+	return n, true
 }
 
 // cloneCounts accumulates the metered events of a clone walk so the
@@ -503,13 +576,14 @@ func (cc *cloneCounts) charge(m *cost.Meter) {
 func (t *Table) CloneCOW() *Table {
 	child := New(t.phys, t.meter)
 	var cc cloneCounts
+	t.leaf = nil // the downgrade relinks every shared node it copies out
 	t.root = child.cloneNode(t.root, child.root, Levels-1, &cc)
 	child.nodes = int(cc.nodes)
 	child.entries = t.entries
 	child.hugeEntries = t.hugeEntries
 	cc.charge(t.meter)
-	t.FlushTLB()
-	child.FlushTLB()
+	t.flushTLB()
+	child.flushTLB()
 	return child
 }
 
@@ -520,32 +594,36 @@ func (c *Table) cloneNode(pn, cn *node, level int, cc *cloneCounts) *node {
 	if level == 0 {
 		return c.cloneLeaf(pn, cn, cc)
 	}
-	for i := 0; i < entriesPerNode; i++ {
-		if e := pn.ptes[i]; level == 1 && e.Present() && e.Huge() {
-			c.phys.IncRef(e.Frame())
-			ce := forkEntry(e)
-			if ce != e {
+	cn.used = pn.used
+	for w, word := range pn.used {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			if e := pn.ptes[i]; level == 1 && e.Present() && e.Huge() {
+				c.phys.IncRef(e.Frame())
+				ce := forkEntry(e)
+				if ce != e {
+					if pn.shared {
+						pn = ownedCopy(pn)
+					}
+					pn.ptes[i] = ce
+					cc.writes++
+				}
+				cn.ptes[i] = ce
+				cc.writes++
+				cc.copies++
+				continue
+			}
+			if pn.kids[i] == nil {
+				continue
+			}
+			cn.kids[i] = newNode()
+			cc.nodes++
+			if nk := c.cloneNode(pn.kids[i], cn.kids[i], level-1, cc); nk != pn.kids[i] {
 				if pn.shared {
 					pn = ownedCopy(pn)
 				}
-				pn.ptes[i] = ce
-				cc.writes++
+				pn.kids[i] = nk
 			}
-			cn.ptes[i] = ce
-			cc.writes++
-			cc.copies++
-			continue
-		}
-		if pn.kids[i] == nil {
-			continue
-		}
-		cn.kids[i] = newNode()
-		cc.nodes++
-		if nk := c.cloneNode(pn.kids[i], cn.kids[i], level-1, cc); nk != pn.kids[i] {
-			if pn.shared {
-				pn = ownedCopy(pn)
-			}
-			pn.kids[i] = nk
 		}
 	}
 	return pn
@@ -557,22 +635,28 @@ func (c *Table) cloneNode(pn, cn *node, level int, cc *cloneCounts) *node {
 func (c *Table) cloneLeaf(pn, cn *node, cc *cloneCounts) *node {
 	var frames [entriesPerNode]mem.FrameID
 	n := 0
-	for i := 0; i < entriesPerNode; i++ {
-		e := pn.ptes[i]
-		if !e.Present() {
+	cn.used = pn.used
+	for w, word := range pn.used {
+		if word == 0 {
 			continue
 		}
-		frames[n] = e.Frame()
-		n++
-		ce := forkEntry(e)
-		if ce != e {
-			if pn.shared {
-				pn = ownedCopy(pn)
+		for i := w * 64; i < w*64+64; i++ {
+			e := pn.ptes[i]
+			if !e.Present() {
+				continue
 			}
-			pn.ptes[i] = ce
-			cc.writes++
+			frames[n] = e.Frame()
+			n++
+			ce := forkEntry(e)
+			if ce != e {
+				if pn.shared {
+					pn = ownedCopy(pn)
+				}
+				pn.ptes[i] = ce
+				cc.writes++
+			}
+			cn.ptes[i] = ce
 		}
-		cn.ptes[i] = ce
 	}
 	cc.writes += uint64(n)
 	cc.copies += uint64(n)
@@ -612,38 +696,45 @@ func (t *Table) CloneEager() (*Table, error) {
 	return child, err
 }
 
+// cloneEagerNode marks each child slot occupied as it fills it, so a
+// table cut short by ENOMEM still tears down exactly.
 func (c *Table) cloneEagerNode(pn, cn *node, level int, cc *cloneCounts) error {
-	for i := 0; i < entriesPerNode; i++ {
-		if level == 0 || (level == 1 && pn.ptes[i].Present() && pn.ptes[i].Huge()) {
-			e := pn.ptes[i]
-			if !e.Present() {
+	for w, word := range pn.used {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			if level == 0 || (level == 1 && pn.ptes[i].Present() && pn.ptes[i].Huge()) {
+				e := pn.ptes[i]
+				if !e.Present() {
+					continue
+				}
+				if e.Shared() {
+					c.phys.IncRef(e.Frame())
+					cn.ptes[i] = e
+				} else {
+					nf, err := c.phys.CopyFrame(e.Frame())
+					if err != nil {
+						return err
+					}
+					cn.ptes[i] = Make(nf, e.Flags())
+				}
+				cn.occupy(i)
+				cc.writes++
+				cc.copies++
+				c.entries++
+				if e.Huge() {
+					c.hugeEntries++
+				}
 				continue
 			}
-			if e.Shared() {
-				c.phys.IncRef(e.Frame())
-				cn.ptes[i] = e
-			} else {
-				nf, err := c.phys.CopyFrame(e.Frame())
-				if err != nil {
-					return err
-				}
-				cn.ptes[i] = Make(nf, e.Flags())
+			if pn.kids[i] == nil {
+				continue
 			}
-			cc.writes++
-			cc.copies++
-			c.entries++
-			if e.Huge() {
-				c.hugeEntries++
+			cn.kids[i] = newNode()
+			cn.occupy(i)
+			cc.nodes++
+			if err := c.cloneEagerNode(pn.kids[i], cn.kids[i], level-1, cc); err != nil {
+				return err
 			}
-			continue
-		}
-		if pn.kids[i] == nil {
-			continue
-		}
-		cn.kids[i] = newNode()
-		cc.nodes++
-		if err := c.cloneEagerNode(pn.kids[i], cn.kids[i], level-1, cc); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -663,7 +754,7 @@ func (t *Table) Destroy(release func(va uint64, e PTE)) (pages uint64) {
 	if !t.root.shared {
 		putNode(t.root)
 	}
-	t.root = nil
+	t.root, t.leaf = nil, nil
 	t.meter.Charge(cost.Ticks(td.nodes) * t.meter.Model.PTNodeFree)
 	t.entries, t.nodes, t.hugeEntries = 0, 0, 0
 	for i := range t.tlb {
@@ -681,43 +772,50 @@ type teardown struct {
 	pages   uint64                 // 4 KiB pages the entries mapped
 }
 
-// node zeroes every slot as it walks, so each node goes back to the
-// pool fully cleared and newNode needs no re-initialisation. The
-// per-node free cost is counted here and charged in one batch by
-// Destroy. Template-shared nodes are left untouched and unpooled —
-// other tables still alias them — but their frees are still counted:
-// the clone logically owned and freed them, and the cold machine it
-// must stay metric-identical to charges for every one.
+// node visits only the slots n's bitmap marks used and zeroes them,
+// bitmap included, so each node goes back to the pool fully cleared
+// and newNode needs no re-initialisation. The per-node free cost is
+// counted here and charged in one batch by Destroy. Template-shared
+// nodes are left untouched and unpooled — other tables still alias
+// them — but their frees are still counted: the clone logically owned
+// and freed them, and the cold machine it must stay metric-identical
+// to charges for every one.
 func (td *teardown) node(n *node, base uint64, level int) {
 	if level == 0 {
 		td.leaf(n, base)
 		return
 	}
 	span := uint64(1) << (mem.PageShift + uint(level)*LevelBits)
-	for i := 0; i < entriesPerNode; i++ {
-		va := base + uint64(i)*span
-		if level == 1 && n.ptes[i].Present() && n.ptes[i].Huge() {
-			td.pages += mem.FramesPerHuge
-			if td.release != nil {
-				td.release(va, n.ptes[i])
-			} else {
-				td.phys.DecRef(n.ptes[i].Frame())
+	for w, word := range n.used {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			va := base + uint64(i)*span
+			if e := n.ptes[i]; level == 1 && e.Present() && e.Huge() {
+				td.pages += mem.FramesPerHuge
+				if td.release != nil {
+					td.release(va, e)
+				} else {
+					td.phys.DecRef(e.Frame())
+				}
+				if !n.shared {
+					n.ptes[i] = 0
+				}
+				continue
 			}
-			if !n.shared {
-				n.ptes[i] = 0
+			if kid := n.kids[i]; kid != nil {
+				td.node(kid, va, level-1)
+				if !kid.shared {
+					putNode(kid)
+				}
+				if !n.shared {
+					n.kids[i] = nil
+				}
+				td.nodes++
 			}
-			continue
 		}
-		if kid := n.kids[i]; kid != nil {
-			td.node(kid, va, level-1)
-			if !kid.shared {
-				putNode(kid)
-			}
-			if !n.shared {
-				n.kids[i] = nil
-			}
-			td.nodes++
-		}
+	}
+	if !n.shared {
+		n.used = [usedWords]uint64{}
 	}
 }
 
@@ -726,21 +824,29 @@ func (td *teardown) node(n *node, base uint64, level int) {
 func (td *teardown) leaf(n *node, base uint64) {
 	var frames [entriesPerNode]mem.FrameID
 	k := 0
-	for i := 0; i < entriesPerNode; i++ {
-		e := n.ptes[i]
-		if !e.Present() {
+	for w, word := range n.used {
+		if word == 0 {
 			continue
 		}
-		if td.release != nil {
-			td.release(base+uint64(i)<<mem.PageShift, e)
-		} else {
-			frames[k] = e.Frame()
-			k++
+		for i := w * 64; i < w*64+64; i++ {
+			e := n.ptes[i]
+			if !e.Present() {
+				continue
+			}
+			if td.release != nil {
+				td.release(base+uint64(i)<<mem.PageShift, e)
+			} else {
+				frames[k] = e.Frame()
+				k++
+			}
+			td.pages++
 		}
-		td.pages++
+		if !n.shared {
+			clear(n.ptes[w*64 : w*64+64])
+		}
 	}
 	td.phys.DecRefs(frames[:k])
 	if !n.shared {
-		n.ptes = [entriesPerNode]PTE{}
+		n.used = [usedWords]uint64{}
 	}
 }

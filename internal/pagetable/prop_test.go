@@ -1,7 +1,9 @@
 package pagetable_test
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cost"
@@ -11,8 +13,10 @@ import (
 
 // The property test drives a Table through random
 // map/update/clone/unmap/destroy sequences — including huge-page and
-// COW-flag interactions — and checks every observation against a flat
-// map model of what the radix tree should contain. The same
+// COW-flag interactions, template snapshots and in-place rewrites —
+// and checks every observation against a flat map model of what the
+// radix tree should contain, and the host-only state (occupancy
+// bitmaps, the leaf cache) against the tree itself. The same
 // interpreter backs the fuzz target below, so a crashing byte string
 // found by `go test -fuzz=FuzzTableOps` replays here verbatim.
 //
@@ -33,6 +37,13 @@ type propHarness struct {
 	tab   *pagetable.Table
 	model map[uint64]pagetable.PTE
 	vas   []uint64 // live virtual addresses, insertion-ordered
+
+	// The last template snapshot of tab, its memory, and the model as
+	// it stood then. tab keeps mapping, updating and unmapping through
+	// nodes it shares with the template; none of it may show there.
+	tmpl      *pagetable.Table
+	tmplPhys  *mem.Physical
+	tmplModel map[uint64]pagetable.PTE
 }
 
 func newPropHarness(t testing.TB) *propHarness {
@@ -119,9 +130,22 @@ func (h *propHarness) unmapAt(va uint64) {
 	h.untrack(va)
 }
 
-// verify walks the whole tree and compares it, entry for entry,
-// against the flat model.
+// checkLookup looks va up in h.tab and compares it with the model.
+func (h *propHarness) checkLookup(va uint64) {
+	got, ok := h.tab.Lookup(va)
+	want, wok := h.model[va]
+	if ok != wok || (ok && got != want) {
+		h.t.Fatalf("Lookup(%#x) = %v, %v; model %v, %v", va, got, ok, want, wok)
+	}
+}
+
+// verify checks tab's host-only state, then walks the whole tree and
+// compares it, entry for entry, against the flat model.
 func (h *propHarness) verify(tag string, tab *pagetable.Table, model map[uint64]pagetable.PTE) {
+	// First, while the leaf cache is still the one the last op left.
+	if err := pagetable.CheckHostState(tab); err != nil {
+		h.t.Fatalf("%s: %v", tag, err)
+	}
 	seen := map[uint64]pagetable.PTE{}
 	tab.Visit(func(va uint64, e pagetable.PTE) pagetable.PTE {
 		seen[va] = e
@@ -131,7 +155,10 @@ func (h *propHarness) verify(tag string, tab *pagetable.Table, model map[uint64]
 		h.t.Fatalf("%s: table has %d entries, model %d", tag, len(seen), len(model))
 	}
 	hugeCount := 0
-	for va, want := range model {
+	// In va order, not map order: lookups move the TLB and the leaf
+	// cache, and a replayed input must move them the same way.
+	for _, va := range slices.Sorted(maps.Keys(model)) {
+		want := model[va]
 		got, ok := seen[va]
 		if !ok {
 			h.t.Fatalf("%s: model entry %#x missing from table", tag, va)
@@ -152,6 +179,18 @@ func (h *propHarness) verify(tag string, tab *pagetable.Table, model map[uint64]
 		h.t.Fatalf("%s: counters Entries=%d HugeEntries=%d, model %d/%d",
 			tag, tab.Entries(), tab.HugeEntries(), len(model), hugeCount)
 	}
+}
+
+// verifyTemplate holds the last template, and a fresh stamp of it, to
+// the model taken with it.
+func (h *propHarness) verifyTemplate(tag string) {
+	if h.tmpl == nil {
+		return
+	}
+	h.verify(tag+" template", h.tmpl, h.tmplModel)
+	meter := cost.NewMeter(cost.DefaultModel())
+	stamp := h.tmpl.CloneHost(h.tmplPhys.CloneHost(meter, false), meter, false)
+	h.verify(tag+" stamp", stamp, h.tmplModel)
 }
 
 // modelPages counts the 4 KiB pages a model maps, a huge entry
@@ -208,7 +247,7 @@ func cloneModels(parent map[uint64]pagetable.PTE) (newParent, child map[uint64]p
 
 // step consumes up to 4 bytes of ops and applies one operation.
 func (h *propHarness) step(op, b1 byte, r uint16) {
-	switch op % 8 {
+	switch op % 10 {
 	case 0, 1: // map a 4 KiB page
 		if len(h.model) >= maxLiveEntries {
 			return
@@ -248,6 +287,9 @@ func (h *propHarness) step(op, b1 byte, r uint16) {
 		if !ok {
 			return
 		}
+		if b1&64 != 0 {
+			h.checkLookup(va) // a COW break reads the entry first
+		}
 		old := h.model[va]
 		e := pagetable.Make(old.Frame(), randFlags(b1))
 		h.tab.Update(va, e)
@@ -263,17 +305,14 @@ func (h *propHarness) step(op, b1 byte, r uint16) {
 		} else {
 			va = va4k(b1, r)
 		}
-		got, ok := h.tab.Lookup(va)
-		want, wok := h.model[va]
-		if ok != wok || (ok && got != want) {
-			h.t.Fatalf("Lookup(%#x) = %v, %v; model %v, %v", va, got, ok, want, wok)
-		}
+		h.checkLookup(va)
 	case 6: // COW clone: check both tables, then tear the child down
 		newParent, childModel := cloneModels(h.model)
 		child := h.tab.CloneCOW()
 		h.model = newParent
 		h.verify("post-clone parent", h.tab, newParent)
 		h.verify("clone child", child, childModel)
+		h.verifyTemplate("post-clone")
 		h.destroy("clone child", child, b1&1 == 0, modelPages(childModel))
 	case 7: // eager clone: fresh frames for private entries
 		child, err := h.tab.CloneEager()
@@ -304,6 +343,35 @@ func (h *propHarness) step(op, b1 byte, r uint16) {
 			}
 		}
 		h.destroy("eager clone", child, b1&1 == 0, modelPages(h.model))
+	case 8: // snapshot into a template, as a fleet's template cache does
+		h.verifyTemplate("replaced")
+		meter := cost.NewMeter(cost.DefaultModel())
+		h.tmplPhys = h.phys.CloneHost(meter, true)
+		h.tmpl = h.tab.CloneHost(h.tmplPhys, meter, true)
+		h.tmplModel = maps.Clone(h.model)
+	case 9: // flip FlagDirty on every k-th entry, as CapturePages' rearm rewrites in place
+		va0, ok := h.pick(r)
+		if ok {
+			h.checkLookup(va0) // a fault just read it: its leaf is cached
+		}
+		k, n := 1+int(b1%4), 0
+		h.tab.Visit(func(va uint64, e pagetable.PTE) pagetable.PTE {
+			if n++; n%k != 0 {
+				return e
+			}
+			h.model[va] = e ^ pagetable.FlagDirty
+			return h.model[va]
+		})
+		if err := pagetable.CheckHostState(h.tab); err != nil {
+			h.t.Fatalf("after Visit: %v", err)
+		}
+		// A rewrite flushed the TLB, so these walk, va0's first.
+		if ok {
+			h.checkLookup(va0)
+		}
+		for _, va := range h.vas {
+			h.checkLookup(va)
+		}
 	}
 }
 
@@ -315,6 +383,7 @@ func runOps(t testing.TB, ops []byte) {
 		h.step(ops[i], ops[i+1], uint16(ops[i+2])|uint16(ops[i+3])<<8)
 	}
 	h.verify("final", h.tab, h.model)
+	h.verifyTemplate("final")
 	h.destroy("final", h.tab, true, modelPages(h.model))
 	if got := h.phys.AllocatedPages(); got != 0 {
 		t.Fatalf("frame leak: %d pages still allocated after Destroy", got)

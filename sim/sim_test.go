@@ -64,6 +64,51 @@ func TestSignalDeath(t *testing.T) {
 	}
 }
 
+// TestWildPointers: a user address above the 48-bit space is a fault
+// like any unmapped one. A load or an indirect call through it dies of
+// SIGSEGV, and a write(2) from it gets EFAULT; none reaches the page
+// table, which only accepts addresses inside the space.
+func TestWildPointers(t *testing.T) {
+	const wild = "li r1, 0x1000000000000000\n"
+	for _, tc := range []struct {
+		name, src string
+	}{
+		{"load", wild + "    ld8 r0, [r1+0]\n"},
+		{"callr", wild + "    callr r1\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := newSys(t)
+			src := "_start:\n    " + tc.src + "    movi r0, 0\n    sys SYS_EXIT\n"
+			if err := sys.InstallProgram("/bin/wild", src); err != nil {
+				t.Fatal(err)
+			}
+			ee := sim.AsExitError(sys.Command("/bin/wild").Run())
+			if ee == nil || !ee.Signaled() || ee.Signal() != sim.SIGSEGV {
+				t.Fatalf("want death by SIGSEGV, got %v", ee)
+			}
+		})
+	}
+	t.Run("write", func(t *testing.T) {
+		sys := newSys(t)
+		// Exit with write's negated return value: the errno.
+		src := `_start:
+    ` + wild + `    movi r0, STDOUT
+    movi r2, 8
+    sys SYS_WRITE
+    movi r3, 0
+    sub r0, r3, r0
+    sys SYS_EXIT
+`
+		if err := sys.InstallProgram("/bin/wild", src); err != nil {
+			t.Fatal(err)
+		}
+		ee := sim.AsExitError(sys.Command("/bin/wild").Run())
+		if ee == nil || ee.Signaled() || ee.ExitCode() != 14 { // EFAULT
+			t.Fatalf("want a normal exit with EFAULT (14), got %v", ee)
+		}
+	})
+}
+
 // --- stdio plumbing ----------------------------------------------
 
 func TestOutput(t *testing.T) {
