@@ -27,6 +27,12 @@
 // pure function of the flags, so the CI experiments golden gate
 // byte-compares it with testdata/experiments_all.txt.
 //
+// The load-backed claims — server, cpusweep, fleetclaim, chaos,
+// scaleout, netclaim and migrate (E8–E12, E15, E16) — take no flag but
+// -max: it is their server heap, or the top of their heap ladder. Each
+// simulates its cells in parallel on the host, and its table is the
+// same at any GOMAXPROCS.
+//
 // "strategies" demonstrates the public sim API: one workload launched
 // through every process-creation strategy the paper compares
 // (Cmd.Via), verifying identical output and reporting each strategy's
@@ -268,27 +274,13 @@ var experimentTable = []experiment{
 	{"ablations", 128 * experiments.MiB, func(o options) (string, error) {
 		return render(experiments.Ablations(o.max))
 	}},
-	{"server", 256 * experiments.MiB, func(o options) (string, error) {
-		return render(experiments.ServerClaim(o.max, 0))
-	}},
-	{"cpusweep", 64 * experiments.MiB, func(o options) (string, error) {
-		return render(experiments.CPUSweep(experiments.CPUSweepConfig{HeapBytes: o.max}))
-	}},
-	{"fleetclaim", 64 * experiments.MiB, func(o options) (string, error) {
-		return render(experiments.FleetClaim(experiments.FleetClaimConfig{HeapBytes: o.max}))
-	}},
-	{"chaos", 64 * experiments.MiB, func(o options) (string, error) {
-		return render(experiments.ChaosClaim(experiments.ChaosClaimConfig{HeapBytes: o.max}))
-	}},
-	{"scaleout", 64 * experiments.MiB, func(o options) (string, error) {
-		return render(experiments.ScaleOutClaim(experiments.ScaleOutConfig{HeapSizes: ladder(o.max)}))
-	}},
-	{"netclaim", 64 * experiments.MiB, func(o options) (string, error) {
-		return render(experiments.NetClaim(experiments.NetClaimConfig{HeapBytes: o.max}))
-	}},
-	{"migrate", 64 * experiments.MiB, func(o options) (string, error) {
-		return render(experiments.MigrateClaim(experiments.MigrateConfig{HeapSizes: ladder(o.max)}))
-	}},
+	{"server", 256 * experiments.MiB, sweep(experiments.ServerClaim)},
+	{"cpusweep", 64 * experiments.MiB, sweep(experiments.CPUSweep)},
+	{"fleetclaim", 64 * experiments.MiB, sweep(experiments.FleetClaim)},
+	{"chaos", 64 * experiments.MiB, sweep(experiments.ChaosClaim)},
+	{"scaleout", 64 * experiments.MiB, sweep(experiments.ScaleOutClaim)},
+	{"netclaim", 64 * experiments.MiB, sweep(experiments.NetClaim)},
+	{"migrate", 64 * experiments.MiB, sweep(experiments.MigrateClaim)},
 	{"strategies", 64 * experiments.MiB, strategies},
 }
 
@@ -326,19 +318,10 @@ func runExperiments(name string, o options, w io.Writer) error {
 	return nil
 }
 
-// ladder is the heap ladder of the experiments that sweep {4, 16, 64}
-// MiB: the rungs up to max, or max alone when no rung fits.
-func ladder(max uint64) []uint64 {
-	var out []uint64
-	for _, h := range []uint64{4 * experiments.MiB, 16 * experiments.MiB, 64 * experiments.MiB} {
-		if h <= max {
-			out = append(out, h)
-		}
-	}
-	if len(out) == 0 {
-		out = []uint64{max}
-	}
-	return out
+// sweep adapts a load-backed claim's constructor, which takes only
+// the clamped -max, to an experiment's run.
+func sweep(claim func(uint64) (*experiments.Sweep, error)) func(options) (string, error) {
+	return func(o options) (string, error) { return render(claim(o.max)) }
 }
 
 // render is an experiment's stdout: its rendered table and a blank
@@ -506,7 +489,7 @@ func runLoad(args []string) error {
 // representative configuration of each other scenario, and the SMP
 // matrix — smpserver and buildfarm swept over 1/2/4/8 CPUs, where
 // fork's per-snapshot shootdown tax grows with the core count and the
-// fork-less paths stay flat. Deterministic, so the emitted JSON is
+// fork-less paths pay none. Deterministic, so the emitted JSON is
 // reproducible bit for bit. pinCPUs > 0 pins every config to one CPU
 // count (the CI matrix runs the sweep at 1 and at 4).
 func sweepConfigs(pinCPUs int) []load.Config {

@@ -150,9 +150,6 @@ const (
 const (
 	SpawnSetSigDef  = 1
 	SpawnSetSigMask = 2
-
-	// AttrSize is the byte size of the attribute block.
-	AttrSize = 32
 )
 
 // Stat buffer layout: 2×u64 {type, size}; type values below.

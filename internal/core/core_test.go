@@ -315,3 +315,77 @@ func TestSpawnChdirAction(t *testing.T) {
 	k.DestroyProcess(child)
 	k.DestroyProcess(parent)
 }
+
+// TestSpawnCloseAction: spawn inherits the parent's descriptors unless
+// a file action says otherwise, and AddClose is that action.
+func TestSpawnCloseAction(t *testing.T) {
+	k := newKernel(t, nil)
+	parent := k.NewSynthetic("parent", nil)
+	ino, err := k.FS().WriteFile("/tmp/secret", []byte("key"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := parent.FDs().InstallAt(vfs.NewOpenFile(ino, vfs.ORdOnly), false, 5); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := SpawnParked(k, parent, "/bin/true", []string{"true"}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plain.FDs().Get(5); err != nil {
+		t.Errorf("fd 5 not inherited without file actions: %v", err)
+	}
+	fa := new(FileActions).AddClose(5)
+	if fa.Len() != 1 {
+		t.Fatalf("Len = %d", fa.Len())
+	}
+	closed, err := SpawnParked(k, parent, "/bin/true", []string{"true"}, fa, nil)
+	if err != nil {
+		t.Fatalf("spawn with close action: %v", err)
+	}
+	if _, err := closed.FDs().Get(5); err == nil {
+		t.Error("fd 5 still open in the child after AddClose(5)")
+	}
+	if _, err := parent.FDs().Get(5); err != nil {
+		t.Errorf("AddClose closed the parent's fd 5: %v", err)
+	}
+	k.DestroyProcess(plain)
+	k.DestroyProcess(closed)
+	k.DestroyProcess(parent)
+}
+
+// TestBuilderOpenFD: the builder opens a path straight into a child
+// descriptor — here cat's stdin — and a missing path fails Start.
+func TestBuilderOpenFD(t *testing.T) {
+	var out bytes.Buffer
+	k := newKernel(t, &out)
+	parent := k.NewSynthetic("parent", nil)
+	wireStdout(t, k, parent)
+	if _, err := k.FS().WriteFile("/tmp/in", []byte("opened for the child\n")); err != nil {
+		t.Fatal(err)
+	}
+	child, err := NewBuilder(k, parent, "cat").
+		LoadImage("/bin/cat", []string{"cat"}).
+		OpenFD(0, "/tmp/in", vfs.ORdOnly).
+		InheritFD(1, 1).
+		Start()
+	if err != nil {
+		t.Fatalf("builder: %v", err)
+	}
+	if err := k.Run(kernel.RunLimits{MaxInstructions: 1_000_000}); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != "opened for the child\n" {
+		t.Errorf("output = %q", out.String())
+	}
+	if got := abi.StatusExitCode(child.ExitStatus()); got != 0 {
+		t.Errorf("exit = %d", got)
+	}
+	k.WaitReap(parent, -1)
+
+	b := NewBuilder(k, parent, "cat").LoadImage("/bin/cat", []string{"cat"}).OpenFD(0, "/tmp/missing", vfs.ORdOnly)
+	if _, err := b.Start(); err == nil {
+		t.Error("OpenFD of a missing path did not fail Start")
+	}
+	k.DestroyProcess(parent)
+}

@@ -37,12 +37,12 @@ func Ablations(maxBytes uint64) (*AblationResult, error) {
 	res := &AblationResult{}
 
 	// 1. COW vs eager fork.
-	for _, size := range SizeSweep(4*MiB, maxBytes) {
-		k := NewKernel(kernel.Options{RAMBytes: 4 * maxBytes})
+	for _, size := range sizeSweep(4*MiB, maxBytes) {
+		k := newKernel(kernel.Options{RAMBytes: 4 * maxBytes})
 		if err := ulib.Install(k, "true", "/bin/true"); err != nil {
 			return nil, err
 		}
-		parent, err := BuildParent(k, "p", size, false)
+		parent, err := buildParent(k, "p", size, false)
 		if err != nil {
 			return nil, err
 		}
@@ -67,7 +67,7 @@ func Ablations(maxBytes uint64) (*AblationResult, error) {
 
 	// 2. The §8 mitigation.
 	outcome := func(deny bool) (string, error) {
-		k := NewKernel(kernel.Options{DenyMultithreadedFork: deny})
+		k := newKernel(kernel.Options{DenyMultithreadedFork: deny})
 		if err := ulib.InstallAll(k); err != nil {
 			return "", err
 		}

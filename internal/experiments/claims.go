@@ -34,8 +34,8 @@ func CowTax(size uint64) (*CowTaxResult, error) {
 	if size == 0 {
 		size = 64 * MiB
 	}
-	k := NewKernel(kernel.Options{RAMBytes: 4 * size})
-	parent, err := BuildParent(k, "p", size, false)
+	k := newKernel(kernel.Options{RAMBytes: 4 * size})
+	parent, err := buildParent(k, "p", size, false)
 	if err != nil {
 		return nil, err
 	}
@@ -120,13 +120,13 @@ func HugePages(minBytes, maxBytes uint64) (*HugePagesResult, error) {
 		maxBytes = 512 * MiB
 	}
 	res := &HugePagesResult{}
-	for _, size := range SizeSweep(minBytes, maxBytes) {
+	for _, size := range sizeSweep(minBytes, maxBytes) {
 		for _, huge := range []bool{false, true} {
-			k := NewKernel(kernel.Options{RAMBytes: 4 * maxBytes})
+			k := newKernel(kernel.Options{RAMBytes: 4 * maxBytes})
 			if err := ulib.Install(k, "true", "/bin/true"); err != nil {
 				return nil, err
 			}
-			parent, err := BuildParent(k, "p", size, huge)
+			parent, err := buildParent(k, "p", size, huge)
 			if err != nil {
 				return nil, err
 			}
@@ -202,10 +202,10 @@ func Overcommit(ram uint64) (*OvercommitResult, error) {
 	res := &OvercommitResult{RAM: ram}
 	for _, pol := range []mem.CommitPolicy{mem.CommitStrict, mem.CommitHeuristic} {
 		for _, frac := range []float64{0.25, 0.40, 0.60} {
-			k := NewKernel(kernel.Options{RAMBytes: ram, Commit: pol})
+			k := newKernel(kernel.Options{RAMBytes: ram, Commit: pol})
 			size := uint64(float64(ram) * frac)
 			size &^= mem.PageSize - 1
-			parent, err := BuildParent(k, "p", size, false)
+			parent, err := buildParent(k, "p", size, false)
 			if err != nil {
 				return nil, err
 			}
@@ -272,7 +272,7 @@ func Compose() (*ComposeResult, error) {
 	// 1. Buffered stdio duplicated by fork.
 	{
 		var out bytes.Buffer
-		k := NewKernel(kernel.Options{ConsoleOut: &out})
+		k := newKernel(kernel.Options{ConsoleOut: &out})
 		if err := ulib.InstallAll(k); err != nil {
 			return nil, err
 		}
@@ -291,7 +291,7 @@ func Compose() (*ComposeResult, error) {
 
 	// 2. Shared file offset.
 	{
-		k := NewKernel(kernel.Options{})
+		k := newKernel(kernel.Options{})
 		if err := ulib.InstallAll(k); err != nil {
 			return nil, err
 		}
@@ -321,7 +321,7 @@ func Compose() (*ComposeResult, error) {
 		{"threads_spawn", "spawn with held lock completes", false},
 	} {
 		var out bytes.Buffer
-		k := NewKernel(kernel.Options{ConsoleOut: &out})
+		k := newKernel(kernel.Options{ConsoleOut: &out})
 		if err := ulib.InstallAll(k); err != nil {
 			return nil, err
 		}
@@ -394,12 +394,12 @@ func Scale(minBytes, maxBytes uint64) (*ScaleResult, error) {
 	methods := []core.Method{
 		core.MethodForkExec, core.MethodSpawn, core.MethodBuilder, core.MethodEmulatedForkExec,
 	}
-	for _, size := range SizeSweep(minBytes, maxBytes) {
-		k := NewKernel(kernel.Options{RAMBytes: 4 * maxBytes})
+	for _, size := range sizeSweep(minBytes, maxBytes) {
+		k := newKernel(kernel.Options{RAMBytes: 4 * maxBytes})
 		if err := ulib.Install(k, "true", "/bin/true"); err != nil {
 			return nil, err
 		}
-		parent, err := BuildParent(k, "p", size, false)
+		parent, err := buildParent(k, "p", size, false)
 		if err != nil {
 			return nil, err
 		}

@@ -8,7 +8,10 @@
 // replaced them, and their numbers are not reused.
 //
 // Experiment index (README "Regenerating the paper's evaluation" maps
-// each to its paper claim and forkbench command):
+// each to its paper claim and forkbench command). E8–E12, E15 and E16
+// are Sweeps (sweep.go): rows of load, fleet or cluster cells that one
+// runner simulates in parallel, rendered by named columns. Each takes
+// only forkbench's clamped -max.
 //
 //	Figure1       — process-creation latency vs parent address-space size
 //	Table1        — executable semantics matrix: fork vs alternatives
@@ -43,12 +46,12 @@ const (
 	GiB = uint64(1) << 30
 )
 
-// NewKernel builds a quiet kernel for experiments with the ulib
+// newKernel builds a quiet kernel for experiments with the ulib
 // binaries expected at /bin installed by the caller (see helpers in
 // each experiment). Zero RAMBytes/NumCPUs select the conventional
 // 4 GiB single-CPU machine; experiment configurations are constants,
 // so a validation failure is a bug and panics.
-func NewKernel(opts kernel.Options) *kernel.Kernel {
+func newKernel(opts kernel.Options) *kernel.Kernel {
 	if opts.RAMBytes == 0 {
 		opts.RAMBytes = 4 * GiB
 	}
@@ -62,11 +65,11 @@ func NewKernel(opts kernel.Options) *kernel.Kernel {
 	return k
 }
 
-// BuildParent creates a synthetic process whose anonymous working set
+// buildParent creates a synthetic process whose anonymous working set
 // is size bytes, write-touched so every page is resident and dirty —
 // the "process of size X" on Figure 1's x-axis. With huge=true the
 // region uses 2 MiB pages.
-func BuildParent(k *kernel.Kernel, name string, size uint64, huge bool) (*kernel.Process, error) {
+func buildParent(k *kernel.Kernel, name string, size uint64, huge bool) (*kernel.Process, error) {
 	p := k.NewSynthetic(name, nil)
 	if size == 0 {
 		return p, nil
@@ -90,8 +93,8 @@ func BuildParent(k *kernel.Kernel, name string, size uint64, huge bool) (*kernel
 	return p, nil
 }
 
-// SizeSweep returns a doubling size series [min, max].
-func SizeSweep(min, max uint64) []uint64 {
+// sizeSweep returns a doubling size series [min, max].
+func sizeSweep(min, max uint64) []uint64 {
 	var out []uint64
 	for s := min; s <= max; s *= 2 {
 		out = append(out, s)

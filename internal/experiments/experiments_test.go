@@ -1,12 +1,16 @@
 package experiments
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/sim"
+	"repro/sim/cluster"
+	"repro/sim/fleet"
 	"repro/sim/load"
 )
 
@@ -160,7 +164,7 @@ func TestHugePages(t *testing.T) {
 	if err != nil {
 		t.Fatalf("HugePages: %v", err)
 	}
-	for _, size := range SizeSweep(4*MiB, 64*MiB) {
+	for _, size := range sizeSweep(4*MiB, 64*MiB) {
 		var small, huge HugePoint
 		for _, p := range res.Points {
 			if p.SizeBytes != size {
@@ -264,24 +268,30 @@ func TestAblations(t *testing.T) {
 	t.Logf("\n%s", res.Render())
 }
 
-// TestServerClaimShape checks E8's qualitative claim on a reduced
+// The claim-shape tests below read the cells `forkbench all` prints:
+// each sweep runs at the -max its forkbench entry clamps 1GiB to, so
+// the golden and these assertions hold the same numbers.
+
+// TestServerClaimShape checks E8's qualitative claim on the golden
 // sweep: prefork-server throughput under fork+exec falls as the server
 // heap grows, while spawn's and the builder's stay flat and above it.
 func TestServerClaimShape(t *testing.T) {
-	res, err := ServerClaim(64*MiB, 16)
+	s, err := ServerClaim(256 * MiB)
 	if err != nil {
 		t.Fatalf("ServerClaim: %v", err)
 	}
 	get := func(via sim.Strategy, heap uint64) float64 {
-		for _, p := range res.Points {
-			if p.Via == via && p.HeapBytes == heap {
-				return p.Metrics.RequestsPerVSec
+		for _, row := range s.rows {
+			for _, c := range row {
+				if c.cfg.Via == via && c.cfg.HeapBytes == heap {
+					return c.m.RequestsPerVSec
+				}
 			}
 		}
 		t.Fatalf("missing point %v/%d", via, heap)
 		return 0
 	}
-	small, big := uint64(16*MiB), uint64(64*MiB)
+	small, big := s.rows[0][0].cfg.HeapBytes, s.rows[len(s.rows)-1][0].cfg.HeapBytes
 	if fs, fb := get(sim.ForkExec, small), get(sim.ForkExec, big); fb >= fs/2 {
 		t.Errorf("fork throughput did not collapse with heap: %0.f → %.0f req/vs", fs, fb)
 	}
@@ -293,46 +303,46 @@ func TestServerClaimShape(t *testing.T) {
 			t.Errorf("%v does not beat fork+exec at %s", via, load.HumanBytes(big))
 		}
 	}
-	if r := res.Render(); len(r) == 0 {
+	if r := s.Render(); len(r) == 0 {
 		t.Error("empty render")
 	}
 }
 
-// TestFleetClaimShape checks E10's qualitative claims on a reduced
+// TestFleetClaimShape checks E10's qualitative claims on the golden
 // sweep: the spawn fleet out-serves the fork fleet at every size, the
 // rolling wave's re-warm tax is higher under fork than spawn, and both
 // fleet throughput and the restart tax scale linearly with the fleet.
 func TestFleetClaimShape(t *testing.T) {
-	res, err := FleetClaim(FleetClaimConfig{
-		MachineCounts: []int{2, 4},
-		Requests:      6,
-		HeapBytes:     16 * MiB,
-	})
+	s, err := FleetClaim(64 * MiB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 2 {
-		t.Fatalf("%d points", len(res.Points))
+	if len(s.rows) != 3 {
+		t.Fatalf("%d rows, want fleets of 2, 4 and 8", len(s.rows))
 	}
-	for _, p := range res.Points {
-		if p.Spawn.Aggregate.RequestsPerVSec <= p.Fork.Aggregate.RequestsPerVSec {
+	for _, r := range s.rows {
+		machines, fork, spawn := r[0].fleet.Machines, r[0].fr.Aggregate, r[1].fr.Aggregate
+		if spawn.RequestsPerVSec <= fork.RequestsPerVSec {
 			t.Errorf("%d machines: spawn fleet (%.0f req/s) does not beat fork fleet (%.0f req/s)",
-				p.Machines, p.Spawn.Aggregate.RequestsPerVSec, p.Fork.Aggregate.RequestsPerVSec)
+				machines, spawn.RequestsPerVSec, fork.RequestsPerVSec)
 		}
-		if p.Fork.Aggregate.RestartNanos <= p.Spawn.Aggregate.RestartNanos {
+		if fork.RestartNanos <= spawn.RestartNanos {
 			t.Errorf("%d machines: fork restart tax (%d) not above spawn's (%d)",
-				p.Machines, p.Fork.Aggregate.RestartNanos, p.Spawn.Aggregate.RestartNanos)
+				machines, fork.RestartNanos, spawn.RestartNanos)
 		}
 	}
-	// The wave's total tax doubles when the fleet doubles: machines
-	// are identical, so the aggregate is exactly proportional.
-	small, big := res.Points[0], res.Points[1]
-	if big.Fork.Aggregate.RestartNanos != 2*small.Fork.Aggregate.RestartNanos {
-		t.Errorf("fork restart tax not proportional: %d machines pay %d, %d machines pay %d",
-			small.Machines, small.Fork.Aggregate.RestartNanos,
-			big.Machines, big.Fork.Aggregate.RestartNanos)
+	// The wave's total tax grows with the fleet: machines are
+	// identical, so the aggregate is exactly proportional — each
+	// doubling of the fleet doubles it.
+	for i := 1; i < len(s.rows); i++ {
+		small, big := s.rows[i-1][0], s.rows[i][0]
+		st, bt := small.fr.Aggregate.RestartNanos, big.fr.Aggregate.RestartNanos
+		if bt*uint64(small.fleet.Machines) != st*uint64(big.fleet.Machines) {
+			t.Errorf("fork restart tax not proportional: %d machines pay %d, %d machines pay %d",
+				small.fleet.Machines, st, big.fleet.Machines, bt)
+		}
 	}
-	if r := res.Render(); len(r) == 0 {
+	if r := s.Render(); len(r) == 0 {
 		t.Error("empty render")
 	}
 }
@@ -341,94 +351,86 @@ func TestFleetClaimShape(t *testing.T) {
 // fork's per-snapshot COW/shootdown tax grows monotonically with the
 // core count, while the fork-less snapshot pays no IPIs at any count.
 func TestCPUSweep(t *testing.T) {
-	res, err := CPUSweep(CPUSweepConfig{
-		HeapBytes: 8 * MiB,
-		Snapshots: 3,
-		FarmJobs:  4,
-		CPUCounts: []int{1, 2, 4, 8},
-	})
+	s, err := CPUSweep(64 * MiB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 4 {
-		t.Fatalf("%d points", len(res.Points))
+	if len(s.rows) != 4 {
+		t.Fatalf("%d rows", len(s.rows))
 	}
 	prev := -1.0
-	for _, p := range res.Points {
-		fork := p.ForkIPIsPerSnapshot()
+	for _, r := range s.rows {
+		cpus, fork := r[0].cfg.CPUs, ipisPerSnapshot(r[0].m)
 		if fork <= prev {
 			t.Errorf("fork IPIs/snapshot not monotonic: %.0f at %d CPUs after %.0f",
-				fork, p.CPUs, prev)
+				fork, cpus, prev)
 		}
 		prev = fork
-		if p.CPUs == 1 && fork != 0 {
+		if cpus == 1 && fork != 0 {
 			t.Errorf("1-CPU fork charged %.0f IPIs/snapshot", fork)
 		}
-		if flat := p.FlatIPIsPerSnapshot(); flat != 0 {
-			t.Errorf("fork-less snapshot at %d CPUs charged %.0f IPIs", p.CPUs, flat)
+		if flat := ipisPerSnapshot(r[1].m); flat != 0 {
+			t.Errorf("fork-less snapshot at %d CPUs charged %.0f IPIs", cpus, flat)
 		}
-		if p.Fork.PageCopies == 0 {
-			t.Errorf("no COW tax at %d CPUs — the snapshot is not being mutated under", p.CPUs)
+		if r[0].m.PageCopies == 0 {
+			t.Errorf("no COW tax at %d CPUs — the snapshot is not being mutated under", cpus)
 		}
 	}
 	// The parallel farm: spawn's throughput advantage must not
 	// shrink as cores grow (fork serializes on the parent's page
 	// tables; spawn does not).
-	first := res.Points[0]
-	last := res.Points[len(res.Points)-1]
-	ratioFirst := first.FarmSpawn.RequestsPerVSec / first.FarmFork.RequestsPerVSec
-	ratioLast := last.FarmSpawn.RequestsPerVSec / last.FarmFork.RequestsPerVSec
+	farm := func(r []cell) float64 { return ratio(r[3].m.RequestsPerVSec, r[2].m.RequestsPerVSec) }
+	ratioFirst, ratioLast := farm(s.rows[0]), farm(s.rows[len(s.rows)-1])
 	if ratioLast < ratioFirst*0.9 {
 		t.Errorf("spawn/fork farm-throughput ratio shrank with cores: %.2f → %.2f", ratioFirst, ratioLast)
 	}
-	if r := res.Render(); len(r) == 0 {
+	if r := s.Render(); len(r) == 0 {
 		t.Error("empty render")
 	}
 }
 
-// TestChaosClaimShape checks E11's qualitative claim on a reduced
-// config: under identical deterministic fault waves the fork server
+// TestChaosClaimShape checks E11's qualitative claim on the golden
+// sweep: under identical deterministic fault waves the fork server
 // loses a larger share of its traffic than the spawn server (fork's
 // Θ(heap) commit reservations are what the pressure windows refuse),
 // both servers survive to the end of the run, and the experiment is
 // deterministic.
 func TestChaosClaimShape(t *testing.T) {
-	cfg := ChaosClaimConfig{HeapBytes: 16 * MiB, Requests: 48}
-	res, err := ChaosClaim(cfg)
+	s, err := ChaosClaim(64 * MiB)
 	if err != nil {
 		t.Fatalf("ChaosClaim: %v", err)
 	}
-	if len(res.Points) != 2 {
-		t.Fatalf("%d points, want fork and spawn", len(res.Points))
+	if len(s.rows) != 2 {
+		t.Fatalf("%d rows, want fork and spawn", len(s.rows))
 	}
-	fork, spawn := res.Points[0], res.Points[1]
-	if fork.Strategy != "fork+exec" || spawn.Strategy != "posix_spawn" {
-		t.Fatalf("unexpected strategy order: %q, %q", fork.Strategy, spawn.Strategy)
+	fork, spawn := s.rows[0], s.rows[1]
+	if fork[0].cfg.Via.String() != "fork+exec" || spawn[0].cfg.Via.String() != "posix_spawn" {
+		t.Fatalf("unexpected strategy order: %q, %q", fork[0].cfg.Via, spawn[0].cfg.Via)
 	}
-	for _, p := range res.Points {
-		if p.Clean.FailedRequests != 0 {
-			t.Errorf("%s clean run lost %d requests", p.Strategy, p.Clean.FailedRequests)
+	for _, r := range s.rows {
+		clean, chaos := r[0], r[1]
+		if clean.m.FailedRequests != 0 {
+			t.Errorf("%s clean run lost %d requests", clean.cfg.Via, clean.m.FailedRequests)
 		}
-		if got := p.Chaos.Requests + p.Chaos.FailedRequests; got != uint64(cfg.Requests) {
-			t.Errorf("%s chaos run accounted %d requests, want %d", p.Strategy, got, cfg.Requests)
+		if got := chaos.m.Requests + chaos.m.FailedRequests; got != uint64(chaos.cfg.Requests) {
+			t.Errorf("%s chaos run accounted %d requests, want %d", chaos.cfg.Via, got, chaos.cfg.Requests)
 		}
 	}
-	if fork.Chaos.FailedRequests == 0 {
+	if fork[1].m.FailedRequests == 0 {
 		t.Error("fault waves never hit the fork server")
 	}
-	if fork.Survival() >= spawn.Survival() {
-		t.Errorf("fork survival %.2f >= spawn survival %.2f; the overcommit asymmetry is gone",
-			fork.Survival(), spawn.Survival())
+	if fs, ss := survival(fork[1].m), survival(spawn[1].m); fs >= ss {
+		t.Errorf("fork survival %.2f >= spawn survival %.2f; the overcommit asymmetry is gone", fs, ss)
 	}
-	// Deterministic: the whole table is a pure function of the config.
-	again, err := ChaosClaim(cfg)
+	// Deterministic: the whole table is a pure function of the heap.
+	again, err := ChaosClaim(64 * MiB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Render() != again.Render() {
+	if s.Render() != again.Render() {
 		t.Error("two identical ChaosClaim runs rendered differently")
 	}
-	if len(res.Render()) == 0 {
+	if len(s.Render()) == 0 {
 		t.Error("empty render")
 	}
 }
@@ -438,37 +440,37 @@ func TestChaosClaimShape(t *testing.T) {
 // 64 MiB heap is at least twice the spawn pool's — growing with the
 // heap, while spawn's stays flat.
 func TestScaleOutClaimShape(t *testing.T) {
-	cfg := ScaleOutConfig{HeapSizes: []uint64{4 * MiB, 64 * MiB}}
-	res, err := ScaleOutClaim(cfg)
+	s, err := ScaleOutClaim(64 * MiB)
 	if err != nil {
 		t.Fatalf("ScaleOutClaim: %v", err)
 	}
-	if len(res.Points) != 2 {
-		t.Fatalf("%d points, want one per heap size", len(res.Points))
+	if len(s.rows) != len(ladder(64*MiB)) {
+		t.Fatalf("%d rows, want one per heap size", len(s.rows))
 	}
-	for _, p := range res.Points {
-		if len(p.Fork.ScaleOuts) == 0 || len(p.Spawn.ScaleOuts) == 0 {
-			t.Fatalf("heap %s: a pool never scaled out", load.HumanBytes(p.HeapBytes))
+	for _, r := range s.rows {
+		heap, fork, spawn := r[0].cluster.Pools[0].HeapBytes, forkPool(r), spawnPool(r)
+		if len(fork.ScaleOuts) == 0 || len(spawn.ScaleOuts) == 0 {
+			t.Fatalf("heap %s: a pool never scaled out", load.HumanBytes(heap))
 		}
-		if p.Fork.Served != p.Spawn.Served || p.Fork.Failed != 0 {
+		if fork.Served != spawn.Served || fork.Failed != 0 {
 			t.Errorf("heap %s: pools saw different demand (%d vs %d served, %d failed)",
-				load.HumanBytes(p.HeapBytes), p.Fork.Served, p.Spawn.Served, p.Fork.Failed)
+				load.HumanBytes(heap), fork.Served, spawn.Served, fork.Failed)
 		}
 	}
-	small, big := res.Points[0], res.Points[1]
-	if big.Ratio() < 2 {
-		t.Errorf("64 MiB fork:spawn scale-out ratio %.2fx, want >= 2x", big.Ratio())
+	small, big := s.rows[0], s.rows[len(s.rows)-1]
+	if ratio := scaleOutRatio(big); ratio < 2 {
+		t.Errorf("64 MiB fork:spawn scale-out ratio %.2fx, want >= 2x", ratio)
 	}
-	if big.Fork.MeanScaleOutNanos <= small.Fork.MeanScaleOutNanos {
+	if forkPool(big).MeanScaleOutNanos <= forkPool(small).MeanScaleOutNanos {
 		t.Errorf("fork scale-out did not grow with the heap: %d -> %d",
-			small.Fork.MeanScaleOutNanos, big.Fork.MeanScaleOutNanos)
+			forkPool(small).MeanScaleOutNanos, forkPool(big).MeanScaleOutNanos)
 	}
-	if big.Fork.SLORate >= big.Spawn.SLORate {
+	if forkPool(big).SLORate >= spawnPool(big).SLORate {
 		t.Errorf("fork pool SLO %.2f not below spawn %.2f at 64 MiB",
-			big.Fork.SLORate, big.Spawn.SLORate)
+			forkPool(big).SLORate, spawnPool(big).SLORate)
 	}
 	for _, want := range []string{"E12", "fork scale-out", "spawn scale-out", "64MiB"} {
-		if r := res.Render(); !strings.Contains(r, want) {
+		if r := s.Render(); !strings.Contains(r, want) {
 			t.Errorf("render missing %q", want)
 		}
 	}
@@ -479,99 +481,130 @@ func TestScaleOutClaimShape(t *testing.T) {
 // non-event under spawn, because only fork's Θ(heap) worker re-warm
 // overruns the client retry timeout.
 func TestNetClaimShape(t *testing.T) {
-	cfg := NetClaimConfig{}
-	res, err := NetClaim(cfg)
+	s, err := NetClaim(64 * MiB)
 	if err != nil {
 		t.Fatalf("NetClaim: %v", err)
 	}
-	if len(res.Points) != 2 {
-		t.Fatalf("%d points, want fork and spawn", len(res.Points))
+	if len(s.rows) != 2 {
+		t.Fatalf("%d rows, want fork and spawn", len(s.rows))
 	}
-	fork, spawn := res.Points[0], res.Points[1]
-	if fork.Strategy != "fork+exec" || spawn.Strategy != "posix_spawn" {
-		t.Fatalf("unexpected strategy order: %q, %q", fork.Strategy, spawn.Strategy)
+	fork, spawn := s.rows[0][0], s.rows[1][0]
+	if fork.cfg.Via.String() != "fork+exec" || spawn.cfg.Via.String() != "posix_spawn" {
+		t.Fatalf("unexpected strategy order: %q, %q", fork.cfg.Via, spawn.cfg.Via)
 	}
-	for _, p := range res.Points {
-		if got := p.M.Requests + p.M.FailedRequests; got != uint64(res.Requests) {
-			t.Errorf("%s accounted %d requests, want %d", p.Strategy, got, res.Requests)
+	for _, c := range []cell{fork, spawn} {
+		if got := c.m.Requests + c.m.FailedRequests; got != uint64(c.cfg.Requests) {
+			t.Errorf("%s accounted %d requests, want %d", c.cfg.Via, got, c.cfg.Requests)
 		}
 	}
-	if fork.M.NetTimeouts == 0 || fork.M.NetRetries == 0 {
+	if fork.m.NetTimeouts == 0 || fork.m.NetRetries == 0 {
 		t.Errorf("fork restart caused no storm: %d timeouts, %d retries",
-			fork.M.NetTimeouts, fork.M.NetRetries)
+			fork.m.NetTimeouts, fork.m.NetRetries)
 	}
-	if spawn.M.NetTimeouts != 0 {
-		t.Errorf("spawn restart timed out %d attempts; its re-warm should fit the timeout", spawn.M.NetTimeouts)
+	if spawn.m.NetTimeouts != 0 {
+		t.Errorf("spawn restart timed out %d attempts; its re-warm should fit the timeout", spawn.m.NetTimeouts)
 	}
-	if fork.M.VirtualNanos <= spawn.M.VirtualNanos {
-		t.Errorf("fork makespan %dns not above spawn %dns", fork.M.VirtualNanos, spawn.M.VirtualNanos)
+	if fork.m.VirtualNanos <= spawn.m.VirtualNanos {
+		t.Errorf("fork makespan %dns not above spawn %dns", fork.m.VirtualNanos, spawn.m.VirtualNanos)
 	}
-	// Deterministic: the whole table is a pure function of the config.
-	again, err := NetClaim(cfg)
+	// Deterministic: the whole table is a pure function of the heap.
+	again, err := NetClaim(64 * MiB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Render() != again.Render() {
+	if s.Render() != again.Render() {
 		t.Error("two identical NetClaim runs rendered differently")
 	}
 }
 
 func TestMigrateClaimShape(t *testing.T) {
-	cfg := MigrateConfig{HeapSizes: []uint64{4 * MiB, 16 * MiB}, Requests: 1}
-	res, err := MigrateClaim(cfg)
+	s, err := MigrateClaim(64 * MiB)
 	if err != nil {
 		t.Fatalf("MigrateClaim: %v", err)
 	}
-	if len(res.Points) != 8 {
-		t.Fatalf("%d points, want 4 strategies x 2 heaps", len(res.Points))
+	if want := len(migrateStrategies) * len(ladder(64*MiB)); len(s.rows) != want {
+		t.Fatalf("%d rows, want %d: 4 strategies x the heap ladder", len(s.rows), want)
 	}
-	byStrategy := map[string][]MigratePoint{}
-	for _, p := range res.Points {
-		byStrategy[p.Strategy] = append(byStrategy[p.Strategy], p)
+	byStrategy := map[string][]cell{}
+	for _, r := range s.rows {
+		byStrategy[r[0].cfg.Via.String()] = append(byStrategy[r[0].cfg.Via.String()], r[0])
 	}
 	// The fork family's downtime and page traffic grow with the heap.
-	for _, s := range []string{"fork+exec", "fork(eager)+exec"} {
-		pts := byStrategy[s]
-		small, big := pts[0].M, pts[1].M
-		if small.Requests != 1 || big.Requests != 1 || small.MigrateRefused != 0 {
-			t.Fatalf("%s: migration did not complete: %+v", s, small)
+	for _, name := range []string{"fork+exec", "fork(eager)+exec"} {
+		cells := byStrategy[name]
+		small, big := cells[0], cells[len(cells)-1]
+		want := uint64(small.cfg.Requests)
+		if small.m.Requests != want || big.m.Requests != want || small.m.MigrateRefused != 0 {
+			t.Fatalf("%s: migration did not complete: %+v", name, small.m)
 		}
-		if big.MigrateDowntimeNanos <= small.MigrateDowntimeNanos {
+		if big.m.MigrateDowntimeNanos <= small.m.MigrateDowntimeNanos {
 			t.Errorf("%s downtime flat across heaps: %d vs %d ns",
-				s, small.MigrateDowntimeNanos, big.MigrateDowntimeNanos)
+				name, small.m.MigrateDowntimeNanos, big.m.MigrateDowntimeNanos)
 		}
-		if big.MigratePagesSent <= small.MigratePagesSent {
+		if big.m.MigratePagesSent <= small.m.MigratePagesSent {
 			t.Errorf("%s pages flat across heaps: %d vs %d",
-				s, small.MigratePagesSent, big.MigratePagesSent)
+				name, small.m.MigratePagesSent, big.m.MigratePagesSent)
 		}
 	}
 	// Spawn moves for the same price at any heap size.
 	spawn := byStrategy["posix_spawn"]
-	if spawn[0].M.MigrateDowntimeNanos != spawn[1].M.MigrateDowntimeNanos {
-		t.Errorf("spawn downtime varies with heap: %d vs %d ns",
-			spawn[0].M.MigrateDowntimeNanos, spawn[1].M.MigrateDowntimeNanos)
-	}
-	if spawn[0].M.MigratePagesSent != spawn[1].M.MigratePagesSent {
-		t.Errorf("spawn pages vary with heap: %d vs %d",
-			spawn[0].M.MigratePagesSent, spawn[1].M.MigratePagesSent)
-	}
-	// The vfork borrower is refused cleanly at every size.
-	for _, p := range byStrategy["vfork+exec"] {
-		if p.M.Requests != 0 || p.M.MigrateRefused != 1 {
-			t.Errorf("vfork at %s: migrated %d, refused %d; want 0/1",
-				load.HumanBytes(p.HeapBytes), p.M.Requests, p.M.MigrateRefused)
+	for _, c := range spawn[1:] {
+		if c.m.MigrateDowntimeNanos != spawn[0].m.MigrateDowntimeNanos {
+			t.Errorf("spawn downtime varies with heap: %d vs %d ns",
+				spawn[0].m.MigrateDowntimeNanos, c.m.MigrateDowntimeNanos)
 		}
-		if p.M.MigrateDowntimeNanos != 0 || p.M.NetPacketsSent != 0 {
+		if c.m.MigratePagesSent != spawn[0].m.MigratePagesSent {
+			t.Errorf("spawn pages vary with heap: %d vs %d",
+				spawn[0].m.MigratePagesSent, c.m.MigratePagesSent)
+		}
+	}
+	// The vfork borrower is refused cleanly at every size: every
+	// migration the cell attempts.
+	for _, c := range byStrategy["vfork+exec"] {
+		if c.m.Requests != 0 || c.m.MigrateRefused != uint64(c.cfg.Requests) {
+			t.Errorf("vfork at %s: migrated %d, refused %d; want 0/%d",
+				load.HumanBytes(c.cfg.HeapBytes), c.m.Requests, c.m.MigrateRefused, c.cfg.Requests)
+		}
+		if c.m.MigrateDowntimeNanos != 0 || c.m.NetPacketsSent != 0 {
 			t.Errorf("vfork refusal still cost: %dns, %d pkts",
-				p.M.MigrateDowntimeNanos, p.M.NetPacketsSent)
+				c.m.MigrateDowntimeNanos, c.m.NetPacketsSent)
 		}
 	}
-	// Deterministic: the whole table is a pure function of the config.
-	again, err := MigrateClaim(cfg)
+	// Deterministic: the whole table is a pure function of the heap
+	// ladder.
+	again, err := MigrateClaim(64 * MiB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Render() != again.Render() {
+	if s.Render() != again.Render() {
 		t.Error("two identical MigrateClaim runs rendered differently")
+	}
+}
+
+// TestSweepReturnsCellSpecError: a sweep with an invalid cell — a load
+// config, a fleet spec or a cluster spec — returns that cell's
+// *load.SpecError from run, so no column renders a missing outcome.
+func TestSweepReturnsCellSpecError(t *testing.T) {
+	valid := cell{cfg: load.Config{Scenario: load.Prefork, Via: sim.Spawn, Requests: 1, HeapBytes: MiB}}
+	for _, c := range []struct {
+		bad         cell
+		spec, field string
+	}{
+		{cell{cfg: load.Config{Scenario: load.Prefork, Requests: -1}}, "load.Config", "Requests"},
+		{cell{fleet: &fleet.Spec{Machines: -1}}, "fleet.Spec", "Machines"},
+		{cell{cluster: &cluster.Spec{}}, "cluster.Spec", "Pools"},
+	} {
+		s := &Sweep{
+			rows: [][]cell{{valid}, {c.bad}},
+			cols: []column{{"served", func(r []cell) string { return fmt.Sprint(r[0].m.Requests) }}},
+		}
+		got, err := s.run()
+		var se *load.SpecError
+		if !errors.As(err, &se) || se.Spec != c.spec || se.Field != c.field {
+			t.Errorf("%s cell: err %v, want a *load.SpecError on %s", c.spec, err, c.field)
+		}
+		if got != nil {
+			t.Errorf("%s cell: run returned a sweep to render along with %v", c.spec, err)
+		}
 	}
 }

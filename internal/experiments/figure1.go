@@ -71,7 +71,7 @@ func Figure1(cfg Fig1Config) (*Fig1Result, error) {
 		methods = append(methods, core.MethodForkEagerExec)
 	}
 
-	for _, size := range SizeSweep(cfg.MinBytes, cfg.MaxBytes) {
+	for _, size := range sizeSweep(cfg.MinBytes, cfg.MaxBytes) {
 		// Plain 4 KiB parent for the standard lines.
 		pts, err := fig1Measure(cfg, size, false, methods)
 		if err != nil {
@@ -106,11 +106,11 @@ func methodName(m core.Method) string {
 }
 
 func fig1Measure(cfg Fig1Config, size uint64, huge bool, methods []core.Method) ([]Fig1Point, error) {
-	k := NewKernel(kernel.Options{RAMBytes: cfg.RAMBytes})
+	k := newKernel(kernel.Options{RAMBytes: cfg.RAMBytes})
 	if err := ulib.Install(k, "true", "/bin/true"); err != nil {
 		return nil, err
 	}
-	parent, err := BuildParent(k, "parent", size, huge)
+	parent, err := buildParent(k, "parent", size, huge)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +162,7 @@ func (r *Fig1Result) Render() string {
 		head = append(head, methodName(m)+" µs")
 	}
 	rows := [][]string{head}
-	for _, size := range SizeSweep(r.Config.MinBytes, r.Config.MaxBytes) {
+	for _, size := range sizeSweep(r.Config.MinBytes, r.Config.MaxBytes) {
 		row := []string{load.HumanBytes(size)}
 		for _, m := range methods {
 			cell := "-"
@@ -181,7 +181,7 @@ func (r *Fig1Result) Render() string {
 // Crossover reports the smallest parent size at which spawn beats
 // fork+exec — the paper's ~1 MiB crossover claim.
 func (r *Fig1Result) Crossover() (uint64, bool) {
-	for _, size := range SizeSweep(r.Config.MinBytes, r.Config.MaxBytes) {
+	for _, size := range sizeSweep(r.Config.MinBytes, r.Config.MaxBytes) {
 		var fork, spawn cost.Ticks
 		for _, p := range r.Points {
 			if p.SizeBytes != size {

@@ -7,7 +7,10 @@ import (
 	"repro/sim/load"
 )
 
-// ---------------------------------------------------------------
+// ScaleOutClaim runs E12 over the heap ladder up to maxHeap. A row is
+// one cluster.Run racing both pools (same traffic, autoscaler and
+// balancer seed), a pure function of its Spec at any host parallelism.
+//
 // E12 — the paper's claim at the autoscaler layer. Per-machine (E8)
 // fork makes a big server slow; per-fleet (E10) it makes every rolling
 // restart repay the warm-up tax. The cluster layer is where clouds
@@ -19,87 +22,34 @@ import (
 // ladder and reports measured scale-out latency — decision step to
 // first served request — and the SLO rate each pool holds while its
 // new capacity boots.
-// ---------------------------------------------------------------
-
-// ScaleOutPoint is one heap size's fork-vs-spawn surge comparison.
-type ScaleOutPoint struct {
-	HeapBytes uint64
-
-	// Fork and Spawn are the two pools' reports from one cluster run
-	// (same traffic, same autoscaler, same balancer seed).
-	Fork  cluster.PoolReport
-	Spawn cluster.PoolReport
-}
-
-// Ratio is fork's mean scale-out latency over spawn's — the headline
-// number (Θ(heap) warm-up vs flat).
-func (p ScaleOutPoint) Ratio() float64 {
-	if p.Spawn.MeanScaleOutNanos == 0 {
-		return 0
-	}
-	return float64(p.Fork.MeanScaleOutNanos) / float64(p.Spawn.MeanScaleOutNanos)
-}
-
-// ScaleOutResult is E12.
-type ScaleOutResult struct {
-	Points []ScaleOutPoint
-}
-
-// ScaleOutConfig parameterizes ScaleOutClaim; zero fields get defaults.
-type ScaleOutConfig struct {
-	HeapSizes []uint64 // server-heap ladder (default {4, 16, 64} MiB)
-}
-
-// ScaleOutClaim runs E12. Deterministic: each point is one
-// cluster.Run, which is a pure function of its Spec at any host
-// parallelism.
-func ScaleOutClaim(cfg ScaleOutConfig) (*ScaleOutResult, error) {
-	if len(cfg.HeapSizes) == 0 {
-		cfg.HeapSizes = []uint64{4 * MiB, 16 * MiB, 64 * MiB}
-	}
-	res := &ScaleOutResult{}
-	for _, heap := range cfg.HeapSizes {
-		rep, err := cluster.Run(cluster.SurgeSpec(heap))
-		if err != nil {
-			return nil, fmt.Errorf("scaleoutclaim @%s: %w", load.HumanBytes(heap), err)
-		}
-		pt := ScaleOutPoint{HeapBytes: heap}
-		for _, p := range rep.Pools {
-			switch p.Pool {
-			case "fork":
-				pt.Fork = p
-			case "spawn":
-				pt.Spawn = p
-			}
-		}
-		res.Points = append(res.Points, pt)
-	}
-	return res, nil
-}
-
-// Render formats E12 as a claim table: scale-out latency and surge SLO
-// rate, fork pool vs spawn pool, as the server heap grows.
-func (r *ScaleOutResult) Render() string {
-	rows := [][]string{{
-		"heap",
-		"fork scale-out", "spawn scale-out", "fork:spawn",
-		"fork SLO%", "spawn SLO%",
-		"fork PTE copies",
-	}}
-	for _, p := range r.Points {
-		rows = append(rows, []string{
-			load.HumanBytes(p.HeapBytes),
-			fmt.Sprintf("%.1fms", float64(p.Fork.MeanScaleOutNanos)/1e6),
-			fmt.Sprintf("%.1fms", float64(p.Spawn.MeanScaleOutNanos)/1e6),
-			fmt.Sprintf("%.2fx", p.Ratio()),
-			fmt.Sprintf("%.1f%%", 100*p.Fork.SLORate),
-			fmt.Sprintf("%.1f%%", 100*p.Spawn.SLORate),
-			fmt.Sprint(p.Fork.WarmupPTECopies),
-		})
-	}
-	head := "E12 — scale-out latency under a traffic surge (cluster autoscaler, fork pool vs spawn pool):\n" +
+func ScaleOutClaim(maxHeap uint64) (*Sweep, error) {
+	s := &Sweep{head: "E12 — scale-out latency under a traffic surge (cluster autoscaler, fork pool vs spawn pool):\n" +
 		"both pools chase the same spike; a scale-up machine serves only once it is warm, and under\n" +
 		"fork warming pays heap dirtying plus Θ(heap) page-table duplication per pool worker — so the\n" +
-		"fork pool's new capacity arrives later, and the backlog meanwhile is its missed SLOs.\n\n"
-	return head + renderTable(rows)
+		"fork pool's new capacity arrives later, and the backlog meanwhile is its missed SLOs.\n\n"}
+	for _, heap := range ladder(maxHeap) {
+		spec := cluster.SurgeSpec(heap)
+		s.rows = append(s.rows, []cell{{cluster: &spec}})
+	}
+	s.cols = []column{
+		{"heap", func(r []cell) string { return load.HumanBytes(r[0].cluster.Pools[0].HeapBytes) }},
+		{"fork scale-out", func(r []cell) string { return ms(forkPool(r).MeanScaleOutNanos) }},
+		{"spawn scale-out", func(r []cell) string { return ms(spawnPool(r).MeanScaleOutNanos) }},
+		{"fork:spawn", func(r []cell) string { return fmt.Sprintf("%.2fx", scaleOutRatio(r)) }},
+		{"fork SLO%", func(r []cell) string { return fmt.Sprintf("%.1f%%", 100*forkPool(r).SLORate) }},
+		{"spawn SLO%", func(r []cell) string { return fmt.Sprintf("%.1f%%", 100*spawnPool(r).SLORate) }},
+		{"fork PTE copies", func(r []cell) string { return fmt.Sprint(forkPool(r).WarmupPTECopies) }},
+	}
+	return s.run()
+}
+
+// forkPool and spawnPool are an E12 row's two pool reports, in
+// SurgeSpec's pool order.
+func forkPool(r []cell) cluster.PoolReport  { return r[0].cr.Pools[0] }
+func spawnPool(r []cell) cluster.PoolReport { return r[0].cr.Pools[1] }
+
+// scaleOutRatio is fork's mean scale-out latency over spawn's — the
+// headline number (Θ(heap) warm-up vs flat).
+func scaleOutRatio(r []cell) float64 {
+	return ratio(float64(forkPool(r).MeanScaleOutNanos), float64(spawnPool(r).MeanScaleOutNanos))
 }

@@ -4,107 +4,43 @@ import (
 	"fmt"
 
 	"repro/sim"
-	"repro/sim/fleet"
 	"repro/sim/load"
 )
 
-// ---------------------------------------------------------------
+// ServerClaim sweeps prefork-server throughput over heaps from 16 MiB
+// to maxHeap for fork+exec, posix_spawn, and the cross-process
+// builder, with the spawn:fork ratio — the factor the server loses to
+// fork at that size.
+//
 // E8 — the §5 server claim, under sustained load: a server that
 // creates a process per request slows down as its own heap grows if
 // it creates through fork, and does not if it creates through spawn
 // or the cross-process builder. Figure 1 shows one creation; this
 // table shows the throughput consequence, driven by sim/load's
 // prefork scenario.
-// ---------------------------------------------------------------
-
-// ServerPoint is one (strategy, heap) throughput sample.
-type ServerPoint struct {
-	Via       sim.Strategy
-	HeapBytes uint64
-	Metrics   *load.Metrics
-}
-
-// ServerClaimResult is E8.
-type ServerClaimResult struct {
-	Requests int
-	Points   []ServerPoint
-}
-
-// ServerClaim sweeps prefork-server throughput over heap sizes for
-// fork+exec, posix_spawn, and the cross-process builder, draining
-// requests synthetic requests per cell.
-func ServerClaim(maxHeap uint64, requests int) (*ServerClaimResult, error) {
-	if maxHeap == 0 {
-		maxHeap = 256 * MiB
-	}
-	if maxHeap < 16*MiB {
-		maxHeap = 16 * MiB // the sweep's floor; never render an empty table
-	}
-	if requests == 0 {
-		requests = 64
-	}
-	res := &ServerClaimResult{Requests: requests}
-	// Build the whole (heap, strategy) matrix, then fan the cells out
-	// across host cores; fleet.RunAll merges in input order, so the
-	// table is identical to the old serial sweep.
-	var cfgs []load.Config
-	for _, heap := range SizeSweep(16*MiB, maxHeap) {
-		for _, via := range []sim.Strategy{sim.ForkExec, sim.Spawn, sim.Builder} {
-			cfgs = append(cfgs, load.Config{
-				Scenario:  load.Prefork,
-				Via:       via,
-				Requests:  requests,
-				HeapBytes: heap,
-			})
-		}
-	}
-	ms, err := fleet.RunAll(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	for i, m := range ms {
-		res.Points = append(res.Points, ServerPoint{Via: cfgs[i].Via, HeapBytes: cfgs[i].HeapBytes, Metrics: m})
-	}
-	return res, nil
-}
-
-// Render formats E8: requests per virtual second by heap size, with
-// the spawn:fork throughput ratio — the factor the server loses to
-// fork at that size.
-func (r *ServerClaimResult) Render() string {
+func ServerClaim(maxHeap uint64) (*Sweep, error) {
+	const requests = 64
 	vias := []sim.Strategy{sim.ForkExec, sim.Spawn, sim.Builder}
-	head := []string{"server heap"}
-	for _, v := range vias {
-		head = append(head, v.String()+" req/s")
+	s := &Sweep{
+		head: fmt.Sprintf("E8: prefork server throughput vs server heap (%d requests per cell; §5's claim under load)\n", requests),
+		cols: []column{{"server heap", func(r []cell) string { return load.HumanBytes(r[0].cfg.HeapBytes) }}},
 	}
-	head = append(head, "spawn:fork")
-	rows := [][]string{head}
-
-	var order []uint64
-	cells := map[uint64]map[sim.Strategy]*load.Metrics{}
-	for _, p := range r.Points {
-		if cells[p.HeapBytes] == nil {
-			cells[p.HeapBytes] = map[sim.Strategy]*load.Metrics{}
-			order = append(order, p.HeapBytes)
-		}
-		cells[p.HeapBytes][p.Via] = p.Metrics
-	}
-	for _, heap := range order {
-		row := []string{load.HumanBytes(heap)}
+	// 16 MiB is the sweep's floor: never render an empty table.
+	for _, heap := range sizeSweep(16*MiB, max(maxHeap, 16*MiB)) {
+		var row []cell
 		for _, v := range vias {
-			if m := cells[heap][v]; m != nil {
-				row = append(row, fmt.Sprintf("%.0f", m.RequestsPerVSec))
-			} else {
-				row = append(row, "-")
-			}
+			row = append(row, cell{cfg: load.Config{Scenario: load.Prefork, Via: v, Requests: requests, HeapBytes: heap}})
 		}
-		ratio := "-"
-		if f, s := cells[heap][sim.ForkExec], cells[heap][sim.Spawn]; f != nil && s != nil && f.RequestsPerVSec > 0 {
-			ratio = fmt.Sprintf("%.1fx", s.RequestsPerVSec/f.RequestsPerVSec)
-		}
-		row = append(row, ratio)
-		rows = append(rows, row)
+		s.rows = append(s.rows, row)
 	}
-	return fmt.Sprintf("E8: prefork server throughput vs server heap (%d requests per cell; §5's claim under load)\n",
-		r.Requests) + renderTable(rows)
+	for i, v := range vias {
+		s.cols = append(s.cols, column{v.String() + " req/s", func(r []cell) string { return rate(r[i].m.RequestsPerVSec) }})
+	}
+	s.cols = append(s.cols, column{"spawn:fork", func(r []cell) string {
+		if fork := r[0].m.RequestsPerVSec; fork > 0 {
+			return fmt.Sprintf("%.1fx", r[1].m.RequestsPerVSec/fork)
+		}
+		return "-"
+	}})
+	return s.run()
 }

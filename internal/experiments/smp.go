@@ -4,11 +4,13 @@ import (
 	"fmt"
 
 	"repro/sim"
-	"repro/sim/fleet"
 	"repro/sim/load"
 )
 
-// ---------------------------------------------------------------
+// CPUSweep runs E9. A row is one CPU count: smpserver snapshotting via
+// COW fork, then via the fork-less cross-process path (what spawn-only
+// kernels do), then buildfarm via fork and via spawn.
+//
 // E9 — the §5 multicore claim: fork is a poor fit for SMP hardware.
 // COW-snapshotting a multithreaded server means downgrading its page
 // tables while its threads run on other cores, which costs one TLB-
@@ -19,138 +21,41 @@ import (
 // scenario (one spinning worker thread per CPU, snapshots taken
 // mid-traffic) and the buildfarm scenario (parallel job launches) at
 // 1/2/4/8 CPUs.
-// ---------------------------------------------------------------
-
-// CPUSweepPoint is one CPU count's measurements.
-type CPUSweepPoint struct {
-	CPUs int
-
-	// Fork is the smpserver run snapshotting via COW fork; Flat is
-	// the same run snapshotting via the fork-less cross-process
-	// path (what spawn-only kernels do).
-	Fork *load.Metrics
-	Flat *load.Metrics
-
-	// FarmFork/FarmSpawn are buildfarm throughput via fork vs spawn.
-	FarmFork  *load.Metrics
-	FarmSpawn *load.Metrics
-}
-
-// ForkIPIsPerSnapshot is the per-snapshot remote-core invalidation
-// count under fork — the quantity that must grow with CPUs.
-func (p CPUSweepPoint) ForkIPIsPerSnapshot() float64 {
-	if p.Fork.Requests == 0 {
-		return 0
-	}
-	return float64(p.Fork.TLBShootdowns) / float64(p.Fork.Requests)
-}
-
-// FlatIPIsPerSnapshot is the same figure for the fork-less snapshot
-// (expected: 0 at every core count).
-func (p CPUSweepPoint) FlatIPIsPerSnapshot() float64 {
-	if p.Flat.Requests == 0 {
-		return 0
-	}
-	return float64(p.Flat.TLBShootdowns) / float64(p.Flat.Requests)
-}
-
-// CPUSweepResult is E9.
-type CPUSweepResult struct {
-	HeapBytes uint64
-	Snapshots int
-	Points    []CPUSweepPoint
-}
-
-// CPUSweepConfig parameterizes CPUSweep; zero fields get defaults.
-type CPUSweepConfig struct {
-	HeapBytes uint64 // server heap (default 32 MiB)
-	Snapshots int    // snapshot cycles per run (default 6)
-	FarmJobs  int    // buildfarm jobs per CPU (default 16)
-	CPUCounts []int  // default {1, 2, 4, 8}
-}
-
-// CPUSweep runs E9. Deterministic: same config, same numbers.
-func CPUSweep(cfg CPUSweepConfig) (*CPUSweepResult, error) {
-	if cfg.HeapBytes == 0 {
-		cfg.HeapBytes = 32 * MiB
-	}
-	if cfg.Snapshots == 0 {
-		cfg.Snapshots = 6
-	}
-	if cfg.FarmJobs == 0 {
-		cfg.FarmJobs = 16
-	}
-	if len(cfg.CPUCounts) == 0 {
-		cfg.CPUCounts = []int{1, 2, 4, 8}
-	}
-	res := &CPUSweepResult{HeapBytes: cfg.HeapBytes, Snapshots: cfg.Snapshots}
-	// Four cells per CPU count, fanned out across host cores and
-	// position-merged: [fork server, flat server, fork farm, spawn
-	// farm] for each count, in order.
-	var cfgs []load.Config
-	for _, cpus := range cfg.CPUCounts {
-		server := load.Config{
-			Scenario: load.SMPServer, CPUs: cpus,
-			Requests: cfg.Snapshots, HeapBytes: cfg.HeapBytes,
-		}
-		server.Via = sim.ForkExec
-		cfgs = append(cfgs, server)
-		server.Via = sim.Spawn // fork-less: snapshots via the cross-process API
-		cfgs = append(cfgs, server)
-		farm := load.Config{
-			Scenario: load.BuildFarm, CPUs: cpus,
-			Requests: cfg.FarmJobs * cpus, HeapBytes: cfg.HeapBytes,
-		}
-		farm.Via = sim.ForkExec
-		cfgs = append(cfgs, farm)
-		farm.Via = sim.Spawn
-		cfgs = append(cfgs, farm)
-	}
-	ms, err := fleet.RunAll(cfgs)
-	if err != nil {
-		return nil, fmt.Errorf("cpusweep: %w", err)
-	}
-	for i, cpus := range cfg.CPUCounts {
-		res.Points = append(res.Points, CPUSweepPoint{
-			CPUs:      cpus,
-			Fork:      ms[4*i],
-			Flat:      ms[4*i+1],
-			FarmFork:  ms[4*i+2],
-			FarmSpawn: ms[4*i+3],
-		})
-	}
-	return res, nil
-}
-
-// Render formats E9 as a table.
-func (r *CPUSweepResult) Render() string {
-	rows := [][]string{{
-		"cpus",
-		"fork IPIs/snap", "flat IPIs/snap",
-		"fork COW copies", "fork server-cpu", "flat server-cpu",
-		"farm fork req/s", "farm spawn req/s", "spawn/fork",
-	}}
-	for _, p := range r.Points {
-		ratio := 0.0
-		if p.FarmFork.RequestsPerVSec > 0 {
-			ratio = p.FarmSpawn.RequestsPerVSec / p.FarmFork.RequestsPerVSec
-		}
-		rows = append(rows, []string{
-			fmt.Sprint(p.CPUs),
-			fmt.Sprintf("%.0f", p.ForkIPIsPerSnapshot()),
-			fmt.Sprintf("%.0f", p.FlatIPIsPerSnapshot()),
-			fmt.Sprint(p.Fork.PageCopies),
-			fmt.Sprintf("%.1fms", float64(p.Fork.ServerCPUNanos)/1e6),
-			fmt.Sprintf("%.1fms", float64(p.Flat.ServerCPUNanos)/1e6),
-			fmt.Sprintf("%.0f", p.FarmFork.RequestsPerVSec),
-			fmt.Sprintf("%.0f", p.FarmSpawn.RequestsPerVSec),
-			fmt.Sprintf("%.2fx", ratio),
-		})
-	}
-	head := fmt.Sprintf(
+func CPUSweep(heap uint64) (*Sweep, error) {
+	const snapshots, farmJobs = 6, 16 // per run; buildfarm jobs per CPU
+	s := &Sweep{head: fmt.Sprintf(
 		"E9 — fork on multicore (heap %s, %d snapshots mid-traffic):\n"+
 			"fork's snapshot tax grows with the core count (one IPI per remote core\n"+
-			"per COW event); the fork-less snapshot and spawn-based job launch stay flat.\n\n",
-		load.HumanBytes(r.HeapBytes), r.Snapshots)
-	return head + renderTable(rows)
+			"per COW event); only the fork-less snapshot's IPI count is flat, at 0.\n"+
+			"server-cpu is the CPU time the server's threads ran, summed over cores:\n"+
+			"the service capacity the snapshots left, so higher is better. Spawn-based\n"+
+			"job launch scales with the cores; fork's stalls.\n\n",
+		load.HumanBytes(heap), snapshots)}
+	for _, cpus := range []int{1, 2, 4, 8} {
+		server := load.Config{Scenario: load.SMPServer, Via: sim.ForkExec, CPUs: cpus, Requests: snapshots, HeapBytes: heap}
+		farm := load.Config{Scenario: load.BuildFarm, Via: sim.ForkExec, CPUs: cpus, Requests: farmJobs * cpus, HeapBytes: heap}
+		flat, farmSpawn := server, farm
+		flat.Via, farmSpawn.Via = sim.Spawn, sim.Spawn // fork-less: snapshots via the cross-process API
+		s.rows = append(s.rows, []cell{{cfg: server}, {cfg: flat}, {cfg: farm}, {cfg: farmSpawn}})
+	}
+	s.cols = []column{
+		{"cpus", func(r []cell) string { return fmt.Sprint(r[0].cfg.CPUs) }},
+		{"fork IPIs/snap", func(r []cell) string { return fmt.Sprintf("%.0f", ipisPerSnapshot(r[0].m)) }},
+		{"flat IPIs/snap", func(r []cell) string { return fmt.Sprintf("%.0f", ipisPerSnapshot(r[1].m)) }},
+		{"fork COW copies", func(r []cell) string { return fmt.Sprint(r[0].m.PageCopies) }},
+		{"fork server-cpu", func(r []cell) string { return ms(r[0].m.ServerCPUNanos) }},
+		{"flat server-cpu", func(r []cell) string { return ms(r[1].m.ServerCPUNanos) }},
+		{"farm fork req/s", func(r []cell) string { return rate(r[2].m.RequestsPerVSec) }},
+		{"farm spawn req/s", func(r []cell) string { return rate(r[3].m.RequestsPerVSec) }},
+		{"spawn/fork", func(r []cell) string {
+			return fmt.Sprintf("%.2fx", ratio(r[3].m.RequestsPerVSec, r[2].m.RequestsPerVSec))
+		}},
+	}
+	return s.run()
+}
+
+// ipisPerSnapshot is a smpserver run's remote-core invalidations per
+// snapshot: under fork it must grow with CPUs; fork-less, it stays 0.
+func ipisPerSnapshot(m *load.Metrics) float64 {
+	return ratio(float64(m.TLBShootdowns), float64(m.Requests))
 }

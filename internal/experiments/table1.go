@@ -76,7 +76,7 @@ func (r *Table1Result) Render() string {
 
 // t1Kernel builds a fresh kernel with /bin/true installed.
 func t1Kernel() (*kernel.Kernel, error) {
-	k := NewKernel(kernel.Options{RAMBytes: 1 * GiB})
+	k := newKernel(kernel.Options{RAMBytes: 1 * GiB})
 	if err := ulib.Install(k, "true", "/bin/true"); err != nil {
 		return nil, err
 	}
@@ -109,7 +109,7 @@ func probeSeesMemory() ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		parent, err := BuildParent(k, "p", 1*MiB, false)
+		parent, err := buildParent(k, "p", 1*MiB, false)
 		if err != nil {
 			return nil, err
 		}
@@ -140,7 +140,7 @@ func probeIsolation() ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		parent, err := BuildParent(k, "p", 1*MiB, false)
+		parent, err := buildParent(k, "p", 1*MiB, false)
 		if err != nil {
 			return nil, err
 		}
@@ -183,7 +183,7 @@ func probeFDInherit() ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		parent, err := BuildParent(k, "p", 1*MiB, false)
+		parent, err := buildParent(k, "p", 1*MiB, false)
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +216,7 @@ func probeCloexec() ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		parent, err := BuildParent(k, "p", 1*MiB, false)
+		parent, err := buildParent(k, "p", 1*MiB, false)
 		if err != nil {
 			return nil, err
 		}
@@ -253,7 +253,7 @@ func probeSigHandlers() ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		parent, err := BuildParent(k, "p", 1*MiB, false)
+		parent, err := buildParent(k, "p", 1*MiB, false)
 		if err != nil {
 			return nil, err
 		}
@@ -282,7 +282,7 @@ func probeOffsets() ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		parent, err := BuildParent(k, "p", 1*MiB, false)
+		parent, err := buildParent(k, "p", 1*MiB, false)
 		if err != nil {
 			return nil, err
 		}
@@ -325,11 +325,11 @@ func probeO1() ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		small, err := BuildParent(k, "small", 1*MiB, false)
+		small, err := buildParent(k, "small", 1*MiB, false)
 		if err != nil {
 			return nil, err
 		}
-		big, err := BuildParent(k, "big", 128*MiB, false)
+		big, err := buildParent(k, "big", 128*MiB, false)
 		if err != nil {
 			return nil, err
 		}
@@ -371,7 +371,7 @@ func probeO1() ([]string, error) {
 func probeThreadSafe() ([]string, error) {
 	runDemo := func(prog string) (bool, error) {
 		var out bytes.Buffer
-		k := NewKernel(kernel.Options{RAMBytes: 1 * GiB, ConsoleOut: &out})
+		k := newKernel(kernel.Options{RAMBytes: 1 * GiB, ConsoleOut: &out})
 		if err := ulib.InstallAll(k); err != nil {
 			return false, err
 		}
@@ -408,11 +408,11 @@ func probeThreadSafe() ([]string, error) {
 func probeCommit() ([]string, error) {
 	var cells []string
 	for _, m := range t1Methods {
-		k := NewKernel(kernel.Options{RAMBytes: 256 * MiB, Commit: mem.CommitStrict})
+		k := newKernel(kernel.Options{RAMBytes: 256 * MiB, Commit: mem.CommitStrict})
 		if err := ulib.Install(k, "true", "/bin/true"); err != nil {
 			return nil, err
 		}
-		parent, err := BuildParent(k, "p", 160*MiB, false)
+		parent, err := buildParent(k, "p", 160*MiB, false)
 		if err != nil {
 			return nil, err
 		}

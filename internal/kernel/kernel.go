@@ -771,9 +771,6 @@ func (k *Kernel) wakeSleepers() bool {
 	return woke
 }
 
-// Idle reports whether nothing can run.
-func (k *Kernel) Idle() bool { return k.queuedThreads() == 0 && len(k.sleepers) == 0 }
-
 // newSpace creates an empty address space bound to this kernel's
 // physical memory and meter.
 func (k *Kernel) newSpace() *addrspace.Space { return addrspace.New(k.phys, k.meter) }

@@ -128,9 +128,6 @@ func (p *Process) SetCwd(dir *vfs.Inode) error {
 	return nil
 }
 
-// Children returns the live+zombie children (not a copy).
-func (p *Process) Children() []*Process { return p.children }
-
 // MainThread returns the first live thread, or nil.
 func (p *Process) MainThread() *Thread {
 	for _, t := range p.threads {
@@ -223,9 +220,6 @@ type Thread struct {
 	// vforkChild is set while this thread is suspended by vfork.
 	vforkChild *Process
 }
-
-// Proc returns the owning process.
-func (t *Thread) Proc() *Process { return t.proc }
 
 // State reports the scheduler state.
 func (t *Thread) State() TState { return t.state }

@@ -55,9 +55,6 @@ func (of *OpenFile) Inode() *Inode { return of.ino }
 // Pipe returns the pipe this description points at, or nil.
 func (of *OpenFile) Pipe() *Pipe { return of.pipe }
 
-// IsPipeWriter reports whether this is a pipe's write end.
-func (of *OpenFile) IsPipeWriter() bool { return of.pipe != nil && of.pipeW }
-
 // Flags returns the open flags.
 func (of *OpenFile) Flags() OpenFlags { return of.flags }
 
@@ -209,12 +206,6 @@ func NewPipe() (r, w *OpenFile) {
 
 // Len reports the bytes buffered in the pipe.
 func (p *Pipe) Len() int { return p.length }
-
-// Readers and Writers report the live end counts.
-func (p *Pipe) Readers() int { return p.readers }
-
-// Writers reports the live write-end count.
-func (p *Pipe) Writers() int { return p.writers }
 
 func (p *Pipe) read(buf []byte) (int, error) {
 	if p.length == 0 {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/vfs"
 )
@@ -19,14 +20,22 @@ type File struct {
 // Name reports the path (or a pipe tag) the file was opened as.
 func (f *File) Name() string { return f.name }
 
-// Read reads from the host's file offset. A drained pipe with live
-// writers returns errno.EAGAIN rather than blocking: the host is not a
-// schedulable thread, so host-side reads never park.
+// Read reads from the host's file offset. At the end of a file, or of
+// a drained pipe whose writers are all closed, it returns io.EOF, as
+// *os.File does, so io.ReadAll and friends terminate; the machine's
+// own read(2) does not come through here and still sees POSIX's 0. A
+// drained pipe with live writers returns a would-block error (EAGAIN)
+// rather than blocking: the host is not a schedulable thread, so
+// host-side reads never park.
 func (f *File) Read(p []byte) (int, error) {
 	if f.of == nil {
 		return 0, fmt.Errorf("sim: read %s: file already closed", f.name)
 	}
-	return f.of.Read(p)
+	n, err := f.of.Read(p)
+	if n == 0 && err == nil && len(p) > 0 {
+		return 0, io.EOF
+	}
+	return n, err
 }
 
 // Write writes at the host's file offset (EAGAIN on a full pipe).

@@ -54,9 +54,11 @@
 //	                 included — keeps the byte-stability guarantee.
 //
 // RunAll is the lower-level primitive: an order-preserving parallel
-// map over arbitrary load.Configs, used by `forkbench load -sweep`
-// and the experiment tables so the full strategy x scenario x cpus
-// matrix runs concurrently. Host wall-clock, worker count, and peak
+// map over arbitrary load.Configs, used by `forkbench load -sweep` so
+// the full strategy x scenario x cpus matrix runs concurrently. The
+// claim sweeps in internal/experiments run the same loop — ForEach
+// over one load.Templates — on cells that may also be whole fleet or
+// cluster specs. Host wall-clock, worker count, and peak
 // RSS are reported on Result (HostElapsed, HostWorkers,
 // HostPeakRSSBytes) but never marshalled: the JSON answers "what did
 // the fleet do", the host fields answer "how fast did this computer

@@ -595,11 +595,11 @@ func (r *Result) Render() string {
 
 // RunAll runs every config on a host worker pool bounded by
 // GOMAXPROCS, returning metrics in input order — the primitive
-// `forkbench load -sweep` and the experiment tables fan out on. Each
-// config is an independent machine, warmed once per distinct machine
-// shape and stamped per run (see load.Templates); results are
-// position-merged, so the output is identical to running the configs
-// serially through load.Run.
+// `forkbench load -sweep` fans out on, and the loop the experiment
+// sweeps repeat over their mixed cells. Each config is an independent
+// machine, warmed once per distinct machine shape and stamped per run
+// (see load.Templates); results are position-merged, so the output is
+// identical to running the configs serially through load.Run.
 func RunAll(cfgs []load.Config) ([]*load.Metrics, error) {
 	tc := load.NewTemplates()
 	ms := make([]*load.Metrics, len(cfgs))

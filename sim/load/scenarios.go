@@ -218,7 +218,7 @@ func (d *driver) snapshot(host *kernel.Process) (*kernel.Process, error) {
 // remote core — and every post-snapshot heap write pays a COW break
 // plus another IPI round. The fork-less strategies snapshot through
 // the cross-process API instead: Θ(heap) copying, but no shootdowns,
-// so their cost stays flat as cores grow.
+// so their IPI count stays at zero as cores grow.
 //
 // Requests counts snapshot cycles. ServerCPUNanos reports how much
 // CPU time the server's threads still got — the service capacity the
