@@ -500,6 +500,12 @@ func (s *Space) demandFault(v *VMA, base uint64, access Access) error {
 // Protect call regains write permission in place (the mprotect-upgrade
 // path); anything else is a protection violation (the VMA-level check
 // already passed, so this only triggers for stale per-page state).
+//
+// Both decisions read the frame's reference count, so the faulting
+// leaf is made private first: a leaf the fork left shared with another
+// table defers this table's references, and taking them (host-only,
+// uncharged) makes Refs == 1 hold exactly when no other table maps the
+// frame.
 func (s *Space) cowBreak(v *VMA, base uint64, pte pagetable.PTE) error {
 	// Injection point: a schedulable failure before any state is
 	// touched, so an injected ENOMEM leaves the page exactly as the
@@ -507,6 +513,7 @@ func (s *Space) cowBreak(v *VMA, base uint64, pte pagetable.PTE) error {
 	if e := s.phys.Injector().Fail(fault.PointCOWBreak, pte.Frame().Pages()); e != errno.OK {
 		return e
 	}
+	s.pt.Privatize(base)
 	if !pte.COW() {
 		if s.phys.Refs(pte.Frame()) == 1 {
 			// Permission widening, same frame: no remote
@@ -661,8 +668,10 @@ func (s *Space) CloneCOW() (*Space, error) {
 		s.meter.Charge(s.meter.Model.VMAClone)
 	}
 	c.pt = s.pt.CloneCOW()
-	// Every shared frame now has an extra reference; the page-table
-	// clone bumped them. RSS for the child counts them resident.
+	// Every shared frame now has an extra reference: the page-table
+	// clone took it, or deferred it in a leaf both tables link until
+	// one of them writes there. RSS for the child counts them
+	// resident.
 	//
 	// The clone downgraded every private writable mapping in the
 	// *parent* to read-only: every other CPU running the parent must

@@ -438,7 +438,8 @@ func TestChaosClaimShape(t *testing.T) {
 // TestScaleOutClaimShape pins E12's headline: identical pools chasing
 // the same surge, and the fork pool's measured scale-out latency at a
 // 64 MiB heap is at least twice the spawn pool's — growing with the
-// heap, while spawn's stays flat.
+// heap, while spawn's stays flat. The unrounded warm-up ratio rises at
+// every step of the ladder, which whole reconcile steps can hide.
 func TestScaleOutClaimShape(t *testing.T) {
 	s, err := ScaleOutClaim(64 * MiB)
 	if err != nil {
@@ -465,11 +466,19 @@ func TestScaleOutClaimShape(t *testing.T) {
 		t.Errorf("fork scale-out did not grow with the heap: %d -> %d",
 			forkPool(small).MeanScaleOutNanos, forkPool(big).MeanScaleOutNanos)
 	}
+	for i := 1; i < len(s.rows); i++ {
+		lo, hi := warmupRatio(s.rows[i-1]), warmupRatio(s.rows[i])
+		if hi <= lo {
+			t.Errorf("warm-up fork:spawn did not rise from %s to %s: %.2fx -> %.2fx",
+				load.HumanBytes(s.rows[i-1][0].cluster.Pools[0].HeapBytes),
+				load.HumanBytes(s.rows[i][0].cluster.Pools[0].HeapBytes), lo, hi)
+		}
+	}
 	if forkPool(big).SLORate >= spawnPool(big).SLORate {
 		t.Errorf("fork pool SLO %.2f not below spawn %.2f at 64 MiB",
 			forkPool(big).SLORate, spawnPool(big).SLORate)
 	}
-	for _, want := range []string{"E12", "fork scale-out", "spawn scale-out", "64MiB"} {
+	for _, want := range []string{"E12", "fork scale-out", "spawn scale-out", "warm-up fork:spawn", "64MiB"} {
 		if r := s.Render(); !strings.Contains(r, want) {
 			t.Errorf("render missing %q", want)
 		}

@@ -21,12 +21,16 @@ import (
 // the same surge (sim/cluster's surge scenario) over a server-heap
 // ladder and reports measured scale-out latency — decision step to
 // first served request — and the SLO rate each pool holds while its
-// new capacity boots.
+// new capacity boots. Scale-out latency counts whole reconcile steps,
+// which can hide the Θ(heap) term between two heap sizes, so the
+// machines' unrounded warm-up is reported beside it.
 func ScaleOutClaim(maxHeap uint64) (*Sweep, error) {
+	step := cluster.SurgeSpec(maxHeap).ReconcileEveryNanos
 	s := &Sweep{head: "E12 — scale-out latency under a traffic surge (cluster autoscaler, fork pool vs spawn pool):\n" +
 		"both pools chase the same spike; a scale-up machine serves only once it is warm, and under\n" +
 		"fork warming pays heap dirtying plus Θ(heap) page-table duplication per pool worker — so the\n" +
-		"fork pool's new capacity arrives later, and the backlog meanwhile is its missed SLOs.\n\n"}
+		"fork pool's new capacity arrives later, and the backlog meanwhile is its missed SLOs.\n" +
+		"Scale-out rounds each machine's measured warm-up up to whole " + ms(step) + " reconcile steps; warm-up does not.\n\n"}
 	for _, heap := range ladder(maxHeap) {
 		spec := cluster.SurgeSpec(heap)
 		s.rows = append(s.rows, []cell{{cluster: &spec}})
@@ -36,6 +40,9 @@ func ScaleOutClaim(maxHeap uint64) (*Sweep, error) {
 		{"fork scale-out", func(r []cell) string { return ms(forkPool(r).MeanScaleOutNanos) }},
 		{"spawn scale-out", func(r []cell) string { return ms(spawnPool(r).MeanScaleOutNanos) }},
 		{"fork:spawn", func(r []cell) string { return fmt.Sprintf("%.2fx", scaleOutRatio(r)) }},
+		{"fork warm-up", func(r []cell) string { return ms(forkPool(r).MeanWarmupNanos) }},
+		{"spawn warm-up", func(r []cell) string { return ms(spawnPool(r).MeanWarmupNanos) }},
+		{"warm-up fork:spawn", func(r []cell) string { return fmt.Sprintf("%.2fx", warmupRatio(r)) }},
 		{"fork SLO%", func(r []cell) string { return fmt.Sprintf("%.1f%%", 100*forkPool(r).SLORate) }},
 		{"spawn SLO%", func(r []cell) string { return fmt.Sprintf("%.1f%%", 100*spawnPool(r).SLORate) }},
 		{"fork PTE copies", func(r []cell) string { return fmt.Sprint(forkPool(r).WarmupPTECopies) }},
@@ -52,4 +59,10 @@ func spawnPool(r []cell) cluster.PoolReport { return r[0].cr.Pools[1] }
 // headline number (Θ(heap) warm-up vs flat).
 func scaleOutRatio(r []cell) float64 {
 	return ratio(float64(forkPool(r).MeanScaleOutNanos), float64(spawnPool(r).MeanScaleOutNanos))
+}
+
+// warmupRatio is the same ratio before the warm-ups are rounded to
+// whole reconcile steps.
+func warmupRatio(r []cell) float64 {
+	return ratio(float64(forkPool(r).MeanWarmupNanos), float64(spawnPool(r).MeanWarmupNanos))
 }

@@ -41,7 +41,11 @@ type cloneCtx struct {
 // and must also break sharing before in-place writes — freezing a live
 // machine into a template) versus stamping semantics (false: the
 // source is a frozen template that is only read, so concurrent Clone
-// calls on one template are race-free).
+// calls on one template are race-free). A snapshot first gives every
+// page table its own copy of each leaf it shares with another table
+// since a fork (pagetable.Table.PrivatizeAll): the template's leaves
+// are immutable and cannot count links, so its frame counts must be
+// the eager ones.
 func (k *Kernel) Clone(markSrc bool) *Kernel {
 	return k.CloneInto(markSrc, nil)
 }
@@ -56,6 +60,24 @@ func (k *Kernel) Clone(markSrc bool) *Kernel {
 // logically an exact deep copy of k, with every scratch field
 // rewritten or zeroed.
 func (k *Kernel) CloneInto(markSrc bool, scratch *Kernel) *Kernel {
+	// Processes in pid order (map iteration must not decide creation
+	// order of anything order-bearing; it doesn't — all slices are
+	// copied from source order — but sorted traversal keeps the clone
+	// walk itself reproducible).
+	pids := make([]PID, 0, len(k.procs))
+	for pid := range k.procs {
+		pids = append(pids, pid)
+	}
+	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
+	// Before the frame counts are copied (see Clone). Host-only.
+	if markSrc {
+		for _, pid := range pids {
+			if s := k.procs[pid].space; s != nil {
+				s.PageTable().PrivatizeAll()
+			}
+		}
+	}
+
 	nm := k.meter.Clone()
 	nk := scratch
 	if nk == nil {
@@ -126,15 +148,6 @@ func (k *Kernel) CloneInto(markSrc bool, scratch *Kernel) *Kernel {
 	})
 	nk.fs = c.vc.FS(k.fs)
 
-	// Processes in pid order (map iteration must not decide creation
-	// order of anything order-bearing; it doesn't — all slices are
-	// copied from source order — but sorted traversal keeps the clone
-	// walk itself reproducible).
-	pids := make([]PID, 0, len(k.procs))
-	for pid := range k.procs {
-		pids = append(pids, pid)
-	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
 	for _, pid := range pids {
 		nk.procs[pid] = c.proc(k.procs[pid])
 	}

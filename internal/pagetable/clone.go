@@ -46,10 +46,15 @@ func (t *Table) CloneHost(phys *mem.Physical, meter *cost.Meter, markSrc bool) *
 // children are always already shared (ownership breaks copy top-down
 // and never touch shared nodes), so the walk prunes there — repeated
 // snapshots of a live machine only pay for nodes written since the
-// last one.
+// last one. A fork-shared leaf cannot be marked: its count would be
+// shared with the template and moved by the live tables. The snapshot
+// must PrivatizeAll every table first.
 func markShared(n *node, level int) {
 	if n.shared {
 		return
+	}
+	if n.forks > 0 {
+		panic("pagetable: template snapshot of a fork-shared leaf")
 	}
 	n.shared = true
 	if level == 0 {

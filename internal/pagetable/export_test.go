@@ -2,56 +2,161 @@ package pagetable
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mem"
 )
 
-// CheckHostState checks the host-only state the walks rely on: every
-// node's occupancy bit is set exactly when its slot holds a kid or a
-// present entry, and the cached leaf, if any, is the node the tree
-// links at its key. It scans all 512 slots of every node, so it does
-// not trust the bitmap it is checking.
-func CheckHostState(t *Table) error {
-	if t.root == nil {
-		return nil
+// CheckHostState checks the host-only state the walks rely on, over
+// every live table of one machine:
+//   - every node's occupancy bit is set exactly when its slot holds a
+//     kid or a present entry;
+//   - the cached leaf, if any, is the node the tree links at its key;
+//   - a forked leaf holds every present entry in fork form;
+//   - a fork-shared leaf is forked and never template-shared, and only
+//     leaves count forks;
+//   - 1 + forks equals the number of the given tables that link each
+//     leaf that is not template-shared.
+//
+// It scans all 512 slots of every distinct node, so it does not trust
+// the bitmap it is checking. Pass every live table that can link the
+// same leaves, or the link counts cannot balance.
+func CheckHostState(tabs ...*Table) error {
+	links := map[*node]int{}
+	checked := map[*node]bool{}
+	for _, t := range tabs {
+		if t.root == nil {
+			continue
+		}
+		if err := checkNode(t.root, 0, Levels-1, links, checked); err != nil {
+			return err
+		}
+		if t.leaf == nil {
+			continue
+		}
+		va := t.leafKey << mem.HugeShift
+		n := t.root
+		for level := Levels - 1; level > 0 && n != nil; level-- {
+			n = n.kids[index(va, level)]
+		}
+		if n != t.leaf {
+			return fmt.Errorf("cached leaf for %#x is not the one the tree links", va)
+		}
 	}
-	if err := checkUsed(t.root, 0, Levels-1); err != nil {
-		return err
-	}
-	if t.leaf == nil {
-		return nil
-	}
-	va := t.leafKey << mem.HugeShift
-	n := t.root
-	for level := Levels - 1; level > 0 && n != nil; level-- {
-		n = n.kids[index(va, level)]
-	}
-	if n != t.leaf {
-		return fmt.Errorf("cached leaf for %#x is not the one the tree links", va)
+	for n, k := range links {
+		if int(n.forks)+1 != k {
+			return fmt.Errorf("leaf linked by %d tables counts %d forks", k, n.forks)
+		}
 	}
 	return nil
 }
 
-func checkUsed(n *node, base uint64, level int) error {
+func checkNode(n *node, base uint64, level int, links map[*node]int, checked map[*node]bool) error {
+	if level == 0 && !n.shared {
+		links[n]++
+	}
+	if checked[n] {
+		return nil
+	}
+	checked[n] = true
 	var want [usedWords]uint64
-	for i := range n.kids {
-		if n.kids[i] != nil || n.ptes[i].Present() {
+	for i := range n.ptes {
+		e := n.ptes[i]
+		if n.kids[i] != nil || e.Present() {
 			want[i/64] |= 1 << (i % 64)
+		}
+		if level == 0 && n.forked && e.Present() && forkEntry(e) != e {
+			return fmt.Errorf("forked leaf at %#x holds %v in slot %d", base, e, i)
 		}
 	}
 	if want != n.used {
 		return fmt.Errorf("level-%d node at %#x: occupancy bitmap %x, slots hold %x", level, base, n.used, want)
 	}
+	if level > 0 && n.forks != 0 {
+		return fmt.Errorf("level-%d node at %#x counts %d forks", level, base, n.forks)
+	}
 	if level == 0 {
+		switch {
+		case n.forks < 0:
+			return fmt.Errorf("leaf at %#x counts %d forks", base, n.forks)
+		case n.forks > 0 && (!n.forked || n.shared):
+			return fmt.Errorf("fork-shared leaf at %#x: forked=%v template-shared=%v", base, n.forked, n.shared)
+		}
 		return nil
 	}
 	span := uint64(1) << (mem.PageShift + uint(level)*LevelBits)
 	for i, kid := range n.kids {
 		if kid != nil {
-			if err := checkUsed(kid, base+uint64(i)*span, level-1); err != nil {
+			if err := checkNode(kid, base+uint64(i)*span, level-1, links, checked); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// LogicalRefs returns a reader of frame reference counts as an eager
+// clone would hold them, given every live table of one machine:
+// Physical.Refs plus the forks of every distinct fork-shared leaf that
+// maps the frame. lazy reports whether any such leaf maps it; where
+// none does, Physical.Refs alone is the eager count.
+func LogicalRefs(phys *mem.Physical, tabs ...*Table) func(f mem.FrameID) (refs int32, lazy bool) {
+	deferred := map[mem.FrameID]int32{}
+	seen := map[*node]bool{}
+	var walk func(n *node, level int)
+	walk = func(n *node, level int) {
+		if level > 0 {
+			for _, kid := range n.kids {
+				if kid != nil {
+					walk(kid, level-1)
+				}
+			}
+			return
+		}
+		if n.forks == 0 || seen[n] {
+			return
+		}
+		seen[n] = true
+		for _, e := range n.ptes {
+			if e.Present() {
+				deferred[e.Frame()] += n.forks
+			}
+		}
+	}
+	for _, t := range tabs {
+		if t.root != nil {
+			walk(t.root, Levels-1)
+		}
+	}
+	return func(f mem.FrameID) (int32, bool) {
+		d, lazy := deferred[f]
+		return phys.Refs(f) + d, lazy
+	}
+}
+
+// Mappings returns every present leaf entry by base va, as Visit would
+// hand them over, without touching the leaf cache or the TLB, so a
+// check between ops leaves the next op to run from the state the last
+// one left. It trusts the occupancy bitmaps, which CheckHostState
+// checks.
+func Mappings(t *Table) map[uint64]PTE {
+	out := make(map[uint64]PTE, t.entries)
+	var walk func(n *node, base uint64, level int)
+	walk = func(n *node, base uint64, level int) {
+		span := uint64(1) << (mem.PageShift + uint(level)*LevelBits)
+		for w, word := range n.used {
+			for ; word != 0; word &= word - 1 {
+				i := w*64 + bits.TrailingZeros64(word)
+				if e := n.ptes[i]; e.Present() {
+					out[base+uint64(i)*span] = e
+				} else {
+					walk(n.kids[i], base+uint64(i)*span, level-1)
+				}
+			}
+		}
+	}
+	if t.root != nil {
+		walk(t.root, 0, Levels-1)
+	}
+	return out
 }

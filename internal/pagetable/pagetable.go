@@ -3,23 +3,34 @@
 // 2 MiB huge mappings installed one level up.
 //
 // This is the data structure whose duplication dominates the cost of
-// fork() in "A fork() in the road": CloneCOW walks the whole radix
-// tree, allocating mirror nodes and copying one entry per mapped page,
-// so its virtual-time cost is Θ(mapped pages) — exactly the linear
-// growth the paper's Figure 1 shows.
+// fork() in "A fork() in the road": CloneCOW charges a mirror node for
+// every page-table page and one entry write per mapped page, so its
+// virtual-time cost is Θ(mapped pages) — exactly the linear growth the
+// paper's Figure 1 shows.
 //
 // The host, by contrast, visits only populated state: each node keeps
-// an occupancy bitmap, so clone, teardown and Visit skip empty slots,
-// and each table caches the last leaf it walked, so the lookups and
-// writes of one fault share a single host walk. Neither moves a
-// charge — every walk, entry write and node is priced as before, and
-// the virtual cost is still Θ(mapped pages).
+// an occupancy bitmap, so clone, teardown and Visit skip empty slots;
+// each table caches the last leaf it walked, so the lookups and writes
+// of one fault share a single host walk; and CloneCOW links the
+// parent's leaves into the child instead of copying them, so a fork
+// and exec's teardown of the copy cost the host O(nodes), not
+// O(entries). None of it moves a charge — every walk, entry write and
+// node is priced as before, and the virtual cost is still Θ(mapped
+// pages).
 //
-// Every present entry holds one reference on its frame. Map and MapHuge
-// take over the caller's reference. CloneCOW and CloneEager take their
-// own for each entry they install. Unmap hands the entry's reference
-// back to the caller. Destroy(nil) drops every remaining reference;
-// Destroy(release) hands each one to release instead.
+// Frame references are held by leaves. A leaf holds one reference per
+// present entry however many tables link it; a leaf that CloneCOW
+// linked into more than one table (fork-shared) counts the extra
+// tables in forks and defers their references. The first table to
+// write through such a leaf gets a private copy and takes the deferred
+// references with it, so once the leaf a table faults on is private,
+// every count the kernel reads equals the eager one: each table's
+// present entry holds one reference. Map and MapHuge take over the
+// caller's reference. CloneCOW and CloneEager take their own for each
+// entry they install (CloneCOW's deferred). Unmap hands the entry's
+// reference back to the caller. Destroy(nil) drops every remaining
+// reference; Destroy(release) hands each one to release instead,
+// taking a fork-shared leaf's deferred references first.
 package pagetable
 
 import (
@@ -150,29 +161,75 @@ type node struct {
 	// operation that charges nothing, because logically the clone
 	// already owned the node.
 	shared bool
+
+	// forked marks a leaf whose present entries are all in fork form
+	// (forkEntry(e) == e), so CloneCOW can link it without scanning it.
+	// CloneCOW sets it; Map, Update and Visit's rewrite clear it.
+	forked bool
+
+	// forks counts the tables beyond the first that link this leaf
+	// (CloneCOW links a parent's leaves into the child instead of
+	// copying them). The leaf's entries hold one frame reference
+	// each; the forks extra tables' references are deferred until one
+	// of them writes through the leaf and gets a private copy
+	// (privatize) or drops its link in Destroy. A leaf with forks > 0
+	// is forked, immutable and never template-shared.
+	forks int32
 }
 
-// ownedCopy returns a private, writable copy of a template-shared
-// node. The copy's kids still point at shared children; they get their
-// own copies if and when they are written.
+// ownedCopy returns a private, writable copy of a shared node. The
+// copy's kids still point at shared children; they get their own
+// copies if and when they are written.
 func ownedCopy(n *node) *node {
 	c := newNode()
 	c.ptes = n.ptes
 	c.kids = n.kids
 	c.used = n.used
+	c.forked = n.forked
 	return c
 }
+
+// private reports whether a table may write through n in place: n is
+// neither template-shared nor linked by another table.
+func (n *node) private() bool { return !n.shared && n.forks == 0 }
 
 func (n *node) occupy(i int) { n.used[uint(i)/64] |= 1 << (uint(i) % 64) }
 func (n *node) vacate(i int) { n.used[uint(i)/64] &^= 1 << (uint(i) % 64) }
 
+// count reports how many slots n occupies: a leaf's present entries.
+func (n *node) count() uint64 {
+	c := 0
+	for _, w := range n.used {
+		c += bits.OnesCount64(w)
+	}
+	return uint64(c)
+}
+
+// frames gathers the frames of a leaf's present entries into buf, in
+// slot order, so their references move in one IncRefs or DecRefs call.
+func (n *node) frames(buf *[entriesPerNode]mem.FrameID) []mem.FrameID {
+	k := 0
+	for w, word := range n.used {
+		if word == 0 {
+			continue
+		}
+		for i := w * 64; i < w*64+64; i++ {
+			if e := n.ptes[i]; e.Present() {
+				buf[k] = e.Frame()
+				k++
+			}
+		}
+	}
+	return buf[:k]
+}
+
 // nodePool recycles radix nodes between tables. Fork-heavy workloads
-// allocate and destroy a mirror node per page-table page per child;
-// without pooling that is an 8 KiB host allocation each, and at tens of
-// thousands of creations the garbage collector dominates the
-// simulator's own run time. Nodes are returned zeroed (Destroy's
-// teardown clears every used slot as it walks), so Get needs no
-// re-initialisation.
+// allocate and destroy a mirror node per interior page-table page per
+// child (leaves are linked, not mirrored); without pooling that is an
+// 8 KiB host allocation each, and at tens of thousands of creations
+// the garbage collector dominates the simulator's own run time. Nodes
+// are returned zeroed (Destroy's teardown clears every used slot as it
+// walks), so Get needs no re-initialisation.
 // sync.Pool keeps this safe under `go test -race` with parallel tests.
 var nodePool = sync.Pool{New: func() any { return new(node) }}
 
@@ -205,10 +262,10 @@ type Table struct {
 	// ancestor it copies out keeps the same kids; only Destroy, Visit
 	// and CloneCOW free or relink nodes off their own path, and they
 	// reset it. Readers use it as is. Writers use it only when it is
-	// not template-shared (a CloneHost may have shared it since it
-	// was cached), because a shared leaf must be copied out and
-	// relinked by the full walk. Host state only: a hit charges what
-	// the walk did.
+	// private: a CloneHost may have template-shared it, or a CloneCOW
+	// fork-shared it, since it was cached, and a shared leaf must be
+	// copied out and relinked by the full walk. Host state only: a hit
+	// charges what the walk did.
 	leaf    *node
 	leafKey uint64
 }
@@ -266,8 +323,9 @@ func (t *Table) cached(va uint64) *node {
 
 // ownPath returns the node at level stop on va's path, ready to be
 // written: missing nodes are allocated and charged, template-shared
-// ones copied out of the way (host-only; logically the clone owned
-// them all along). A 4 KiB path (stop 0) may not cross a huge mapping.
+// ones copied out of the way and a fork-shared leaf privatized
+// (host-only; logically the table owned them all along). A 4 KiB path
+// (stop 0) may not cross a huge mapping.
 func (t *Table) ownPath(va uint64, stop int) *node {
 	if t.root.shared {
 		t.root = ownedCopy(t.root)
@@ -287,13 +345,38 @@ func (t *Table) ownPath(va uint64, stop int) *node {
 			t.nodes++
 			t.meter.Charge(t.meter.Model.PTNodeAlloc)
 			t.meter.PTNodes++
-		case kid.shared:
-			kid = ownedCopy(kid)
+		case !kid.private():
+			kid = t.own(kid)
 			n.kids[i] = kid
 		}
 		n = kid
 	}
 	return n
+}
+
+// own returns a node t may write in place of n: n itself when it is
+// private, an owned copy when it is template-shared, and t's own copy
+// when it is fork-shared (privatize).
+func (t *Table) own(n *node) *node {
+	switch {
+	case n.shared:
+		return ownedCopy(n)
+	case n.forks > 0:
+		return t.privatize(n)
+	}
+	return n
+}
+
+// privatize returns the table's own copy of a fork-shared leaf, taking
+// the frame references the table had deferred in one IncRefs call, and
+// drops the table's link to the shared one. Host-only: logically the
+// table held its copy and its references since the fork, so nothing is
+// charged.
+func (t *Table) privatize(n *node) *node {
+	var buf [entriesPerNode]mem.FrameID
+	t.phys.IncRefs(n.frames(&buf))
+	n.forks--
+	return ownedCopy(n)
 }
 
 // Map installs a 4 KiB mapping for va (page-aligned). Any existing
@@ -305,7 +388,7 @@ func (t *Table) Map(va uint64, e PTE) {
 		panic(fmt.Sprintf("pagetable: unaligned map %#x", va))
 	}
 	n := t.cached(va)
-	if n == nil || n.shared {
+	if n == nil || !n.private() {
 		n = t.ownPath(va, 0)
 		t.leaf, t.leafKey = n, va>>mem.HugeShift
 	}
@@ -315,6 +398,7 @@ func (t *Table) Map(va uint64, e PTE) {
 		n.occupy(i)
 	}
 	n.ptes[i] = e | FlagPresent
+	n.forked = false
 	t.meter.Charge(t.meter.Model.PTEWrite)
 	t.invalidateTLB(va)
 }
@@ -367,10 +451,10 @@ func (t *Table) lookupSlot(va uint64) (n *node, i int) {
 // lookupSlotOwn is lookupSlot for writers, and also reports whether
 // the slot is a huge mapping's: every node on the returned slot's path
 // is owned by this table, with template-shared nodes copied out of the
-// way (host-only; charges nothing — logically the clone owned them all
-// along).
+// way and a fork-shared leaf privatized (host-only; charges nothing —
+// logically the table owned them all along).
 func (t *Table) lookupSlotOwn(va uint64) (n *node, i int, huge bool) {
-	if n = t.cached(va); n == nil || n.shared {
+	if n = t.cached(va); n == nil || !n.private() {
 		if t.root.shared {
 			t.root = ownedCopy(t.root)
 		}
@@ -384,8 +468,8 @@ func (t *Table) lookupSlotOwn(va uint64) (n *node, i int, huge bool) {
 			if kid == nil {
 				return nil, 0, false
 			}
-			if kid.shared {
-				kid = ownedCopy(kid)
+			if !kid.private() {
+				kid = t.own(kid)
 				n.kids[i] = kid
 			}
 			n = kid
@@ -397,6 +481,49 @@ func (t *Table) lookupSlotOwn(va uint64) (n *node, i int, huge bool) {
 		return nil, 0, false
 	}
 	return n, i, false
+}
+
+// Privatize gives t its own copy of the fork-shared leaf covering va,
+// if there is one, taking the frame references t deferred when it
+// forked; every node on va's path becomes t's alone. After it, the
+// Physical.Refs of the frame va maps is 1 exactly when no other table
+// maps that frame, which is what a COW break's sole-owner test reads.
+// Host-only: nothing is charged and the TLB is left as it was.
+func (t *Table) Privatize(va uint64) {
+	checkVA(va)
+	t.lookupSlotOwn(va)
+}
+
+// PrivatizeAll gives t its own copy of every fork-shared leaf it
+// links, taking every frame reference t deferred, so no node of t's
+// tree counts another table's link. A machine snapshot calls it on
+// every table before its frame counts are copied: a template's leaves
+// are immutable and cannot carry a count. Host-only, like Privatize.
+func (t *Table) PrivatizeAll() {
+	if t.root != nil {
+		t.privatizeAll(t.root, Levels-1)
+	}
+	t.leaf = nil // it may have been one of the leaves replaced
+}
+
+// privatizeAll prunes at template-shared nodes: nothing below one is
+// fork-shared, so the path to every fork-shared leaf is owned.
+func (t *Table) privatizeAll(n *node, level int) {
+	if n.shared {
+		return
+	}
+	for w, word := range n.used {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			switch kid := n.kids[i]; {
+			case kid == nil:
+			case level > 1:
+				t.privatizeAll(kid, level-1)
+			case kid.forks > 0:
+				n.kids[i] = t.privatize(kid)
+			}
+		}
+	}
 }
 
 // Lookup translates va. The TLB is consulted first; a miss charges the
@@ -429,6 +556,7 @@ func (t *Table) Update(va uint64, e PTE) {
 		e |= FlagHuge
 	}
 	n.ptes[i] = e | FlagPresent
+	n.forked = false
 	t.meter.Charge(t.meter.Model.PTEWrite)
 	if huge {
 		t.flushTLB()
@@ -526,18 +654,18 @@ func (t *Table) visit(n *node, base uint64, level int, fn func(uint64, PTE) PTE)
 }
 
 // visitEntry hands the present entry in slot i of n to fn and stores
-// what fn returns, through an owned copy of n if n is template-shared.
-// It returns the node written through and whether the entry changed.
+// what fn returns, through an owned copy of n if n is template-shared
+// and a private one if it is fork-shared. It returns the node written
+// through and whether the entry changed.
 func (t *Table) visitEntry(n *node, i int, va uint64, fn func(uint64, PTE) PTE) (*node, bool) {
 	e := n.ptes[i]
 	ne := fn(va, e)
 	if ne == e {
 		return n, false
 	}
-	if n.shared {
-		n = ownedCopy(n)
-	}
+	n = t.own(n)
 	n.ptes[i] = ne | FlagPresent
+	n.forked = false
 	t.meter.Charge(t.meter.Model.PTEWrite)
 	return n, true
 }
@@ -564,9 +692,21 @@ func (cc *cloneCounts) charge(m *cost.Meter) {
 // CloneCOW builds a copy of t for a forked child: every private
 // mapping is downgraded to read-only + COW in *both* tables and its
 // frame reference count incremented; shared mappings are copied
-// verbatim with an extra reference. The walk allocates a mirror node
-// for every page-table page and writes one entry per mapping — the
-// Θ(address-space size) loop at the heart of fork's cost.
+// verbatim with an extra reference. The charge is the Θ(address-space
+// size) loop at the heart of fork's cost: a mirror node for every
+// page-table page and one entry write per mapping, plus each parent
+// downgrade.
+//
+// On the host, interior nodes are mirrored but leaves are linked: the
+// child links each of the parent's leaves, which counts the extra link
+// in forks and defers the child's frame references until one side
+// writes through it (see privatize). A leaf already in fork form
+// (forked) is linked without being scanned, so a parent that forks
+// again, or whose earlier child is gone, pays O(nodes) on the host.
+// A template-shared leaf cannot carry a count: one that needs no
+// downgrade is linked with the child's references taken at once, as
+// stamps alias template nodes; one that needs a downgrade is copied
+// out of the way first, and the copy is linked.
 //
 // Both local TLBs are flushed (the parent's mappings just lost their
 // write permission). On a multicore machine the downgrade must also
@@ -587,13 +727,11 @@ func (t *Table) CloneCOW() *Table {
 	return child
 }
 
-// cloneNode returns the parent-side node it downgraded through — pn
-// itself, or an owned copy when pn was template-shared — so the caller
-// (and CloneCOW for the root) can relink it into the parent table.
+// cloneNode mirrors an interior node into cn. It returns the
+// parent-side node it downgraded through — pn itself, or an owned copy
+// when pn was template-shared — so the caller (and CloneCOW for the
+// root) can relink it into the parent table.
 func (c *Table) cloneNode(pn, cn *node, level int, cc *cloneCounts) *node {
-	if level == 0 {
-		return c.cloneLeaf(pn, cn, cc)
-	}
 	cn.used = pn.used
 	for w, word := range pn.used {
 		for ; word != 0; word &= word - 1 {
@@ -613,12 +751,20 @@ func (c *Table) cloneNode(pn, cn *node, level int, cc *cloneCounts) *node {
 				cc.copies++
 				continue
 			}
-			if pn.kids[i] == nil {
+			kid := pn.kids[i]
+			if kid == nil {
 				continue
 			}
-			cn.kids[i] = newNode()
 			cc.nodes++
-			if nk := c.cloneNode(pn.kids[i], cn.kids[i], level-1, cc); nk != pn.kids[i] {
+			var nk *node
+			if level == 1 {
+				nk = c.shareLeaf(kid, cc)
+				cn.kids[i] = nk
+			} else {
+				cn.kids[i] = newNode()
+				nk = c.cloneNode(kid, cn.kids[i], level-1, cc)
+			}
+			if nk != kid {
 				if pn.shared {
 					pn = ownedCopy(pn)
 				}
@@ -629,39 +775,67 @@ func (c *Table) cloneNode(pn, cn *node, level int, cc *cloneCounts) *node {
 	return pn
 }
 
-// cloneLeaf is cloneNode for a level-0 node. It takes the frame
-// references for the whole leaf in one IncRefs call; the ids gather in
-// a stack buffer, so the walk allocates nothing on the host.
-func (c *Table) cloneLeaf(pn, cn *node, cc *cloneCounts) *node {
-	var frames [entriesPerNode]mem.FrameID
-	n := 0
-	cn.used = pn.used
-	for w, word := range pn.used {
+// shareLeaf forks the parent's leaf pn and returns the node both
+// tables link from now on: pn itself, or its downgraded copy when pn
+// is template-shared and not yet in fork form. The child's entries are
+// counted as installed (and the parent's downgrades as written) just
+// as if they had been copied one by one.
+func (c *Table) shareLeaf(pn *node, cc *cloneCounts) *node {
+	n := pn.count()
+	cc.writes += n
+	cc.copies += n
+	if pn.shared {
+		if pn.forked || inForkForm(pn) {
+			var buf [entriesPerNode]mem.FrameID
+			c.phys.IncRefs(pn.frames(&buf))
+			return pn
+		}
+		pn = ownedCopy(pn)
+	}
+	if !pn.forked {
+		cc.writes += downgrade(pn)
+		pn.forked = true
+	}
+	pn.forks++
+	return pn
+}
+
+// inForkForm reports whether every present entry of leaf n is already
+// what a fork leaves in both tables.
+func inForkForm(n *node) bool {
+	for w, word := range n.used {
 		if word == 0 {
 			continue
 		}
 		for i := w * 64; i < w*64+64; i++ {
-			e := pn.ptes[i]
+			if e := n.ptes[i]; e.Present() && forkEntry(e) != e {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// downgrade rewrites every present entry of leaf n into fork form in
+// place and reports how many it changed.
+func downgrade(n *node) uint64 {
+	var writes uint64
+	for w, word := range n.used {
+		if word == 0 {
+			continue
+		}
+		for i := w * 64; i < w*64+64; i++ {
+			e := n.ptes[i]
 			if !e.Present() {
 				continue
 			}
-			frames[n] = e.Frame()
-			n++
-			ce := forkEntry(e)
-			if ce != e {
-				if pn.shared {
-					pn = ownedCopy(pn)
-				}
-				pn.ptes[i] = ce
-				cc.writes++
+			if ce := forkEntry(e); ce != e {
+				n.ptes[i] = ce
+				writes++
 			}
-			cn.ptes[i] = ce
 		}
 	}
-	cc.writes += uint64(n)
-	cc.copies += uint64(n)
-	c.phys.IncRefs(frames[:n])
-	return pn
+	return writes
 }
 
 // forkEntry is the entry both tables hold after a COW fork. A shared
@@ -745,15 +919,14 @@ func (c *Table) cloneEagerNode(pn, cn *node, level int, cc *cloneCounts) error {
 // cost for every page-table page including the root.
 //
 // With release == nil the table drops every entry's frame reference
-// itself, one DecRefs call per leaf, in ascending va order. Otherwise
-// release is called for every present leaf entry, in the same order,
-// and takes over that entry's reference.
+// itself, one DecRefs call per leaf, in ascending va order; from a
+// fork-shared leaf it drops only its link, since the references it
+// would drop were never taken. Otherwise release is called for every
+// present leaf entry, in the same order, and takes over that entry's
+// reference; a fork-shared leaf's deferred references are taken first.
 func (t *Table) Destroy(release func(va uint64, e PTE)) (pages uint64) {
 	td := teardown{phys: t.phys, release: release, nodes: 1} // the root
 	td.node(t.root, 0, Levels-1)
-	if !t.root.shared {
-		putNode(t.root)
-	}
 	t.root, t.leaf = nil, nil
 	t.meter.Charge(cost.Ticks(td.nodes) * t.meter.Model.PTNodeFree)
 	t.entries, t.nodes, t.hugeEntries = 0, 0, 0
@@ -773,13 +946,13 @@ type teardown struct {
 }
 
 // node visits only the slots n's bitmap marks used and zeroes them,
-// bitmap included, so each node goes back to the pool fully cleared
-// and newNode needs no re-initialisation. The per-node free cost is
-// counted here and charged in one batch by Destroy. Template-shared
-// nodes are left untouched and unpooled — other tables still alias
-// them — but their frees are still counted: the clone logically owned
-// and freed them, and the cold machine it must stay metric-identical
-// to charges for every one.
+// bitmap included, and returns n to the pool fully cleared, so newNode
+// needs no re-initialisation. The per-node free cost is counted here
+// and charged in one batch by Destroy. Template-shared nodes are left
+// untouched and unpooled — other tables still alias them — but their
+// frees are still counted: the clone logically owned and freed them,
+// and the cold machine it must stay metric-identical to charges for
+// every one.
 func (td *teardown) node(n *node, base uint64, level int) {
 	if level == 0 {
 		td.leaf(n, base)
@@ -804,9 +977,6 @@ func (td *teardown) node(n *node, base uint64, level int) {
 			}
 			if kid := n.kids[i]; kid != nil {
 				td.node(kid, va, level-1)
-				if !kid.shared {
-					putNode(kid)
-				}
 				if !n.shared {
 					n.kids[i] = nil
 				}
@@ -816,13 +986,26 @@ func (td *teardown) node(n *node, base uint64, level int) {
 	}
 	if !n.shared {
 		n.used = [usedWords]uint64{}
+		putNode(n)
 	}
 }
 
 // leaf releases a level-0 node's entries. Without a release callback
-// the frame ids gather in a stack buffer and go to one DecRefs call.
+// the frame ids gather in a stack buffer and go to one DecRefs call. A
+// fork-shared leaf only loses this table's link: the references its
+// entries hold stay with the tables that still link it, so a release
+// callback is handed references taken for it first.
 func (td *teardown) leaf(n *node, base uint64) {
 	var frames [entriesPerNode]mem.FrameID
+	keep := n.shared || n.forks > 0 // other tables still link n
+	if n.forks > 0 {
+		n.forks--
+		if td.release == nil {
+			td.pages += n.count()
+			return
+		}
+		td.phys.IncRefs(n.frames(&frames))
+	}
 	k := 0
 	for w, word := range n.used {
 		if word == 0 {
@@ -841,12 +1024,14 @@ func (td *teardown) leaf(n *node, base uint64) {
 			}
 			td.pages++
 		}
-		if !n.shared {
+		if !keep {
 			clear(n.ptes[w*64 : w*64+64])
 		}
 	}
 	td.phys.DecRefs(frames[:k])
-	if !n.shared {
+	if !keep {
 		n.used = [usedWords]uint64{}
+		n.forked = false
+		putNode(n)
 	}
 }

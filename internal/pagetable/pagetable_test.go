@@ -107,10 +107,12 @@ func TestCloneCOWSemantics(t *testing.T) {
 	if child.Entries() != 3 {
 		t.Fatalf("child entries = %d", child.Entries())
 	}
-	// All frames now have two references.
+	// All frames now have two references; the child's are deferred in
+	// the leaf both tables link.
+	refs := LogicalRefs(phys, tbl, child)
 	for _, f := range []mem.FrameID{fw, fr, fs} {
-		if phys.Refs(f) != 2 {
-			t.Errorf("frame %d refs = %d, want 2", f, phys.Refs(f))
+		if n, _ := refs(f); n != 2 {
+			t.Errorf("frame %d refs = %d, want 2", f, n)
 		}
 	}
 	// Writable private page: read-only + COW on both sides.
@@ -129,6 +131,13 @@ func TestCloneCOWSemantics(t *testing.T) {
 		e3, _ := side.Lookup(0x3000)
 		if !e3.Writable() || e3.COW() || !e3.Shared() {
 			t.Errorf("shared page after clone: %v", e3)
+		}
+	}
+	// Once the child's leaf is its own, it holds its references.
+	child.Privatize(0x1000)
+	for _, f := range []mem.FrameID{fw, fr, fs} {
+		if phys.Refs(f) != 2 {
+			t.Errorf("frame %d refs = %d after privatizing, want 2", f, phys.Refs(f))
 		}
 	}
 	child.Destroy(func(_ uint64, e PTE) { phys.DecRef(e.Frame()) })
@@ -281,7 +290,9 @@ func TestQuickShadowModel(t *testing.T) {
 }
 
 // TestQuickCloneRefcounts: after CloneCOW, every mapped frame's
-// reference count equals the number of tables mapping it.
+// reference count equals the number of tables mapping it — counting
+// the references deferred in shared leaves, and in Physical.Refs alone
+// once the child's leaves are its own.
 func TestQuickCloneRefcounts(t *testing.T) {
 	f := func(slots []uint16) bool {
 		tbl, phys := newTable()
@@ -300,6 +311,14 @@ func TestQuickCloneRefcounts(t *testing.T) {
 		}
 		child := tbl.CloneCOW()
 		ok := true
+		refs := LogicalRefs(phys, tbl, child)
+		tbl.Visit(func(_ uint64, e PTE) PTE {
+			if n, _ := refs(e.Frame()); n != 2 {
+				ok = false
+			}
+			return e
+		})
+		child.PrivatizeAll()
 		tbl.Visit(func(_ uint64, e PTE) PTE {
 			if phys.Refs(e.Frame()) != 2 {
 				ok = false

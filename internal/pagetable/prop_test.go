@@ -11,14 +11,17 @@ import (
 	"repro/internal/pagetable"
 )
 
-// The property test drives a Table through random
-// map/update/clone/unmap/destroy sequences — including huge-page and
-// COW-flag interactions, template snapshots and in-place rewrites —
-// and checks every observation against a flat map model of what the
-// radix tree should contain, and the host-only state (occupancy
-// bitmaps, the leaf cache) against the tree itself. The same
-// interpreter backs the fuzz target below, so a crashing byte string
-// found by `go test -fuzz=FuzzTableOps` replays here verbatim.
+// The property test drives one machine's page tables — a table and up
+// to three live COW children of it, grandchildren included — through
+// random map/update/unmap/visit/lookup ops on any live table, forks,
+// child destroys, eager clones, template snapshots and in-place
+// rewrites. It checks every observation against a flat map model per
+// table and an eager reference count per frame (the number of live
+// tables that map it), and the host-only state (occupancy bitmaps, the
+// leaf cache, fork-shared leaves and their link counts) against the
+// trees. The same interpreter backs the fuzz target below, so a
+// crashing byte string found by `go test -fuzz=FuzzTableOps` replays
+// here verbatim.
 //
 // Virtual-address discipline: 4 KiB mappings live under PML4 slots
 // 0–3 and huge mappings under slots 8–11, so randomly generated
@@ -28,19 +31,34 @@ import (
 
 const (
 	maxLiveEntries = 1500
+	maxChildren    = 3
 	propRAM        = uint64(2) << 30
 )
 
-type propHarness struct {
-	t     testing.TB
-	phys  *mem.Physical
+// liveTable is one live table of the machine and the model of what it
+// maps.
+type liveTable struct {
 	tab   *pagetable.Table
 	model map[uint64]pagetable.PTE
 	vas   []uint64 // live virtual addresses, insertion-ordered
+}
 
-	// The last template snapshot of tab, its memory, and the model as
-	// it stood then. tab keeps mapping, updating and unmapping through
-	// nodes it shares with the template; none of it may show there.
+type propHarness struct {
+	t     testing.TB
+	meter *cost.Meter
+	phys  *mem.Physical
+
+	// tabs[0] is the table the run starts with; the rest are its live
+	// COW descendants, at most maxChildren of them.
+	tabs []*liveTable
+	// refs is the eager reference count of every mapped frame: the
+	// number of live tables that map it.
+	refs map[mem.FrameID]int32
+
+	// The last template snapshot of a live table, its memory, and the
+	// table's model as it stood then. The table keeps mapping, updating,
+	// unmapping and forking through nodes it shares with the template;
+	// none of it may show there.
 	tmpl      *pagetable.Table
 	tmplPhys  *mem.Physical
 	tmplModel map[uint64]pagetable.PTE
@@ -51,9 +69,10 @@ func newPropHarness(t testing.TB) *propHarness {
 	phys := mem.NewPhysical(meter, propRAM, 0, mem.CommitAlways)
 	return &propHarness{
 		t:     t,
+		meter: meter,
 		phys:  phys,
-		tab:   pagetable.New(phys, meter),
-		model: map[uint64]pagetable.PTE{},
+		tabs:  []*liveTable{{tab: pagetable.New(phys, meter), model: map[uint64]pagetable.PTE{}}},
+		refs:  map[mem.FrameID]int32{},
 	}
 }
 
@@ -92,60 +111,118 @@ func randFlags(b byte) pagetable.PTE {
 	return f
 }
 
-func (h *propHarness) track(va uint64, e pagetable.PTE) {
-	if _, ok := h.model[va]; !ok {
-		h.vas = append(h.vas, va)
+func (lt *liveTable) track(va uint64, e pagetable.PTE) {
+	if _, ok := lt.model[va]; !ok {
+		lt.vas = append(lt.vas, va)
 	}
-	h.model[va] = e
+	lt.model[va] = e
 }
 
-func (h *propHarness) untrack(va uint64) {
-	delete(h.model, va)
-	for i, v := range h.vas {
+func (lt *liveTable) untrack(va uint64) {
+	delete(lt.model, va)
+	for i, v := range lt.vas {
 		if v == va {
-			h.vas[i] = h.vas[len(h.vas)-1]
-			h.vas = h.vas[:len(h.vas)-1]
+			lt.vas[i] = lt.vas[len(lt.vas)-1]
+			lt.vas = lt.vas[:len(lt.vas)-1]
 			return
 		}
 	}
 }
 
 // pick returns a live va, deterministically from r.
-func (h *propHarness) pick(r uint16) (uint64, bool) {
-	if len(h.vas) == 0 {
+func (lt *liveTable) pick(r uint16) (uint64, bool) {
+	if len(lt.vas) == 0 {
 		return 0, false
 	}
-	return h.vas[int(r)%len(h.vas)], true
+	return lt.vas[int(r)%len(lt.vas)], true
 }
 
-// unmapAt removes va from table and model, dropping the frame ref, and
-// checks the table handed back exactly the modelled entry.
-func (h *propHarness) unmapAt(va uint64) {
-	want := h.model[va]
-	got, ok := h.tab.Unmap(va)
+// tables lists every live table of the machine.
+func (h *propHarness) tables() []*pagetable.Table {
+	out := make([]*pagetable.Table, len(h.tabs))
+	for i, lt := range h.tabs {
+		out[i] = lt.tab
+	}
+	return out
+}
+
+// unref drops one modelled reference on f and reports whether it was
+// the last.
+func (h *propHarness) unref(f mem.FrameID) bool {
+	h.refs[f]--
+	if h.refs[f] > 0 {
+		return false
+	}
+	delete(h.refs, f)
+	return true
+}
+
+// unmapAt removes va from a table and its model, dropping the frame
+// ref, and checks the table handed back exactly the modelled entry.
+func (h *propHarness) unmapAt(lt *liveTable, va uint64) {
+	want := lt.model[va]
+	got, ok := lt.tab.Unmap(va)
 	if !ok || got != want {
 		h.t.Fatalf("Unmap(%#x) = %v, %v; model holds %v", va, got, ok, want)
 	}
 	h.phys.DecRef(got.Frame())
-	h.untrack(va)
+	lt.untrack(va)
+	h.unref(got.Frame())
 }
 
-// checkLookup looks va up in h.tab and compares it with the model.
-func (h *propHarness) checkLookup(va uint64) {
-	got, ok := h.tab.Lookup(va)
-	want, wok := h.model[va]
+// checkCharge holds the virtual time an op charged since t0 to what
+// the eager structure would have charged for it.
+func (h *propHarness) checkCharge(tag string, t0, want cost.Ticks) {
+	if got := h.meter.Now() - t0; got != want {
+		h.t.Fatalf("%s charged %d ticks, the eager model %d", tag, got, want)
+	}
+}
+
+// checkLookup looks va up in a table and compares it with the model.
+func (h *propHarness) checkLookup(lt *liveTable, va uint64) {
+	got, ok := lt.tab.Lookup(va)
+	want, wok := lt.model[va]
 	if ok != wok || (ok && got != want) {
 		h.t.Fatalf("Lookup(%#x) = %v, %v; model %v, %v", va, got, ok, want, wok)
 	}
 }
 
-// verify checks tab's host-only state, then walks the whole tree and
-// compares it, entry for entry, against the flat model.
-func (h *propHarness) verify(tag string, tab *pagetable.Table, model map[uint64]pagetable.PTE) {
-	// First, while the leaf cache is still the one the last op left.
-	if err := pagetable.CheckHostState(tab); err != nil {
+// check runs between ops and moves no host state: the host-only state
+// of every live table, each table's entries against its model, and
+// every mapped frame's reference count against the model's.
+func (h *propHarness) check(tag string) {
+	if err := pagetable.CheckHostState(h.tables()...); err != nil {
 		h.t.Fatalf("%s: %v", tag, err)
 	}
+	for i, lt := range h.tabs {
+		got := pagetable.Mappings(lt.tab)
+		if !maps.Equal(got, lt.model) {
+			h.t.Fatalf("%s: table %d maps %d entries, model %d, or an entry differs", tag, i, len(got), len(lt.model))
+		}
+		if lt.tab.Entries() != len(lt.model) {
+			h.t.Fatalf("%s: table %d Entries=%d, model %d", tag, i, lt.tab.Entries(), len(lt.model))
+		}
+	}
+	refs := pagetable.LogicalRefs(h.phys, h.tables()...)
+	var pages uint64
+	for f, want := range h.refs {
+		got, lazy := refs(f)
+		if got != want {
+			h.t.Fatalf("%s: frame %d has %d references counting deferred ones, model %d", tag, f, got, want)
+		}
+		if !lazy && h.phys.Refs(f) != want {
+			h.t.Fatalf("%s: frame %d has %d references and no fork-shared leaf maps it, model %d", tag, f, h.phys.Refs(f), want)
+		}
+		pages += f.Pages()
+	}
+	if got := h.phys.AllocatedPages(); got != pages {
+		h.t.Fatalf("%s: %d pages allocated, the model's frames hold %d", tag, got, pages)
+	}
+}
+
+// verify walks a whole table with Visit and compares it, entry for
+// entry, against the flat model, then looks every entry up.
+func (h *propHarness) verify(tag string, tab *pagetable.Table, model map[uint64]pagetable.PTE) {
 	seen := map[uint64]pagetable.PTE{}
 	tab.Visit(func(va uint64, e pagetable.PTE) pagetable.PTE {
 		seen[va] = e
@@ -187,9 +264,14 @@ func (h *propHarness) verifyTemplate(tag string) {
 	if h.tmpl == nil {
 		return
 	}
-	h.verify(tag+" template", h.tmpl, h.tmplModel)
 	meter := cost.NewMeter(cost.DefaultModel())
 	stamp := h.tmpl.CloneHost(h.tmplPhys.CloneHost(meter, false), meter, false)
+	for _, tab := range []*pagetable.Table{h.tmpl, stamp} {
+		if err := pagetable.CheckHostState(tab); err != nil {
+			h.t.Fatalf("%s template: %v", tag, err)
+		}
+	}
+	h.verify(tag+" template", h.tmpl, h.tmplModel)
 	h.verify(tag+" stamp", stamp, h.tmplModel)
 }
 
@@ -223,6 +305,41 @@ func (h *propHarness) destroy(tag string, tab *pagetable.Table, viaNil bool, wan
 	}
 }
 
+// destroyLive destroys a live table and holds the frames it freed to
+// the model's eager teardown: entries drop their references in
+// ascending va order, and a frame whose count reaches zero goes onto
+// its free list then. So the next allocations must hand exactly those
+// frames back, newest first; they are then freed again in their first
+// order, which leaves the free lists as the teardown left them.
+func (h *propHarness) destroyLive(tag string, lt *liveTable, viaNil bool) {
+	var freed, freedHuge []mem.FrameID
+	for _, va := range slices.Sorted(maps.Keys(lt.model)) {
+		if f := lt.model[va].Frame(); h.unref(f) {
+			if f.IsHuge() {
+				freedHuge = append(freedHuge, f)
+			} else {
+				freed = append(freed, f)
+			}
+		}
+	}
+	m, t0, nodes := h.meter.Model, h.meter.Now(), cost.Ticks(lt.tab.Nodes())
+	h.destroy(tag, lt.tab, viaNil, modelPages(lt.model))
+	h.checkCharge(tag+" destroy", t0, (1+nodes)*m.PTNodeFree+cost.Ticks(len(freed)+len(freedHuge))*m.FrameFree)
+	for i := len(freed) - 1; i >= 0; i-- {
+		if f, err := h.phys.Alloc(); err != nil || f != freed[i] {
+			h.t.Fatalf("%s: Alloc after destroy = %d, %v; the model freed %d last", tag, f, err, freed[i])
+		}
+	}
+	for i := len(freedHuge) - 1; i >= 0; i-- {
+		if f, err := h.phys.AllocHuge(); err != nil || f != freedHuge[i] {
+			h.t.Fatalf("%s: AllocHuge after destroy = %d, %v; the model freed %d last", tag, f, err, freedHuge[i])
+		}
+	}
+	for _, f := range append(freed, freedHuge...) {
+		h.phys.DecRef(f)
+	}
+}
+
 // cloneModels derives the post-CloneCOW parent and child models: both
 // sides of a private mapping lose write permission and gain COW (if it
 // was ever writable); shared mappings pass through untouched.
@@ -245,77 +362,105 @@ func cloneModels(parent map[uint64]pagetable.PTE) (newParent, child map[uint64]p
 	return newParent, child
 }
 
-// step consumes up to 4 bytes of ops and applies one operation.
+// step consumes 4 bytes of ops and applies one operation to the live
+// table op/11 selects.
 func (h *propHarness) step(op, b1 byte, r uint16) {
-	switch op % 10 {
+	lt := h.tabs[int(op/11)%len(h.tabs)]
+	switch op % 11 {
 	case 0, 1: // map a 4 KiB page
-		if len(h.model) >= maxLiveEntries {
+		if len(lt.model) >= maxLiveEntries {
 			return
 		}
 		va := va4k(b1, r)
-		if _, ok := h.model[va]; ok {
-			h.unmapAt(va) // replacing in place would leak the old frame
+		if _, ok := lt.model[va]; ok {
+			h.unmapAt(lt, va) // replacing in place would leak the old frame
 		}
 		f, err := h.phys.Alloc()
 		if err != nil {
 			return // RAM exhausted; other ops continue
 		}
 		e := pagetable.Make(f, randFlags(op))
-		h.tab.Map(va, e)
-		h.track(va, e|pagetable.FlagPresent)
+		lt.tab.Map(va, e)
+		lt.track(va, e|pagetable.FlagPresent)
+		h.refs[f] = 1
 	case 2: // map a 2 MiB page
-		if len(h.model) >= maxLiveEntries {
+		if len(lt.model) >= maxLiveEntries {
 			return
 		}
 		va := vaHuge(b1, r)
-		if _, ok := h.model[va]; ok {
-			h.unmapAt(va)
+		if _, ok := lt.model[va]; ok {
+			h.unmapAt(lt, va)
 		}
 		f, err := h.phys.AllocHuge()
 		if err != nil {
 			return
 		}
 		e := pagetable.Make(f, randFlags(op))
-		h.tab.MapHuge(va, e)
-		h.track(va, e|pagetable.FlagPresent|pagetable.FlagHuge)
+		lt.tab.MapHuge(va, e)
+		lt.track(va, e|pagetable.FlagPresent|pagetable.FlagHuge)
+		h.refs[f] = 1
 	case 3: // unmap a live entry
-		if va, ok := h.pick(r); ok {
-			h.unmapAt(va)
+		if va, ok := lt.pick(r); ok {
+			h.unmapAt(lt, va)
 		}
 	case 4: // rewrite a live entry's flags, keeping its frame
-		va, ok := h.pick(r)
+		va, ok := lt.pick(r)
 		if !ok {
 			return
 		}
 		if b1&64 != 0 {
-			h.checkLookup(va) // a COW break reads the entry first
+			h.checkLookup(lt, va) // a COW break reads the entry first
 		}
-		old := h.model[va]
+		old := lt.model[va]
 		e := pagetable.Make(old.Frame(), randFlags(b1))
-		h.tab.Update(va, e)
+		t0, charge := h.meter.Now(), h.meter.Model.PTEWrite
+		lt.tab.Update(va, e)
 		want := e | pagetable.FlagPresent
 		if old.Huge() {
 			want |= pagetable.FlagHuge
+			charge += h.meter.Model.TLBFlush
 		}
-		h.model[va] = want
+		h.checkCharge("Update", t0, charge)
+		lt.model[va] = want
 	case 5: // point lookup, hit or miss
 		var va uint64
 		if b1&1 == 0 {
-			va, _ = h.pick(r)
+			va, _ = lt.pick(r)
 		} else {
 			va = va4k(b1, r)
 		}
-		h.checkLookup(va)
-	case 6: // COW clone: check both tables, then tear the child down
-		newParent, childModel := cloneModels(h.model)
-		child := h.tab.CloneCOW()
-		h.model = newParent
-		h.verify("post-clone parent", h.tab, newParent)
-		h.verify("clone child", child, childModel)
+		h.checkLookup(lt, va)
+	case 6: // COW fork: keep the child live, or tear it down at once when enough are
+		newParent, childModel := cloneModels(lt.model)
+		// The eager clone's bill: a root and a mirror of every node, one
+		// write per child entry and per parent downgrade, two flushes.
+		writes := len(lt.model)
+		for va, e := range lt.model {
+			if newParent[va] != e {
+				writes++
+			}
+		}
+		m, t0, copies, nodes := h.meter.Model, h.meter.Now(), h.meter.PTECopies, lt.tab.Nodes()
+		child := &liveTable{tab: lt.tab.CloneCOW(), model: childModel, vas: slices.Clone(lt.vas)}
+		h.checkCharge("CloneCOW", t0, cost.Ticks(1+nodes)*m.PTNodeAlloc+cost.Ticks(writes)*m.PTEWrite+2*m.TLBFlush)
+		if got := h.meter.PTECopies - copies; got != uint64(len(lt.model)) || child.tab.Nodes() != nodes {
+			h.t.Fatalf("CloneCOW copied %d entries into %d nodes; the parent has %d in %d", got, child.tab.Nodes(), len(lt.model), nodes)
+		}
+		lt.model = newParent
+		for _, e := range childModel {
+			h.refs[e.Frame()]++
+		}
+		h.tabs = append(h.tabs, child)
+		h.check("post-clone")
+		h.verify("post-clone parent", lt.tab, newParent)
+		h.verify("clone child", child.tab, childModel)
 		h.verifyTemplate("post-clone")
-		h.destroy("clone child", child, b1&1 == 0, modelPages(childModel))
+		if len(h.tabs) > 1+maxChildren {
+			h.tabs = h.tabs[:len(h.tabs)-1]
+			h.destroyLive("clone child", child, b1&1 == 0)
+		}
 	case 7: // eager clone: fresh frames for private entries
-		child, err := h.tab.CloneEager()
+		child, err := lt.tab.CloneEager()
 		seen := map[uint64]pagetable.PTE{}
 		child.Visit(func(va uint64, e pagetable.PTE) pagetable.PTE {
 			seen[va] = e
@@ -327,10 +472,10 @@ func (h *propHarness) step(op, b1 byte, r uint16) {
 			h.destroy("partial eager clone", child, b1&1 == 0, modelPages(seen))
 			return
 		}
-		if len(seen) != len(h.model) {
-			h.t.Fatalf("eager clone: %d entries, model %d", len(seen), len(h.model))
+		if len(seen) != len(lt.model) {
+			h.t.Fatalf("eager clone: %d entries, model %d", len(seen), len(lt.model))
 		}
-		for va, want := range h.model {
+		for va, want := range lt.model {
 			got, ok := seen[va]
 			if !ok || got.Flags() != want.Flags() {
 				h.t.Fatalf("eager clone entry %#x = %v (ok=%v), want flags of %v", va, got, ok, want)
@@ -342,62 +487,86 @@ func (h *propHarness) step(op, b1 byte, r uint16) {
 				h.t.Fatalf("eager clone copied shared frame at %#x", va)
 			}
 		}
-		h.destroy("eager clone", child, b1&1 == 0, modelPages(h.model))
+		h.destroy("eager clone", child, b1&1 == 0, modelPages(lt.model))
 	case 8: // snapshot into a template, as a fleet's template cache does
 		h.verifyTemplate("replaced")
+		// A machine snapshot first privatizes every table's
+		// fork-shared leaves (kernel.Kernel.CloneInto).
+		for _, l := range h.tabs {
+			l.tab.PrivatizeAll()
+		}
 		meter := cost.NewMeter(cost.DefaultModel())
 		h.tmplPhys = h.phys.CloneHost(meter, true)
-		h.tmpl = h.tab.CloneHost(h.tmplPhys, meter, true)
-		h.tmplModel = maps.Clone(h.model)
+		h.tmpl = lt.tab.CloneHost(h.tmplPhys, meter, true)
+		h.tmplModel = maps.Clone(lt.model)
 	case 9: // flip FlagDirty on every k-th entry, as CapturePages' rearm rewrites in place
-		va0, ok := h.pick(r)
+		va0, ok := lt.pick(r)
 		if ok {
-			h.checkLookup(va0) // a fault just read it: its leaf is cached
+			h.checkLookup(lt, va0) // a fault just read it: its leaf is cached
 		}
 		k, n := 1+int(b1%4), 0
-		h.tab.Visit(func(va uint64, e pagetable.PTE) pagetable.PTE {
+		lt.tab.Visit(func(va uint64, e pagetable.PTE) pagetable.PTE {
 			if n++; n%k != 0 {
 				return e
 			}
-			h.model[va] = e ^ pagetable.FlagDirty
-			return h.model[va]
+			lt.model[va] = e ^ pagetable.FlagDirty
+			return lt.model[va]
 		})
-		if err := pagetable.CheckHostState(h.tab); err != nil {
+		if err := pagetable.CheckHostState(h.tables()...); err != nil {
 			h.t.Fatalf("after Visit: %v", err)
 		}
 		// A rewrite flushed the TLB, so these walk, va0's first.
 		if ok {
-			h.checkLookup(va0)
+			h.checkLookup(lt, va0)
 		}
-		for _, va := range h.vas {
-			h.checkLookup(va)
+		for _, va := range lt.vas {
+			h.checkLookup(lt, va)
+		}
+	case 10: // destroy a live child
+		if len(h.tabs) > 1 {
+			i := 1 + int(r)%(len(h.tabs)-1)
+			child := h.tabs[i]
+			h.tabs = slices.Delete(h.tabs, i, i+1)
+			h.destroyLive("live child", child, b1&1 == 0)
 		}
 	}
 }
 
-// runOps interprets ops 4 bytes at a time, then destroys the table
-// with Destroy(nil) and checks that every physical frame came back.
+// runOps interprets ops 4 bytes at a time, checking the machine after
+// each, then destroys every table — the children newest first, then
+// the first table with Destroy(nil) — and checks that every physical
+// frame came back.
 func runOps(t testing.TB, ops []byte) {
 	h := newPropHarness(t)
 	for i := 0; i+4 <= len(ops); i += 4 {
 		h.step(ops[i], ops[i+1], uint16(ops[i+2])|uint16(ops[i+3])<<8)
+		h.check("after op")
 	}
-	h.verify("final", h.tab, h.model)
+	for _, lt := range h.tabs {
+		h.verify("final", lt.tab, lt.model)
+	}
 	h.verifyTemplate("final")
-	h.destroy("final", h.tab, true, modelPages(h.model))
+	for len(h.tabs) > 0 {
+		lt := h.tabs[len(h.tabs)-1]
+		h.tabs = h.tabs[:len(h.tabs)-1]
+		h.destroyLive("final", lt, len(h.tabs) == 0)
+		h.check("after final destroy")
+	}
 	if got := h.phys.AllocatedPages(); got != 0 {
 		t.Fatalf("frame leak: %d pages still allocated after Destroy", got)
 	}
 }
 
 // TestTableProperties runs the interpreter over seeded random op
-// streams — deterministic, so failures reproduce.
+// streams — deterministic, so failures reproduce. Each stream has a
+// machine of its own, so they run in parallel.
 func TestTableProperties(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ops := make([]byte, 6000)
 		rng.Read(ops)
 		t.Run(string(rune('A'+seed)), func(t *testing.T) {
+			t.Parallel()
 			runOps(t, ops)
 		})
 	}

@@ -571,13 +571,14 @@ func (e *engine) autoscale(step int, stepServe []uint64) []*machine {
 func (e *engine) bootReady(ms []*machine) {
 	for _, m := range ms {
 		decision := -m.readyStep // end of step decision-1 == start of step decision
-		warmSteps := int((m.srv.WarmupNanos() + e.dt - 1) / e.dt)
+		warm := m.srv.WarmupNanos()
+		warmSteps := int((warm + e.dt - 1) / e.dt)
 		m.readyStep = decision + warmSteps
 		p := e.pools[m.pool]
 		lat := uint64(warmSteps) * e.dt
 		p.scaleOuts = append(p.scaleOuts, ScaleOut{
 			Machine: m.id, Zone: m.zone, DecisionStep: decision - 1,
-			ReadyStep: m.readyStep, LatencyNanos: lat,
+			ReadyStep: m.readyStep, WarmupNanos: warm, LatencyNanos: lat,
 		})
 	}
 }

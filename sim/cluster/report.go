@@ -11,14 +11,16 @@ import (
 
 // ScaleOut is one scale-out event: the autoscaler decided at the end
 // of DecisionStep, the machine warmed up on its own clock, and it
-// took traffic from ReadyStep. LatencyNanos is the gap — boot, heap
-// dirtying, worker-pool creation, rounded up to whole reconcile steps
-// — the cost a surge pays before new capacity helps.
+// took traffic from ReadyStep. WarmupNanos is that warm-up as the
+// machine measured it — boot, heap dirtying, worker-pool creation.
+// LatencyNanos is the gap, the warm-up rounded up to whole reconcile
+// steps — the cost a surge pays before new capacity helps.
 type ScaleOut struct {
 	Machine      int    `json:"machine"`
 	Zone         int    `json:"zone"`
 	DecisionStep int    `json:"decision_step"`
 	ReadyStep    int    `json:"ready_step"`
+	WarmupNanos  uint64 `json:"warmup_ns"`
 	LatencyNanos uint64 `json:"latency_ns"`
 }
 
@@ -50,10 +52,12 @@ type PoolReport struct {
 	FinalMachines  int `json:"final_machines"`
 
 	// ScaleOuts are the pool's scale-out events; the Mean/Max roll up
-	// their latencies — the headline fork-vs-spawn comparison.
+	// their latencies — the headline fork-vs-spawn comparison — and
+	// MeanWarmupNanos their unrounded warm-ups.
 	ScaleOuts         []ScaleOut `json:"scale_outs,omitempty"`
 	MeanScaleOutNanos uint64     `json:"mean_scale_out_ns,omitempty"`
 	MaxScaleOutNanos  uint64     `json:"max_scale_out_ns,omitempty"`
+	MeanWarmupNanos   uint64     `json:"mean_warmup_ns,omitempty"`
 
 	ScaleDowns     int `json:"scale_downs,omitempty"`
 	MachinesKilled int `json:"machines_killed,omitempty"`
@@ -136,14 +140,16 @@ func (e *engine) report(steps int) *Report {
 			pr.MeanLatencyNanos = p.latencySum / p.served
 		}
 		if n := uint64(len(p.scaleOuts)); n > 0 {
-			var sum uint64
+			var sum, warm uint64
 			for _, so := range p.scaleOuts {
 				sum += so.LatencyNanos
+				warm += so.WarmupNanos
 				if so.LatencyNanos > pr.MaxScaleOutNanos {
 					pr.MaxScaleOutNanos = so.LatencyNanos
 				}
 			}
 			pr.MeanScaleOutNanos = sum / n
+			pr.MeanWarmupNanos = warm / n
 		}
 		rep.Pools = append(rep.Pools, pr)
 		rep.Drains[p.spec.Name] = p.drains

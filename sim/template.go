@@ -41,7 +41,10 @@ const maxRecycled = 32
 // meter counters, fault op counters, and the event trace are all part
 // of the snapshot, so a clone continues from this exact instant and a
 // workload run on a clone is byte-identical (metrics and trace) to the
-// same workload run on the original machine.
+// same workload run on the original machine. Page-table leaves the
+// machine's processes still share since a fork are copied apart first
+// (host-only), because a template's leaves are immutable and carry no
+// fork count; the template's frame counts are the eager ones.
 func (s *System) Snapshot() (*Template, error) {
 	if s.host == nil {
 		return nil, fmt.Errorf("sim: snapshot of a system with no host process")
