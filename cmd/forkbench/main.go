@@ -294,6 +294,9 @@ func runExperiments(name string, o options, w io.Writer) error {
 	if o.max == 0 {
 		return errors.New("-max must be larger than 0")
 	}
+	if o.reps < 0 {
+		return fmt.Errorf("-reps %d: want >= 0 (0 selects the default)", o.reps)
+	}
 	ran := false
 	for _, e := range experimentTable {
 		if name != "all" && name != e.name {

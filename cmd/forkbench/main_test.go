@@ -70,7 +70,7 @@ func TestRunExperimentsGolden(t *testing.T) {
 
 // TestRunExperimentsLadderHonoursMax: an experiment that sweeps the
 // {4, 16, 64} MiB heap ladder runs -max alone when no rung fits under
-// it, and -max 0 is refused before any experiment runs.
+// it, and -max 0 and -reps -1 are refused before any experiment runs.
 func TestRunExperimentsLadderHonoursMax(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -96,9 +96,12 @@ func TestRunExperimentsLadderHonoursMax(t *testing.T) {
 			t.Errorf("%s -max 2MiB: %d rows, want %d:\n%s", c.name, len(rows), c.rows, buf.String())
 		}
 	}
-	var buf bytes.Buffer
-	if err := runExperiments("all", options{max: 0, reps: 1}, &buf); err == nil || buf.Len() != 0 {
-		t.Errorf("-max 0: err %v after %d bytes of output, want an error before any experiment", err, buf.Len())
+	for _, o := range []options{{max: 0, reps: 1}, {max: experiments.GiB, reps: -1}} {
+		var buf bytes.Buffer
+		if err := runExperiments("all", o, &buf); err == nil || buf.Len() != 0 {
+			t.Errorf("-max %d -reps %d: err %v after %d bytes of output, want an error before any experiment",
+				o.max, o.reps, err, buf.Len())
+		}
 	}
 }
 

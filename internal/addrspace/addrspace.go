@@ -76,9 +76,14 @@ func (k Kind) String() string {
 // Backing supplies page contents for file-backed VMAs (executable
 // images). Offsets are relative to the backing object's start.
 type Backing interface {
-	// ReadAt fills buf from the backing store at off. Reads beyond
-	// the backing's size must zero-fill.
-	ReadAt(off uint64, buf []byte)
+	// Window returns the backing's bytes [off, off+n) without a copy:
+	// shorter at the end of the backing and empty past it, the rest
+	// reading as zero. The fault path hands the window to the frame
+	// as its contents (mem.Physical.Adopt), so neither side may write
+	// into it: the backing must copy its own storage out before an
+	// in-place write, and the frame copies the window out before its
+	// first.
+	Window(off uint64, n int) []byte
 }
 
 // VMA is one contiguous region of the address space.
@@ -457,7 +462,9 @@ func (s *Space) Fault(va uint64, access Access) error {
 	return nil
 }
 
-// demandFault populates an absent page.
+// demandFault populates an absent page. A file-backed page adopts the
+// backing's window as the frame's contents: the virtual machine pays
+// the page-in, and the host neither allocates nor copies a byte.
 func (s *Space) demandFault(v *VMA, base uint64, access Access) error {
 	var f mem.FrameID
 	var err error
@@ -472,9 +479,7 @@ func (s *Space) demandFault(v *VMA, base uint64, access Access) error {
 	if v.Backing != nil {
 		// Page in from the image. Charged per 4 KiB page read.
 		sz := int(v.pageSize())
-		buf := make([]byte, sz)
-		v.Backing.ReadAt(v.BackingOff+(base-v.Start), buf)
-		s.phys.Write(f, 0, buf)
+		s.phys.Adopt(f, v.Backing.Window(v.BackingOff+(base-v.Start), sz))
 		n := cost.Ticks(sz / mem.PageSize)
 		s.meter.Charge(n * s.meter.Model.ImagePageIn)
 	}

@@ -297,13 +297,12 @@ func TestBackedVMA(t *testing.T) {
 
 type sliceBacking []byte
 
-func (b sliceBacking) ReadAt(off uint64, buf []byte) {
-	for i := range buf {
-		buf[i] = 0
+func (b sliceBacking) Window(off uint64, n int) []byte {
+	if off >= uint64(len(b)) {
+		return nil
 	}
-	if off < uint64(len(b)) {
-		copy(buf, b[off:])
-	}
+	end := min(off+uint64(n), uint64(len(b)))
+	return b[off:end:end]
 }
 
 // TestQuickCloneEquality: any written state is identical in a fresh

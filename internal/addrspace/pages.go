@@ -1,6 +1,8 @@
 package addrspace
 
 import (
+	"slices"
+
 	"repro/internal/errno"
 	"repro/internal/mem"
 	"repro/internal/pagetable"
@@ -36,12 +38,19 @@ func (r *PageRecord) Pages() uint64 {
 	return 1
 }
 
-// CapturePages walks the page table and returns a record per resident
-// page in strictly ascending va order (a huge page is one record, at
-// its base) — the checkpoint serialization pass, priced at one page
-// copy per captured 4 KiB (HugeCopy for huge pages). That order is the
-// contract RestoreProcess checks: it installs an image's records in
-// one pass and refuses a record that breaks it.
+// CapturePages walks the page table and appends a record per resident
+// page to dst, in strictly ascending va order (a huge page is one
+// record, at its base) — the checkpoint serialization pass, priced at
+// one page copy per captured 4 KiB (HugeCopy for huge pages). That
+// order is the contract RestoreProcess checks: it installs an image's
+// records in one pass and refuses a record that breaks it.
+//
+// dst is the caller's storage, returned extended as append does. A
+// caller that captures in a loop passes its last result sliced to
+// zero length, and once the storage has grown to the space's size no
+// capture allocates a record slice; passing nil allocates one that the
+// result owns. A full capture grows dst to the page table's entry
+// count up front.
 //
 // dirtyOnly restricts the capture to pages with FlagDirty set: the
 // pre-copy rounds of live migration, which only re-ship what was
@@ -51,10 +60,9 @@ func (r *PageRecord) Pages() uint64 {
 // tracking for the next round; MAP_SHARED pages are captured but
 // never rearmed — cowBreak would misread a write-protected shared
 // page as a protection violation.
-func (s *Space) CapturePages(dirtyOnly, rearm bool) []PageRecord {
-	var out []PageRecord
+func (s *Space) CapturePages(dst []PageRecord, dirtyOnly, rearm bool) []PageRecord {
 	if !dirtyOnly {
-		out = make([]PageRecord, 0, s.pt.Entries())
+		dst = slices.Grow(dst, s.pt.Entries())
 	}
 	downgraded := 0
 	s.pt.Visit(func(va uint64, e pagetable.PTE) pagetable.PTE {
@@ -75,7 +83,7 @@ func (s *Space) CapturePages(dirtyOnly, rearm bool) []PageRecord {
 			s.meter.Charge(s.meter.Model.PageCopy)
 			s.meter.PageCopies++
 		}
-		out = append(out, r)
+		dst = append(dst, r)
 		if rearm && !e.Shared() {
 			ne := e.Without(pagetable.FlagDirty | pagetable.FlagWritable)
 			if ne != e {
@@ -90,7 +98,7 @@ func (s *Space) CapturePages(dirtyOnly, rearm bool) []PageRecord {
 		// one batched invalidation round, like Protect.
 		s.shootdown()
 	}
-	return out
+	return dst
 }
 
 // DirtyPages counts resident pages with FlagDirty set (in 4 KiB

@@ -29,7 +29,7 @@ func TestCapturePagesDirtyTracking(t *testing.T) {
 		t.Fatalf("DirtyPages = %d, want %d", got, npages)
 	}
 
-	full := s.CapturePages(false, true)
+	full := s.CapturePages(nil, false, true)
 	if len(full) != npages {
 		t.Fatalf("full capture = %d records, want %d", len(full), npages)
 	}
@@ -44,7 +44,7 @@ func TestCapturePagesDirtyTracking(t *testing.T) {
 	if got := s.DirtyPages(); got != 0 {
 		t.Fatalf("DirtyPages after rearm = %d, want 0", got)
 	}
-	if residue := s.CapturePages(true, true); len(residue) != 0 {
+	if residue := s.CapturePages(nil, true, true); len(residue) != 0 {
 		t.Fatalf("dirty-only capture after rearm = %d records, want 0", len(residue))
 	}
 
@@ -53,7 +53,7 @@ func TestCapturePagesDirtyTracking(t *testing.T) {
 	if err := s.WriteBytes(base+2*mem.PageSize, []byte{'X'}); err != nil {
 		t.Fatal(err)
 	}
-	round := s.CapturePages(true, true)
+	round := s.CapturePages(nil, true, true)
 	if len(round) != 1 || round[0].VA != base+2*mem.PageSize {
 		t.Fatalf("round capture = %+v, want the single mutated page", round)
 	}
@@ -82,7 +82,7 @@ func TestCapturePagesChargesUnmaterialised(t *testing.T) {
 	}
 	before := s.meter.PageCopies
 	t0 := s.meter.MaxClock()
-	recs := s.CapturePages(false, false)
+	recs := s.CapturePages(nil, false, false)
 	if len(recs) != npages {
 		t.Fatalf("captured %d records, want %d", len(recs), npages)
 	}
@@ -114,7 +114,7 @@ func TestInstallPageRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recs := src.CapturePages(false, false)
+	recs := src.CapturePages(nil, false, false)
 
 	dst, _ := newSpace(64, mem.CommitHeuristic)
 	if _, err := dst.Map(base, npages*mem.PageSize, Read|Write, MapOpts{Name: "heap"}); err != nil {

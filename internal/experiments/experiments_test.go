@@ -14,6 +14,15 @@ import (
 	"repro/sim/load"
 )
 
+// TestFigure1RejectsNegativeReps: a negative repetition count is an
+// error, not a figure of zeros (no repetition would run, and the mean
+// would be divided by it).
+func TestFigure1RejectsNegativeReps(t *testing.T) {
+	if res, err := Figure1(Fig1Config{MaxBytes: MiB, Reps: -1}); err == nil {
+		t.Fatalf("Reps -1: got %d points and no error", len(res.Points))
+	}
+}
+
 // TestFigure1Shape checks the paper's qualitative claims on a reduced
 // sweep: fork+exec grows roughly linearly with parent size, vfork+exec
 // and posix_spawn stay flat, fork beats spawn for tiny parents, and

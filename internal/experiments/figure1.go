@@ -15,7 +15,8 @@ type Fig1Config struct {
 	// MinBytes/MaxBytes bound the parent-size sweep (doubling).
 	// Defaults: 1 MiB … 1 GiB.
 	MinBytes, MaxBytes uint64
-	// Reps per point after one warm-up (default 5).
+	// Reps per point after one warm-up (0 selects 5; negative is an
+	// error).
 	Reps int
 	// RAMBytes sizes the machine (default: 4×MaxBytes, ≥4 GiB).
 	RAMBytes uint64
@@ -63,6 +64,9 @@ type Fig1Result struct {
 // parents of growing address-space size, plus a fork+exec line over
 // 2 MiB huge pages.
 func Figure1(cfg Fig1Config) (*Fig1Result, error) {
+	if cfg.Reps < 0 {
+		return nil, fmt.Errorf("figure1: Reps %d: want >= 0 (0 selects the default)", cfg.Reps)
+	}
 	cfg.fill()
 	res := &Fig1Result{Config: cfg}
 

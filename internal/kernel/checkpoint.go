@@ -132,6 +132,13 @@ type CheckpointOpts struct {
 	// Rearm downgrades captured pages to read-only-clean so the next
 	// write re-faults and re-dirties: arms the next round's harvest.
 	Rearm bool
+	// PageBuf is storage for the image's page records: the capture
+	// fills it from the start, so a caller that checkpoints in a loop
+	// and passes its last image's Pages back allocates no record
+	// slice once the storage has grown. The image's Pages then alias
+	// it, so that image must be done with first. nil gives the image
+	// records of its own.
+	PageBuf []addrspace.PageRecord
 }
 
 // CheckpointProcess serializes p into a ProcImage, priced in virtual
@@ -240,7 +247,7 @@ func (k *Kernel) CheckpointProcess(p *Process, opts CheckpointOpts) (*ProcImage,
 	img.Pending = p.pending
 	k.meter.Charge(k.meter.Model.ImageHeader + k.meter.Model.SigClone)
 
-	img.Pages = p.space.CapturePages(opts.DirtyOnly, opts.Rearm)
+	img.Pages = p.space.CapturePages(opts.PageBuf[:0], opts.DirtyOnly, opts.Rearm)
 	img.CapturedAt = k.meter.Now()
 	return img, nil
 }

@@ -10,8 +10,10 @@ import "repro/internal/cost"
 // out (see Write). The clone is logically an exact deep copy (reads,
 // refcounts, commit charge, and every metered cost behave identically),
 // but the host pays one pointer-free memmove of the frame table plus
-// O(materialised frames) — not Θ(resident bytes), and most resident
-// pages are lazy zeroes with no materialised entry at all.
+// one copy of the data slots — a slice header per materialised frame,
+// not Θ(resident bytes), and most resident pages are lazy zeroes with
+// no slot at all. Slot numbers carry over unchanged, so the frame
+// table's slot indices stay valid in the clone.
 //
 // markSrc selects whether the *source's* materialised frames are also
 // flagged shared. A snapshot into an immutable template passes true
@@ -28,14 +30,14 @@ func (p *Physical) CloneHost(meter *cost.Meter, markSrc bool) *Physical {
 }
 
 // CloneHostInto is CloneHost recycling a retired clone's allocations:
-// scratch's frame table, host-frame books, and data map are reused in
-// place instead of reallocated, so a fleet stamping machines in a loop
-// stops churning the dominant per-clone allocation (the frame table is
-// one entry per page of RAM). scratch must be dead — no other
-// reference may read it again — and must not be p itself. A nil
-// scratch allocates fresh, exactly like CloneHost. The returned
-// Physical (scratch, when given) is logically identical to a fresh
-// clone: every field is rewritten, unset ones zeroed.
+// scratch's frame table, host-frame books, data slots and free-slot
+// stack are reused in place instead of reallocated, so a fleet
+// stamping machines in a loop stops churning the dominant per-clone
+// allocation (the frame table is one entry per page of RAM). scratch
+// must be dead — no other reference may read it again — and must not
+// be p itself. A nil scratch allocates fresh, exactly like CloneHost.
+// The returned Physical (scratch, when given) is logically identical
+// to a fresh clone: every field is rewritten, unset ones zeroed.
 func (p *Physical) CloneHostInto(meter *cost.Meter, markSrc bool, scratch *Physical) *Physical {
 	np := scratch
 	if np == nil {
@@ -44,12 +46,16 @@ func (p *Physical) CloneHostInto(meter *cost.Meter, markSrc bool, scratch *Physi
 	frames := append(np.frames[:0], p.frames...)
 	hframes := append(np.hframes[:0], p.hframes...)
 	hfree := append(np.hfree[:0], p.hfree...)
-	data := np.data
+	data := append(np.data[:0], p.data...)
+	clear(data[len(data):cap(data)]) // drop a retired clone's stale bytes
+	freeSlots := append(np.freeSlots[:0], p.freeSlots...)
 	*np = Physical{
 		meter:          meter,
 		frames:         frames,
 		nextFree:       p.nextFree,
 		freeHead:       p.freeHead,
+		data:           data,
+		freeSlots:      freeSlots,
 		hframes:        hframes,
 		hfree:          hfree,
 		totalPages:     p.totalPages,
@@ -58,17 +64,11 @@ func (p *Physical) CloneHostInto(meter *cost.Meter, markSrc bool, scratch *Physi
 		commitLimit:    p.commitLimit,
 		committed:      p.committed,
 	}
-	if len(p.data) > 0 {
-		if data == nil {
-			data = make(map[FrameID]*frameData, len(p.data))
-		} else {
-			clear(data)
-		}
-		np.data = data
-		for f, fd := range p.data {
-			np.data[f] = &frameData{bytes: fd.bytes, shared: true}
+	for i := range data {
+		if data[i].bytes != nil {
+			data[i].shared = true
 			if markSrc {
-				fd.shared = true
+				p.data[i].shared = true
 			}
 		}
 	}
@@ -76,14 +76,14 @@ func (p *Physical) CloneHostInto(meter *cost.Meter, markSrc bool, scratch *Physi
 }
 
 // SharedFrames counts live frames whose byte arrays are still host-COW
-// shared with a template or clone. On a frozen template it must never
-// decrease: a drop means some clone's write reached the template's
-// frames instead of breaking the sharing (the independence tests assert
-// on this).
+// shared with a template, a clone or a file (see Adopt). On a frozen
+// template it must never decrease: a drop means some clone's write
+// reached the template's frames instead of breaking the sharing (the
+// independence tests assert on this).
 func (p *Physical) SharedFrames() int {
 	n := 0
-	for f, fd := range p.data {
-		if fd.shared && p.slot(f).refs > 0 {
+	for i := range p.data {
+		if p.data[i].shared {
 			n++
 		}
 	}

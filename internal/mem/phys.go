@@ -7,7 +7,12 @@
 // written holds no backing []byte at all and reads as zeroes; this
 // lets the simulator model multi-gigabyte address spaces without
 // allocating gigabytes of host memory, while still charging the
-// virtual-time cost of zeroing and copying.
+// virtual-time cost of zeroing and copying. A materialised frame's
+// bytes sit in a slot of one slice, which the frame names by index, so
+// no frame operation hashes. Those bytes may be host-shared rather
+// than owned: a template or clone machine's (see CloneHost), or a file
+// page adopted without a copy (see Adopt); either is copied out before
+// the first in-place write.
 package mem
 
 import (
@@ -60,17 +65,23 @@ func (f FrameID) Pages() uint64 {
 
 // frame is one frame's allocator state. Deliberately pointer-free (8
 // bytes): machine cloning copies the whole table with one memmove, and
-// the garbage collector never scans it. Contents live out-of-line in
-// Physical.data — most frames are lazy zeroes and have none.
+// the garbage collector never scans it. next has one meaning per
+// state: while the frame is free it is the intrusive free-list link (a
+// FrameID); while it is live it is the index of the frame's contents
+// in Physical.data, 0 for a lazy zero frame — most frames are lazy
+// zeroes and have no slot.
 type frame struct {
 	refs int32
-	next FrameID // intrusive free-list link, meaningful only while free
+	next uint32
 }
 
-// frameData is one materialised frame's contents. shared marks bytes
-// host-COW-aliased with a template or clone machine (see CloneHost):
-// they must be copied out before the first in-place write. Purely
-// host-side — it never affects refcounts, commit, or any metered cost.
+// frameData is one materialised frame's contents. bytes is at most a
+// frame long and reads as zero past its end; only shared bytes are
+// ever shorter. shared marks bytes the frame does not own — aliased
+// with a template or clone machine (see CloneHost) or adopted from a
+// file (see Adopt) — which are copied out before the first in-place
+// write. Purely host-side: it never affects refcounts, commit, or any
+// metered cost. A free slot is the zero value.
 type frameData struct {
 	bytes  []byte
 	shared bool
@@ -121,11 +132,14 @@ type Physical struct {
 	nextFree uint64  // bump watermark: ids below this have been handed out
 	freeHead FrameID // head of the intrusive free list (NoFrame = empty)
 
-	// data holds materialised frame contents, base and huge alike
-	// (huge ids keep their tag bit). A live frame with no entry reads
-	// as zeroes; entries are deleted when the frame is freed or
-	// zeroed, so every entry belongs to a live frame.
-	data map[FrameID]*frameData
+	// data holds materialised frame contents, base and huge alike,
+	// one slot per frame that has any: a live frame's next field
+	// indexes it, and slot 0 stays empty because next == 0 means a
+	// lazy zero frame. A slot is emptied and pushed on freeSlots when
+	// its frame is freed or zeroed, so every non-empty slot belongs
+	// to exactly one live frame.
+	data      []frameData
+	freeSlots []uint32 // LIFO stack of empty slots to reuse
 
 	hframes []frame   // huge (2 MiB) frames, grown on demand
 	hfree   []FrameID // LIFO free stack of huge frames (few; a slice is fine)
@@ -151,6 +165,7 @@ func NewPhysical(meter *cost.Meter, ramBytes, swapBytes uint64, policy CommitPol
 	return &Physical{
 		meter:       meter,
 		freeHead:    NoFrame,
+		data:        make([]frameData, 1),
 		totalPages:  nframes,
 		policy:      policy,
 		commitLimit: (ramBytes + swapBytes) >> PageShift,
@@ -252,7 +267,7 @@ func (p *Physical) Alloc() (FrameID, error) {
 	var f FrameID
 	if p.freeHead != NoFrame {
 		f = p.freeHead
-		p.freeHead = p.frames[f].next
+		p.freeHead = FrameID(p.frames[f].next)
 	} else {
 		if p.nextFree >= p.totalPages {
 			return NoFrame, errno.ENOMEM
@@ -329,13 +344,13 @@ func (p *Physical) DecRef(f FrameID) bool {
 	if fr.refs > 0 {
 		return false
 	}
-	delete(p.data, f)
+	p.dropData(fr)
 	if f.IsHuge() {
 		*fr = frame{}
 		p.hfree = append(p.hfree, f)
 		p.allocatedPages -= FramesPerHuge
 	} else {
-		*fr = frame{next: p.freeHead}
+		*fr = frame{next: uint32(p.freeHead)}
 		p.freeHead = f
 		p.allocatedPages--
 	}
@@ -382,50 +397,91 @@ func (p *Physical) Refs(f FrameID) int32 {
 	return p.live(f).refs
 }
 
-// Read copies frame contents at off into buf. Unmaterialised frames
-// read as zeroes.
+// Read copies frame contents at off into buf. Unmaterialised frames,
+// and the bytes past a short adopted window, read as zeroes.
 func (p *Physical) Read(f FrameID, off int, buf []byte) {
-	p.live(f)
+	fr := p.live(f)
 	if off < 0 || off+len(buf) > f.Size() {
 		panic(fmt.Sprintf("mem: read off=%d len=%d beyond frame size %d", off, len(buf), f.Size()))
 	}
-	fd := p.data[f]
-	if fd == nil {
-		clear(buf)
-		return
+	n := 0
+	if b := p.data[fr.next].bytes; off < len(b) {
+		n = copy(buf, b[off:])
 	}
-	copy(buf, fd.bytes[off:off+len(buf)])
+	clear(buf[n:])
 }
 
 // Write stores data into frame f at off, materialising the frame's
 // backing store only if the write changes its contents (an all-zero
 // write to a zero frame stays lazy).
 func (p *Physical) Write(f FrameID, off int, data []byte) {
-	p.live(f)
+	fr := p.live(f)
 	if off < 0 || off+len(data) > f.Size() {
 		panic(fmt.Sprintf("mem: write off=%d len=%d beyond frame size %d", off, len(data), f.Size()))
 	}
-	fd := p.data[f]
-	if fd == nil {
+	if fr.next == 0 {
 		if allZero(data) {
 			return
 		}
-		fd = &frameData{bytes: make([]byte, f.Size())}
-		if p.data == nil {
-			p.data = map[FrameID]*frameData{}
-		}
-		p.data[f] = fd
-	} else if fd.shared {
-		// First write to a template-shared frame: break the host-side
-		// sharing by copying the bytes out. Free — the simulated
-		// machine already paid its COW break (or owns the frame
-		// exclusively); only the host representation was shared.
+		fr.next = p.newSlot()
+		p.data[fr.next].bytes = make([]byte, f.Size())
+	}
+	fd := &p.data[fr.next]
+	if fd.shared {
+		// First write to bytes the frame does not own (a template's
+		// or an adopted file page, possibly shorter than the frame):
+		// break the host-side sharing by copying them out. Free —
+		// the simulated machine already paid its COW break or page-in;
+		// only the host representation was shared.
 		nd := make([]byte, f.Size())
 		copy(nd, fd.bytes)
-		fd.bytes = nd
-		fd.shared = false
+		*fd = frameData{bytes: nd}
 	}
 	copy(fd.bytes[off:], data)
+}
+
+// Adopt makes b the contents of frame f without copying it: b becomes
+// the frame's bytes, reading as zero past its end, and is marked
+// shared, so the frame never writes into it (the first Write copies it
+// out) and whoever handed it over must not either. An empty or
+// all-zero b leaves f a lazy zero frame, exactly as Write would. This
+// is the demand-paging path: an executable's page goes from the file
+// to the frame with no host copy. Host-only — nothing is charged.
+func (p *Physical) Adopt(f FrameID, b []byte) {
+	fr := p.live(f)
+	if len(b) > f.Size() {
+		panic(fmt.Sprintf("mem: adopt len=%d beyond frame size %d", len(b), f.Size()))
+	}
+	if allZero(b) {
+		p.dropData(fr)
+		return
+	}
+	if fr.next == 0 {
+		fr.next = p.newSlot()
+	}
+	p.data[fr.next] = frameData{bytes: b, shared: true}
+}
+
+// newSlot returns an empty data slot, reusing the most recently
+// emptied one.
+func (p *Physical) newSlot() uint32 {
+	if n := len(p.freeSlots); n > 0 {
+		s := p.freeSlots[n-1]
+		p.freeSlots = p.freeSlots[:n-1]
+		return s
+	}
+	p.data = append(p.data, frameData{})
+	return uint32(len(p.data) - 1)
+}
+
+// dropData makes the live frame fr a lazy zero frame, emptying its
+// slot (if any) for reuse.
+func (p *Physical) dropData(fr *frame) {
+	if s := fr.next; s != 0 {
+		p.data[s] = frameData{}
+		p.freeSlots = append(p.freeSlots, s)
+		fr.next = 0
+	}
 }
 
 // zeroPage is the all-zero page allZero compares writes against.
@@ -447,19 +503,14 @@ func allZero(b []byte) bool {
 // Materialised reports whether f has real backing storage (false ⇒
 // it is a lazy zero frame). Used by tests and memory accounting.
 func (p *Physical) Materialised(f FrameID) bool {
-	p.live(f)
-	return p.data[f] != nil
+	return p.live(f).next != 0
 }
 
 // CopyFrame duplicates src into a newly allocated frame of the same
 // size, charging the copy cost (the COW-break path). The new frame has
 // refcount 1.
 func (p *Physical) CopyFrame(src FrameID) (FrameID, error) {
-	p.live(src)
-	var srcData []byte
-	if fd := p.data[src]; fd != nil {
-		srcData = fd.bytes
-	}
+	srcData := p.data[p.live(src).next].bytes
 	var dst FrameID
 	var err error
 	if src.IsHuge() {
@@ -481,10 +532,9 @@ func (p *Physical) CopyFrame(src FrameID) (FrameID, error) {
 	if srcData != nil {
 		nd := make([]byte, src.Size())
 		copy(nd, srcData)
-		if p.data == nil {
-			p.data = map[FrameID]*frameData{}
-		}
-		p.data[dst] = &frameData{bytes: nd}
+		s := p.newSlot()
+		p.data[s] = frameData{bytes: nd}
+		p.slot(dst).next = s
 	}
 	return dst, nil
 }
@@ -492,8 +542,7 @@ func (p *Physical) CopyFrame(src FrameID) (FrameID, error) {
 // ZeroFrame resets f's contents to zero (used when recycling pages
 // within an address space, e.g. exec tearing down the old image).
 func (p *Physical) ZeroFrame(f FrameID) {
-	p.live(f)
-	delete(p.data, f)
+	p.dropData(p.live(f))
 	if f.IsHuge() {
 		p.meter.Charge(p.meter.Model.HugeZero)
 		p.meter.PageZeroes += FramesPerHuge

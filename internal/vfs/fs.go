@@ -54,8 +54,9 @@ type Inode struct {
 	Type InodeType
 	data []byte // TypeFile
 	// shared marks data as host-COW-aliased by a template or clone
-	// machine (see Cloner): the bytes must be copied out before the
-	// first in-place write. Purely host-side bookkeeping.
+	// machine (see Cloner) or by a window a frame holds (see Window):
+	// the bytes must be copied out before the first in-place write.
+	// Purely host-side bookkeeping.
 	shared   bool
 	children map[string]*Inode // TypeDir
 	parent   *Inode            // TypeDir: ".."
@@ -78,16 +79,24 @@ func (ino *Inode) SetData(b []byte) {
 	ino.shared = false
 }
 
-// ReadAt implements addrspace.Backing-style reads with zero-fill past
-// EOF, so executable images can be demand-paged straight from a file.
-func (ino *Inode) ReadAt(off uint64, buf []byte) {
-	for i := range buf {
-		buf[i] = 0
-	}
+// Window returns the file's bytes [off, off+n) without copying them:
+// shorter at EOF, empty past it, and capacity-capped so an append to
+// it cannot reach the bytes beyond. It implements addrspace.Backing,
+// so executable images are demand-paged straight from a file. The
+// window aliases the file, so it marks the contents shared: the next
+// in-place write copies the file out first and every window handed out
+// keeps the bytes it saw. The flag is written only when it is clear,
+// so paging in from a stamp's inodes, which a clone already marks,
+// writes nothing.
+func (ino *Inode) Window(off uint64, n int) []byte {
 	if off >= uint64(len(ino.data)) {
-		return
+		return nil
 	}
-	copy(buf, ino.data[off:])
+	end := min(off+uint64(n), uint64(len(ino.data)))
+	if !ino.shared {
+		ino.shared = true
+	}
+	return ino.data[off:end:end]
 }
 
 // FS is the filesystem: a tree of inodes rooted at "/".

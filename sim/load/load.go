@@ -217,8 +217,9 @@ func (e *SpecError) Error() string {
 }
 
 // validate rejects the counts withDefaults cannot resolve: zero
-// selects a default, a negative count is junk. Templates.Run and
-// Templates.Server call it before any machine boots.
+// selects a default, a negative count is junk, and so is a CPU count
+// past what a machine can have. Templates.Run and Templates.Server
+// call it before any machine boots.
 func (cfg Config) validate() error {
 	fields := []string{"Requests", "Workers", "Window", "Nodes", "RequestWorkMiB"}
 	for i, n := range []int{cfg.Requests, cfg.Workers, cfg.Window, cfg.Nodes, cfg.RequestWorkMiB} {
@@ -226,6 +227,10 @@ func (cfg Config) validate() error {
 			return &SpecError{Spec: "load.Config", Field: fields[i],
 				Reason: fmt.Sprintf("%d (want >= 0; 0 selects the default)", n)}
 		}
+	}
+	if cfg.CPUs < 0 || cfg.CPUs > cost.MaxCPUs {
+		return &SpecError{Spec: "load.Config", Field: "CPUs",
+			Reason: fmt.Sprintf("%d (want 0..%d; 0 selects 1)", cfg.CPUs, cost.MaxCPUs)}
 	}
 	return nil
 }

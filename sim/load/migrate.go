@@ -73,6 +73,12 @@ type migrateCell struct {
 	heapStart uint64 // source host's server-heap base VA
 	rounds    int    // pre-copy rounds per migration (round 0 included)
 
+	// recs is the one record buffer every capture of every migration
+	// fills: each round's records are installed before the next round
+	// captures, so after the first full capture no round allocates a
+	// record slice.
+	recs []addrspace.PageRecord
+
 	migrations uint64
 	refused    uint64
 	creations  uint64
@@ -221,7 +227,7 @@ func (c *migrateCell) migrateOnce() error {
 	defer srcK.DestroyProcess(p)
 
 	// Round 0: full checkpoint, rearming the dirty tracking.
-	img, err := srcK.CheckpointProcess(p, kernel.CheckpointOpts{Rearm: true})
+	img, err := srcK.CheckpointProcess(p, kernel.CheckpointOpts{Rearm: true, PageBuf: c.recs})
 	if err != nil {
 		var ce *kernel.CheckpointError
 		if errors.As(err, &ce) {
@@ -237,6 +243,7 @@ func (c *migrateCell) migrateOnce() error {
 		return err
 	}
 	dstK.AdvanceTo(arrival)
+	c.recs = img.Pages
 	rp, err := dstK.RestoreProcess(img)
 	if err != nil {
 		return fmt.Errorf("restore round 0: %w", err)
@@ -253,7 +260,8 @@ func (c *migrateCell) migrateOnce() error {
 		if err := c.mutate(p); err != nil {
 			return err
 		}
-		recs := p.Space().CapturePages(true, true)
+		recs := p.Space().CapturePages(c.recs[:0], true, true)
+		c.recs = recs
 		if len(recs) == 0 {
 			break // converged: nothing dirtied since the last round
 		}
@@ -279,10 +287,11 @@ func (c *migrateCell) migrateOnce() error {
 		return err
 	}
 	tStop := srcK.Elapsed()
-	final, err := srcK.CheckpointProcess(p, kernel.CheckpointOpts{DirtyOnly: true})
+	final, err := srcK.CheckpointProcess(p, kernel.CheckpointOpts{DirtyOnly: true, PageBuf: c.recs})
 	if err != nil {
 		return fmt.Errorf("stop-and-copy checkpoint: %w", err)
 	}
+	c.recs = final.Pages
 	arrival, err = c.ship("final", final.PageBytes()+migHdrBytes)
 	if err != nil {
 		return err

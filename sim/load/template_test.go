@@ -132,8 +132,8 @@ func TestRunDispatchIsShared(t *testing.T) {
 	}
 }
 
-// TestNegativeCountsRejected: a negative count is junk no default can
-// resolve. Every entry point — the cold Run, a live cache's Run, and
+// TestNegativeCountsRejected: a negative count, or a CPU count past
+// cost.MaxCPUs, is junk no default can resolve. Every entry point — the cold Run, a live cache's Run, and
 // Server on either — rejects it with a *SpecError naming the field
 // before any machine boots, instead of panicking mid-run.
 func TestNegativeCountsRejected(t *testing.T) {
@@ -147,6 +147,8 @@ func TestNegativeCountsRejected(t *testing.T) {
 		{"Window", Config{Scenario: Prefork, Window: -2}},
 		{"Nodes", Config{Scenario: KVShard, Nodes: -2}},
 		{"RequestWorkMiB", Config{Scenario: Prefork, RequestWorkMiB: -1}},
+		{"CPUs", Config{Scenario: Prefork, CPUs: 65}},
+		{"CPUs", Config{Scenario: ForkStorm, CPUs: -1}},
 	} {
 		c.cfg.HeapBytes = 4 << 20
 		srv := c.cfg
