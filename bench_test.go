@@ -1,169 +1,30 @@
 package repro
 
-// One benchmark per figure/table of the paper's evaluation, plus
-// ablation and substrate microbenchmarks, all driven through the
-// public sim API. Process-creation benchmarks report both host ns/op
-// (how fast the simulator runs) and the virtual-time metric
-// "virt-µs/op" (what the paper's axes show); the virtual numbers are
-// the reproduction, the host numbers are just the simulator's own
-// speed.
+// Substrate micro-benchmarks and three load scenarios, driven through
+// the public sim API: the host cost of the simulator's own paths, from
+// a demand fault to a prefork server. Nothing here regenerates an
+// experiment: cmd/forkbench's experiments golden pins their virtual
+// numbers byte for byte, and the benchmark in bench/ times the host
+// end to end.
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
 //
-// regenerates everything; see README "Regenerating the paper's
-// evaluation" for the mapping to the paper.
+// ns/op is only the simulator's own speed. BenchmarkLoadPrefork and
+// BenchmarkLoadSMPServer also report the virtual metric their scenario
+// is about.
 
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/addrspace"
-	"repro/internal/experiments"
 	"repro/internal/kernel"
 	"repro/internal/ulib"
 	"repro/sim"
 	"repro/sim/load"
 )
 
-const (
-	kib = uint64(1) << 10
-	mib = uint64(1) << 20
-)
-
-// benchSystem boots a machine whose host process is a dirty parent of
-// the given size — the x-axis of Figure 1.
-func benchSystem(b *testing.B, size uint64, huge bool) *sim.System {
-	b.Helper()
-	sys, err := sim.NewSystem(sim.WithRAM(4<<30), sim.WithUserland("true"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sys.DirtyHost(size, huge); err != nil {
-		b.Fatal(err)
-	}
-	return sys
-}
-
-// benchCreation is the shared body for Figure 1's lines: create a
-// parked child through one strategy, record the virtual latency,
-// destroy it.
-func benchCreation(b *testing.B, st sim.Strategy, size uint64, huge bool) {
-	sys := benchSystem(b, size, huge)
-	measure := func() time.Duration {
-		p, err := sys.Command("true").Via(st).Create()
-		if err != nil {
-			b.Fatal(err)
-		}
-		virt := p.CreationCost()
-		p.Destroy()
-		return virt
-	}
-	// Warm-up: the first fork additionally downgrades the parent's
-	// PTEs to read-only.
-	measure()
-	var virt time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		virt += measure()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(virt)/float64(b.N)/1e3, "virt-µs/op")
-}
-
-// BenchmarkFigure1 regenerates every line of Figure 1 (creation
-// latency vs parent size). Sub-benchmark names give method and size.
-func BenchmarkFigure1(b *testing.B) {
-	sizes := []uint64{1 * mib, 16 * mib, 256 * mib, 1024 * mib}
-	for _, size := range sizes {
-		name := load.HumanBytes(size)
-		b.Run("fork+exec/"+name, func(b *testing.B) {
-			benchCreation(b, sim.ForkExec, size, false)
-		})
-		b.Run("vfork+exec/"+name, func(b *testing.B) {
-			benchCreation(b, sim.VforkExec, size, false)
-		})
-		b.Run("posix_spawn/"+name, func(b *testing.B) {
-			benchCreation(b, sim.Spawn, size, false)
-		})
-		b.Run("fork+exec-huge/"+name, func(b *testing.B) {
-			benchCreation(b, sim.ForkExec, size, true)
-		})
-	}
-}
-
-// BenchmarkTable1 runs the full probed semantics matrix (its cost is
-// dominated by the O(1)-in-parent-size probe, which forks a 128 MiB
-// parent).
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table1(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCOWTax regenerates E3: per-page write cost before and
-// after a fork.
-func BenchmarkCOWTax(b *testing.B) {
-	var parentPerPage float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.CowTax(16 * mib)
-		if err != nil {
-			b.Fatal(err)
-		}
-		parentPerPage = float64(res.ParentPerPage)
-	}
-	b.ReportMetric(parentPerPage, "virt-ns/page")
-}
-
-// BenchmarkForkHuge regenerates E4's headline pair: fork+exec of a
-// 256 MiB parent with 4 KiB vs 2 MiB pages.
-func BenchmarkForkHuge(b *testing.B) {
-	b.Run("4KiB", func(b *testing.B) { benchCreation(b, sim.ForkExec, 256*mib, false) })
-	b.Run("2MiB", func(b *testing.B) { benchCreation(b, sim.ForkExec, 256*mib, true) })
-}
-
-// BenchmarkEagerFork regenerates ablation 1: 1970s fork that copies
-// every resident page at fork time.
-func BenchmarkEagerFork(b *testing.B) {
-	b.Run("cow", func(b *testing.B) { benchCreation(b, sim.ForkExec, 64*mib, false) })
-	b.Run("eager", func(b *testing.B) { benchCreation(b, sim.EagerForkExec, 64*mib, false) })
-}
-
-// BenchmarkEmulatedFork regenerates E7's worst line: user-space fork
-// over cross-process operations.
-func BenchmarkEmulatedFork(b *testing.B) {
-	benchCreation(b, sim.EmulatedFork, 16*mib, false)
-}
-
-// BenchmarkOvercommit regenerates E5 (the full policy × size matrix).
-func BenchmarkOvercommit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Overcommit(128 * mib); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCompose regenerates E6 (all four §4.2 demonstrations,
-// executed as VM programs).
-func BenchmarkCompose(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Compose(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSpawnScale regenerates E7's throughput sweep.
-func BenchmarkSpawnScale(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Scale(1*mib, 64*mib); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+const mib = uint64(1) << 20
 
 // BenchmarkLoadPrefork is the §5 server claim as a benchmark: a
 // prefork server draining synthetic requests, one worker process per
@@ -257,7 +118,13 @@ func BenchmarkDemandFault(b *testing.B) {
 // BenchmarkCloneCOW measures the raw page-table COW clone (the fork
 // inner loop) for a 64 MiB parent.
 func BenchmarkCloneCOW(b *testing.B) {
-	sys := benchSystem(b, 64*mib, false)
+	sys, err := sim.NewSystem(sim.WithRAM(4<<30), sim.WithUserland("true"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sys.DirtyHost(64*mib, false); err != nil {
+		b.Fatal(err)
+	}
 	space := sys.Host().Space()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

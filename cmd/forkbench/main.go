@@ -20,18 +20,17 @@
 //
 //	-max SIZE     largest parent for sweeps (default 1GiB; each
 //	              experiment clamps it to the heap it is sized for)
-//	-reps N       repetitions per fig1 point (default 5)
-//	-eager        include the 1970s eager-copy fork line in fig1
 //
 // "all" runs every experiment in the order listed. Its output is a
 // pure function of the flags, so the CI experiments golden gate
 // byte-compares it with testdata/experiments_all.txt.
 //
-// The load-backed claims — server, cpusweep, fleetclaim, chaos,
-// scaleout, netclaim and migrate (E8–E12, E15, E16) — take no flag but
-// -max: it is their server heap, or the top of their heap ladder. Each
-// simulates its cells in parallel on the host, and its table is the
-// same at any GOMAXPROCS.
+// The sweeps — fig1, hugepages, scale and ablations over creation
+// cells, and the load-backed claims server, cpusweep, fleetclaim,
+// chaos, scaleout, netclaim and migrate (E8–E12, E15, E16) — take no
+// flag but -max: it is their largest parent, their server heap, or the
+// top of their heap ladder. Each simulates its cells in parallel on
+// the host, and its table is the same at any GOMAXPROCS.
 //
 // "strategies" demonstrates the public sim API: one workload launched
 // through every process-creation strategy the paper compares
@@ -200,8 +199,6 @@ var subcommands = map[string]func(args []string) error{
 
 func main() {
 	maxFlag := flag.String("max", "1GiB", "largest parent size for sweeps")
-	reps := flag.Int("reps", 5, "repetitions per fig1 point")
-	eager := flag.Bool("eager", false, "include eager-copy fork line in fig1")
 	flag.Usage = func() {
 		names := make([]string, len(experimentTable))
 		for i, e := range experimentTable {
@@ -231,7 +228,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	err = runExperiments(flag.Arg(0), options{max: maxBytes, reps: *reps, eager: *eager}, os.Stdout)
+	err = runExperiments(flag.Arg(0), maxBytes, os.Stdout)
 	if errors.Is(err, errUnknownExperiment) {
 		flag.Usage()
 		os.Exit(2)
@@ -241,39 +238,26 @@ func main() {
 	}
 }
 
-// options are the experiment flags.
-type options struct {
-	max   uint64 // -max, clamped to the entry's cap before it runs
-	reps  int    // -reps
-	eager bool   // -eager
-}
-
 // An experiment is one entry of experimentTable. A non-zero cap
 // clamps -max to the largest heap the experiment is sized for; run
-// returns the experiment's stdout.
+// takes the clamped -max and returns the experiment's stdout.
 type experiment struct {
 	name string
 	cap  uint64
-	run  func(options) (string, error)
+	run  func(maxBytes uint64) (string, error)
 }
 
 // experimentTable is every experiment, in the order `forkbench all`
 // runs them.
 var experimentTable = []experiment{
-	{"fig1", 0, fig1},
-	{"table1", 0, func(options) (string, error) { return render(experiments.Table1()) }},
-	{"cowtax", 0, func(options) (string, error) { return render(experiments.CowTax(0)) }},
-	{"hugepages", 512 * experiments.MiB, func(o options) (string, error) {
-		return render(experiments.HugePages(0, o.max))
-	}},
-	{"overcommit", 0, func(options) (string, error) { return render(experiments.Overcommit(0)) }},
-	{"compose", 0, func(options) (string, error) { return render(experiments.Compose()) }},
-	{"scale", 256 * experiments.MiB, func(o options) (string, error) {
-		return render(experiments.Scale(0, o.max))
-	}},
-	{"ablations", 128 * experiments.MiB, func(o options) (string, error) {
-		return render(experiments.Ablations(o.max))
-	}},
+	{"fig1", experiments.GiB, sweep(experiments.Figure1)},
+	{"table1", 0, func(uint64) (string, error) { return render(experiments.Table1()) }},
+	{"cowtax", 0, func(uint64) (string, error) { return render(experiments.CowTax()) }},
+	{"hugepages", 512 * experiments.MiB, sweep(experiments.HugePages)},
+	{"overcommit", 0, func(uint64) (string, error) { return render(experiments.Overcommit()) }},
+	{"compose", 0, func(uint64) (string, error) { return render(experiments.Compose()) }},
+	{"scale", 256 * experiments.MiB, sweep(experiments.Scale)},
+	{"ablations", 128 * experiments.MiB, sweep(experiments.Ablations)},
 	{"server", 256 * experiments.MiB, sweep(experiments.ServerClaim)},
 	{"cpusweep", 64 * experiments.MiB, sweep(experiments.CPUSweep)},
 	{"fleetclaim", 64 * experiments.MiB, sweep(experiments.FleetClaim)},
@@ -289,13 +273,11 @@ var experimentTable = []experiment{
 var errUnknownExperiment = errors.New("unknown experiment")
 
 // runExperiments runs the named experiment, or every one in table
-// order for "all", writing each one's output to w as it finishes.
-func runExperiments(name string, o options, w io.Writer) error {
-	if o.max == 0 {
+// order for "all", at -max maxBytes, writing each one's output to w as
+// it finishes.
+func runExperiments(name string, maxBytes uint64, w io.Writer) error {
+	if maxBytes == 0 {
 		return errors.New("-max must be larger than 0")
-	}
-	if o.reps < 0 {
-		return fmt.Errorf("-reps %d: want >= 0 (0 selects the default)", o.reps)
 	}
 	ran := false
 	for _, e := range experimentTable {
@@ -303,11 +285,11 @@ func runExperiments(name string, o options, w io.Writer) error {
 			continue
 		}
 		ran = true
-		eo := o
+		m := maxBytes
 		if e.cap != 0 {
-			eo.max = min(eo.max, e.cap)
+			m = min(m, e.cap)
 		}
-		out, err := e.run(eo)
+		out, err := e.run(m)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)
 		}
@@ -321,10 +303,10 @@ func runExperiments(name string, o options, w io.Writer) error {
 	return nil
 }
 
-// sweep adapts a load-backed claim's constructor, which takes only
-// the clamped -max, to an experiment's run.
-func sweep(claim func(uint64) (*experiments.Sweep, error)) func(options) (string, error) {
-	return func(o options) (string, error) { return render(claim(o.max)) }
+// sweep adapts a sweep's constructor, which takes only the clamped
+// -max, to an experiment's run.
+func sweep(build func(uint64) (*experiments.Sweep, error)) func(uint64) (string, error) {
+	return func(maxBytes uint64) (string, error) { return render(build(maxBytes)) }
 }
 
 // render is an experiment's stdout: its rendered table and a blank
@@ -336,35 +318,19 @@ func render[R interface{ Render() string }](r R, err error) (string, error) {
 	return r.Render() + "\n", nil
 }
 
-// fig1 is Figure 1 followed by the parent size at which spawn
-// overtakes fork+exec.
-func fig1(o options) (string, error) {
-	res, err := experiments.Figure1(experiments.Fig1Config{
-		MaxBytes: o.max, Reps: o.reps, IncludeEager: o.eager,
-	})
-	if err != nil {
-		return "", err
-	}
-	out := res.Render() + "\n"
-	if cx, ok := res.Crossover(); ok {
-		out += fmt.Sprintf("spawn overtakes fork+exec at parent size %s\n\n", load.HumanBytes(cx))
-	}
-	return out, nil
-}
-
 // strategies runs one workload through all five creation APIs via the
 // public sim package and reports creation latency from a dirty parent
 // — Figure 1's point made interactively.
-func strategies(o options) (string, error) {
+func strategies(heap uint64) (string, error) {
 	sys, err := sim.NewSystem(sim.WithRAM(4 << 30))
 	if err != nil {
 		return "", err
 	}
-	if err := sys.DirtyHost(o.max, false); err != nil {
+	if err := sys.DirtyHost(heap, false); err != nil {
 		return "", err
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "one workload, five creation APIs (parent dirties %s):\n\n", load.HumanBytes(o.max))
+	fmt.Fprintf(&b, "one workload, five creation APIs (parent dirties %s):\n\n", load.HumanBytes(heap))
 	fmt.Fprintf(&b, "%-22s %-14s %s\n", "strategy", "creation", "output")
 	var reference string
 	for _, st := range sim.Strategies() {

@@ -62,7 +62,7 @@ func TestParseSize(t *testing.T) {
 //	go test ./cmd/forkbench -run TestRunExperimentsGolden -update
 func TestRunExperimentsGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runExperiments("all", options{max: experiments.GiB, reps: 5}, &buf); err != nil {
+	if err := runExperiments("all", experiments.GiB, &buf); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "experiments_all.txt", buf.Bytes())
@@ -70,7 +70,7 @@ func TestRunExperimentsGolden(t *testing.T) {
 
 // TestRunExperimentsLadderHonoursMax: an experiment that sweeps the
 // {4, 16, 64} MiB heap ladder runs -max alone when no rung fits under
-// it, and -max 0 and -reps -1 are refused before any experiment runs.
+// it, and -max 0 is refused before any experiment runs.
 func TestRunExperimentsLadderHonoursMax(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -81,7 +81,7 @@ func TestRunExperimentsLadderHonoursMax(t *testing.T) {
 		{"scaleout", 0, 1},
 	} {
 		var buf bytes.Buffer
-		if err := runExperiments(c.name, options{max: 2 * experiments.MiB, reps: 1}, &buf); err != nil {
+		if err := runExperiments(c.name, 2*experiments.MiB, &buf); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		rows := tableRows(buf.String())
@@ -96,12 +96,26 @@ func TestRunExperimentsLadderHonoursMax(t *testing.T) {
 			t.Errorf("%s -max 2MiB: %d rows, want %d:\n%s", c.name, len(rows), c.rows, buf.String())
 		}
 	}
-	for _, o := range []options{{max: 0, reps: 1}, {max: experiments.GiB, reps: -1}} {
-		var buf bytes.Buffer
-		if err := runExperiments("all", o, &buf); err == nil || buf.Len() != 0 {
-			t.Errorf("-max %d -reps %d: err %v after %d bytes of output, want an error before any experiment",
-				o.max, o.reps, err, buf.Len())
-		}
+	var buf bytes.Buffer
+	if err := runExperiments("all", 0, &buf); err == nil || buf.Len() != 0 {
+		t.Errorf("-max 0: err %v after %d bytes of output, want an error before any experiment", err, buf.Len())
+	}
+}
+
+// TestRunExperimentsFig1Capped: fig1 clamps -max to 1 GiB, the parent
+// size its figure is sized for, so a larger -max prints the 1 GiB
+// figure. Unclamped, a -max near 2^64 would wrap the doubling size
+// series and never end; a lost cap fails here with an extra row.
+func TestRunExperimentsFig1Capped(t *testing.T) {
+	var at1, at2 bytes.Buffer
+	if err := runExperiments("fig1", experiments.GiB, &at1); err != nil {
+		t.Fatal(err)
+	}
+	if err := runExperiments("fig1", 2*experiments.GiB, &at2); err != nil {
+		t.Fatal(err)
+	}
+	if at1.String() != at2.String() {
+		t.Errorf("fig1 -max 2GiB:\n%s\nwant the -max 1GiB figure:\n%s", at2.String(), at1.String())
 	}
 }
 
@@ -164,6 +178,7 @@ func TestRunLoadRejectsJunk(t *testing.T) {
 		{[]string{"-scenario", "netlb", "-nodes", "-1"}, "Nodes"},
 		{[]string{"-scenario", "forkstorm", "-workers", "-1", "-n", "1"}, "Workers"},
 		{[]string{"-scenario", "buildfarm", "-n", "-5"}, "Requests"},
+		{[]string{"-ram", "4095"}, "RAMBytes"},
 	} {
 		err := runLoad(c.args)
 		if err == nil {

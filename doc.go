@@ -17,10 +17,12 @@
 //	internal/kernel      the simulated OS
 //	internal/mem, pagetable, addrspace, vfs, sig — substrates
 //	internal/isa, asm, image, ulib — the userland toolchain
-//	internal/experiments — Figure 1, Table 1, E3–E7
+//	internal/experiments — Figure 1, Table 1, E3–E12, E15, E16, ablations
 //	cmd/forkbench, forkrun, forksh, kxasm — executables
 //	examples/            — runnable API walkthroughs
 //
-// See README.md. The benchmarks in bench_test.go regenerate every
-// experiment under `go test -bench`.
+// See README.md. `forkbench all` regenerates every experiment, and
+// cmd/forkbench/testdata/experiments_all.txt pins its output. The
+// benchmarks in bench_test.go time the substrate and three load
+// scenarios on the host.
 package repro

@@ -57,11 +57,13 @@ const MaxCPUs = 64
 // machine-level operation costs. The default values are calibrated so
 // that the simulated process-creation latencies land in the same
 // regime as the measurements reported in "A fork() in the road"
-// (HotOS'19): a minimal fork+exec around 50 µs, posix_spawn flat near
-// 165 µs, fork cost growing linearly with the number of page-table
-// entries copied (~65 µs per dirty MiB), and the fork/spawn crossover
-// in the low-MiB range. See README "Regenerating the paper's
-// evaluation" for the experiments that check it.
+// (HotOS'19): a minimal fork+exec takes 34.3 µs from a parent with no
+// dirty memory, posix_spawn takes 162.8 µs at every parent size,
+// fork+exec grows linearly with the page-table entries it copies, by
+// 64.3 µs per dirty MiB, and spawn overtakes fork+exec at a 2MiB
+// parent. internal/experiments' TestCalibrationSentence measures these
+// values and fails if this sentence stops stating them. See README
+// "Regenerating the paper's evaluation" for the experiments.
 type Model struct {
 	// Trap and dispatch overheads.
 	SyscallEntry  Ticks // user→kernel trap + dispatch

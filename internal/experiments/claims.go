@@ -29,11 +29,9 @@ type CowTaxResult struct {
 	PageCopiesParent uint64
 }
 
-// CowTax measures E3 with a working set of the given size.
-func CowTax(size uint64) (*CowTaxResult, error) {
-	if size == 0 {
-		size = 64 * MiB
-	}
+// CowTax measures E3 with a 64 MiB working set.
+func CowTax() (*CowTaxResult, error) {
+	const size = 64 * MiB
 	k := newKernel(kernel.Options{RAMBytes: 4 * size})
 	parent, err := buildParent(k, "p", size, false)
 	if err != nil {
@@ -61,14 +59,13 @@ func CowTax(size uint64) (*CowTaxResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	meter := k.Meter()
-	meter.ResetCounters()
+	copies := k.Meter().PageCopies
 	par, err := rewrite(parent)
 	if err != nil {
 		return nil, err
 	}
 	res.ParentPerPage = par / cost.Ticks(pages)
-	res.PageCopiesParent = meter.PageCopies
+	res.PageCopiesParent = k.Meter().PageCopies - copies
 
 	ch, err := rewrite(child)
 	if err != nil {
@@ -98,81 +95,24 @@ func (r *CowTaxResult) Render() string {
 // PTEs fork must copy by 512, but fork stays Θ(size).
 // ---------------------------------------------------------------
 
-// HugePoint is one (size, pagesize) fork measurement.
-type HugePoint struct {
-	SizeBytes uint64
-	Huge      bool
-	ForkExec  cost.Ticks
-	PTECopies uint64
-}
-
-// HugePagesResult is E4.
-type HugePagesResult struct {
-	Points []HugePoint
-}
-
-// HugePages sweeps fork+exec latency for 4 KiB and 2 MiB parents.
-func HugePages(minBytes, maxBytes uint64) (*HugePagesResult, error) {
-	if minBytes == 0 {
-		minBytes = 2 * MiB
+// HugePages sweeps fork+exec latency for 4 KiB and 2 MiB parents
+// from 2 MiB up to maxBytes, with the PTEs each creation copies.
+func HugePages(maxBytes uint64) (*Sweep, error) {
+	s := &Sweep{head: "E4: fork+exec with 4KiB vs 2MiB pages (huge pages mitigate, fork stays Θ(size))\n"}
+	for _, size := range sizeSweep(2*MiB, maxBytes) {
+		small, huge := creations(size, false, core.MethodForkExec), creations(size, true, core.MethodForkExec)
+		s.rows = append(s.rows, append(small, huge...))
 	}
-	if maxBytes == 0 {
-		maxBytes = 512 * MiB
+	ptes := func(c *creation) string { return fmt.Sprint(c.ptes) }
+	s.cols = []column{
+		parentSize,
+		creationCol("4KiB fork+exec", 0, us),
+		creationCol("PTEs", 0, ptes),
+		creationCol("2MiB fork+exec", 1, us),
+		creationCol("PTEs", 1, ptes),
+		{"speedup", func(r []cell) string { return times(r[0].create, r[1].create) }},
 	}
-	res := &HugePagesResult{}
-	for _, size := range sizeSweep(minBytes, maxBytes) {
-		for _, huge := range []bool{false, true} {
-			k := newKernel(kernel.Options{RAMBytes: 4 * maxBytes})
-			if err := ulib.Install(k, "true", "/bin/true"); err != nil {
-				return nil, err
-			}
-			parent, err := buildParent(k, "p", size, huge)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := core.MeasureCreation(k, parent, core.MethodForkExec, "/bin/true"); err != nil {
-				return nil, err
-			}
-			meter := k.Meter()
-			meter.ResetCounters()
-			el, err := core.MeasureCreation(k, parent, core.MethodForkExec, "/bin/true")
-			if err != nil {
-				return nil, err
-			}
-			res.Points = append(res.Points, HugePoint{
-				SizeBytes: size, Huge: huge, ForkExec: el, PTECopies: meter.PTECopies,
-			})
-			k.DestroyProcess(parent)
-		}
-	}
-	return res, nil
-}
-
-// Render formats E4.
-func (r *HugePagesResult) Render() string {
-	rows := [][]string{{"parent size", "4KiB fork+exec", "PTEs", "2MiB fork+exec", "PTEs", "speedup"}}
-	bySize := map[uint64][2]HugePoint{}
-	var order []uint64
-	for _, p := range r.Points {
-		e := bySize[p.SizeBytes]
-		if p.Huge {
-			e[1] = p
-		} else {
-			e[0] = p
-			order = append(order, p.SizeBytes)
-		}
-		bySize[p.SizeBytes] = e
-	}
-	for _, size := range order {
-		e := bySize[size]
-		rows = append(rows, []string{
-			load.HumanBytes(size),
-			fmt.Sprintf("%.1fµs", e[0].ForkExec.Micros()), fmt.Sprint(e[0].PTECopies),
-			fmt.Sprintf("%.1fµs", e[1].ForkExec.Micros()), fmt.Sprint(e[1].PTECopies),
-			fmt.Sprintf("%.1fx", float64(e[0].ForkExec)/float64(e[1].ForkExec)),
-		})
-	}
-	return "E4: fork+exec with 4KiB vs 2MiB pages (huge pages mitigate, fork stays Θ(size))\n" + renderTable(rows)
+	return s.run()
 }
 
 // ---------------------------------------------------------------
@@ -194,11 +134,9 @@ type OvercommitResult struct {
 	Outcomes []OvercommitOutcome
 }
 
-// Overcommit runs the policy × size matrix.
-func Overcommit(ram uint64) (*OvercommitResult, error) {
-	if ram == 0 {
-		ram = 256 * MiB
-	}
+// Overcommit runs the policy × size matrix on a 256 MiB machine.
+func Overcommit() (*OvercommitResult, error) {
+	const ram = 256 * MiB
 	res := &OvercommitResult{RAM: ram}
 	for _, pol := range []mem.CommitPolicy{mem.CommitStrict, mem.CommitHeuristic} {
 		for _, frac := range []float64{0.25, 0.40, 0.60} {
@@ -367,93 +305,27 @@ func (r *ComposeResult) Render() string {
 // is the worst of all worlds).
 // ---------------------------------------------------------------
 
-// ScalePoint is one (method, size) throughput sample.
-type ScalePoint struct {
-	Method      core.Method
-	SizeBytes   uint64
-	PerCreation cost.Ticks
-	PerSecond   float64 // children per virtual second
+// scaleMethods are E7's lines, in column order. The emulated fork
+// comes last, so a row past 64 MiB can stop short of it.
+var scaleMethods = []core.Method{
+	core.MethodForkExec, core.MethodSpawn, core.MethodBuilder, core.MethodEmulatedForkExec,
 }
 
-// ScaleResult is E7.
-type ScaleResult struct {
-	Points []ScalePoint
-}
-
-// Scale sweeps creation throughput. The emulated-fork line is capped
-// at 64 MiB (it copies bytes through user space and is painfully,
-// intentionally slow).
-func Scale(minBytes, maxBytes uint64) (*ScaleResult, error) {
-	if minBytes == 0 {
-		minBytes = 1 * MiB
-	}
-	if maxBytes == 0 {
-		maxBytes = 256 * MiB
-	}
-	res := &ScaleResult{}
-	methods := []core.Method{
-		core.MethodForkExec, core.MethodSpawn, core.MethodBuilder, core.MethodEmulatedForkExec,
-	}
-	for _, size := range sizeSweep(minBytes, maxBytes) {
-		k := newKernel(kernel.Options{RAMBytes: 4 * maxBytes})
-		if err := ulib.Install(k, "true", "/bin/true"); err != nil {
-			return nil, err
+// Scale sweeps creation throughput from 1 MiB up to maxBytes. The
+// emulated-fork line is capped at 64 MiB (it copies bytes through user
+// space and is painfully, intentionally slow).
+func Scale(maxBytes uint64) (*Sweep, error) {
+	s := &Sweep{head: "E7: creations per virtual second vs parent size\n", cols: []column{parentSize}}
+	for _, size := range sizeSweep(MiB, maxBytes) {
+		methods := scaleMethods
+		if size > 64*MiB {
+			methods = methods[:len(methods)-1]
 		}
-		parent, err := buildParent(k, "p", size, false)
-		if err != nil {
-			return nil, err
-		}
-		for _, m := range methods {
-			if m == core.MethodEmulatedForkExec && size > 64*MiB {
-				continue
-			}
-			if _, err := core.MeasureCreation(k, parent, m, "/bin/true"); err != nil {
-				return nil, err
-			}
-			el, err := core.MeasureCreation(k, parent, m, "/bin/true")
-			if err != nil {
-				return nil, err
-			}
-			res.Points = append(res.Points, ScalePoint{
-				Method: m, SizeBytes: size, PerCreation: el,
-				PerSecond: 1e9 / float64(el),
-			})
-		}
-		k.DestroyProcess(parent)
+		s.rows = append(s.rows, creations(size, false, methods...))
 	}
-	return res, nil
-}
-
-// Render formats E7.
-func (r *ScaleResult) Render() string {
-	methods := []core.Method{
-		core.MethodForkExec, core.MethodSpawn, core.MethodBuilder, core.MethodEmulatedForkExec,
+	perSecond := func(c *creation) string { return fmt.Sprintf("%.0f", 1e9/float64(c.virt)) }
+	for i, m := range scaleMethods {
+		s.cols = append(s.cols, creationCol(m.String()+" /s", i, perSecond))
 	}
-	head := []string{"parent size"}
-	for _, m := range methods {
-		head = append(head, m.String()+" /s")
-	}
-	rows := [][]string{head}
-	sizes := map[uint64]bool{}
-	var order []uint64
-	for _, p := range r.Points {
-		if !sizes[p.SizeBytes] {
-			sizes[p.SizeBytes] = true
-			order = append(order, p.SizeBytes)
-		}
-	}
-	for _, size := range order {
-		row := []string{load.HumanBytes(size)}
-		for _, m := range methods {
-			cell := "-"
-			for _, p := range r.Points {
-				if p.Method == m && p.SizeBytes == size {
-					cell = fmt.Sprintf("%.0f", p.PerSecond)
-				}
-			}
-			row = append(row, cell)
-		}
-		rows = append(rows, row)
-	}
-	return "E7: creations per virtual second vs parent size\n" + renderTable(rows)
+	return s.run()
 }

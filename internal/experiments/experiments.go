@@ -3,15 +3,19 @@
 // ablations and the claims carried to servers, fleets, clusters and
 // the wire. Each experiment is a pure function of its configuration:
 // the simulator is deterministic, so repeated runs produce identical
-// numbers. Host time is measured by the bench/ module and the Go
-// benchmarks instead; E13 and E14 timed the host here until bench/
-// replaced them, and their numbers are not reused.
+// numbers. Host time is measured by the bench/ module instead; E13
+// and E14 timed the host here until bench/ replaced them, and their
+// numbers are not reused.
 //
 // Experiment index (README "Regenerating the paper's evaluation" maps
-// each to its paper claim and forkbench command). E8–E12, E15 and E16
-// are Sweeps (sweep.go): rows of load, fleet or cluster cells that one
-// runner simulates in parallel, rendered by named columns. Each takes
-// only forkbench's clamped -max.
+// each to its paper claim and forkbench command). Figure 1, E4, E7,
+// the ablations and E8–E12, E15 and E16 are Sweeps (sweep.go): rows of
+// cells that one runner simulates in parallel, rendered by named
+// columns. Figure 1, E4, E7 and Ablation 1 sweep creation cells, each
+// one timed creation from a dirty parent on its own machine; the
+// others sweep load, fleet or cluster cells. Each Sweep takes only
+// forkbench's clamped -max. Table 1, E3, E5 and E6 probe sequences and
+// programs, not creation points, and keep their own result types.
 //
 //	Figure1       — process-creation latency vs parent address-space size
 //	Table1        — executable semantics matrix: fork vs alternatives
@@ -27,7 +31,7 @@
 //	ScaleOutClaim — E12: autoscaler scale-out latency, fork vs spawn pools
 //	NetClaim      — E15: a backend restart behind a load balancer
 //	MigrateClaim  — E16: live-migration downtime vs heap size
-//	Ablations     — the design-choice ablations
+//	Ablations     — COW vs eager fork, and the §8 fork-refusal mitigation
 package experiments
 
 import (

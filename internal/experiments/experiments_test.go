@@ -3,10 +3,12 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/mem"
 	"repro/sim"
 	"repro/sim/cluster"
@@ -14,94 +16,148 @@ import (
 	"repro/sim/load"
 )
 
-// TestFigure1RejectsNegativeReps: a negative repetition count is an
-// error, not a figure of zeros (no repetition would run, and the mean
-// would be divided by it).
-func TestFigure1RejectsNegativeReps(t *testing.T) {
-	if res, err := Figure1(Fig1Config{MaxBytes: MiB, Reps: -1}); err == nil {
-		t.Fatalf("Reps -1: got %d points and no error", len(res.Points))
+// TestCreationSteadyState: from the second creation on, a creation
+// cell's parent pays the same for every child. For every method the
+// creation sweeps use, a third creation costs exactly the second's
+// virtual time and PTE copies, so one timed creation after one warm-up
+// is the steady state, and measure reports it.
+func TestCreationSteadyState(t *testing.T) {
+	var keys []creation
+	for _, size := range []uint64{MiB, 2 * MiB, 64 * MiB} {
+		for _, m := range []core.Method{
+			core.MethodForkExec, core.MethodVforkExec, core.MethodSpawn,
+			core.MethodBuilder, core.MethodEmulatedForkExec, core.MethodForkEagerExec,
+		} {
+			keys = append(keys, creation{size: size, method: m})
+		}
+		keys = append(keys, creation{size: size, huge: true, method: core.MethodForkExec})
+	}
+	for _, c := range keys {
+		k, parent, err := c.boot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var virt [3]cost.Ticks
+		var ptes [3]uint64
+		for i := range virt {
+			if virt[i], ptes[i], err = c.once(k, parent); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if virt[2] != virt[1] || ptes[2] != ptes[1] {
+			t.Errorf("%v from %s (huge %v): third creation %v/%d PTEs, second %v/%d",
+				c.method, load.HumanBytes(c.size), c.huge, virt[2], ptes[2], virt[1], ptes[1])
+		}
+		if err := c.measure(); err != nil {
+			t.Fatal(err)
+		}
+		if c.virt != virt[1] || c.ptes != ptes[1] {
+			t.Errorf("%v from %s (huge %v): measure %v/%d PTEs, second creation %v/%d",
+				c.method, load.HumanBytes(c.size), c.huge, c.virt, c.ptes, virt[1], ptes[1])
+		}
 	}
 }
 
-// TestFigure1Shape checks the paper's qualitative claims on a reduced
+// TestFigure1Shape checks the paper's qualitative claims on the golden
 // sweep: fork+exec grows roughly linearly with parent size, vfork+exec
 // and posix_spawn stay flat, fork beats spawn for tiny parents, and
 // the crossover lands in the low-MiB range.
 func TestFigure1Shape(t *testing.T) {
-	res, err := Figure1(Fig1Config{MinBytes: 256 * KiB, MaxBytes: 64 * MiB, Reps: 3})
+	s, err := Figure1(GiB)
 	if err != nil {
 		t.Fatalf("Figure1: %v", err)
 	}
-	get := func(m core.Method, size uint64) float64 {
-		for _, p := range res.Points {
-			if p.Method == m && p.SizeBytes == size {
-				return p.Mean.Micros()
-			}
-		}
-		t.Fatalf("missing point %v/%d", m, size)
-		return 0
-	}
-	small, big := uint64(256*KiB), uint64(64*MiB)
+	const fork, vfork, spawn = 0, 1, 2 // figure1Methods' order
+	get := func(r []cell, i int) float64 { return r[i].create.virt.Micros() }
+	small, big := s.rows[0], s.rows[len(s.rows)-1]
+	smallSize, bigSize := load.HumanBytes(small[0].create.size), load.HumanBytes(big[0].create.size)
 
 	// fork+exec grows with size.
-	fSmall, fBig := get(core.MethodForkExec, small), get(core.MethodForkExec, big)
+	fSmall, fBig := get(small, fork), get(big, fork)
 	if fBig < 8*fSmall {
-		t.Errorf("fork+exec not scaling: %0.1fµs at %s vs %0.1fµs at %s",
-			fSmall, load.HumanBytes(small), fBig, load.HumanBytes(big))
+		t.Errorf("fork+exec not scaling: %0.1fµs at %s vs %0.1fµs at %s", fSmall, smallSize, fBig, bigSize)
 	}
 
 	// spawn and vfork+exec are flat (within 25%).
-	for _, m := range []core.Method{core.MethodSpawn, core.MethodVforkExec} {
-		a, b := get(m, small), get(m, big)
+	for _, i := range []int{spawn, vfork} {
+		a, b := get(small, i), get(big, i)
 		if b > 1.25*a || a > 1.25*b {
-			t.Errorf("%v not flat: %0.1fµs at %s vs %0.1fµs at %s", m, a, load.HumanBytes(small), b, load.HumanBytes(big))
+			t.Errorf("%v not flat: %0.1fµs at %s vs %0.1fµs at %s", figure1Methods[i], a, smallSize, b, bigSize)
 		}
 	}
 
 	// fork beats spawn when the parent is tiny...
-	if fSmall >= get(core.MethodSpawn, small) {
-		t.Errorf("fork+exec (%0.1fµs) should beat spawn (%0.1fµs) at %s",
-			fSmall, get(core.MethodSpawn, small), load.HumanBytes(small))
+	if fSmall >= get(small, spawn) {
+		t.Errorf("fork+exec (%0.1fµs) should beat spawn (%0.1fµs) at %s", fSmall, get(small, spawn), smallSize)
 	}
 	// ...and loses by a wide margin when it is large.
-	if fBig <= 3*get(core.MethodSpawn, big) {
-		t.Errorf("fork+exec (%0.1fµs) should be ≫ spawn (%0.1fµs) at %s",
-			fBig, get(core.MethodSpawn, big), load.HumanBytes(big))
+	if fBig <= 3*get(big, spawn) {
+		t.Errorf("fork+exec (%0.1fµs) should be ≫ spawn (%0.1fµs) at %s", fBig, get(big, spawn), bigSize)
 	}
 
 	// The crossover sits in the low-MiB range (paper: ~1 MiB).
-	cx, ok := res.Crossover()
-	if !ok {
+	cx := crossover(s.rows)
+	if cx == 0 {
 		t.Fatalf("no crossover found")
 	}
 	if cx < 512*KiB || cx > 16*MiB {
 		t.Errorf("crossover at %s, want within [512KiB, 16MiB]", load.HumanBytes(cx))
 	}
-	t.Logf("\n%s\ncrossover at %s", res.Render(), load.HumanBytes(cx))
+	t.Logf("\n%s", s.Render())
 }
 
+// TestFigure1Deterministic: two Figure 1 sweeps, whose cells run in
+// parallel, render the same bytes.
 func TestFigure1Deterministic(t *testing.T) {
-	cfg := Fig1Config{MinBytes: 1 * MiB, MaxBytes: 4 * MiB, Reps: 2}
-	a, err := Figure1(cfg)
+	a, err := Figure1(4 * MiB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Figure1(cfg)
+	b, err := Figure1(4 * MiB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Points) != len(b.Points) {
-		t.Fatalf("point counts differ")
+	if a.Render() != b.Render() {
+		t.Errorf("two identical Figure1 runs rendered differently:\n%s\n%s", a.Render(), b.Render())
 	}
-	for i := range a.Points {
-		if a.Points[i] != b.Points[i] {
-			t.Errorf("run diverged at %d: %+v vs %+v", i, a.Points[i], b.Points[i])
+}
+
+// TestCalibrationSentence: the calibration that README.md and
+// cost.Model's doc comment state is what the creation cells measure:
+// fork+exec from an empty parent, posix_spawn at every Figure 1 size,
+// fork+exec's growth per dirty MiB from 32 to 64 MiB, and Figure 1's
+// crossover. The comparison ignores line wrapping and comment
+// markers.
+func TestCalibrationSentence(t *testing.T) {
+	fig, err := Figure1(64 * MiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	minimal := creation{method: core.MethodForkExec}
+	if err := minimal.measure(); err != nil {
+		t.Fatal(err)
+	}
+	spawn := fig.rows[0][2].create
+	for _, r := range fig.rows {
+		if r[2].create.virt != spawn.virt {
+			t.Errorf("posix_spawn not flat: %v at %s, %v at %s",
+				spawn.virt, load.HumanBytes(spawn.size), r[2].create.virt, load.HumanBytes(r[2].create.size))
 		}
 	}
-	// Within a run, reps are identical too (min == max).
-	for _, p := range a.Points {
-		if p.Min != p.Max {
-			t.Errorf("%v/%s: min %v != max %v (nondeterminism)", p.Method, load.HumanBytes(p.SizeBytes), p.Min, p.Max)
+	lo, hi := fig.rows[len(fig.rows)-2][0].create, fig.rows[len(fig.rows)-1][0].create
+	perMiB := float64(hi.virt-lo.virt) / float64((hi.size-lo.size)/MiB) / float64(cost.Microsecond)
+	sentence := fmt.Sprintf("a minimal fork+exec takes %.1f µs from a parent with no dirty memory, "+
+		"posix_spawn takes %.1f µs at every parent size, fork+exec grows linearly with the page-table "+
+		"entries it copies, by %.1f µs per dirty MiB, and spawn overtakes fork+exec at a %s parent.",
+		minimal.virt.Micros(), spawn.virt.Micros(), perMiB, load.HumanBytes(crossover(fig.rows)))
+	flatten := func(s string) string { return strings.Join(strings.Fields(strings.ReplaceAll(s, "//", " ")), " ") }
+	for _, path := range []string{"../../README.md", "../cost/cost.go"} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(flatten(string(data)), sentence) {
+			t.Errorf("%s does not state the measured calibration:\n%s", path, sentence)
 		}
 	}
 }
@@ -149,7 +205,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestCowTax(t *testing.T) {
-	res, err := CowTax(16 * MiB)
+	res, err := CowTax()
 	if err != nil {
 		t.Fatalf("CowTax: %v", err)
 	}
@@ -169,34 +225,27 @@ func TestCowTax(t *testing.T) {
 }
 
 func TestHugePages(t *testing.T) {
-	res, err := HugePages(4*MiB, 64*MiB)
+	s, err := HugePages(512 * MiB)
 	if err != nil {
 		t.Fatalf("HugePages: %v", err)
 	}
-	for _, size := range sizeSweep(4*MiB, 64*MiB) {
-		var small, huge HugePoint
-		for _, p := range res.Points {
-			if p.SizeBytes != size {
-				continue
-			}
-			if p.Huge {
-				huge = p
-			} else {
-				small = p
-			}
+	if want := len(sizeSweep(2*MiB, 512*MiB)); len(s.rows) != want {
+		t.Fatalf("%d rows, want %d: one per size from 2MiB to 512MiB", len(s.rows), want)
+	}
+	for _, r := range s.rows {
+		small, huge := r[0].create, r[1].create
+		if small.ptes != huge.ptes*512 {
+			t.Errorf("%s: PTE ratio %d/%d, want 512x", load.HumanBytes(small.size), small.ptes, huge.ptes)
 		}
-		if small.PTECopies != huge.PTECopies*512 {
-			t.Errorf("%s: PTE ratio %d/%d, want 512x", load.HumanBytes(size), small.PTECopies, huge.PTECopies)
-		}
-		if huge.ForkExec >= small.ForkExec {
-			t.Errorf("%s: huge fork (%v) not faster than 4K fork (%v)", load.HumanBytes(size), huge.ForkExec, small.ForkExec)
+		if huge.virt >= small.virt {
+			t.Errorf("%s: huge fork (%v) not faster than 4K fork (%v)", load.HumanBytes(small.size), huge.virt, small.virt)
 		}
 	}
-	t.Logf("\n%s", res.Render())
+	t.Logf("\n%s", s.Render())
 }
 
 func TestOvercommit(t *testing.T) {
-	res, err := Overcommit(128 * MiB)
+	res, err := Overcommit()
 	if err != nil {
 		t.Fatalf("Overcommit: %v", err)
 	}
@@ -236,16 +285,18 @@ func TestCompose(t *testing.T) {
 }
 
 func TestScale(t *testing.T) {
-	res, err := Scale(1*MiB, 32*MiB)
+	s, err := Scale(256 * MiB)
 	if err != nil {
 		t.Fatalf("Scale: %v", err)
 	}
 	// At 32 MiB, spawn and builder should beat fork, and emulated
 	// fork should be the slowest by far.
 	perf := map[core.Method]float64{}
-	for _, p := range res.Points {
-		if p.SizeBytes == 32*MiB {
-			perf[p.Method] = p.PerSecond
+	for _, r := range s.rows {
+		for _, c := range r {
+			if c.create.size == 32*MiB {
+				perf[c.create.method] = 1e9 / float64(c.create.virt)
+			}
 		}
 	}
 	if perf[core.MethodSpawn] <= perf[core.MethodForkExec] {
@@ -254,27 +305,31 @@ func TestScale(t *testing.T) {
 	if perf[core.MethodEmulatedForkExec] >= perf[core.MethodForkExec] {
 		t.Errorf("emulated fork (%f/s) should be slower than kernel fork (%f/s)", perf[core.MethodEmulatedForkExec], perf[core.MethodForkExec])
 	}
-	t.Logf("\n%s", res.Render())
+	t.Logf("\n%s", s.Render())
 }
 
 func TestAblations(t *testing.T) {
-	res, err := Ablations(16 * MiB)
+	s, err := Ablations(128 * MiB)
 	if err != nil {
 		t.Fatalf("Ablations: %v", err)
 	}
-	for _, row := range res.EagerRows {
-		if row.Eager <= row.COW {
+	if want := len(sizeSweep(4*MiB, 128*MiB)); len(s.rows) != want {
+		t.Fatalf("%d rows, want %d: one per size from 4MiB to 128MiB", len(s.rows), want)
+	}
+	for _, r := range s.rows {
+		cow, eager := r[0].create, r[1].create
+		if eager.virt <= cow.virt {
 			t.Errorf("%s: eager fork (%v) should cost more than COW (%v)",
-				load.HumanBytes(row.SizeBytes), row.Eager, row.COW)
+				load.HumanBytes(cow.size), eager.virt, cow.virt)
 		}
 	}
-	if res.MitigationDeadlock != "deadlock" {
-		t.Errorf("without mitigation: %q, want deadlock", res.MitigationDeadlock)
+	if !strings.Contains(s.tail, "default kernel:                 deadlock\n") {
+		t.Errorf("without mitigation: %q, want deadlock", s.tail)
 	}
-	if res.MitigationRefused == "deadlock" {
-		t.Errorf("mitigation did not prevent the deadlock")
+	if strings.Contains(s.tail, "with DenyMultithreadedFork:     deadlock") {
+		t.Errorf("mitigation did not prevent the deadlock: %q", s.tail)
 	}
-	t.Logf("\n%s", res.Render())
+	t.Logf("\n%s", s.Render())
 }
 
 // The claim-shape tests below read the cells `forkbench all` prints:

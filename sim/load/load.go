@@ -218,8 +218,8 @@ func (e *SpecError) Error() string {
 
 // validate rejects the counts withDefaults cannot resolve: zero
 // selects a default, a negative count is junk, and so is a CPU count
-// past what a machine can have. Templates.Run and Templates.Server
-// call it before any machine boots.
+// past what a machine can have or RAM smaller than one page.
+// Templates.Run and Templates.Server call it before any machine boots.
 func (cfg Config) validate() error {
 	fields := []string{"Requests", "Workers", "Window", "Nodes", "RequestWorkMiB"}
 	for i, n := range []int{cfg.Requests, cfg.Workers, cfg.Window, cfg.Nodes, cfg.RequestWorkMiB} {
@@ -231,6 +231,10 @@ func (cfg Config) validate() error {
 	if cfg.CPUs < 0 || cfg.CPUs > cost.MaxCPUs {
 		return &SpecError{Spec: "load.Config", Field: "CPUs",
 			Reason: fmt.Sprintf("%d (want 0..%d; 0 selects 1)", cfg.CPUs, cost.MaxCPUs)}
+	}
+	if cfg.RAMBytes != 0 && cfg.RAMBytes < mem.PageSize {
+		return &SpecError{Spec: "load.Config", Field: "RAMBytes",
+			Reason: fmt.Sprintf("%d (want 0 or at least one %d-byte page; 0 selects the default)", cfg.RAMBytes, mem.PageSize)}
 	}
 	return nil
 }

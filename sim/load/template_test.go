@@ -132,10 +132,12 @@ func TestRunDispatchIsShared(t *testing.T) {
 	}
 }
 
-// TestNegativeCountsRejected: a negative count, or a CPU count past
-// cost.MaxCPUs, is junk no default can resolve. Every entry point — the cold Run, a live cache's Run, and
-// Server on either — rejects it with a *SpecError naming the field
-// before any machine boots, instead of panicking mid-run.
+// TestNegativeCountsRejected: a negative count, a CPU count past
+// cost.MaxCPUs, or RAM from 1 byte to one byte short of a page is junk
+// no default can resolve. Every entry point — the cold Run, a live
+// cache's Run, and Server on either — rejects it with a *SpecError
+// naming the field before any machine boots, instead of panicking
+// mid-run or failing with the kernel's untyped error.
 func TestNegativeCountsRejected(t *testing.T) {
 	for _, c := range []struct {
 		field string
@@ -149,6 +151,8 @@ func TestNegativeCountsRejected(t *testing.T) {
 		{"RequestWorkMiB", Config{Scenario: Prefork, RequestWorkMiB: -1}},
 		{"CPUs", Config{Scenario: Prefork, CPUs: 65}},
 		{"CPUs", Config{Scenario: ForkStorm, CPUs: -1}},
+		{"RAMBytes", Config{Scenario: Prefork, RAMBytes: 1}},
+		{"RAMBytes", Config{Scenario: Pipeline, RAMBytes: 4095}},
 	} {
 		c.cfg.HeapBytes = 4 << 20
 		srv := c.cfg

@@ -288,27 +288,35 @@ func TestAllStrategiesIdenticalOutput(t *testing.T) {
 
 // TestStrategiesReportCreationCost checks the measurement path: a
 // dirty 16 MiB host makes fork-family creation strictly dearer than
-// spawn, which Figure 1 is built on.
+// spawn, which Figure 1 is built on, and backing the host with 2 MiB
+// pages makes fork+exec cheaper than over 4 KiB pages, which E4 is.
 func TestStrategiesReportCreationCost(t *testing.T) {
-	sys := newSys(t, sim.WithUserland("true"))
-	if err := sys.DirtyHost(16<<20, false); err != nil {
-		t.Fatal(err)
-	}
-	costs := map[sim.Strategy]int64{}
-	for _, st := range sim.Strategies() {
-		p, err := sys.Command("true").Via(st).Create()
-		if err != nil {
-			t.Fatalf("%v: %v", st, err)
+	forkExec := map[bool]int64{}
+	for _, huge := range []bool{false, true} {
+		sys := newSys(t, sim.WithUserland("true"))
+		if err := sys.DirtyHost(16<<20, huge); err != nil {
+			t.Fatal(err)
 		}
-		if p.CreationCost() <= 0 {
-			t.Errorf("%v: creation cost %v, want > 0", st, p.CreationCost())
+		costs := map[sim.Strategy]int64{}
+		for _, st := range sim.Strategies() {
+			p, err := sys.Command("true").Via(st).Create()
+			if err != nil {
+				t.Fatalf("%v (huge %v): %v", st, huge, err)
+			}
+			if p.CreationCost() <= 0 {
+				t.Errorf("%v (huge %v): creation cost %v, want > 0", st, huge, p.CreationCost())
+			}
+			costs[st] = int64(p.CreationCost())
+			p.Destroy()
 		}
-		costs[st] = int64(p.CreationCost())
-		p.Destroy()
+		if costs[sim.Spawn] >= costs[sim.EmulatedFork] {
+			t.Errorf("spawn (%d) should be far cheaper than emulated fork (%d) for a 16MiB parent (huge %v)",
+				costs[sim.Spawn], costs[sim.EmulatedFork], huge)
+		}
+		forkExec[huge] = costs[sim.ForkExec]
 	}
-	if costs[sim.Spawn] >= costs[sim.EmulatedFork] {
-		t.Errorf("spawn (%d) should be far cheaper than emulated fork (%d) for a 16MiB parent",
-			costs[sim.Spawn], costs[sim.EmulatedFork])
+	if forkExec[true] >= forkExec[false] {
+		t.Errorf("fork+exec over 2MiB pages (%d) should be cheaper than over 4KiB pages (%d)", forkExec[true], forkExec[false])
 	}
 }
 
