@@ -8,7 +8,7 @@
 // <program> is either the name of a built-in userland program (see
 // `forkrun -list`) or a path to a .kxi image produced by kxasm.
 //
-//	-ram SIZE      physical memory (default 4GiB)
+//	-ram MIB       physical memory, a whole number of MiB (default 4096)
 //	-strict        strict commit accounting (overcommit_memory=2)
 //	-eager         eager-copy fork
 //	-via STRATEGY  creation strategy: spawn|fork|vfork|builder|emufork|eager
@@ -17,8 +17,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
@@ -27,31 +29,51 @@ import (
 )
 
 func main() {
-	ram := flag.Uint64("ram", 4096, "physical memory in MiB")
-	strict := flag.Bool("strict", false, "strict commit accounting")
-	eager := flag.Bool("eager", false, "eager-copy fork")
-	via := flag.String("via", "spawn", "creation strategy: spawn|fork|vfork|builder|emufork|eager")
-	trace := flag.Bool("trace", false, "print diagnostics on exit")
-	list := flag.Bool("list", false, "list built-in programs")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// maxRAMMiB is the largest -ram whose byte count fits in 64 bits.
+const maxRAMMiB = 1<<44 - 1
+
+// run is forkrun with its arguments and standard streams passed in; it
+// returns the process exit status.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("forkrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	ram := fs.Uint64("ram", 4096, "physical memory in MiB")
+	strict := fs.Bool("strict", false, "strict commit accounting")
+	eager := fs.Bool("eager", false, "eager-copy fork")
+	via := fs.String("via", "spawn", "creation strategy: spawn|fork|vfork|builder|emufork|eager")
+	trace := fs.Bool("trace", false, "print diagnostics on exit")
+	list := fs.Bool("list", false, "list built-in programs")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
-		fmt.Println(strings.Join(sim.Programs(), "\n"))
-		return
+		fmt.Fprintln(stdout, strings.Join(sim.Programs(), "\n"))
+		return 0
 	}
-	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: forkrun [flags] <program> [args...]")
-		os.Exit(2)
+	if fs.NArg() < 1 {
+		fmt.Fprintln(stderr, "usage: forkrun [flags] <program> [args...]")
+		return 2
+	}
+	if *ram > maxRAMMiB {
+		fmt.Fprintf(stderr, "forkrun: -ram %d MiB does not fit in a 64-bit byte count (at most %d)\n", *ram, uint64(maxRAMMiB))
+		return 2
 	}
 	strategy, err := sim.ParseStrategy(*via)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
 
 	opts := []sim.Option{
 		sim.WithRAM(*ram << 20),
-		sim.WithConsole(os.Stdout),
-		sim.WithConsoleInput(os.Stdin),
+		sim.WithConsole(stdout),
+		sim.WithConsoleInput(stdin),
 	}
 	if *strict {
 		opts = append(opts, sim.WithCommitPolicy(sim.CommitStrict))
@@ -60,44 +82,45 @@ func main() {
 		opts = append(opts, sim.WithForkMode(sim.ForkEager))
 	}
 
-	prog := flag.Arg(0)
+	prog := fs.Arg(0)
 	path := "/bin/" + prog
 	if strings.ContainsAny(prog, "/.") {
 		// Host path to a .kxi image.
 		raw, err := os.ReadFile(prog)
 		if err != nil {
-			fatal(err)
+			return fail(stderr, err)
 		}
 		path = "/bin/a.out"
 		opts = append(opts, sim.WithImage(path, raw))
 	} else if !slices.Contains(sim.Programs(), prog) {
-		fatal(fmt.Errorf("unknown program %q (try -list)", prog))
+		return fail(stderr, fmt.Errorf("unknown program %q (try -list)", prog))
 	}
 
 	sys, err := sim.NewSystem(opts...)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
-	runErr := sys.Command(path, flag.Args()[1:]...).Via(strategy).Run()
+	runErr := sys.Command(path, fs.Args()[1:]...).Via(strategy).Run()
 	if *trace {
 		st := sys.Stats()
-		fmt.Fprintf(os.Stderr, "---\nvirtual time: %v\ninstructions: %d\nsyscalls: %d\npage faults: %d\npage copies: %d\ncontext switches: %d\noom kills: %d\nsegv kills: %d\n",
+		fmt.Fprintf(stderr, "---\nvirtual time: %v\ninstructions: %d\nsyscalls: %d\npage faults: %d\npage copies: %d\ncontext switches: %d\noom kills: %d\nsegv kills: %d\n",
 			st.VirtualTime, st.Instructions, st.Syscalls, st.PageFaults, st.PageCopies, st.ContextSwitches, st.OOMKills, st.SegvKills)
 	}
 	if runErr != nil {
 		if exit := sim.AsExitError(runErr); exit != nil {
 			if exit.Signaled() {
-				fmt.Fprintf(os.Stderr, "forkrun: killed by %v\n", exit.Signal())
-				os.Exit(128 + int(exit.Signal()))
+				fmt.Fprintf(stderr, "forkrun: killed by %v\n", exit.Signal())
+				return 128 + int(exit.Signal())
 			}
-			os.Exit(exit.ExitCode())
+			return exit.ExitCode()
 		}
-		fmt.Fprintln(os.Stderr, "forkrun:", runErr)
-		os.Exit(3)
+		fmt.Fprintln(stderr, "forkrun:", runErr)
+		return 3
 	}
+	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "forkrun:", err)
-	os.Exit(1)
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "forkrun:", err)
+	return 1
 }

@@ -83,7 +83,7 @@ func (k *Kernel) CloneInto(markSrc bool, scratch *Kernel) *Kernel {
 	if nk == nil {
 		nk = &Kernel{}
 	}
-	np := k.phys.CloneHostInto(nm, markSrc, nk.phys)
+	np := k.phys.CloneHostInto(nm, nk.phys)
 	tracer := k.tracer.Clone()
 
 	procs := nk.procs

@@ -15,18 +15,20 @@ import "repro/internal/cost"
 // no slot at all. Slot numbers carry over unchanged, so the frame
 // table's slot indices stay valid in the clone.
 //
-// markSrc selects whether the *source's* materialised frames are also
-// flagged shared. A snapshot into an immutable template passes true
-// (the live machine keeps running and must not scribble on bytes the
-// template now aliases); stamping a machine out of a frozen template
-// passes false, so concurrent stamps only read the template — never
-// write it — and remain race-free without locks.
+// Every source slot the clone aliases is marked shared as well: the
+// source is not trusted to stay frozen. A source that went on writing
+// would otherwise scribble on bytes the clone reads, and one that freed
+// or zeroed the frame would put them in pagePool for another frame to
+// overwrite. A slot already marked is only read, and a template's are
+// all marked by the snapshot that made it, so machines stamped
+// concurrently from one template never write it and stay race-free
+// without locks.
 //
 // The fault injector is deliberately not carried over: injectors are
 // bound to a meter and recorder, and the cloning kernel installs the
 // clone's own (see kernel.Kernel.Clone).
-func (p *Physical) CloneHost(meter *cost.Meter, markSrc bool) *Physical {
-	return p.CloneHostInto(meter, markSrc, nil)
+func (p *Physical) CloneHost(meter *cost.Meter) *Physical {
+	return p.CloneHostInto(meter, nil)
 }
 
 // CloneHostInto is CloneHost recycling a retired clone's allocations:
@@ -38,7 +40,7 @@ func (p *Physical) CloneHost(meter *cost.Meter, markSrc bool) *Physical {
 // be p itself. A nil scratch allocates fresh, exactly like CloneHost.
 // The returned Physical (scratch, when given) is logically identical
 // to a fresh clone: every field is rewritten, unset ones zeroed.
-func (p *Physical) CloneHostInto(meter *cost.Meter, markSrc bool, scratch *Physical) *Physical {
+func (p *Physical) CloneHostInto(meter *cost.Meter, scratch *Physical) *Physical {
 	np := scratch
 	if np == nil {
 		np = &Physical{}
@@ -67,7 +69,7 @@ func (p *Physical) CloneHostInto(meter *cost.Meter, markSrc bool, scratch *Physi
 	for i := range data {
 		if data[i].bytes != nil {
 			data[i].shared = true
-			if markSrc {
+			if !p.data[i].shared {
 				p.data[i].shared = true
 			}
 		}

@@ -31,9 +31,9 @@ func TestCloneHostCOW(t *testing.T) {
 
 	// Snapshot: the live source must also be marked shared, since it
 	// keeps running and may write the same frames.
-	tpl := src.CloneHost(src.meter, true)
-	a := tpl.CloneHost(tpl.meter, false)
-	b := tpl.CloneHost(tpl.meter, false)
+	tpl := src.CloneHost(src.meter)
+	a := tpl.CloneHost(tpl.meter)
+	b := tpl.CloneHost(tpl.meter)
 
 	for name, p := range map[string]*Physical{"template": tpl, "clone a": a, "clone b": b} {
 		if got := readFrame(p, f, 8); !bytes.Equal(got, []byte("original")) {
@@ -58,7 +58,8 @@ func TestCloneHostCOW(t *testing.T) {
 	}
 
 	// The live source writing post-snapshot must break sharing too,
-	// not scribble on bytes the template aliases (the markSrc half).
+	// not scribble on bytes the template aliases: every clone marks its
+	// source too.
 	src.Write(hf, 0, []byte("src-moved"))
 	if got := readFrame(tpl, hf, 9); !bytes.Equal(got, []byte("huge-orig")) {
 		t.Errorf("source write reached the template: %q", got)
@@ -84,9 +85,9 @@ func TestCloneOutOfOrderTeardown(t *testing.T) {
 	}
 	src.Write(f, 0, []byte("payload"))
 
-	tpl := src.CloneHost(src.meter, true)
-	a := tpl.CloneHost(tpl.meter, false)
-	b := tpl.CloneHost(tpl.meter, false)
+	tpl := src.CloneHost(src.meter)
+	a := tpl.CloneHost(tpl.meter)
+	b := tpl.CloneHost(tpl.meter)
 
 	// Clone a tears its frame down first, while template and sibling
 	// still alias the bytes.
@@ -148,8 +149,8 @@ func TestZeroFrameDropsSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	src.Write(f, 0, []byte("shared"))
-	tpl := src.CloneHost(src.meter, true)
-	a := tpl.CloneHost(tpl.meter, false)
+	tpl := src.CloneHost(src.meter)
+	a := tpl.CloneHost(tpl.meter)
 
 	a.ZeroFrame(f)
 	if got := readFrame(a, f, 6); !bytes.Equal(got, make([]byte, 6)) {

@@ -12,12 +12,15 @@
 // no frame operation hashes. Those bytes may be host-shared rather
 // than owned: a template or clone machine's (see CloneHost), or a file
 // page adopted without a copy (see Adopt); either is copied out before
-// the first in-place write.
+// the first in-place write. An owned 4 KiB buffer is recycled when its
+// frame is freed or zeroed: it goes to a pool that every machine of
+// the process takes its next base-page buffers from (see pagePool).
 package mem
 
 import (
 	"bytes"
 	"fmt"
+	"sync"
 
 	"repro/internal/cost"
 	"repro/internal/errno"
@@ -80,8 +83,10 @@ type frame struct {
 // ever shorter. shared marks bytes the frame does not own — aliased
 // with a template or clone machine (see CloneHost) or adopted from a
 // file (see Adopt) — which are copied out before the first in-place
-// write. Purely host-side: it never affects refcounts, commit, or any
-// metered cost. A free slot is the zero value.
+// write and never recycled. Owned bytes are exactly a frame long, and
+// a base frame's go back to pagePool when the slot is emptied. Purely
+// host-side: it never affects refcounts, commit, or any metered cost.
+// A free slot is the zero value.
 type frameData struct {
 	bytes  []byte
 	shared bool
@@ -423,21 +428,22 @@ func (p *Physical) Write(f FrameID, off int, data []byte) {
 		if allZero(data) {
 			return
 		}
+		b := ownedBuf(f)
+		clear(b[:off])
+		clear(b[off+len(data):])
 		fr.next = p.newSlot()
-		p.data[fr.next].bytes = make([]byte, f.Size())
-	}
-	fd := &p.data[fr.next]
-	if fd.shared {
+		p.data[fr.next].bytes = b
+	} else if fd := &p.data[fr.next]; fd.shared {
 		// First write to bytes the frame does not own (a template's
 		// or an adopted file page, possibly shorter than the frame):
 		// break the host-side sharing by copying them out. Free —
 		// the simulated machine already paid its COW break or page-in;
 		// only the host representation was shared.
-		nd := make([]byte, f.Size())
-		copy(nd, fd.bytes)
-		*fd = frameData{bytes: nd}
+		b := ownedBuf(f)
+		clear(b[copy(b, fd.bytes):])
+		*fd = frameData{bytes: b}
 	}
-	copy(fd.bytes[off:], data)
+	copy(p.data[fr.next].bytes[off:], data)
 }
 
 // Adopt makes b the contents of frame f without copying it: b becomes
@@ -452,13 +458,11 @@ func (p *Physical) Adopt(f FrameID, b []byte) {
 	if len(b) > f.Size() {
 		panic(fmt.Sprintf("mem: adopt len=%d beyond frame size %d", len(b), f.Size()))
 	}
+	p.dropData(fr)
 	if allZero(b) {
-		p.dropData(fr)
 		return
 	}
-	if fr.next == 0 {
-		fr.next = p.newSlot()
-	}
+	fr.next = p.newSlot()
 	p.data[fr.next] = frameData{bytes: b, shared: true}
 }
 
@@ -475,13 +479,38 @@ func (p *Physical) newSlot() uint32 {
 }
 
 // dropData makes the live frame fr a lazy zero frame, emptying its
-// slot (if any) for reuse.
+// slot (if any) for reuse and putting an owned 4 KiB buffer back in
+// pagePool.
 func (p *Physical) dropData(fr *frame) {
 	if s := fr.next; s != 0 {
+		if fd := p.data[s]; !fd.shared && len(fd.bytes) == PageSize {
+			pagePool.Put((*[PageSize]byte)(fd.bytes))
+		}
 		p.data[s] = frameData{}
 		p.freeSlots = append(p.freeSlots, s)
 		fr.next = 0
 	}
+}
+
+// pagePool recycles the owned 4 KiB buffers of freed and zeroed
+// frames across every machine of the process, as pagetable's node
+// pools recycle radix nodes: a worker writes a page or two per request,
+// and without it each write would allocate a fresh buffer. A pooled
+// buffer still holds what its last frame wrote, so whoever takes one
+// zeroes every byte it does not overwrite. Shared bytes never enter
+// it, since another machine or a file still reads them, and neither do
+// 2 MiB buffers, which only huge-page runs write and are too rare to
+// keep. sync.Pool keeps it safe for machines run concurrently.
+var pagePool = sync.Pool{New: func() any { return new([PageSize]byte) }}
+
+// ownedBuf returns a buffer for f to own, a frame long. A base frame's
+// comes from pagePool with stale contents; the caller zeroes what it
+// does not overwrite.
+func ownedBuf(f FrameID) []byte {
+	if f.IsHuge() {
+		return make([]byte, HugeSize)
+	}
+	return pagePool.Get().(*[PageSize]byte)[:]
 }
 
 // zeroPage is the all-zero page allZero compares writes against.
@@ -530,10 +559,10 @@ func (p *Physical) CopyFrame(src FrameID) (FrameID, error) {
 		return NoFrame, err
 	}
 	if srcData != nil {
-		nd := make([]byte, src.Size())
-		copy(nd, srcData)
+		b := ownedBuf(dst)
+		clear(b[copy(b, srcData):])
 		s := p.newSlot()
-		p.data[s] = frameData{bytes: nd}
+		p.data[s] = frameData{bytes: b}
 		p.slot(dst).next = s
 	}
 	return dst, nil

@@ -20,10 +20,13 @@ import (
 // frames hold host-shared bytes, and the LIFO reuse order of freed
 // frames (every Alloc must return the id the model predicts). The data
 // slots must hold exactly the live materialised frames, one slot each.
-// The file Adopt takes its windows from must never change, and a
-// template stamped without markSrc must keep reading what it held. The
-// same interpreter backs FuzzPhysOps, so a crashing byte string found
-// by `go test -fuzz=FuzzPhysOps` replays in TestPhysOps verbatim.
+// The file Adopt takes its windows from must never change. Ops go on
+// on every machine, a clone's source included — it frees, rewrites
+// and reallocates frames whose bytes its clones still read, and whose
+// owned buffers pagePool hands to the next write or copy — and every
+// machine must keep reading its own bytes. The same interpreter backs
+// FuzzPhysOps, so a crashing byte string found by
+// `go test -fuzz=FuzzPhysOps` replays in TestPhysOps verbatim.
 
 const (
 	opsRAM      = 3 << 20 // 768 pages: one huge frame beside 256 base frames
@@ -50,9 +53,6 @@ type opsMachine struct {
 	hfree  []FrameID // freed huge frames; AllocHuge reuses the last
 	bump   uint64    // base ids handed out from the watermark
 	nhuge  int       // huge ids handed out from the watermark
-	// frozen marks a template stamped with markSrc false: its clones
-	// alias bytes it does not know are shared, so it is only read.
-	frozen bool
 }
 
 func (m *opsMachine) ids() []FrameID { return slices.Sorted(maps.Keys(m.frames)) }
@@ -137,7 +137,7 @@ type physOps struct {
 	file     []byte // what Adopt windows alias
 	pristine []byte // the file as written; it must never change
 	machines []*opsMachine
-	cur      int         // the machine ops apply to; never frozen
+	cur      int         // the machine ops apply to
 	dead     []*Physical // retired machines, CloneHostInto's scratch
 	buf      []byte      // read buffer for checks
 	steps    int         // ops run, for failure messages
@@ -298,17 +298,10 @@ func (h *physOps) step(op, b1 byte, idx uint16) {
 		clear(mf.data)
 		mf.mat, mf.shared = false, false
 	case 14:
-		h.clone(b1&1 != 0, b1&2 != 0)
+		h.clone(b1&2 != 0)
 	case 15:
-		// Switch to another machine that may still be written.
 		h.last = "switch"
-		var live []int
-		for i, o := range h.machines {
-			if !o.frozen {
-				live = append(live, i)
-			}
-		}
-		h.cur = live[int(idx)%len(live)]
+		h.cur = int(idx) % len(h.machines)
 	}
 }
 
@@ -319,10 +312,9 @@ func span(size int, idx uint16, b byte) (off, n int) {
 }
 
 // clone stamps the current machine with CloneHostInto, recycling a
-// retired machine's allocations once there are any. With markSrc the
-// source stays writable and keep selects which side ops continue on;
-// without it the source is frozen and ops continue on the stamp.
-func (h *physOps) clone(markSrc, keep bool) {
+// retired machine's allocations once there are any. Both sides stay
+// writable; keep selects which one ops continue on.
+func (h *physOps) clone(keep bool) {
 	h.last = "CloneHostInto"
 	if len(h.machines) == maxMachines {
 		// Retire the oldest machine that is not current.
@@ -343,20 +335,16 @@ func (h *physOps) clone(markSrc, keep bool) {
 		h.last = "CloneHostInto(recycled)"
 	}
 	src := h.machines[h.cur]
-	np := src.p.CloneHostInto(cost.NewMeter(cost.DefaultModel()), markSrc, scratch)
+	np := src.p.CloneHostInto(cost.NewMeter(cost.DefaultModel()), scratch)
 	if scratch != nil && np != scratch {
 		h.fatalf("CloneHostInto did not reuse its scratch")
 	}
 	c := src.clone(np)
-	if markSrc {
-		for _, mf := range src.frames {
-			mf.shared = mf.mat
-		}
-	} else {
-		src.frozen = true
+	for _, mf := range src.frames {
+		mf.shared = mf.mat // the source is marked too
 	}
 	h.machines = append(h.machines, c)
-	if !markSrc || !keep {
+	if !keep {
 		h.cur = len(h.machines) - 1
 	}
 }
@@ -496,6 +484,26 @@ func FuzzPhysOps(f *testing.F) {
 	seed := make([]byte, 512)
 	rng.Read(seed)
 	f.Add(seed)
+	// Fill a frame and free it, so its buffer goes to pagePool dirty,
+	// then take a buffer from the pool three ways, each after another
+	// fill and free: a 54-byte Write to a lazy frame, CopyFrame of an
+	// adopted 321-byte window, and a Write into that window, which
+	// copies it out. Each frame must read zero past its data.
+	f.Add([]byte{
+		0, 0, 0, 0, 7, 0xff, 0, 0, 4, 0, 0, 0, // Alloc 0, fill it, free it
+		0, 0, 0, 0, 7, 0x81, 0, 0, // Alloc 0, Write 54 bytes
+		7, 0xff, 0, 0, 4, 0, 0, 0, // fill 0 again, free it
+		0, 0, 0, 0, 10, 20, 100, 0, 12, 0, 0, 0, // Alloc 0, Adopt 321 bytes, CopyFrame to 1
+		7, 0xff, 1, 0, 4, 0, 1, 0, // fill 1 from byte 61, free it
+		7, 0x81, 0, 0, // Write 54 bytes into 0's window
+	})
+	// Clone, then free, rewrite and reallocate on the source while the
+	// clone still reads the bytes it aliases.
+	f.Add([]byte{
+		0, 0, 0, 0, 7, 0xff, 0, 0, 14, 2, 0, 0, // Alloc 0, fill it, clone, stay on the source
+		4, 0, 0, 0, 0, 0, 0, 0, 7, 0xff, 1, 0, // free 0, Alloc 0, fill it anew
+		15, 0, 1, 0, 9, 0xff, 0, 0, // switch to the clone, read
+	})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 1<<14 {
 			ops = ops[:1<<14]

@@ -1,8 +1,10 @@
 package pagetable
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"repro/internal/mem"
 )
@@ -16,7 +18,12 @@ import (
 //   - a fork-shared leaf is forked and never template-shared, and only
 //     leaves count forks;
 //   - 1 + forks equals the number of the given tables that link each
-//     leaf that is not template-shared.
+//     leaf that is not template-shared;
+//   - every node has its level's shape: a leaf an entry array and no
+//     child array, an interior node a child array, and an entry array
+//     only at level 1, where no slot holds both a child and an entry;
+//   - the nodes each pool hands out next have their pool's shape and
+//     are zeroed.
 //
 // It scans all 512 slots of every distinct node, so it does not trust
 // the bitmap it is checking. Pass every live table that can link the
@@ -48,8 +55,60 @@ func CheckHostState(tabs ...*Table) error {
 			return fmt.Errorf("leaf linked by %d tables counts %d forks", k, n.forks)
 		}
 	}
+	return checkPools()
+}
+
+// checkShape holds n to the shape of a node at level.
+func checkShape(n *node, level int) error {
+	switch {
+	case level == 0 && (n.ptes == nil || n.kids != nil):
+		return fmt.Errorf("leaf has entry array %v, child array %v", n.ptes != nil, n.kids != nil)
+	case level > 0 && n.kids == nil:
+		return errors.New("interior node has no child array")
+	case level > 1 && n.ptes != nil:
+		return errors.New("interior node above level 1 has an entry array")
+	}
 	return nil
 }
+
+// checkPools takes the next few nodes from each pool, holds each to
+// its pool's shape (a pooled interior node may go to any interior
+// level, so it has no entry array) and to the zero state newNode
+// promises, and puts them back.
+func checkPools() error {
+	const sample = 4
+	for _, p := range []struct {
+		pool  *sync.Pool
+		level int
+	}{{&leafPool, 0}, {&innerPool, Levels - 1}} {
+		var got []*node
+		for range sample {
+			got = append(got, p.pool.Get().(*node))
+		}
+		for _, n := range got {
+			if err := checkShape(n, p.level); err != nil {
+				return fmt.Errorf("pooled level-%d node: %v", p.level, err)
+			}
+			zero := n.used == [usedWords]uint64{} && !n.shared && !n.forked && n.forks == 0 &&
+				(n.ptes == nil || *n.ptes == [entriesPerNode]PTE{}) &&
+				(n.kids == nil || *n.kids == [entriesPerNode]*node{})
+			if !zero {
+				return fmt.Errorf("pooled level-%d node is not zeroed", p.level)
+			}
+		}
+		for _, n := range got {
+			p.pool.Put(n)
+		}
+	}
+	return nil
+}
+
+// noKids and noPTEs stand in for a node's missing array, which reads
+// as empty. Only read.
+var (
+	noKids [entriesPerNode]*node
+	noPTEs [entriesPerNode]PTE
+)
 
 func checkNode(n *node, base uint64, level int, links map[*node]int, checked map[*node]bool) error {
 	if level == 0 && !n.shared {
@@ -59,10 +118,23 @@ func checkNode(n *node, base uint64, level int, links map[*node]int, checked map
 		return nil
 	}
 	checked[n] = true
+	if err := checkShape(n, level); err != nil {
+		return fmt.Errorf("level-%d node at %#x: %v", level, base, err)
+	}
+	kids, ptes := n.kids, n.ptes
+	if kids == nil {
+		kids = &noKids
+	}
+	if ptes == nil {
+		ptes = &noPTEs
+	}
 	var want [usedWords]uint64
-	for i := range n.ptes {
-		e := n.ptes[i]
-		if n.kids[i] != nil || e.Present() {
+	for i := range entriesPerNode {
+		kid, e := kids[i], ptes[i]
+		if kid != nil && e.Present() {
+			return fmt.Errorf("level-%d node at %#x holds a child and %v in slot %d", level, base, e, i)
+		}
+		if kid != nil || e.Present() {
 			want[i/64] |= 1 << (i % 64)
 		}
 		if level == 0 && n.forked && e.Present() && forkEntry(e) != e {
@@ -147,8 +219,8 @@ func Mappings(t *Table) map[uint64]PTE {
 		for w, word := range n.used {
 			for ; word != 0; word &= word - 1 {
 				i := w*64 + bits.TrailingZeros64(word)
-				if e := n.ptes[i]; e.Present() {
-					out[base+uint64(i)*span] = e
+				if level == 0 || n.huge(i) {
+					out[base+uint64(i)*span] = n.ptes[i]
 				} else {
 					walk(n.kids[i], base+uint64(i)*span, level-1)
 				}

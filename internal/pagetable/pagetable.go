@@ -14,9 +14,13 @@
 // of one fault share a single host walk; and CloneCOW links the
 // parent's leaves into the child instead of copying them, so a fork
 // and exec's teardown of the copy cost the host O(nodes), not
-// O(entries). None of it moves a charge — every walk, entry write and
-// node is priced as before, and the virtual cost is still Θ(mapped
-// pages).
+// O(entries). Host memory is kept small too: a node carries only the
+// one 4 KiB array its level uses (entries at a leaf, children above
+// it), leaves and interior nodes come from pools of their own, and a
+// TLB entry is a virtual page number and a PTE, the PTE's present bit
+// serving as the valid bit. None of it moves a charge — every walk,
+// entry write and node is priced as before, and the virtual cost is
+// still Θ(mapped pages).
 //
 // Frame references are held by leaves. A leaf holds one reference per
 // present entry however many tables link it; a leaf that CloneCOW
@@ -138,12 +142,14 @@ func index(va uint64, level int) int {
 	return int(va>>(mem.PageShift+uint(level)*LevelBits)) & (entriesPerNode - 1)
 }
 
+// node is one page-table page. It carries one 4 KiB array: a leaf
+// (level 0) its entries in ptes, an interior node (levels 3..1) its
+// children in kids, the other pointer nil. A level-1 node gets an entry
+// array as well when it first maps a huge page, and a slot of it then
+// holds either a kid or a huge PTE, never both.
 type node struct {
-	// kids is used at levels 3..1; ptes at level 0, and also at
-	// level 1 for huge mappings (a slot holds either a kid or a
-	// huge PTE, never both).
-	kids [entriesPerNode]*node
-	ptes [entriesPerNode]PTE
+	kids *[entriesPerNode]*node
+	ptes *[entriesPerNode]PTE
 
 	// used is the occupancy bitmap: bit i%64 of used[i/64] is set
 	// exactly when slot i holds a kid or a present entry. Map, MapHuge
@@ -156,7 +162,7 @@ type node struct {
 
 	// shared marks a node host-COW-aliased by a frozen template and
 	// its clones (see CloneHost): it is immutable, referenced by any
-	// number of tables, and never returned to the pool. Writers copy
+	// number of tables, and never returned to a pool. Writers copy
 	// a shared node out of the way first (ownedCopy) — a host-only
 	// operation that charges nothing, because logically the clone
 	// already owned the node.
@@ -181,12 +187,34 @@ type node struct {
 // copy's kids still point at shared children; they get their own
 // copies if and when they are written.
 func ownedCopy(n *node) *node {
-	c := newNode()
-	c.ptes = n.ptes
-	c.kids = n.kids
+	var c *node
+	if n.kids == nil {
+		c = leafPool.Get().(*node)
+		*c.ptes = *n.ptes
+	} else {
+		c = innerPool.Get().(*node)
+		*c.kids = *n.kids
+		if n.ptes != nil {
+			*c.entryArray() = *n.ptes
+		}
+	}
 	c.used = n.used
 	c.forked = n.forked
 	return c
+}
+
+// entryArray returns n's entry array, giving a level-1 node one when it
+// first maps a huge page.
+func (n *node) entryArray() *[entriesPerNode]PTE {
+	if n.ptes == nil {
+		n.ptes = new([entriesPerNode]PTE)
+	}
+	return n.ptes
+}
+
+// huge reports whether slot i of a level-1 node holds a 2 MiB mapping.
+func (n *node) huge(i int) bool {
+	return n.ptes != nil && n.ptes[i].Present() && n.ptes[i].Huge()
 }
 
 // private reports whether a table may write through n in place: n is
@@ -223,23 +251,46 @@ func (n *node) frames(buf *[entriesPerNode]mem.FrameID) []mem.FrameID {
 	return buf[:k]
 }
 
-// nodePool recycles radix nodes between tables. Fork-heavy workloads
-// allocate and destroy a mirror node per interior page-table page per
-// child (leaves are linked, not mirrored); without pooling that is an
-// 8 KiB host allocation each, and at tens of thousands of creations
-// the garbage collector dominates the simulator's own run time. Nodes
-// are returned zeroed (Destroy's teardown clears every used slot as it
-// walks), so Get needs no re-initialisation.
-// sync.Pool keeps this safe under `go test -race` with parallel tests.
-var nodePool = sync.Pool{New: func() any { return new(node) }}
+// leafPool and innerPool recycle radix nodes between tables: leaves
+// with their entry array, interior nodes with their child array and no
+// entry array. Fork-heavy workloads allocate and destroy a mirror node
+// per interior page-table page per child (leaves are linked, not
+// mirrored), and each demand fault into a fresh 2 MiB region takes a
+// leaf; without pooling each is a 4 KiB host allocation plus its
+// header, and at tens of thousands of creations the garbage collector
+// dominates the simulator's own run time. Nodes come back zeroed:
+// Destroy's teardown clears every used slot as it walks, and drops a
+// level-1 node's huge-entry array, so taking one needs no
+// re-initialisation. sync.Pool keeps this safe under `go test -race`
+// with parallel tests.
+var (
+	leafPool  = sync.Pool{New: func() any { return &node{ptes: new([entriesPerNode]PTE)} }}
+	innerPool = sync.Pool{New: func() any { return &node{kids: new([entriesPerNode]*node)} }}
+)
 
-func newNode() *node  { return nodePool.Get().(*node) }
-func putNode(n *node) { nodePool.Put(n) }
+// newNode returns a zeroed node for a page-table page at level.
+func newNode(level int) *node {
+	if level == 0 {
+		return leafPool.Get().(*node)
+	}
+	return innerPool.Get().(*node)
+}
 
+// putNode returns a zeroed node to its pool.
+func putNode(n *node) {
+	if n.kids == nil {
+		leafPool.Put(n)
+	} else {
+		innerPool.Put(n)
+	}
+}
+
+// tlbEntry caches one translation. A cached PTE is always present, so
+// its present bit doubles as the entry's valid bit: the zero entry is
+// an empty one.
 type tlbEntry struct {
-	vpn   uint64 // virtual page number (base-page granularity)
-	pte   PTE
-	valid bool
+	vpn uint64 // virtual page number (base-page granularity)
+	pte PTE
 }
 
 // Table is one address space's page-table tree plus a tiny TLB.
@@ -275,7 +326,7 @@ type Table struct {
 func New(phys *mem.Physical, meter *cost.Meter) *Table {
 	meter.Charge(meter.Model.PTNodeAlloc)
 	meter.PTNodes++
-	return &Table{phys: phys, meter: meter, root: newNode()}
+	return &Table{phys: phys, meter: meter, root: newNode(Levels - 1)}
 }
 
 // Entries reports the number of present leaf entries (huge counts 1).
@@ -294,16 +345,14 @@ func (t *Table) tlbSlot(vpn uint64) *tlbEntry { return &t.tlb[vpn%tlbSize] }
 // backs 512 cached vpns.
 func (t *Table) invalidateTLB(va uint64) {
 	vpn := va >> mem.PageShift
-	if s := t.tlbSlot(vpn); s.valid && s.vpn == vpn {
-		s.valid = false
+	if s := t.tlbSlot(vpn); s.vpn == vpn {
+		*s = tlbEntry{}
 	}
 }
 
 // flushTLB drops all cached translations and charges the flush cost.
 func (t *Table) flushTLB() {
-	for i := range t.tlb {
-		t.tlb[i].valid = false
-	}
+	t.tlb = [tlbSize]tlbEntry{}
 	t.meter.Charge(t.meter.Model.TLBFlush)
 }
 
@@ -333,13 +382,13 @@ func (t *Table) ownPath(va uint64, stop int) *node {
 	n := t.root
 	for level := Levels - 1; level > stop; level-- {
 		i := index(va, level)
-		if level == 1 && n.ptes[i].Present() && n.ptes[i].Huge() {
+		if level == 1 && n.huge(i) {
 			panic(fmt.Sprintf("pagetable: 4K map %#x overlaps huge mapping", va))
 		}
 		kid := n.kids[i]
 		switch {
 		case kid == nil:
-			kid = newNode()
+			kid = newNode(level - 1)
 			n.kids[i] = kid
 			n.occupy(i)
 			t.nodes++
@@ -414,12 +463,13 @@ func (t *Table) MapHuge(va uint64, e PTE) {
 	if n.kids[i] != nil {
 		panic(fmt.Sprintf("pagetable: huge map %#x overlaps 4K mappings", va))
 	}
-	if !n.ptes[i].Present() {
+	ptes := n.entryArray()
+	if !ptes[i].Present() {
 		t.entries++
 		t.hugeEntries++
 		n.occupy(i)
 	}
-	n.ptes[i] = e | FlagPresent | FlagHuge
+	ptes[i] = e | FlagPresent | FlagHuge
 	t.meter.Charge(t.meter.Model.PTEWrite)
 	t.flushTLB()
 }
@@ -432,7 +482,7 @@ func (t *Table) lookupSlot(va uint64) (n *node, i int) {
 		n = t.root
 		for level := Levels - 1; level > 0; level-- {
 			i = index(va, level)
-			if level == 1 && n.ptes[i].Present() && n.ptes[i].Huge() {
+			if level == 1 && n.huge(i) {
 				return n, i
 			}
 			if n = n.kids[i]; n == nil {
@@ -461,7 +511,7 @@ func (t *Table) lookupSlotOwn(va uint64) (n *node, i int, huge bool) {
 		n = t.root
 		for level := Levels - 1; level > 0; level-- {
 			i = index(va, level)
-			if level == 1 && n.ptes[i].Present() && n.ptes[i].Huge() {
+			if level == 1 && n.huge(i) {
 				return n, i, true
 			}
 			kid := n.kids[i]
@@ -531,7 +581,7 @@ func (t *Table) privatizeAll(n *node, level int) {
 func (t *Table) Lookup(va uint64) (PTE, bool) {
 	checkVA(va)
 	vpn := va >> mem.PageShift
-	if s := t.tlbSlot(vpn); s.valid && s.vpn == vpn {
+	if s := t.tlbSlot(vpn); s.pte.Present() && s.vpn == vpn {
 		return s.pte, true
 	}
 	t.meter.Charge(t.meter.Model.PTWalk)
@@ -540,7 +590,7 @@ func (t *Table) Lookup(va uint64) (PTE, bool) {
 		return 0, false
 	}
 	e := n.ptes[i]
-	*t.tlbSlot(vpn) = tlbEntry{vpn: vpn, pte: e, valid: true}
+	*t.tlbSlot(vpn) = tlbEntry{vpn: vpn, pte: e}
 	return e, true
 }
 
@@ -632,7 +682,7 @@ func (t *Table) visit(n *node, base uint64, level int, fn func(uint64, PTE) PTE)
 		for ; word != 0; word &= word - 1 {
 			i := w*64 + bits.TrailingZeros64(word)
 			va := base + uint64(i)*span
-			if level == 1 && n.ptes[i].Present() && n.ptes[i].Huge() {
+			if level == 1 && n.huge(i) {
 				var ch bool
 				n, ch = t.visitEntry(n, i, va, fn)
 				changed = changed || ch
@@ -736,7 +786,8 @@ func (c *Table) cloneNode(pn, cn *node, level int, cc *cloneCounts) *node {
 	for w, word := range pn.used {
 		for ; word != 0; word &= word - 1 {
 			i := w*64 + bits.TrailingZeros64(word)
-			if e := pn.ptes[i]; level == 1 && e.Present() && e.Huge() {
+			if level == 1 && pn.huge(i) {
+				e := pn.ptes[i]
 				c.phys.IncRef(e.Frame())
 				ce := forkEntry(e)
 				if ce != e {
@@ -746,7 +797,7 @@ func (c *Table) cloneNode(pn, cn *node, level int, cc *cloneCounts) *node {
 					pn.ptes[i] = ce
 					cc.writes++
 				}
-				cn.ptes[i] = ce
+				cn.entryArray()[i] = ce
 				cc.writes++
 				cc.copies++
 				continue
@@ -761,7 +812,7 @@ func (c *Table) cloneNode(pn, cn *node, level int, cc *cloneCounts) *node {
 				nk = c.shareLeaf(kid, cc)
 				cn.kids[i] = nk
 			} else {
-				cn.kids[i] = newNode()
+				cn.kids[i] = newNode(level - 1)
 				nk = c.cloneNode(kid, cn.kids[i], level-1, cc)
 			}
 			if nk != kid {
@@ -876,20 +927,20 @@ func (c *Table) cloneEagerNode(pn, cn *node, level int, cc *cloneCounts) error {
 	for w, word := range pn.used {
 		for ; word != 0; word &= word - 1 {
 			i := w*64 + bits.TrailingZeros64(word)
-			if level == 0 || (level == 1 && pn.ptes[i].Present() && pn.ptes[i].Huge()) {
+			if level == 0 || (level == 1 && pn.huge(i)) {
 				e := pn.ptes[i]
 				if !e.Present() {
 					continue
 				}
 				if e.Shared() {
 					c.phys.IncRef(e.Frame())
-					cn.ptes[i] = e
+					cn.entryArray()[i] = e
 				} else {
 					nf, err := c.phys.CopyFrame(e.Frame())
 					if err != nil {
 						return err
 					}
-					cn.ptes[i] = Make(nf, e.Flags())
+					cn.entryArray()[i] = Make(nf, e.Flags())
 				}
 				cn.occupy(i)
 				cc.writes++
@@ -903,7 +954,7 @@ func (c *Table) cloneEagerNode(pn, cn *node, level int, cc *cloneCounts) error {
 			if pn.kids[i] == nil {
 				continue
 			}
-			cn.kids[i] = newNode()
+			cn.kids[i] = newNode(level - 1)
 			cn.occupy(i)
 			cc.nodes++
 			if err := c.cloneEagerNode(pn.kids[i], cn.kids[i], level-1, cc); err != nil {
@@ -930,9 +981,7 @@ func (t *Table) Destroy(release func(va uint64, e PTE)) (pages uint64) {
 	t.root, t.leaf = nil, nil
 	t.meter.Charge(cost.Ticks(td.nodes) * t.meter.Model.PTNodeFree)
 	t.entries, t.nodes, t.hugeEntries = 0, 0, 0
-	for i := range t.tlb {
-		t.tlb[i].valid = false
-	}
+	t.tlb = [tlbSize]tlbEntry{}
 	return td.pages
 }
 
@@ -946,13 +995,13 @@ type teardown struct {
 }
 
 // node visits only the slots n's bitmap marks used and zeroes them,
-// bitmap included, and returns n to the pool fully cleared, so newNode
-// needs no re-initialisation. The per-node free cost is counted here
-// and charged in one batch by Destroy. Template-shared nodes are left
-// untouched and unpooled — other tables still alias them — but their
-// frees are still counted: the clone logically owned and freed them,
-// and the cold machine it must stay metric-identical to charges for
-// every one.
+// bitmap included, drops a level-1 node's huge-entry array, and returns
+// n to its pool fully cleared, so newNode needs no re-initialisation.
+// The per-node free cost is counted here and charged in one batch by
+// Destroy. Template-shared nodes are left untouched and unpooled —
+// other tables still alias them — but their frees are still counted:
+// the clone logically owned and freed them, and the cold machine it
+// must stay metric-identical to charges for every one.
 func (td *teardown) node(n *node, base uint64, level int) {
 	if level == 0 {
 		td.leaf(n, base)
@@ -963,15 +1012,13 @@ func (td *teardown) node(n *node, base uint64, level int) {
 		for ; word != 0; word &= word - 1 {
 			i := w*64 + bits.TrailingZeros64(word)
 			va := base + uint64(i)*span
-			if e := n.ptes[i]; level == 1 && e.Present() && e.Huge() {
+			if level == 1 && n.huge(i) {
+				e := n.ptes[i]
 				td.pages += mem.FramesPerHuge
 				if td.release != nil {
 					td.release(va, e)
 				} else {
 					td.phys.DecRef(e.Frame())
-				}
-				if !n.shared {
-					n.ptes[i] = 0
 				}
 				continue
 			}
@@ -986,6 +1033,7 @@ func (td *teardown) node(n *node, base uint64, level int) {
 	}
 	if !n.shared {
 		n.used = [usedWords]uint64{}
+		n.ptes = nil
 		putNode(n)
 	}
 }

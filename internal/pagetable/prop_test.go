@@ -265,7 +265,7 @@ func (h *propHarness) verifyTemplate(tag string) {
 		return
 	}
 	meter := cost.NewMeter(cost.DefaultModel())
-	stamp := h.tmpl.CloneHost(h.tmplPhys.CloneHost(meter, false), meter, false)
+	stamp := h.tmpl.CloneHost(h.tmplPhys.CloneHost(meter), meter, false)
 	for _, tab := range []*pagetable.Table{h.tmpl, stamp} {
 		if err := pagetable.CheckHostState(tab); err != nil {
 			h.t.Fatalf("%s template: %v", tag, err)
@@ -496,7 +496,7 @@ func (h *propHarness) step(op, b1 byte, r uint16) {
 			l.tab.PrivatizeAll()
 		}
 		meter := cost.NewMeter(cost.DefaultModel())
-		h.tmplPhys = h.phys.CloneHost(meter, true)
+		h.tmplPhys = h.phys.CloneHost(meter)
 		h.tmpl = lt.tab.CloneHost(h.tmplPhys, meter, true)
 		h.tmplModel = maps.Clone(lt.model)
 	case 9: // flip FlagDirty on every k-th entry, as CapturePages' rearm rewrites in place
