@@ -81,38 +81,54 @@ func BenchmarkLoadForkStorm(b *testing.B) {
 
 // --- substrate microbenchmarks -----------------------------------
 
-// BenchmarkDemandFault measures the simulator's page-fault path. The
-// faulted region is bounded and recycled (off the timer) so b.N can
-// grow past physical memory.
+// BenchmarkDemandFault measures the simulator's page-fault path: Fault
+// handles one absent page per iteration, and Touch, the fault path
+// workloads take, one 2 MiB leaf's 512 absent pages, reported per page
+// as well. The faulted region is bounded and recycled (off the timer)
+// so b.N can grow past physical memory.
 func BenchmarkDemandFault(b *testing.B) {
-	sys, err := sim.NewSystem(sim.WithRAM(8<<30), sim.WithUserland("true"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	space := sys.Host().Space()
-	const pages = 1 << 18 // 1 GiB region
-	remap := func() uint64 {
-		vma, err := space.Map(0x10000000, pages*4096, addrspace.Read|addrspace.Write, addrspace.MapOpts{})
+	const region = 1 << 30
+	run := func(b *testing.B, step uint64, fault func(space *addrspace.Space, va uint64) error) {
+		sys, err := sim.NewSystem(sim.WithRAM(8<<30), sim.WithUserland("true"))
 		if err != nil {
 			b.Fatal(err)
 		}
-		return vma.Start
-	}
-	start := remap()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i > 0 && i%pages == 0 {
-			b.StopTimer()
-			if err := space.Unmap(start, pages*4096); err != nil {
+		space := sys.Host().Space()
+		remap := func() uint64 {
+			vma, err := space.Map(0x10000000, region, addrspace.Read|addrspace.Write, addrspace.MapOpts{})
+			if err != nil {
 				b.Fatal(err)
 			}
-			start = remap()
-			b.StartTimer()
+			return vma.Start
 		}
-		if err := space.Fault(start+uint64(i%pages)*4096, addrspace.AccessWrite); err != nil {
-			b.Fatal(err)
+		start, steps := remap(), int(region/step)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i > 0 && i%steps == 0 {
+				b.StopTimer()
+				if err := space.Unmap(start, region); err != nil {
+					b.Fatal(err)
+				}
+				start = remap()
+				b.StartTimer()
+			}
+			if err := fault(space, start+uint64(i%steps)*step); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+	b.Run("Fault", func(b *testing.B) {
+		run(b, 4096, func(space *addrspace.Space, va uint64) error {
+			return space.Fault(va, addrspace.AccessWrite)
+		})
+	})
+	b.Run("Touch", func(b *testing.B) {
+		const leaf = 2 << 20
+		run(b, leaf, func(space *addrspace.Space, va uint64) error {
+			return space.Touch(va, leaf, addrspace.AccessWrite)
+		})
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*leaf/4096), "ns/page")
+	})
 }
 
 // BenchmarkCloneCOW measures the raw page-table COW clone (the fork

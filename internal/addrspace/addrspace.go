@@ -108,6 +108,17 @@ func (v *VMA) Pages() uint64 { return v.Len() >> mem.PageShift }
 // limit (private writable memory, as in Linux).
 func (v *VMA) reserved() bool { return !v.Shared && v.Prot&Write != 0 }
 
+// permits reports whether v's protection allows access.
+func (v *VMA) permits(access Access) bool {
+	switch access {
+	case AccessWrite:
+		return v.Prot&Write != 0
+	case AccessExec:
+		return v.Prot&Exec != 0
+	}
+	return v.Prot&Read != 0
+}
+
 func (v *VMA) pageSize() uint64 {
 	if v.Huge {
 		return mem.HugeSize
@@ -422,37 +433,43 @@ func (a Access) String() string {
 }
 
 // Fault services a page fault at va with the given intent. It returns
-// EFAULT for accesses outside any VMA or violating VMA protections,
-// and ENOMEM when physical memory is exhausted (the OOM condition —
-// under heuristic overcommit this is where a forked giant discovers
-// there is no memory left).
+// EFAULT for accesses outside any VMA or violating VMA protections, and
+// ENOMEM when physical memory is exhausted (the OOM condition — under
+// heuristic overcommit this is where a forked giant discovers there is
+// no memory left). Its handler is the one the fault path (miss) runs for
+// every miss but a run of absent base pages. Fault makes neither the
+// probe before a fault nor the walk of the retried access after it, so
+// an absent page it maps is left out of the TLB; Translate and Touch
+// make both.
 func (s *Space) Fault(va uint64, access Access) error {
 	v := s.FindVMA(va)
 	if v == nil {
 		return errno.EFAULT
 	}
-	switch access {
-	case AccessWrite:
-		if v.Prot&Write == 0 {
-			return errno.EFAULT
-		}
-	case AccessExec:
-		if v.Prot&Exec == 0 {
-			return errno.EFAULT
-		}
-	default:
-		if v.Prot&Read == 0 {
-			return errno.EFAULT
-		}
-	}
+	return s.handle(v, va, access)
+}
 
+// handle is Fault once va's VMA is found.
+func (s *Space) handle(v *VMA, va uint64, access Access) error {
+	if !v.permits(access) {
+		return errno.EFAULT
+	}
 	s.meter.Charge(s.meter.Model.PageFault)
 	s.meter.PageFaults++
 
 	base := alignDn(va, v.pageSize())
 	pte, present := s.pt.Lookup(base)
 	if !present {
-		return s.demandFault(v, base, access)
+		e, err := s.demandFault(v, base, access)
+		if err != nil {
+			return err
+		}
+		if v.Huge {
+			s.pt.MapHuge(base, e)
+		} else {
+			s.pt.Map(base, e)
+		}
+		return nil
 	}
 	if access == AccessWrite && !pte.Writable() {
 		return s.cowBreak(v, base, pte)
@@ -462,10 +479,14 @@ func (s *Space) Fault(va uint64, access Access) error {
 	return nil
 }
 
-// demandFault populates an absent page. A file-backed page adopts the
-// backing's window as the frame's contents: the virtual machine pays
-// the page-in, and the host neither allocates nor copies a byte.
-func (s *Space) demandFault(v *VMA, base uint64, access Access) error {
+// demandFault makes the entry for the absent page of v at base, for the
+// caller to install: Fault through Map or MapHuge, and the fault path's
+// run of absent base pages through pagetable.Table.Fill. It allocates
+// (and pays for) a zeroed frame, which counts as resident from here on.
+// A file-backed page adopts the backing's window as the frame's
+// contents: the virtual machine pays the page-in, and the host neither
+// allocates nor copies a byte.
+func (s *Space) demandFault(v *VMA, base uint64, access Access) (pagetable.PTE, error) {
 	var f mem.FrameID
 	var err error
 	if v.Huge {
@@ -474,7 +495,7 @@ func (s *Space) demandFault(v *VMA, base uint64, access Access) error {
 		f, err = s.phys.AllocZero()
 	}
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if v.Backing != nil {
 		// Page in from the image. Charged per 4 KiB page read.
@@ -490,13 +511,35 @@ func (s *Space) demandFault(v *VMA, base uint64, access Access) error {
 	if v.Shared {
 		flags |= pagetable.FlagShared
 	}
-	if v.Huge {
-		s.pt.MapHuge(base, pagetable.Make(f, flags))
-	} else {
-		s.pt.Map(base, pagetable.Make(f, flags))
-	}
 	s.rssPages += f.Pages()
-	return nil
+	return pagetable.Make(f, flags), nil
+}
+
+// miss is the fault path: Translate and Touch take it when the probe of
+// va (the Lookup of va's base page) finds the page absent, or present
+// (present) without the write permission access needs. A run of absent
+// base pages — va's and each absent one after it, up to end, in va's
+// 2 MiB leaf — is faulted in by one pagetable.Table.Fill, each page
+// charged exactly what the handler and the retried access charge for it
+// one page at a time. Any other miss — a COW break, a huge page, an
+// access v refuses — runs the handler and then the retried access's
+// walk, which leaves the page in the TLB. miss returns the address after
+// the pages it serviced.
+func (s *Space) miss(v *VMA, va, end uint64, present bool, access Access) (uint64, error) {
+	page := alignDn(va, mem.PageSize)
+	if present || v.Huge || !v.permits(access) {
+		if err := s.handle(v, va, access); err != nil {
+			return page, err
+		}
+		s.pt.Lookup(page)
+		return alignDn(va, v.pageSize()) + v.pageSize(), nil
+	}
+	leafEnd := alignDn(va, mem.HugeSize) + mem.HugeSize
+	return s.pt.Fill(page, min(end, leafEnd), func(p uint64) (pagetable.PTE, error) {
+		s.meter.Charge(s.meter.Model.PageFault)
+		s.meter.PageFaults++
+		return s.demandFault(v, p, access)
+	})
 }
 
 // cowBreak services a write fault on a read-only present page: if the
@@ -568,23 +611,36 @@ func pteFlags(p Prot) pagetable.PTE {
 
 // Translate resolves va to a frame and intra-frame offset, faulting as
 // needed. It is the kernel's copyin/copyout and the VM's load/store
-// path. An address outside the 48-bit space is EFAULT before any walk
-// or charge, as a non-canonical address raises #GP on x86.
+// path. It probes va's page with a Lookup, and a miss takes the fault
+// path as a one-page range, which leaves the page in the TLB. An address
+// outside the 48-bit space is EFAULT before any walk or charge, as a
+// non-canonical address raises #GP on x86.
 func (s *Space) Translate(va uint64, access Access) (mem.FrameID, int, error) {
 	if va >= pagetable.MaxVA {
 		return mem.NoFrame, 0, errno.EFAULT
 	}
-	for tries := 0; tries < 3; tries++ {
-		pte, ok := s.pt.Lookup(va &^ (mem.PageSize - 1))
-		if ok && (access != AccessWrite || pte.Writable()) {
-			f := pte.Frame()
-			return f, int(va & uint64(f.Size()-1)), nil
+	page := va &^ (mem.PageSize - 1)
+	pte, ok := s.pt.Lookup(page)
+	if !serves(pte, ok, access) {
+		v := s.FindVMA(va)
+		if v == nil {
+			return mem.NoFrame, 0, errno.EFAULT
 		}
-		if err := s.Fault(va, access); err != nil {
+		if _, err := s.miss(v, va, page+mem.PageSize, ok, access); err != nil {
 			return mem.NoFrame, 0, err
 		}
+		if pte, ok = s.pt.Lookup(page); !serves(pte, ok, access) {
+			panic(fmt.Sprintf("addrspace: translate %#x did not converge", va))
+		}
 	}
-	panic(fmt.Sprintf("addrspace: translate %#x did not converge", va))
+	f := pte.Frame()
+	return f, int(va & uint64(f.Size()-1)), nil
+}
+
+// serves reports whether a probe that found pte (present) serves access
+// without a fault.
+func serves(pte pagetable.PTE, present bool, access Access) bool {
+	return present && (access != AccessWrite || pte.Writable())
 }
 
 // ReadBytes copies len(buf) bytes from user memory at va.
@@ -626,23 +682,39 @@ func (s *Space) WriteBytes(va uint64, data []byte) error {
 // Touch faults in [va, va+length) with the given intent without moving
 // data. Workload generators use it to dirty a parent of a given size
 // cheaply (a write of zeroes keeps frames unmaterialised on the host).
-// Pages already mapped with sufficient permission cost only a TLB
-// probe, so re-touching resident memory is nearly free — which makes
-// Touch usable as the "rewrite working set" step of the COW-tax
-// experiment.
+// It finds each VMA of the range once and probes each page as Translate
+// does, and a miss takes the fault path, which faults in a run of absent
+// pages one leaf at a time; every page is charged what Translate would
+// charge for it. Pages already mapped with sufficient permission cost
+// only a TLB probe, so re-touching resident memory is nearly free —
+// which makes Touch usable as the "rewrite working set" step of the
+// COW-tax experiment. A range that runs past the 48-bit space, wrapping
+// past 2^64 or not, is faulted in up to its first hole, where it fails
+// with EFAULT.
 func (s *Space) Touch(va, length uint64, access Access) error {
-	end := va + length
+	end, tail := va+length, error(nil)
+	if end < va || end > pagetable.MaxVA {
+		// No VMA reaches past MaxVA, so the range has a hole there.
+		end, tail = pagetable.MaxVA, errno.EFAULT
+	}
 	for va < end {
 		v := s.FindVMA(va)
 		if v == nil {
 			return errno.EFAULT
 		}
-		if _, _, err := s.Translate(va, access); err != nil {
-			return err
+		for stop := min(end, v.End); va < stop; {
+			pte, ok := s.pt.Lookup(alignDn(va, mem.PageSize))
+			if serves(pte, ok, access) {
+				va = alignDn(va, v.pageSize()) + v.pageSize()
+				continue
+			}
+			var err error
+			if va, err = s.miss(v, va, stop, ok, access); err != nil {
+				return err
+			}
 		}
-		va = alignDn(va, v.pageSize()) + v.pageSize()
 	}
-	return nil
+	return tail
 }
 
 // CloneCOW builds the forked-child copy of s: VMAs are duplicated,

@@ -299,7 +299,11 @@ func (k *Kernel) RestoreProcess(img *ProcImage) (*Process, error) {
 		}
 	}
 
-	p := k.newProcess(img.Name, nil)
+	sigs := &sig.Table{}
+	if img.Sigs != nil {
+		sigs = img.Sigs.Clone()
+	}
+	p := k.newProcess(img.Name, nil, sigs)
 	p.cwd = cwd
 	p.fds = vfs.NewFDTable()
 	p.space = k.newSpace()
@@ -328,6 +332,15 @@ func (k *Kernel) RestoreProcess(img *ProcImage) (*Process, error) {
 	}
 	p.space.RestoreBrk(img.BrkBase, img.Brk)
 
+	// Make room in the frame table for every base page at once; growing
+	// it an allocation at a time allocates several times its size.
+	var basePages uint64
+	for i := range img.Pages {
+		if img.Pages[i].Pages() == 1 {
+			basePages++
+		}
+	}
+	k.phys.GrowFrames(basePages)
 	for i := range img.Pages {
 		r := &img.Pages[i]
 		if i > 0 && r.VA <= img.Pages[i-1].VA {
@@ -367,9 +380,6 @@ func (k *Kernel) RestoreProcess(img *ProcImage) (*Process, error) {
 		}
 	}
 
-	if img.Sigs != nil {
-		p.sigs = img.Sigs.Clone()
-	}
 	p.pending = img.Pending
 	k.meter.Charge(k.meter.Model.SigClone)
 

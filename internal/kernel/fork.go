@@ -52,7 +52,7 @@ func (k *Kernel) doFork(caller *Thread, opts forkOpts) (*Process, error) {
 		// shares rather than snapshots, and execs immediately.
 		return nil, errno.EAGAIN
 	}
-	child := k.newProcess(parent.Name, parent)
+	child := k.newProcess(parent.Name, parent, parent.sigs.Clone())
 
 	// Address space.
 	switch opts.mode {
@@ -87,8 +87,8 @@ func (k *Kernel) doFork(caller *Thread, opts forkOpts) (*Process, error) {
 	child.fds, nfds = parent.fds.Clone()
 	k.meter.Charge(cost.Ticks(nfds) * k.meter.Model.FDClone)
 
-	// Signals: dispositions copy; pending signals do NOT (POSIX).
-	child.sigs = parent.sigs.Clone()
+	// Signals: dispositions copy (newProcess took the copy); pending
+	// signals do NOT (POSIX).
 	k.meter.Charge(k.meter.Model.SigClone)
 
 	if e := k.faults.Fail(fault.PointThreadCreate, 1); e != errno.OK {

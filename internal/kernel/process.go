@@ -264,14 +264,19 @@ func (k *Kernel) newThread(p *Process, state TState) *Thread {
 	return t
 }
 
-// newProcess allocates a process shell (no space, fds, or threads yet).
-func (k *Kernel) newProcess(name string, parent *Process) *Process {
+// newProcess allocates a process shell (no space, fds, or threads yet)
+// with the signal table sigs, which the caller allocates once: a copy
+// of the parent's for fork and spawn, the image's for a restore, and a
+// fresh one otherwise. It is in place from the start, so a failure path
+// that unwinds the shell never sees a nil table; the caller still
+// charges SigClone where its copy is logically made.
+func (k *Kernel) newProcess(name string, parent *Process, sigs *sig.Table) *Process {
 	p := &Process{
 		Pid:      k.nextPID,
 		Name:     name,
 		parent:   parent,
 		cwd:      k.fs.Root(),
-		sigs:     &sig.Table{},
+		sigs:     sigs,
 		childQ:   &WaitQueue{name: "wait:children"},
 		started:  k.meter.Now(),
 		state:    ProcAlive,

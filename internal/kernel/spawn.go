@@ -45,7 +45,7 @@ func (k *Kernel) doSpawn(parent *Process, callerMask sig.Set, path string, argv 
 	// constant is higher than a tiny fork's.
 	k.meter.Charge(k.meter.Model.SpawnSetup)
 
-	child := k.newProcess(path, parent)
+	child := k.newProcess(path, parent, parent.sigs.Clone())
 	fail := func(err error) (*Process, error) {
 		if child.fds != nil {
 			child.fds.CloseAll()
@@ -98,9 +98,8 @@ func (k *Kernel) doSpawn(parent *Process, callerMask sig.Set, path string, argv 
 	}
 	child.fds.DoCloexec()
 
-	// Signal dispositions: as if fork+exec, then the explicit
-	// attribute resets.
-	child.sigs = parent.sigs.Clone()
+	// Signal dispositions: as if fork+exec (newProcess took the copy),
+	// then the explicit attribute resets.
 	k.meter.Charge(k.meter.Model.SigClone)
 	child.sigs.ResetForExec()
 	if attr.Flags&abi.SpawnSetSigDef != 0 {
@@ -179,7 +178,7 @@ func (k *Kernel) BootInit(path string, argv []string) (*Process, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := k.newProcess("init", nil)
+	p := k.newProcess("init", nil, &sig.Table{})
 	space, ctx, err := k.buildSpace(ino, hdr, argv)
 	if err != nil {
 		k.abortFork(p)
@@ -212,7 +211,7 @@ func (k *Kernel) BootInit(path string, argv []string) (*Process, error) {
 // measurement harness uses these to build parents of arbitrary sizes
 // without running VM code.
 func (k *Kernel) NewSynthetic(name string, parent *Process) *Process {
-	p := k.newProcess(name, parent)
+	p := k.newProcess(name, parent, &sig.Table{})
 	p.space = k.newSpace()
 	p.spaceOwned = true
 	p.fds = vfs.NewFDTable()

@@ -817,6 +817,52 @@ parent:
 	}
 }
 
+// TestSysTouchWrappingLength: a SYS_TOUCH whose length wraps past 2^64
+// is an overlong one. It faults the whole 1 MiB mapping in and fails
+// with EFAULT at the hole after it, where it used to return 0 having
+// touched nothing.
+func TestSysTouchWrappingLength(t *testing.T) {
+	_, p, _, err := runAsm(t, Options{}, `
+_start:
+    movi r0, 0
+    li r1, 1048576
+    movi r2, PROT_READ + PROT_WRITE
+    movi r3, 0
+    sys SYS_MMAP
+    mov r10, r0
+    sys SYS_GET_RSS
+    mov r11, r0
+    mov r0, r10
+    movi r1, -1             ; a length that wraps past 2^64
+    movi r2, 1
+    sys SYS_TOUCH
+    mov r12, r0
+    sys SYS_GET_RSS
+    sub r0, r0, r11
+    li r3, 1048576
+    bne r0, r3, badrss
+    movi r3, -14            ; -EFAULT
+    bne r12, r3, badret
+    movi r0, 0
+    sys SYS_EXIT
+badrss:
+    movi r0, 1
+    sys SYS_EXIT
+badret:
+    movi r0, 2
+    sys SYS_EXIT
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch exitCode(t, p) {
+	case 1:
+		t.Fatal("the wrapping SYS_TOUCH did not fault the whole mapping in")
+	case 2:
+		t.Fatal("the wrapping SYS_TOUCH did not fail with EFAULT")
+	}
+}
+
 func TestRunLimitsStop(t *testing.T) {
 	var out bytes.Buffer
 	k := mustNew(t, Options{ConsoleOut: &out})

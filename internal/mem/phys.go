@@ -289,6 +289,22 @@ func (p *Physical) Alloc() (FrameID, error) {
 	return f, nil
 }
 
+// GrowFrames makes room in the frame table for n more base frames than
+// the free list holds, up to RAM's size, so that many allocations ahead
+// grow the table once instead of one append at a time, which allocates
+// several times the table's final size. Host-only: it charges nothing
+// and hands out no frame.
+func (p *Physical) GrowFrames(n uint64) {
+	live := p.allocatedPages - FramesPerHuge*uint64(len(p.hframes)-len(p.hfree))
+	if free := p.nextFree - live; n > free {
+		if need := min(p.nextFree+n-free, p.totalPages); need > uint64(cap(p.frames)) {
+			frames := make([]frame, len(p.frames), need)
+			copy(frames, p.frames)
+			p.frames = frames
+		}
+	}
+}
+
 // AllocHuge hands out one 2 MiB frame with refcount 1. The 512-page
 // budget is charged against the same RAM pool as base frames.
 func (p *Physical) AllocHuge() (FrameID, error) {

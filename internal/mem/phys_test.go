@@ -43,6 +43,54 @@ func TestAllocFreeRoundtrip(t *testing.T) {
 	}
 }
 
+// TestGrowFrames: GrowFrames makes room for exactly the frames the free
+// list cannot supply, capped at RAM, and moves nothing an allocation
+// returns or charges. The allocations after it then never grow the
+// table again.
+func TestGrowFrames(t *testing.T) {
+	grown, plain := newPhys(4<<20, 0, CommitHeuristic), newPhys(4<<20, 0, CommitHeuristic) // 1,024 frames
+	alloc := func(n int) {
+		t.Helper()
+		for range n {
+			f, err := grown.Alloc()
+			g, gerr := plain.Alloc()
+			if f != g || err != gerr || grown.meter.Now() != plain.meter.Now() {
+				t.Fatalf("after GrowFrames, Alloc = %v, %v at %v; without it %v, %v at %v",
+					f, err, grown.meter.Now(), g, gerr, plain.meter.Now())
+			}
+		}
+	}
+	alloc(10)
+	for _, p := range []*Physical{grown, plain} {
+		for f := FrameID(2); f < 6; f++ {
+			p.DecRef(f)
+		}
+		if _, err := p.AllocHuge(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 6 base frames and a huge one are live; 4 base frames are free.
+	before := &grown.frames[0]
+	grown.GrowFrames(4)
+	if &grown.frames[0] != before {
+		t.Error("GrowFrames(4) with 4 free frames grew the table")
+	}
+	grown.GrowFrames(20)
+	if got := cap(grown.frames); got < 26 || len(grown.frames) != 10 {
+		t.Fatalf("GrowFrames(20) with 4 free frames: len %d cap %d, want len 10 and room for 26", len(grown.frames), got)
+	}
+	before = &grown.frames[0]
+	alloc(20)
+	if &grown.frames[0] != before {
+		t.Error("an allocation after GrowFrames reallocated the frame table")
+	}
+	grown.GrowFrames(1000)
+	if got := uint64(cap(grown.frames)); got < grown.TotalPages() || got > grown.TotalPages()+64 {
+		t.Errorf("GrowFrames past RAM: room for %d frames, RAM holds %d", got, grown.TotalPages())
+	}
+	alloc(300)
+}
+
 func TestRefcountSharing(t *testing.T) {
 	p := newPhys(1<<20, 0, CommitHeuristic)
 	f, err := p.Alloc()

@@ -182,8 +182,11 @@ func (h *physOps) step(op, b1 byte, idx uint16) {
 		op = 0 // nothing live: allocate instead
 	}
 	switch op {
-	case 0, 1: // Alloc, or AllocHuge one time in four
+	case 0, 1: // Alloc, or AllocHuge one time in four, after a GrowFrames one time in eight
 		huge := op == 1 && b1%4 == 0
+		if b1&0xe0 == 0xe0 {
+			p.GrowFrames(uint64(idx % 64))
+		}
 		h.last = "Alloc"
 		alloc := p.Alloc
 		if huge {

@@ -11,10 +11,10 @@
 // The host, by contrast, visits only populated state: each node keeps
 // an occupancy bitmap, so clone, teardown and Visit skip empty slots;
 // each table caches the last leaf it walked, so the lookups and writes
-// of one fault share a single host walk; and CloneCOW links the
-// parent's leaves into the child instead of copying them, so a fork
-// and exec's teardown of the copy cost the host O(nodes), not
-// O(entries). Host memory is kept small too: a node carries only the
+// of one fault share a single host walk, and Fill faults in a leaf's
+// run of absent pages in one pass; and CloneCOW links the parent's
+// leaves into the child instead of copying them, so a fork and exec's
+// teardown of the copy cost the host O(nodes), not O(entries). Host memory is kept small too: a node carries only the
 // one 4 KiB array its level uses (entries at a leaf, children above
 // it), leaves and interior nodes come from pools of their own, and a
 // TLB entry is a virtual page number and a PTE, the PTE's present bit
@@ -30,11 +30,12 @@
 // references with it, so once the leaf a table faults on is private,
 // every count the kernel reads equals the eager one: each table's
 // present entry holds one reference. Map and MapHuge take over the
-// caller's reference. CloneCOW and CloneEager take their own for each
-// entry they install (CloneCOW's deferred). Unmap hands the entry's
-// reference back to the caller. Destroy(nil) drops every remaining
-// reference; Destroy(release) hands each one to release instead,
-// taking a fork-shared leaf's deferred references first.
+// caller's reference, and Fill that of each entry its fault callback
+// returns. CloneCOW and CloneEager take their own for each entry they
+// install (CloneCOW's deferred). Unmap hands the entry's reference back
+// to the caller. Destroy(nil) drops every remaining reference;
+// Destroy(release) hands each one to release instead, taking a
+// fork-shared leaf's deferred references first.
 package pagetable
 
 import (
@@ -152,12 +153,12 @@ type node struct {
 	ptes *[entriesPerNode]PTE
 
 	// used is the occupancy bitmap: bit i%64 of used[i/64] is set
-	// exactly when slot i holds a kid or a present entry. Map, MapHuge
-	// and Unmap keep it exact, and an empty slot is all zero. The walks
-	// that must see every populated slot read it instead of scanning
-	// 512: interior nodes iterate their set bits; leaves skip empty
-	// 64-slot words but scan the rest straight through, since a fork
-	// parent's leaves are dense.
+	// exactly when slot i holds a kid or a present entry. Map, MapHuge,
+	// Fill and Unmap keep it exact, and an empty slot is all zero. The
+	// walks that must see every populated slot read it instead of
+	// scanning 512: interior nodes iterate their set bits; leaves skip
+	// empty 64-slot words but scan the rest straight through, since a
+	// fork parent's leaves are dense.
 	used [usedWords]uint64
 
 	// shared marks a node host-COW-aliased by a frozen template and
@@ -170,7 +171,7 @@ type node struct {
 
 	// forked marks a leaf whose present entries are all in fork form
 	// (forkEntry(e) == e), so CloneCOW can link it without scanning it.
-	// CloneCOW sets it; Map, Update and Visit's rewrite clear it.
+	// CloneCOW sets it; Map, Fill, Update and Visit's rewrite clear it.
 	forked bool
 
 	// forks counts the tables beyond the first that link this leaf
@@ -306,8 +307,8 @@ type Table struct {
 	tlb [tlbSize]tlbEntry
 
 	// leaf is the level-0 node the last walk reached, covering the
-	// 2 MiB region leafKey (va >> mem.HugeShift), so the Lookup, Map
-	// and Lookup of a demand fault, or the Lookup and Update of a COW
+	// 2 MiB region leafKey (va >> mem.HugeShift), so the Lookup and the
+	// Fill of a run of demand faults, or the Lookup and Update of a COW
 	// break, walk the tree once. It is always the node the tree links
 	// at leafKey: a full walk re-caches the leaf it reaches, and an
 	// ancestor it copies out keeps the same kids; only Destroy, Visit
@@ -592,6 +593,73 @@ func (t *Table) Lookup(va uint64) (PTE, bool) {
 	e := n.ptes[i]
 	*t.tlbSlot(vpn) = tlbEntry{vpn: vpn, pte: e}
 	return e, true
+}
+
+// Fill services a run of demand faults in one pass: va, which the
+// caller's Lookup found absent, and each page after it, up to end, that
+// is absent too. The run lies in va's 2 MiB leaf region: va is
+// page-aligned and end is at most the region's end. The leaf is found
+// once: in the leaf cache, or by the walk that installs the first entry,
+// which copies a template- or fork-shared leaf out of the way as Map
+// does.
+//
+// Each page is charged exactly what a Lookup, a fault handler and the
+// retried access charge for it one page at a time, in this order:
+//   - the probe, as Lookup makes it: a walk on a TLB miss, which for an
+//     absent page it always is (va's probe was the caller's);
+//   - the handler's walk to the slot;
+//   - the call of fault with the page's address, which charges the rest
+//     of the handler's work up to and including the frame allocation,
+//     and returns the entry to install;
+//   - a PTNodeAlloc for each node va's path lacks, when the first entry
+//     goes in, and the entry write;
+//   - the retried access's walk, which leaves the entry in the TLB.
+//
+// Fill stops at the first present page, which its probe leaves exactly
+// as Lookup would, and returns that page's address; or at the first
+// error fault returns, leaving that page absent; or at end, which it
+// returns.
+func (t *Table) Fill(va, end uint64, fault func(va uint64) (PTE, error)) (uint64, error) {
+	checkVA(va)
+	if va&(mem.PageSize-1) != 0 || end <= va || (end-1)>>mem.HugeShift != va>>mem.HugeShift {
+		panic(fmt.Sprintf("pagetable: fill [%#x, %#x) is not a run in one leaf", va, end))
+	}
+	m := &t.meter.Model
+	n := t.cached(va)
+	for p := va; p < end; p += mem.PageSize {
+		vpn, i := p>>mem.PageShift, index(p, 0)
+		if p != va {
+			// n is the leaf the first entry went into.
+			if s := t.tlbSlot(vpn); s.pte.Present() && s.vpn == vpn {
+				return p, nil
+			}
+			t.meter.Charge(m.PTWalk)
+			if e := n.ptes[i]; e.Present() {
+				*t.tlbSlot(vpn) = tlbEntry{vpn: vpn, pte: e}
+				return p, nil
+			}
+		}
+		t.meter.Charge(m.PTWalk)
+		e, err := fault(p)
+		if err != nil {
+			return p, err
+		}
+		if n == nil || !n.private() {
+			n = t.ownPath(p, 0)
+			t.leaf, t.leafKey = n, p>>mem.HugeShift
+		}
+		if n.ptes[i].Present() {
+			panic(fmt.Sprintf("pagetable: fill over present va %#x", p))
+		}
+		e |= FlagPresent
+		n.ptes[i] = e
+		n.occupy(i)
+		n.forked = false
+		t.entries++
+		t.meter.Charge(m.PTEWrite + m.PTWalk)
+		*t.tlbSlot(vpn) = tlbEntry{vpn: vpn, pte: e}
+	}
+	return end, nil
 }
 
 // Update rewrites the existing entry covering va (COW break, dirty and

@@ -1,6 +1,7 @@
 package pagetable_test
 
 import (
+	"errors"
 	"maps"
 	"math/rand"
 	"slices"
@@ -14,8 +15,8 @@ import (
 // The property test drives one machine's page tables — a table and up
 // to three live COW children of it, grandchildren included — through
 // random map/update/unmap/visit/lookup ops on any live table, forks,
-// child destroys, eager clones, template snapshots and in-place
-// rewrites. It checks every observation against a flat map model per
+// child destroys, eager clones, template snapshots, in-place rewrites
+// and runs of demand faults filled in one pass. It checks every observation against a flat map model per
 // table and an eager reference count per frame (the number of live
 // tables that map it), and the host-only state (occupancy bitmaps, the
 // leaf cache, fork-shared leaves and their link counts) against the
@@ -363,10 +364,10 @@ func cloneModels(parent map[uint64]pagetable.PTE) (newParent, child map[uint64]p
 }
 
 // step consumes 4 bytes of ops and applies one operation to the live
-// table op/11 selects.
+// table op/12 selects.
 func (h *propHarness) step(op, b1 byte, r uint16) {
-	lt := h.tabs[int(op/11)%len(h.tabs)]
-	switch op % 11 {
+	lt := h.tabs[int(op/12)%len(h.tabs)]
+	switch op % 12 {
 	case 0, 1: // map a 4 KiB page
 		if len(lt.model) >= maxLiveEntries {
 			return
@@ -528,6 +529,113 @@ func (h *propHarness) step(op, b1 byte, r uint16) {
 			child := h.tabs[i]
 			h.tabs = slices.Delete(h.tabs, i, i+1)
 			h.destroyLive("live child", child, b1&1 == 0)
+		}
+	case 11: // a run of demand faults, filled in one pass
+		h.fill(lt, op, b1, r)
+	}
+}
+
+var errFill = errors.New("fault callback failed")
+
+// fill runs Fill from an absent page, as a fault path does after its
+// Lookup found the page absent, over a run of 1 to 32 pages in the
+// page's leaf: at a random page, or half the time a few pages below a
+// live base page, so the run meets it. The fault callback fails at its
+// k-th call, k = op/12 - 15 (none when not positive), or when RAM runs
+// out. Each page Fill fills is charged its probe (not the first's: the
+// caller's Lookup made it), the handler's walk, the callback's frame
+// allocation, the entry write and the retried access's walk, and any
+// node the path lacked when the first entry went in. Fill must stop at
+// the first present page, its probe leaving it in the TLB, or at the
+// failing page, leaving it absent; every page it filled must be in the
+// TLB.
+func (h *propHarness) fill(lt *liveTable, op, b1 byte, r uint16) {
+	va := va4k(b1, r)
+	if live, ok := lt.pick(r); ok && b1&1 != 0 && !lt.model[live].Huge() {
+		va = live - min(live, uint64(1+(b1>>3)%8)*mem.PageSize)
+	}
+	if _, ok := lt.model[va]; ok || len(lt.model)+32 > maxLiveEntries {
+		return
+	}
+	end := min(va+uint64(1+(b1>>2)%32)*mem.PageSize, (va|(mem.HugeSize-1))+1)
+	stop := end
+	for p := va; p < end; p += mem.PageSize {
+		if _, ok := lt.model[p]; ok {
+			stop = p
+			break
+		}
+	}
+	// Half the time, the stop page is in the TLB already and its probe
+	// charges nothing; otherwise it may charge a walk.
+	if stop < end && b1&2 != 0 {
+		h.checkLookup(lt, stop)
+	}
+	h.checkLookup(lt, va)
+
+	m, t0, nodes := h.meter.Model, h.meter.Now(), lt.tab.Nodes()
+	failAt := int(op/12) - 15
+	var filled []uint64
+	calls := 0
+	next, err := lt.tab.Fill(va, end, func(p uint64) (pagetable.PTE, error) {
+		if want := va + uint64(calls)*mem.PageSize; p != want {
+			h.t.Fatalf("Fill asked for %#x, the run's next absent page is %#x", p, want)
+		}
+		// The clock here is what an injector stamps the frame
+		// allocation with: this page's walks and every earlier page's
+		// charges, the nodes the first page's path lacked among them.
+		c := cost.Ticks(calls)
+		want := (1+2*c)*m.PTWalk + c*(m.FrameAlloc+m.PTEWrite+m.PTWalk)
+		if calls > 0 {
+			want += cost.Ticks(lt.tab.Nodes()-nodes) * m.PTNodeAlloc
+		}
+		if got := h.meter.Now() - t0; got != want {
+			h.t.Fatalf("Fill's callback for %#x ran at %d ticks, the per-page path's frame allocation at %d", p, got, want)
+		}
+		calls++
+		if calls == failAt {
+			return 0, errFill
+		}
+		f, err := h.phys.Alloc()
+		if err != nil {
+			return 0, err
+		}
+		e := pagetable.Make(f, randFlags(byte(r)))
+		lt.track(p, e|pagetable.FlagPresent)
+		h.refs[f] = 1
+		filled = append(filled, p)
+		return e, nil
+	})
+	failed := len(filled) < calls
+	if wantNext := va + uint64(len(filled))*mem.PageSize; failed && (err == nil || next != wantNext) {
+		h.t.Fatalf("Fill's callback failed at %#x; Fill returned %#x, %v", wantNext, next, err)
+	}
+	if !failed && (err != nil || next != stop) {
+		h.t.Fatalf("Fill(%#x, %#x) = %#x, %v; the first present page is %#x", va, end, next, err, stop)
+	}
+	// Every call's handler walk and every probe after the first page's,
+	// the stop page's included, whose walk a TLB hit saves.
+	probes := cost.Ticks(calls - 1)
+	stopWalk := !failed && next < end
+	if stopWalk {
+		probes++
+	}
+	want := (probes+cost.Ticks(calls))*m.PTWalk + cost.Ticks(len(filled))*(m.FrameAlloc+m.PTEWrite+m.PTWalk) +
+		cost.Ticks(lt.tab.Nodes()-nodes)*m.PTNodeAlloc
+	got := h.meter.Now() - t0
+	if stopWalk && (b1&2 != 0 || got+m.PTWalk == want) {
+		want -= m.PTWalk // the stop page was in the TLB
+	}
+	if got != want {
+		h.t.Fatalf("Fill charged %d ticks, the per-page path %d", got, want)
+	}
+	for _, p := range append(filled, next) {
+		if p == end {
+			continue
+		}
+		t1 := h.meter.Now()
+		h.checkLookup(lt, p)
+		if _, ok := lt.model[p]; ok && h.meter.Now() != t1 {
+			h.t.Fatalf("Lookup(%#x) after Fill charged %d: Fill left it out of the TLB", p, h.meter.Now()-t1)
 		}
 	}
 }
