@@ -261,10 +261,6 @@ func eventKindName(k fault.EventKind) string {
 		return "proc_exit"
 	case fault.EvExec:
 		return "exec"
-	case fault.EvNetSend:
-		return "net_send"
-	case fault.EvNetRecv:
-		return "net_recv"
 	}
 	return fmt.Sprintf("event_%d", int(k))
 }

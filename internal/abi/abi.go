@@ -49,8 +49,6 @@ const (
 	SysProcCount    = 39 // proc_count() -> live processes (diagnostics)
 	SysGetRSS       = 40 // get_rss() -> resident bytes of caller
 	SysMprotect     = 41 // mprotect(addr, len, prot)
-	SysNetSend      = 42 // net_send(dst, tag, len) -> 0 (enqueue one NIC frame)
-	SysNetRecv      = 43 // net_recv() -> src<<32|tag (blocks until a frame arrives)
 )
 
 // Exit-status encoding, waitpid's statusAddr word:

@@ -57,8 +57,6 @@ var builtinConsts = map[string]uint64{
 	"SYS_PROC_COUNT":    abi.SysProcCount,
 	"SYS_GET_RSS":       abi.SysGetRSS,
 	"SYS_MPROTECT":      abi.SysMprotect,
-	"SYS_NET_SEND":      abi.SysNetSend,
-	"SYS_NET_RECV":      abi.SysNetRecv,
 
 	// open flags.
 	"O_RDONLY":  abi.ORdOnly,

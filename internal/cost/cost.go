@@ -113,14 +113,13 @@ type Model struct {
 	PipeXferByte Ticks // per byte copied through a pipe
 	InstrTick    Ticks // one VM instruction
 
-	// Inter-machine network. NetStack is the kernel network-stack
-	// traversal charged on the sending (and receiving) CPU per frame;
-	// NetPerByte is the serialization cost per payload byte, also
-	// CPU-charged; NetLinkLatency is the one-way wire propagation
-	// delay, which elapses on the link rather than on any CPU — the
-	// fabric adds it to a frame's arrival time.
-	NetStack       Ticks // per-frame kernel stack traversal
-	NetPerByte     Ticks // per payload byte serialized
+	// Inter-machine network: wire-time prices, none charged to a CPU.
+	// The sim/net fabric adds all three to a frame's arrival time:
+	// NetStack once per frame for the network-stack traversal,
+	// NetPerByte per payload byte serialized, and NetLinkLatency for
+	// the one-way propagation delay.
+	NetStack       Ticks // per-frame stack traversal (not CPU time)
+	NetPerByte     Ticks // per payload byte serialized (not CPU time)
 	NetLinkLatency Ticks // one-way propagation delay (not CPU time)
 }
 

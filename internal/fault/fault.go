@@ -70,12 +70,12 @@ const (
 	// orchestrator constructs these ops itself.
 	PointMachineKill
 	// PointNetSend is one frame entering the inter-machine fabric at
-	// its source NIC: a non-OK decision drops the frame before it is
-	// ever queued (a lossy or severed uplink). Magnitude: NetMag(src,
-	// dst) — the frame's endpoints packed into one word.
+	// its source: a non-OK decision drops the frame before it is ever
+	// queued (a lossy or severed uplink). Magnitude: NetMag(src, dst)
+	// — the frame's endpoints packed into one word.
 	PointNetSend
 	// PointNetDeliver is one frame leaving the fabric at its
-	// destination NIC: a non-OK decision drops it at the last hop (a
+	// destination: a non-OK decision drops it at the last hop (a
 	// cut link or a network partition). Consulted by sim/net per
 	// delivery with Mag = NetMag(src, dst), and by the sim/cluster
 	// balancer as a zone-reachability probe with Mag = the target
@@ -469,8 +469,8 @@ func Chaos(seed uint64, machine int) Schedule {
 }
 
 // NetChaos is the chaos-mode schedule for distributed (fabric-backed)
-// loads on one machine-cell: roughly 2% of frames dropped at the
-// source NIC and 2% more at delivery, deterministically hashed from
+// loads on one machine-cell: roughly 2% of frames dropped at send
+// and 2% more at delivery, deterministically hashed from
 // (seed, cell id, point, frame seq). Pure function of its inputs, so
 // a lossy fabric replays bit-for-bit at any host parallelism.
 func NetChaos(seed uint64, machine int) Schedule {

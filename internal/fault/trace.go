@@ -35,12 +35,6 @@ const (
 	EvProcExit
 	// EvExec is a successful exec image replacement (Name = argv[0]).
 	EvExec
-	// EvNetSend is one frame leaving a machine's NIC (Num = NetMag(src,
-	// dst), Aux = payload bytes).
-	EvNetSend
-	// EvNetRecv is one frame delivered into a machine's NIC inbox
-	// (Num = NetMag(src, dst), Aux = payload bytes).
-	EvNetRecv
 )
 
 // Event is one structured trace record. Pid -1 means "no process
@@ -90,10 +84,6 @@ func (e Event) String() string {
 		what = fmt.Sprintf("proc- %q status=%#x", e.Name, e.Aux)
 	case EvExec:
 		what = fmt.Sprintf("exec  %q", e.Name)
-	case EvNetSend:
-		what = fmt.Sprintf("net>  %d->%d bytes=%d", NetMagSrc(e.Num), NetMagDst(e.Num), e.Aux)
-	case EvNetRecv:
-		what = fmt.Sprintf("net<  %d->%d bytes=%d", NetMagSrc(e.Num), NetMagDst(e.Num), e.Aux)
 	default:
 		what = fmt.Sprintf("event(%d)", int(e.Kind))
 	}
@@ -214,8 +204,6 @@ var sysNames = [...]string{
 	abi.SysProcCount:    "proc_count",
 	abi.SysGetRSS:       "get_rss",
 	abi.SysMprotect:     "mprotect",
-	abi.SysNetSend:      "net_send",
-	abi.SysNetRecv:      "net_recv",
 }
 
 // SyscallName renders a syscall number (unknown numbers keep their

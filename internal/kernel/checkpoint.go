@@ -32,9 +32,9 @@ import (
 // Blocked threads restore as runnable: blocking syscalls never advance
 // the PC (see errBlocked), so the restored thread re-executes the SYS
 // instruction and re-blocks on the *target* machine's queues — a
-// net_recv waiter parks on the target NIC, a nanosleep resumes with
-// its remaining time (rebased via CapturedAt). Semantically each is
-// one spurious wakeup.
+// futex waiter waits on the target's futex word, a nanosleep resumes
+// with its remaining time (rebased via CapturedAt). Semantically each
+// is one spurious wakeup.
 
 // CheckpointError is a typed refusal: the process holds state that
 // cannot be serialized from one machine and rebuilt on another.

@@ -5,8 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/abi"
 	"repro/internal/addrspace"
+	"repro/internal/asm"
 	"repro/internal/mem"
+	"repro/internal/ulib"
 	"repro/internal/vfs"
 )
 
@@ -77,18 +80,101 @@ func TestCheckpointRefusals(t *testing.T) {
 	ckErr(t, err, "not alive")
 }
 
-// TestCheckpointRestoreAcrossMachines migrates a process blocked in
-// net_recv to a second machine: the restored thread re-executes the
-// blocked syscall, parks on the *target* NIC's queue, and the target
-// then behaves byte-for-byte like a machine that booted the program
-// itself — same echo, same counters.
-func TestCheckpointRestoreAcrossMachines(t *testing.T) {
-	const addr = 4
-	src := bootNetEcho(t, addr)
-	p := src.Lookup(1)
-	if p == nil {
-		t.Fatal("no init on source")
+// futexWakeSrc is a two-thread program. The main thread waits in
+// futex_wait on fw_word; a waker thread sleeps 1 ms, sets the word,
+// wakes up to eight waiters and records how many woke, and the main
+// thread exits with that count. A run therefore ends in exit status 1
+// only if the main thread was still queued on the futex when the wake
+// came. sim's TestCloneBlockedFutexWaiter runs the same program.
+const futexWakeSrc = `
+_start:
+    li r0, fw_waker
+    movi r1, 0
+    li r2, fw_stack_top
+    sys SYS_THREAD_CREATE
+fw_wait:
+    li r0, fw_word
+    movi r1, 0
+    sys SYS_FUTEX_WAIT
+    li r3, fw_word
+    ld8 r4, [r3+0]
+    bz r4, fw_wait
+    li r3, fw_woken
+    ld8 r0, [r3+0]
+    sys SYS_EXIT
+fw_waker:
+    li r0, 1000000
+    sys SYS_NANOSLEEP
+    li r3, fw_word
+    movi r4, 1
+    st8 [r3+0], r4
+    li r0, fw_word
+    movi r1, 8
+    sys SYS_FUTEX_WAKE
+    li r3, fw_woken
+    st8 [r3+0], r0
+    sys SYS_THREAD_EXIT
+.bss
+.align 8
+fw_word: .space 8
+fw_woken: .space 8
+fw_stack: .space 4096
+fw_stack_top: .space 8
+`
+
+// bootFutexWake boots a machine with futexWakeSrc installed at
+// /bin/futexwake; with start set it also runs the program as init.
+func bootFutexWake(t *testing.T, start bool) (*Kernel, *Process) {
+	t.Helper()
+	k, _ := boot(t, Options{})
+	im, err := asm.Assemble(futexWakeSrc + ulib.Runtime)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := k.InstallImage("/bin/futexwake", im); err != nil {
+		t.Fatal(err)
+	}
+	if !start {
+		return k, nil
+	}
+	p, err := k.BootInit("/bin/futexwake", []string{"/bin/futexwake"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k, p
+}
+
+// runUntilBlocked runs k one instruction at a time until p has two
+// live threads and both are blocked: futexWakeSrc's main thread in
+// futex_wait and its waker in nanosleep. A Run that stops for any
+// other reason fails the test.
+func runUntilBlocked(t *testing.T, k *Kernel, p *Process) {
+	t.Helper()
+	for {
+		blocked := 0
+		for _, th := range p.Threads() {
+			if th.State() == TBlocked {
+				blocked++
+			}
+		}
+		if blocked == 2 && p.LiveThreads() == 2 {
+			return
+		}
+		if err := k.Run(RunLimits{MaxInstructions: 1}); err != nil || k.LastStop() != StopLimit {
+			t.Fatalf("machine stopped (%v, err %v) before both threads of %s blocked", k.LastStop(), err, p.Name)
+		}
+	}
+}
+
+// TestCheckpointRestoreAcrossMachines migrates futexWakeSrc while its
+// main thread waits in futex_wait and its waker sleeps. Both threads
+// restore as runnable: the main thread re-executes the blocked syscall
+// and blocks again on the *target* machine's futex queue, the waker
+// resumes its sleep, and the restored process then finishes as a cold
+// run does, waking exactly one waiter.
+func TestCheckpointRestoreAcrossMachines(t *testing.T) {
+	src, p := bootFutexWake(t, true)
+	runUntilBlocked(t, src, p)
 	img, err := src.CheckpointProcess(p, CheckpointOpts{})
 	if err != nil {
 		t.Fatalf("checkpoint: %v", err)
@@ -96,12 +182,15 @@ func TestCheckpointRestoreAcrossMachines(t *testing.T) {
 	if img.PageBytes() == 0 {
 		t.Fatal("image carries no pages")
 	}
-	if len(img.Threads) != 1 || !img.Threads[0].Runnable {
-		t.Fatalf("threads = %+v, want one runnable (blocked syscalls restart)", img.Threads)
+	if len(img.Threads) != 2 || !img.Threads[0].Runnable || !img.Threads[1].Runnable {
+		t.Fatalf("threads = %+v, want two runnable (blocked syscalls restart)", img.Threads)
+	}
+	if img.Threads[0].SleepLeft != 0 || img.Threads[1].SleepLeft == 0 {
+		t.Errorf("sleep left = %v and %v, want only the waker asleep",
+			img.Threads[0].SleepLeft, img.Threads[1].SleepLeft)
 	}
 
-	dst, _ := boot(t, Options{})
-	dst.NetAttach(addr)
+	dst, _ := bootFutexWake(t, false)
 	rp, err := dst.RestoreProcess(img)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
@@ -109,31 +198,26 @@ func TestCheckpointRestoreAcrossMachines(t *testing.T) {
 	if rp.Name != p.Name {
 		t.Errorf("restored name = %q, want %q", rp.Name, p.Name)
 	}
-	// Run: the thread retries net_recv and parks on dst's queue.
-	if err := dst.Run(RunLimits{MaxInstructions: 1_000_000}); err != nil {
-		t.Fatalf("run restored: %v", err)
-	}
-	if n := dst.NetPendingRecv(); n != 1 {
-		t.Fatalf("restored NetPendingRecv = %d, want 1", n)
-	}
+	// Run: the main thread retries futex_wait and blocks on dst.
+	runUntilBlocked(t, dst, rp)
 
-	// The migrated machine now echoes exactly like a cold one.
-	cold := bootNetEcho(t, addr)
-	drive := func(k *Kernel) []NetFrame {
+	finish := func(k *Kernel, p *Process) uint64 {
 		t.Helper()
-		k.NetInject(NetFrame{Src: 9, Dst: addr, Tag: 42, Bytes: 128})
-		k.NetInject(NetFrame{Src: 9, Dst: addr, Tag: 0, Bytes: 0})
 		if err := k.Run(RunLimits{MaxInstructions: 1_000_000}); err != nil {
-			t.Fatalf("drive: %v", err)
+			t.Fatalf("run %s: %v", p.Name, err)
 		}
-		return k.NetDrainOutbox()
+		if p.State() == ProcAlive {
+			t.Fatalf("%s still alive after the run stopped %v", p.Name, k.LastStop())
+		}
+		return p.ExitStatus()
 	}
-	coldOut, dstOut := drive(cold), drive(dst)
-	if len(dstOut) != len(coldOut) || len(dstOut) != 1 || dstOut[0] != coldOut[0] {
-		t.Errorf("migrated echo = %+v, cold = %+v", dstOut, coldOut)
+	cold, cp := bootFutexWake(t, true)
+	want := finish(cold, cp)
+	if code := abi.StatusExitCode(want); code != 1 {
+		t.Fatalf("cold run exited %d, want 1 (one waiter woken)", code)
 	}
-	if n := dst.LiveProcessCount(); n != 0 {
-		t.Errorf("%d live processes after shutdown, want 0 (restored proc must exit+reap)", n)
+	if got := finish(dst, rp); got != want {
+		t.Errorf("migrated exit status %#x, cold %#x", got, want)
 	}
 
 	// The source still owns its original: checkpoint was a read.
@@ -145,14 +229,17 @@ func TestCheckpointRestoreAcrossMachines(t *testing.T) {
 // TestRestoreMissingFile: an image referencing a file the target does
 // not carry fails cleanly and leaves no half-restored process behind.
 func TestRestoreMissingFile(t *testing.T) {
-	src := bootNetEcho(t, 2)
-	p := src.Lookup(1)
+	src, _ := boot(t, Options{})
+	p, err := src.BootInit("/bin/true", []string{"/bin/true"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	img, err := src.CheckpointProcess(p, CheckpointOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	dst := mustNew(t, Options{}) // no ulib: /bin/netecho does not exist
+	dst := mustNew(t, Options{}) // no ulib: /bin/true does not exist
 	before := dst.ProcessCount()
 	pages := dst.Phys().AllocatedPages()
 	if _, err := dst.RestoreProcess(img); err == nil {

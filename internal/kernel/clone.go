@@ -192,28 +192,6 @@ func (k *Kernel) CloneInto(markSrc bool, scratch *Kernel) *Kernel {
 		nk.futexes[futexKey{ns, key.va}] = c.queue(q)
 	}
 
-	// The NIC travels with the machine: the fabric address (including
-	// the detached sentinel -1), in-flight inbox/outbox frames, and the
-	// cumulative counters the metrics plane reads. recvQ goes through
-	// the queue memo so a thread blocked in net_recv on the source is
-	// blocked on the *cloned* queue — the one the clone's NetInject
-	// wakes and its Run loop polls. Any NIC state a recycled scratch
-	// shell carried was zeroed by the struct assignment above.
-	nk.nic = nic{
-		addr:       k.nic.addr,
-		recvQ:      c.queue(k.nic.recvQ),
-		framesSent: k.nic.framesSent,
-		framesRecv: k.nic.framesRecv,
-		bytesSent:  k.nic.bytesSent,
-		bytesRecv:  k.nic.bytesRecv,
-	}
-	if k.nic.inbox != nil {
-		nk.nic.inbox = append([]NetFrame(nil), k.nic.inbox...)
-	}
-	if k.nic.outbox != nil {
-		nk.nic.outbox = append([]NetFrame(nil), k.nic.outbox...)
-	}
-
 	return nk
 }
 

@@ -160,16 +160,13 @@ func (k *Kernel) Fork(p *Process) (*Process, error) {
 	return k.doFork(caller, forkOpts{mode: mode})
 }
 
-// ForkMode forks p with an explicit strategy (ablation experiments).
+// ForkWithMode forks p with an explicit strategy (ablation
+// experiments). A harness ForkVfork shares the space but suspends
+// nothing: there is no VM thread to suspend.
 func (k *Kernel) ForkWithMode(p *Process, mode ForkMode) (*Process, error) {
 	caller := p.MainThread()
 	if caller == nil {
 		return nil, errno.ESRCH
-	}
-	if mode == ForkVfork {
-		// Harness vfork: shares the space but does not suspend
-		// anything (there is no VM thread to suspend).
-		return k.doFork(caller, forkOpts{mode: ForkVfork})
 	}
 	return k.doFork(caller, forkOpts{mode: mode})
 }

@@ -50,8 +50,6 @@ type Options struct {
 	SwapBytes uint64
 	// Commit selects the overcommit policy (default heuristic).
 	Commit mem.CommitPolicy
-	// Model is the hardware cost model (default cost.DefaultModel).
-	Model *cost.Model
 	// EagerFork switches fork to 1970s eager copying (ablation).
 	EagerFork bool
 	// DenyMultithreadedFork makes fork fail with EAGAIN when the
@@ -141,10 +139,6 @@ type Kernel struct {
 
 	futexes map[futexKey]*WaitQueue
 
-	// nic is the machine's simulated network interface (see net.go);
-	// addr -1 means "not attached to a fabric".
-	nic nic
-
 	// faults is the fault-injection engine (nil = injection off; all
 	// Fail call sites are nil-safe). tracer is the structured event
 	// trace (nil = tracing off).
@@ -221,11 +215,7 @@ func New(opts Options) (*Kernel, error) {
 	if opts.Quantum == 0 {
 		opts.Quantum = DefaultQuantum
 	}
-	model := cost.DefaultModel()
-	if opts.Model != nil {
-		model = *opts.Model
-	}
-	meter := cost.NewMeterSMP(model, opts.NumCPUs)
+	meter := cost.NewMeterSMP(cost.DefaultModel(), opts.NumCPUs)
 	k := &Kernel{
 		opts:    opts,
 		meter:   meter,
@@ -235,7 +225,6 @@ func New(opts Options) (*Kernel, error) {
 		nextPID: 1,
 		cpus:    make([]cpu, opts.NumCPUs),
 		futexes: map[futexKey]*WaitQueue{},
-		nic:     nic{addr: -1},
 	}
 	for i := range k.cpus {
 		k.cpus[i].id = i
@@ -560,16 +549,8 @@ func (k *Kernel) Run(limits RunLimits) error {
 			if k.wakeSleepers() {
 				continue
 			}
-			// No runnable, no sleeper. A thread parked in
-			// net_recv is waiting on the fabric, not on the
-			// machine: the harness wakes it with NetInject, so
-			// stop idle rather than calling it a deadlock.
-			if k.nic.queue().Len() > 0 {
-				k.idleSync()
-				k.stop(StopIdle, -1)
-				return nil
-			}
-			// Deadlock if any thread is still blocked.
+			// No runnable, no sleeper: deadlock if any thread is
+			// still blocked.
 			if stuck := k.stuckThreads(); len(stuck) > 0 {
 				err := &DeadlockError{Threads: stuck, CPUs: k.CPUStates()}
 				k.stop(StopDeadlock, -1)
@@ -579,7 +560,7 @@ func (k *Kernel) Run(limits RunLimits) error {
 			// CPU — bring every clock to the barrier so
 			// subsequent harness work starts from a single
 			// point in time.
-			k.idleSync()
+			k.AdvanceTo(k.meter.MaxClock())
 			k.stop(StopIdle, -1)
 			return nil
 		}
@@ -650,12 +631,14 @@ func (k *Kernel) stuckThreads() []string {
 	return out
 }
 
-// idleSync fast-forwards every CPU to the machine-wide clock (recorded
-// as idle time, not busy time).
-func (k *Kernel) idleSync() {
-	max := k.meter.MaxClock()
+// AdvanceTo fast-forwards every CPU to the absolute virtual time
+// deadline, recording the gap as idle: the machine waits for something
+// outside it, such as the migrate cell's page stream arriving over the
+// sim/net fabric. A CPU already at or past deadline keeps its clock, so
+// a harness can advance to each arrival time without checking it.
+func (k *Kernel) AdvanceTo(deadline cost.Ticks) {
 	for i := range k.cpus {
-		k.meter.IdleTo(i, max)
+		k.meter.IdleTo(i, deadline)
 	}
 }
 

@@ -415,12 +415,6 @@ func (k *Kernel) sysEnter(t *Thread, num uint64) (uint64, error) {
 			pr |= addrspace.Exec
 		}
 		return 0, p.space.Protect(a[0], a[1], pr)
-
-	case abi.SysNetSend:
-		return k.sysNetSend(t, a[0], a[1], a[2])
-
-	case abi.SysNetRecv:
-		return k.sysNetRecv(t)
 	}
 	return 0, errno.ENOSYS
 }

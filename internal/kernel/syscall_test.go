@@ -118,6 +118,33 @@ buf: .space 8
 	}
 }
 
+// TestSyscallErrorReturn drives a failing syscall through the
+// dispatcher: the program sees the negated errno in r0, and the
+// structured trace records the failed exit by syscall and errno name.
+func TestSyscallErrorReturn(t *testing.T) {
+	k, p, _, err := runAsm(t, Options{Trace: true}, `
+_start:
+    movi r0, 99             ; no such descriptor
+    sys SYS_CLOSE
+    movi r3, -9             ; -EBADF
+    bne r0, r3, bad
+    movi r0, 0
+    sys SYS_EXIT
+bad:
+    movi r0, 1
+    sys SYS_EXIT
+`)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if code := exitCode(t, p); code != 0 {
+		t.Fatalf("exit code %d: program did not see -EBADF", code)
+	}
+	if trace := k.Tracer().Render(); !strings.Contains(trace, "exit  close = EBADF") {
+		t.Errorf("trace does not record the failed close:\n%s", trace)
+	}
+}
+
 func TestSysStatMkdirChdirReaddirUnlink(t *testing.T) {
 	_, p, out, err := runAsm(t, Options{}, `
 _start:

@@ -39,7 +39,6 @@ var Sources = map[string]string{
 	"hog":              progHog,
 	"pingpong":         progPingPong,
 	"cloexec_probe":    progCloexecProbe,
-	"netecho":          progNetEcho,
 }
 
 var (
@@ -109,29 +108,6 @@ func Install(k Installer, name, path string) error {
 // programs keep durable state in r10-r13. At entry r0=argc, r1=argv,
 // sp is set below the argument block.
 // ---------------------------------------------------------------
-
-// progNetEcho is the NIC exerciser: block in net_recv, echo every
-// frame back to its sender with a 64-byte reply carrying the same
-// tag, and exit on a zero tag (the harness's shutdown frame). The
-// recv return word is src<<32|tag (see abi.SysNetRecv).
-const progNetEcho = `
-_start:
-ne_loop:
-    sys SYS_NET_RECV
-    mov r3, r0
-    shri r2, r3, 32         ; r2 = src
-    li r1, 0xffffffff
-    and r3, r3, r1          ; r3 = tag
-    bz r3, ne_done
-    mov r0, r2              ; dst = src
-    mov r1, r3              ; tag echoed
-    movi r2, 64             ; reply bytes
-    sys SYS_NET_SEND
-    b ne_loop
-ne_done:
-    movi r0, 0
-    sys SYS_EXIT
-`
 
 // progTrue is the minimal child every process-creation benchmark
 // spawns: it exits immediately.

@@ -94,12 +94,12 @@
 // "Checkpoint & live migration").
 //
 // Machines are not islands: sim/net is the deterministic
-// inter-machine message fabric (addressable NICs, latency/bandwidth
-// cost model, delivery merged in (virtual-time, destination, seq)
-// order), sim/load's netlb and kvshard scenarios are the distributed
-// workloads riding it, and sim/metrics renders any run's counters in
-// Prometheus text format (`forkbench metrics` — see README
-// "Inter-machine network & metrics").
+// inter-machine message fabric (integer node addresses,
+// latency/bandwidth cost model, delivery merged in (virtual-time,
+// destination, seq) order), sim/load's netlb and kvshard scenarios
+// are the distributed workloads riding it, and sim/metrics renders
+// any run's counters in Prometheus text format (`forkbench metrics` —
+// see README "Inter-machine network & metrics").
 //
 // The internal packages remain the substrate: internal/kernel is the
 // simulated OS, internal/core holds the paper's spawn/cross-process

@@ -150,7 +150,7 @@ func Chaos(seed uint64, machine int) Schedule { return ifault.Chaos(seed, machin
 
 // NetChaos is the chaos-mode schedule for distributed (fabric-backed)
 // loads: a deterministic pseudo-random fraction of frames dropped at
-// the source NIC and at delivery.
+// send and at delivery.
 func NetChaos(seed uint64, machine int) Schedule { return ifault.NetChaos(seed, machine) }
 
 // NetMag packs a frame's (src, dst) machine addresses into the op

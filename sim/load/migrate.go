@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/addrspace"
+	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/kernel"
 	"repro/internal/mem"
@@ -190,14 +191,18 @@ func runMigrateCell(cfg Config, tc *Templates) (*Metrics, error) {
 
 // createMigrant builds one migrant on the source per the strategy.
 // Fork-family strategies fork the warmed server itself — the child
-// carries the dirty heap, which is exactly the paper's entanglement.
-// Spawn and Builder create a self-contained process from an image.
+// carries the dirty heap, which is exactly the paper's entanglement;
+// emufork copies it through cross-process reads and writes, as the
+// driver's snapshots do. Spawn and Builder create a self-contained
+// process from an image.
 func (c *migrateCell) createMigrant() (*kernel.Process, error) {
 	k := c.src.Kernel()
 	host := c.src.Host()
 	switch c.cfg.Via {
-	case sim.ForkExec, sim.EmulatedFork:
+	case sim.ForkExec:
 		return k.Fork(host)
+	case sim.EmulatedFork:
+		return core.EmulateFork(k, host)
 	case sim.EagerForkExec:
 		return k.ForkWithMode(host, kernel.ForkEager)
 	case sim.VforkExec:

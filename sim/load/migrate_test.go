@@ -127,6 +127,21 @@ func TestMigrateAllStrategies(t *testing.T) {
 	}
 }
 
+// TestMigrateEmulatedForkCopiesHeap: an emufork migrant comes from
+// core.EmulateFork, which copies the server's heap page by page through
+// cross-process reads and writes, so its cell must take longer than
+// fork's, whose migrant shares the heap copy-on-write. A cell that
+// forked the migrant in the kernel would report fork's figures under
+// emufork's name.
+func TestMigrateEmulatedForkCopiesHeap(t *testing.T) {
+	fork := runMigrate(t, Config{Via: sim.ForkExec, Requests: 1, HeapBytes: 4 << 20})
+	emu := runMigrate(t, Config{Via: sim.EmulatedFork, Requests: 1, HeapBytes: 4 << 20})
+	if emu.VirtualNanos <= fork.VirtualNanos {
+		t.Errorf("emufork cell took %dns, fork %dns; copying the heap cannot be cheaper than sharing it",
+			emu.VirtualNanos, fork.VirtualNanos)
+	}
+}
+
 // TestMigrateChaosRetransmits: wire chaos eats page-stream chunks; the
 // driver re-sends them in waves and every migration still completes.
 func TestMigrateChaosRetransmits(t *testing.T) {

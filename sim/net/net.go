@@ -1,17 +1,16 @@
 // Package net is the deterministic inter-machine message fabric: the
 // wire connecting simulated machines into distributed topologies.
 //
-// A Fabric carries Packets between integer-addressed nodes (machine
-// NICs, harness-level clients and load balancers). Send stamps a
-// packet with its arrival time — the send time plus the cost model's
-// per-frame stack traversal, per-byte serialization, and the link's
-// one-way propagation latency — and Deliver hands packets back in
-// (arrival time, destination address, sequence) order: exactly the
+// A Fabric carries Packets between integer-addressed nodes (the
+// machines, clients and load balancers of a sim/load network cell).
+// Send stamps a packet with its arrival time — the send time plus the
+// cost model's per-frame stack traversal, per-byte serialization, and
+// one-way link latency — and NextArrival/DeliverNext hand packets back
+// in (arrival time, destination address, sequence) order: exactly the
 // machine-id merge the fleet runner uses, so any topology replays
-// bit-for-bit at any GOMAXPROCS. CPU-side costs are the *caller's* to
-// charge (the kernel NIC does it in net_send / net_recv; harness nodes
-// add them to their own clocks); the fabric itself only moves virtual
-// time along the wire.
+// bit-for-bit at any GOMAXPROCS. The fabric charges no CPU: all three
+// prices only move a packet's arrival time, and a harness that wants a
+// CPU to pay for a send charges its own clock.
 //
 // Failure is a first-class input, like everywhere else in the
 // simulator: every send consults fault.PointNetSend and every
@@ -19,9 +18,9 @@
 // so schedules can sever one directed link (fault.LinkDown), cut a
 // set of machines off (fault.NetSplit), or drop a deterministic
 // pseudo-random fraction of frames (fault.NetChaos) — and the drops
-// replay bit-for-bit too. Dropped packets are counted per node and
-// per flow; the retina-style metrics plane (sim/metrics, `forkbench
-// metrics`) exports those counters per machine/pool/zone.
+// replay bit-for-bit too. Dropped packets are counted in the fabric's
+// totals and per flow; the retina-style metrics plane (sim/metrics,
+// `forkbench metrics`) exports those counters per machine/pool/zone.
 package net
 
 import (
@@ -47,13 +46,13 @@ type Packet struct {
 	seq      uint64     // global send order, the deterministic tie-break
 }
 
-// NodeStats is one node's cumulative NIC-level accounting.
+// NodeStats is the fabric's cumulative packet accounting.
 type NodeStats struct {
 	PacketsSent, PacketsRecv uint64
 	BytesSent, BytesRecv     uint64
 	// DropsSend counts frames the source uplink severed
 	// (PointNetSend); DropsRecv counts frames the fabric lost before
-	// delivery (PointNetDeliver) — charged to the would-be receiver.
+	// delivery (PointNetDeliver).
 	DropsSend, DropsRecv uint64
 }
 
@@ -73,29 +72,21 @@ type FlowStats struct {
 // discrete-event simulation, and host parallelism applies across
 // cells (the fleet's machine axis), never within one.
 type Fabric struct {
-	nodes   int
-	model   cost.Model
-	sched   fault.Schedule
-	latency func(src, dst int) cost.Ticks
+	nodes int
+	model cost.Model
+	sched fault.Schedule
 
 	q        packetQueue
 	seq      uint64
 	sendOps  uint64 // PointNetSend op counter
 	delivOps uint64 // PointNetDeliver op counter
 
-	stats []NodeStats
-	flows map[FlowKey]*FlowStats
+	totals NodeStats
+	flows  map[FlowKey]*FlowStats
 }
 
 // Option configures a Fabric.
 type Option func(*Fabric)
-
-// WithLatency overrides the uniform one-way link latency with a pure
-// function of the endpoints (zone-aware topologies price cross-zone
-// links higher). fn must be deterministic.
-func WithLatency(fn func(src, dst int) cost.Ticks) Option {
-	return func(f *Fabric) { f.latency = fn }
-}
 
 // WithFaults installs the drop schedule consulted at PointNetSend and
 // PointNetDeliver.
@@ -112,23 +103,12 @@ func New(nodes int, model cost.Model, opts ...Option) (*Fabric, error) {
 	f := &Fabric{
 		nodes: nodes,
 		model: model,
-		stats: make([]NodeStats, nodes),
 		flows: map[FlowKey]*FlowStats{},
 	}
 	for _, o := range opts {
 		o(f)
 	}
 	return f, nil
-}
-
-// Nodes reports the fabric's address-space size.
-func (f *Fabric) Nodes() int { return f.nodes }
-
-func (f *Fabric) linkLatency(src, dst int) cost.Ticks {
-	if f.latency != nil {
-		return f.latency(src, dst)
-	}
-	return f.model.NetLinkLatency
 }
 
 func (f *Fabric) flow(k FlowKey) *FlowStats {
@@ -148,10 +128,9 @@ func (f *Fabric) checkAddr(a int) {
 
 // Send puts one packet on the wire at virtual time now on the
 // sender's clock, returning the enqueued packet, or ok=false when the
-// fault schedule severed the uplink (the drop is counted against src
-// and the flow). The arrival time is now + NetStack + Bytes*NetPerByte
-// + link latency; the caller charges the CPU-side share of that to
-// its own clock.
+// fault schedule severed the uplink (the drop is counted in the
+// totals and the flow). The arrival time is now + NetStack +
+// Bytes*NetPerByte + NetLinkLatency.
 func (f *Fabric) Send(src, dst int, flow string, tag, bytes uint64, now cost.Ticks) (Packet, bool) {
 	f.checkAddr(src)
 	f.checkAddr(dst)
@@ -160,7 +139,7 @@ func (f *Fabric) Send(src, dst int, flow string, tag, bytes uint64, now cost.Tic
 	if f.sched != nil {
 		op := fault.Op{Point: fault.PointNetSend, Seq: f.sendOps, Time: now, Mag: fault.NetMag(src, dst)}
 		if f.sched.Decide(op) != errno.OK {
-			f.stats[src].DropsSend++
+			f.totals.DropsSend++
 			fl.Drops++
 			return Packet{}, false
 		}
@@ -169,11 +148,11 @@ func (f *Fabric) Send(src, dst int, flow string, tag, bytes uint64, now cost.Tic
 	p := Packet{
 		Src: src, Dst: dst, Flow: flow, Tag: tag, Bytes: bytes,
 		Sent:    now,
-		Arrival: now + f.model.NetStack + cost.Ticks(bytes)*f.model.NetPerByte + f.linkLatency(src, dst),
+		Arrival: now + f.model.NetStack + cost.Ticks(bytes)*f.model.NetPerByte + f.model.NetLinkLatency,
 		seq:     f.seq,
 	}
-	f.stats[src].PacketsSent++
-	f.stats[src].BytesSent += bytes
+	f.totals.PacketsSent++
+	f.totals.BytesSent += bytes
 	fl.Packets++
 	fl.Bytes += bytes
 	heap.Push(&f.q, p)
@@ -182,7 +161,7 @@ func (f *Fabric) Send(src, dst int, flow string, tag, bytes uint64, now cost.Tic
 
 // NextArrival reports the earliest queued arrival time (ok=false when
 // the wire is empty). Dropped-at-delivery packets still occupy the
-// queue until Deliver pops them — the drop decision is made at
+// queue until DeliverNext pops them — the drop decision is made at
 // delivery time, like a last-hop loss.
 func (f *Fabric) NextArrival() (cost.Ticks, bool) {
 	if f.q.Len() == 0 {
@@ -191,70 +170,33 @@ func (f *Fabric) NextArrival() (cost.Ticks, bool) {
 	return f.q[0].Arrival, true
 }
 
-// Deliver pops and returns every packet arriving at or before until,
-// in (arrival, destination, seq) order, consulting the fault schedule
-// per packet: dropped ones are counted (against the destination and
-// the flow) and omitted from the result.
-func (f *Fabric) Deliver(until cost.Ticks) []Packet {
-	var out []Packet
-	for f.q.Len() > 0 && f.q[0].Arrival <= until {
-		if p, ok := f.deliverNext(); ok {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // DeliverNext pops the earliest queued packet regardless of time,
-// returning ok=false if it was dropped at delivery (or the wire is
-// empty). Event-loop drivers alternate NextArrival/DeliverNext.
+// consulting the fault schedule: it returns ok=false if the packet was
+// dropped at delivery (counted in the totals and the flow) or the wire
+// is empty. Event-loop drivers alternate NextArrival/DeliverNext.
 func (f *Fabric) DeliverNext() (Packet, bool) {
 	if f.q.Len() == 0 {
 		return Packet{}, false
 	}
-	return f.deliverNext()
-}
-
-func (f *Fabric) deliverNext() (Packet, bool) {
 	p := heap.Pop(&f.q).(Packet)
 	f.delivOps++
 	if f.sched != nil {
 		op := fault.Op{Point: fault.PointNetDeliver, Seq: f.delivOps, Time: p.Arrival, Mag: fault.NetMag(p.Src, p.Dst)}
 		if f.sched.Decide(op) != errno.OK {
-			f.stats[p.Dst].DropsRecv++
+			f.totals.DropsRecv++
 			f.flow(FlowKey{Src: p.Src, Dst: p.Dst, Flow: p.Flow}).Drops++
 			return Packet{}, false
 		}
 	}
-	f.stats[p.Dst].PacketsRecv++
-	f.stats[p.Dst].BytesRecv += p.Bytes
+	f.totals.PacketsRecv++
+	f.totals.BytesRecv += p.Bytes
 	return p, true
 }
 
-// InFlight reports how many packets are queued on the wire.
-func (f *Fabric) InFlight() int { return f.q.Len() }
-
-// Stats returns node addr's cumulative counters.
-func (f *Fabric) Stats(addr int) NodeStats {
-	f.checkAddr(addr)
-	return f.stats[addr]
-}
-
-// Totals sums every node's counters (drops counted once per drop:
-// send-side drops appear only in DropsSend, delivery drops only in
-// DropsRecv).
-func (f *Fabric) Totals() NodeStats {
-	var t NodeStats
-	for _, s := range f.stats {
-		t.PacketsSent += s.PacketsSent
-		t.PacketsRecv += s.PacketsRecv
-		t.BytesSent += s.BytesSent
-		t.BytesRecv += s.BytesRecv
-		t.DropsSend += s.DropsSend
-		t.DropsRecv += s.DropsRecv
-	}
-	return t
-}
+// Totals returns the fabric's cumulative counters (drops counted once
+// per drop: send-side drops appear only in DropsSend, delivery drops
+// only in DropsRecv).
+func (f *Fabric) Totals() NodeStats { return f.totals }
 
 // Flow is one entry of the flow log: key plus counters.
 type Flow struct {

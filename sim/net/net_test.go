@@ -8,8 +8,23 @@ import (
 	"repro/internal/fault"
 )
 
+// never is a drain bound past every arrival.
+const never = ^cost.Ticks(0)
+
+// drain delivers every packet arriving at or before until, in wire
+// order, and returns the ones not dropped at delivery.
+func drain(f *Fabric, until cost.Ticks) []Packet {
+	var out []Packet
+	for at, ok := f.NextArrival(); ok && at <= until; at, ok = f.NextArrival() {
+		if p, ok := f.DeliverNext(); ok {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // TestArrivalCostModel: arrival = send + stack + bytes*perByte +
-// latency, with WithLatency overriding the uniform link.
+// latency, every term read from the fabric's cost model.
 func TestArrivalCostModel(t *testing.T) {
 	m := cost.DefaultModel()
 	f, err := New(3, m)
@@ -25,12 +40,12 @@ func TestArrivalCostModel(t *testing.T) {
 		t.Errorf("arrival = %v, want %v", p.Arrival, want)
 	}
 
-	f2, _ := New(3, m, WithLatency(func(src, dst int) cost.Ticks {
-		return cost.Ticks(dst-src) * cost.Millisecond
-	}))
+	slow := m
+	slow.NetLinkLatency = 2 * cost.Millisecond
+	f2, _ := New(3, slow)
 	p2, _ := f2.Send(0, 2, "req", 1, 0, 0)
 	if want := m.NetStack + 2*cost.Millisecond; p2.Arrival != want {
-		t.Errorf("topology arrival = %v, want %v", p2.Arrival, want)
+		t.Errorf("slow-link arrival = %v, want %v", p2.Arrival, want)
 	}
 }
 
@@ -45,14 +60,7 @@ func TestDeliveryOrder(t *testing.T) {
 	f.Send(0, 3, "a", 3, 0, 10)
 	f.Send(1, 2, "a", 4, 0, 5) // earlier arrival
 	var got []string
-	for {
-		p, ok := f.DeliverNext()
-		if !ok {
-			if f.InFlight() == 0 {
-				break
-			}
-			continue
-		}
+	for _, p := range drain(f, never) {
 		got = append(got, fmt.Sprintf("t%d->d%d", p.Tag, p.Dst))
 	}
 	want := []string{"t4->d2", "t2->d1", "t1->d3", "t3->d3"}
@@ -72,16 +80,19 @@ func TestDropAccounting(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		f.Send(0, 1, "req", uint64(i), 100, 0)
 	}
-	delivered := f.Deliver(cost.Second)
+	delivered := drain(f, cost.Second)
 	if len(delivered) != 2 {
 		t.Fatalf("delivered %d packets, want 2", len(delivered))
 	}
-	s0, s1 := f.Stats(0), f.Stats(1)
-	if s0.PacketsSent != 3 || s0.DropsSend != 1 {
-		t.Errorf("src stats = %+v, want 3 sent 1 send-drop", s0)
+	if _, ok := f.NextArrival(); ok {
+		t.Error("packets left on the wire after the drain")
 	}
-	if s1.PacketsRecv != 2 || s1.DropsRecv != 1 {
-		t.Errorf("dst stats = %+v, want 2 recv 1 recv-drop", s1)
+	tot := f.Totals()
+	if tot.PacketsSent != 3 || tot.DropsSend != 1 || tot.BytesSent != 300 {
+		t.Errorf("send totals = %+v, want 3 sent (300 bytes) 1 send-drop", tot)
+	}
+	if tot.PacketsRecv != 2 || tot.DropsRecv != 1 || tot.BytesRecv != 200 {
+		t.Errorf("receive totals = %+v, want 2 recv (200 bytes) 1 recv-drop", tot)
 	}
 	fl := f.Flows()
 	if len(fl) != 1 {
@@ -91,7 +102,6 @@ func TestDropAccounting(t *testing.T) {
 		t.Errorf("flow = %+v, want 3 packets 2 drops 300 bytes", fl[0])
 	}
 	// Conservation: everything sent was delivered or dropped.
-	tot := f.Totals()
 	if tot.PacketsSent != tot.PacketsRecv+tot.DropsRecv {
 		t.Errorf("conservation: sent %d != recv %d + recv-drops %d",
 			tot.PacketsSent, tot.PacketsRecv, tot.DropsRecv)
@@ -121,10 +131,8 @@ func TestNetSplitSchedule(t *testing.T) {
 		f.Send(tc.src, tc.dst, "x", uint64(i), 0, tc.at)
 	}
 	got := map[uint64]bool{}
-	for f.InFlight() > 0 {
-		if p, ok := f.DeliverNext(); ok {
-			got[p.Tag] = true
-		}
+	for _, p := range drain(f, never) {
+		got[p.Tag] = true
 	}
 	for i, tc := range cases {
 		if got[uint64(i)] != tc.want {
@@ -148,10 +156,8 @@ func TestReplayDeterminism(t *testing.T) {
 			f.Send(src, dst, "f", uint64(i), uint64(i*13%512), cost.Ticks(i)*cost.Microsecond)
 		}
 		var out string
-		for f.InFlight() > 0 {
-			if p, ok := f.DeliverNext(); ok {
-				out += fmt.Sprintf("%d@%d;", p.Tag, p.Arrival)
-			}
+		for _, p := range drain(f, never) {
+			out += fmt.Sprintf("%d@%d;", p.Tag, p.Arrival)
 		}
 		out += fmt.Sprintf("totals=%+v", f.Totals())
 		return out

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/kernel"
 	"repro/sim"
 	"repro/sim/fault"
 )
@@ -28,14 +27,6 @@ func templateEpisode(via sim.Strategy, warmups, nClones int, seed, perMille uint
 	if err := sys.DirtyHost(256<<10, false); err != nil {
 		return "", err
 	}
-	// The NIC is machine state too: attach a fabric address and land
-	// two frames before the freeze, so every clone must come up with
-	// the address and the receive counters intact (the regression that
-	// motivated this: CloneInto once dropped the nic field wholesale).
-	addr := 1 + int(seed%100)
-	sys.Kernel().NetAttach(addr)
-	sys.Kernel().NetInject(kernel.NetFrame{Src: 9, Dst: addr, Tag: seed % 1000, Bytes: 64})
-	sys.Kernel().NetInject(kernel.NetFrame{Src: 9, Dst: addr, Tag: (seed + 1) % 1000, Bytes: 192})
 	// Clean warm-up, then freeze mid-workload: the snapshot point is
 	// fuzzer-chosen, not a quiesced machine.
 	for i := 0; i < warmups; i++ {
@@ -56,14 +47,6 @@ func templateEpisode(via sim.Strategy, warmups, nClones int, seed, perMille uint
 		clone, err := tpl.Clone()
 		if err != nil {
 			return "", fmt.Errorf("clone %d: %w", ci, err)
-		}
-		// The clone's NIC must carry the master's address and counters.
-		ck := clone.Kernel()
-		if got := ck.NetAddr(); got != addr {
-			return "", fmt.Errorf("clone %d NIC addr = %d, want %d", ci, got, addr)
-		}
-		if _, fr, _, br := ck.NetStats(); fr != 2 || br != 256 {
-			return "", fmt.Errorf("clone %d NIC recv counters = %d frames/%dB, want 2/256B", ci, fr, br)
 		}
 		base := snapshot(clone)
 		// Post-clone fault schedule, different per clone.
@@ -86,9 +69,6 @@ func templateEpisode(via sim.Strategy, warmups, nClones int, seed, perMille uint
 	}
 	if got := tk.Phys().AllocatedPages(); got != basePages {
 		return "", fmt.Errorf("template resident pages moved: %d, want %d", got, basePages)
-	}
-	if got := tk.NetAddr(); got != addr {
-		return "", fmt.Errorf("template NIC addr moved: %d, want %d", got, addr)
 	}
 
 	// Cross-clone bleed check: two pristine clones stamped after all

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"io"
 	"testing"
+	"time"
 
+	"repro/internal/kernel"
 	"repro/sim"
 )
 
@@ -165,5 +167,118 @@ func TestCloneIndependence(t *testing.T) {
 		if got := snapshot(cl); got != cbase[i] {
 			t.Errorf("clone %d leaked: %+v, baseline %+v", i, got, cbase[i])
 		}
+	}
+}
+
+// futexWakeSrc is a two-thread program. The main thread waits in
+// futex_wait on fw_word; a waker thread sleeps 1 ms, sets the word,
+// wakes up to eight waiters and records how many woke, and the main
+// thread exits with that count. A run therefore ends in exit code 1
+// only if the main thread was still queued on the futex when the wake
+// came. internal/kernel's TestCheckpointRestoreAcrossMachines runs the
+// same program.
+const futexWakeSrc = `
+_start:
+    li r0, fw_waker
+    movi r1, 0
+    li r2, fw_stack_top
+    sys SYS_THREAD_CREATE
+fw_wait:
+    li r0, fw_word
+    movi r1, 0
+    sys SYS_FUTEX_WAIT
+    li r3, fw_word
+    ld8 r4, [r3+0]
+    bz r4, fw_wait
+    li r3, fw_woken
+    ld8 r0, [r3+0]
+    sys SYS_EXIT
+fw_waker:
+    li r0, 1000000
+    sys SYS_NANOSLEEP
+    li r3, fw_word
+    movi r4, 1
+    st8 [r3+0], r4
+    li r0, fw_word
+    movi r1, 8
+    sys SYS_FUTEX_WAKE
+    li r3, fw_woken
+    st8 [r3+0], r0
+    sys SYS_THREAD_EXIT
+.bss
+.align 8
+fw_word: .space 8
+fw_woken: .space 8
+fw_stack: .space 4096
+fw_stack_top: .space 8
+`
+
+// TestCloneBlockedFutexWaiter freezes a machine while one thread waits
+// in futex_wait and the other sleeps before waking it. The clone must
+// put its copy of the waiter on the one cloned queue that its futex
+// table and the thread itself both name, so the waker's wake finds it:
+// clone and post-snapshot source must each run to exit code 1 (one
+// waiter woken) with the same trace and virtual time.
+func TestCloneBlockedFutexWaiter(t *testing.T) {
+	sys, err := sim.NewSystem(sim.WithUserland("true"),
+		sim.WithProgram("/bin/futexwake", futexWakeSrc), sim.WithTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := sys.Command("/bin/futexwake")
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// Step until the main thread waits on the futex and the waker
+	// sleeps; a whole Run would wake the sleeper.
+	k, raw := sys.Kernel(), cmd.Process.Raw()
+	for {
+		blocked := 0
+		for _, th := range raw.Threads() {
+			if th.State() == kernel.TBlocked {
+				blocked++
+			}
+		}
+		if blocked == 2 && raw.LiveThreads() == 2 {
+			break
+		}
+		if err := k.Run(kernel.RunLimits{MaxInstructions: 1}); err != nil || k.LastStop() != kernel.StopLimit {
+			t.Fatalf("machine stopped (%v, err %v) before both threads blocked", k.LastStop(), err)
+		}
+	}
+	tpl, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone, err := tpl.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := clone.FindProcess(cmd.Process.Pid())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	finish := func(who string, s *sim.System, p *sim.Process) (int, string, time.Duration) {
+		t.Helper()
+		st, err := p.Wait()
+		if err != nil {
+			t.Fatalf("%s: %v", who, err)
+		}
+		return st.ExitCode(), s.Trace().Render(), s.VirtualTime()
+	}
+	srcCode, srcTrace, srcTime := finish("source", sys, cmd.Process)
+	if srcCode != 1 {
+		t.Fatalf("source exited %d, want 1 (one waiter woken)", srcCode)
+	}
+	code, trace, vt := finish("clone", clone, cp)
+	if code != srcCode {
+		t.Errorf("clone exited %d, source %d", code, srcCode)
+	}
+	if trace != srcTrace {
+		t.Errorf("clone trace diverged from its source:\nclone:\n%s\nsource:\n%s", trace, srcTrace)
+	}
+	if vt != srcTime {
+		t.Errorf("clone virtual time %v, source %v", vt, srcTime)
 	}
 }
