@@ -65,7 +65,6 @@ type poolState struct {
 	booted, peakMachines   int
 	warmupPTEs             uint64
 	peakMachineRSS         uint64
-	drains                 []load.DrainStats
 }
 
 // estCost is the pool's measured mean per-request serve time, the
@@ -145,7 +144,15 @@ func Run(spec Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.retireAll()
+	// The final retire drains every surviving machine in (pool, id)
+	// order.
+	for _, p := range e.pools {
+		for _, m := range p.machines {
+			if err := e.retire(p, m); err != nil {
+				return nil, err
+			}
+		}
+	}
 	rep := e.report(steps)
 	rep.HostElapsed = time.Since(start)
 	rep.HostWorkers = fleet.PoolSize(0)
@@ -275,7 +282,10 @@ func (e *engine) loop() (int, error) {
 			return 0, err
 		}
 		stepServe := e.merge(step)
-		scaled := e.autoscale(step, stepServe)
+		scaled, err := e.autoscale(step, stepServe)
+		if err != nil {
+			return 0, err
+		}
 		if err := e.boot(scaled); err != nil {
 			return 0, err
 		}
@@ -490,7 +500,7 @@ func (e *engine) merge(step int) []uint64 {
 // (this step's serve time + queued demand at the measured per-request
 // cost) over ready capacity; scale out toward the target under the
 // surge cap, scale in one machine after ScaleDownAfter idle steps.
-func (e *engine) autoscale(step int, stepServe []uint64) []*machine {
+func (e *engine) autoscale(step int, stepServe []uint64) ([]*machine, error) {
 	var boots []*machine
 	for pi, p := range e.pools {
 		ready, booting, queued := 0, 0, 0
@@ -554,15 +564,15 @@ func (e *engine) autoscale(step int, stepServe []uint64) []*machine {
 		if util < target/2 && queued == 0 && booting == 0 && ready > p.spec.MinMachines {
 			p.lowSteps++
 			if p.lowSteps >= e.spec.ScaleDownAfter {
-				if e.scaleDown(p, step, util) {
-					p.lowSteps = 0
+				if err := e.scaleDown(p, step, util); err != nil {
+					return nil, err
 				}
 			}
 		} else {
 			p.lowSteps = 0
 		}
 	}
-	return boots
+	return boots, nil
 }
 
 // bootReady finishes a scale-out after the machine booted: its
@@ -583,28 +593,36 @@ func (e *engine) bootReady(ms []*machine) {
 	}
 }
 
-// scaleDown retires the highest-id drained ready machine; reports
-// whether one was found.
-func (e *engine) scaleDown(p *poolState, step int, util float64) bool {
+// scaleDown retires the highest-id drained ready machine, if the pool
+// has one, and restarts the pool's low-utilization count.
+func (e *engine) scaleDown(p *poolState, step int, util float64) error {
 	for i := len(p.machines) - 1; i >= 0; i-- {
 		m := p.machines[i]
 		if !m.ready(step) || len(m.queue) > 0 {
 			continue
 		}
-		if rss := m.srv.PeakRSSBytes(); rss > p.peakMachineRSS {
-			p.peakMachineRSS = rss
-		}
-		stats, err := m.srv.Drain()
-		if err == nil {
-			p.drains = append(p.drains, stats)
-		}
 		p.machines = append(p.machines[:i], p.machines[i+1:]...)
 		p.scaleDowns++
+		p.lowSteps = 0
 		e.tracef("step %04d pool %s scale-down machine %d (util %.3f, %d left)",
 			step, p.spec.Name, m.id, util, len(p.machines))
-		return true
+		return e.retire(p, m)
 	}
-	return false
+	return nil
+}
+
+// retire drains machine m of pool p — scale-down and the final retire
+// alike — after folding its peak RSS into the pool's. A drain off its
+// books fails the run: the cluster cannot leak what its machines
+// created.
+func (e *engine) retire(p *poolState, m *machine) error {
+	if rss := m.srv.PeakRSSBytes(); rss > p.peakMachineRSS {
+		p.peakMachineRSS = rss
+	}
+	if err := m.srv.Drain(); err != nil {
+		return fmt.Errorf("cluster: retire machine %d (pool %s): %w", m.id, p.spec.Name, err)
+	}
+	return nil
 }
 
 // poolBacklog is the pool's un-routed arrivals (its share of the
@@ -645,24 +663,6 @@ func (e *engine) done(step int) bool {
 		}
 	}
 	return true
-}
-
-// retireAll drains every surviving machine in (pool, id) order,
-// closing the books for the leak invariant.
-func (e *engine) retireAll() {
-	for _, p := range e.pools {
-		for _, m := range p.machines {
-			if m.srv == nil {
-				continue
-			}
-			if rss := m.srv.PeakRSSBytes(); rss > p.peakMachineRSS {
-				p.peakMachineRSS = rss
-			}
-			if stats, err := m.srv.Drain(); err == nil {
-				p.drains = append(p.drains, stats)
-			}
-		}
-	}
 }
 
 // hash is splitmix64 over the fold of its inputs — the balancer's

@@ -92,11 +92,6 @@ type Report struct {
 	// Host-side: wall clock and worker count, excluded from JSON.
 	HostElapsed time.Duration `json:"-"`
 	HostWorkers int           `json:"-"`
-
-	// Drains carries every retired machine's resource books for the
-	// leak-invariant tests; excluded from JSON (it is host-shaped
-	// diagnostic detail, not part of the stable report).
-	Drains map[string][]load.DrainStats `json:"-"`
 }
 
 // report assembles the Report from the engine's final state.
@@ -110,7 +105,6 @@ func (e *engine) report(steps int) *Report {
 		Steps:               steps,
 		Traffic:             e.spec.Traffic,
 		Trace:               e.trace,
-		Drains:              make(map[string][]load.DrainStats, len(e.pools)),
 	}
 	if rep.Trace == nil {
 		rep.Trace = []string{}
@@ -152,7 +146,6 @@ func (e *engine) report(steps int) *Report {
 			pr.MeanWarmupNanos = warm / n
 		}
 		rep.Pools = append(rep.Pools, pr)
-		rep.Drains[p.spec.Name] = p.drains
 	}
 	return rep
 }

@@ -101,12 +101,14 @@
 // this package's ForEach (experiments.ScaleOutClaim, `forkbench
 // cluster`).
 //
-// Every warmed machine comes from load.Templates; nil means cold. A
-// run holds one cache, and every phase stamps from it: the serve
-// phases and the rebalance wave's migration source from the template
-// of their load.Shape, the rolling wave's replacement instance (a
-// load.Server, whose warm-up is the restart tax) from the template of
-// its server shape, which adds the parked pool. Each template is
+// Every warmed machine is a load.Server from load.Templates; nil means
+// cold. A run holds one cache, and every phase stamps from it: the
+// serve phases and the rebalance wave's migration source from the
+// template of their load.Shape, the rolling wave's replacement
+// instance from the template of its server shape, which adds the
+// parked pool. The replacement's warm-up is the restart tax, and its
+// Drain fails the machine on a process, frame or commit left off its
+// books. Each template is
 // warmed once via sim.System.Snapshot and host-COW-cloned per machine,
 // so fleet host cost stops being Θ(heap)×N. Spec.ColdBoot holds a nil
 // cache instead; the report is byte-identical either way, which CI's

@@ -442,7 +442,7 @@ func Run(spec Spec) (*Result, error) {
 	}
 	m := newMerger(spec.Machines, spec.KeepPerMachine)
 	err := ForEach(workers, spec.Machines, func(id int) error {
-		mm, _, err := runMachine(spec, id, tc)
+		mm, err := runMachine(spec, id, tc)
 		if err != nil {
 			return fmt.Errorf("fleet: machine %d: %w", id, err)
 		}
@@ -466,34 +466,33 @@ func Run(spec Spec) (*Result, error) {
 }
 
 // runMachine executes machine id's phases, stamping each phase's
-// machine from tc (nil = cold boots). A replacement instance's Drain
-// books — rolling restarts and rebalance fallbacks — come back for the
-// leak-invariant tests.
-func runMachine(spec Spec, id int, tc *load.Templates) (*MachineMetrics, *load.DrainStats, error) {
+// machine from tc (nil = cold boots). A replacement instance — a
+// rolling restart's or a rebalance fallback's — drains at the end of
+// its phase, and a drain off its books fails the machine.
+func runMachine(spec Spec, id int, tc *load.Templates) (*MachineMetrics, error) {
 	ms := spec.machine(id)
 	mm := &MachineMetrics{Machine: ms.ID, CPUs: ms.CPUs, Strategy: ms.Via.String()}
-	var books *load.DrainStats
 	switch spec.Scenario {
 	case RollingRestart:
 		warm, err := tc.Run(ms.loadConfig())
 		if err != nil {
-			return nil, nil, fmt.Errorf("warm phase: %w", err)
+			return nil, fmt.Errorf("warm phase: %w", err)
 		}
-		if books, err = runRestartedMachine(ms, tc, mm, warm); err != nil {
-			return nil, nil, fmt.Errorf("restart phase: %w", err)
+		if err := runRestartedMachine(ms, tc, mm, warm); err != nil {
+			return nil, fmt.Errorf("restart phase: %w", err)
 		}
 	case Rebalance:
 		warm, err := tc.Run(ms.loadConfig())
 		if err != nil {
-			return nil, nil, fmt.Errorf("warm phase: %w", err)
+			return nil, fmt.Errorf("warm phase: %w", err)
 		}
-		if books, err = runRebalancedMachine(ms, tc, mm, warm); err != nil {
-			return nil, nil, fmt.Errorf("rebalance phase: %w", err)
+		if err := runRebalancedMachine(ms, tc, mm, warm); err != nil {
+			return nil, fmt.Errorf("rebalance phase: %w", err)
 		}
 	case Chaos:
 		// Chaos serves failure-tolerant traffic (validate pinned
 		// Spec.Load) under this machine's derived wave schedule. The
-		// template is warmed clean; Prepared.Run installs the schedule
+		// template is warmed clean; Server.Run installs the schedule
 		// on the stamped clone after warm-up, exactly as on a
 		// cold-booted machine. A distributed load's schedule
 		// targets the cell's wire (drop waves at the net fault
@@ -506,26 +505,26 @@ func runMachine(spec Spec, id int, tc *load.Templates) (*MachineMetrics, *load.D
 		}
 		m, err := tc.Run(cfg)
 		if err != nil {
-			return nil, nil, fmt.Errorf("chaos phase: %w", err)
+			return nil, fmt.Errorf("chaos phase: %w", err)
 		}
 		mm.Phases = []*load.Metrics{m}
 	case Surge:
 		base, err := tc.Run(ms.loadConfig())
 		if err != nil {
-			return nil, nil, fmt.Errorf("baseline phase: %w", err)
+			return nil, fmt.Errorf("baseline phase: %w", err)
 		}
 		spike := ms.loadConfig()
 		spike.Requests = ms.Requests * spec.SurgeFactor
 		spike.Window = ms.baseWindow() * spec.SurgeFactor
 		surge, err := tc.Run(spike)
 		if err != nil {
-			return nil, nil, fmt.Errorf("surge phase: %w", err)
+			return nil, fmt.Errorf("surge phase: %w", err)
 		}
 		mm.Phases = []*load.Metrics{base, surge}
 	default: // Uniform, Heterogeneous
 		m, err := tc.Run(ms.loadConfig())
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		mm.Phases = []*load.Metrics{m}
 	}
@@ -533,7 +532,7 @@ func runMachine(spec Spec, id int, tc *load.Templates) (*MachineMetrics, *load.D
 	if r := machineRollup(mm); r.TotalVirtualNanos > 0 {
 		mm.RequestsPerVSec = float64(r.TotalRequests) * 1e9 / float64(r.TotalVirtualNanos)
 	}
-	return mm, books, nil
+	return mm, nil
 }
 
 // JSON renders the result as the byte-stable fleet report: same Spec,

@@ -12,7 +12,8 @@ import (
 // TestRollingRestartLeaksNothing is the fleet leak invariant: after a
 // rolling restart — warm pool created through any strategy, traffic
 // served, pool torn down — every machine's process, physical-frame,
-// and commit counts must be exactly back at the post-warm-up baseline.
+// and commit counts must be exactly back at the post-warm-up baseline,
+// which the replacement's Drain checks, failing the machine otherwise.
 // A fleet that leaks a page per restart wave loses a machine's worth
 // of RAM over enough deploys.
 func TestRollingRestartLeaksNothing(t *testing.T) {
@@ -28,17 +29,8 @@ func TestRollingRestartLeaksNothing(t *testing.T) {
 			}.withDefaults()
 			tc := load.NewTemplates()
 			for id := 0; id < spec.Machines; id++ {
-				_, books, err := runMachine(spec, id, tc)
-				if err != nil {
-					t.Fatalf("machine %d: %v", id, err)
-				}
-				if books == nil {
-					t.Fatalf("machine %d: rolling runner returned no drain books", id)
-				}
-				if books.EndProcs != books.BaseProcs || books.EndPages != books.BasePages || books.EndCommit != books.BaseCommit {
-					t.Errorf("machine %d leaked: procs %d -> %d, pages %d -> %d, commit %d -> %d",
-						id, books.BaseProcs, books.EndProcs, books.BasePages, books.EndPages,
-						books.BaseCommit, books.EndCommit)
+				if _, err := runMachine(spec, id, tc); err != nil {
+					t.Errorf("machine %d: %v", id, err)
 				}
 			}
 		})
@@ -184,7 +176,7 @@ func TestRollingRestartTax(t *testing.T) {
 	run := func(via sim.Strategy) *MachineMetrics {
 		spec := Spec{Machines: 1, Scenario: RollingRestart, Via: via,
 			Requests: 4, HeapBytes: 32 << 20}.withDefaults()
-		mm, _, err := runMachine(spec, 0, load.NewTemplates())
+		mm, err := runMachine(spec, 0, load.NewTemplates())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +207,7 @@ func TestMachineWarmupScalesWithHeapUnderFork(t *testing.T) {
 		t.Helper()
 		spec := Spec{Machines: 1, Scenario: RollingRestart, Via: via,
 			Requests: 4, HeapBytes: heap, Workers: 4}.withDefaults()
-		mm, _, err := runMachine(spec, 0, nil)
+		mm, err := runMachine(spec, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

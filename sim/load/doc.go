@@ -85,18 +85,20 @@
 // The fleet's Rebalance scenario runs this cell per machine, falling
 // back to the rolling-restart tax when the checkpoint refuses.
 //
-// Every warmed machine comes from Templates; nil means cold.
-// Templates.Run is the one scenario dispatch, and it stamps each
-// machine a run needs from the cache, which holds one Template per
-// Shape: booted with its server heap dirtied for single-machine runs
-// and migration sources, plus a parked worker pool (Shape.Via and
-// Shape.Pool, zero for a scenario machine) for the Servers that
-// Templates.Server stamps — network-cell backends, sim/fleet's
-// rolling-wave replacements, and sim/cluster's nodes. Run is
-// (*Templates)(nil).Run: every machine boots and warms cold through
-// the same recipe, so a stamped run and a cold run produce
+// Every warmed machine is a Server from Templates; nil means cold. A
+// scenario machine — a single-machine run or a migration source — is a
+// Server whose Shape parks no pool; the Servers Templates.Server hands
+// out (network-cell backends, sim/fleet's rolling-wave replacements,
+// sim/cluster's nodes) add a parked worker pool (Shape.Via and
+// Shape.Pool). One recipe warms both, the cache freezes one Template
+// per Shape, and one stamp path clones it and re-adopts the pool.
+// Templates.Run is the one scenario dispatch, and Run is
+// (*Templates)(nil).Run, so a stamped run and a cold run produce
 // byte-identical Metrics. Templates.Run and Templates.Server reject a
-// negative count with a *SpecError before any machine boots.
+// negative count, and Server any scenario but Prefork, with a
+// *SpecError before any machine boots. Server.Drain checks the
+// machine's own books: an error names each process, frame or commit
+// count not back at its post-warm-up baseline.
 //
 // Prefork, BuildFarm and a Server's batches are one closed loop: a
 // window of requests in flight, each a worker created fresh through

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/addrspace"
 	"repro/internal/cost"
 	"repro/internal/kernel"
 	"repro/internal/mem"
@@ -475,30 +474,6 @@ func HumanBytes(n uint64) string {
 	return fmt.Sprintf("%dB", n)
 }
 
-// driver carries one run's state: the booted machine, the server heap
-// VMA, and the counters accumulated by the scenario loop.
-type driver struct {
-	cfg       Config
-	sys       *sim.System
-	k         *kernel.Kernel
-	heapStart uint64
-
-	requests  uint64
-	creations uint64
-	failed    uint64
-	peakPages uint64
-
-	// serverCPU is the virtual CPU time the SMPServer scenario's
-	// server process executed during the loop.
-	serverCPU uint64
-}
-
-// sample records the physical-memory high-water mark; scenarios call
-// it at their peak-occupancy points.
-func (d *driver) sample() {
-	d.peakPages = max(d.peakPages, d.k.Phys().AllocatedPages())
-}
-
 // DefaultWindow reports a scenario's steady-state in-flight request
 // window at the given CPU count — the value Config.Window overrides
 // (and the baseline sim/fleet's traffic surge multiplies). Zero for
@@ -520,147 +495,10 @@ func DefaultWindow(s Scenario, cpus int) int {
 	return 0
 }
 
-// Prepared is a machine warmed for a measured run: the server's
-// resident dirty heap is mapped and touched, and the resolved Config
-// is pinned. The warm-up's virtual-time cost is the caller's to
-// account; Run measures only the scenario loop.
-type Prepared struct {
-	cfg       Config
-	sys       *sim.System
-	heapStart uint64
-	heapBytes uint64
-
-	// tpl is the template the machine was stamped from (nil when
-	// cold-booted); release recycles the machine into it.
-	tpl *sim.Template
-}
-
-// prepare warms an existing machine for cfg's scenario — the step
-// between boot and the measured loop. NewServer calls it between boot
-// and pool creation, so a server's warm-up is measured whole.
-func prepare(sys *sim.System, cfg Config) (*Prepared, error) {
-	cfg = cfg.withDefaults()
-
-	// The server's resident, dirty heap — what fork must duplicate
-	// page-table entries for on every creation.
-	host := sys.Host()
-	ps := uint64(mem.PageSize)
-	if cfg.HugePages {
-		ps = mem.HugeSize
-	}
-	heap := (cfg.HeapBytes + ps - 1) &^ (ps - 1)
-	vma, err := host.Space().Map(0, heap, addrspace.Read|addrspace.Write, addrspace.MapOpts{
-		Kind: addrspace.KindAnon, Name: "server-heap", Huge: cfg.HugePages,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("load: map heap: %w", err)
-	}
-	if err := host.Space().Touch(vma.Start, heap, addrspace.AccessWrite); err != nil {
-		return nil, fmt.Errorf("load: dirty heap: %w", err)
-	}
-	return &Prepared{cfg: cfg, sys: sys, heapStart: vma.Start, heapBytes: heap}, nil
-}
-
-// driver starts a scenario loop on the prepared machine.
-func (p *Prepared) driver() *driver {
-	return &driver{cfg: p.cfg, sys: p.sys, k: p.sys.Kernel(), heapStart: p.heapStart}
-}
-
-// System is the prepared machine — exposed so callers (tests, the
-// bench probes) can inspect the warmed state before Run.
-func (p *Prepared) System() *sim.System { return p.sys }
-
 // Run boots a fresh machine (or cell), warms it, and executes one
 // scenario, reporting its metrics: (*Templates)(nil).Run, the cold
 // path. Counters are zeroed after the warm-up, so boot and
 // heap-dirtying cost is excluded from the measured loop.
 func Run(cfg Config) (*Metrics, error) {
 	return (*Templates)(nil).Run(cfg)
-}
-
-// Run executes the prepared scenario once, measuring from the current
-// virtual instant: cfg.Faults is armed (only now, so warm-up stays
-// clean and the measured loop runs under the schedule), counters are
-// zeroed, the loop runs, and the metrics are assembled. Call it once
-// per prepare.
-func (p *Prepared) Run() (*Metrics, error) {
-	cfg := p.cfg
-	if cfg.Faults != nil {
-		p.sys.SetFaultSchedule(cfg.Faults)
-	}
-	d := p.driver()
-	heap := p.heapBytes
-
-	meter := d.k.Meter()
-	w := openWindow(d.k)
-	oomBase := d.k.OOMKills
-	busyBase := make([]cost.Ticks, cfg.CPUs)
-	clockBase := make([]cost.Ticks, cfg.CPUs)
-	for i := range busyBase {
-		busyBase[i], clockBase[i] = meter.CPUBusy(i), meter.CPUClock(i)
-	}
-	t0 := d.k.Elapsed()
-	d.sample()
-
-	var err error
-	switch cfg.Scenario {
-	case Prefork, BuildFarm:
-		// The closed loop. Chaos mode (cfg.Faults) counts its lost
-		// requests; a clean run fails on the first.
-		var b Batch
-		b, err = d.serve(cfg.Requests, 0)
-		d.requests, d.creations, d.failed = uint64(b.Served), b.Creations, uint64(b.Failed)
-		if cfg.Faults != nil {
-			err = nil
-		}
-	case Pipeline:
-		err = d.pipeline()
-	case Checkpoint:
-		err = d.checkpoint()
-	case ForkStorm:
-		err = d.forkstorm()
-	case SMPServer:
-		err = d.smpserver()
-	default:
-		err = fmt.Errorf("load: unknown scenario %q", cfg.Scenario)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("load: %s via %v: %w", cfg.Scenario, cfg.Via, err)
-	}
-
-	m := &Metrics{
-		Scenario:  string(cfg.Scenario),
-		Strategy:  cfg.Via.String(),
-		HeapBytes: heap,
-		RAMBytes:  cfg.RAMBytes,
-		NumCPUs:   cfg.CPUs,
-		Requests:  d.requests,
-		Creations: d.creations,
-
-		FailedRequests: d.failed,
-		OOMKills:       uint64(d.k.OOMKills - oomBase),
-
-		VirtualNanos: uint64(d.k.Elapsed() - t0),
-		PeakRSSBytes: d.peakPages * uint64(mem.PageSize),
-
-		CPUUtilization: make([]float64, cfg.CPUs),
-		ServerCPUNanos: d.serverCPU,
-	}
-	w.close(m, nil)
-	for i := range m.CPUUtilization {
-		if advanced := meter.CPUClock(i) - clockBase[i]; advanced > 0 {
-			m.CPUUtilization[i] = float64(meter.CPUBusy(i)-busyBase[i]) / float64(advanced)
-		}
-	}
-	return m, nil
-}
-
-// release retires the machine: a stamped one's allocations recycle
-// into its template's next stamp (host-side only), a cold one is
-// dropped. The Prepared cannot run afterwards.
-func (p *Prepared) release() {
-	if p.tpl != nil {
-		p.tpl.Release(p.sys)
-	}
-	p.sys = nil
 }

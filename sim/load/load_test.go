@@ -89,6 +89,34 @@ func TestPreforkThroughputOrdering(t *testing.T) {
 	}
 }
 
+// TestHeapBytesIsTheMappedHeap: every cell reports the heap its
+// machines mapped — HeapBytes rounded up to the page, a 2 MiB page on
+// huge pages — so the same flags report one heap_bytes whichever
+// scenario runs them, single-machine or network cell.
+func TestHeapBytesIsTheMappedHeap(t *testing.T) {
+	for _, c := range []struct {
+		heap, want uint64
+		huge       bool
+	}{
+		{heap: 5000, want: 8 << 10},
+		{heap: 3 << 20, want: 4 << 20, huge: true},
+	} {
+		for _, s := range []load.Scenario{load.Prefork, load.NetLB, load.KVShard, load.Migrate} {
+			m, err := load.Run(load.Config{
+				Scenario: s, Via: sim.Spawn, Requests: 2,
+				HeapBytes: c.heap, HugePages: c.huge,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.HeapBytes != c.want {
+				t.Errorf("%s at %d B (huge %v) reports heap_bytes %d, want the mapped %d",
+					s, c.heap, c.huge, m.HeapBytes, c.want)
+			}
+		}
+	}
+}
+
 // TestPipelineFarm drains pipelines and counts one creation per stage.
 func TestPipelineFarm(t *testing.T) {
 	m, err := load.Run(load.Config{

@@ -114,14 +114,14 @@ func runMigrateCell(cfg Config, tc *Templates) (*Metrics, error) {
 	cfg = cfg.withDefaults()
 	// The source is a warmed server, stamped like any single-machine
 	// run: its dirty heap is what the fork-family migrants drag along.
-	prep, err := tc.stamp(cfg)
+	srv, err := tc.machine(cfg, cfg.Shape())
 	if err != nil {
 		return nil, err
 	}
-	src := prep.sys
+	src := srv.sys
 	// The destination boots identically but stays cold: the migrant's
 	// state arrives over the wire, not from a local warm-up.
-	dst, err := boot(cfg)
+	dst, err := boot(cfg.Shape())
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +142,7 @@ func runMigrateCell(cfg Config, tc *Templates) (*Metrics, error) {
 		fab:       fab,
 		src:       src,
 		dst:       dst,
-		heapStart: prep.heapStart,
+		heapStart: srv.warm.heapStart,
 		rounds:    cfg.Workers,
 		recs:      (*buf)[:0],
 	}
@@ -169,7 +169,7 @@ func runMigrateCell(cfg Config, tc *Templates) (*Metrics, error) {
 	m := &Metrics{
 		Scenario:  string(cfg.Scenario),
 		Strategy:  cfg.Via.String(),
-		HeapBytes: prep.heapBytes,
+		HeapBytes: srv.warm.heapBytes,
 		RAMBytes:  cfg.RAMBytes,
 		NumCPUs:   cfg.CPUs,
 
@@ -185,15 +185,15 @@ func runMigrateCell(cfg Config, tc *Templates) (*Metrics, error) {
 		MigrateRefused:       c.refused,
 	}
 	w.close(m, fab)
-	prep.release()
+	srv.release()
 	return m, nil
 }
 
 // createMigrant builds one migrant on the source per the strategy.
 // Fork-family strategies fork the warmed server itself — the child
 // carries the dirty heap, which is exactly the paper's entanglement;
-// emufork copies it through cross-process reads and writes, as the
-// driver's snapshots do. Spawn and Builder create a self-contained
+// emufork copies it through cross-process reads and writes, as a
+// Server's snapshots do. Spawn and Builder create a self-contained
 // process from an image.
 func (c *migrateCell) createMigrant() (*kernel.Process, error) {
 	k := c.src.Kernel()

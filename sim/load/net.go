@@ -125,7 +125,7 @@ const netLBAddr = 1
 // runNetCell executes one distributed scenario. Backends are stamped
 // from tc's server templates, or cold-booted when tc is nil; both
 // produce byte-identical Metrics.
-func runNetCell(cfg Config, tc *Templates) (*Metrics, error) {
+func runNetCell(cfg Config, tc *Templates) (m *Metrics, err error) {
 	cfg = cfg.withDefaults()
 	n := cfg.Nodes
 
@@ -166,8 +166,8 @@ func runNetCell(cfg Config, tc *Templates) (*Metrics, error) {
 	}
 	defer func() {
 		for _, s := range c.servers {
-			if !s.drained {
-				s.Drain()
+			if derr := s.Drain(); derr != nil && err == nil {
+				m, err = nil, derr
 			}
 		}
 	}()
@@ -186,7 +186,7 @@ func runNetCell(cfg Config, tc *Templates) (*Metrics, error) {
 	// every other scenario.
 	ks := make([]*kernel.Kernel, n)
 	for i, s := range c.servers {
-		ks[i] = s.d.k
+		ks[i] = s.k
 	}
 	w := openWindow(ks...)
 
@@ -216,10 +216,10 @@ func runNetCell(cfg Config, tc *Templates) (*Metrics, error) {
 		return nil, fmt.Errorf("load: %s via %v: %w", cfg.Scenario, cfg.Via, c.err)
 	}
 
-	m := &Metrics{
+	m = &Metrics{
 		Scenario:  string(cfg.Scenario),
 		Strategy:  cfg.Via.String(),
-		HeapBytes: cfg.HeapBytes,
+		HeapBytes: c.servers[0].warm.heapBytes,
 		RAMBytes:  cfg.RAMBytes,
 		NumCPUs:   cfg.CPUs,
 

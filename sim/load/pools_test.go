@@ -59,17 +59,17 @@ func TestStampsShareReusePools(t *testing.T) {
 			}
 			return b
 		}
-		if err := s.WriteBytes(p.heapStart, fill(byte(16*g+r))); err != nil {
+		if err := s.WriteBytes(p.warm.heapStart, fill(byte(16*g+r))); err != nil {
 			return fmt.Errorf("write: %w", err)
 		}
-		if err := s.Unmap(p.heapStart, pages*mem.PageSize); err != nil {
+		if err := s.Unmap(p.warm.heapStart, pages*mem.PageSize); err != nil {
 			return fmt.Errorf("free: %w", err)
 		}
-		if _, err := s.Map(p.heapStart, pages*mem.PageSize, addrspace.Read|addrspace.Write, addrspace.MapOpts{Kind: addrspace.KindAnon, Name: "server-heap"}); err != nil {
+		if _, err := s.Map(p.warm.heapStart, pages*mem.PageSize, addrspace.Read|addrspace.Write, addrspace.MapOpts{Kind: addrspace.KindAnon, Name: "server-heap"}); err != nil {
 			return fmt.Errorf("remap: %w", err)
 		}
 		own := fill(byte(16*g + r + 128))
-		if err := s.WriteBytes(p.heapStart, own[:len(own)-100]); err != nil {
+		if err := s.WriteBytes(p.warm.heapStart, own[:len(own)-100]); err != nil {
 			return fmt.Errorf("rewrite: %w", err)
 		}
 		clear(own[len(own)-100:]) // a fresh page reads zero past the rewrite
@@ -85,7 +85,7 @@ func TestStampsShareReusePools(t *testing.T) {
 			return fmt.Errorf("migrate cell reports %s, serially %s", gotJSON, wantJSON)
 		}
 		got := make([]byte, len(own))
-		if err := s.ReadBytes(p.heapStart, got); err != nil {
+		if err := s.ReadBytes(p.warm.heapStart, got); err != nil {
 			return fmt.Errorf("read: %w", err)
 		}
 		if !bytes.Equal(got, own) {

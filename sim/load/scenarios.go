@@ -34,15 +34,15 @@ import (
 // reports. With Config.Faults armed (chaos mode) the loop also
 // consults fault.PointKill once per request, so kill-wave schedules
 // can crash in-flight workers.
-func (d *driver) serve(n int, budgetNanos uint64) (Batch, error) {
-	window := d.cfg.Window
+func (s *Server) serve(n int, budgetNanos uint64) (Batch, error) {
+	window := s.cfg.Window
 	if window < 1 {
-		window = DefaultWindow(d.cfg.Scenario, d.cfg.CPUs)
+		window = DefaultWindow(s.cfg.Scenario, s.cfg.CPUs)
 	}
-	chaos := d.cfg.Faults != nil
-	t0 := d.k.Elapsed()
+	chaos := s.cfg.Faults != nil
+	t0 := s.k.Elapsed()
 	overBudget := func() bool {
-		return budgetNanos > 0 && uint64(d.k.Elapsed()-t0) >= budgetNanos
+		return budgetNanos > 0 && uint64(s.k.Elapsed()-t0) >= budgetNanos
 	}
 	var b Batch
 	var first error
@@ -56,7 +56,7 @@ func (d *driver) serve(n int, budgetNanos uint64) (Batch, error) {
 	launched := 0
 	for launched < n || len(inflight) > 0 {
 		for len(inflight) < window && launched < n && !overBudget() {
-			cmd := d.request()
+			cmd := s.request()
 			launched++
 			if err := cmd.Start(); err != nil {
 				fail(err) // creation refused: the request is lost, the server survives
@@ -74,10 +74,10 @@ func (d *driver) serve(n int, budgetNanos uint64) (Batch, error) {
 		// Sample while workers are live, so the peak reflects the
 		// per-request footprint (stack, image, mirrored page table),
 		// not just the server heap.
-		d.sample()
+		s.sample()
 		cmd := inflight[0]
 		inflight = inflight[1:]
-		if chaos && d.k.Faults().Fail(fault.PointKill, 1) != 0 {
+		if chaos && s.k.Faults().Fail(fault.PointKill, 1) != 0 {
 			// Kill wave: the worker crashes mid-request.
 			cmd.Process.Kill()
 		}
@@ -87,38 +87,38 @@ func (d *driver) serve(n int, budgetNanos uint64) (Batch, error) {
 			b.Served++
 		}
 	}
-	b.Nanos = uint64(d.k.Elapsed() - t0)
+	b.Nanos = uint64(s.k.Elapsed() - t0)
 	return b, first
 }
 
 // request builds one request's worker command: a hog that allocates
 // and write-touches RequestWorkMiB of its own when that is set,
 // otherwise a trivial exit.
-func (d *driver) request() *sim.Cmd {
-	if mib := d.cfg.RequestWorkMiB; mib > 0 {
-		return d.sys.Command("hog", strconv.Itoa(mib)).Via(d.cfg.Via)
+func (s *Server) request() *sim.Cmd {
+	if mib := s.cfg.RequestWorkMiB; mib > 0 {
+		return s.sys.Command("hog", strconv.Itoa(mib)).Via(s.cfg.Via)
 	}
-	return d.sys.Command("true").Via(d.cfg.Via)
+	return s.sys.Command("true").Via(s.cfg.Via)
 }
 
 // pipeline is the shell farm: each unit of work builds an
 // echo|cat|…|cat pipeline of Workers stages wired through kernel
 // pipes, starts every stage through the configured strategy, and
 // drains it. The final stage writes to the console (discarded).
-func (d *driver) pipeline() error {
-	depth := d.cfg.Workers
+func (s *Server) pipeline() error {
+	depth := s.cfg.Workers
 	if depth < 2 {
 		depth = 2
 	}
-	for i := 0; i < d.cfg.Requests; i++ {
+	for i := 0; i < s.cfg.Requests; i++ {
 		cmds := make([]*sim.Cmd, depth)
-		cmds[0] = d.sys.Command("echo", "req", strconv.Itoa(i))
+		cmds[0] = s.sys.Command("echo", "req", strconv.Itoa(i))
 		for j := 1; j < depth; j++ {
-			cmds[j] = d.sys.Command("cat")
+			cmds[j] = s.sys.Command("cat")
 		}
 		files := make([]*sim.File, 0, 2*(depth-1))
 		for j := 0; j < depth-1; j++ {
-			r, w := d.sys.Pipe()
+			r, w := s.sys.Pipe()
 			cmds[j].Stdout = w
 			cmds[j+1].Stdin = r
 			files = append(files, r, w)
@@ -129,7 +129,7 @@ func (d *driver) pipeline() error {
 			}
 		}
 		for j := range cmds {
-			if err := cmds[j].Via(d.cfg.Via).Start(); err != nil {
+			if err := cmds[j].Via(s.cfg.Via).Start(); err != nil {
 				// Tear down the stages already launched so the
 				// error surfaces instead of a wedged machine.
 				for _, started := range cmds[:j] {
@@ -139,17 +139,17 @@ func (d *driver) pipeline() error {
 				closeAll()
 				return err
 			}
-			d.creations++
+			s.creations++
 		}
 		// Drop the host's pipe ends so EOF propagates stage to stage.
 		closeAll()
-		d.sample()
+		s.sample()
 		for j := range cmds {
 			if err := cmds[j].Wait(); err != nil {
 				return err
 			}
 		}
-		d.requests++
+		s.requests++
 	}
 	return nil
 }
@@ -167,46 +167,46 @@ func (d *driver) pipeline() error {
 //   - Spawn/Builder/EmulatedFork: the fork-less path — a §5 kernel
 //     without fork snapshots through cross-process reads and writes,
 //     paying Θ(resident bytes) in user space.
-func (d *driver) checkpoint() error {
-	host := d.sys.Host()
-	heap := d.cfg.HeapBytes
-	mutate := d.cfg.MutateBytes
+func (s *Server) checkpoint() error {
+	host := s.sys.Host()
+	heap := s.cfg.HeapBytes
+	mutate := s.cfg.MutateBytes
 	if mutate > heap {
 		mutate = heap
 	}
 	off := uint64(0)
-	for i := 0; i < d.cfg.Requests; i++ {
-		snap, err := d.snapshot(host)
+	for i := 0; i < s.cfg.Requests; i++ {
+		snap, err := s.snapshot(host)
 		if err != nil {
 			return err
 		}
-		d.creations++
+		s.creations++
 		if mutate > 0 {
 			if off+mutate > heap {
 				off = 0
 			}
-			if err := host.Space().Touch(d.heapStart+off, mutate, addrspace.AccessWrite); err != nil {
-				d.k.DestroyProcess(snap)
+			if err := host.Space().Touch(s.warm.heapStart+off, mutate, addrspace.AccessWrite); err != nil {
+				s.k.DestroyProcess(snap)
 				return err
 			}
 			off += mutate
 		}
-		d.sample()
+		s.sample()
 		// The snapshot has been "persisted"; release the old view.
-		d.k.DestroyProcess(snap)
-		d.requests++
+		s.k.DestroyProcess(snap)
+		s.requests++
 	}
 	return nil
 }
 
-func (d *driver) snapshot(host *kernel.Process) (*kernel.Process, error) {
-	switch d.cfg.Via {
+func (s *Server) snapshot(host *kernel.Process) (*kernel.Process, error) {
+	switch s.cfg.Via {
 	case sim.ForkExec, sim.VforkExec:
-		return d.k.Fork(host)
+		return s.k.Fork(host)
 	case sim.EagerForkExec:
-		return d.k.ForkWithMode(host, kernel.ForkEager)
+		return s.k.ForkWithMode(host, kernel.ForkEager)
 	default:
-		return core.EmulateFork(d.k, host)
+		return core.EmulateFork(s.k, host)
 	}
 }
 
@@ -223,13 +223,13 @@ func (d *driver) snapshot(host *kernel.Process) (*kernel.Process, error) {
 // Requests counts snapshot cycles. ServerCPUNanos reports how much
 // CPU time the server's threads still got — the service capacity the
 // snapshot tax did not consume.
-func (d *driver) smpserver() error {
-	threads := d.cfg.CPUs
+func (s *Server) smpserver() error {
+	threads := s.cfg.CPUs
 	if threads > 8 {
 		threads = 8 // smpspin has 8 worker stacks
 	}
-	srv := d.sys.Command("smpspin",
-		strconv.Itoa(threads), strconv.FormatUint(d.cfg.HeapBytes, 10))
+	srv := s.sys.Command("smpspin",
+		strconv.Itoa(threads), strconv.FormatUint(s.cfg.HeapBytes, 10))
 	if err := srv.Via(sim.Spawn).Start(); err != nil {
 		return err
 	}
@@ -244,30 +244,30 @@ func (d *driver) smpserver() error {
 		if werr := srv.Wait(); err == nil && werr != nil && sim.AsExitError(werr) == nil {
 			return werr
 		}
-		d.serverCPU = uint64(server.TotalCPUTicks()) - cpuBase
+		s.serverCPU = uint64(server.TotalCPUTicks()) - cpuBase
 		return err
 	}
-	for i := 0; i < d.cfg.Requests; i++ {
+	for i := 0; i < s.cfg.Requests; i++ {
 		// Serve traffic, then snapshot mid-flight.
-		if err := d.k.Run(kernel.RunLimits{MaxTicks: slice}); err != nil {
+		if err := s.k.Run(kernel.RunLimits{MaxTicks: slice}); err != nil {
 			return finish(err)
 		}
-		snap, err := d.snapshot(server)
+		snap, err := s.snapshot(server)
 		if err != nil {
 			return finish(err)
 		}
-		d.creations++
+		s.creations++
 		// The snapshot is held while traffic continues: the
 		// workers' writes break COW pages one by one, each paying
 		// the remote-core invalidations.
-		if err := d.k.Run(kernel.RunLimits{MaxTicks: slice}); err != nil {
-			d.k.DestroyProcess(snap)
+		if err := s.k.Run(kernel.RunLimits{MaxTicks: slice}); err != nil {
+			s.k.DestroyProcess(snap)
 			return finish(err)
 		}
-		d.sample()
+		s.sample()
 		// Snapshot "persisted": release the old view.
-		d.k.DestroyProcess(snap)
-		d.requests++
+		s.k.DestroyProcess(snap)
+		s.requests++
 	}
 	return finish(nil)
 }
@@ -275,12 +275,12 @@ func (d *driver) smpserver() error {
 // forkstorm launches Workers children back to back without waiting,
 // holding every one alive at once — the burst that floods the run
 // queue — then drains and reaps the whole wave, Requests times.
-func (d *driver) forkstorm() error {
-	burst := d.cfg.Workers
-	for wave := 0; wave < d.cfg.Requests; wave++ {
+func (s *Server) forkstorm() error {
+	burst := s.cfg.Workers
+	for wave := 0; wave < s.cfg.Requests; wave++ {
 		cmds := make([]*sim.Cmd, 0, burst)
 		for j := 0; j < burst; j++ {
-			cmd := d.sys.Command("true").Via(d.cfg.Via)
+			cmd := s.sys.Command("true").Via(s.cfg.Via)
 			if err := cmd.Start(); err != nil {
 				for _, started := range cmds {
 					started.Process.Kill()
@@ -289,14 +289,14 @@ func (d *driver) forkstorm() error {
 				return err
 			}
 			cmds = append(cmds, cmd)
-			d.creations++
+			s.creations++
 		}
-		d.sample()
+		s.sample()
 		for _, cmd := range cmds {
 			if err := cmd.Wait(); err != nil {
 				return err
 			}
-			d.requests++
+			s.requests++
 		}
 	}
 	return nil

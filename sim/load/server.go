@@ -2,45 +2,58 @@ package load
 
 import (
 	"fmt"
+	"strings"
 
+	"repro/internal/addrspace"
+	"repro/internal/cost"
+	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/sim"
 )
 
-// Server is a persistent prefork-style request server on its own
-// machine: boot it once, then serve traffic in batches interleaved
-// with an external control loop. sim/cluster runs one Server per
-// cluster machine — NewServer is the machine's warm-up (boot, dirty
-// heap, pre-created worker pool, all on the machine's virtual clock,
-// so fork's Θ(heap) pool tax is in the measured scale-out latency),
-// ServeBatch is one reconcile step's worth of traffic, and Drain is
-// scale-down (the leak invariant checks its books). sim/fleet's rolling
-// wave uses one as a machine's replacement instance: the warm-up is the
-// restart tax, and Run is the measured serve phase. The network cells'
-// backends are Servers too.
+// Server is one warmed machine: booted, its server heap mapped and
+// dirtied, and — for a server shape — a pool of workers parked on it.
+// A scenario machine is a Server whose Shape has no pool: Run measures
+// one scenario pass on it. A ready-to-serve server is the same machine
+// with Shape.Via and Shape.Pool set: sim/cluster runs one per cluster
+// machine (the warm-up, pool creation included, is on the machine's
+// virtual clock, so fork's Θ(heap) pool tax is in the measured
+// scale-out latency), ServeBatch is one reconcile step's worth of
+// traffic, and Drain is scale-down. sim/fleet's rolling wave uses one
+// as a machine's replacement instance: the warm-up is the restart tax,
+// and Run is the measured serve phase. The network cells' backends are
+// Servers too. Every Server comes from Templates.
 //
 // A Server is single-goroutine: the caller serializes ServeBatch /
 // Run / Drain. Distinct Servers are independent machines and may run
 // host-parallel.
 type Server struct {
-	// p is the warmed machine: its resolved Config, its server heap,
-	// and the template it was stamped from (nil when cold-booted),
-	// which Drain recycles the machine into once the books are closed.
-	p *Prepared
-	// d is the server's request loop: every ServeBatch runs through
-	// it, and its high-water mark is the server's peak RSS.
-	d       *driver
+	cfg Config
+	sys *sim.System
+	k   *kernel.Kernel
+	// tpl is the template the machine was stamped from (nil when
+	// cold-booted); release recycles the machine into it.
+	tpl *sim.Template
+
 	pool    []*sim.Process
 	warm    warmup
 	drained bool
+
+	// The loop's tallies: what Run reports, and the high-water mark
+	// PeakRSSBytes reads. serverCPU is the virtual CPU time the
+	// SMPServer scenario's server process executed during the loop.
+	requests, creations, failed uint64
+	peakPages, serverCPU        uint64
 }
 
-// warmup is a server's warm-up record: its virtual time and page-table
-// bill, and the post-warm-up resource baselines Drain must get back to.
+// warmup is what a machine's warm-up leaves besides the machine: where
+// its server heap lies, the warm-up's virtual time and page-table bill,
+// and the post-warm-up resource baselines Drain must get back to.
 type warmup struct {
-	nanos, ptes        uint64
-	baseProcs          int
-	basePages, baseCmt uint64
+	heapStart, heapBytes uint64
+	nanos, ptes          uint64
+	baseProcs            int
+	basePages, baseCmt   uint64
 }
 
 // Batch is one ServeBatch's outcome.
@@ -55,66 +68,69 @@ type Batch struct {
 	Nanos uint64
 }
 
-// DrainStats is the scale-down bookkeeping: resource counters at the
-// post-warm-up baseline and after the pool teardown. A leak-free
-// strategy returns every End counter to its Base.
-type DrainStats struct {
-	BaseProcs, EndProcs   int
-	BasePages, EndPages   uint64
-	BaseCommit, EndCommit uint64
-}
-
-// NewServer boots a machine and warms it to ready-to-serve: map and
-// dirty the server heap, then pre-create the parked worker pool
-// through cfg.Via. cfg.Workers sizes the pool (default 4×CPUs — a
-// server keeps spare workers beyond its steady-state window);
-// cfg.Scenario must be empty or Prefork. The warm-up runs on the
-// machine's virtual clock; WarmupNanos reports it.
-func NewServer(cfg Config) (*Server, error) {
-	if cfg.Scenario != "" && cfg.Scenario != Prefork {
-		return nil, fmt.Errorf("load: Server serves prefork traffic only, not %q", cfg.Scenario)
-	}
-	cfg.Scenario = Prefork
-	workers := cfg.serverShape().Pool
-	cfg = cfg.withDefaults()
-	sys, err := boot(cfg)
+// warm boots a machine of shape s and warms it for cfg: map and dirty
+// the server heap, note the baselines Drain must get back to, then park
+// s.Pool workers created through s.Via. It is the recipe every
+// Template freezes and every cold machine repeats. Between boot and the
+// heap it only reads clocks and counters, so a scenario machine warms
+// boot → map → touch; the warm-up runs on the machine's virtual clock,
+// which WarmupNanos reports.
+func warm(cfg Config, s Shape) (*Server, error) {
+	sys, err := boot(s)
 	if err != nil {
 		return nil, err
 	}
 	k := sys.Kernel()
-
 	t0, pteBase := k.Elapsed(), k.Meter().PTECopies
-	p, err := prepare(sys, cfg)
-	if err != nil {
-		return nil, err
+
+	// The server's resident, dirty heap — what fork must duplicate
+	// page-table entries for on every creation.
+	ps := uint64(mem.PageSize)
+	if s.HugePages {
+		ps = mem.HugeSize
 	}
-	s := newServer(p, warmup{
+	heap := (s.HeapBytes + ps - 1) &^ (ps - 1)
+	space := sys.Host().Space()
+	vma, err := space.Map(0, heap, addrspace.Read|addrspace.Write, addrspace.MapOpts{
+		Kind: addrspace.KindAnon, Name: "server-heap", Huge: s.HugePages,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("load: map heap: %w", err)
+	}
+	if err := space.Touch(vma.Start, heap, addrspace.AccessWrite); err != nil {
+		return nil, fmt.Errorf("load: dirty heap: %w", err)
+	}
+	srv := &Server{cfg: cfg.withDefaults(), sys: sys, k: k, warm: warmup{
+		heapStart: vma.Start, heapBytes: heap,
 		baseProcs: k.ProcessCount(),
 		basePages: k.Phys().AllocatedPages(),
 		baseCmt:   k.Phys().Committed(),
-	})
-	for i := 0; i < workers; i++ {
-		w, err := sys.Command("true").Via(cfg.Via).Create()
+	}}
+	for i := 0; i < s.Pool; i++ {
+		w, err := sys.Command("true").Via(s.Via).Create()
 		if err != nil {
-			s.teardown()
-			return nil, fmt.Errorf("load: warm pool worker %d via %v: %w", i, cfg.Via, err)
+			return nil, fmt.Errorf("load: warm pool worker %d via %v: %w", i, s.Via, err)
 		}
-		s.pool = append(s.pool, w)
+		srv.pool = append(srv.pool, w)
 	}
-	s.warm.nanos = uint64(k.Elapsed() - t0)
-	s.warm.ptes = k.Meter().PTECopies - pteBase
-	s.d.sample()
-	return s, nil
+	srv.warm.nanos = uint64(k.Elapsed() - t0)
+	srv.warm.ptes = k.Meter().PTECopies - pteBase
+	srv.sample()
+	return srv, nil
 }
 
-// newServer wraps a warmed machine with its warm-up record and its
-// request loop.
-func newServer(p *Prepared, w warmup) *Server {
-	return &Server{p: p, d: p.driver(), warm: w}
+// sample records the physical-memory high-water mark; scenarios call
+// it at their peak-occupancy points.
+func (s *Server) sample() {
+	s.peakPages = max(s.peakPages, s.k.Phys().AllocatedPages())
 }
+
+// System is the warmed machine — exposed so callers (tests, the bench
+// probes) can inspect the warmed state before Run.
+func (s *Server) System() *sim.System { return s.sys }
 
 // ServeBatch serves up to n requests through the closed loop (see
-// driver.serve: a window of requests in flight, each a fresh worker
+// Server.serve: a window of requests in flight, each a fresh worker
 // via cfg.Via). When budgetNanos > 0 the server stops launching new
 // requests once the batch has consumed that much virtual time —
 // leftover requests are the caller's backlog — but always drains what
@@ -125,8 +141,8 @@ func (s *Server) ServeBatch(n int, budgetNanos uint64) (Batch, error) {
 	if s.drained {
 		return Batch{}, fmt.Errorf("load: ServeBatch on a drained server")
 	}
-	b, _ := s.d.serve(n, budgetNanos)
-	s.d.sample()
+	b, _ := s.serve(n, budgetNanos)
+	s.sample()
 	return b, nil
 }
 
@@ -139,48 +155,128 @@ func (s *Server) WarmupNanos() uint64 { return s.warm.nanos }
 // pool worker duplicates the freshly dirtied heap's page tables.
 func (s *Server) WarmupPTECopies() uint64 { return s.warm.ptes }
 
-// PeakRSSBytes is the resident-memory high-water mark observed so far.
-func (s *Server) PeakRSSBytes() uint64 { return s.d.peakPages * uint64(mem.PageSize) }
+// PeakRSSBytes is the resident-memory high-water mark observed so far;
+// Run starts it afresh.
+func (s *Server) PeakRSSBytes() uint64 { return s.peakPages * uint64(mem.PageSize) }
 
-// Run serves one measured scenario pass on the server's machine —
-// cfg.Requests prefork requests, measured exactly as Prepared.Run
-// measures a single-machine run — with the warm pool resident, so its
-// footprint is in the peak RSS. The pass's counters start at zero: the
-// warm-up's bill is WarmupNanos and WarmupPTECopies, not the pass's.
+// Run executes one measured pass of cfg's scenario from the current
+// virtual instant, with whatever pool the machine parked resident, so
+// its footprint is in the peak RSS: cfg.Faults is armed (only now, so
+// warm-up stays clean and the measured loop runs under the schedule),
+// counters and tallies are zeroed, the loop runs, and the metrics are
+// assembled. The warm-up's bill is WarmupNanos and WarmupPTECopies, not
+// the pass's.
 func (s *Server) Run() (*Metrics, error) {
 	if s.drained {
 		return nil, fmt.Errorf("load: Run on a drained server")
 	}
-	return s.p.Run()
+	cfg := s.cfg
+	if cfg.Faults != nil {
+		s.sys.SetFaultSchedule(cfg.Faults)
+	}
+	s.requests, s.creations, s.failed, s.peakPages, s.serverCPU = 0, 0, 0, 0, 0
+
+	meter := s.k.Meter()
+	w := openWindow(s.k)
+	oomBase := s.k.OOMKills
+	busyBase := make([]cost.Ticks, cfg.CPUs)
+	clockBase := make([]cost.Ticks, cfg.CPUs)
+	for i := range busyBase {
+		busyBase[i], clockBase[i] = meter.CPUBusy(i), meter.CPUClock(i)
+	}
+	t0 := s.k.Elapsed()
+	s.sample()
+
+	var err error
+	switch cfg.Scenario {
+	case Prefork, BuildFarm:
+		// The closed loop. Chaos mode (cfg.Faults) counts its lost
+		// requests; a clean run fails on the first.
+		var b Batch
+		b, err = s.serve(cfg.Requests, 0)
+		s.requests, s.creations, s.failed = uint64(b.Served), b.Creations, uint64(b.Failed)
+		if cfg.Faults != nil {
+			err = nil
+		}
+	case Pipeline:
+		err = s.pipeline()
+	case Checkpoint:
+		err = s.checkpoint()
+	case ForkStorm:
+		err = s.forkstorm()
+	case SMPServer:
+		err = s.smpserver()
+	default:
+		err = fmt.Errorf("load: unknown scenario %q", cfg.Scenario)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("load: %s via %v: %w", cfg.Scenario, cfg.Via, err)
+	}
+
+	m := &Metrics{
+		Scenario:  string(cfg.Scenario),
+		Strategy:  cfg.Via.String(),
+		HeapBytes: s.warm.heapBytes,
+		RAMBytes:  cfg.RAMBytes,
+		NumCPUs:   cfg.CPUs,
+		Requests:  s.requests,
+		Creations: s.creations,
+
+		FailedRequests: s.failed,
+		OOMKills:       uint64(s.k.OOMKills - oomBase),
+
+		VirtualNanos: uint64(s.k.Elapsed() - t0),
+		PeakRSSBytes: s.PeakRSSBytes(),
+
+		CPUUtilization: make([]float64, cfg.CPUs),
+		ServerCPUNanos: s.serverCPU,
+	}
+	w.close(m, nil)
+	for i := range m.CPUUtilization {
+		if advanced := meter.CPUClock(i) - clockBase[i]; advanced > 0 {
+			m.CPUUtilization[i] = float64(meter.CPUBusy(i)-busyBase[i]) / float64(advanced)
+		}
+	}
+	return m, nil
 }
 
-// Drain tears down the worker pool — scale-down — and reports the
+// Drain tears down the worker pool — scale-down — and checks the
 // resource books: a leak-free strategy returns process, frame, and
-// commit counts to the post-warm-up baseline. The server cannot serve
-// after Drain; calling it twice is an error.
-func (s *Server) Drain() (DrainStats, error) {
+// commit counts to the post-warm-up baseline, and Drain names each one
+// that did not in its error. Either way the machine is retired; the
+// Server cannot serve after Drain, and calling it twice is an error.
+func (s *Server) Drain() error {
 	if s.drained {
-		return DrainStats{}, fmt.Errorf("load: Drain on a drained server")
+		return fmt.Errorf("load: Drain on a drained server")
 	}
-	s.teardown()
-	k := s.d.k
-	stats := DrainStats{
-		BaseProcs: s.warm.baseProcs, EndProcs: k.ProcessCount(),
-		BasePages: s.warm.basePages, EndPages: k.Phys().AllocatedPages(),
-		BaseCommit: s.warm.baseCmt, EndCommit: k.Phys().Committed(),
-	}
-	// Books are closed; recycle the machine into the template it was
-	// stamped from. Nil the loop's handles so nothing late can reach
-	// whatever machine is stamped into the recycled shell next.
-	s.p.release()
-	s.d.sys, s.d.k = nil, nil
-	return stats, nil
-}
-
-func (s *Server) teardown() {
 	for _, p := range s.pool {
 		p.Destroy()
 	}
 	s.pool = nil
-	s.drained = true
+	var leaks []string
+	book := func(name string, base, end uint64) {
+		if end != base {
+			leaks = append(leaks, fmt.Sprintf("%s %d -> %d", name, base, end))
+		}
+	}
+	book("processes", uint64(s.warm.baseProcs), uint64(s.k.ProcessCount()))
+	book("frames", s.warm.basePages, s.k.Phys().AllocatedPages())
+	book("commit", s.warm.baseCmt, s.k.Phys().Committed())
+	s.release()
+	if len(leaks) > 0 {
+		return fmt.Errorf("load: drain via %v is off its post-warm-up books: %s",
+			s.cfg.Via, strings.Join(leaks, ", "))
+	}
+	return nil
+}
+
+// release retires the machine: a stamped one's allocations recycle
+// into its template's next stamp (host-side only), a cold one is
+// dropped. The handles are nilled so nothing late can reach whatever
+// machine is stamped into the recycled shell next.
+func (s *Server) release() {
+	if s.tpl != nil {
+		s.tpl.Release(s.sys)
+	}
+	s.sys, s.k, s.drained = nil, nil, true
 }

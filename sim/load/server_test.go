@@ -1,6 +1,7 @@
 package load_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/sim"
@@ -9,7 +10,7 @@ import (
 
 // TestServerServesAndDrains: the persistent server serves batches
 // across the closed loop, each batch counts the workers it created,
-// and Drain returns process, frame, and commit counts to the
+// and Drain finds process, frame, and commit counts back at the
 // post-warm-up baseline under every strategy — the scale-down leak
 // invariant at its source.
 func TestServerServesAndDrains(t *testing.T) {
@@ -18,7 +19,7 @@ func TestServerServesAndDrains(t *testing.T) {
 			continue // Θ(resident bytes) per creation; covered in the cluster tests at tiny scale
 		}
 		t.Run(via.String(), func(t *testing.T) {
-			s, err := load.NewServer(load.Config{
+			s, err := (*load.Templates)(nil).Server(load.Config{
 				Via: via, HeapBytes: 4 << 20, Workers: 2,
 			})
 			if err != nil {
@@ -48,20 +49,10 @@ func TestServerServesAndDrains(t *testing.T) {
 			if rss := s.PeakRSSBytes(); rss < 4<<20 {
 				t.Errorf("peak RSS %d below resident heap", rss)
 			}
-			d, err := s.Drain()
-			if err != nil {
+			if err := s.Drain(); err != nil {
 				t.Fatal(err)
 			}
-			if d.EndProcs != d.BaseProcs {
-				t.Errorf("process leak: %d -> %d", d.BaseProcs, d.EndProcs)
-			}
-			if d.EndPages != d.BasePages {
-				t.Errorf("frame leak: %d -> %d", d.BasePages, d.EndPages)
-			}
-			if d.EndCommit != d.BaseCommit {
-				t.Errorf("commit leak: %d -> %d", d.BaseCommit, d.EndCommit)
-			}
-			if _, err := s.Drain(); err == nil {
+			if err := s.Drain(); err == nil {
 				t.Error("double Drain did not error")
 			}
 			if _, err := s.ServeBatch(1, 0); err == nil {
@@ -79,13 +70,17 @@ func TestServerServesAndDrains(t *testing.T) {
 func TestServerBudgetStopsLaunching(t *testing.T) {
 	run := func() [2]load.Batch {
 		t.Helper()
-		s, err := load.NewServer(load.Config{
+		s, err := (*load.Templates)(nil).Server(load.Config{
 			Via: sim.ForkExec, HeapBytes: 16 << 20, Workers: 2, RequestWorkMiB: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Drain()
+		defer func() {
+			if err := s.Drain(); err != nil {
+				t.Error(err)
+			}
+		}()
 		// One fork of a 16 MiB parent costs ~1ms virtual; 2ms cannot
 		// fit 50 requests.
 		b, err := s.ServeBatch(50, 2_000_000)
@@ -124,11 +119,15 @@ func TestServerBudgetStopsLaunching(t *testing.T) {
 func TestServerWarmupForkVsSpawn(t *testing.T) {
 	warm := func(t *testing.T, via sim.Strategy, heap uint64) uint64 {
 		t.Helper()
-		s, err := load.NewServer(load.Config{Via: via, HeapBytes: heap, Workers: 8})
+		s, err := (*load.Templates)(nil).Server(load.Config{Via: via, HeapBytes: heap, Workers: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Drain()
+		defer func() {
+			if err := s.Drain(); err != nil {
+				t.Error(err)
+			}
+		}()
 		if via == sim.ForkExec && s.WarmupPTECopies() == 0 {
 			t.Error("fork warm-up copied no PTEs")
 		}
@@ -174,7 +173,7 @@ func TestServerRunStampedMatchesCold(t *testing.T) {
 		if m.Requests != 6 {
 			t.Errorf("serve pass completed %d requests, want 6", m.Requests)
 		}
-		if _, err := s.Drain(); err != nil {
+		if err := s.Drain(); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.Run(); err == nil {
@@ -188,5 +187,31 @@ func TestServerRunStampedMatchesCold(t *testing.T) {
 		if got := run(tc); string(got) != string(cold) {
 			t.Errorf("stamp %d differs from cold:\nstamped: %s\ncold:    %s", i, got, cold)
 		}
+	}
+}
+
+// TestDrainNamesLeaks: Drain checks its own books. A process left on a
+// stamped Server's machine — one worker beyond the pool it parked —
+// keeps the process, frame and commit counts off the post-warm-up
+// baseline, and Drain's error names each of them.
+func TestDrainNamesLeaks(t *testing.T) {
+	s, err := load.NewTemplates().Server(load.Config{Via: sim.Spawn, HeapBytes: 4 << 20, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.System().Command("true").Via(sim.Spawn).Create(); err != nil {
+		t.Fatal(err)
+	}
+	err = s.Drain()
+	if err == nil {
+		t.Fatal("Drain left a stray process and reported no leak")
+	}
+	for _, book := range []string{"processes", "frames", "commit"} {
+		if !strings.Contains(err.Error(), book) {
+			t.Errorf("Drain error %q does not name %s", err, book)
+		}
+	}
+	if err := s.Drain(); err == nil || strings.Contains(err.Error(), "processes") {
+		t.Errorf("second Drain = %v, want the drained-server error", err)
 	}
 }

@@ -49,99 +49,64 @@ func (cfg Config) serverShape() Shape {
 	return s
 }
 
-// boot cold-boots a machine of cfg's resolved shape with the scenario
-// userland. It is the package's only machine boot: every cold run,
-// Server, migration destination, and template warm-up starts here, so
-// a stamped machine and a cold one cannot differ in what they booted.
-func boot(cfg Config) (*sim.System, error) {
+// boot cold-boots a machine of shape s with the scenario userland. It
+// is the package's only machine boot: every warm-up and migration
+// destination starts here, so a stamped machine and a cold one cannot
+// differ in what they booted.
+func boot(s Shape) (*sim.System, error) {
 	return sim.NewSystem(
-		sim.WithRAM(cfg.RAMBytes),
-		sim.WithCPUs(cfg.CPUs),
+		sim.WithRAM(s.RAMBytes),
+		sim.WithCPUs(s.CPUs),
 		sim.WithUserland("true", "echo", "cat", "hog", "smpspin"),
 	)
 }
 
-// warm boots a machine for cfg's Shape and dirties its server heap:
-// the recipe every Template freezes and every cold run repeats.
-func warm(cfg Config) (*Prepared, error) {
-	cfg = cfg.withDefaults()
-	sys, err := boot(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return prepare(sys, cfg)
-}
-
-// Template is a frozen machine warmed for one Shape: booted, userland
-// installed, server heap mapped and dirtied — the state Run reaches
-// just before it zeroes the counters and enters the scenario loop. A
-// server's template is also frozen with its worker pool parked, and
-// records the warm-up that pool cost. Stamping a machine out of it
-// skips the Θ(heap) warm-up the cold path repeats per machine;
-// virtual-time metrics are unchanged because a clone is logically the
-// warmed machine itself. Safe for concurrent Stamp calls.
+// Template is a frozen Server: a machine warmed for one Shape — booted,
+// userland installed, server heap mapped and dirtied, and a server
+// shape's worker pool parked — the state Run reaches just before it
+// zeroes the counters and enters the scenario loop, with the warm-up
+// record that state cost. Stamping a machine out of it skips the
+// Θ(heap) warm-up the cold path repeats per machine; virtual-time
+// metrics are unchanged because a clone is logically the warmed machine
+// itself. Safe for concurrent Stamp calls.
 type Template struct {
-	shape     Shape
-	tpl       *sim.Template
-	heapStart uint64
-	heapBytes uint64
+	shape Shape
+	tpl   *sim.Template
+	warm  warmup
 
-	// pool is a server template's parked workers, by pid, and warm its
-	// warm-up record; both are empty for a scenario machine.
+	// pool is the parked workers, by pid; empty for a scenario
+	// machine.
 	pool []int
-	warm warmup
 }
 
-// newTemplate warms one machine for cfg's Shape — the cold path's
-// recipe exactly — and freezes it, so a stamped run and a cold run
-// produce byte-identical Metrics.
-func newTemplate(cfg Config) (*Template, error) {
-	p, err := warm(cfg)
+// newTemplate warms one machine of shape s for cfg — the cold path's
+// recipe exactly — and freezes it with its pool and warm-up record, so
+// a stamped machine and a cold one produce byte-identical Metrics.
+func newTemplate(cfg Config, s Shape) (*Template, error) {
+	srv, err := warm(cfg, s)
 	if err != nil {
 		return nil, err
 	}
-	return freeze(p, cfg.Shape())
-}
-
-// newServerTemplate warms one Server for cfg's server shape and
-// freezes it with its parked pool and warm-up record, so a Server
-// stamped from it reproduces NewServer's post-warm-up state — warm-up
-// cost, baselines, and pool included — without re-paying the warm-up
-// host time per machine.
-func newServerTemplate(cfg Config) (*Template, error) {
-	s, err := NewServer(cfg)
+	tpl, err := srv.sys.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	t, err := freeze(s.p, cfg.serverShape())
-	if err != nil {
-		return nil, err
-	}
-	t.warm = s.warm
-	for _, w := range s.pool {
+	t := &Template{shape: s, tpl: tpl, warm: srv.warm}
+	for _, w := range srv.pool {
 		t.pool = append(t.pool, w.Pid())
 	}
 	return t, nil
 }
 
-// freeze snapshots a warmed machine into a Template of shape s.
-func freeze(p *Prepared, s Shape) (*Template, error) {
-	tpl, err := p.sys.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return &Template{shape: s, tpl: tpl, heapStart: p.heapStart, heapBytes: p.heapBytes}, nil
-}
-
-// Stamp clones the template into a fresh machine prepared for cfg's
+// Stamp clones the template into a fresh machine warmed for cfg's
 // scenario. cfg must resolve to the template's Shape.
-func (t *Template) Stamp(cfg Config) (*Prepared, error) {
-	return t.clone(cfg, cfg.Shape())
+func (t *Template) Stamp(cfg Config) (*Server, error) {
+	return t.stamp(cfg, cfg.Shape())
 }
 
-// clone stamps a fresh machine for cfg, whose resolved shape s must be
-// the template's.
-func (t *Template) clone(cfg Config, s Shape) (*Prepared, error) {
+// stamp clones a fresh, independent Server for cfg, whose shape s must
+// be the template's, and re-adopts the parked pool by pid.
+func (t *Template) stamp(cfg Config, s Shape) (*Server, error) {
 	if s != t.shape {
 		return nil, fmt.Errorf("load: stamp shape %+v from template shape %+v", s, t.shape)
 	}
@@ -149,29 +114,15 @@ func (t *Template) clone(cfg Config, s Shape) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{cfg: cfg.withDefaults(), sys: sys, heapStart: t.heapStart, heapBytes: t.heapBytes, tpl: t.tpl}, nil
-}
-
-// server clones a fresh, independent Server from a server template,
-// re-adopting the parked worker pool by pid and taking cfg's
-// serve-phase knobs (Requests, Window, RequestWorkMiB). cfg must
-// resolve to the template's server shape.
-func (t *Template) server(cfg Config) (*Server, error) {
-	s := cfg.serverShape()
-	cfg.Scenario = Prefork
-	p, err := t.clone(cfg, s)
-	if err != nil {
-		return nil, err
-	}
-	srv := newServer(p, t.warm)
+	srv := &Server{cfg: cfg.withDefaults(), sys: sys, k: sys.Kernel(), tpl: t.tpl, warm: t.warm}
 	for _, pid := range t.pool {
-		w, err := p.sys.FindProcess(pid)
+		w, err := sys.FindProcess(pid)
 		if err != nil {
 			return nil, fmt.Errorf("load: re-adopt pool worker: %w", err)
 		}
 		srv.pool = append(srv.pool, w)
 	}
-	srv.d.sample()
+	srv.sample()
 	return srv, nil
 }
 
@@ -193,16 +144,19 @@ func NewTemplates() *Templates {
 	return &Templates{shapes: map[Shape]*Template{}}
 }
 
-// template returns the cached template for shape s, warming it with
-// build on first use. The warm-up runs under tc.mu, so each shape
-// warms exactly once.
-func (tc *Templates) template(s Shape, build func() (*Template, error)) (*Template, error) {
+// template returns the template of shape s for cfg: the cached one,
+// warmed on first use (under tc.mu, so each shape warms exactly once),
+// or an uncached one when tc is nil.
+func (tc *Templates) template(cfg Config, s Shape) (*Template, error) {
+	if tc == nil {
+		return newTemplate(cfg, s)
+	}
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	if t, ok := tc.shapes[s]; ok {
 		return t, nil
 	}
-	t, err := build()
+	t, err := newTemplate(cfg, s)
 	if err != nil {
 		return nil, err
 	}
@@ -213,40 +167,37 @@ func (tc *Templates) template(s Shape, build func() (*Template, error)) (*Templa
 // Get returns the cached template for cfg's Shape, warming one on the
 // first request (a nil cache warms an uncached one).
 func (tc *Templates) Get(cfg Config) (*Template, error) {
+	return tc.template(cfg, cfg.Shape())
+}
+
+// machine returns a Server of shape s warmed for cfg: stamped from the
+// cached template, or booted and warmed cold when tc is nil.
+func (tc *Templates) machine(cfg Config, s Shape) (*Server, error) {
 	if tc == nil {
-		return newTemplate(cfg)
+		return warm(cfg, s)
 	}
-	return tc.template(cfg.Shape(), func() (*Template, error) { return newTemplate(cfg) })
+	t, err := tc.template(cfg, s)
+	if err != nil {
+		return nil, err
+	}
+	return t.stamp(cfg, s)
 }
 
 // Server stamps a ready-to-serve Server for cfg from the cached
-// template of its server shape, warming one on first use. A nil cache
-// cold-boots it with NewServer.
+// template of its server shape, warming one on first use; a nil cache
+// cold-boots it. cfg.Workers sizes the pool (default 4×CPUs — a server
+// keeps spare workers beyond its steady-state window), and cfg.Scenario
+// must be empty or Prefork: a Server serves prefork traffic.
 func (tc *Templates) Server(cfg Config) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if tc == nil {
-		return NewServer(cfg)
+	if cfg.Scenario != "" && cfg.Scenario != Prefork {
+		return nil, &SpecError{Spec: "load.Config", Field: "Scenario",
+			Reason: fmt.Sprintf("%q (a Server serves prefork traffic only)", cfg.Scenario)}
 	}
-	t, err := tc.template(cfg.serverShape(), func() (*Template, error) { return newServerTemplate(cfg) })
-	if err != nil {
-		return nil, err
-	}
-	return t.server(cfg)
-}
-
-// stamp returns a machine warmed for cfg's Shape: stamped from the
-// cached template, or booted and warmed cold when tc is nil.
-func (tc *Templates) stamp(cfg Config) (*Prepared, error) {
-	if tc == nil {
-		return warm(cfg)
-	}
-	t, err := tc.Get(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return t.Stamp(cfg)
+	cfg.Scenario = Prefork
+	return tc.machine(cfg, cfg.serverShape())
 }
 
 // Run executes one scenario on machines from the cache — stamped from
@@ -268,15 +219,15 @@ func (tc *Templates) Run(cfg Config) (*Metrics, error) {
 	case cfg.Faults != nil && cfg.Scenario != Prefork:
 		return nil, fmt.Errorf("load: scenario %s does not support fault injection (only prefork and the distributed scenarios are failure-tolerant)", cfg.Scenario)
 	}
-	p, err := tc.stamp(cfg)
+	srv, err := tc.machine(cfg, cfg.Shape())
 	if err != nil {
 		return nil, err
 	}
-	m, err := p.Run()
+	m, err := srv.Run()
 	if err != nil {
 		return nil, err
 	}
 	// The Metrics are plain data: the machine can be recycled.
-	p.release()
+	srv.release()
 	return m, nil
 }

@@ -14,7 +14,7 @@ import (
 // pages) show up as an order-of-magnitude jump.
 func BenchmarkStamp(b *testing.B) {
 	cfg := Config{Scenario: Prefork, Via: sim.Spawn, HeapBytes: 64 << 20}
-	tpl, err := newTemplate(cfg)
+	tpl, err := newTemplate(cfg, cfg.Shape())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -30,18 +30,10 @@ func BenchmarkStamp(b *testing.B) {
 // machine built from scratch. The ratio between the two is the host
 // time a template saves per machine.
 func BenchmarkColdBootWarm(b *testing.B) {
-	cfg := Config{Scenario: Prefork, Via: sim.Spawn, HeapBytes: 64 << 20}.withDefaults()
+	cfg := Config{Scenario: Prefork, Via: sim.Spawn, HeapBytes: 64 << 20}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys, err := sim.NewSystem(
-			sim.WithRAM(cfg.RAMBytes),
-			sim.WithCPUs(cfg.CPUs),
-			sim.WithUserland("true", "echo", "cat", "hog", "smpspin"),
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := prepare(sys, cfg); err != nil {
+		if _, err := warm(cfg, cfg.Shape()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,12 +17,13 @@ import (
 // same per-CPU utilisation, everything. The stamped side runs through
 // a shared Templates cache, so the test also exercises one template
 // serving many scenarios and strategies of the same warm Shape. The
-// Migrate row pins the stamped (and recycled) migration source against
-// a cold one, vfork's refusal included.
+// network rows hold stamped backend Servers against cold ones, and the
+// Migrate rows the stamped (and recycled) migration source, vfork's
+// refusal included.
 func TestTemplateRunMatchesColdRun(t *testing.T) {
 	tc := NewTemplates()
 	for _, cpus := range []int{1, 2, 8} {
-		for _, scen := range []Scenario{Prefork, ForkStorm, SMPServer, Migrate} {
+		for _, scen := range Scenarios() {
 			for _, via := range append(sim.Strategies(), sim.EagerForkExec) {
 				cfg := Config{
 					Scenario: scen, Via: via, CPUs: cpus,
@@ -84,7 +85,7 @@ func TestTemplateShapeSharing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Drain(); err != nil {
+		if err := s.Drain(); err != nil {
 			t.Fatal(err)
 		}
 		got := tc.shapes[base.serverShape()]
@@ -108,7 +109,8 @@ func TestTemplateShapeSharing(t *testing.T) {
 // config whose resolved shape differs from the template's must fail
 // rather than silently produce a wrong-shaped machine.
 func TestTemplateStampShapeMismatch(t *testing.T) {
-	tpl, err := newTemplate(Config{Scenario: Prefork, Via: sim.Spawn, HeapBytes: 4 << 20})
+	cfg := Config{Scenario: Prefork, Via: sim.Spawn, HeapBytes: 4 << 20}
+	tpl, err := newTemplate(cfg, cfg.Shape())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,5 +176,42 @@ func TestNegativeCountsRejected(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestServerRejectsScenario: a Server serves prefork traffic only, and
+// every path to one refuses another scenario the same way — a
+// *SpecError on Scenario before any machine boots — whether the cache
+// is nil, empty, or already holds a template of that server shape.
+func TestServerRejectsScenario(t *testing.T) {
+	cfg := Config{Via: sim.Spawn, HeapBytes: 4 << 20, Workers: 1}
+	warmed := NewTemplates()
+	s, err := warmed.Server(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	bad := cfg
+	bad.Scenario = ForkStorm
+	for _, c := range []struct {
+		name string
+		tc   *Templates
+	}{{"nil", nil}, {"fresh", NewTemplates()}, {"warmed", warmed}} {
+		t.Run(c.name, func(t *testing.T) {
+			var cached int
+			if c.tc != nil {
+				cached = len(c.tc.shapes)
+			}
+			s, err := c.tc.Server(bad)
+			var se *SpecError
+			if !errors.As(err, &se) || se.Spec != "load.Config" || se.Field != "Scenario" || se.Reason == "" {
+				t.Fatalf("got server %v, error %v; want a *SpecError on load.Config Scenario", s, err)
+			}
+			if c.tc != nil && len(c.tc.shapes) != cached {
+				t.Errorf("%d templates cached after the refusal, want %d", len(c.tc.shapes), cached)
+			}
+		})
 	}
 }
