@@ -154,6 +154,55 @@ func BenchmarkCloneCOW(b *testing.B) {
 	}
 }
 
+// BenchmarkDestroy measures a worker's page-table teardown in its two
+// shapes. Exit is a spawned worker's exit: one leaf of 256 faulted
+// pages, each frame freed on its last reference. ForkedLink is exec's
+// teardown of the image fork gave it: a 64 MiB parent's CloneCOW child,
+// every leaf fork-shared, so each is dropped by its link alone. The
+// refault and the clone that build each space are off the timer.
+func BenchmarkDestroy(b *testing.B) {
+	b.Run("Exit", func(b *testing.B) {
+		sys, err := sim.NewSystem(sim.WithRAM(1<<30), sim.WithUserland("true"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		k := sys.Kernel()
+		const length = 256 << 12
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			space := addrspace.New(k.Phys(), k.Meter())
+			vma, err := space.Map(0, length, addrspace.Read|addrspace.Write, addrspace.MapOpts{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := space.Touch(vma.Start, length, addrspace.AccessWrite); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			space.Destroy()
+		}
+	})
+	b.Run("ForkedLink", func(b *testing.B) {
+		sys, err := sim.NewSystem(sim.WithRAM(4<<30), sim.WithUserland("true"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sys.DirtyHost(64*mib, false); err != nil {
+			b.Fatal(err)
+		}
+		space := sys.Host().Space()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			c, err := space.CloneCOW()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			c.Destroy()
+		}
+	})
+}
+
 // BenchmarkVMExecution measures host-side interpreter speed
 // (instructions per host second) on a tight arithmetic loop.
 func BenchmarkVMExecution(b *testing.B) {

@@ -396,21 +396,48 @@ func (p *Physical) IncRefs(fs []FrameID) {
 }
 
 // DecRefs drops a reference from every frame in fs, exactly as a loop
-// of DecRef would. A live base frame that stays referenced is
-// decremented in line; every other id — a last reference, a huge
-// frame, a free or out-of-range one — goes through DecRef, so frees
-// happen in fs order (keeping the LIFO free list, and with it every
-// later Alloc id, unchanged), are charged one FrameFree each, and bad
-// ids panic as in DecRef.
+// of DecRef would. A live base frame is handled in line: decremented
+// while it stays referenced, and on its last reference freed as DecRef
+// frees it — its data slot emptied if it has one, the frame pushed on
+// the LIFO free list — in fs order, so the free list, the slot stack
+// and with them every later Alloc id and data slot are unchanged. The
+// in-line frees' books, allocatedPages and one FrameFree each, are
+// applied in one step, exact because nothing reads the clock between
+// them. Every other id — a huge frame, a free or out-of-range one —
+// goes through DecRef once the frees before it are booked, so its
+// panics are DecRef's and leave the books a loop would have left.
 func (p *Physical) DecRefs(fs []FrameID) {
 	frames := p.frames // DecRef never grows the table
+	var freed uint64
 	for _, f := range fs {
-		if uint64(f) < uint64(len(frames)) && frames[f].refs > 1 {
-			frames[f].refs--
-			continue
+		var fr *frame
+		if uint64(f) < uint64(len(frames)) {
+			fr = &frames[f]
 		}
-		p.DecRef(f)
+		switch {
+		case fr != nil && fr.refs > 1:
+			fr.refs--
+		case fr != nil && fr.refs == 1:
+			if fr.next != 0 { // most frames are lazy zeroes, with no slot
+				p.dropData(fr)
+			}
+			*fr = frame{next: uint32(p.freeHead)}
+			p.freeHead = f
+			freed++
+		default:
+			p.bookFrees(freed)
+			freed = 0
+			p.DecRef(f)
+		}
 	}
+	p.bookFrees(freed)
+}
+
+// bookFrees applies the books of n base frames freed in line: the pages
+// handed back and one FrameFree charge each.
+func (p *Physical) bookFrees(n uint64) {
+	p.allocatedPages -= n
+	p.meter.Charge(cost.Ticks(n) * p.meter.Model.FrameFree)
 }
 
 // Refs reports the reference count of f.

@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -365,9 +366,14 @@ func TestQuickWriteReadRoundtrip(t *testing.T) {
 
 // TestBatchRefsMatchPerFrameLoop: IncRefs and DecRefs are exactly a
 // loop of IncRef and DecRef — same counts, same frees charged, and the
-// same free-list order, so every later Alloc hands out the same id.
+// same free-list and data-slot order, so every later Alloc hands out
+// the same id and every later write the same slot. The frames the
+// batch frees hold bytes of every kind: owned, adopted from a file and
+// shared with a clone, which must still read its own after the source
+// frees them; a huge frame is freed in mid-batch.
 func TestBatchRefsMatchPerFrameLoop(t *testing.T) {
-	build := func() (*Physical, []FrameID, FrameID) {
+	file := bytes.Repeat([]byte("file page "), 410)
+	build := func() (*Physical, *Physical, []FrameID, FrameID) {
 		p := newPhys(4<<20, 0, CommitHeuristic)
 		a := make([]FrameID, 8)
 		for i := range a {
@@ -380,14 +386,23 @@ func TestBatchRefsMatchPerFrameLoop(t *testing.T) {
 		p.IncRef(a[1])
 		p.IncRef(a[1])
 		p.IncRef(a[3])
-		return p, a, h
+		// a5's bytes are shared with a clone, a0, a6 and h own theirs,
+		// and a2 adopts a file page.
+		p.Write(a[5], 100, []byte("cloned"))
+		clone := p.CloneHost(cost.NewMeter(cost.DefaultModel()))
+		p.Write(a[0], 0, []byte("owned a0"))
+		p.Write(a[6], 7, []byte("owned a6"))
+		p.Write(h, 0, []byte("huge"))
+		p.Adopt(a[2], file[:PageSize])
+		return p, clone, a, h
 	}
-	batch, a, h := build()
-	loop, _, _ := build()
+	batch, clone, a, h := build()
+	loop, _, _, _ := build()
 
 	// share bumps a1 twice, a3 and h once; drop then frees a0, a2, a5,
-	// a6 and h on their last reference, leaves a1 shared, and walks the
-	// repeated a3 down through the in-line path to its free.
+	// a6 and h on their last reference, h between a5 and a2, leaves a1
+	// shared, and walks the repeated a3 down through the in-line path
+	// to its free.
 	share := []FrameID{a[1], a[3], a[1], h}
 	drop := []FrameID{a[0], a[1], a[3], a[3], a[3], a[5], h, h, a[2], a[6]}
 	batch.IncRefs(share)
@@ -410,8 +425,8 @@ func TestBatchRefsMatchPerFrameLoop(t *testing.T) {
 	if got, want := batch.AllocatedPages(), loop.AllocatedPages(); got != want || got != 3 {
 		t.Errorf("AllocatedPages = %d, per-frame loop %d, want 3", got, want)
 	}
-	if got, want := batch.meter.Now(), loop.meter.Now(); got != want {
-		t.Errorf("meter clock = %v, per-frame loop %v", got, want)
+	if got, want := books(batch), books(loop); got != want {
+		t.Errorf("books after the batch %s, per-frame loop %s", got, want)
 	}
 	for i := 0; i < 8; i++ {
 		got, err1 := batch.Alloc()
@@ -419,24 +434,53 @@ func TestBatchRefsMatchPerFrameLoop(t *testing.T) {
 		if err1 != nil || err2 != nil || got != want {
 			t.Fatalf("Alloc #%d = %d (%v), per-frame loop %d (%v)", i, got, err1, want, err2)
 		}
+		batch.Write(got, 0, []byte{0xff})
+		loop.Write(want, 0, []byte{0xff})
+		if gs, ws := batch.slot(got).next, loop.slot(want).next; gs != ws {
+			t.Fatalf("Alloc #%d's write took data slot %d, per-frame loop %d", i, gs, ws)
+		}
+	}
+	if got, want := books(batch), books(loop); got != want {
+		t.Errorf("books after the Allocs %s, per-frame loop %s", got, want)
 	}
 	if hb, _ := batch.AllocHuge(); hb != h {
 		t.Errorf("AllocHuge = %d, want the freed huge frame %d", hb, h)
 	}
-
-	// A free id panics in the batch exactly as in DecRef / IncRef.
-	free, _, _ := build()
-	free.DecRef(a[0])
-	for name, f := range map[string]func(){
-		"DecRefs": func() { free.DecRefs([]FrameID{a[2], a[0]}) },
-		"IncRefs": func() { free.IncRefs([]FrameID{a[0]}) },
-	} {
-		got := recoverPanic(f)
-		want := recoverPanic(func() { free.DecRef(a[0]) })
-		if got == nil || got != want {
-			t.Errorf("%s on a free frame panicked %v, DecRef %v", name, got, want)
-		}
+	if got := readFrame(clone, a[5], 106)[100:]; string(got) != "cloned" {
+		t.Errorf("the clone reads %q where the source freed its shared bytes, want %q", got, "cloned")
 	}
+
+	// A free id panics in the batch exactly as in DecRef / IncRef, and
+	// leaves the books the loop leaves: the in-line frees before it
+	// (a2 and a5, both holding bytes) are booked.
+	bad, _, _, _ := build()
+	badLoop, _, _, _ := build()
+	bad.DecRef(a[0])
+	badLoop.DecRef(a[0])
+	fs := []FrameID{a[2], a[5], a[0], a[6]}
+	got := recoverPanic(func() { bad.DecRefs(fs) })
+	want := recoverPanic(func() {
+		for _, f := range fs {
+			badLoop.DecRef(f)
+		}
+	})
+	if got == nil || got != want {
+		t.Errorf("DecRefs on a free frame panicked %v, the DecRef loop %v", got, want)
+	}
+	if g, w := books(bad), books(badLoop); g != w {
+		t.Errorf("books after the panic %s, per-frame loop %s", g, w)
+	}
+	if g := recoverPanic(func() { bad.IncRefs([]FrameID{a[0]}) }); g == nil || g != want {
+		t.Errorf("IncRefs on a free frame panicked %v, DecRef %v", g, want)
+	}
+}
+
+// books is what a run of frees leaves for later ops to read: the pages
+// handed out, the clock, the heads of both free lists and the stack of
+// empty data slots.
+func books(p *Physical) string {
+	return fmt.Sprint("allocated ", p.allocatedPages, ", clock ", p.meter.Now(),
+		", free head ", p.freeHead, ", huge free ", p.hfree, ", free slots ", p.freeSlots)
 }
 
 func recoverPanic(f func()) (v any) {

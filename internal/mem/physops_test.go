@@ -507,6 +507,19 @@ func FuzzPhysOps(f *testing.F) {
 		4, 0, 0, 0, 0, 0, 0, 0, 7, 0xff, 1, 0, // free 0, Alloc 0, fill it anew
 		15, 0, 1, 0, 9, 0xff, 0, 0, // switch to the clone, read
 	})
+	// One DecRefs batch frees four frames that hold bytes of every
+	// kind — clone-shared, huge and owned, owned, adopted — then a
+	// write takes a pooled buffer for the reused frame, and the clone
+	// reads back the bytes the source freed.
+	f.Add([]byte{
+		0, 0, 0, 0, 7, 0xff, 0, 0, 14, 2, 0, 0, // Alloc 0, fill it, clone, stay on the source
+		0, 0, 0, 0, 7, 0xff, 1, 0, // Alloc 1, fill it
+		0, 0, 0, 0, 10, 255, 101, 0, // Alloc 2, Adopt a file page into it
+		1, 0, 0, 0, 7, 0xff, 3, 0, // AllocHuge, fill it from byte 183
+		6, 3, 0, 0, // DecRefs 0, the huge frame, 1, 2
+		0, 0, 0, 0, 7, 0x81, 0, 0, // Alloc 2 again, Write 54 bytes
+		15, 0, 1, 0, 9, 0xff, 0, 0, // switch to the clone, read 0
+	})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 1<<14 {
 			ops = ops[:1<<14]

@@ -23,20 +23,30 @@ import (
 //     child array, an interior node a child array, and an entry array
 //     only at level 1, where no slot holds both a child and an entry;
 //   - the nodes each pool hands out next have their pool's shape and
-//     are zeroed.
+//     are zeroed;
+//   - each table's Entries, HugeEntries and Nodes count what its tree
+//     holds (all zero once it is destroyed), since Destroy reports and
+//     charges them without a walk.
 //
 // It scans all 512 slots of every distinct node, so it does not trust
 // the bitmap it is checking. Pass every live table that can link the
 // same leaves, or the link counts cannot balance.
 func CheckHostState(tabs ...*Table) error {
 	links := map[*node]int{}
-	checked := map[*node]bool{}
+	seen := map[*node]tally{}
 	for _, t := range tabs {
 		if t.root == nil {
+			if t.entries != 0 || t.hugeEntries != 0 || t.nodes != 0 {
+				return fmt.Errorf("destroyed table counts %d entries, %d huge, %d nodes", t.entries, t.hugeEntries, t.nodes)
+			}
 			continue
 		}
-		if err := checkNode(t.root, 0, Levels-1, links, checked); err != nil {
+		if err := checkNode(t.root, 0, Levels-1, links, seen); err != nil {
 			return err
+		}
+		if c := seen[t.root]; c != (tally{nodes: t.nodes, entries: t.entries, huge: t.hugeEntries}) {
+			return fmt.Errorf("table counts %d entries, %d huge, %d nodes; its tree holds %d, %d, %d",
+				t.entries, t.hugeEntries, t.nodes, c.entries, c.huge, c.nodes)
 		}
 		if t.leaf == nil {
 			continue
@@ -57,6 +67,11 @@ func CheckHostState(tabs ...*Table) error {
 	}
 	return checkPools()
 }
+
+// tally is what a subtree holds: its page-table pages below its root,
+// its present entries (a huge one counting once) and, of those, the
+// huge ones. A table's counters must equal its root's.
+type tally struct{ nodes, entries, huge int }
 
 // checkShape holds n to the shape of a node at level.
 func checkShape(n *node, level int) error {
@@ -110,14 +125,16 @@ var (
 	noPTEs [entriesPerNode]PTE
 )
 
-func checkNode(n *node, base uint64, level int, links map[*node]int, checked map[*node]bool) error {
+// checkNode checks the subtree at n and records its tally in seen,
+// which holds the tally of every node already checked, so a node that
+// several tables link is scanned once.
+func checkNode(n *node, base uint64, level int, links map[*node]int, seen map[*node]tally) error {
 	if level == 0 && !n.shared {
 		links[n]++
 	}
-	if checked[n] {
+	if _, ok := seen[n]; ok {
 		return nil
 	}
-	checked[n] = true
 	if err := checkShape(n, level); err != nil {
 		return fmt.Errorf("level-%d node at %#x: %v", level, base, err)
 	}
@@ -128,6 +145,7 @@ func checkNode(n *node, base uint64, level int, links map[*node]int, checked map
 	if ptes == nil {
 		ptes = &noPTEs
 	}
+	var c tally
 	var want [usedWords]uint64
 	for i := range entriesPerNode {
 		kid, e := kids[i], ptes[i]
@@ -136,6 +154,12 @@ func checkNode(n *node, base uint64, level int, links map[*node]int, checked map
 		}
 		if kid != nil || e.Present() {
 			want[i/64] |= 1 << (i % 64)
+		}
+		if e.Present() {
+			c.entries++
+			if level > 0 {
+				c.huge++
+			}
 		}
 		if level == 0 && n.forked && e.Present() && forkEntry(e) != e {
 			return fmt.Errorf("forked leaf at %#x holds %v in slot %d", base, e, i)
@@ -154,16 +178,22 @@ func checkNode(n *node, base uint64, level int, links map[*node]int, checked map
 		case n.forks > 0 && (!n.forked || n.shared):
 			return fmt.Errorf("fork-shared leaf at %#x: forked=%v template-shared=%v", base, n.forked, n.shared)
 		}
+		seen[n] = c
 		return nil
 	}
 	span := uint64(1) << (mem.PageShift + uint(level)*LevelBits)
 	for i, kid := range n.kids {
 		if kid != nil {
-			if err := checkNode(kid, base+uint64(i)*span, level-1, links, checked); err != nil {
+			if err := checkNode(kid, base+uint64(i)*span, level-1, links, seen); err != nil {
 				return err
 			}
+			kc := seen[kid]
+			c.nodes += 1 + kc.nodes
+			c.entries += kc.entries
+			c.huge += kc.huge
 		}
 	}
+	seen[n] = c
 	return nil
 }
 

@@ -14,11 +14,13 @@
 // of one fault share a single host walk, and Fill faults in a leaf's
 // run of absent pages in one pass; and CloneCOW links the parent's
 // leaves into the child instead of copying them, so a fork and exec's
-// teardown of the copy cost the host O(nodes), not O(entries). Host memory is kept small too: a node carries only the
-// one 4 KiB array its level uses (entries at a leaf, children above
-// it), leaves and interior nodes come from pools of their own, and a
-// TLB entry is a virtual page number and a PTE, the PTE's present bit
-// serving as the valid bit. None of it moves a charge — every walk,
+// teardown of the copy cost the host O(nodes), not O(entries): Destroy
+// reads its page count from the table's counters and drops a linked
+// leaf by its link alone. Host memory is kept small too: a node carries
+// only the one 4 KiB array its level uses (entries at a leaf, children
+// above it), leaves and interior nodes come from pools of their own,
+// and a TLB entry is a virtual page number and a PTE, the PTE's present
+// bit serving as the valid bit. None of it moves a charge — every walk,
 // entry write and node is priced as before, and the virtual cost is
 // still Θ(mapped pages).
 //
@@ -1035,7 +1037,10 @@ func (c *Table) cloneEagerNode(pn, cn *node, level int, cc *cloneCounts) error {
 
 // Destroy tears the tree down and returns how many 4 KiB pages its
 // entries mapped (a huge entry counts 512), charging the node-free
-// cost for every page-table page including the root.
+// cost for every page-table page including the root. Both counts come
+// from the table's own books — entries, hugeEntries and nodes, which
+// every write keeps exact — so the walk counts nothing, and dropping a
+// fork-shared leaf's link is O(1).
 //
 // With release == nil the table drops every entry's frame reference
 // itself, one DecRefs call per leaf, in ascending va order; from a
@@ -1044,32 +1049,32 @@ func (c *Table) cloneEagerNode(pn, cn *node, level int, cc *cloneCounts) error {
 // present leaf entry, in the same order, and takes over that entry's
 // reference; a fork-shared leaf's deferred references are taken first.
 func (t *Table) Destroy(release func(va uint64, e PTE)) (pages uint64) {
-	td := teardown{phys: t.phys, release: release, nodes: 1} // the root
+	pages = uint64(t.entries-t.hugeEntries) + uint64(t.hugeEntries)*mem.FramesPerHuge
+	td := teardown{phys: t.phys, release: release}
 	td.node(t.root, 0, Levels-1)
 	t.root, t.leaf = nil, nil
-	t.meter.Charge(cost.Ticks(td.nodes) * t.meter.Model.PTNodeFree)
+	t.meter.Charge(cost.Ticks(t.nodes+1) * t.meter.Model.PTNodeFree) // the root too
 	t.entries, t.nodes, t.hugeEntries = 0, 0, 0
 	t.tlb = [tlbSize]tlbEntry{}
-	return td.pages
+	return pages
 }
 
 // teardown is one Destroy walk: where each entry's frame reference
-// goes, and the page-table pages and mapped pages counted on the way.
+// goes, and the one buffer every leaf's frames gather in on their way
+// to DecRefs, zeroed once per Destroy rather than once per leaf.
 type teardown struct {
 	phys    *mem.Physical
 	release func(va uint64, e PTE) // nil: drop references through phys
-	nodes   uint64                 // page-table pages freed, root included
-	pages   uint64                 // 4 KiB pages the entries mapped
+	frames  [entriesPerNode]mem.FrameID
 }
 
 // node visits only the slots n's bitmap marks used and zeroes them,
 // bitmap included, drops a level-1 node's huge-entry array, and returns
 // n to its pool fully cleared, so newNode needs no re-initialisation.
-// The per-node free cost is counted here and charged in one batch by
-// Destroy. Template-shared nodes are left untouched and unpooled —
-// other tables still alias them — but their frees are still counted:
-// the clone logically owned and freed them, and the cold machine it
-// must stay metric-identical to charges for every one.
+// Template-shared nodes are left untouched and unpooled — other tables
+// still alias them — but Destroy still charges their frees: the clone
+// logically owned and freed them, and the cold machine it must stay
+// metric-identical to charges for every one.
 func (td *teardown) node(n *node, base uint64, level int) {
 	if level == 0 {
 		td.leaf(n, base)
@@ -1081,9 +1086,7 @@ func (td *teardown) node(n *node, base uint64, level int) {
 			i := w*64 + bits.TrailingZeros64(word)
 			va := base + uint64(i)*span
 			if level == 1 && n.huge(i) {
-				e := n.ptes[i]
-				td.pages += mem.FramesPerHuge
-				if td.release != nil {
+				if e := n.ptes[i]; td.release != nil {
 					td.release(va, e)
 				} else {
 					td.phys.DecRef(e.Frame())
@@ -1095,7 +1098,6 @@ func (td *teardown) node(n *node, base uint64, level int) {
 				if !n.shared {
 					n.kids[i] = nil
 				}
-				td.nodes++
 			}
 		}
 	}
@@ -1107,20 +1109,19 @@ func (td *teardown) node(n *node, base uint64, level int) {
 }
 
 // leaf releases a level-0 node's entries. Without a release callback
-// the frame ids gather in a stack buffer and go to one DecRefs call. A
-// fork-shared leaf only loses this table's link: the references its
-// entries hold stay with the tables that still link it, so a release
-// callback is handed references taken for it first.
+// the frame ids gather in the walk's buffer and go to one DecRefs call.
+// A fork-shared leaf only loses this table's link: the references its
+// entries hold stay with the tables that still link it, so without a
+// callback dropping it is forks-- alone, and a release callback is
+// handed references taken for it first.
 func (td *teardown) leaf(n *node, base uint64) {
-	var frames [entriesPerNode]mem.FrameID
 	keep := n.shared || n.forks > 0 // other tables still link n
 	if n.forks > 0 {
 		n.forks--
 		if td.release == nil {
-			td.pages += n.count()
 			return
 		}
-		td.phys.IncRefs(n.frames(&frames))
+		td.phys.IncRefs(n.frames(&td.frames))
 	}
 	k := 0
 	for w, word := range n.used {
@@ -1135,16 +1136,15 @@ func (td *teardown) leaf(n *node, base uint64) {
 			if td.release != nil {
 				td.release(base+uint64(i)<<mem.PageShift, e)
 			} else {
-				frames[k] = e.Frame()
+				td.frames[k] = e.Frame()
 				k++
 			}
-			td.pages++
 		}
 		if !keep {
 			clear(n.ptes[w*64 : w*64+64])
 		}
 	}
-	td.phys.DecRefs(frames[:k])
+	td.phys.DecRefs(td.frames[:k])
 	if !keep {
 		n.used = [usedWords]uint64{}
 		n.forked = false

@@ -141,14 +141,19 @@ type Disposition struct {
 }
 
 // Table holds a process's dispositions. The zero value has every
-// signal at default.
+// signal at default. The dispositions sit behind a pointer that stays
+// nil while every signal is at default, as in almost every process, so
+// a default table costs 8 host bytes rather than 768, and cloning one
+// copies nothing. Set allocates the array on the first non-default
+// disposition, and a clone gets its own copy of it; no two tables ever
+// share one.
 type Table struct {
-	acts [MaxSignal + 1]Disposition
+	acts *[MaxSignal + 1]Disposition
 }
 
 // Get returns the disposition for sg.
 func (t *Table) Get(sg Signal) Disposition {
-	if !sg.Valid() {
+	if !sg.Valid() || t.acts == nil {
 		return Disposition{}
 	}
 	return t.acts[sg]
@@ -163,6 +168,12 @@ func (t *Table) Set(sg Signal, d Disposition) error {
 	if (sg == SIGKILL || sg == SIGSTOP) && d.Kind != ActDefault {
 		return fmt.Errorf("sig: %v cannot be caught or ignored", sg)
 	}
+	if t.acts == nil {
+		if d == (Disposition{}) {
+			return nil
+		}
+		t.acts = new([MaxSignal + 1]Disposition)
+	}
 	t.acts[sg] = d
 	return nil
 }
@@ -170,14 +181,20 @@ func (t *Table) Set(sg Signal, d Disposition) error {
 // Clone copies the table — the fork path. Every handler address comes
 // along, valid or not in the child's eventual image.
 func (t *Table) Clone() *Table {
-	nt := *t
-	return &nt
+	if t.acts == nil {
+		return &Table{}
+	}
+	acts := *t.acts
+	return &Table{acts: &acts}
 }
 
 // ResetForExec applies the POSIX exec rule: caught signals revert to
 // default (their handler addresses are meaningless in the new image);
 // ignored and default dispositions survive.
 func (t *Table) ResetForExec() {
+	if t.acts == nil {
+		return
+	}
 	for i := range t.acts {
 		if t.acts[i].Kind == ActHandler {
 			t.acts[i] = Disposition{}
@@ -188,6 +205,9 @@ func (t *Table) ResetForExec() {
 // ResetAll restores every disposition to default (posix_spawn's
 // POSIX_SPAWN_SETSIGDEF for the given set).
 func (t *Table) ResetAll(set Set) {
+	if t.acts == nil {
+		return
+	}
 	for sg := Signal(1); sg <= MaxSignal; sg++ {
 		if set.Has(sg) {
 			t.acts[sg] = Disposition{}

@@ -90,6 +90,67 @@ func TestTableRules(t *testing.T) {
 	}
 }
 
+// TestTableCloneNeverAliases: a default table holds no dispositions,
+// so setting a default disposition on one allocates nothing; and a
+// table cloned before or after its first non-default Set never shares
+// dispositions with its source, in either direction — including a
+// clone copied over another table, as the fork emulation does through
+// Signals().
+func TestTableCloneNeverAliases(t *testing.T) {
+	fresh := make([]Table, 101) // AllocsPerRun's warm-up run and 100 more
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		if err := fresh[i].Set(SIGTERM, Disposition{}); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n != 0 {
+		t.Errorf("Set of a default disposition on a default table allocated %v times per call", n)
+	}
+	for i := range fresh {
+		if fresh[i].acts != nil {
+			t.Fatalf("table %d holds dispositions after a default Set", i)
+		}
+	}
+
+	var src Table
+	before := src.Clone()
+	handler := Disposition{Kind: ActHandler, Handler: 0x400100}
+	if err := src.Set(SIGUSR1, handler); err != nil {
+		t.Fatal(err)
+	}
+	after := src.Clone()
+	var copied Table
+	copied = *src.Clone()
+	if before.Get(SIGUSR1).Kind != ActDefault {
+		t.Error("a clone made before Set sees it")
+	}
+	for name, c := range map[string]*Table{"after": after, "copied": &copied} {
+		if c.Get(SIGUSR1) != handler {
+			t.Errorf("clone %s lost the handler", name)
+		}
+	}
+	// Writes through each clone stay on it.
+	before.Set(SIGUSR2, Disposition{Kind: ActIgnore})
+	after.Set(SIGUSR1, Disposition{Kind: ActIgnore})
+	copied.Set(SIGHUP, Disposition{Kind: ActIgnore})
+	copied.ResetForExec()
+	if src.Get(SIGUSR2).Kind != ActDefault || src.Get(SIGHUP).Kind != ActDefault || src.Get(SIGUSR1) != handler {
+		t.Error("a write through a clone reached its source")
+	}
+	// And writes through the source stay on it.
+	src.Set(SIGINT, Disposition{Kind: ActIgnore})
+	src.ResetAll(MakeSet(SIGUSR1))
+	for name, c := range map[string]*Table{"before": before, "after": after, "copied": &copied} {
+		if c.Get(SIGINT).Kind != ActDefault {
+			t.Errorf("a write through the source reached clone %s", name)
+		}
+	}
+	if after.Get(SIGUSR1).Kind != ActIgnore || copied.Get(SIGUSR1) != (Disposition{}) {
+		t.Errorf("clones read %v and %v for SIGUSR1, want ignore and default", after.Get(SIGUSR1), copied.Get(SIGUSR1))
+	}
+}
+
 func TestDefaults(t *testing.T) {
 	if DefaultFor(SIGCHLD) != EffectIgnore {
 		t.Error("SIGCHLD default should be ignore")

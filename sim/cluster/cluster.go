@@ -192,6 +192,18 @@ func (e *engine) cordoned(z, step int) bool {
 	return e.lastKill[z] >= 0 && step-e.lastKill[z] < e.spec.CordonSteps
 }
 
+// serverConfig is the Server config every machine of pool ps boots
+// from.
+func (e *engine) serverConfig(ps PoolSpec) load.Config {
+	return load.Config{
+		Via:            ps.Via,
+		CPUs:           ps.CPUs,
+		HeapBytes:      ps.HeapBytes,
+		Workers:        ps.Workers,
+		RequestWorkMiB: e.spec.RequestWorkMiB,
+	}
+}
+
 // boot stamps the Servers for the allocated shells from the run's
 // template cache, host-parallel, merging in id order.
 func (e *engine) boot(ms []*machine) error {
@@ -201,13 +213,7 @@ func (e *engine) boot(ms []*machine) error {
 	err := fleet.ForEach(fleet.PoolSize(len(ms)), len(ms), func(i int) error {
 		m := ms[i]
 		ps := e.pools[m.pool].spec
-		srv, err := e.boots.Server(load.Config{
-			Via:            ps.Via,
-			CPUs:           ps.CPUs,
-			HeapBytes:      ps.HeapBytes,
-			Workers:        ps.Workers,
-			RequestWorkMiB: e.spec.RequestWorkMiB,
-		})
+		srv, err := e.boots.Server(e.serverConfig(ps))
 		if err != nil {
 			return fmt.Errorf("cluster: boot machine %d (pool %s): %w", m.id, ps.Name, err)
 		}

@@ -182,6 +182,25 @@ func TestScaleDownLeakInvariant(t *testing.T) {
 	}
 }
 
+// TestPoolHeapIsMapped: a pool reports the heap its machines mapped,
+// not the one requested: a 5000-byte heap maps two pages, in the JSON
+// and in the rendered table.
+func TestPoolHeapIsMapped(t *testing.T) {
+	rep, err := cluster.Run(cluster.Spec{
+		Pools:   []cluster.PoolSpec{{Name: "p", Via: sim.Spawn, CPUs: 1, HeapBytes: 5000, Workers: 2}},
+		Traffic: []cluster.Phase{{Steps: 4, PerStep: 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Pools[0].HeapBytes; got != 2*4096 {
+		t.Errorf("pool heap %d bytes, want the two pages its machines map", got)
+	}
+	if out := rep.Render(); !strings.Contains(out, " 8KiB ") {
+		t.Errorf("render does not name the 8KiB heap:\n%s", out)
+	}
+}
+
 // TestUnderProvisionedClusterErrors: a fleet that can never drain its
 // backlog hits MaxSteps and reports it instead of spinning forever.
 func TestUnderProvisionedClusterErrors(t *testing.T) {

@@ -26,9 +26,11 @@ type ScaleOut struct {
 
 // PoolReport is one pool's deterministic outcome.
 type PoolReport struct {
-	Pool      string `json:"pool"`
-	Strategy  string `json:"strategy"`
-	CPUs      int    `json:"cpus"`
+	Pool     string `json:"pool"`
+	Strategy string `json:"strategy"`
+	CPUs     int    `json:"cpus"`
+	// HeapBytes is the heap each of the pool's machines mapped:
+	// PoolSpec.HeapBytes rounded up to the page, as warm-up maps it.
 	HeapBytes uint64 `json:"heap_bytes"`
 	Workers   int    `json:"workers,omitempty"`
 
@@ -114,7 +116,7 @@ func (e *engine) report(steps int) *Report {
 			Pool:                p.spec.Name,
 			Strategy:            p.spec.Via.String(),
 			CPUs:                p.spec.CPUs,
-			HeapBytes:           p.spec.HeapBytes,
+			HeapBytes:           e.serverConfig(p.spec).Shape().MappedHeapBytes(),
 			Workers:             p.spec.Workers,
 			Served:              p.served,
 			Failed:              p.failed,

@@ -403,9 +403,11 @@ type Aggregate struct {
 // the emitted report is byte-stable across hosts and GOMAXPROCS
 // settings.
 type Result struct {
-	Scenario  string `json:"scenario"`
-	Load      string `json:"load"`
-	Strategy  string `json:"strategy"`
+	Scenario string `json:"scenario"`
+	Load     string `json:"load"`
+	Strategy string `json:"strategy"`
+	// HeapBytes is the heap every machine mapped: Spec.HeapBytes
+	// rounded up to the page, as each machine's phases report it.
 	HeapBytes uint64 `json:"heap_bytes"`
 
 	// Machines is the per-machine breakdown, populated only when
@@ -456,7 +458,7 @@ func Run(spec Spec) (*Result, error) {
 		Scenario:         string(spec.Scenario),
 		Load:             string(spec.Load),
 		Strategy:         spec.Via.String(),
-		HeapBytes:        spec.HeapBytes,
+		HeapBytes:        spec.machine(0).loadConfig().Shape().MappedHeapBytes(),
 		Machines:         m.keep,
 		Aggregate:        m.agg.aggregate(),
 		HostElapsed:      time.Since(start),

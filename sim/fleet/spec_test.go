@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/sim"
 	"repro/sim/load"
 )
 
@@ -74,5 +75,26 @@ func TestRunRejectsInvalidSpec(t *testing.T) {
 	var se *load.SpecError
 	if !errors.As(err, &se) || se.Field != "Machines" {
 		t.Fatalf("Run(-3 machines) = %v, want *load.SpecError{Field: Machines}", err)
+	}
+}
+
+// TestResultHeapIsMapped: the report names the heap its machines
+// mapped, not the one requested. A 5000-byte heap maps two pages, and
+// the top-level figure must agree with every machine's phases.
+func TestResultHeapIsMapped(t *testing.T) {
+	res, err := Run(Spec{Machines: 2, Scenario: Uniform, Via: sim.Spawn,
+		Requests: 2, HeapBytes: 5000, KeepPerMachine: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.HeapBytes != 2*4096 {
+		t.Errorf("report heap %d bytes, want the two pages its machines map", res.HeapBytes)
+	}
+	for _, mm := range res.Machines {
+		for _, ph := range mm.Phases {
+			if ph.HeapBytes != res.HeapBytes {
+				t.Errorf("machine %d mapped %d heap bytes, the report says %d", mm.Machine, ph.HeapBytes, res.HeapBytes)
+			}
+		}
 	}
 }

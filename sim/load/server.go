@@ -85,11 +85,7 @@ func warm(cfg Config, s Shape) (*Server, error) {
 
 	// The server's resident, dirty heap — what fork must duplicate
 	// page-table entries for on every creation.
-	ps := uint64(mem.PageSize)
-	if s.HugePages {
-		ps = mem.HugeSize
-	}
-	heap := (s.HeapBytes + ps - 1) &^ (ps - 1)
+	heap := s.MappedHeapBytes()
 	space := sys.Host().Space()
 	vma, err := space.Map(0, heap, addrspace.Read|addrspace.Write, addrspace.MapOpts{
 		Kind: addrspace.KindAnon, Name: "server-heap", Huge: s.HugePages,

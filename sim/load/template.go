@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/mem"
 	"repro/sim"
 )
 
@@ -24,6 +25,18 @@ type Shape struct {
 	// strategy of one machine shape still shares one template.
 	Via  sim.Strategy
 	Pool int
+}
+
+// MappedHeapBytes reports the heap a machine of shape s maps and
+// dirties: HeapBytes rounded up to the heap's page, 2 MiB with
+// HugePages and 4 KiB without. Every report of a warmed machine's heap
+// names this figure, not the requested one.
+func (s Shape) MappedHeapBytes() uint64 {
+	ps := uint64(mem.PageSize)
+	if s.HugePages {
+		ps = mem.HugeSize
+	}
+	return (s.HeapBytes + ps - 1) &^ (ps - 1)
 }
 
 // Shape reports cfg's resolved warm shape as a scenario machine.
