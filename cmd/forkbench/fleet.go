@@ -23,7 +23,7 @@ func runFleet(args []string) error {
 	machines := fs.Int("machines", 4, "fleet size")
 	scenario := fs.String("scenario", "rolling", "uniform|rolling|rebalance|hetero|surge|chaos")
 	loadName := fs.String("load", "prefork", "per-machine workload (prefork|pipeline|checkpoint|forkstorm|smpserver|buildfarm|netlb|kvshard)")
-	via := fs.String("via", "fork", "spawn|fork|vfork|builder|emufork|eager")
+	via := fs.String("via", sim.ForkExec.Name(), sim.StrategyNames())
 	cpus := fs.Int("cpus", 0, "CPUs per machine (0 = 2; hetero cycles 1/2/4/8)")
 	n := fs.Int("n", 0, "requests per machine per serve phase (0 = 24)")
 	workers := fs.Int("workers", 0, "rolling warm-pool size (0 = 2*cpus)")

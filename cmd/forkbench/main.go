@@ -365,7 +365,7 @@ func strategies(heap uint64) (string, error) {
 func runLoad(args []string) error {
 	fs := flag.NewFlagSet("forkbench load", flag.ExitOnError)
 	scenario := fs.String("scenario", "prefork", "prefork|pipeline|checkpoint|forkstorm|smpserver|buildfarm|netlb|kvshard|migrate|all")
-	via := fs.String("via", "spawn", "spawn|fork|vfork|builder|emufork|eager")
+	via := fs.String("via", sim.Spawn.Name(), sim.StrategyNames())
 	n := fs.Int("n", 0, "requests per scenario (0 = scenario default)")
 	workers := fs.Int("workers", 0, "pipeline depth / storm burst size (0 = default)")
 	nodes := fs.Int("nodes", 0, "distributed backend/shard count for netlb|kvshard (0 = default)")

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/sim"
 	"repro/sim/cluster"
 	"repro/sim/fleet"
 	"repro/sim/load"
@@ -159,6 +160,33 @@ func TestRunLoadWritesJSON(t *testing.T) {
 	if len(ms) != 1 || ms[0].Requests != 4 || ms[0].Scenario != "prefork" {
 		t.Errorf("unexpected metrics: %+v", ms)
 	}
+}
+
+// TestRunLoadStrategiesGolden pins every creation path a load scenario
+// takes: prefork's workers, checkpoint's and smpserver's snapshots and
+// migrate's migrants, each under all six strategies, at a 4 MiB heap.
+// The concatenated JSON reports must byte-match the checked-in golden,
+// which was generated before the strategies shared one dispatch; it is
+// the gate that dispatch must keep. Regenerate only on purpose with
+//
+//	go test ./cmd/forkbench -run TestRunLoadStrategiesGolden -update
+func TestRunLoadStrategiesGolden(t *testing.T) {
+	var all []byte
+	for _, scenario := range []string{"prefork", "checkpoint", "smpserver", "migrate"} {
+		for via := sim.Strategy(0); via.Valid(); via++ {
+			path := filepath.Join(t.TempDir(), "load.json")
+			args := []string{"-scenario", scenario, "-via", via.Name(), "-heap", "4MiB", "-n", "2", "-json", path}
+			if err := runLoad(args); err != nil {
+				t.Fatalf("load %v: %v", args, err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, data...)
+		}
+	}
+	checkGolden(t, "load_strategies.json", all)
 }
 
 // TestRunLoadRejectsJunk pins the error paths. A negative count must

@@ -27,7 +27,7 @@ import (
 func runMetrics(args []string) error {
 	fs := flag.NewFlagSet("forkbench metrics", flag.ExitOnError)
 	scenario := fs.String("scenario", "netlb", "fleet load scenario (netlb|kvshard|prefork|...)")
-	via := fs.String("via", "fork", "spawn|fork|vfork|builder|emufork|eager")
+	via := fs.String("via", sim.ForkExec.Name(), sim.StrategyNames())
 	machines := fs.Int("machines", 2, "fleet size (fleet mode)")
 	n := fs.Int("n", 0, "requests per machine (0 = scenario default)")
 	heap := fs.String("heap", "64MiB", "per-machine server heap size")

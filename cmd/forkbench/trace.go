@@ -20,7 +20,7 @@ import (
 // compare checked-in traces.
 func runTrace(args []string) error {
 	fs := flag.NewFlagSet("forkbench trace", flag.ExitOnError)
-	via := fs.String("via", "fork", "spawn|fork|vfork|builder|emufork|eager")
+	via := fs.String("via", sim.ForkExec.Name(), sim.StrategyNames())
 	heap := fs.String("heap", "1MiB", "parent dirty-heap size")
 	cpus := fs.Int("cpus", 1, "simulated CPU count")
 	seed := fs.Uint64("seed", 0, "install fault.Chaos(seed, 0) (0 = no fault injection)")

@@ -10,7 +10,10 @@
 //
 //	-ram MIB       physical memory, a whole number of MiB (default 4096)
 //	-strict        strict commit accounting (overcommit_memory=2)
-//	-eager         eager-copy fork
+//	-eager         boot with eager-copy fork (sim.WithEagerFork): every
+//	               fork the program itself makes copies its resident
+//	               pages; -via eager makes the command's own creation
+//	               an eager fork
 //	-via STRATEGY  creation strategy: spawn|fork|vfork|builder|emufork|eager
 //	-trace         print exit diagnostics (virtual time, faults, ...)
 //	-list          list built-in programs
@@ -43,7 +46,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	ram := fs.Uint64("ram", 4096, "physical memory in MiB")
 	strict := fs.Bool("strict", false, "strict commit accounting")
 	eager := fs.Bool("eager", false, "eager-copy fork")
-	via := fs.String("via", "spawn", "creation strategy: spawn|fork|vfork|builder|emufork|eager")
+	via := fs.String("via", sim.Spawn.Name(), "creation strategy: "+sim.StrategyNames())
 	trace := fs.Bool("trace", false, "print diagnostics on exit")
 	list := fs.Bool("list", false, "list built-in programs")
 	if err := fs.Parse(args); err != nil {
@@ -79,7 +82,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		opts = append(opts, sim.WithCommitPolicy(sim.CommitStrict))
 	}
 	if *eager {
-		opts = append(opts, sim.WithForkMode(sim.ForkEager))
+		opts = append(opts, sim.WithEagerFork())
 	}
 
 	prog := fs.Arg(0)

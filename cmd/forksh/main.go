@@ -177,7 +177,7 @@ func (s *shell) builtin(argv []string) (bool, error) {
 		return true, err
 	case "via":
 		if len(argv) != 2 {
-			fmt.Fprintf(s.out, "via %v (spawn|fork|vfork|builder|emufork|eager)\n", s.via)
+			fmt.Fprintf(s.out, "via %v (%s)\n", s.via, sim.StrategyNames())
 			return true, nil
 		}
 		st, err := sim.ParseStrategy(argv[1])

@@ -314,32 +314,23 @@ func (s *Space) releaseEntry(e pagetable.PTE) {
 
 // Unmap removes [start, start+length) from the space, splitting VMAs
 // as needed and releasing any resident pages. Huge VMAs may only be
-// cut at 2 MiB boundaries.
+// cut at 2 MiB boundaries: a range that cuts one elsewhere is refused
+// with EINVAL before anything changes.
 func (s *Space) Unmap(start, length uint64) error {
 	if length == 0 || start%mem.PageSize != 0 {
 		return errno.EINVAL
 	}
 	length = align(length, mem.PageSize)
 	end := start + length
+	i, j, err := s.overlap(start, end)
+	if err != nil {
+		return err
+	}
 
-	var out []*VMA
+	out := append(make([]*VMA, 0, len(s.vmas)+1), s.vmas[:i]...)
 	released := 0
-	for _, v := range s.vmas {
-		if v.End <= start || v.Start >= end {
-			out = append(out, v)
-			continue
-		}
-		lo := v.Start
-		if start > lo {
-			lo = start
-		}
-		hi := v.End
-		if end < hi {
-			hi = end
-		}
-		if v.Huge && (lo%mem.HugeSize != 0 || hi%mem.HugeSize != 0) {
-			return errno.EINVAL
-		}
+	for _, v := range s.vmas[i:j] {
+		lo, hi := max(v.Start, start), min(v.End, end)
 		// Release resident pages in [lo, hi).
 		for va := lo; va < hi; va += v.pageSize() {
 			if old, ok := s.pt.Unmap(va); ok {
@@ -352,28 +343,56 @@ func (s *Space) Unmap(start, length uint64) error {
 			s.phys.Unreserve(n)
 			s.commitPages -= n
 		}
-		// Keep surviving fragments.
-		if v.Start < lo {
-			left := *v
-			left.End = lo
-			out = append(out, &left)
-			s.meter.Charge(s.meter.Model.VMAClone)
-		}
-		if v.End > hi {
-			right := *v
-			right.Start = hi
-			right.BackingOff = v.BackingOff + (hi - v.Start)
-			out = append(out, &right)
-			s.meter.Charge(s.meter.Model.VMAClone)
-		}
+		out = s.splice(out, v, nil, lo, hi)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	s.vmas = out
+	s.vmas = append(out, s.vmas[j:]...)
 	if released > 0 {
 		// One batched invalidation round for the whole range.
 		s.shootdown()
 	}
 	return nil
+}
+
+// overlap returns the VMAs [start, end) overlaps as the index range
+// s.vmas[i:j]. A range that cuts a huge VMA off its 2 MiB boundary is
+// EINVAL, found before the caller changes any of them.
+func (s *Space) overlap(start, end uint64) (i, j int, err error) {
+	i = s.find(start)
+	for j = i; j < len(s.vmas) && s.vmas[j].Start < end; j++ {
+		v := s.vmas[j]
+		if v.Huge && (max(v.Start, start)%mem.HugeSize != 0 || min(v.End, end)%mem.HugeSize != 0) {
+			return 0, 0, errno.EINVAL
+		}
+	}
+	return i, j, nil
+}
+
+// sub is v's fragment [lo, hi), its backing offset moved with its
+// start.
+func (v *VMA) sub(lo, hi uint64) *VMA {
+	f := *v
+	f.Start, f.End = lo, hi
+	f.BackingOff = v.BackingOff + (lo - v.Start)
+	return &f
+}
+
+// splice appends to out what replaces v when [lo, hi) is cut from it:
+// the fragment left of the cut, mid if it is not nil, and the fragment
+// right of it, charging one VMA copy for each.
+func (s *Space) splice(out []*VMA, v, mid *VMA, lo, hi uint64) []*VMA {
+	if v.Start < lo {
+		out = append(out, v.sub(v.Start, lo))
+		s.meter.Charge(s.meter.Model.VMAClone)
+	}
+	if mid != nil {
+		out = append(out, mid)
+		s.meter.Charge(s.meter.Model.VMAClone)
+	}
+	if v.End > hi {
+		out = append(out, v.sub(hi, v.End))
+		s.meter.Charge(s.meter.Model.VMAClone)
+	}
+	return out
 }
 
 // SetupHeap establishes the heap origin (called by exec).
@@ -723,26 +742,9 @@ func (s *Space) Touch(va, length uint64, access Access) error {
 // COW-cloned. The child's RSS equals the parent's: all resident pages
 // are shared until written.
 func (s *Space) CloneCOW() (*Space, error) {
-	// Injection point: the entry into fork's Θ(mapped pages) walk,
-	// before the commit reservation — a scheduled failure here is
-	// "the kernel could not mirror the page tables".
-	if e := s.phys.Injector().Fail(fault.PointPTClone, uint64(s.pt.Entries())); e != errno.OK {
-		return nil, e
-	}
-	if err := s.phys.Reserve(s.commitPages); err != nil {
+	c, err := s.cloneShell()
+	if err != nil {
 		return nil, err
-	}
-	c := &Space{
-		phys: s.phys, meter: s.meter,
-		rssPages:    s.rssPages,
-		commitPages: s.commitPages,
-		brkBase:     s.brkBase, brk: s.brk,
-	}
-	c.vmas = make([]*VMA, len(s.vmas))
-	for i, v := range s.vmas {
-		nv := *v
-		c.vmas[i] = &nv
-		s.meter.Charge(s.meter.Model.VMAClone)
 	}
 	c.pt = s.pt.CloneCOW()
 	// Every shared frame now has an extra reference: the page-table
@@ -765,6 +767,36 @@ func (s *Space) CloneCOW() (*Space, error) {
 // immediately. Used by the EagerFork ablation. On ENOMEM the partial
 // child is torn down and nil returned.
 func (s *Space) CloneEager() (*Space, error) {
+	c, err := s.cloneShell()
+	if err != nil {
+		return nil, err
+	}
+	pt, err := s.pt.CloneEager()
+	c.pt = pt
+	if err != nil {
+		// The partial child holds only the frames copied before the
+		// failure, not the parent's full resident set the optimistic
+		// pre-assignment in cloneShell claimed: recount before
+		// Destroy's leak check tallies the releases.
+		var pages uint64
+		c.pt.Visit(func(_ uint64, e pagetable.PTE) pagetable.PTE {
+			pages += e.Frame().Pages()
+			return e
+		})
+		c.rssPages = pages
+		c.Destroy()
+		return nil, err
+	}
+	return c, nil
+}
+
+// cloneShell is what both forks of the space share, up to the page
+// table each clones its own way: the injection point at the entry into
+// fork's Θ(mapped pages) walk, before the commit reservation — a
+// scheduled failure there is "the kernel could not mirror the page
+// tables" — then the child's reservation of the parent's whole commit,
+// its books and a copy of every VMA.
+func (s *Space) cloneShell() (*Space, error) {
 	if e := s.phys.Injector().Fail(fault.PointPTClone, uint64(s.pt.Entries())); e != errno.OK {
 		return nil, e
 	}
@@ -782,22 +814,6 @@ func (s *Space) CloneEager() (*Space, error) {
 		nv := *v
 		c.vmas[i] = &nv
 		s.meter.Charge(s.meter.Model.VMAClone)
-	}
-	pt, err := s.pt.CloneEager()
-	c.pt = pt
-	if err != nil {
-		// The partial child holds only the frames copied before the
-		// failure, not the parent's full resident set the optimistic
-		// pre-assignment above claimed: recount before Destroy's
-		// leak check tallies the releases.
-		var pages uint64
-		c.pt.Visit(func(_ uint64, e pagetable.PTE) pagetable.PTE {
-			pages += e.Frame().Pages()
-			return e
-		})
-		c.rssPages = pages
-		c.Destroy()
-		return nil, err
 	}
 	return c, nil
 }
@@ -834,6 +850,11 @@ func (s *Space) Dump() string {
 // immediately; granting it is lazy (the next write faults and the
 // sole-owner upgrade path in cowBreak restores the bit), mirroring how
 // real kernels avoid eagerly rewriting page tables on mprotect.
+//
+// A refused call changes nothing: a hole in the range (ENOMEM), a cut
+// off a huge VMA's 2 MiB boundary (EINVAL) and a commit reservation
+// the machine refuses are all found before any VMA, page or commit
+// moves.
 func (s *Space) Protect(start, length uint64, prot Prot) error {
 	if length == 0 || start%mem.PageSize != 0 {
 		return errno.EINVAL
@@ -849,55 +870,39 @@ func (s *Space) Protect(start, length uint64, prot Prot) error {
 		}
 		va = v.End
 	}
+	i, j, err := s.overlap(start, end)
+	if err != nil {
+		return err
+	}
 
-	var out []*VMA
-	for _, v := range s.vmas {
-		if v.End <= start || v.Start >= end {
-			out = append(out, v)
+	// Commit accounting moves with the writable bit. Take every
+	// reservation a newly writable private VMA needs first, one per
+	// VMA in VMA order; if one is refused, give the earlier ones back.
+	var reserved uint64
+	for _, v := range s.vmas[i:j] {
+		if v.reserved() || v.Shared || prot&Write == 0 {
 			continue
 		}
-		lo, hi := v.Start, v.End
-		if start > lo {
-			lo = start
+		n := (min(v.End, end) - max(v.Start, start)) >> mem.PageShift
+		if err := s.phys.Reserve(n); err != nil {
+			s.phys.Unreserve(reserved)
+			return err
 		}
-		if end < hi {
-			hi = end
-		}
-		if v.Huge && (lo%mem.HugeSize != 0 || hi%mem.HugeSize != 0) {
-			return errno.EINVAL
-		}
-		// Commit accounting moves with the writable bit.
-		wasReserved := v.reserved()
-		mid := *v
-		mid.Start, mid.End, mid.Prot = lo, hi, prot
-		mid.BackingOff = v.BackingOff + (lo - v.Start)
-		if wasReserved != mid.reserved() {
+		reserved += n
+	}
+	s.commitPages += reserved
+
+	out := append(make([]*VMA, 0, len(s.vmas)+2), s.vmas[:i]...)
+	for _, v := range s.vmas[i:j] {
+		lo, hi := max(v.Start, start), min(v.End, end)
+		mid := v.sub(lo, hi)
+		mid.Prot = prot
+		if v.reserved() && !mid.reserved() {
 			n := (hi - lo) >> mem.PageShift
-			if mid.reserved() {
-				if err := s.phys.Reserve(n); err != nil {
-					return err
-				}
-				s.commitPages += n
-			} else {
-				s.phys.Unreserve(n)
-				s.commitPages -= n
-			}
+			s.phys.Unreserve(n)
+			s.commitPages -= n
 		}
-		if v.Start < lo {
-			left := *v
-			left.End = lo
-			out = append(out, &left)
-			s.meter.Charge(s.meter.Model.VMAClone)
-		}
-		out = append(out, &mid)
-		s.meter.Charge(s.meter.Model.VMAClone)
-		if v.End > hi {
-			right := *v
-			right.Start = hi
-			right.BackingOff = v.BackingOff + (hi - v.Start)
-			out = append(out, &right)
-			s.meter.Charge(s.meter.Model.VMAClone)
-		}
+		out = s.splice(out, v, mid, lo, hi)
 		// Downgrade present PTEs when write permission is
 		// revoked; exec/read removal is enforced at the VMA
 		// level on the next fault.
@@ -916,7 +921,6 @@ func (s *Space) Protect(start, length uint64, prot Prot) error {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	s.vmas = out
+	s.vmas = append(out, s.vmas[j:]...)
 	return nil
 }

@@ -2,6 +2,7 @@ package addrspace
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/errno"
@@ -157,4 +158,99 @@ func TestProtectCOWInteraction(t *testing.T) {
 	}
 	c.Destroy()
 	s.Destroy()
+}
+
+// spaceState is everything a refused Unmap or Protect must leave as it
+// was: the VMAs, RSS and commit of the space, the machine's frames and
+// commit, and every page-table entry.
+type spaceState struct {
+	vmas                  []VMA
+	rss, committed        uint64
+	allocated, physCommit uint64
+	entries               []mapping
+}
+
+func stateOf(s *Space) spaceState {
+	st := spaceState{
+		rss: s.RSS(), committed: s.Committed(),
+		allocated: s.phys.AllocatedPages(), physCommit: s.phys.Committed(),
+		entries: mappings(s),
+	}
+	for _, v := range s.VMAs() {
+		st.vmas = append(st.vmas, *v)
+	}
+	return st
+}
+
+// TestRefusedCutChangesNothing: Unmap and Protect refuse a range
+// before they change anything. A range that runs from a base-page VMA
+// into a huge one and ends off the huge VMA's 2 MiB boundary is
+// EINVAL, and a Protect whose second reservation fails is ENOMEM; in
+// both the VMAs in front of the refusal keep their pages, entries and
+// commit.
+func TestRefusedCutChangesNothing(t *testing.T) {
+	const base = 0x4000_0000
+	s, phys := newSpace(64, mem.CommitHeuristic)
+	if _, err := s.Map(base, 4<<20, Read|Write, MapOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Map(base+4<<20, 4<<20, Read|Write, MapOpts{Huge: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Touch(base+1<<20, 4<<20, AccessWrite); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		op   func() error
+	}{
+		{"Protect", func() error { return s.Protect(base, 5<<20, Read) }},
+		{"Protect from the middle", func() error { return s.Protect(base+mem.PageSize, 5<<20, Read|Write|Exec) }},
+		{"Unmap", func() error { return s.Unmap(base, 5<<20) }},
+		{"Unmap from the middle", func() error { return s.Unmap(base+2<<20, 3<<20+mem.PageSize) }},
+	} {
+		before := stateOf(s)
+		if err := tc.op(); !errors.Is(err, errno.EINVAL) {
+			t.Errorf("%s across a huge cut: %v, want EINVAL", tc.name, err)
+		}
+		if after := stateOf(s); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s across a huge cut changed the space:\n%+v\nwant\n%+v", tc.name, after, before)
+		}
+	}
+	if err := s.Unmap(base, 4<<20); err != nil {
+		t.Fatal(err)
+	}
+	s.Destroy()
+	if phys.Committed() != 0 || phys.AllocatedPages() != 0 {
+		t.Errorf("after Destroy: %d pages committed, %d allocated", phys.Committed(), phys.AllocatedPages())
+	}
+
+	// Strict commit on a 64 MiB machine: 40 MiB already reserved, so
+	// making a 16 KiB and a 32 MiB read-only VMA writable reserves the
+	// first and fails on the second.
+	s, phys = newSpace(64, mem.CommitStrict)
+	if _, err := s.Map(base, 40<<20, Read|Write, MapOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	ro := uint64(base + 64<<20)
+	if _, err := s.Map(ro, 4*mem.PageSize, Read, MapOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Map(ro+4*mem.PageSize, 32<<20, Read, MapOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Touch(ro, 8*mem.PageSize, AccessRead); err != nil {
+		t.Fatal(err)
+	}
+	before := stateOf(s)
+	if err := s.Protect(ro, 4*mem.PageSize+32<<20, Read|Write); !errors.Is(err, errno.ENOMEM) {
+		t.Errorf("Protect past the commit limit: %v, want ENOMEM", err)
+	}
+	if after := stateOf(s); !reflect.DeepEqual(after, before) {
+		t.Errorf("Protect past the commit limit changed the space:\n%+v\nwant\n%+v", after, before)
+	}
+	s.Destroy()
+	if phys.Committed() != 0 {
+		t.Errorf("after Destroy: %d pages committed", phys.Committed())
+	}
 }

@@ -141,12 +141,14 @@ func (r *recordSched) Decide(op fault.Op) errno.Errno {
 }
 
 // Script geometry: base-page VMAs in a 16 MiB arena, huge ones in a
-// 16 MiB arena of their own, on a 32 MiB machine, so a script can run
-// out of frames.
+// 16 MiB arena of their own right after it, on a 32 MiB machine, so a
+// script can run out of frames. A base-page op near the top of its
+// arena runs up to 3 MiB into the huge one, so an Unmap or Protect can
+// cut a huge VMA off its 2 MiB boundary after passing base-page VMAs.
 const (
 	touchArena = uint64(0x4000_0000)
-	hugeArena  = uint64(0x8000_0000)
 	arenaPages = 4096
+	hugeArena  = touchArena + arenaPages*mem.PageSize
 	touchRAM   = 32 << 20
 	maxSpaces  = 3 // a space and two forks
 )
@@ -407,6 +409,26 @@ func compareTLB(t testing.TB, tag string, op touchOp, a, b *touchMachine) {
 	}
 }
 
+// checkCommit holds every live space's commit to the VMAs it lists:
+// Committed is exactly the pages of its private writable VMAs. Both
+// sides of the differential run the same Unmap and Protect, so only
+// this check sees one that moves commit without moving its VMAs.
+func checkCommit(t testing.TB, tag string, m *touchMachine) {
+	t.Helper()
+	for i, s := range m.spaces {
+		var want uint64
+		for _, v := range s.VMAs() {
+			if v.reserved() {
+				want += v.Len()
+			}
+		}
+		if s.Committed() != want {
+			t.Fatalf("%s: oracle=%v space %d commits %d bytes, its private writable VMAs %d:\n%s",
+				tag, m.oracle, i, s.Committed(), want, s.Dump())
+		}
+	}
+}
+
 // runTouchScript applies ops to a machine running Touch and Translate
 // and one running the oracle, comparing them after every op, then
 // destroys every space and checks that no frame is left allocated.
@@ -416,6 +438,8 @@ func runTouchScript(t testing.TB, ops []touchOp) {
 		ea, eb := a.apply(op), b.apply(op)
 		tag := fmt.Sprintf("op %d %v", i, op)
 		compareTouch(t, tag, a, b, ea, eb)
+		checkCommit(t, tag, a)
+		checkCommit(t, tag, b)
 		if op.kind == opTouch || op.kind == opTranslate {
 			compareTLB(t, tag, op, a, b)
 		}
@@ -605,10 +629,20 @@ func TestTouchMatchesPerPage(t *testing.T) {
 			touchOpAt(0, cross, 100*page, AccessWrite),
 		},
 		"out of frames": {
-			mapOp(0, touchArena, 20<<20, rw, anon),
+			mapOp(0, hugeArena+8*leaf, 20<<20, rw, anon),
 			mapOp(0, hugeArena, 8*leaf, rw, huge),
 			touchOpAt(0, hugeArena, 8*leaf, AccessWrite),
-			touchOpAt(0, touchArena, 20<<20, AccessWrite),
+			touchOpAt(0, hugeArena+8*leaf, 20<<20, AccessWrite),
+		},
+		"base-page cuts into a huge VMA": {
+			mapOp(0, hugeArena-64*page, 64*page, rw, anon),
+			mapOp(0, hugeArena, 2*leaf, rw, huge),
+			touchOpAt(0, hugeArena-64*page, 64*page+leaf, AccessWrite),
+			{kind: opProtect, va: hugeArena - 64*page, length: 64*page + leaf/2, prot: Read},
+			{kind: opUnmap, va: hugeArena - 32*page, length: 32*page + 3*leaf/2},
+			touchOpAt(0, hugeArena-64*page, 64*page, AccessWrite),
+			{kind: opProtect, va: hugeArena - 64*page, length: 64*page + leaf, prot: Read},
+			{kind: opUnmap, va: hugeArena - 32*page, length: 32*page + 2*leaf},
 		},
 		"protection changes": {
 			mapOp(0, touchArena, 16*page, rw, anon),

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/abi"
@@ -248,14 +250,24 @@ func TestEmulateForkCopiesState(t *testing.T) {
 	k.DestroyProcess(parent)
 }
 
+// TestMethodsNamed pins the method table: every method in order, its
+// report name and its command-line name, and nothing past the six.
 func TestMethodsNamed(t *testing.T) {
-	for _, m := range Methods() {
-		if m.String() == "" || m.String()[0] == 'm' && m.String() != "method(?)" {
-			continue
-		}
+	want := [][2]string{
+		{"posix_spawn", "spawn"}, {"fork+exec", "fork"}, {"vfork+exec", "vfork"},
+		{"cross-proc builder", "builder"}, {"emulated fork+exec", "emufork"}, {"fork(eager)+exec", "eager"},
 	}
-	if MethodForkExec.String() != "fork+exec" || MethodSpawn.String() != "posix_spawn" {
-		t.Error("method names wrong")
+	var got [][2]string
+	for m := Method(0); m.Valid(); m++ {
+		got = append(got, [2]string{m.String(), m.Name()})
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("methods %q, want %q", got, want)
+	}
+	for _, m := range []Method{-1, 6, 42} {
+		if m.Valid() || m.Name() != "" || m.String() != fmt.Sprintf("method(%d)", int(m)) {
+			t.Errorf("Method(%d): valid %v, name %q, string %q", int(m), m.Valid(), m.Name(), m.String())
+		}
 	}
 }
 
@@ -268,7 +280,7 @@ func TestCreateChildAllMethods(t *testing.T) {
 	if err := parent.Space().Touch(0x100000, 4<<20, addrspace.AccessWrite); err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range Methods() {
+	for m := Method(0); m.Valid(); m++ {
 		child, elapsed, err := CreateChild(k, parent, m, "/bin/true", []string{"true"})
 		if err != nil {
 			t.Errorf("%v: %v", m, err)
@@ -283,6 +295,28 @@ func TestCreateChildAllMethods(t *testing.T) {
 		k.DestroyProcess(child)
 	}
 	k.DestroyProcess(parent)
+}
+
+// TestCreateChildRefusesUnknownMethod: a method outside the table is an
+// error that creates nothing, where it used to run as posix_spawn; and
+// Fork refuses the two methods that do not duplicate the parent.
+func TestCreateChildRefusesUnknownMethod(t *testing.T) {
+	k := newKernel(t, nil)
+	parent := k.NewSynthetic("parent", nil)
+	procs := k.ProcessCount()
+	for _, m := range []Method{-1, 6, 42} {
+		if child, _, err := CreateChild(k, parent, m, "/bin/true", []string{"true"}); err == nil || child != nil {
+			t.Errorf("CreateChild(%v) = %v, %v; want an error", m, child, err)
+		}
+	}
+	for _, m := range []Method{MethodSpawn, MethodBuilder, 42} {
+		if child, err := Fork(k, parent, m); err == nil || child != nil {
+			t.Errorf("Fork(%v) = %v, %v; want an error", m, child, err)
+		}
+	}
+	if n := k.ProcessCount(); n != procs {
+		t.Errorf("%d processes after the refusals, want %d", n, procs)
+	}
 }
 
 func TestSpawnChdirAction(t *testing.T) {

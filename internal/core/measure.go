@@ -1,52 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/cost"
 	"repro/internal/kernel"
 )
-
-// Method names a process-creation strategy under measurement. These
-// are the lines of the paper's Figure 1 plus the ablations this repo
-// adds (eager fork, cross-process builder, user-space fork emulation).
-type Method int
-
-// Creation methods.
-const (
-	MethodForkExec Method = iota
-	MethodVforkExec
-	MethodSpawn
-	MethodBuilder
-	MethodForkEagerExec
-	MethodEmulatedForkExec
-)
-
-func (m Method) String() string {
-	switch m {
-	case MethodForkExec:
-		return "fork+exec"
-	case MethodVforkExec:
-		return "vfork+exec"
-	case MethodSpawn:
-		return "posix_spawn"
-	case MethodBuilder:
-		return "cross-proc builder"
-	case MethodForkEagerExec:
-		return "fork(eager)+exec"
-	case MethodEmulatedForkExec:
-		return "emulated fork+exec"
-	}
-	return fmt.Sprintf("method(%d)", int(m))
-}
-
-// Methods lists all measurable strategies.
-func Methods() []Method {
-	return []Method{
-		MethodForkExec, MethodVforkExec, MethodSpawn,
-		MethodBuilder, MethodForkEagerExec, MethodEmulatedForkExec,
-	}
-}
 
 // CreateChild performs one process creation from parent using method,
 // returning the fully constructed (but parked, never-run) child and
@@ -57,55 +14,28 @@ func Methods() []Method {
 // matching the paper's "time to fork and exec a minimal process";
 // exec includes tearing down the forked copy of the parent's address
 // space, which — like on Linux — also scales with the parent's size.
+// It is spawn, the builder, or Fork then exec; an invalid method fails
+// before anything is created.
 func CreateChild(k *kernel.Kernel, parent *kernel.Process, method Method, path string, argv []string) (*kernel.Process, cost.Ticks, error) {
 	start := k.Now()
 	var child *kernel.Process
 	var err error
-
 	switch method {
-	case MethodForkExec, MethodForkEagerExec, MethodVforkExec:
-		mode := kernel.ForkCOW
-		switch method {
-		case MethodForkEagerExec:
-			mode = kernel.ForkEager
-		case MethodVforkExec:
-			mode = kernel.ForkVfork
-		}
-		child, err = k.ForkWithMode(parent, mode)
-		if err != nil {
-			return nil, 0, err
-		}
-		if err = k.Exec(child, path, argv); err != nil {
-			k.DestroyProcess(child)
-			return nil, 0, err
-		}
-
 	case MethodSpawn:
 		child, err = SpawnParked(k, parent, path, argv, nil, nil)
-		if err != nil {
-			return nil, 0, err
-		}
-
 	case MethodBuilder:
 		b := NewBuilder(k, parent, "child")
 		b.LoadImage(path, argv)
 		child, err = b.Finish()
-		if err != nil {
-			return nil, 0, err
-		}
-
-	case MethodEmulatedForkExec:
-		child, err = EmulateFork(k, parent)
-		if err != nil {
-			return nil, 0, err
-		}
-		if err = k.Exec(child, path, argv); err != nil {
-			k.DestroyProcess(child)
-			return nil, 0, err
-		}
-
 	default:
-		return nil, 0, fmt.Errorf("core: unknown method %v", method)
+		if child, err = Fork(k, parent, method); err == nil {
+			if err = k.Exec(child, path, argv); err != nil {
+				k.DestroyProcess(child)
+			}
+		}
+	}
+	if err != nil {
+		return nil, 0, err
 	}
 	return child, k.Now() - start, nil
 }

@@ -1,18 +1,3 @@
-// Package core implements the process-creation APIs that "A fork() in
-// the road" (HotOS'19) advocates in place of fork:
-//
-//   - Spawn: a posix_spawn-compatible high-level API (file actions +
-//     attributes) that never duplicates the parent — §6.1 of the paper.
-//   - Builder: a cross-process construction API in the style of
-//     Exokernel/Fuchsia process_builder — §6.2: the child is assembled
-//     piece by piece (image, descriptors, memory, signal state) and
-//     only then started.
-//   - EmulateFork: fork implemented *on top of* the cross-process API,
-//     demonstrating the paper's §5 claim that a kernel without fork
-//     can still support it (slowly, in user space).
-//
-// All three sit on the primitives of internal/kernel and are measured
-// against kernel fork by internal/experiments.
 package core
 
 import (

@@ -87,19 +87,11 @@ func t1Kernel() (*kernel.Kernel, error) {
 // fork family (the inheritance questions concern fork itself; exec is
 // a separate destructive step).
 func t1CreateRaw(k *kernel.Kernel, parent *kernel.Process, m core.Method) (*kernel.Process, error) {
-	switch m {
-	case core.MethodForkExec:
-		return k.ForkWithMode(parent, kernel.ForkCOW)
-	case core.MethodVforkExec:
-		return k.ForkWithMode(parent, kernel.ForkVfork)
-	case core.MethodSpawn:
-		return core.SpawnParked(k, parent, "/bin/true", []string{"true"}, nil, nil)
-	case core.MethodBuilder:
-		b := core.NewBuilder(k, parent, "child")
-		b.LoadImage("/bin/true", []string{"true"})
-		return b.Finish()
+	if m == core.MethodSpawn || m == core.MethodBuilder {
+		child, _, err := core.CreateChild(k, parent, m, "/bin/true", []string{"true"})
+		return child, err
 	}
-	return nil, fmt.Errorf("bad method %v", m)
+	return core.Fork(k, parent, m)
 }
 
 func probeSeesMemory() ([]string, error) {

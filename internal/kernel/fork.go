@@ -6,7 +6,8 @@ import (
 	"repro/internal/fault"
 )
 
-// ForkMode selects the duplication strategy.
+// ForkMode selects the duplication strategy. core.Fork maps a creation
+// method onto it; a machine's own forks take forkMode.
 type ForkMode int
 
 // Fork modes.
@@ -21,18 +22,6 @@ const (
 	// suspends the parent until the child execs or exits.
 	ForkVfork
 )
-
-func (m ForkMode) String() string {
-	switch m {
-	case ForkCOW:
-		return "cow"
-	case ForkEager:
-		return "eager"
-	case ForkVfork:
-		return "vfork"
-	}
-	return "fork?"
-}
 
 // forkOpts controls doFork.
 type forkOpts struct {
@@ -54,26 +43,20 @@ func (k *Kernel) doFork(caller *Thread, opts forkOpts) (*Process, error) {
 	}
 	child := k.newProcess(parent.Name, parent, parent.sigs.Clone())
 
-	// Address space.
-	switch opts.mode {
-	case ForkVfork:
-		child.space = parent.space
-		child.spaceOwned = false
-	case ForkEager:
-		s, err := parent.space.CloneEager()
+	// Address space: a vfork child borrows the parent's, any other
+	// child owns a clone of it.
+	child.space = parent.space
+	if opts.mode != ForkVfork {
+		var err error
+		if opts.mode == ForkEager {
+			child.space, err = parent.space.CloneEager()
+		} else {
+			child.space, err = parent.space.CloneCOW()
+		}
 		if err != nil {
 			k.abortFork(child)
 			return nil, err
 		}
-		child.space = s
-		child.spaceOwned = true
-	default:
-		s, err := parent.space.CloneCOW()
-		if err != nil {
-			k.abortFork(child)
-			return nil, err
-		}
-		child.space = s
 		child.spaceOwned = true
 	}
 
@@ -144,20 +127,20 @@ func (k *Kernel) abortFork(child *Process) {
 	delete(k.procs, child.Pid)
 }
 
-// Fork is the Go-harness fork: it duplicates p (which must have at
-// least one thread; synthetic processes have a parked one) and returns
-// the parked child. Mode ForkCOW unless the kernel was booted with
-// EagerFork.
-func (k *Kernel) Fork(p *Process) (*Process, error) {
-	caller := p.MainThread()
-	if caller == nil {
-		return nil, errno.ESRCH
-	}
-	mode := ForkCOW
+// forkMode is the machine's own fork: ForkEager if the kernel was
+// booted with EagerFork, else ForkCOW.
+func (k *Kernel) forkMode() ForkMode {
 	if k.opts.EagerFork {
-		mode = ForkEager
+		return ForkEager
 	}
-	return k.doFork(caller, forkOpts{mode: mode})
+	return ForkCOW
+}
+
+// Fork is the Go-harness fork: it duplicates p (which must have at
+// least one thread; synthetic processes have a parked one) by the
+// machine's own fork mode and returns the parked child.
+func (k *Kernel) Fork(p *Process) (*Process, error) {
+	return k.ForkWithMode(p, k.forkMode())
 }
 
 // ForkWithMode forks p with an explicit strategy (ablation

@@ -125,10 +125,7 @@ func (k *Kernel) sysEnter(t *Thread, num uint64) (uint64, error) {
 		return 0, nil
 
 	case abi.SysFork, abi.SysVfork:
-		mode := ForkCOW
-		if k.opts.EagerFork {
-			mode = ForkEager
-		}
+		mode := k.forkMode()
 		if num == abi.SysVfork {
 			mode = ForkVfork
 		}

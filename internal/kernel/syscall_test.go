@@ -1080,3 +1080,69 @@ bad:
 		t.Fatalf("single-threaded fork refused: exit %d", c)
 	}
 }
+
+// TestSysRefusedCutChangesNothing: an mprotect or munmap whose range
+// ends inside a huge mapping, off its 2 MiB boundary, fails with EINVAL
+// before it changes anything. The base mapping in front of the cut
+// keeps its write permission, its resident page and its commit, so
+// the program's last munmap of it balances. A refusal found only after
+// the base mapping had changed released that mapping's commit twice
+// and panicked in mem.
+func TestSysRefusedCutChangesNothing(t *testing.T) {
+	k, p, _, err := runAsm(t, Options{}, `
+_start:
+    movi r0, 0
+    li r1, 4194304
+    movi r2, PROT_READ + PROT_WRITE
+    movi r3, 0
+    sys SYS_MMAP
+    mov r10, r0
+    movi r3, 0
+    blt r0, r3, fail
+    movi r0, 0
+    li r1, 4194304
+    movi r2, PROT_READ + PROT_WRITE
+    movi r3, MAP_HUGE
+    sys SYS_MMAP
+    li r3, 4194304
+    add r3, r10, r3
+    bne r0, r3, fail        ; the huge mapping follows the base one
+    li r5, 77
+    st8 [r10+4096], r5      ; one resident page in front of the cut
+    mov r0, r10
+    li r1, 5242880
+    movi r2, PROT_READ
+    sys SYS_MPROTECT        ; 5 MiB: cuts the huge mapping at 1 MiB
+    movi r3, 0
+    bge r0, r3, fail
+    li r5, 78
+    st8 [r10+4096], r5      ; still writable
+    mov r0, r10
+    li r1, 5242880
+    sys SYS_MUNMAP          ; the same cut
+    movi r3, 0
+    bge r0, r3, fail
+    ld8 r6, [r10+4096]      ; still resident, still 78
+    li r5, 78
+    bne r6, r5, fail
+    mov r0, r10
+    li r1, 4194304
+    sys SYS_MUNMAP          ; the base mapping alone
+    movi r3, 0
+    bne r0, r3, fail
+    movi r0, 0
+    sys SYS_EXIT
+fail:
+    movi r0, 1
+    sys SYS_EXIT
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := exitCode(t, p); c != 0 {
+		t.Fatalf("exit %d", c)
+	}
+	if k.Phys().Committed() != 0 {
+		t.Errorf("%d pages still committed after the program exited", k.Phys().Committed())
+	}
+}

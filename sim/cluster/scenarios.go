@@ -58,16 +58,16 @@ const surgeStep = 4_000_000
 // SurgeSpec builds the Surge scenario at the given server heap: fork
 // and spawn pools of identical shape (2 CPUs, 12 warm workers, 3..8
 // machines), a calm baseline, a 6x spike, and an idle tail that lets
-// the pools scale back down.
+// the pools scale back down. Each pool is named after its strategy.
 func SurgeSpec(heapBytes uint64) Spec {
-	pool := func(name string, via sim.Strategy) PoolSpec {
+	pool := func(via sim.Strategy) PoolSpec {
 		return PoolSpec{
-			Name: name, Via: via, CPUs: 2, HeapBytes: heapBytes,
+			Name: via.Name(), Via: via, CPUs: 2, HeapBytes: heapBytes,
 			Workers: 12, MinMachines: 3, MaxMachines: 8, MaxSurge: 2,
 		}
 	}
 	return Spec{
-		Pools:               []PoolSpec{pool("fork", sim.ForkExec), pool("spawn", sim.Spawn)},
+		Pools:               []PoolSpec{pool(sim.ForkExec), pool(sim.Spawn)},
 		ReconcileEveryNanos: surgeStep,
 		RequestWorkMiB:      4,
 		Traffic: []Phase{

@@ -251,7 +251,7 @@ func (s Spec) validate() error {
 			return specErr(field("Name"), "duplicate pool name %q", p.Name)
 		}
 		seen[p.Name] = true
-		if p.Via < sim.Spawn || p.Via > sim.EagerForkExec {
+		if !p.Via.Valid() {
 			return specErr(field("Via"), "unknown strategy %d", int(p.Via))
 		}
 		if p.CPUs < 1 || p.CPUs > 64 {

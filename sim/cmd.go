@@ -16,70 +16,60 @@ import (
 // Strategy selects the process-creation API a command is launched
 // through — the lines of the paper's Figure 1, selectable per command
 // so any workload can be run through every API the paper compares.
-type Strategy int
+//
+// It is core.Method under its public name: the repo's one strategy
+// type, whose one table holds every strategy's report name (String:
+// "fork+exec", "posix_spawn", …) and command-line name (Name: "fork",
+// "spawn", …). The zero value is Spawn, and Valid reports whether a
+// value is one of the six.
+type Strategy = core.Method
 
 // Creation strategies.
 const (
 	// Spawn is posix_spawn (§6.1): never duplicates the parent;
 	// cost independent of the parent's size. The default.
-	Spawn Strategy = iota
+	Spawn Strategy = core.MethodSpawn
 	// ForkExec is classic COW fork followed by exec.
-	ForkExec
+	ForkExec Strategy = core.MethodForkExec
 	// VforkExec shares the parent's address space until exec.
-	VforkExec
+	VforkExec Strategy = core.MethodVforkExec
 	// Builder is the cross-process construction API (§6.2): an
 	// empty child populated piece by piece, then started.
-	Builder
+	Builder Strategy = core.MethodBuilder
 	// EmulatedFork is fork implemented in user space on top of the
 	// cross-process API (§5's "a fork-less kernel can still run
 	// fork, slowly") followed by exec.
-	EmulatedFork
+	EmulatedFork Strategy = core.MethodEmulatedForkExec
 	// EagerForkExec is the 1970s ablation: fork that physically
 	// copies every resident page, then exec.
-	EagerForkExec
+	EagerForkExec Strategy = core.MethodForkEagerExec
 )
-
-func (st Strategy) String() string { return st.method().String() }
-
-func (st Strategy) method() core.Method {
-	switch st {
-	case ForkExec:
-		return core.MethodForkExec
-	case VforkExec:
-		return core.MethodVforkExec
-	case Builder:
-		return core.MethodBuilder
-	case EmulatedFork:
-		return core.MethodEmulatedForkExec
-	case EagerForkExec:
-		return core.MethodForkEagerExec
-	}
-	return core.MethodSpawn
-}
 
 // Strategies lists the five creation APIs the paper compares.
 func Strategies() []Strategy {
 	return []Strategy{ForkExec, VforkExec, Spawn, Builder, EmulatedFork}
 }
 
-// ParseStrategy maps a short command-line name (spawn, fork, vfork,
-// builder, emufork, eager) to its Strategy.
+// ParseStrategy maps a command-line name (one of StrategyNames) to its
+// Strategy.
 func ParseStrategy(name string) (Strategy, error) {
-	switch name {
-	case "spawn":
-		return Spawn, nil
-	case "fork":
-		return ForkExec, nil
-	case "vfork":
-		return VforkExec, nil
-	case "builder":
-		return Builder, nil
-	case "emufork":
-		return EmulatedFork, nil
-	case "eager":
-		return EagerForkExec, nil
+	for st := Strategy(0); st.Valid(); st++ {
+		if st.Name() == name {
+			return st, nil
+		}
 	}
-	return 0, fmt.Errorf("sim: unknown strategy %q (spawn|fork|vfork|builder|emufork|eager)", name)
+	return 0, fmt.Errorf("sim: unknown strategy %q (%s)", name, StrategyNames())
+}
+
+// StrategyNames is every strategy's command-line name in Strategy
+// order, joined by "|": "spawn|fork|vfork|builder|emufork|eager". Every
+// -via help text prints it.
+func StrategyNames() string {
+	var names []string
+	for st := Strategy(0); st.Valid(); st++ {
+		names = append(names, st.Name())
+	}
+	return strings.Join(names, "|")
 }
 
 // Cmd describes a simulated process to run, in the style of
@@ -177,7 +167,7 @@ func (c *Cmd) Create() (*Process, error) {
 		return nil, fmt.Errorf("sim: Cmd must come from System.Command")
 	}
 	k := c.sys.k
-	child, elapsed, err := core.CreateChild(k, c.sys.host, c.via.method(), c.Path, c.Args)
+	child, elapsed, err := core.CreateChild(k, c.sys.host, c.via, c.Path, c.Args)
 	if err != nil {
 		c.cleanup()
 		return nil, fmt.Errorf("sim: %v %s: %w", c.via, c.Path, err)

@@ -198,6 +198,9 @@ func (s Spec) validate() error {
 	if s.Requests < 1 {
 		return specErr("Requests", "%d requests (want >= 1)", s.Requests)
 	}
+	if !s.Via.Valid() {
+		return specErr("Via", "unknown strategy %d", int(s.Via))
+	}
 	if s.Workers < 0 {
 		return specErr("Workers", "%d pool workers (want >= 0; 0 selects the default)", s.Workers)
 	}

@@ -26,6 +26,8 @@ func TestSpecValidate(t *testing.T) {
 		{"negative requests", Spec{Requests: -1}, "Requests"},
 		{"negative workers", Spec{Workers: -1}, "Workers"},
 		{"negative surge factor", Spec{SurgeFactor: -1}, "SurgeFactor"},
+		{"negative strategy", Spec{Via: -1}, "Via"},
+		{"strategy past eager", Spec{Via: sim.EagerForkExec + 1}, "Via"},
 		{"unknown load", Spec{Load: "webscale"}, "Load"},
 		{"unknown scenario", Spec{Scenario: "cloudburst"}, "Scenario"},
 		{"chaos needs prefork", Spec{Scenario: Chaos, Load: load.Pipeline}, "Load"},

@@ -217,9 +217,14 @@ func (e *SpecError) Error() string {
 
 // validate rejects the counts withDefaults cannot resolve: zero
 // selects a default, a negative count is junk, and so is a CPU count
-// past what a machine can have or RAM smaller than one page.
-// Templates.Run and Templates.Server call it before any machine boots.
+// past what a machine can have, RAM smaller than one page, or a
+// strategy outside the six. Templates.Run and Templates.Server call it
+// before any machine boots.
 func (cfg Config) validate() error {
+	if !cfg.Via.Valid() {
+		return &SpecError{Spec: "load.Config", Field: "Via",
+			Reason: fmt.Sprintf("unknown strategy %d", int(cfg.Via))}
+	}
 	fields := []string{"Requests", "Workers", "Window", "Nodes", "RequestWorkMiB"}
 	for i, n := range []int{cfg.Requests, cfg.Workers, cfg.Window, cfg.Nodes, cfg.RequestWorkMiB} {
 		if n < 0 {

@@ -185,35 +185,29 @@ func runMigrateCell(cfg Config, tc *Templates) (*Metrics, error) {
 		MigrateRefused:       c.refused,
 	}
 	w.close(m, fab)
-	srv.release()
+	if err := srv.Drain(); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
 // createMigrant builds one migrant on the source per the strategy.
-// Fork-family strategies fork the warmed server itself — the child
-// carries the dirty heap, which is exactly the paper's entanglement;
-// emufork copies it through cross-process reads and writes, as a
-// Server's snapshots do. Spawn and Builder create a self-contained
-// process from an image.
+// Fork-family strategies core.Fork the warmed server itself — the
+// child carries the dirty heap, which is exactly the paper's
+// entanglement; emufork copies it through cross-process reads and
+// writes, as a Server's snapshots do. Spawn and Builder create a
+// self-contained process from an image through Cmd.Create, whose
+// descriptor wiring the cell's virtual costs include.
 func (c *migrateCell) createMigrant() (*kernel.Process, error) {
-	k := c.src.Kernel()
-	host := c.src.Host()
 	switch c.cfg.Via {
-	case sim.ForkExec:
-		return k.Fork(host)
-	case sim.EmulatedFork:
-		return core.EmulateFork(k, host)
-	case sim.EagerForkExec:
-		return k.ForkWithMode(host, kernel.ForkEager)
-	case sim.VforkExec:
-		return k.ForkWithMode(host, kernel.ForkVfork)
-	default: // sim.Spawn, sim.Builder
+	case sim.Spawn, sim.Builder:
 		p, err := c.src.Command("true").Via(c.cfg.Via).Create()
 		if err != nil {
 			return nil, err
 		}
 		return p.Raw(), nil
 	}
+	return core.Fork(c.src.Kernel(), c.src.Host(), c.cfg.Via)
 }
 
 // mutate re-dirties the migrant's share of the server heap — the work

@@ -45,12 +45,18 @@ func TestStampsShareReusePools(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	machine := func(g, r int) error {
+	machine := func(g, r int) (err error) {
 		p, err := tpl.Stamp(cfg)
 		if err != nil {
 			return err
 		}
-		defer p.release()
+		// The rewrite frees and refills the same pages, so the
+		// machine is back at its books when it is retired.
+		defer func() {
+			if derr := p.Drain(); err == nil {
+				err = derr
+			}
+		}()
 		s := p.sys.Host().Space()
 		fill := func(seed byte) []byte {
 			b := bytes.Repeat([]byte{seed}, pages*mem.PageSize)

@@ -158,7 +158,8 @@ func (s *Server) pipeline() error {
 // point-in-time snapshot of the server's heap, then the server keeps
 // mutating MutateBytes of it while the snapshot is held — every
 // mutated page pays a COW break (the PageCopies column). The snapshot
-// mechanism follows the strategy:
+// is a core.Fork of the server by the strategy, with two substitutes
+// (see snapshot):
 //
 //   - ForkExec/VforkExec: kernel COW fork — the cheap snapshot the
 //     paper concedes fork is still good for (vfork itself cannot
@@ -199,15 +200,18 @@ func (s *Server) checkpoint() error {
 	return nil
 }
 
+// snapshot forks host by the strategy: vfork snapshots by COW fork,
+// and spawn and the builder, which cannot duplicate a process, by the
+// emulation.
 func (s *Server) snapshot(host *kernel.Process) (*kernel.Process, error) {
-	switch s.cfg.Via {
-	case sim.ForkExec, sim.VforkExec:
-		return s.k.Fork(host)
-	case sim.EagerForkExec:
-		return s.k.ForkWithMode(host, kernel.ForkEager)
-	default:
-		return core.EmulateFork(s.k, host)
+	via := s.cfg.Via
+	switch via {
+	case sim.VforkExec:
+		via = sim.ForkExec
+	case sim.Spawn, sim.Builder:
+		via = sim.EmulatedFork
 	}
+	return core.Fork(s.k, host, via)
 }
 
 // smpserver is the Redis/SMP worst case §5 warns about: a real

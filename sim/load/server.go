@@ -239,8 +239,12 @@ func (s *Server) Run() (*Metrics, error) {
 // Drain tears down the worker pool — scale-down — and checks the
 // resource books: a leak-free strategy returns process, frame, and
 // commit counts to the post-warm-up baseline, and Drain names each one
-// that did not in its error. Either way the machine is retired; the
-// Server cannot serve after Drain, and calling it twice is an error.
+// that did not in its error. Either way the machine is retired: a
+// stamped one recycles into its template's next stamp (host-side
+// only), a cold one is dropped, and the handles are nilled so nothing
+// late can reach the recycled shell. Every machine the package retires
+// goes through Drain, scenario machines and migration sources too; the
+// Server cannot serve after it, and calling it twice is an error.
 func (s *Server) Drain() error {
 	if s.drained {
 		return fmt.Errorf("load: Drain on a drained server")
@@ -258,21 +262,13 @@ func (s *Server) Drain() error {
 	book("processes", uint64(s.warm.baseProcs), uint64(s.k.ProcessCount()))
 	book("frames", s.warm.basePages, s.k.Phys().AllocatedPages())
 	book("commit", s.warm.baseCmt, s.k.Phys().Committed())
-	s.release()
+	if s.tpl != nil {
+		s.tpl.Release(s.sys)
+	}
+	s.sys, s.k, s.drained = nil, nil, true
 	if len(leaks) > 0 {
 		return fmt.Errorf("load: drain via %v is off its post-warm-up books: %s",
 			s.cfg.Via, strings.Join(leaks, ", "))
 	}
 	return nil
-}
-
-// release retires the machine: a stamped one's allocations recycle
-// into its template's next stamp (host-side only), a cold one is
-// dropped. The handles are nilled so nothing late can reach whatever
-// machine is stamped into the recycled shell next.
-func (s *Server) release() {
-	if s.tpl != nil {
-		s.tpl.Release(s.sys)
-	}
-	s.sys, s.k, s.drained = nil, nil, true
 }

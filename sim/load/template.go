@@ -240,7 +240,10 @@ func (tc *Templates) Run(cfg Config) (*Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The Metrics are plain data: the machine can be recycled.
-	srv.release()
+	// The Metrics are plain data: the machine can be retired, once
+	// its books are back where its warm-up left them.
+	if err := srv.Drain(); err != nil {
+		return nil, err
+	}
 	return m, nil
 }

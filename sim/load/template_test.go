@@ -135,8 +135,8 @@ func TestRunDispatchIsShared(t *testing.T) {
 }
 
 // TestNegativeCountsRejected: a negative count, a CPU count past
-// cost.MaxCPUs, or RAM from 1 byte to one byte short of a page is junk
-// no default can resolve. Every entry point — the cold Run, a live
+// cost.MaxCPUs, RAM from 1 byte to one byte short of a page, or a
+// strategy outside the six is junk no default can resolve. Every entry point — the cold Run, a live
 // cache's Run, and Server on either — rejects it with a *SpecError
 // naming the field before any machine boots, instead of panicking
 // mid-run or failing with the kernel's untyped error.
@@ -155,6 +155,11 @@ func TestNegativeCountsRejected(t *testing.T) {
 		{"CPUs", Config{Scenario: ForkStorm, CPUs: -1}},
 		{"RAMBytes", Config{Scenario: Prefork, RAMBytes: 1}},
 		{"RAMBytes", Config{Scenario: Pipeline, RAMBytes: 4095}},
+		// An unknown strategy used to run as posix_spawn and be
+		// reported as one.
+		{"Via", Config{Scenario: Prefork, Via: sim.Strategy(42)}},
+		{"Via", Config{Scenario: Checkpoint, Via: -1}},
+		{"Via", Config{Scenario: Migrate, Via: 6}},
 	} {
 		c.cfg.HeapBytes = 4 << 20
 		srv := c.cfg

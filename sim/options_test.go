@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/errno"
+	"repro/internal/kernel"
+	"repro/internal/mem"
 	"repro/sim"
 )
 
@@ -29,6 +31,53 @@ func TestWithSwapAddsCommitHeadroom(t *testing.T) {
 			t.Errorf("no swap: fork+exec err = %v, want ENOMEM", err)
 		case swap > 0 && err != nil:
 			t.Errorf("WithSwap(%d): fork+exec failed: %v", swap, err)
+		}
+	}
+}
+
+// TestWithEagerForkCoversTheMachinesOwnForks: WithEagerFork makes the
+// machine's own forks copy the dirty host, Kernel().Fork among them,
+// while a command's creation follows its Strategy: Via(ForkExec) stays
+// copy-on-write on either machine and Via(EagerForkExec) copies.
+func TestWithEagerForkCoversTheMachinesOwnForks(t *testing.T) {
+	const dirty = 4 << 20
+	for _, eager := range []bool{false, true} {
+		opts := []sim.Option{sim.WithUserland("true")}
+		if eager {
+			opts = append(opts, sim.WithEagerFork())
+		}
+		sys := newSys(t, opts...)
+		if err := sys.DirtyHost(dirty, false); err != nil {
+			t.Fatal(err)
+		}
+		k := sys.Kernel()
+		copies := func(name string, create func() (*kernel.Process, error)) uint64 {
+			before := k.Meter().PageCopies
+			p, err := create()
+			if err != nil {
+				t.Fatalf("eager %v, %s: %v", eager, name, err)
+			}
+			k.DestroyProcess(p)
+			return k.Meter().PageCopies - before
+		}
+		via := func(st sim.Strategy) func() (*kernel.Process, error) {
+			return func() (*kernel.Process, error) {
+				p, err := sys.Command("true").Via(st).Create()
+				if err != nil {
+					return nil, err
+				}
+				return p.Raw(), nil
+			}
+		}
+		own := copies("Kernel().Fork", func() (*kernel.Process, error) { return k.Fork(sys.Host()) })
+		if eager != (own >= dirty/mem.PageSize) {
+			t.Errorf("eager %v: Kernel().Fork copied %d pages", eager, own)
+		}
+		if n := copies("Via(ForkExec)", via(sim.ForkExec)); n != 0 {
+			t.Errorf("eager %v: Via(ForkExec) copied %d pages, want 0", eager, n)
+		}
+		if n := copies("Via(EagerForkExec)", via(sim.EagerForkExec)); n < dirty/mem.PageSize {
+			t.Errorf("eager %v: Via(EagerForkExec) copied %d pages, want the %d dirty ones", eager, n, dirty/mem.PageSize)
 		}
 	}
 }

@@ -320,6 +320,43 @@ func TestStrategiesReportCreationCost(t *testing.T) {
 	}
 }
 
+// TestParseStrategyRoundTrips: every strategy parses back from its
+// command-line name, and an unknown name is refused with the list of
+// the six.
+func TestParseStrategyRoundTrips(t *testing.T) {
+	var names []string
+	for st := sim.Strategy(0); st.Valid(); st++ {
+		got, err := sim.ParseStrategy(st.Name())
+		if err != nil || got != st {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", st.Name(), got, err, st)
+		}
+		names = append(names, st.Name())
+	}
+	if want := "spawn|fork|vfork|builder|emufork|eager"; sim.StrategyNames() != want || strings.Join(names, "|") != want {
+		t.Errorf("StrategyNames() = %q, names %q; want %q", sim.StrategyNames(), names, want)
+	}
+	if _, err := sim.ParseStrategy("clone"); err == nil || !strings.Contains(err.Error(), sim.StrategyNames()) {
+		t.Errorf("ParseStrategy(clone) = %v, want an error listing %s", err, sim.StrategyNames())
+	}
+}
+
+// TestUnknownStrategyFails: a command created through a strategy
+// outside the six fails and leaves nothing behind, where it used to
+// run as posix_spawn.
+func TestUnknownStrategyFails(t *testing.T) {
+	sys := newSys(t)
+	procs := sys.Kernel().ProcessCount()
+	for _, st := range []sim.Strategy{7, -1} {
+		out, err := sys.Command("echo", "hi").Via(st).Output()
+		if err == nil || len(out) != 0 {
+			t.Errorf("Via(%d): output %q, err %v; want an error and no output", int(st), out, err)
+		}
+	}
+	if n := sys.Kernel().ProcessCount(); n != procs {
+		t.Errorf("%d processes after the refusals, want %d", n, procs)
+	}
+}
+
 // --- process lifecycle -------------------------------------------
 
 func TestCreateParksUntilStart(t *testing.T) {

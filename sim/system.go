@@ -46,18 +46,6 @@ func (p CommitPolicy) memPolicy() mem.CommitPolicy {
 	return mem.CommitHeuristic
 }
 
-// ForkMode selects the kernel's fork duplication strategy.
-type ForkMode int
-
-// Fork modes.
-const (
-	// ForkCOW is modern copy-on-write fork.
-	ForkCOW ForkMode = iota
-	// ForkEager is 1970s fork: every private page copied eagerly
-	// (the paper's §2 history, kept as an ablation).
-	ForkEager
-)
-
 type config struct {
 	opts      kernel.Options
 	userland  []string // nil = install everything
@@ -90,9 +78,14 @@ func WithCommitPolicy(p CommitPolicy) Option {
 	return func(c *config) { c.opts.Commit = p.memPolicy() }
 }
 
-// WithForkMode selects the kernel fork strategy (COW by default).
-func WithForkMode(m ForkMode) Option {
-	return func(c *config) { c.opts.EagerFork = m == ForkEager }
+// WithEagerFork boots the machine with 1970s eager fork (the paper's
+// §2 history, kept as an ablation) in place of copy-on-write: every
+// fork the machine's own programs make, and every Kernel().Fork,
+// copies each private resident page at fork time. It leaves a Cmd's
+// creation to the Cmd's Strategy: Via(EagerForkExec) (-via eager) is
+// eager fork for that one command, and Via(ForkExec) stays COW.
+func WithEagerFork() Option {
+	return func(c *config) { c.opts.EagerFork = true }
 }
 
 // WithCPUs sets the number of simulated CPUs (default 1, maximum 64).
