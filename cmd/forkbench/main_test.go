@@ -164,15 +164,18 @@ func TestRunLoadWritesJSON(t *testing.T) {
 
 // TestRunLoadStrategiesGolden pins every creation path a load scenario
 // takes: prefork's workers, checkpoint's and smpserver's snapshots and
-// migrate's migrants, each under all six strategies, at a 4 MiB heap.
-// The concatenated JSON reports must byte-match the checked-in golden,
-// which was generated before the strategies shared one dispatch; it is
-// the gate that dispatch must keep. Regenerate only on purpose with
+// migrate's migrants, each under all six strategies, at a 4 MiB heap,
+// and then the two network cells' full reports (wire counters and flow
+// logs included) under the same six. The concatenated JSON reports
+// must byte-match the checked-in golden, which was generated before
+// the strategies shared one dispatch, and extended with the network
+// cells before they shared one cell frame; it is the gate both must
+// keep. Regenerate only on purpose with
 //
 //	go test ./cmd/forkbench -run TestRunLoadStrategiesGolden -update
 func TestRunLoadStrategiesGolden(t *testing.T) {
 	var all []byte
-	for _, scenario := range []string{"prefork", "checkpoint", "smpserver", "migrate"} {
+	for _, scenario := range []string{"prefork", "checkpoint", "smpserver", "migrate", "netlb", "kvshard"} {
 		for via := sim.Strategy(0); via.Valid(); via++ {
 			path := filepath.Join(t.TempDir(), "load.json")
 			args := []string{"-scenario", scenario, "-via", via.Name(), "-heap", "4MiB", "-n", "2", "-json", path}
@@ -245,9 +248,11 @@ func TestRunFleetWritesJSON(t *testing.T) {
 }
 
 // TestRunFleetGolden pins `forkbench fleet`'s JSON report for every
-// fleet scenario at three machines, plus a fleet of netlb cells: the
-// concatenated reports — exact-sum fleet rate, migration outage and
-// restart tax included — must byte-match the checked-in golden.
+// fleet scenario at three machines, plus a fleet of netlb cells and a
+// chaos fleet of kvshard cells with every machine's report: the
+// concatenated reports — exact-sum fleet rate, migration outage,
+// restart tax and each kvshard cell's wire counters included — must
+// byte-match the checked-in golden.
 // Regenerate on purpose with
 //
 //	go test ./cmd/forkbench -run TestRunFleetGolden -update
@@ -256,7 +261,8 @@ func TestRunFleetGolden(t *testing.T) {
 	for _, s := range fleet.Scenarios() {
 		runs = append(runs, []string{"-scenario", string(s), "-n", "4"})
 	}
-	runs = append(runs, []string{"-scenario", "uniform", "-load", "netlb", "-n", "8"})
+	runs = append(runs, []string{"-scenario", "uniform", "-load", "netlb", "-n", "8"},
+		[]string{"-scenario", "chaos", "-load", "kvshard", "-permachine", "-n", "8"})
 	var all []byte
 	for _, args := range runs {
 		path := filepath.Join(t.TempDir(), "fleet.json")
