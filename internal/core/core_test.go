@@ -9,6 +9,7 @@ import (
 	"repro/internal/abi"
 	"repro/internal/addrspace"
 	"repro/internal/kernel"
+	"repro/internal/mem"
 	"repro/internal/sig"
 	"repro/internal/ulib"
 	"repro/internal/vfs"
@@ -248,6 +249,63 @@ func TestEmulateForkCopiesState(t *testing.T) {
 	}
 	k.DestroyProcess(child)
 	k.DestroyProcess(parent)
+}
+
+// TestEmulateForkCommitsItsVMAs holds an emulated fork's child to the
+// commit its VMAs account for. The emulation maps every VMA writable to
+// copy it, so each read-only private VMA (a program's text) reserves
+// commit on the way in; the mprotect back to read-only must return that
+// reservation and leave the copied pages' entries read-only, so the
+// child commits exactly its private writable VMAs, as its parent does.
+func TestEmulateForkCommitsItsVMAs(t *testing.T) {
+	k := newKernel(t, nil)
+	host := k.NewSynthetic("host", nil)
+	parent, err := SpawnParked(k, host, "/bin/true", []string{"true"}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	child, err := EmulateFork(k, parent)
+	if err != nil {
+		t.Fatalf("EmulateFork: %v", err)
+	}
+	pvmas, cvmas := parent.Space().VMAs(), child.Space().VMAs()
+	if len(cvmas) != len(pvmas) {
+		t.Fatalf("child has %d VMAs, parent %d", len(cvmas), len(pvmas))
+	}
+	readOnly := 0
+	for i, v := range cvmas {
+		pv := pvmas[i]
+		if v.Start != pv.Start || v.End != pv.End || v.Prot != pv.Prot || v.Shared != pv.Shared {
+			t.Errorf("child VMA %s [%#x,%#x) prot %v shared %v, parent [%#x,%#x) prot %v shared %v",
+				v.Name, v.Start, v.End, v.Prot, v.Shared, pv.Start, pv.End, pv.Prot, pv.Shared)
+		}
+		if v.Prot&addrspace.Write != 0 {
+			continue
+		}
+		readOnly++
+		for va := v.Start; va < v.End; va += mem.PageSize {
+			if pte, ok := child.Space().PageTable().Lookup(va); ok && pte.Writable() {
+				t.Errorf("child's read-only VMA %s maps %#x writable", v.Name, va)
+			}
+		}
+	}
+	if readOnly == 0 {
+		t.Fatal("the spawned program has no read-only VMA to protect")
+	}
+	for _, p := range []*kernel.Process{parent, child} {
+		var want uint64
+		for _, v := range p.Space().VMAs() {
+			if !v.Shared && v.Prot&addrspace.Write != 0 {
+				want += v.Len()
+			}
+		}
+		if got := p.Space().Committed(); got != want {
+			t.Errorf("%s commits %d bytes, its private writable VMAs %d", p.Name, got, want)
+		}
+	}
+	k.DestroyProcess(child)
+	k.DestroyProcess(parent)
+	k.DestroyProcess(host)
 }
 
 // TestMethodsNamed pins the method table: every method in order, its

@@ -31,10 +31,11 @@ func EmulateFork(k *kernel.Kernel, parent *kernel.Process) (*kernel.Process, err
 		return nil, err
 	}
 
-	// 1. Recreate the memory map and copy resident contents.
+	// 1. Recreate the memory map and copy resident contents. Every
+	// VMA is mapped writable so the copy can write it.
 	for _, v := range parent.Space().VMAs() {
 		_, err := child.Space().Map(v.Start, v.Len(), v.Prot|addrspace.Write, addrspace.MapOpts{
-			Kind: v.Kind, Name: v.Name, Huge: v.Huge,
+			Kind: v.Kind, Name: v.Name, Shared: v.Shared, Huge: v.Huge,
 		})
 		if err != nil {
 			return fail(fmt.Errorf("core: emulate fork: map %s: %w", v.Name, err))
@@ -54,14 +55,17 @@ func EmulateFork(k *kernel.Kernel, parent *kernel.Process) (*kernel.Process, err
 		}
 	}
 
-	// 2. Restore intended protections (we mapped writable to copy).
-	// The simulator's VMA protections are advisory per-mapping; a
-	// real implementation would mprotect here. We rebuild the
-	// record only — page permissions in the child already reflect
-	// the writable mapping, so this is where emulation visibly
-	// diverges from kernel fork (text pages end up writable).
-	for i, v := range parent.Space().VMAs() {
-		child.Space().VMAs()[i].Prot = v.Prot
+	// 2. Restore intended protections: mprotect each VMA that was
+	// mapped writable only for the copy back to its own protection,
+	// which returns its commit reservation and leaves its pages'
+	// entries read-only.
+	for _, v := range parent.Space().VMAs() {
+		if v.Prot&addrspace.Write != 0 {
+			continue
+		}
+		if err := child.Space().Protect(v.Start, v.Len(), v.Prot); err != nil {
+			return fail(fmt.Errorf("core: emulate fork: protect %s: %w", v.Name, err))
+		}
 	}
 
 	// 3. Descriptors, one explicit duplication per slot.
