@@ -5,11 +5,9 @@ import (
 	"strings"
 
 	"repro/internal/cost"
-	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/sim"
 	"repro/sim/fault"
-	simnet "repro/sim/net"
 )
 
 // Scenario names a workload shape. The string form is the CLI name.
@@ -163,8 +161,6 @@ func (cfg Config) withDefaults() Config {
 			cfg.Nodes = 2
 		case KVShard:
 			cfg.Nodes = 3
-		case Migrate:
-			cfg.Nodes = 2 // source and destination
 		}
 	}
 	if cfg.Workers == 0 {
@@ -368,52 +364,6 @@ type NetCounters struct {
 	NetDrops       uint64 `json:"net_drops,omitempty"`
 	NetTimeouts    uint64 `json:"net_timeouts,omitempty"`
 	NetRetries     uint64 `json:"net_retries,omitempty"`
-}
-
-// window is one measured interval over a cell's machines: every
-// scenario opens it after warm-up and closes it into its Metrics.
-type window struct {
-	ks  []*kernel.Kernel
-	csw uint64 // Σ context switches at open
-}
-
-// openWindow zeroes the kernels' meters and notes their context-switch
-// baseline.
-func openWindow(ks ...*kernel.Kernel) window {
-	w := window{ks: ks}
-	for _, k := range ks {
-		k.Meter().ResetCounters()
-		w.csw += k.ContextSwitches()
-	}
-	return w
-}
-
-// close sums the window's Counters into m, fills the wire counters and
-// flow log from fab (nil for single-machine runs), and computes the
-// per-virtual-second rates from m's totals.
-func (w *window) close(m *Metrics, fab *simnet.Fabric) {
-	for _, k := range w.ks {
-		m.Counters.Add(Counters(k.Counters()))
-	}
-	m.ContextSwitches -= w.csw
-	if fab != nil {
-		tot := fab.Totals()
-		m.NetPacketsSent = tot.PacketsSent
-		m.NetPacketsRecv = tot.PacketsRecv
-		m.NetBytesSent = tot.BytesSent
-		m.NetBytesRecv = tot.BytesRecv
-		m.NetDrops = tot.DropsSend + tot.DropsRecv
-		for _, fl := range fab.Flows() {
-			m.NetFlows = append(m.NetFlows, NetFlow{
-				Src: fl.Src, Dst: fl.Dst, Flow: fl.Flow,
-				Packets: fl.Packets, Bytes: fl.Bytes, Drops: fl.Drops,
-			})
-		}
-	}
-	if m.VirtualNanos > 0 {
-		m.RequestsPerVSec = float64(m.Requests) * 1e9 / float64(m.VirtualNanos)
-		m.CreationsPerVSec = float64(m.Creations) * 1e9 / float64(m.VirtualNanos)
-	}
 }
 
 // Render formats the metrics as an aligned block for the CLI.

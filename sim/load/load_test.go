@@ -117,6 +117,25 @@ func TestHeapBytesIsTheMappedHeap(t *testing.T) {
 	}
 }
 
+// TestPeakRSSCoversHeap: every run's peak RSS covers the heap its
+// machines hold resident from warm-up to drain, whatever the scenario
+// and strategy. The cell samples each machine's peak when it opens, so
+// a run that samples nothing later — a migration the checkpoint
+// refuses — still reports its source's heap.
+func TestPeakRSSCoversHeap(t *testing.T) {
+	for _, s := range load.Scenarios() {
+		for _, via := range sim.Strategies() {
+			m, err := load.Run(load.Config{Scenario: s, Via: via, Requests: 2, HeapBytes: 4 << 20})
+			if err != nil {
+				t.Fatalf("%s via %v: %v", s, via, err)
+			}
+			if m.PeakRSSBytes < m.HeapBytes {
+				t.Errorf("%s via %v: peak RSS %d below its mapped heap %d", s, via, m.PeakRSSBytes, m.HeapBytes)
+			}
+		}
+	}
+}
+
 // TestPipelineFarm drains pipelines and counts one creation per stage.
 func TestPipelineFarm(t *testing.T) {
 	m, err := load.Run(load.Config{

@@ -11,7 +11,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/sim"
-	simnet "repro/sim/net"
 )
 
 // The Migrate scenario: live migration of one resident process between
@@ -63,17 +62,14 @@ const (
 	migMaxAttempts = 16
 )
 
-// migrateCell is one Migrate run: two machines, the fabric between
-// them, and the counters the loop accumulates.
+// migrateCell is one Migrate run's loop: its cell — the source and
+// destination Servers and the fabric between them — and the counters
+// the loop accumulates.
 type migrateCell struct {
-	cfg   Config
-	model cost.Model
-	fab   *simnet.Fabric
-	src   *sim.System
-	dst   *sim.System
-
-	heapStart uint64 // source host's server-heap base VA
-	rounds    int    // pre-copy rounds per migration (round 0 included)
+	*cell
+	model    cost.Model
+	src, dst *Server
+	rounds   int // pre-copy rounds per migration (round 0 included)
 
 	// recs is the one record buffer every capture of every migration
 	// fills: each round's records are installed before the next round
@@ -88,7 +84,6 @@ type migrateCell struct {
 	roundsRun  uint64
 	pagesSent  uint64     // 4 KiB units shipped, all rounds + residue
 	downtime   cost.Ticks // summed stop-and-copy outage
-	peakPages  uint64
 }
 
 // recPool recycles migrate cells' record buffers across cells: a fleet
@@ -107,88 +102,57 @@ func pageRecBytes(recs []addrspace.PageRecord) uint64 {
 	return n
 }
 
-// runMigrateCell executes the Migrate scenario. The source machine is
-// stamped from tc (cold-booted when tc is nil) and released back into
-// its template after the cell; the destination always boots cold.
-func runMigrateCell(cfg Config, tc *Templates) (*Metrics, error) {
-	cfg = cfg.withDefaults()
-	// The source is a warmed server, stamped like any single-machine
-	// run: its dirty heap is what the fork-family migrants drag along.
-	srv, err := tc.machine(cfg, cfg.Shape())
-	if err != nil {
+// migrate executes the Migrate scenario. The source is a warmed
+// scenario machine, stamped like any single-machine run (cold-booted
+// when tc is nil): its dirty heap is what the fork-family migrants drag
+// along. The destination boots identically but stays cold, a Server
+// with no heap and no pool: the migrant's state arrives over the wire,
+// not from a local warm-up, so its books are its boot state.
+func (cl *cell) migrate(tc *Templates) (*Metrics, error) {
+	cfg := cl.cfg
+	if err := cl.add(tc.machine(cfg, cfg.Shape())); err != nil {
 		return nil, err
 	}
-	src := srv.sys
-	// The destination boots identically but stays cold: the migrant's
-	// state arrives over the wire, not from a local warm-up.
-	dst, err := boot(cfg.Shape())
-	if err != nil {
+	if err := cl.add(warm(cfg, Shape{CPUs: cfg.CPUs, RAMBytes: cfg.RAMBytes})); err != nil {
 		return nil, err
 	}
-
-	var opts []simnet.Option
-	if cfg.Faults != nil {
-		opts = append(opts, simnet.WithFaults(cfg.Faults))
-	}
-	fab, err := simnet.New(2, cost.DefaultModel(), opts...)
-	if err != nil {
+	if err := cl.wire(migDstAddr + 1); err != nil {
 		return nil, err
 	}
 
 	buf := recPool.Get().(*[]addrspace.PageRecord)
 	c := &migrateCell{
-		cfg:       cfg,
-		model:     cost.DefaultModel(),
-		fab:       fab,
-		src:       src,
-		dst:       dst,
-		heapStart: srv.warm.heapStart,
-		rounds:    cfg.Workers,
-		recs:      (*buf)[:0],
+		cell:   cl,
+		model:  cost.DefaultModel(),
+		src:    cl.servers[migSrcAddr],
+		dst:    cl.servers[migDstAddr],
+		rounds: max(cfg.Workers, 1),
+		recs:   (*buf)[:0],
 	}
 	defer func() {
 		*buf = c.recs[:0]
 		clear((*buf)[:cap(*buf)])
 		recPool.Put(buf)
 	}()
-	if c.rounds < 1 {
-		c.rounds = 1
-	}
 
 	// Measure from here, warm-up excluded like every scenario.
-	srcK := src.Kernel()
-	w := openWindow(srcK, dst.Kernel())
-	t0 := srcK.Elapsed()
-
+	cl.open()
+	t0 := c.src.k.Elapsed()
 	for i := 0; i < cfg.Requests; i++ {
 		if err := c.migrateOnce(); err != nil {
 			return nil, fmt.Errorf("load: migrate via %v: %w", cfg.Via, err)
 		}
 	}
-
-	m := &Metrics{
-		Scenario:  string(cfg.Scenario),
-		Strategy:  cfg.Via.String(),
-		HeapBytes: srv.warm.heapBytes,
-		RAMBytes:  cfg.RAMBytes,
-		NumCPUs:   cfg.CPUs,
-
-		Requests:  c.migrations,
-		Creations: c.creations,
-
-		VirtualNanos: uint64(srcK.Elapsed() - t0),
-		PeakRSSBytes: c.peakPages * uint64(mem.PageSize),
+	return cl.close(&Metrics{
+		Requests:     c.migrations,
+		Creations:    c.creations,
+		VirtualNanos: uint64(c.src.k.Elapsed() - t0),
 
 		MigrateRounds:        c.roundsRun,
 		MigratePagesSent:     c.pagesSent,
 		MigrateDowntimeNanos: uint64(c.downtime),
 		MigrateRefused:       c.refused,
-	}
-	w.close(m, fab)
-	if err := srv.Drain(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	}), nil
 }
 
 // createMigrant builds one migrant on the source per the strategy.
@@ -201,13 +165,13 @@ func runMigrateCell(cfg Config, tc *Templates) (*Metrics, error) {
 func (c *migrateCell) createMigrant() (*kernel.Process, error) {
 	switch c.cfg.Via {
 	case sim.Spawn, sim.Builder:
-		p, err := c.src.Command("true").Via(c.cfg.Via).Create()
+		p, err := c.src.sys.Command("true").Via(c.cfg.Via).Create()
 		if err != nil {
 			return nil, err
 		}
 		return p.Raw(), nil
 	}
-	return core.Fork(c.src.Kernel(), c.src.Host(), c.cfg.Via)
+	return core.Fork(c.src.k, c.src.sys.Host(), c.cfg.Via)
 }
 
 // mutate re-dirties the migrant's share of the server heap — the work
@@ -215,25 +179,16 @@ func (c *migrateCell) createMigrant() (*kernel.Process, error) {
 // without the inherited heap (spawned, Builder-built) have nothing at
 // that address and skip it: their rounds converge immediately.
 func (c *migrateCell) mutate(p *kernel.Process) error {
-	if c.cfg.MutateBytes == 0 || p.Space().FindVMA(c.heapStart) == nil {
+	heap := c.src.warm.heapStart
+	if c.cfg.MutateBytes == 0 || p.Space().FindVMA(heap) == nil {
 		return nil
 	}
-	n := c.cfg.MutateBytes
-	return p.Space().Touch(c.heapStart, n, addrspace.AccessWrite)
-}
-
-// sampleRSS tracks the two machines' allocation high-water mark.
-func (c *migrateCell) sampleRSS() {
-	for _, k := range []*kernel.Kernel{c.src.Kernel(), c.dst.Kernel()} {
-		if a := k.Phys().AllocatedPages(); a > c.peakPages {
-			c.peakPages = a
-		}
-	}
+	return p.Space().Touch(heap, c.cfg.MutateBytes, addrspace.AccessWrite)
 }
 
 // migrateOnce moves one migrant from src to dst.
 func (c *migrateCell) migrateOnce() error {
-	srcK, dstK := c.src.Kernel(), c.dst.Kernel()
+	srcK, dstK := c.src.k, c.dst.k
 	p, err := c.createMigrant()
 	if err != nil {
 		return err
@@ -318,7 +273,7 @@ func (c *migrateCell) migrateOnce() error {
 		}
 	}
 	c.pagesSent += final.PageBytes() >> mem.PageShift
-	c.sampleRSS()
+	c.sample()
 	resume := dstK.Elapsed()
 	if resume < arrival {
 		resume = arrival
@@ -336,10 +291,9 @@ func (c *migrateCell) migrateOnce() error {
 // the next — synchronous rounds keep the cell single-threaded and
 // deterministic.
 func (c *migrateCell) syncRound() {
-	c.sampleRSS()
-	srcK, dstK := c.src.Kernel(), c.dst.Kernel()
-	if e := dstK.Elapsed(); e > srcK.Elapsed() {
-		srcK.AdvanceTo(e)
+	c.sample()
+	if e := c.dst.k.Elapsed(); e > c.src.k.Elapsed() {
+		c.src.k.AdvanceTo(e)
 	}
 }
 
@@ -350,7 +304,7 @@ func (c *migrateCell) syncRound() {
 // latency later. A chunk that exceeds its attempt budget fails the
 // migration (the link is effectively dead).
 func (c *migrateCell) ship(flow string, bytes uint64) (cost.Ticks, error) {
-	now := c.src.Kernel().Elapsed()
+	now := c.src.k.Elapsed()
 	nchunks := int((bytes + migChunkBytes - 1) / migChunkBytes)
 	if nchunks < 1 {
 		nchunks = 1

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/cost"
-	"repro/internal/kernel"
 	simnet "repro/sim/net"
 )
 
@@ -31,8 +30,8 @@ import (
 // wire (fault.NetChaos drops, fault.NetSplit partitions) convert
 // into retries and, past the attempt budget, failed requests.
 
-// Cell wiring constants: the client's timeout/retry policy and the
-// priced (not stored) message sizes.
+// The client's timeout/retry policy and the balancer's priced (not
+// stored) forward size.
 const (
 	// netTimeout is the client's per-attempt response deadline. It
 	// sits between a spawn pool's re-warm time (~30ms) and a fork
@@ -45,16 +44,35 @@ const (
 	// unanswered after this many attempts is failed.
 	netMaxAttempts = 3
 
-	netReqBytes  = 512  // client -> LB request
-	netFwdBytes  = 512  // LB -> backend forward
-	netRespBytes = 2048 // backend -> client response (direct return)
-	netGetBytes  = 128  // client -> shard get
-	netValBytes  = 1024 // shard -> client value
+	netFwdBytes = 512 // LB -> backend forward
 )
+
+// netWiring is all that sets the two network cells apart: the address
+// of the first server, the flows a request and its response ride with
+// their priced (not stored) sizes, and whether a balancer fronts the
+// servers. Address 0 is the client. A balancer sits at netLBAddr and
+// forwards each attempt to a backend, and its first backend restarts
+// mid-run (E15); without one the client hashes each request to its
+// shard.
+type netWiring struct {
+	first               int
+	reqFlow, respFlow   string
+	reqBytes, respBytes uint64
+	balanced            bool
+}
+
+// netWirings holds one row per network cell.
+var netWirings = map[Scenario]netWiring{
+	NetLB:   {first: netLBAddr + 1, reqFlow: "req", reqBytes: 512, respFlow: "resp", respBytes: 2048, balanced: true},
+	KVShard: {first: netClientAddr + 1, reqFlow: "get", reqBytes: 128, respFlow: "val", respBytes: 1024},
+}
 
 // Distributed reports whether s is a multi-machine scenario run as a
 // network cell (fault schedules apply to the wire, not the machines).
-func (s Scenario) Distributed() bool { return s == NetLB || s == KVShard }
+func (s Scenario) Distributed() bool {
+	_, ok := netWirings[s]
+	return ok
+}
 
 // netTimer is one pending client timeout: attempt att of request req
 // expires at time at unless a response resolves it first.
@@ -90,16 +108,13 @@ type netReq struct {
 	resolved bool
 }
 
-// netCell is one distributed run: the fabric, the backing Server
-// machines, and the client/balancer state the event loop advances.
-// Addresses: 0 is the client; NetLB puts the balancer at 1 and
-// backends at 2..; KVShard puts shards at 1..
+// netCell is one distributed run's event loop: its cell (the backing
+// Servers, indexed by address minus first, and the fabric), its wiring
+// row, and the client and balancer state the loop advances.
 type netCell struct {
-	cfg     Config
-	fab     *simnet.Fabric
-	servers []*Server    // one per backend/shard, indexed by addr-first
-	avail   []cost.Ticks // per server: busy-until on the cell timeline
-	first   int          // address of servers[0]
+	*cell
+	netWiring
+	avail []cost.Ticks // per server: busy-until on the cell timeline
 
 	timers netTimerHeap
 	tseq   uint64
@@ -113,7 +128,7 @@ type netCell struct {
 	timeouts, retries  uint64
 	creations          uint64
 	completed          []uint64 // per server: requests completed
-	restartAfter       uint64   // NetLB: backend 0 restarts after this many
+	restartAfter       uint64   // balanced: backend 0 restarts after this many
 	restarted          bool
 	lastDone           cost.Ticks // resolution time of the last request
 	err                error
@@ -122,15 +137,24 @@ type netCell struct {
 const netClientAddr = 0
 const netLBAddr = 1
 
-// runNetCell executes one distributed scenario. Backends are stamped
-// from tc's server templates, or cold-booted when tc is nil; both
-// produce byte-identical Metrics.
-func runNetCell(cfg Config, tc *Templates) (m *Metrics, err error) {
-	cfg = cfg.withDefaults()
+// network executes one distributed scenario. Backends are stamped from
+// tc's server templates, or cold-booted when tc is nil; both produce
+// byte-identical Metrics.
+func (cl *cell) network(tc *Templates) (*Metrics, error) {
+	cfg := cl.cfg
 	n := cfg.Nodes
-
+	// The backing machines. Their own fault injectors stay clean —
+	// cfg.Faults is the wire's schedule, installed on the fabric.
+	bcfg := cfg
+	bcfg.Scenario, bcfg.Faults = Prefork, nil
+	for i := 0; i < n; i++ {
+		if err := cl.add(tc.Server(bcfg)); err != nil {
+			return nil, fmt.Errorf("load: %s backend %d: %w", cfg.Scenario, i, err)
+		}
+	}
 	c := &netCell{
-		cfg:       cfg,
+		cell:      cl,
+		netWiring: netWirings[cfg.Scenario],
 		avail:     make([]cost.Ticks, n),
 		completed: make([]uint64, n),
 		reqs:      make([]netReq, cfg.Requests),
@@ -139,63 +163,23 @@ func runNetCell(cfg Config, tc *Templates) (m *Metrics, err error) {
 	if c.window < 1 {
 		c.window = DefaultWindow(cfg.Scenario, cfg.CPUs)
 	}
-	switch cfg.Scenario {
-	case NetLB:
-		c.first = netLBAddr + 1
-		c.restartAfter = uint64(cfg.Requests / (3 * n))
-		if c.restartAfter < 1 {
-			c.restartAfter = 1
-		}
-	case KVShard:
-		c.first = netClientAddr + 1
-	default:
-		return nil, fmt.Errorf("load: %s is not a distributed scenario", cfg.Scenario)
+	if c.balanced {
+		c.restartAfter = max(uint64(cfg.Requests/(3*n)), 1)
 	}
-
-	// The backing machines. Their own fault injectors stay clean —
-	// cfg.Faults is the wire's schedule, installed on the fabric.
-	bcfg := cfg
-	bcfg.Scenario = Prefork
-	bcfg.Faults = nil
-	for i := 0; i < n; i++ {
-		s, err := tc.Server(bcfg)
-		if err != nil {
-			return nil, fmt.Errorf("load: %s backend %d: %w", cfg.Scenario, i, err)
-		}
-		c.servers = append(c.servers, s)
-	}
-	defer func() {
-		for _, s := range c.servers {
-			if derr := s.Drain(); derr != nil && err == nil {
-				m, err = nil, derr
-			}
-		}
-	}()
-
-	var opts []simnet.Option
-	if cfg.Faults != nil {
-		opts = append(opts, simnet.WithFaults(cfg.Faults))
-	}
-	fab, err := simnet.New(c.first+n, cost.DefaultModel(), opts...)
-	if err != nil {
+	if err := cl.wire(c.first + n); err != nil {
 		return nil, err
 	}
-	c.fab = fab
 
 	// Measure from here: the loop's counters exclude warm-up, like
 	// every other scenario.
-	ks := make([]*kernel.Kernel, n)
-	for i, s := range c.servers {
-		ks[i] = s.k
-	}
-	w := openWindow(ks...)
+	cl.open()
 
 	// Seed the closed loop and run the merged event queue dry:
 	// earliest of (next packet arrival, next timer), packets first on
 	// ties — a response beats its own deadline.
 	c.launch(0)
 	for c.err == nil {
-		ta, okA := fab.NextArrival()
+		ta, okA := c.fab.NextArrival()
 		var tt cost.Ticks
 		okT := len(c.timers) > 0
 		if okT {
@@ -205,7 +189,7 @@ func runNetCell(cfg Config, tc *Templates) (m *Metrics, err error) {
 			break
 		}
 		if okA && (!okT || ta <= tt) {
-			if p, ok := fab.DeliverNext(); ok {
+			if p, ok := c.fab.DeliverNext(); ok {
 				c.handle(p)
 			}
 			continue
@@ -215,26 +199,14 @@ func runNetCell(cfg Config, tc *Templates) (m *Metrics, err error) {
 	if c.err != nil {
 		return nil, fmt.Errorf("load: %s via %v: %w", cfg.Scenario, cfg.Via, c.err)
 	}
-
-	m = &Metrics{
-		Scenario:  string(cfg.Scenario),
-		Strategy:  cfg.Via.String(),
-		HeapBytes: c.servers[0].warm.heapBytes,
-		RAMBytes:  cfg.RAMBytes,
-		NumCPUs:   cfg.CPUs,
-
+	m := &Metrics{
 		Requests:       c.served,
 		Creations:      c.creations,
 		FailedRequests: c.failedReqs,
-
-		VirtualNanos: uint64(c.lastDone),
+		VirtualNanos:   uint64(c.lastDone),
 	}
 	m.NetTimeouts, m.NetRetries = c.timeouts, c.retries
-	for _, s := range c.servers {
-		m.PeakRSSBytes = max(m.PeakRSSBytes, s.PeakRSSBytes())
-	}
-	w.close(m, fab)
-	return m, nil
+	return cl.close(m), nil
 }
 
 // launch tops the client's in-flight window up at time now.
@@ -253,12 +225,11 @@ func (c *netCell) attempt(req int, now cost.Ticks) {
 	att := c.reqs[req].attempts
 	c.reqs[req].attempts++
 	tag := uint64(req)<<8 | uint64(att)
-	switch c.cfg.Scenario {
-	case NetLB:
-		c.fab.Send(netClientAddr, netLBAddr, "req", tag, netReqBytes, now)
-	case KVShard:
-		c.fab.Send(netClientAddr, c.first+req%len(c.servers), "get", tag, netGetBytes, now)
+	dst := netLBAddr
+	if !c.balanced {
+		dst = c.first + req%len(c.servers)
 	}
+	c.fab.Send(netClientAddr, dst, c.reqFlow, tag, c.reqBytes, now)
 	c.tseq++
 	heap.Push(&c.timers, netTimer{at: now + netTimeout, req: req, att: att, seq: c.tseq})
 }
@@ -274,7 +245,7 @@ func (c *netCell) handle(p simnet.Packet) {
 		if !c.reqs[req].resolved {
 			c.resolve(req, p.Arrival, true)
 		}
-	case c.cfg.Scenario == NetLB && p.Dst == netLBAddr:
+	case c.balanced && p.Dst == netLBAddr:
 		// Balancer: forward to a backend. Retries rotate so a retry
 		// never re-queues behind the backend that timed it out.
 		b := (req + att) % len(c.servers)
@@ -284,14 +255,8 @@ func (c *netCell) handle(p simnet.Packet) {
 		// returns the response directly to the client. Served even if
 		// the client has moved on — wasted work is the retry storm's
 		// cost, and it keeps the backend clock honest.
-		i := p.Dst - c.first
-		flow := "resp"
-		bytes := uint64(netRespBytes)
-		if c.cfg.Scenario == KVShard {
-			flow, bytes = "val", netValBytes
-		}
-		done := c.serve(i, p.Arrival)
-		c.fab.Send(p.Dst, netClientAddr, flow, p.Tag, bytes, done)
+		done := c.serve(p.Dst-c.first, p.Arrival)
+		c.fab.Send(p.Dst, netClientAddr, c.respFlow, p.Tag, c.respBytes, done)
 	}
 }
 
@@ -314,10 +279,10 @@ func (c *netCell) serve(i int, arrival cost.Ticks) cost.Ticks {
 	done := start + cost.Ticks(b.Nanos)
 	c.avail[i] = done
 	c.completed[i]++
-	// The E15 event: one NetLB backend restarts mid-run and re-pays
+	// The E15 event: one balanced backend restarts mid-run and re-pays
 	// its measured warm-up (heap dirtying + pool creation) before it
 	// can serve again — Θ(heap) longer under fork than under spawn.
-	if c.cfg.Scenario == NetLB && i == 0 && !c.restarted && c.completed[i] >= c.restartAfter {
+	if c.balanced && i == 0 && !c.restarted && c.completed[i] >= c.restartAfter {
 		c.restarted = true
 		c.avail[i] = done + cost.Ticks(c.servers[i].WarmupNanos())
 	}

@@ -22,7 +22,10 @@ import (
 // traffic, and Drain is scale-down. sim/fleet's rolling wave uses one
 // as a machine's replacement instance: the warm-up is the restart tax,
 // and Run is the measured serve phase. The network cells' backends are
-// Servers too. Every Server comes from Templates.
+// Servers too, and so is a migration's destination: a machine with no
+// heap and no pool, whose books are its boot state. Every Server but
+// that destination comes from Templates, and every machine a run boots
+// is one of a cell's Servers.
 //
 // A Server is single-goroutine: the caller serializes ServeBatch /
 // Run / Drain. Distinct Servers are independent machines and may run
@@ -74,7 +77,8 @@ type Batch struct {
 // Template freezes and every cold machine repeats. Between boot and the
 // heap it only reads clocks and counters, so a scenario machine warms
 // boot → map → touch; the warm-up runs on the machine's virtual clock,
-// which WarmupNanos reports.
+// which WarmupNanos reports. A shape with no heap and no pool — a
+// migration destination — is its boot state, and so are its books.
 func warm(cfg Config, s Shape) (*Server, error) {
 	sys, err := boot(s)
 	if err != nil {
@@ -82,26 +86,25 @@ func warm(cfg Config, s Shape) (*Server, error) {
 	}
 	k := sys.Kernel()
 	t0, pteBase := k.Elapsed(), k.Meter().PTECopies
+	srv := &Server{cfg: cfg.withDefaults(), sys: sys, k: k}
 
 	// The server's resident, dirty heap — what fork must duplicate
 	// page-table entries for on every creation.
-	heap := s.MappedHeapBytes()
-	space := sys.Host().Space()
-	vma, err := space.Map(0, heap, addrspace.Read|addrspace.Write, addrspace.MapOpts{
-		Kind: addrspace.KindAnon, Name: "server-heap", Huge: s.HugePages,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("load: map heap: %w", err)
+	if heap := s.MappedHeapBytes(); heap > 0 {
+		space := sys.Host().Space()
+		vma, err := space.Map(0, heap, addrspace.Read|addrspace.Write, addrspace.MapOpts{
+			Kind: addrspace.KindAnon, Name: "server-heap", Huge: s.HugePages,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("load: map heap: %w", err)
+		}
+		if err := space.Touch(vma.Start, heap, addrspace.AccessWrite); err != nil {
+			return nil, fmt.Errorf("load: dirty heap: %w", err)
+		}
+		srv.warm.heapStart, srv.warm.heapBytes = vma.Start, heap
 	}
-	if err := space.Touch(vma.Start, heap, addrspace.AccessWrite); err != nil {
-		return nil, fmt.Errorf("load: dirty heap: %w", err)
-	}
-	srv := &Server{cfg: cfg.withDefaults(), sys: sys, k: k, warm: warmup{
-		heapStart: vma.Start, heapBytes: heap,
-		baseProcs: k.ProcessCount(),
-		basePages: k.Phys().AllocatedPages(),
-		baseCmt:   k.Phys().Committed(),
-	}}
+	srv.warm.baseProcs = k.ProcessCount()
+	srv.warm.basePages, srv.warm.baseCmt = k.Phys().AllocatedPages(), k.Phys().Committed()
 	for i := 0; i < s.Pool; i++ {
 		w, err := sys.Command("true").Via(s.Via).Create()
 		if err != nil {
@@ -115,8 +118,8 @@ func warm(cfg Config, s Shape) (*Server, error) {
 	return srv, nil
 }
 
-// sample records the physical-memory high-water mark; scenarios call
-// it at their peak-occupancy points.
+// sample records the physical-memory high-water mark — the package's
+// one peak tracker; the loops call it at their peak-occupancy points.
 func (s *Server) sample() {
 	s.peakPages = max(s.peakPages, s.k.Phys().AllocatedPages())
 }
@@ -152,36 +155,40 @@ func (s *Server) WarmupNanos() uint64 { return s.warm.nanos }
 func (s *Server) WarmupPTECopies() uint64 { return s.warm.ptes }
 
 // PeakRSSBytes is the resident-memory high-water mark observed so far;
-// Run starts it afresh.
+// a measured run restarts it when its cell opens.
 func (s *Server) PeakRSSBytes() uint64 { return s.peakPages * uint64(mem.PageSize) }
 
 // Run executes one measured pass of cfg's scenario from the current
 // virtual instant, with whatever pool the machine parked resident, so
-// its footprint is in the peak RSS: cfg.Faults is armed (only now, so
-// warm-up stays clean and the measured loop runs under the schedule),
-// counters and tallies are zeroed, the loop runs, and the metrics are
-// assembled. The warm-up's bill is WarmupNanos and WarmupPTECopies, not
-// the pass's.
+// its footprint is in the peak RSS: a cell of this one machine, which
+// the caller still drains. The warm-up's bill is WarmupNanos and
+// WarmupPTECopies, not the pass's.
 func (s *Server) Run() (*Metrics, error) {
 	if s.drained {
 		return nil, fmt.Errorf("load: Run on a drained server")
 	}
-	cfg := s.cfg
+	return (&cell{cfg: s.cfg, servers: []*Server{s}}).pass()
+}
+
+// pass is one measured single-machine pass on the cell's one machine:
+// cfg.Faults is armed (only now, so warm-up stays clean and the
+// measured loop runs under the schedule), the tallies are zeroed and
+// the window opened, the loop runs, and the cell closes into the
+// metrics, with the machine's CPU utilisation and server CPU time.
+func (c *cell) pass() (*Metrics, error) {
+	s, cfg := c.servers[0], c.cfg
 	if cfg.Faults != nil {
 		s.sys.SetFaultSchedule(cfg.Faults)
 	}
-	s.requests, s.creations, s.failed, s.peakPages, s.serverCPU = 0, 0, 0, 0, 0
-
+	s.requests, s.creations, s.failed, s.serverCPU = 0, 0, 0, 0
+	c.open()
 	meter := s.k.Meter()
-	w := openWindow(s.k)
-	oomBase := s.k.OOMKills
 	busyBase := make([]cost.Ticks, cfg.CPUs)
 	clockBase := make([]cost.Ticks, cfg.CPUs)
 	for i := range busyBase {
 		busyBase[i], clockBase[i] = meter.CPUBusy(i), meter.CPUClock(i)
 	}
 	t0 := s.k.Elapsed()
-	s.sample()
 
 	var err error
 	switch cfg.Scenario {
@@ -209,25 +216,14 @@ func (s *Server) Run() (*Metrics, error) {
 		return nil, fmt.Errorf("load: %s via %v: %w", cfg.Scenario, cfg.Via, err)
 	}
 
-	m := &Metrics{
-		Scenario:  string(cfg.Scenario),
-		Strategy:  cfg.Via.String(),
-		HeapBytes: s.warm.heapBytes,
-		RAMBytes:  cfg.RAMBytes,
-		NumCPUs:   cfg.CPUs,
-		Requests:  s.requests,
-		Creations: s.creations,
-
+	m := c.close(&Metrics{
+		Requests:       s.requests,
+		Creations:      s.creations,
 		FailedRequests: s.failed,
-		OOMKills:       uint64(s.k.OOMKills - oomBase),
-
-		VirtualNanos: uint64(s.k.Elapsed() - t0),
-		PeakRSSBytes: s.PeakRSSBytes(),
-
+		VirtualNanos:   uint64(s.k.Elapsed() - t0),
 		CPUUtilization: make([]float64, cfg.CPUs),
 		ServerCPUNanos: s.serverCPU,
-	}
-	w.close(m, nil)
+	})
 	for i := range m.CPUUtilization {
 		if advanced := meter.CPUClock(i) - clockBase[i]; advanced > 0 {
 			m.CPUUtilization[i] = float64(meter.CPUBusy(i)-busyBase[i]) / float64(advanced)
@@ -242,9 +238,11 @@ func (s *Server) Run() (*Metrics, error) {
 // that did not in its error. Either way the machine is retired: a
 // stamped one recycles into its template's next stamp (host-side
 // only), a cold one is dropped, and the handles are nilled so nothing
-// late can reach the recycled shell. Every machine the package retires
-// goes through Drain, scenario machines and migration sources too; the
-// Server cannot serve after it, and calling it twice is an error.
+// late can reach the recycled shell. Every machine the package boots
+// retires through Drain: a run's cell drains its scenario machine,
+// network backends, migration source and destination on every path,
+// and sim/fleet and sim/cluster drain the Servers they hold. The Server
+// cannot serve after it, and calling it twice is an error.
 func (s *Server) Drain() error {
 	if s.drained {
 		return fmt.Errorf("load: Drain on a drained server")

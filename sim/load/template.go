@@ -63,9 +63,9 @@ func (cfg Config) serverShape() Shape {
 }
 
 // boot cold-boots a machine of shape s with the scenario userland. It
-// is the package's only machine boot: every warm-up and migration
-// destination starts here, so a stamped machine and a cold one cannot
-// differ in what they booted.
+// is the package's only machine boot: every warm-up starts here, a
+// migration destination's included, so a stamped machine and a cold
+// one cannot differ in what they booted.
 func boot(s Shape) (*sim.System, error) {
 	return sim.NewSystem(
 		sim.WithRAM(s.RAMBytes),
@@ -216,34 +216,32 @@ func (tc *Templates) Server(cfg Config) (*Server, error) {
 // Run executes one scenario on machines from the cache — stamped from
 // their templates, or cold-booted when tc is nil, which is what the
 // package-level Run does. It is the package's one scenario dispatch:
-// counts are vetted, the network cells get their own topology, and
-// fault schedules are vetted here.
-func (tc *Templates) Run(cfg Config) (*Metrics, error) {
+// counts and fault schedules are vetted here, every driver measures
+// through one cell, and the cell's machines are retired once the run
+// ends, however it ends; a machine off its post-warm-up books fails a
+// run that had not failed already.
+func (tc *Templates) Run(cfg Config) (m *Metrics, err error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
+	c := &cell{cfg: cfg}
+	defer func() {
+		if derr := c.drain(); derr != nil && err == nil {
+			m, err = nil, derr
+		}
+	}()
 	switch {
 	case cfg.Scenario.Distributed():
-		return runNetCell(cfg, tc)
+		return c.network(tc)
 	case cfg.Scenario == Migrate:
 		// Also a network cell: cfg.Faults is the wire's schedule.
-		return runMigrateCell(cfg, tc)
+		return c.migrate(tc)
 	case cfg.Faults != nil && cfg.Scenario != Prefork:
 		return nil, fmt.Errorf("load: scenario %s does not support fault injection (only prefork and the distributed scenarios are failure-tolerant)", cfg.Scenario)
 	}
-	srv, err := tc.machine(cfg, cfg.Shape())
-	if err != nil {
+	if err := c.add(tc.machine(cfg, cfg.Shape())); err != nil {
 		return nil, err
 	}
-	m, err := srv.Run()
-	if err != nil {
-		return nil, err
-	}
-	// The Metrics are plain data: the machine can be retired, once
-	// its books are back where its warm-up left them.
-	if err := srv.Drain(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return c.pass()
 }
