@@ -18,7 +18,7 @@ import (
 // to stderr.
 func runCluster(args []string) error {
 	fs := flag.NewFlagSet("forkbench cluster", flag.ExitOnError)
-	scenario := fs.String("scenario", "surge", "surge|zoneoutage|heteropools|netsplit")
+	scenario := fs.String("scenario", "surge", scenarioNames(cluster.Scenarios()))
 	heap := fs.String("heap", "64MiB", "per-machine server heap size")
 	jsonPath := fs.String("json", "", "write the cluster report to FILE as byte-stable JSON")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to FILE")

@@ -21,8 +21,8 @@ import (
 func runFleet(args []string) error {
 	fs := flag.NewFlagSet("forkbench fleet", flag.ExitOnError)
 	machines := fs.Int("machines", 4, "fleet size")
-	scenario := fs.String("scenario", "rolling", "uniform|rolling|rebalance|hetero|surge|chaos")
-	loadName := fs.String("load", "prefork", "per-machine workload (prefork|pipeline|checkpoint|forkstorm|smpserver|buildfarm|netlb|kvshard)")
+	scenario := fs.String("scenario", "rolling", scenarioNames(fleet.Scenarios()))
+	loadName := fs.String("load", "prefork", "per-machine workload ("+scenarioNames(load.Scenarios(), load.Migrate)+")")
 	via := fs.String("via", sim.ForkExec.Name(), sim.StrategyNames())
 	cpus := fs.Int("cpus", 0, "CPUs per machine (0 = 2; hetero cycles 1/2/4/8)")
 	n := fs.Int("n", 0, "requests per machine per serve phase (0 = 24)")

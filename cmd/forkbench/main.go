@@ -152,6 +152,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -161,6 +162,18 @@ import (
 	"repro/sim/fleet"
 	"repro/sim/load"
 )
+
+// scenarioNames joins a package's scenario names, in Scenarios order
+// and leaving out skip, into a flag's help text.
+func scenarioNames[S ~string](all []S, skip ...S) string {
+	var names []string
+	for _, s := range all {
+		if !slices.Contains(skip, s) {
+			names = append(names, string(s))
+		}
+	}
+	return strings.Join(names, "|")
+}
 
 func parseSize(in string) (uint64, error) {
 	s := strings.TrimSpace(in)
@@ -364,7 +377,7 @@ func strategies(heap uint64) (string, error) {
 // run's metrics, and optionally records them all as a JSON array.
 func runLoad(args []string) error {
 	fs := flag.NewFlagSet("forkbench load", flag.ExitOnError)
-	scenario := fs.String("scenario", "prefork", "prefork|pipeline|checkpoint|forkstorm|smpserver|buildfarm|netlb|kvshard|migrate|all")
+	scenario := fs.String("scenario", "prefork", scenarioNames(load.Scenarios())+"|all")
 	via := fs.String("via", sim.Spawn.Name(), sim.StrategyNames())
 	n := fs.Int("n", 0, "requests per scenario (0 = scenario default)")
 	workers := fs.Int("workers", 0, "pipeline depth / storm burst size (0 = default)")

@@ -26,13 +26,13 @@ import (
 // same bytes, which is what lets CI freeze invocations as goldens.
 func runMetrics(args []string) error {
 	fs := flag.NewFlagSet("forkbench metrics", flag.ExitOnError)
-	scenario := fs.String("scenario", "netlb", "fleet load scenario (netlb|kvshard|prefork|...)")
+	scenario := fs.String("scenario", "netlb", "fleet load scenario ("+scenarioNames(load.Scenarios(), load.Migrate)+")")
 	via := fs.String("via", sim.ForkExec.Name(), sim.StrategyNames())
 	machines := fs.Int("machines", 2, "fleet size (fleet mode)")
 	n := fs.Int("n", 0, "requests per machine (0 = scenario default)")
 	heap := fs.String("heap", "64MiB", "per-machine server heap size")
 	seed := fs.Uint64("seed", 0, "nonzero runs the fleet's chaos scenario with this fault seed")
-	clusterScen := fs.String("cluster", "", "render a cluster scenario instead: surge|zoneoutage|heteropools|netsplit")
+	clusterScen := fs.String("cluster", "", "render a cluster scenario instead: "+scenarioNames(cluster.Scenarios()))
 	trace := fs.Bool("trace", false, "include trace event-kind counters from one traced command")
 	out := fs.String("o", "", "write the metrics to FILE (default stdout)")
 	if err := fs.Parse(args); err != nil {

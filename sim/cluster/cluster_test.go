@@ -229,8 +229,9 @@ func TestRenderAndScenarioParsing(t *testing.T) {
 			t.Errorf("SpecFor(%q): %v", s, err)
 		}
 	}
-	if _, err := cluster.ParseScenario("nope"); err == nil {
-		t.Error("unknown scenario parsed")
+	const want = `cluster: unknown scenario "nope" (surge|zoneoutage|heteropools|netsplit)`
+	if _, err := cluster.ParseScenario("nope"); err == nil || err.Error() != want {
+		t.Errorf("unknown scenario: %v, want %s", err, want)
 	}
 	rep, err := cluster.Run(cluster.Spec{
 		Pools:   []cluster.PoolSpec{{Name: "p", Via: sim.Spawn, CPUs: 1, HeapBytes: 2 << 20, Workers: 2}},

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/sim"
 	"repro/sim/fault"
@@ -41,14 +42,17 @@ const (
 // Scenarios lists every cluster scenario, in a fixed order.
 func Scenarios() []Scenario { return []Scenario{Surge, ZoneOutage, HeteroPools, NetSplit} }
 
-// ParseScenario maps a CLI name to its Scenario.
+// ParseScenario maps a CLI name to its Scenario; an unknown name's
+// error lists every name Scenarios has.
 func ParseScenario(name string) (Scenario, error) {
+	var names []string
 	for _, s := range Scenarios() {
 		if name == string(s) {
 			return s, nil
 		}
+		names = append(names, string(s))
 	}
-	return "", fmt.Errorf("cluster: unknown scenario %q (surge|zoneoutage|heteropools|netsplit)", name)
+	return "", fmt.Errorf("cluster: unknown scenario %q (%s)", name, strings.Join(names, "|"))
 }
 
 // surgeStep is the surge preset's reconcile interval: wide enough

@@ -65,14 +65,17 @@ func Scenarios() []Scenario {
 	return []Scenario{Uniform, RollingRestart, Rebalance, Heterogeneous, Surge, Chaos}
 }
 
-// ParseScenario maps a CLI name to its Scenario.
+// ParseScenario maps a CLI name to its Scenario; an unknown name's
+// error lists every name Scenarios has.
 func ParseScenario(name string) (Scenario, error) {
+	var names []string
 	for _, s := range Scenarios() {
 		if name == string(s) {
 			return s, nil
 		}
+		names = append(names, string(s))
 	}
-	return "", fmt.Errorf("fleet: unknown scenario %q (uniform|rolling|rebalance|hetero|surge|chaos)", name)
+	return "", fmt.Errorf("fleet: unknown scenario %q (%s)", name, strings.Join(names, "|"))
 }
 
 // heteroLadder is the machine-shape cycle of the Heterogeneous

@@ -76,8 +76,9 @@ func TestSpecValidation(t *testing.T) {
 			t.Errorf("Run(%+v) succeeded, want error", spec)
 		}
 	}
-	if _, err := ParseScenario("bogus"); err == nil {
-		t.Error("ParseScenario(bogus) succeeded")
+	const want = `fleet: unknown scenario "bogus" (uniform|rolling|rebalance|hetero|surge|chaos)`
+	if _, err := ParseScenario("bogus"); err == nil || err.Error() != want {
+		t.Errorf("ParseScenario(bogus) = %v, want %s", err, want)
 	}
 	for _, s := range Scenarios() {
 		got, err := ParseScenario(string(s))

@@ -41,14 +41,17 @@ func Scenarios() []Scenario {
 	return []Scenario{Prefork, Pipeline, Checkpoint, ForkStorm, SMPServer, BuildFarm, NetLB, KVShard, Migrate}
 }
 
-// ParseScenario maps a CLI name to its Scenario.
+// ParseScenario maps a CLI name to its Scenario; an unknown name's
+// error lists every name Scenarios has.
 func ParseScenario(name string) (Scenario, error) {
+	var names []string
 	for _, s := range Scenarios() {
 		if name == string(s) {
 			return s, nil
 		}
+		names = append(names, string(s))
 	}
-	return "", fmt.Errorf("load: unknown scenario %q (prefork|pipeline|checkpoint|forkstorm|smpserver|buildfarm|netlb|kvshard|migrate)", name)
+	return "", fmt.Errorf("load: unknown scenario %q (%s)", name, strings.Join(names, "|"))
 }
 
 // Config parameterizes one run. The zero value of every field selects

@@ -227,7 +227,8 @@ func TestForkStormHoldsBurstAlive(t *testing.T) {
 	}
 }
 
-// TestParseScenario round-trips every name and rejects junk.
+// TestParseScenario round-trips every name and rejects junk with an
+// error that lists every name, in Scenarios order.
 func TestParseScenario(t *testing.T) {
 	for _, s := range load.Scenarios() {
 		got, err := load.ParseScenario(string(s))
@@ -235,8 +236,9 @@ func TestParseScenario(t *testing.T) {
 			t.Errorf("ParseScenario(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := load.ParseScenario("bogus"); err == nil {
-		t.Error("ParseScenario(bogus) succeeded")
+	const want = `load: unknown scenario "bogus" (prefork|pipeline|checkpoint|forkstorm|smpserver|buildfarm|netlb|kvshard|migrate)`
+	if _, err := load.ParseScenario("bogus"); err == nil || err.Error() != want {
+		t.Errorf("ParseScenario(bogus) = %v, want %s", err, want)
 	}
 }
 
