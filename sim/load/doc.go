@@ -85,13 +85,15 @@
 // The fleet's Rebalance scenario runs this cell per machine, falling
 // back to the rolling-restart tax when the checkpoint refuses.
 //
-// Every warmed machine is a Server from Templates; nil means cold. A
-// scenario machine — a single-machine run or a migration source — is a
-// Server whose Shape parks no pool; the Servers Templates.Server hands
-// out (network-cell backends, sim/fleet's rolling-wave replacements,
-// sim/cluster's nodes) add a parked worker pool (Shape.Via and
-// Shape.Pool). One recipe warms both, the cache freezes one Template
-// per Shape, and one stamp path clones it and re-adopts the pool.
+// Every machine is a Server. A warmed one comes from Templates; nil
+// means cold. A scenario machine — a single-machine run or a migration
+// source — is a Server whose Shape parks no pool; the Servers
+// Templates.Server hands out (network-cell backends, sim/fleet's
+// rolling-wave replacements, sim/cluster's nodes) add a parked worker
+// pool (Shape.Via and Shape.Pool). One recipe warms both, the cache
+// freezes one Template per Shape, and one stamp path clones it and
+// re-adopts the pool. A migration destination is the same recipe with
+// no heap and no pool, always cold: its books are its boot state.
 // Templates.Run is the one scenario dispatch, and Run is
 // (*Templates)(nil).Run, so a stamped run and a cold run produce
 // byte-identical Metrics. Templates.Run and Templates.Server reject a
@@ -99,6 +101,16 @@
 // *SpecError before any machine boots. Server.Drain checks the
 // machine's own books: an error names each process, frame or commit
 // count not back at its post-warm-up baseline.
+//
+// Every run is one cell: the Servers it drives, the fabric between
+// them (none for a single machine; cfg.Faults is the wire's schedule
+// in the network cells), and one measured window over their meters.
+// Each driver — a single-machine pass (Server.Run), the network cells'
+// event loop and the migrations — opens the cell after warm-up and
+// closes it into its Metrics, and Templates.Run drains it: every
+// machine a run boots, migration destinations included, retires
+// through Server.Drain on every path, error paths included, and one
+// off its books fails the run.
 //
 // Prefork, BuildFarm and a Server's batches are one closed loop: a
 // window of requests in flight, each a worker created fresh through
@@ -110,13 +122,15 @@
 // Metrics declares each counter once. The cost counters are the
 // embedded Counters struct — a tagged copy of the kernel's
 // kernel.Counters snapshot, converted directly so the two cannot drift
-// — and the wire counters the embedded NetCounters. Every scenario
-// measures through one window: opened after warm-up (meters zeroed,
-// context-switch baseline noted), closed into its Metrics (Counters
-// summed over the cell's kernels, fabric totals and flow log filled,
-// rates computed). A new counter is one field in Counters (plus the
+// — and the wire counters the embedded NetCounters. The cell's window
+// opens after warm-up (meters zeroed, context-switch and OOM-kill
+// baselines noted, each machine's peak restarted from one sample) and
+// closes into the one Metrics assembly: the header, Counters and OOM
+// kills summed over the cell's machines, the highest machine peak, the
+// fabric's totals and flow log, and the rates. A driver adds only its
+// loop's tallies. A new counter is one field in Counters (plus the
 // kernel snapshot it is read from) with its rule in Counters.Add, or
-// one field in NetCounters filled where the window reads the fabric.
+// one field in NetCounters filled where the cell reads the fabric.
 // sim/fleet's Aggregate embeds Counters and `forkbench diff` reads its
 // field list off Metrics, so neither needs a further edit.
 //

@@ -269,8 +269,10 @@ type Metrics struct {
 	RequestsPerVSec  float64 `json:"requests_per_vsec"`
 	CreationsPerVSec float64 `json:"creations_per_vsec"`
 
-	// PeakRSSBytes is the high-water mark of allocated physical
-	// memory during the loop (huge frames counted at full size).
+	// PeakRSSBytes is the highest machine's high-water mark of
+	// allocated physical memory during the loop (huge frames counted
+	// at full size), sampled when the cell opens and at the loop's
+	// peak-occupancy points.
 	PeakRSSBytes uint64 `json:"peak_rss_bytes"`
 
 	// Counters are the loop's cost counters, summed over every
