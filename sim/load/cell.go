@@ -7,9 +7,9 @@ import (
 
 // cell is one measured run: the Servers it drives, the fabric between
 // them (nil for a single machine), and one window over their meters.
-// Every driver — a single-machine pass, the network cells' event loop
-// and the migrations — opens it after warm-up and closes it into its
-// Metrics, and Templates.Run drains it, so every machine a run boots
+// Each run's loop — a single-machine pass, the network cells' event
+// loop or the migrations — opens it after warm-up and closes it into
+// its Metrics, and Templates.Run drains it, so every machine a run boots
 // retires through Server.Drain on every path, error paths included.
 type cell struct {
 	cfg     Config
@@ -60,7 +60,7 @@ func (c *cell) sample() {
 }
 
 // close completes m, whose loop tallies — requests, creations,
-// failures, virtual time and the scenario's own counters — the driver
+// failures, virtual time and the scenario's own counters — the loop
 // filled: the header, the counters and OOM kills summed over the
 // machines, the highest machine peak, the fabric's totals and flow log,
 // and the per-virtual-second rates.

@@ -105,8 +105,8 @@
 // Every run is one cell: the Servers it drives, the fabric between
 // them (none for a single machine; cfg.Faults is the wire's schedule
 // in the network cells), and one measured window over their meters.
-// Each driver — a single-machine pass (Server.Run), the network cells'
-// event loop and the migrations — opens the cell after warm-up and
+// Each run's loop — a single-machine pass (Server.Run), the network
+// cells' event loop or the migrations — opens the cell after warm-up and
 // closes it into its Metrics, and Templates.Run drains it: every
 // machine a run boots, migration destinations included, retires
 // through Server.Drain on every path, error paths included, and one
@@ -127,8 +127,8 @@
 // baselines noted, each machine's peak restarted from one sample) and
 // closes into the one Metrics assembly: the header, Counters and OOM
 // kills summed over the cell's machines, the highest machine peak, the
-// fabric's totals and flow log, and the rates. A driver adds only its
-// loop's tallies. A new counter is one field in Counters (plus the
+// fabric's totals and flow log, and the rates. A loop adds only its own
+// tallies. A new counter is one field in Counters (plus the
 // kernel snapshot it is read from) with its rule in Counters.Add, or
 // one field in NetCounters filled where the cell reads the fabric.
 // sim/fleet's Aggregate embeds Counters and `forkbench diff` reads its

@@ -238,11 +238,12 @@ func (c *cell) pass() (*Metrics, error) {
 // that did not in its error. Either way the machine is retired: a
 // stamped one recycles into its template's next stamp (host-side
 // only), a cold one is dropped, and the handles are nilled so nothing
-// late can reach the recycled shell. Every machine the package boots
-// retires through Drain: a run's cell drains its scenario machine,
-// network backends, migration source and destination on every path,
-// and sim/fleet and sim/cluster drain the Servers they hold. The Server
-// cannot serve after it, and calling it twice is an error.
+// late can reach the recycled shell. Every machine a run boots retires
+// through Drain: a run's cell drains its scenario machine, network
+// backends, migration source and destination on every path, and
+// sim/fleet and sim/cluster drain the Servers they hold (a template's
+// source machine, once Snapshot has frozen it, is simply dropped). The
+// Server cannot serve after it, and calling it twice is an error.
 func (s *Server) Drain() error {
 	if s.drained {
 		return fmt.Errorf("load: Drain on a drained server")

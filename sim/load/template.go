@@ -216,7 +216,7 @@ func (tc *Templates) Server(cfg Config) (*Server, error) {
 // Run executes one scenario on machines from the cache — stamped from
 // their templates, or cold-booted when tc is nil, which is what the
 // package-level Run does. It is the package's one scenario dispatch:
-// counts and fault schedules are vetted here, every driver measures
+// counts and fault schedules are vetted here, every scenario measures
 // through one cell, and the cell's machines are retired once the run
 // ends, however it ends; a machine off its post-warm-up books fails a
 // run that had not failed already.
