@@ -3,13 +3,14 @@
 //
 // sim is deliberately shaped like os/exec: a System boots the machine,
 // Command describes a process, Run/Output execute it, and exit status
-// comes back decoded. No fork is involved anywhere — the default
-// strategy is the paper's posix_spawn.
+// comes back decoded. The default strategy is the paper's posix_spawn;
+// the last two commands compare it with fork+exec.
 package main
 
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"repro/sim"
 )
@@ -36,13 +37,20 @@ func main() {
 	}
 
 	// Any command can be launched through any of the paper's
-	// process-creation APIs — same workload, different strategy.
-	cmd := sys.Command("echo", "again,", "via", "fork+exec").Via(sim.ForkExec)
-	var echoed []byte
-	if echoed, err = cmd.Output(); err != nil {
-		log.Fatal(err)
+	// process-creation APIs — same workload, different strategy — and
+	// each reports what creating its child cost.
+	cost := func(via sim.Strategy) time.Duration {
+		cmd := sys.Command("echo", "again, via", via.String()).Via(via)
+		echoed, err := cmd.Output()
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%s printed %q; creating it cost %v\n", via, echoed, cmd.Process.CreationCost())
+		return cmd.Process.CreationCost()
 	}
-	fmt.Printf("fork+exec produced the same kind of child: %q\n", echoed)
-	fmt.Printf("creation cost via fork+exec: %v (spawn is cheaper — see forkbench strategies)\n",
-		cmd.Process.CreationCost())
+	verdict := "cheaper"
+	if cost(sim.ForkExec) > cost(sim.Spawn) {
+		verdict = "dearer"
+	}
+	fmt.Printf("from this small parent fork+exec is %s than posix_spawn; forkbench fig1 grows the parent\n", verdict)
 }

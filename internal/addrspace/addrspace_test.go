@@ -12,7 +12,7 @@ import (
 
 func newSpace(ramMiB uint64, pol mem.CommitPolicy) (*Space, *mem.Physical) {
 	meter := cost.NewMeter(cost.DefaultModel())
-	phys := mem.NewPhysical(meter, ramMiB<<20, 0, pol)
+	phys := mem.NewPhysical(meter, ramMiB<<20, pol)
 	return New(phys, meter), phys
 }
 

@@ -11,7 +11,7 @@ import (
 func smpSpace(t *testing.T, pages uint64) (*Space, *cost.Meter) {
 	t.Helper()
 	meter := cost.NewMeterSMP(cost.DefaultModel(), 4)
-	phys := mem.NewPhysical(meter, 256<<20, 0, mem.CommitHeuristic)
+	phys := mem.NewPhysical(meter, 256<<20, mem.CommitHeuristic)
 	s := New(phys, meter)
 	v, err := s.Map(0, pages*mem.PageSize, Read|Write, MapOpts{Kind: KindAnon, Name: "w"})
 	if err != nil {

@@ -219,7 +219,7 @@ type touchMachine struct {
 
 func newTouchMachine(oracle bool) *touchMachine {
 	meter := cost.NewMeterSMP(cost.DefaultModel(), 2)
-	phys := mem.NewPhysical(meter, touchRAM, 0, mem.CommitHeuristic)
+	phys := mem.NewPhysical(meter, touchRAM, mem.CommitHeuristic)
 	sched := &recordSched{}
 	inj := fault.NewInjector(meter, sched)
 	phys.SetInjector(inj)

@@ -46,12 +46,12 @@ func Table1() (*Table1Result, error) {
 		fn   func() ([]string, error)
 	}
 	for _, p := range []probe{
-		{"child sees parent's memory", probeSeesMemory},
-		{"memory isolated after create", probeIsolation},
-		{"descriptors inherited implicitly", probeFDInherit},
-		{"O_CLOEXEC honoured", probeCloexec},
-		{"signal handlers survive", probeSigHandlers},
-		{"file offsets shared", probeOffsets},
+		{"child sees parent's memory", t1Probe{setup: probeSeesMemory}.run},
+		{"memory isolated after create", t1Probe{setup: probeIsolation}.run},
+		{"descriptors inherited implicitly", t1Probe{setup: probeFDInherit}.run},
+		{"O_CLOEXEC honoured", t1Probe{exec: true, setup: probeCloexec}.run},
+		{"signal handlers survive", t1Probe{setup: probeSigHandlers}.run},
+		{"file offsets shared", t1Probe{setup: probeOffsets}.run},
 		{"cost O(1) in parent size", probeO1},
 		{"safe with threads+locks", probeThreadSafe},
 		{"needs commit for whole parent", probeCommit},
@@ -94,7 +94,23 @@ func t1CreateRaw(k *kernel.Kernel, parent *kernel.Process, m core.Method) (*kern
 	return core.Fork(k, parent, m)
 }
 
-func probeSeesMemory() ([]string, error) {
+// t1Observe reads one Table 1 cell off a child.
+type t1Observe func(child *kernel.Process) (string, error)
+
+// t1Probe asks each method's child one question about what it got
+// from its parent. For every method it boots a fresh kernel, builds a
+// 1 MiB parent, lets setup prepare the parent, creates one child, reads
+// the cell with the observation setup returned, and destroys both.
+type t1Probe struct {
+	// exec creates the child by the full creation, exec included;
+	// otherwise t1CreateRaw creates it, pre-exec for the fork family.
+	exec bool
+	// setup prepares the parent for method m's column and returns the
+	// observation to make on the child.
+	setup func(k *kernel.Kernel, parent *kernel.Process, m core.Method) (t1Observe, error)
+}
+
+func (p t1Probe) run() ([]string, error) {
 	var cells []string
 	for _, m := range t1Methods {
 		k, err := t1Kernel()
@@ -105,18 +121,22 @@ func probeSeesMemory() ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		magicVA := parent.Space().VMAs()[0].Start
-		if err := parent.Space().WriteBytes(magicVA, []byte("SECRET")); err != nil {
-			return nil, err
-		}
-		child, err := t1CreateRaw(k, parent, m)
+		observe, err := p.setup(k, parent, m)
 		if err != nil {
 			return nil, err
 		}
-		buf := make([]byte, 6)
-		cell := "no"
-		if err := child.Space().ReadBytes(magicVA, buf); err == nil && string(buf) == "SECRET" {
-			cell = "yes"
+		var child *kernel.Process
+		if p.exec {
+			child, _, err = core.CreateChild(k, parent, m, "/bin/true", []string{"true"})
+		} else {
+			child, err = t1CreateRaw(k, parent, m)
+		}
+		if err != nil {
+			return nil, err
+		}
+		cell, err := observe(child)
+		if err != nil {
+			return nil, err
 		}
 		cells = append(cells, cell)
 		k.DestroyProcess(child)
@@ -125,189 +145,114 @@ func probeSeesMemory() ([]string, error) {
 	return cells, nil
 }
 
-func probeIsolation() ([]string, error) {
-	var cells []string
-	for _, m := range t1Methods {
-		k, err := t1Kernel()
-		if err != nil {
-			return nil, err
+func probeSeesMemory(_ *kernel.Kernel, parent *kernel.Process, _ core.Method) (t1Observe, error) {
+	magicVA := parent.Space().VMAs()[0].Start
+	if err := parent.Space().WriteBytes(magicVA, []byte("SECRET")); err != nil {
+		return nil, err
+	}
+	return func(child *kernel.Process) (string, error) {
+		buf := make([]byte, 6)
+		if err := child.Space().ReadBytes(magicVA, buf); err == nil && string(buf) == "SECRET" {
+			return "yes", nil
 		}
-		parent, err := buildParent(k, "p", 1*MiB, false)
-		if err != nil {
-			return nil, err
-		}
-		va := parent.Space().VMAs()[0].Start
-		if err := parent.Space().WriteBytes(va, []byte("AAAA")); err != nil {
-			return nil, err
-		}
-		child, err := t1CreateRaw(k, parent, m)
-		if err != nil {
-			return nil, err
-		}
+		return "no", nil
+	}, nil
+}
+
+func probeIsolation(_ *kernel.Kernel, parent *kernel.Process, _ core.Method) (t1Observe, error) {
+	va := parent.Space().VMAs()[0].Start
+	if err := parent.Space().WriteBytes(va, []byte("AAAA")); err != nil {
+		return nil, err
+	}
+	return func(child *kernel.Process) (string, error) {
 		if err := parent.Space().WriteBytes(va, []byte("BBBB")); err != nil {
-			return nil, err
+			return "", err
 		}
 		buf := make([]byte, 4)
 		// A read error means the parent's address is not even
 		// mapped in the child — the strongest isolation.
-		cell := "fresh"
 		if err := child.Space().ReadBytes(va, buf); err == nil {
 			switch string(buf) {
 			case "AAAA":
-				cell = "yes"
+				return "yes", nil
 			case "BBBB":
-				cell = "NO (shared)"
-			default:
-				cell = "fresh"
+				return "NO (shared)", nil
 			}
 		}
-		cells = append(cells, cell)
-		k.DestroyProcess(child)
-		k.DestroyProcess(parent)
-	}
-	return cells, nil
+		return "fresh", nil
+	}, nil
 }
 
-func probeFDInherit() ([]string, error) {
-	var cells []string
-	for _, m := range t1Methods {
-		k, err := t1Kernel()
-		if err != nil {
-			return nil, err
-		}
-		parent, err := buildParent(k, "p", 1*MiB, false)
-		if err != nil {
-			return nil, err
-		}
-		ino, err := k.FS().WriteFile("/tmp/t1", []byte("hello"))
-		if err != nil {
-			return nil, err
-		}
-		if err := parent.FDs().InstallAt(vfs.NewOpenFile(ino, vfs.ORdWr), false, 7); err != nil {
-			return nil, err
-		}
-		child, err := t1CreateRaw(k, parent, m)
-		if err != nil {
-			return nil, err
-		}
-		cell := "no"
+// t1InstallFile writes /tmp/t1 with data and installs an open
+// description of it in the parent at fd.
+func t1InstallFile(k *kernel.Kernel, parent *kernel.Process, data string, cloexec bool, fd int) (*vfs.OpenFile, error) {
+	ino, err := k.FS().WriteFile("/tmp/t1", []byte(data))
+	if err != nil {
+		return nil, err
+	}
+	of := vfs.NewOpenFile(ino, vfs.ORdWr)
+	return of, parent.FDs().InstallAt(of, cloexec, fd)
+}
+
+func probeFDInherit(k *kernel.Kernel, parent *kernel.Process, _ core.Method) (t1Observe, error) {
+	if _, err := t1InstallFile(k, parent, "hello", false, 7); err != nil {
+		return nil, err
+	}
+	return func(child *kernel.Process) (string, error) {
 		if _, err := child.FDs().Get(7); err == nil {
-			cell = "yes"
+			return "yes", nil
 		}
-		cells = append(cells, cell)
-		k.DestroyProcess(child)
-		k.DestroyProcess(parent)
-	}
-	return cells, nil
+		return "no", nil
+	}, nil
 }
 
-func probeCloexec() ([]string, error) {
-	var cells []string
-	for _, m := range t1Methods {
-		k, err := t1Kernel()
-		if err != nil {
-			return nil, err
-		}
-		parent, err := buildParent(k, "p", 1*MiB, false)
-		if err != nil {
-			return nil, err
-		}
-		ino, err := k.FS().WriteFile("/tmp/t1", []byte("x"))
-		if err != nil {
-			return nil, err
-		}
-		if err := parent.FDs().InstallAt(vfs.NewOpenFile(ino, vfs.ORdWr), true /*cloexec*/, 8); err != nil {
-			return nil, err
-		}
-		// Use the full creation (including exec for fork family).
-		child, _, err := core.CreateChild(k, parent, m, "/bin/true", []string{"true"})
-		if err != nil {
-			return nil, err
-		}
-		cell := "closed"
-		if _, err := child.FDs().Get(8); err == nil {
-			cell = "KEPT"
-		}
+func probeCloexec(k *kernel.Kernel, parent *kernel.Process, m core.Method) (t1Observe, error) {
+	if _, err := t1InstallFile(k, parent, "x", true, 8); err != nil {
+		return nil, err
+	}
+	return func(child *kernel.Process) (string, error) {
 		if m == core.MethodBuilder {
-			cell = "n/a (opt-in)"
+			return "n/a (opt-in)", nil
 		}
-		cells = append(cells, cell)
-		k.DestroyProcess(child)
-		k.DestroyProcess(parent)
-	}
-	return cells, nil
+		if _, err := child.FDs().Get(8); err == nil {
+			return "KEPT", nil
+		}
+		return "closed", nil
+	}, nil
 }
 
-func probeSigHandlers() ([]string, error) {
-	var cells []string
-	for _, m := range t1Methods {
-		k, err := t1Kernel()
-		if err != nil {
-			return nil, err
-		}
-		parent, err := buildParent(k, "p", 1*MiB, false)
-		if err != nil {
-			return nil, err
-		}
-		if err := parent.Signals().Set(sig.SIGUSR1, sig.Disposition{Kind: sig.ActHandler, Handler: 0x400100}); err != nil {
-			return nil, err
-		}
-		child, err := t1CreateRaw(k, parent, m)
-		if err != nil {
-			return nil, err
-		}
-		cell := "reset"
+func probeSigHandlers(_ *kernel.Kernel, parent *kernel.Process, _ core.Method) (t1Observe, error) {
+	if err := parent.Signals().Set(sig.SIGUSR1, sig.Disposition{Kind: sig.ActHandler, Handler: 0x400100}); err != nil {
+		return nil, err
+	}
+	return func(child *kernel.Process) (string, error) {
 		if child.Signals().Get(sig.SIGUSR1).Kind == sig.ActHandler {
-			cell = "yes (stale ptr)"
+			return "yes (stale ptr)", nil
 		}
-		cells = append(cells, cell)
-		k.DestroyProcess(child)
-		k.DestroyProcess(parent)
-	}
-	return cells, nil
+		return "reset", nil
+	}, nil
 }
 
-func probeOffsets() ([]string, error) {
-	var cells []string
-	for _, m := range t1Methods {
-		k, err := t1Kernel()
-		if err != nil {
-			return nil, err
-		}
-		parent, err := buildParent(k, "p", 1*MiB, false)
-		if err != nil {
-			return nil, err
-		}
-		ino, err := k.FS().WriteFile("/tmp/t1", []byte("hello world"))
-		if err != nil {
-			return nil, err
-		}
-		pof := vfs.NewOpenFile(ino, vfs.ORdWr)
-		if err := parent.FDs().InstallAt(pof, false, 7); err != nil {
-			return nil, err
-		}
-		child, err := t1CreateRaw(k, parent, m)
-		if err != nil {
-			return nil, err
-		}
-		cell := "not inherited"
-		if cof, err := child.FDs().Get(7); err == nil {
-			// Advance the child's copy; the parent observes it
-			// iff the description is shared.
-			if _, err := cof.Seek(5, vfs.SeekSet); err != nil {
-				return nil, err
-			}
-			if pof.Pos() == 5 {
-				cell = "yes (shared)"
-			} else {
-				cell = "independent"
-			}
-		}
-		cells = append(cells, cell)
-		k.DestroyProcess(child)
-		k.DestroyProcess(parent)
+func probeOffsets(k *kernel.Kernel, parent *kernel.Process, _ core.Method) (t1Observe, error) {
+	pof, err := t1InstallFile(k, parent, "hello world", false, 7)
+	if err != nil {
+		return nil, err
 	}
-	return cells, nil
+	return func(child *kernel.Process) (string, error) {
+		cof, err := child.FDs().Get(7)
+		if err != nil {
+			return "not inherited", nil
+		}
+		// Advance the child's copy; the parent observes it iff the
+		// description is shared.
+		if _, err := cof.Seek(5, vfs.SeekSet); err != nil {
+			return "", err
+		}
+		if pof.Pos() == 5 {
+			return "yes (shared)", nil
+		}
+		return "independent", nil
+	}, nil
 }
 
 func probeO1() ([]string, error) {

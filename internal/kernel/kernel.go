@@ -41,13 +41,12 @@ import (
 
 // Options configures a kernel instance. New validates: RAMBytes and
 // NumCPUs are required (there is no silent default machine), Quantum
-// must not be negative. DefaultOptions supplies the conventional
-// 4 GiB / 1-CPU machine.
+// must not be negative, and Commit must be one of the three policies.
+// DefaultOptions supplies the conventional 4 GiB / 1-CPU machine.
 type Options struct {
-	// RAMBytes sizes physical memory. Required: zero is an error.
+	// RAMBytes sizes physical memory, which is also the strict commit
+	// limit. Required: zero is an error.
 	RAMBytes uint64
-	// SwapBytes adds commit headroom beyond RAM (default 0).
-	SwapBytes uint64
 	// Commit selects the overcommit policy (default heuristic).
 	Commit mem.CommitPolicy
 	// EagerFork switches fork to 1970s eager copying (ablation).
@@ -97,6 +96,9 @@ func (o Options) Validate() error {
 	}
 	if o.RAMBytes < mem.PageSize {
 		return fmt.Errorf("kernel: Options.RAMBytes %d is below one %d-byte page", o.RAMBytes, mem.PageSize)
+	}
+	if o.Commit < mem.CommitHeuristic || o.Commit > mem.CommitAlways {
+		return fmt.Errorf("kernel: Options.Commit %v is not a commit policy (heuristic, strict or always)", o.Commit)
 	}
 	if o.Quantum < 0 {
 		return fmt.Errorf("kernel: Options.Quantum %d is negative", o.Quantum)
@@ -219,7 +221,7 @@ func New(opts Options) (*Kernel, error) {
 	k := &Kernel{
 		opts:    opts,
 		meter:   meter,
-		phys:    mem.NewPhysical(meter, opts.RAMBytes, opts.SwapBytes, opts.Commit),
+		phys:    mem.NewPhysical(meter, opts.RAMBytes, opts.Commit),
 		fs:      vfs.NewFS(),
 		procs:   map[PID]*Process{},
 		nextPID: 1,

@@ -21,6 +21,8 @@ func TestOptionsValidation(t *testing.T) {
 		{"zero CPUs", Options{RAMBytes: 1 << 30}},
 		{"negative CPUs", Options{RAMBytes: 1 << 30, NumCPUs: -2}},
 		{"too many CPUs", Options{RAMBytes: 1 << 30, NumCPUs: cost.MaxCPUs + 1}},
+		{"unknown commit policy", Options{RAMBytes: 64 << 20, NumCPUs: 1, Commit: 7}},
+		{"negative commit policy", Options{RAMBytes: 64 << 20, NumCPUs: 1, Commit: -1}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

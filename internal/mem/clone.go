@@ -63,7 +63,6 @@ func (p *Physical) CloneHostInto(meter *cost.Meter, scratch *Physical) *Physical
 		totalPages:     p.totalPages,
 		allocatedPages: p.allocatedPages,
 		policy:         p.policy,
-		commitLimit:    p.commitLimit,
 		committed:      p.committed,
 	}
 	for i := range data {

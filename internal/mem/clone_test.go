@@ -17,7 +17,7 @@ func readFrame(p *Physical, f FrameID, n int) []byte {
 // machine — clone, sibling, or the live snapshot source — breaks
 // sharing for that frame only, and nobody else's view moves.
 func TestCloneHostCOW(t *testing.T) {
-	src := newPhys(8<<20, 0, CommitHeuristic) // room for a huge frame too
+	src := newPhys(8<<20, CommitHeuristic) // room for a huge frame too
 	f, err := src.Alloc()
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestCloneHostCOW(t *testing.T) {
 // must still read the original bytes, and the recycled frame must
 // come back zero, not resurrect the template's data.
 func TestCloneOutOfOrderTeardown(t *testing.T) {
-	src := newPhys(1<<20, 0, CommitHeuristic)
+	src := newPhys(1<<20, CommitHeuristic)
 	f, err := src.Alloc()
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestCloneOutOfOrderTeardown(t *testing.T) {
 // COW: zeroing a shared frame on one machine reverts it to the lazy
 // zero state locally and leaves every other machine's bytes alone.
 func TestZeroFrameDropsSharing(t *testing.T) {
-	src := newPhys(1<<20, 0, CommitHeuristic)
+	src := newPhys(1<<20, CommitHeuristic)
 	f, err := src.Alloc()
 	if err != nil {
 		t.Fatal(err)

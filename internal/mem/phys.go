@@ -98,12 +98,12 @@ type CommitPolicy int
 
 const (
 	// CommitHeuristic allows reservations freely unless a single
-	// request is larger than RAM+swap; processes discover memory
+	// request is larger than RAM; processes discover memory
 	// exhaustion later, at fault time (the OOM-killer regime the
 	// paper blames fork for normalising).
 	CommitHeuristic CommitPolicy = iota
 	// CommitStrict refuses any reservation that would push total
-	// committed pages past the commit limit (RAM + swap). Under
+	// committed pages past the commit limit, which is RAM. Under
 	// this policy forking a large process fails up front with
 	// ENOMEM.
 	CommitStrict
@@ -149,12 +149,11 @@ type Physical struct {
 	hframes []frame   // huge (2 MiB) frames, grown on demand
 	hfree   []FrameID // LIFO free stack of huge frames (few; a slice is fine)
 
-	totalPages     uint64 // RAM size in 4 KiB pages
+	totalPages     uint64 // RAM size in 4 KiB pages, and the commit limit
 	allocatedPages uint64 // pages currently handed out (huge counts 512)
 
-	policy      CommitPolicy
-	commitLimit uint64 // pages (RAM + swap)
-	committed   uint64 // pages currently reserved
+	policy    CommitPolicy
+	committed uint64 // pages currently reserved
 
 	// inj, when set, is the machine's fault injector: frame
 	// allocations and commit reservations become schedulable failure
@@ -162,18 +161,17 @@ type Physical struct {
 	inj *fault.Injector
 }
 
-// NewPhysical creates physical memory of ramBytes plus swapBytes of
-// commit headroom under the given policy. Sizes are rounded down to
-// whole pages. The meter is charged for every hardware operation.
-func NewPhysical(meter *cost.Meter, ramBytes, swapBytes uint64, policy CommitPolicy) *Physical {
-	nframes := ramBytes >> PageShift
+// NewPhysical creates physical memory of ramBytes under the given
+// commit policy, whose limit is the RAM itself. The size is rounded
+// down to whole pages. The meter is charged for every hardware
+// operation.
+func NewPhysical(meter *cost.Meter, ramBytes uint64, policy CommitPolicy) *Physical {
 	return &Physical{
-		meter:       meter,
-		freeHead:    NoFrame,
-		data:        make([]frameData, 1),
-		totalPages:  nframes,
-		policy:      policy,
-		commitLimit: (ramBytes + swapBytes) >> PageShift,
+		meter:      meter,
+		freeHead:   NoFrame,
+		data:       make([]frameData, 1),
+		totalPages: ramBytes >> PageShift,
+		policy:     policy,
 	}
 }
 
@@ -211,11 +209,11 @@ func (p *Physical) Reserve(n uint64) error {
 	}
 	switch p.policy {
 	case CommitStrict:
-		if p.committed+n > p.commitLimit {
+		if p.committed+n > p.totalPages {
 			return errno.ENOMEM
 		}
 	case CommitHeuristic:
-		if n > p.commitLimit {
+		if n > p.totalPages {
 			return errno.ENOMEM
 		}
 	case CommitAlways:

@@ -11,12 +11,12 @@ import (
 	"repro/internal/errno"
 )
 
-func newPhys(ram, swap uint64, pol CommitPolicy) *Physical {
-	return NewPhysical(cost.NewMeter(cost.DefaultModel()), ram, swap, pol)
+func newPhys(ram uint64, pol CommitPolicy) *Physical {
+	return NewPhysical(cost.NewMeter(cost.DefaultModel()), ram, pol)
 }
 
 func TestAllocFreeRoundtrip(t *testing.T) {
-	p := newPhys(1<<20, 0, CommitHeuristic) // 256 frames
+	p := newPhys(1<<20, CommitHeuristic) // 256 frames
 	if got := p.TotalPages(); got != 256 {
 		t.Fatalf("TotalPages = %d, want 256", got)
 	}
@@ -49,7 +49,7 @@ func TestAllocFreeRoundtrip(t *testing.T) {
 // returns or charges. The allocations after it then never grow the
 // table again.
 func TestGrowFrames(t *testing.T) {
-	grown, plain := newPhys(4<<20, 0, CommitHeuristic), newPhys(4<<20, 0, CommitHeuristic) // 1,024 frames
+	grown, plain := newPhys(4<<20, CommitHeuristic), newPhys(4<<20, CommitHeuristic) // 1,024 frames
 	alloc := func(n int) {
 		t.Helper()
 		for range n {
@@ -93,7 +93,7 @@ func TestGrowFrames(t *testing.T) {
 }
 
 func TestRefcountSharing(t *testing.T) {
-	p := newPhys(1<<20, 0, CommitHeuristic)
+	p := newPhys(1<<20, CommitHeuristic)
 	f, err := p.Alloc()
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestRefcountSharing(t *testing.T) {
 }
 
 func TestLazyMaterialisation(t *testing.T) {
-	p := newPhys(1<<20, 0, CommitHeuristic)
+	p := newPhys(1<<20, CommitHeuristic)
 	f, _ := p.Alloc()
 	if p.Materialised(f) {
 		t.Error("fresh frame materialised")
@@ -158,7 +158,7 @@ func TestLazyMaterialisation(t *testing.T) {
 		{"last-byte-huge-materialises", true, 1, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := newPhys(4<<20, 0, CommitHeuristic)
+			p := newPhys(4<<20, CommitHeuristic)
 			alloc := p.Alloc
 			if tc.huge {
 				alloc = p.AllocHuge
@@ -183,7 +183,7 @@ func TestLazyMaterialisation(t *testing.T) {
 }
 
 func TestCopyFrame(t *testing.T) {
-	p := newPhys(1<<20, 0, CommitHeuristic)
+	p := newPhys(1<<20, CommitHeuristic)
 	src, _ := p.Alloc()
 	p.Write(src, 0, []byte("payload"))
 	dst, err := p.CopyFrame(src)
@@ -210,7 +210,7 @@ func TestCopyFrame(t *testing.T) {
 }
 
 func TestHugeFrames(t *testing.T) {
-	p := newPhys(8<<20, 0, CommitHeuristic) // 2048 pages
+	p := newPhys(8<<20, CommitHeuristic) // 2048 pages
 	h, err := p.AllocHuge()
 	if err != nil {
 		t.Fatal(err)
@@ -255,8 +255,8 @@ func TestHugeFrames(t *testing.T) {
 }
 
 func TestCommitPolicies(t *testing.T) {
-	// Strict: limit = RAM + swap.
-	p := newPhys(1<<20, 1<<20, CommitStrict) // 256+256 pages
+	// Strict: limit = RAM.
+	p := newPhys(2<<20, CommitStrict) // 512 pages
 	if err := p.Reserve(512); err != nil {
 		t.Fatalf("reserve to limit: %v", err)
 	}
@@ -267,7 +267,7 @@ func TestCommitPolicies(t *testing.T) {
 
 	// Heuristic: cumulative overcommit is allowed; only a single
 	// request larger than the limit fails.
-	h := newPhys(1<<20, 0, CommitHeuristic) // limit 256 pages
+	h := newPhys(1<<20, CommitHeuristic) // limit 256 pages
 	for i := 0; i < 3; i++ {
 		if err := h.Reserve(200); err != nil {
 			t.Fatalf("heuristic reserve %d: %v", i, err)
@@ -281,14 +281,14 @@ func TestCommitPolicies(t *testing.T) {
 	}
 
 	// Always: anything goes.
-	a := newPhys(1<<20, 0, CommitAlways)
+	a := newPhys(1<<20, CommitAlways)
 	if err := a.Reserve(1 << 40); err != nil {
 		t.Fatalf("always reserve: %v", err)
 	}
 }
 
 func TestZeroFrame(t *testing.T) {
-	p := newPhys(1<<20, 0, CommitHeuristic)
+	p := newPhys(1<<20, CommitHeuristic)
 	f, _ := p.Alloc()
 	p.Write(f, 0, []byte{1})
 	p.ZeroFrame(f)
@@ -301,7 +301,7 @@ func TestZeroFrame(t *testing.T) {
 // frees, allocated+free == total and no frame is handed out twice.
 func TestQuickAllocConservation(t *testing.T) {
 	f := func(ops []uint8) bool {
-		p := newPhys(256<<12, 0, CommitHeuristic) // 256 frames
+		p := newPhys(256<<12, CommitHeuristic) // 256 frames
 		live := map[FrameID]bool{}
 		var order []FrameID
 		for _, op := range ops {
@@ -339,7 +339,7 @@ func TestQuickAllocConservation(t *testing.T) {
 // TestQuickWriteReadRoundtrip: whatever is written at any offset reads
 // back, and neighbouring bytes are untouched.
 func TestQuickWriteReadRoundtrip(t *testing.T) {
-	p := newPhys(1<<20, 0, CommitHeuristic)
+	p := newPhys(1<<20, CommitHeuristic)
 	f, _ := p.Alloc()
 	shadow := make([]byte, PageSize)
 	fn := func(off uint16, data []byte) bool {
@@ -374,7 +374,7 @@ func TestQuickWriteReadRoundtrip(t *testing.T) {
 func TestBatchRefsMatchPerFrameLoop(t *testing.T) {
 	file := bytes.Repeat([]byte("file page "), 410)
 	build := func() (*Physical, *Physical, []FrameID, FrameID) {
-		p := newPhys(4<<20, 0, CommitHeuristic)
+		p := newPhys(4<<20, CommitHeuristic)
 		a := make([]FrameID, 8)
 		for i := range a {
 			a[i], _ = p.Alloc()

@@ -150,7 +150,7 @@ func newPhysOps(t testing.TB) *physOps {
 		file[i] = byte(i*7 + 3)
 	}
 	h := &physOps{t: t, file: file, pristine: slices.Clone(file), buf: make([]byte, HugeSize)}
-	p := NewPhysical(cost.NewMeter(cost.DefaultModel()), opsRAM, 0, CommitAlways)
+	p := NewPhysical(cost.NewMeter(cost.DefaultModel()), opsRAM, CommitAlways)
 	h.machines = []*opsMachine{{p: p, frames: map[FrameID]*modelFrame{}}}
 	return h
 }

@@ -10,7 +10,7 @@ import (
 
 func newTable() (*Table, *mem.Physical) {
 	meter := cost.NewMeter(cost.DefaultModel())
-	phys := mem.NewPhysical(meter, 64<<20, 0, mem.CommitHeuristic)
+	phys := mem.NewPhysical(meter, 64<<20, mem.CommitHeuristic)
 	return New(phys, meter), phys
 }
 

@@ -67,7 +67,7 @@ type propHarness struct {
 
 func newPropHarness(t testing.TB) *propHarness {
 	meter := cost.NewMeter(cost.DefaultModel())
-	phys := mem.NewPhysical(meter, propRAM, 0, mem.CommitAlways)
+	phys := mem.NewPhysical(meter, propRAM, mem.CommitAlways)
 	return &propHarness{
 		t:     t,
 		meter: meter,

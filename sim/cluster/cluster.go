@@ -50,7 +50,6 @@ func (m *machine) queued() int { return len(m.queue) }
 type poolState struct {
 	idx  int
 	spec PoolSpec
-	zs   []int // resolved placement zones
 
 	machines []*machine // live, ascending id
 	backlog  []int      // un-routed arrivals (arrival step), unshared mode
@@ -88,8 +87,8 @@ type engine struct {
 	killSeq uint64
 	netSeq  uint64 // balancer reachability-probe op counter
 	// lastKill[z] is the most recent step a kill fired in zone z
-	// (-1: never); zones stay cordoned CordonSteps after it.
-	lastKill []int
+	// (-1: never); zones stay cordoned cordonSteps after it.
+	lastKill [zones]int
 	trace    []string
 
 	// boots caches one frozen warmed server template per machine
@@ -112,16 +111,15 @@ func Run(spec Spec) (*Report, error) {
 	}
 	start := time.Now()
 	e := &engine{
-		spec:     spec,
-		dt:       spec.ReconcileEveryNanos,
-		lastKill: make([]int, spec.Zones),
-		boots:    load.NewTemplates(),
+		spec:  spec,
+		dt:    spec.ReconcileEveryNanos,
+		boots: load.NewTemplates(),
 	}
 	for z := range e.lastKill {
 		e.lastKill[z] = -1
 	}
 	for i, ps := range spec.Pools {
-		e.pools = append(e.pools, &poolState{idx: i, spec: ps, zs: ps.zones(spec.Zones)})
+		e.pools = append(e.pools, &poolState{idx: i, spec: ps})
 	}
 
 	// Pre-warm the floor: every pool's MinMachines boot before the
@@ -160,23 +158,18 @@ func Run(spec Spec) (*Report, error) {
 }
 
 // allocMachine assigns the next machine id and a placement zone in
-// pool p (round-robin over the pool's zones, skipping cordoned ones
-// when any alternative survives), and registers the machine live.
-// The machine's Server boots later, host-parallel.
+// pool p (round-robin over the zones, skipping cordoned ones when any
+// alternative survives), and registers the machine live. The
+// machine's Server boots later, host-parallel.
 func (e *engine) allocMachine(p *poolState, step int) *machine {
-	zone := -1
-	for try := 0; try < len(p.zs); try++ {
-		z := p.zs[(p.nextZone+try)%len(p.zs)]
-		if !e.cordoned(z, step) {
+	zone := p.nextZone // every zone is cordoned: place anyway
+	for try := 0; try < zones; try++ {
+		if z := (p.nextZone + try) % zones; !e.cordoned(z, step) {
 			zone = z
-			p.nextZone = (p.nextZone + try + 1) % len(p.zs)
 			break
 		}
 	}
-	if zone == -1 { // every placement zone is cordoned: place anyway
-		zone = p.zs[p.nextZone%len(p.zs)]
-		p.nextZone = (p.nextZone + 1) % len(p.zs)
-	}
+	p.nextZone = (zone + 1) % zones
 	m := &machine{id: e.nextID, pool: p.idx, zone: zone}
 	e.nextID++
 	p.machines = append(p.machines, m)
@@ -189,7 +182,7 @@ func (e *engine) allocMachine(p *poolState, step int) *machine {
 
 // cordoned reports whether zone z is still avoided at step.
 func (e *engine) cordoned(z, step int) bool {
-	return e.lastKill[z] >= 0 && step-e.lastKill[z] < e.spec.CordonSteps
+	return e.lastKill[z] >= 0 && step-e.lastKill[z] < cordonSteps
 }
 
 // serverConfig is the Server config every machine of pool ps boots
@@ -383,8 +376,8 @@ func (e *engine) balance(step int) {
 			return
 		}
 		for i, arrival := range *stream {
-			a := cands[hash(e.spec.Seed, salt, uint64(step), uint64(i), 0)%uint64(len(cands))]
-			b := cands[hash(e.spec.Seed, salt, uint64(step), uint64(i), 1)%uint64(len(cands))]
+			a := cands[hash(balancerSeed, salt, uint64(step), uint64(i), 0)%uint64(len(cands))]
+			b := cands[hash(balancerSeed, salt, uint64(step), uint64(i), 1)%uint64(len(cands))]
 			pick := a
 			// Compare (queued+assigned)/CPUs cross-multiplied; the
 			// lower machine id wins exact ties.
@@ -488,7 +481,7 @@ func (e *engine) merge(step int) []uint64 {
 					if lat > p.latencyMax {
 						p.latencyMax = lat
 					}
-					if lat <= e.spec.SLONanos {
+					if lat <= sloSteps*e.dt {
 						p.sloMet++
 					}
 				} else {
@@ -505,7 +498,7 @@ func (e *engine) merge(step int) []uint64 {
 // returning the machine shells to boot. Projected utilization is
 // (this step's serve time + queued demand at the measured per-request
 // cost) over ready capacity; scale out toward the target under the
-// surge cap, scale in one machine after ScaleDownAfter idle steps.
+// surge cap, scale in one machine after scaleDownAfter idle steps.
 func (e *engine) autoscale(step int, stepServe []uint64) ([]*machine, error) {
 	var boots []*machine
 	for pi, p := range e.pools {
@@ -527,7 +520,7 @@ func (e *engine) autoscale(step int, stepServe []uint64) ([]*machine, error) {
 			util = math.Inf(1)
 		}
 
-		target := e.spec.TargetUtilization
+		target := targetUtilization
 		desired := ready
 		if util > 0 {
 			desired = int(math.Ceil(float64(ready) * util / target))
@@ -544,8 +537,8 @@ func (e *engine) autoscale(step int, stepServe []uint64) ([]*machine, error) {
 		total := ready + booting
 		if desired > total {
 			add := desired - total
-			if add > p.spec.MaxSurge {
-				add = p.spec.MaxSurge
+			if add > maxSurge {
+				add = maxSurge
 			}
 			if total+add > p.spec.MaxMachines {
 				add = p.spec.MaxMachines - total
@@ -569,7 +562,7 @@ func (e *engine) autoscale(step int, stepServe []uint64) ([]*machine, error) {
 		// booting — retire the newest drained machine.
 		if util < target/2 && queued == 0 && booting == 0 && ready > p.spec.MinMachines {
 			p.lowSteps++
-			if p.lowSteps >= e.spec.ScaleDownAfter {
+			if p.lowSteps >= scaleDownAfter {
 				if err := e.scaleDown(p, step, util); err != nil {
 					return nil, err
 				}

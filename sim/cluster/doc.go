@@ -21,7 +21,7 @@
 // plan, deterministic balancing (seeded power-of-two-choices, CPU-
 // weighted, machine-id tie-broken), host-parallel serving (each
 // machine a sim.System on its own clock, budgeted to the step), then
-// per-pool autoscaling against TargetUtilization. Machines boot
+// per-pool autoscaling against a 70% target utilization. Machines boot
 // *inside* virtual time: a scale-out decided at step s takes traffic
 // only after its measured warm-up elapses, so scale-out latency is a
 // first-class, strategy-dependent output. Every cross-machine decision

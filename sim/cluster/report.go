@@ -76,6 +76,8 @@ type PoolReport struct {
 // of the Spec; host-side measurements stay out of the JSON, so the
 // report is byte-stable at any GOMAXPROCS.
 type Report struct {
+	// Zones, TargetUtilization and SLONanos echo the autoscaler's
+	// fixed policy; the SLO is three reconcile steps.
 	Zones               int     `json:"zones"`
 	TargetUtilization   float64 `json:"target_utilization"`
 	ReconcileEveryNanos uint64  `json:"reconcile_every_ns"`
@@ -99,10 +101,10 @@ type Report struct {
 // report assembles the Report from the engine's final state.
 func (e *engine) report(steps int) *Report {
 	rep := &Report{
-		Zones:               e.spec.Zones,
-		TargetUtilization:   e.spec.TargetUtilization,
+		Zones:               zones,
+		TargetUtilization:   targetUtilization,
 		ReconcileEveryNanos: e.spec.ReconcileEveryNanos,
-		SLONanos:            e.spec.SLONanos,
+		SLONanos:            sloSteps * e.dt,
 		SharedStream:        e.spec.SharedStream,
 		Steps:               steps,
 		Traffic:             e.spec.Traffic,

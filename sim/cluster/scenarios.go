@@ -67,7 +67,7 @@ func SurgeSpec(heapBytes uint64) Spec {
 	pool := func(via sim.Strategy) PoolSpec {
 		return PoolSpec{
 			Name: via.Name(), Via: via, CPUs: 2, HeapBytes: heapBytes,
-			Workers: 12, MinMachines: 3, MaxMachines: 8, MaxSurge: 2,
+			Workers: 12, MinMachines: 3, MaxMachines: 8,
 		}
 	}
 	return Spec{
@@ -92,7 +92,6 @@ func ZoneOutageSpec(heapBytes uint64) Spec {
 			Name: "web", Via: sim.Spawn, CPUs: 2, HeapBytes: heapBytes,
 			MinMachines: 3, MaxMachines: 6,
 		}},
-		Zones:               3,
 		ReconcileEveryNanos: surgeStep,
 		RequestWorkMiB:      4,
 		Traffic:             []Phase{{Steps: 40, PerStep: 4}},
@@ -130,7 +129,6 @@ func NetSplitSpec(heapBytes uint64) Spec {
 			Name: "web", Via: sim.Spawn, CPUs: 2, HeapBytes: heapBytes,
 			MinMachines: 3, MaxMachines: 6,
 		}},
-		Zones:               3,
 		ReconcileEveryNanos: surgeStep,
 		RequestWorkMiB:      4,
 		Traffic:             []Phase{{Steps: 40, PerStep: 4}},

@@ -41,16 +41,10 @@ type PoolSpec struct {
 	// MinMachines and MaxMachines bound the pool (defaults 1 and
 	// max(4, MinMachines)). The initial MinMachines machines are
 	// pre-warmed: ready at step 0, excluded from scale-out latency.
+	// The autoscaler adds at most two machines per step, placed
+	// round-robin over the cluster's three zones.
 	MinMachines int
 	MaxMachines int
-
-	// MaxSurge caps machines added per reconcile step (default 2).
-	MaxSurge int
-
-	// Zones restricts placement to these availability-zone indices
-	// (default: all of Spec.Zones). Placement round-robins across
-	// them, skipping cordoned (recently killed) zones.
-	Zones []int
 }
 
 // Phase is one segment of the arrival plan: PerStep requests arrive at
@@ -60,48 +54,58 @@ type Phase struct {
 	PerStep int `json:"per_step"`
 }
 
-// Spec declares a cluster: its node pools, zone layout, traffic, and
-// the autoscaler's control knobs. The zero value of every optional
-// field selects a default; a Spec fully determines its Report, byte
-// for byte, at any host parallelism.
+// The autoscaler's policy and the cluster's layout are constants:
+// every scenario runs with the same ones, and a Report echoes the
+// zones, the target and the SLO.
+const (
+	// zones is the availability-zone count machines are spread over.
+	// Each pool places its machines round-robin across every zone,
+	// skipping cordoned ones.
+	zones = 3
+
+	// targetUtilization is the autoscaler's per-pool setpoint: scale
+	// out when projected demand exceeds it, scale in when demand
+	// stays under half of it.
+	targetUtilization = 0.70
+
+	// scaleDownAfter is how many consecutive low-utilization steps a
+	// pool must see before retiring one machine.
+	scaleDownAfter = 4
+
+	// cordonSteps is how long after a kill a zone stays cordoned: new
+	// machines are placed in other zones.
+	cordonSteps = 4
+
+	// sloSteps is the request latency objective reports score
+	// against, in reconcile steps.
+	sloSteps = 3
+
+	// maxSurge caps the machines a pool adds per reconcile step.
+	maxSurge = 2
+
+	// balancerSeed seeds the balancer's deterministic candidate
+	// hashing. Ties always break toward the lower machine id.
+	balancerSeed = 1
+)
+
+// Spec declares a cluster: its node pools, the control loop's step,
+// the requests' working set and the traffic. The zero value of every
+// optional field selects a default; a Spec fully determines its
+// Report, byte for byte, at any host parallelism.
 type Spec struct {
 	// Pools are the node pools, in declaration order (which fixes
 	// machine-id assignment and report order). At least one.
 	Pools []PoolSpec
 
-	// Zones is the availability-zone count machines are spread over
-	// (default 3).
-	Zones int
-
-	// TargetUtilization is the autoscaler's per-pool setpoint in
-	// (0, 1] (default 0.70): scale out when projected demand exceeds
-	// it, scale in when demand stays under half of it.
-	TargetUtilization float64
-
 	// ReconcileEveryNanos is the control loop's step — the virtual
-	// time between autoscaling decisions (default 2ms).
+	// time between autoscaling decisions (default 2ms). Reports
+	// score requests against an SLO of three steps.
 	ReconcileEveryNanos uint64
-
-	// ScaleDownAfter is how many consecutive low-utilization steps a
-	// pool must see before retiring one machine (default 4).
-	ScaleDownAfter int
-
-	// CordonSteps is how long after a kill a zone stays cordoned —
-	// new machines are placed in other zones (default 4 steps).
-	CordonSteps int
-
-	// SLONanos is the request latency objective reports score
-	// against (default 3 reconcile steps).
-	SLONanos uint64
 
 	// RequestWorkMiB is every request's private working set (default
 	// 2): the worker allocates and write-touches this many MiB, so a
 	// request costs CPU beyond its creation.
 	RequestWorkMiB int
-
-	// Seed seeds the balancer's deterministic candidate hashing
-	// (default 1). Ties always break toward the lower machine id.
-	Seed uint64
 
 	// Traffic is the arrival plan (default one phase: 16 steps of 2
 	// requests). The run continues past the last phase until every
@@ -134,29 +138,11 @@ type Spec struct {
 
 // withDefaults resolves every zero field, including per-pool shapes.
 func (s Spec) withDefaults() Spec {
-	if s.Zones == 0 {
-		s.Zones = 3
-	}
-	if s.TargetUtilization == 0 {
-		s.TargetUtilization = 0.70
-	}
 	if s.ReconcileEveryNanos == 0 {
 		s.ReconcileEveryNanos = 2_000_000
 	}
-	if s.ScaleDownAfter == 0 {
-		s.ScaleDownAfter = 4
-	}
-	if s.CordonSteps == 0 {
-		s.CordonSteps = 4
-	}
-	if s.SLONanos == 0 {
-		s.SLONanos = 3 * s.ReconcileEveryNanos
-	}
 	if s.RequestWorkMiB == 0 {
 		s.RequestWorkMiB = 2
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
 	}
 	if len(s.Traffic) == 0 {
 		s.Traffic = []Phase{{Steps: 16, PerStep: 2}}
@@ -185,9 +171,6 @@ func (s Spec) withDefaults() Spec {
 				p.MaxMachines = 4
 			}
 		}
-		if p.MaxSurge == 0 {
-			p.MaxSurge = 2
-		}
 		pools[i] = p
 	}
 	s.Pools = pools
@@ -212,18 +195,6 @@ func specErr(field, format string, args ...any) *load.SpecError {
 func (s Spec) validate() error {
 	if len(s.Pools) == 0 {
 		return specErr("Pools", "no pools declared (want >= 1)")
-	}
-	if s.Zones < 1 || s.Zones > 16 {
-		return specErr("Zones", "%d zones (want 1..16)", s.Zones)
-	}
-	if s.TargetUtilization <= 0 || s.TargetUtilization > 1 {
-		return specErr("TargetUtilization", "%g (want 0 < u <= 1)", s.TargetUtilization)
-	}
-	if s.ScaleDownAfter < 1 {
-		return specErr("ScaleDownAfter", "%d steps (want >= 1)", s.ScaleDownAfter)
-	}
-	if s.CordonSteps < 0 {
-		return specErr("CordonSteps", "%d steps (want >= 0)", s.CordonSteps)
 	}
 	if s.RequestWorkMiB < 0 {
 		return specErr("RequestWorkMiB", "%d MiB (want >= 0)", s.RequestWorkMiB)
@@ -269,27 +240,6 @@ func (s Spec) validate() error {
 		if p.MinMachines > p.MaxMachines {
 			return specErr(field("MinMachines"), "min %d > max %d", p.MinMachines, p.MaxMachines)
 		}
-		if p.MaxSurge < 1 {
-			return specErr(field("MaxSurge"), "%d machines per step (want >= 1)", p.MaxSurge)
-		}
-		for _, z := range p.Zones {
-			if z < 0 || z >= s.Zones {
-				return specErr(field("Zones"), "zone %d out of range (cluster has zones 0..%d)", z, s.Zones-1)
-			}
-		}
 	}
 	return nil
-}
-
-// zones resolves a pool's placement set: its declared zones, or every
-// cluster zone.
-func (p PoolSpec) zones(clusterZones int) []int {
-	if len(p.Zones) > 0 {
-		return p.Zones
-	}
-	zs := make([]int, clusterZones)
-	for i := range zs {
-		zs[i] = i
-	}
-	return zs
 }

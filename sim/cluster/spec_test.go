@@ -26,12 +26,6 @@ func TestSpecValidate(t *testing.T) {
 	}{
 		{"zero pool list", Spec{}, "Pools"},
 		{"minimal valid", Spec{Pools: pool(nil)}, ""},
-		{"negative zones", Spec{Pools: pool(nil), Zones: -1}, "Zones"},
-		{"too many zones", Spec{Pools: pool(nil), Zones: 17}, "Zones"},
-		{"negative target", Spec{Pools: pool(nil), TargetUtilization: -0.5}, "TargetUtilization"},
-		{"target above one", Spec{Pools: pool(nil), TargetUtilization: 1.5}, "TargetUtilization"},
-		{"negative scale-down window", Spec{Pools: pool(nil), ScaleDownAfter: -1}, "ScaleDownAfter"},
-		{"negative cordon", Spec{Pools: pool(nil), CordonSteps: -1}, "CordonSteps"},
 		{"negative request work", Spec{Pools: pool(nil), RequestWorkMiB: -1}, "RequestWorkMiB"},
 		{"empty traffic phase", Spec{Pools: pool(nil), Traffic: []Phase{{Steps: 0, PerStep: 1}}}, "Traffic[0].Steps"},
 		{"negative per-step", Spec{Pools: pool(nil), Traffic: []Phase{{Steps: 1, PerStep: -1}}}, "Traffic[0].PerStep"},
@@ -44,8 +38,6 @@ func TestSpecValidate(t *testing.T) {
 		{"zero min machines", Spec{Pools: pool(func(p *PoolSpec) { p.MinMachines = -3 })}, "Pools[web].MinMachines"},
 		{"min above max", Spec{Pools: pool(func(p *PoolSpec) { p.MinMachines = 5; p.MaxMachines = 2 })}, "Pools[web].MinMachines"},
 		{"machine cap", Spec{Pools: pool(func(p *PoolSpec) { p.MaxMachines = 65 })}, "Pools[web].MaxMachines"},
-		{"negative surge", Spec{Pools: pool(func(p *PoolSpec) { p.MaxSurge = -1 })}, "Pools[web].MaxSurge"},
-		{"zone out of range", Spec{Pools: pool(func(p *PoolSpec) { p.Zones = []int{0, 7} })}, "Pools[web].Zones"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -80,20 +72,31 @@ func TestRunRejectsInvalidSpec(t *testing.T) {
 	}
 }
 
-// TestWithDefaults pins the derived values the scenarios rely on.
+// TestWithDefaults pins the derived values the scenarios rely on, and
+// the fixed policy a run's report echoes: 3 zones, a 70% target and an
+// SLO of three steps.
 func TestWithDefaults(t *testing.T) {
 	s := Spec{Pools: []PoolSpec{{Name: "p", Via: sim.ForkExec}}}.withDefaults()
-	if s.Zones != 3 || s.TargetUtilization != 0.70 || s.ReconcileEveryNanos != 2_000_000 {
-		t.Errorf("cluster defaults wrong: zones=%d target=%v step=%d", s.Zones, s.TargetUtilization, s.ReconcileEveryNanos)
-	}
-	if s.SLONanos != 3*s.ReconcileEveryNanos {
-		t.Errorf("SLO default %d, want 3 steps", s.SLONanos)
+	if s.ReconcileEveryNanos != 2_000_000 {
+		t.Errorf("cluster default step %d, want 2ms", s.ReconcileEveryNanos)
 	}
 	p := s.Pools[0]
-	if p.CPUs != 2 || p.HeapBytes != 64<<20 || p.MinMachines != 1 || p.MaxMachines != 4 || p.MaxSurge != 2 {
+	if p.CPUs != 2 || p.HeapBytes != 64<<20 || p.MinMachines != 1 || p.MaxMachines != 4 {
 		t.Errorf("pool defaults wrong: %+v", p)
 	}
 	if len(s.Traffic) == 0 || s.MaxSteps == 0 {
 		t.Errorf("traffic/max-steps defaults missing: %+v", s)
+	}
+	rep, err := Run(Spec{
+		Pools:          []PoolSpec{{Name: "p", Via: sim.Spawn, CPUs: 1, HeapBytes: 1 << 20, Workers: 1}},
+		RequestWorkMiB: 1,
+		Traffic:        []Phase{{Steps: 2, PerStep: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Zones != 3 || rep.TargetUtilization != 0.70 || rep.SLONanos != 3*rep.ReconcileEveryNanos {
+		t.Errorf("report echoes zones=%d target=%v SLO=%dns at a %dns step; want 3, 0.7 and three steps",
+			rep.Zones, rep.TargetUtilization, rep.SLONanos, rep.ReconcileEveryNanos)
 	}
 }

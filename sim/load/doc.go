@@ -93,7 +93,8 @@
 // pool (Shape.Via and Shape.Pool). One recipe warms both, the cache
 // freezes one Template per Shape, and one stamp path clones it and
 // re-adopts the pool. A migration destination is the same recipe with
-// no heap and no pool, always cold: its books are its boot state.
+// no heap and no pool, stamped like the rest: its books are its boot
+// state.
 // Templates.Run is the one scenario dispatch, and Run is
 // (*Templates)(nil).Run, so a stamped run and a cold run produce
 // byte-identical Metrics. Templates.Run and Templates.Server reject a

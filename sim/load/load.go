@@ -93,11 +93,6 @@ type Config struct {
 	// "parent of size X" under sustained load (default 64 MiB).
 	HeapBytes uint64
 
-	// MutateBytes is how much of the heap the Checkpoint server
-	// rewrites between snapshots, each page paying a COW break
-	// while the snapshot holds the old view (default HeapBytes/8).
-	MutateBytes uint64
-
 	// RAMBytes sizes the machine (default 4×HeapBytes, minimum
 	// 1 GiB).
 	RAMBytes uint64
@@ -179,12 +174,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.HeapBytes == 0 {
 		cfg.HeapBytes = 64 << 20
 	}
-	if cfg.MutateBytes == 0 {
-		cfg.MutateBytes = cfg.HeapBytes / 8
-	}
-	// Round up to whole pages: an explicit sub-page mutation must not
-	// silently become "mutate nothing".
-	cfg.MutateBytes = (cfg.MutateBytes + uint64(mem.PageSize) - 1) &^ (uint64(mem.PageSize) - 1)
 	if cfg.RAMBytes == 0 {
 		cfg.RAMBytes = 4 * cfg.HeapBytes
 		if cfg.RAMBytes < 1<<30 {
@@ -192,6 +181,15 @@ func (cfg Config) withDefaults() Config {
 		}
 	}
 	return cfg
+}
+
+// mutateBytes is how much of the heap the Checkpoint server rewrites
+// between snapshots, each page paying a COW break while the snapshot
+// holds the old view, and how much a fork-family migrant re-dirties
+// per pre-copy round: an eighth of the resolved heap, rounded up to
+// whole pages.
+func (cfg Config) mutateBytes() uint64 {
+	return (cfg.HeapBytes/8 + mem.PageSize - 1) &^ (mem.PageSize - 1)
 }
 
 // SpecError is a typed validation failure: which field of which spec

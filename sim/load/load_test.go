@@ -160,14 +160,13 @@ func TestPipelineFarm(t *testing.T) {
 // snapshot is held must copy the mutated pages — and only those.
 func TestCheckpointPaysCOWTax(t *testing.T) {
 	const heap = 16 << 20
-	const mutate = 2 << 20
+	const mutate = heap / 8 // what each cycle rewrites
 	const cycles = 8
 	m, err := load.Run(load.Config{
-		Scenario:    load.Checkpoint,
-		Via:         sim.ForkExec,
-		Requests:    cycles,
-		HeapBytes:   heap,
-		MutateBytes: mutate,
+		Scenario:  load.Checkpoint,
+		Via:       sim.ForkExec,
+		Requests:  cycles,
+		HeapBytes: heap,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,11 +184,10 @@ func TestCheckpointPaysCOWTax(t *testing.T) {
 // copies Θ(resident bytes) regardless of the mutation rate.
 func TestCheckpointForklessCopiesEverything(t *testing.T) {
 	m, err := load.Run(load.Config{
-		Scenario:    load.Checkpoint,
-		Via:         sim.Spawn,
-		Requests:    2,
-		HeapBytes:   4 << 20,
-		MutateBytes: 4096,
+		Scenario:  load.Checkpoint,
+		Via:       sim.Spawn,
+		Requests:  2,
+		HeapBytes: 4 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -35,13 +35,14 @@ import (
 // What the migrant is depends on Config.Via, which is the paper's
 // point: a fork-family process (ForkExec, EmulatedFork, EagerForkExec)
 // carries the parent's dirtied heap, so every pre-copy round re-ships
-// Θ(MutateBytes) and the stop-and-copy residue is Θ(dirty heap) — the
-// entangled address space follows the process around the cluster. A
-// spawned or Builder-constructed process owns only its own image:
-// round 0 is small, later rounds converge to nothing, and downtime is
-// flat in the parent's heap size (E16). A vfork child cannot be
-// migrated at all — it borrows the parent's address space — and the
-// checkpoint refuses cleanly; the run counts the refusal and moves on.
+// the eighth of it the migrant re-dirties, and the stop-and-copy
+// residue is Θ(dirty heap) — the entangled address space follows the
+// process around the cluster. A spawned or Builder-constructed process
+// owns only its own image: round 0 is small, later rounds converge to
+// nothing, and downtime is flat in the parent's heap size (E16). A
+// vfork child cannot be migrated at all — it borrows the parent's
+// address space — and the checkpoint refuses cleanly; the run counts
+// the refusal and moves on.
 //
 // The page stream is chunked onto the fabric, so wire latency, per-byte
 // cost, and fault schedules (drops, partitions) apply: lost chunks are
@@ -102,18 +103,19 @@ func pageRecBytes(recs []addrspace.PageRecord) uint64 {
 	return n
 }
 
-// migrate executes the Migrate scenario. The source is a warmed
-// scenario machine, stamped like any single-machine run (cold-booted
-// when tc is nil): its dirty heap is what the fork-family migrants drag
-// along. The destination boots identically but stays cold, a Server
-// with no heap and no pool: the migrant's state arrives over the wire,
-// not from a local warm-up, so its books are its boot state.
+// migrate executes the Migrate scenario. Both machines are stamped
+// like any single-machine run (cold-booted when tc is nil). The source
+// is a warmed scenario machine: its dirty heap is what the fork-family
+// migrants drag along. The destination's shape has no heap and no
+// pool: the migrant's state arrives over the wire, not from a local
+// warm-up, so its books are its boot state, and Drain recycles it into
+// its template like any stamped machine.
 func (cl *cell) migrate(tc *Templates) (*Metrics, error) {
 	cfg := cl.cfg
 	if err := cl.add(tc.machine(cfg, cfg.Shape())); err != nil {
 		return nil, err
 	}
-	if err := cl.add(warm(cfg, Shape{CPUs: cfg.CPUs, RAMBytes: cfg.RAMBytes})); err != nil {
+	if err := cl.add(tc.machine(cfg, Shape{CPUs: cfg.CPUs, RAMBytes: cfg.RAMBytes})); err != nil {
 		return nil, err
 	}
 	if err := cl.wire(migDstAddr + 1); err != nil {
@@ -179,11 +181,11 @@ func (c *migrateCell) createMigrant() (*kernel.Process, error) {
 // without the inherited heap (spawned, Builder-built) have nothing at
 // that address and skip it: their rounds converge immediately.
 func (c *migrateCell) mutate(p *kernel.Process) error {
-	heap := c.src.warm.heapStart
-	if c.cfg.MutateBytes == 0 || p.Space().FindVMA(heap) == nil {
+	heap, n := c.src.warm.heapStart, c.cfg.mutateBytes()
+	if n == 0 || p.Space().FindVMA(heap) == nil {
 		return nil
 	}
-	return p.Space().Touch(heap, c.cfg.MutateBytes, addrspace.AccessWrite)
+	return p.Space().Touch(heap, n, addrspace.AccessWrite)
 }
 
 // migrateOnce moves one migrant from src to dst.

@@ -156,7 +156,7 @@ func (s *Server) pipeline() error {
 
 // checkpoint is the Redis-style snapshotter: each cycle takes a
 // point-in-time snapshot of the server's heap, then the server keeps
-// mutating MutateBytes of it while the snapshot is held — every
+// mutating an eighth of it while the snapshot is held — every
 // mutated page pays a COW break (the PageCopies column). The snapshot
 // is a core.Fork of the server by the strategy, with two substitutes
 // (see snapshot):
@@ -171,7 +171,7 @@ func (s *Server) pipeline() error {
 func (s *Server) checkpoint() error {
 	host := s.sys.Host()
 	heap := s.cfg.HeapBytes
-	mutate := s.cfg.MutateBytes
+	mutate := s.cfg.mutateBytes()
 	if mutate > heap {
 		mutate = heap
 	}

@@ -23,9 +23,9 @@ import (
 // as a machine's replacement instance: the warm-up is the restart tax,
 // and Run is the measured serve phase. The network cells' backends are
 // Servers too, and so is a migration's destination: a machine with no
-// heap and no pool, whose books are its boot state. Every Server but
-// that destination comes from Templates, and every machine a run boots
-// is one of a cell's Servers.
+// heap and no pool, whose books are its boot state. Every Server comes
+// from Templates, and every machine a run boots is one of a cell's
+// Servers.
 //
 // A Server is single-goroutine: the caller serializes ServeBatch /
 // Run / Drain. Distinct Servers are independent machines and may run

@@ -141,8 +141,9 @@ func (t *Template) stamp(cfg Config, s Shape) (*Server, error) {
 
 // Templates is the one cache of warmed machines: a frozen Template per
 // Shape — scenario machines for single-machine runs and migration
-// sources, servers with their pools parked for network-cell backends,
-// rolling-wave replacements, and cluster nodes. Each shape warms once;
+// sources, empty machines for migration destinations, and servers with
+// their pools parked for network-cell backends, rolling-wave
+// replacements and cluster nodes. Each shape warms once;
 // every later machine of that shape is stamped from it. A nil
 // *Templates cold-boots on every path. Safe for concurrent use, and
 // deterministic: a template's content is a pure function of its shape,

@@ -1,37 +1,41 @@
 package sim_test
 
 import (
-	"errors"
 	"io"
+	"strings"
 	"testing"
 
-	"repro/internal/errno"
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/sim"
 )
 
-// TestWithSwapAddsCommitHeadroom: swap is commit headroom beyond RAM.
-// In 64 MiB of strict-commit RAM, fork+exec from a 40 MiB dirty parent
-// cannot reserve the child's copy and fails with ENOMEM; 64 MiB of
-// swap makes the same reservation fit.
-func TestWithSwapAddsCommitHeadroom(t *testing.T) {
-	for _, swap := range []uint64{0, 64 << 20} {
-		opts := []sim.Option{sim.WithRAM(64 << 20), sim.WithCommitPolicy(sim.CommitStrict), sim.WithUserland("true")}
-		if swap > 0 {
-			opts = append(opts, sim.WithSwap(swap))
-		}
-		sys := newSys(t, opts...)
-		if err := sys.DirtyHost(40<<20, false); err != nil {
-			t.Fatal(err)
-		}
-		err := sys.Command("true").Via(sim.ForkExec).Run()
-		switch {
-		case swap == 0 && !errors.Is(err, errno.ENOMEM):
-			t.Errorf("no swap: fork+exec err = %v, want ENOMEM", err)
-		case swap > 0 && err != nil:
-			t.Errorf("WithSwap(%d): fork+exec failed: %v", swap, err)
-		}
+// TestWithCommitPolicy: the three policies keep their names, and
+// NewSystem refuses a value outside them with an error naming it.
+func TestWithCommitPolicy(t *testing.T) {
+	for _, c := range []struct {
+		policy  sim.CommitPolicy
+		name    string
+		refused bool
+	}{
+		{sim.CommitHeuristic, "heuristic", false},
+		{sim.CommitStrict, "strict", false},
+		{sim.CommitAlways, "always", false},
+		{7, "CommitPolicy(7)", true},
+		{-1, "CommitPolicy(-1)", true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if got := c.policy.String(); got != c.name {
+				t.Errorf("String() = %q, want %q", got, c.name)
+			}
+			_, err := sim.NewSystem(sim.WithCommitPolicy(c.policy), sim.WithUserland("true"))
+			switch {
+			case !c.refused && err != nil:
+				t.Errorf("NewSystem: %v", err)
+			case c.refused && (err == nil || !strings.Contains(err.Error(), c.name)):
+				t.Errorf("NewSystem = %v, want an error naming %s", err, c.name)
+			}
+		})
 	}
 }
 
@@ -79,22 +83,6 @@ func TestWithEagerForkCoversTheMachinesOwnForks(t *testing.T) {
 		if n := copies("Via(EagerForkExec)", via(sim.EagerForkExec)); n < dirty/mem.PageSize {
 			t.Errorf("eager %v: Via(EagerForkExec) copied %d pages, want the %d dirty ones", eager, n, dirty/mem.PageSize)
 		}
-	}
-}
-
-// TestWithDenyMultithreadedForkAvoidsDeadlock: threads_deadlock forks
-// while another thread holds a lock. By default the child inherits the
-// held lock and deadlocks; with the §8 mitigation the fork is refused
-// and the program exits cleanly instead.
-func TestWithDenyMultithreadedForkAvoidsDeadlock(t *testing.T) {
-	sys := newSys(t, sim.WithRunBudget(10_000_000))
-	var dl *sim.DeadlockError
-	if err := sys.Command("threads_deadlock").Run(); !errors.As(err, &dl) {
-		t.Errorf("default: err = %v, want *DeadlockError", err)
-	}
-	sys = newSys(t, sim.WithRunBudget(10_000_000), sim.WithDenyMultithreadedFork())
-	if err := sys.Command("threads_deadlock").Run(); err != nil {
-		t.Errorf("WithDenyMultithreadedFork: err = %v, want a clean exit", err)
 	}
 }
 

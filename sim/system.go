@@ -18,33 +18,23 @@ import (
 
 // CommitPolicy selects the machine's overcommit accounting
 // (overcommit_memory in Linux terms); see §4.6 of the paper.
-type CommitPolicy int
+//
+// It is mem.CommitPolicy under its public name: String names the three
+// policies ("heuristic", "strict", "always"), and NewSystem refuses any
+// other value.
+type CommitPolicy = mem.CommitPolicy
 
 // Commit policies.
 const (
 	// CommitHeuristic allows reservations freely unless a single
-	// request exceeds the limit (Linux overcommit_memory=0).
-	CommitHeuristic CommitPolicy = iota
-	// CommitStrict refuses any reservation past RAM+swap
+	// request exceeds RAM (Linux overcommit_memory=0). The default.
+	CommitHeuristic CommitPolicy = mem.CommitHeuristic
+	// CommitStrict refuses any reservation past RAM
 	// (overcommit_memory=2): fork of a big parent fails up front.
-	CommitStrict
+	CommitStrict CommitPolicy = mem.CommitStrict
 	// CommitAlways never refuses a reservation (overcommit_memory=1).
-	CommitAlways
+	CommitAlways CommitPolicy = mem.CommitAlways
 )
-
-func (p CommitPolicy) String() string {
-	return [...]string{"heuristic", "strict", "always"}[p]
-}
-
-func (p CommitPolicy) memPolicy() mem.CommitPolicy {
-	switch p {
-	case CommitStrict:
-		return mem.CommitStrict
-	case CommitAlways:
-		return mem.CommitAlways
-	}
-	return mem.CommitHeuristic
-}
 
 type config struct {
 	opts      kernel.Options
@@ -68,14 +58,10 @@ func WithRAM(bytes uint64) Option {
 	return func(c *config) { c.opts.RAMBytes = bytes }
 }
 
-// WithSwap adds commit headroom beyond RAM.
-func WithSwap(bytes uint64) Option {
-	return func(c *config) { c.opts.SwapBytes = bytes }
-}
-
-// WithCommitPolicy selects the overcommit policy.
+// WithCommitPolicy selects the overcommit policy (default
+// CommitHeuristic).
 func WithCommitPolicy(p CommitPolicy) Option {
-	return func(c *config) { c.opts.Commit = p.memPolicy() }
+	return func(c *config) { c.opts.Commit = p }
 }
 
 // WithEagerFork boots the machine with 1970s eager fork (the paper's
@@ -97,13 +83,6 @@ func WithEagerFork() Option {
 // TLB-shootdown IPI per other CPU running the address space.
 func WithCPUs(n int) Option {
 	return func(c *config) { c.opts.NumCPUs = n }
-}
-
-// WithDenyMultithreadedFork makes fork fail with EAGAIN when the
-// caller has more than one live thread — the §8 mitigation on the road
-// to deprecating fork.
-func WithDenyMultithreadedFork() Option {
-	return func(c *config) { c.opts.DenyMultithreadedFork = true }
 }
 
 // WithFaults installs a deterministic fault-injection schedule at
