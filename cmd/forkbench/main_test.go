@@ -399,6 +399,40 @@ func TestSweepConfigsCoverEveryScenario(t *testing.T) {
 	}
 }
 
+// TestBenchSimBaseline is the bench-drift gate in tier-1: the sweep
+// `forkbench load -sweep -json` writes (sweepConfigs(0) through
+// fleet.RunAll, marshalled by runLoad itself) must byte-match the
+// checked-in baseline. On a mismatch it names every moved metric
+// through `forkbench diff`. It has no -update: README's command is the
+// one way to regenerate the file.
+func TestBenchSimBaseline(t *testing.T) {
+	const baseline = "../../BENCH_SIM.json"
+	path := filepath.Join(t.TempDir(), "sweep.json")
+	if err := runLoad([]string{"-sweep", "-json", path}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	var report bytes.Buffer
+	prev := diffOut
+	diffOut = &report
+	defer func() { diffOut = prev }()
+	// runDiff's error only restates the drift its report names.
+	_ = runDiff([]string{baseline, path})
+	t.Errorf("the sweep no longer byte-matches %s:\n%sif the change is intended, regenerate it with "+
+		"`go run ./cmd/forkbench load -sweep -json BENCH_SIM.json` (README \"Regenerating BENCH_SIM.json\")",
+		baseline, report.String())
+}
+
 // TestRunDiffLoneRunSummary pins the gate's behaviour when a run
 // config exists in only one file: non-zero exit AND a per-metric
 // summary of the lone run, so the report shows exactly what the other

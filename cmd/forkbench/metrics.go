@@ -214,25 +214,16 @@ func clusterMetrics(r *metrics.Registry, scen cluster.Scenario, rep *cluster.Rep
 }
 
 // traceMetrics runs one traced command (echo through the selected
-// strategy from a dirty 1 MiB parent, like `forkbench trace`) and
-// counts its structured trace events by kind.
+// strategy from a dirty 1 MiB parent, through `forkbench trace`'s
+// tracedRun) and counts its structured trace events by kind.
 func traceMetrics(r *metrics.Registry, st sim.Strategy, heapBytes uint64) error {
 	if heapBytes > 1<<20 {
 		// The trace section is a fixed, cheap probe: a big -heap
 		// configures the fleet machines, not this command.
 		heapBytes = 1 << 20
 	}
-	sys, err := sim.NewSystem(sim.WithTrace())
+	sys, err := tracedRun(st, heapBytes, 1, 0, "echo", "hello", "road")
 	if err != nil {
-		return err
-	}
-	if err := sys.DirtyHost(heapBytes, false); err != nil {
-		return err
-	}
-	cmd := sys.Command("echo", "hello", "road").Via(st)
-	cmd.Stdout = io.Discard
-	cmd.Stderr = io.Discard
-	if err := cmd.Run(); err != nil {
 		return err
 	}
 	ev := r.Counter("forkbench_trace_events_total", "structured trace events from one traced command, by kind")

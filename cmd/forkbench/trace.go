@@ -45,30 +45,9 @@ func runTrace(args []string) error {
 		argv = []string{"echo", "hello", "road"}
 	}
 
-	sys, err := sim.NewSystem(sim.WithTrace(), sim.WithCPUs(*cpus))
+	sys, err := tracedRun(st, heapBytes, *cpus, *seed, argv...)
 	if err != nil {
 		return err
-	}
-	if err := sys.DirtyHost(heapBytes, false); err != nil {
-		return err
-	}
-	if *seed != 0 {
-		// Arm after the warm-up, like load's chaos mode: the dirty
-		// parent is set up cleanly, only the traced command runs
-		// under the waves.
-		sys.SetFaultSchedule(fault.Chaos(*seed, 0))
-	}
-	cmd := sys.Command(argv[0], argv[1:]...).Via(st)
-	cmd.Stdout = io.Discard
-	cmd.Stderr = io.Discard
-	if err := cmd.Run(); err != nil && sim.AsExitError(err) == nil {
-		// Injected faults may legitimately kill the command or refuse
-		// its creation with a kernel errno; the trace still tells the
-		// story. Anything else is a real harness failure.
-		if *seed == 0 {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "trace: command failed under injected faults: %v\n", err)
 	}
 
 	w := io.Writer(os.Stdout)
@@ -84,4 +63,34 @@ func runTrace(args []string) error {
 		return err
 	}
 	return nil
+}
+
+// tracedRun is the traced run `forkbench trace` and traceMetrics
+// share: boot a traced machine, dirty heapBytes of its parent, and run
+// argv through st with its output discarded. A non-zero seed arms
+// fault.Chaos(seed, 0) after the warm-up, like load's chaos mode.
+func tracedRun(st sim.Strategy, heapBytes uint64, cpus int, seed uint64, argv ...string) (*sim.System, error) {
+	sys, err := sim.NewSystem(sim.WithTrace(), sim.WithCPUs(cpus))
+	if err != nil {
+		return nil, err
+	}
+	if err := sys.DirtyHost(heapBytes, false); err != nil {
+		return nil, err
+	}
+	if seed != 0 {
+		sys.SetFaultSchedule(fault.Chaos(seed, 0))
+	}
+	cmd := sys.Command(argv[0], argv[1:]...).Via(st)
+	cmd.Stdout = io.Discard
+	cmd.Stderr = io.Discard
+	if err := cmd.Run(); err != nil && sim.AsExitError(err) == nil {
+		// Injected faults may legitimately kill the command or refuse
+		// its creation with a kernel errno; the trace still tells the
+		// story. Anything else is a real harness failure.
+		if seed == 0 {
+			return nil, err
+		}
+		fmt.Fprintf(os.Stderr, "trace: command failed under injected faults: %v\n", err)
+	}
+	return sys, nil
 }

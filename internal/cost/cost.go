@@ -167,10 +167,40 @@ func DefaultModel() Model {
 	}
 }
 
-// Meter couples the per-CPU clocks with a model and accumulates
-// per-category counters so experiments can report *why* an operation
-// cost what it did (e.g. PTEs copied during a fork). It is not safe
-// for concurrent use; the simulator is single-threaded by design.
+// Counters are the reported event counters: the one declaration every
+// report reads them from — the meter, sim.Stats, sim/load's Metrics,
+// the fleet rollup and the forkbench diff gate. PageCopies is the
+// COW-fault tax (plus eager-fork copies where selected), and
+// TLBShootdowns the remote-CPU IPIs, one per remote CPU per event: the
+// SMP fork tax, always 0 on one CPU. Every field is a sum, and Add is
+// the one place that says so.
+type Counters struct {
+	PageFaults      uint64 `json:"page_faults"`
+	PageCopies      uint64 `json:"page_copies"`
+	PageZeroes      uint64 `json:"page_zeroes"`
+	PTECopies       uint64 `json:"pte_copies"`
+	TLBShootdowns   uint64 `json:"tlb_shootdowns"`
+	ContextSwitches uint64 `json:"context_switches"`
+	Syscalls        uint64 `json:"syscalls"`
+	Instructions    uint64 `json:"instructions"`
+}
+
+// Add folds o into c.
+func (c *Counters) Add(o Counters) {
+	c.PageFaults += o.PageFaults
+	c.PageCopies += o.PageCopies
+	c.PageZeroes += o.PageZeroes
+	c.PTECopies += o.PTECopies
+	c.TLBShootdowns += o.TLBShootdowns
+	c.ContextSwitches += o.ContextSwitches
+	c.Syscalls += o.Syscalls
+	c.Instructions += o.Instructions
+}
+
+// Meter couples the per-CPU clocks with a model and accumulates the
+// Counters so experiments can report *why* an operation cost what it
+// did (e.g. PTEs copied during a fork). It is not safe for concurrent
+// use; the simulator is single-threaded by design.
 type Meter struct {
 	Model Model
 
@@ -178,15 +208,9 @@ type Meter struct {
 	idle   []Ticks // of clocks[i], how much was idle fast-forward
 	active int     // CPU whose clock Charge advances
 
-	// Counters, exported for experiment reporting.
-	PTECopies     uint64
-	PTNodes       uint64
-	PageCopies    uint64
-	PageZeroes    uint64
-	PageFaults    uint64
-	Syscalls      uint64
-	Instructions  uint64
-	TLBShootdowns uint64 // remote-CPU IPIs sent (one per remote CPU per event)
+	Counters
+	// PTNodes counts page-table nodes allocated; no report prints it.
+	PTNodes uint64
 
 	// OnShootdown, when non-nil, observes every shootdown round (the
 	// kernel's trace recorder hooks in here; the meter itself cannot
@@ -279,8 +303,4 @@ func (mt *Meter) ChargeShootdown(remotes int) {
 }
 
 // ResetCounters zeroes the event counters (not the clocks).
-func (mt *Meter) ResetCounters() {
-	mt.PTECopies, mt.PTNodes, mt.PageCopies = 0, 0, 0
-	mt.PageZeroes, mt.PageFaults, mt.Syscalls, mt.Instructions = 0, 0, 0, 0
-	mt.TLBShootdowns = 0
-}
+func (mt *Meter) ResetCounters() { mt.Counters, mt.PTNodes = Counters{}, 0 }

@@ -1,6 +1,9 @@
 package cost
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestTickFormatting(t *testing.T) {
 	cases := []struct {
@@ -25,19 +28,59 @@ func TestTickFormatting(t *testing.T) {
 	}
 }
 
+// counterFields are the meter's event counters: every exported
+// uint64 field, the embedded Counters' promoted ones and PTNodes.
+func counterFields(m *Meter) []reflect.Value {
+	v := reflect.ValueOf(m).Elem()
+	var out []reflect.Value
+	for _, f := range reflect.VisibleFields(v.Type()) {
+		if f.IsExported() && f.Type.Kind() == reflect.Uint64 {
+			out = append(out, v.FieldByIndex(f.Index))
+		}
+	}
+	return out
+}
+
 func TestMeterChargesAndCounters(t *testing.T) {
 	m := NewMeter(DefaultModel())
 	m.Charge(m.Model.PageCopy)
-	m.PageCopies++
 	if m.Now() != m.Model.PageCopy {
 		t.Errorf("Now = %v", m.Now())
 	}
+	fields := counterFields(m)
+	if want := reflect.TypeOf(Counters{}).NumField() + 1; len(fields) != want {
+		t.Fatalf("meter has %d counters, want Counters' fields + PTNodes = %d", len(fields), want)
+	}
+	for _, f := range fields {
+		f.SetUint(1)
+	}
 	m.ResetCounters()
-	if m.PageCopies != 0 {
-		t.Error("ResetCounters missed PageCopies")
+	for i, f := range counterFields(m) {
+		if f.Uint() != 0 {
+			t.Errorf("ResetCounters missed counter %d", i)
+		}
 	}
 	if m.Now() == 0 {
 		t.Error("ResetCounters must not reset the clock")
+	}
+}
+
+// TestCountersAddCoversEveryField holds Add to the struct: field i
+// starts at i+1 on one side and 100(i+1) on the other, so a field
+// added without its Add line, or an Add line summing the wrong field,
+// fails here.
+func TestCountersAddCoversEveryField(t *testing.T) {
+	var a, b Counters
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		av.Field(i).SetUint(uint64(i + 1))
+		bv.Field(i).SetUint(uint64(100 * (i + 1)))
+	}
+	a.Add(b)
+	for i := 0; i < av.NumField(); i++ {
+		if got, want := av.Field(i).Uint(), uint64(101*(i+1)); got != want {
+			t.Errorf("after Add, %s = %d, want %d", av.Type().Field(i).Name, got, want)
+		}
 	}
 }
 

@@ -109,18 +109,17 @@ func (k *Kernel) CloneInto(markSrc bool, scratch *Kernel) *Kernel {
 	}
 
 	*nk = Kernel{
-		opts:            k.opts,
-		meter:           nm,
-		phys:            np,
-		nextPID:         k.nextPID,
-		procs:           procs,
-		cpus:            cpus,
-		futexes:         futexes,
-		tracer:          tracer,
-		OOMKills:        k.OOMKills,
-		SegvKills:       k.SegvKills,
-		lastStop:        k.lastStop,
-		contextSwitches: k.contextSwitches,
+		opts:      k.opts,
+		meter:     nm,
+		phys:      np,
+		nextPID:   k.nextPID,
+		procs:     procs,
+		cpus:      cpus,
+		futexes:   futexes,
+		tracer:    tracer,
+		OOMKills:  k.OOMKills,
+		SegvKills: k.SegvKills,
+		lastStop:  k.lastStop,
 	}
 	if k.faults != nil {
 		nk.faults = k.faults.Clone(nm, tracer)

@@ -148,10 +148,9 @@ type Kernel struct {
 	tracer *fault.Recorder
 
 	// Diagnostics.
-	OOMKills        int
-	SegvKills       int
-	lastStop        StopInfo
-	contextSwitches uint64
+	OOMKills  int
+	SegvKills int
+	lastStop  StopInfo
 }
 
 // StopReason reports why Run returned.
@@ -319,38 +318,8 @@ func (k *Kernel) LastStop() StopReason { return k.lastStop.Reason }
 func (k *Kernel) LastStopInfo() StopInfo { return k.lastStop }
 
 // ContextSwitches reports the scheduler's total dispatch count across
-// all CPUs.
-func (k *Kernel) ContextSwitches() uint64 { return k.contextSwitches }
-
-// Counters is a snapshot of the kernel's cost counters: the meter's
-// event counts plus the scheduler's context switches. sim/load's
-// Counters is this struct with JSON tags, converted directly, so the
-// two cannot drift apart without a compile error.
-type Counters struct {
-	PageFaults      uint64
-	PageCopies      uint64
-	PageZeroes      uint64
-	PTECopies       uint64
-	TLBShootdowns   uint64
-	ContextSwitches uint64
-	Syscalls        uint64
-	Instructions    uint64
-}
-
-// Counters snapshots the cost counters.
-func (k *Kernel) Counters() Counters {
-	m := k.meter
-	return Counters{
-		PageFaults:      m.PageFaults,
-		PageCopies:      m.PageCopies,
-		PageZeroes:      m.PageZeroes,
-		PTECopies:       m.PTECopies,
-		TLBShootdowns:   m.TLBShootdowns,
-		ContextSwitches: k.contextSwitches,
-		Syscalls:        m.Syscalls,
-		Instructions:    m.Instructions,
-	}
-}
+// all CPUs since the meter's counters were last reset.
+func (k *Kernel) ContextSwitches() uint64 { return k.meter.ContextSwitches }
 
 // CPUStates snapshots every CPU's scheduler state (diagnostics,
 // utilization reporting).
@@ -658,7 +627,7 @@ func (k *Kernel) dispatch(c *cpu, t *Thread, stolen bool, limits RunLimits, star
 	t.state = TRunning
 	t.dispatches++
 	c.switches++
-	k.contextSwitches++
+	k.meter.ContextSwitches++
 	k.switchSpace(c, t.proc.space)
 	before := k.meter.CPUClock(c.id)
 	k.meter.Charge(k.meter.Model.ContextSwitch)

@@ -82,10 +82,11 @@
 // machine's phases, restart tax and migration outage into a
 // one-machine Aggregate, and (*Aggregate).add holds every sum and max;
 // the streaming fold is add(rollup), and the machine's own rate and
-// its report row read the rollup. The cost counters are load.Counters,
-// embedded, so a counter added there reaches the Aggregate and the
-// fold with no edit here; a new fleet-level field is one field on
-// Aggregate, set in machineRollup, plus its rule in add.
+// its report row read the rollup. The cost counters are load.Counters
+// (cost.Counters, the meter's own declaration), embedded, so a counter
+// added there reaches the Aggregate and the fold with no edit here; a
+// new fleet-level field is one field on Aggregate, set in
+// machineRollup, plus its rule in add.
 //
 // The host time of a fleet is measured by the bench/ module's
 // fleet-mix workload; BenchmarkFleet100k holds a 100,000-machine fleet

@@ -15,8 +15,8 @@ type cell struct {
 	cfg     Config
 	servers []*Server
 	fab     *simnet.Fabric
-	// The window's baselines: Σ context switches and OOM kills at open.
-	csw, oom uint64
+	// oom is the window's baseline: Σ OOM kills at open.
+	oom uint64
 }
 
 // add puts a freshly warmed machine in the cell, so drain retires it,
@@ -39,13 +39,12 @@ func (c *cell) wire(nodes int) (err error) {
 	return err
 }
 
-// open starts the measured window: every machine's meter zeroed, the
-// context-switch and OOM-kill baselines noted, and each machine's peak
+// open starts the measured window: every machine's meter counters
+// zeroed, the OOM-kill baseline noted, and each machine's peak
 // restarted from one sample.
 func (c *cell) open() {
 	for _, s := range c.servers {
 		s.k.Meter().ResetCounters()
-		c.csw += s.k.ContextSwitches()
 		c.oom += uint64(s.k.OOMKills)
 		s.peakPages = 0
 		s.sample()
@@ -68,11 +67,10 @@ func (c *cell) close(m *Metrics) *Metrics {
 	m.Scenario, m.Strategy = string(c.cfg.Scenario), c.cfg.Via.String()
 	m.HeapBytes, m.RAMBytes, m.NumCPUs = c.servers[0].warm.heapBytes, c.cfg.RAMBytes, c.cfg.CPUs
 	for _, s := range c.servers {
-		m.Counters.Add(Counters(s.k.Counters()))
+		m.Counters.Add(s.k.Meter().Counters)
 		m.OOMKills += uint64(s.k.OOMKills)
 		m.PeakRSSBytes = max(m.PeakRSSBytes, s.PeakRSSBytes())
 	}
-	m.ContextSwitches -= c.csw
 	m.OOMKills -= c.oom
 	if c.fab != nil {
 		tot := c.fab.Totals()
@@ -81,12 +79,7 @@ func (c *cell) close(m *Metrics) *Metrics {
 		m.NetBytesSent = tot.BytesSent
 		m.NetBytesRecv = tot.BytesRecv
 		m.NetDrops = tot.DropsSend + tot.DropsRecv
-		for _, fl := range c.fab.Flows() {
-			m.NetFlows = append(m.NetFlows, NetFlow{
-				Src: fl.Src, Dst: fl.Dst, Flow: fl.Flow,
-				Packets: fl.Packets, Bytes: fl.Bytes, Drops: fl.Drops,
-			})
-		}
+		m.NetFlows = c.fab.Flows()
 	}
 	if m.VirtualNanos > 0 {
 		m.RequestsPerVSec = float64(m.Requests) * 1e9 / float64(m.VirtualNanos)

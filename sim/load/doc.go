@@ -121,17 +121,18 @@
 // caller runs the loop.
 //
 // Metrics declares each counter once. The cost counters are the
-// embedded Counters struct — a tagged copy of the kernel's
-// kernel.Counters snapshot, converted directly so the two cannot drift
-// — and the wire counters the embedded NetCounters. The cell's window
-// opens after warm-up (meters zeroed, context-switch and OOM-kill
-// baselines noted, each machine's peak restarted from one sample) and
+// embedded Counters, an alias of cost.Counters: the same struct every
+// machine's meter embeds, so the cell adds each meter's counters as
+// they are. The wire counters are the embedded NetCounters, and the
+// flow log is the fabric's own (NetFlow is simnet.Flow). The cell's
+// window opens after warm-up (meter counters zeroed, the OOM-kill
+// baseline noted, each machine's peak restarted from one sample) and
 // closes into the one Metrics assembly: the header, Counters and OOM
 // kills summed over the cell's machines, the highest machine peak, the
 // fabric's totals and flow log, and the rates. A loop adds only its own
-// tallies. A new counter is one field in Counters (plus the
-// kernel snapshot it is read from) with its rule in Counters.Add, or
-// one field in NetCounters filled where the cell reads the fabric.
+// tallies. A new cost counter is one field in cost.Counters with its
+// rule in Counters.Add, both in one file; a new wire counter is one
+// field in NetCounters filled where the cell reads the fabric.
 // sim/fleet's Aggregate embeds Counters and `forkbench diff` reads its
 // field list off Metrics, so neither needs a further edit.
 //

@@ -8,6 +8,7 @@ import (
 	"repro/internal/mem"
 	"repro/sim"
 	"repro/sim/fault"
+	simnet "repro/sim/net"
 )
 
 // Scenario names a workload shape. The string form is the CLI name.
@@ -310,46 +311,15 @@ type Metrics struct {
 	NetFlows []NetFlow `json:"net_flows,omitempty"`
 }
 
-// NetFlow is one directed flow's cumulative counters. Addresses are
-// cell-local: 0 the client, then the balancer and backends (NetLB) or
-// the shards (KVShard).
-type NetFlow struct {
-	Src     int    `json:"src"`
-	Dst     int    `json:"dst"`
-	Flow    string `json:"flow"`
-	Packets uint64 `json:"packets"`
-	Bytes   uint64 `json:"bytes"`
-	Drops   uint64 `json:"drops,omitempty"`
-}
+// NetFlow is one directed flow's cumulative counters: the fabric's
+// flow log entry. Addresses are cell-local: 0 the client, then the
+// balancer and backends (NetLB) or the shards (KVShard).
+type NetFlow = simnet.Flow
 
-// Counters are the cost counters of a measured loop: PageCopies is the
-// COW-fault tax (plus eager-fork copies where selected), and
-// TLBShootdowns the remote-CPU IPIs — the SMP fork tax, always 0 on
-// one CPU. Every field is a sum; Add is the one place that says so,
-// and the fleet rollup and the forkbench diff gate derive from this
-// declaration.
-type Counters struct {
-	PageFaults      uint64 `json:"page_faults"`
-	PageCopies      uint64 `json:"page_copies"`
-	PageZeroes      uint64 `json:"page_zeroes"`
-	PTECopies       uint64 `json:"pte_copies"`
-	TLBShootdowns   uint64 `json:"tlb_shootdowns"`
-	ContextSwitches uint64 `json:"context_switches"`
-	Syscalls        uint64 `json:"syscalls"`
-	Instructions    uint64 `json:"instructions"`
-}
-
-// Add folds o into c.
-func (c *Counters) Add(o Counters) {
-	c.PageFaults += o.PageFaults
-	c.PageCopies += o.PageCopies
-	c.PageZeroes += o.PageZeroes
-	c.PTECopies += o.PTECopies
-	c.TLBShootdowns += o.TLBShootdowns
-	c.ContextSwitches += o.ContextSwitches
-	c.Syscalls += o.Syscalls
-	c.Instructions += o.Instructions
-}
+// Counters are the cost counters of a measured loop, summed over the
+// cell's machines: cost.Counters, the one declaration the meter, the
+// fleet rollup and the forkbench diff gate share.
+type Counters = cost.Counters
 
 // NetCounters are the wire counters, set by the network cells (netlb,
 // kvshard, migrate) and zero — and absent from the JSON — everywhere

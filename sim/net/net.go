@@ -58,13 +58,16 @@ type NodeStats struct {
 
 // FlowKey identifies one directed (src, dst, label) flow.
 type FlowKey struct {
-	Src, Dst int
-	Flow     string
+	Src  int    `json:"src"`
+	Dst  int    `json:"dst"`
+	Flow string `json:"flow"`
 }
 
 // FlowStats is the per-flow counter set: the fabric's flow log.
 type FlowStats struct {
-	Packets, Bytes, Drops uint64
+	Packets uint64 `json:"packets"`
+	Bytes   uint64 `json:"bytes"`
+	Drops   uint64 `json:"drops,omitempty"`
 }
 
 // Fabric is one network cell's wire. It is single-threaded by design,

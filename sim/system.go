@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/addrspace"
 	"repro/internal/asm"
+	"repro/internal/cost"
 	"repro/internal/image"
 	"repro/internal/kernel"
 	"repro/internal/mem"
@@ -250,21 +251,17 @@ func (s *System) SetFaultSchedule(sched fault.Schedule) { s.k.SetFaultSchedule(s
 
 // Stats is a snapshot of the machine's counters.
 type Stats struct {
-	VirtualTime     time.Duration
-	Instructions    uint64
-	Syscalls        uint64
-	PageFaults      uint64
-	PageCopies      uint64
-	ContextSwitches uint64
-	OOMKills        int
-	SegvKills       int
+	VirtualTime time.Duration
+	// Counters are the cost meter's event counters: page faults and
+	// copies, TLB shootdowns (the SMP fork tax), context switches,
+	// syscalls, instructions and the rest.
+	cost.Counters
+	OOMKills  int
+	SegvKills int
 
 	// NumCPUs is the simulated CPU count; the per-CPU slices below
 	// are indexed by CPU id.
 	NumCPUs int
-	// TLBShootdowns counts remote-CPU invalidation IPIs — the SMP
-	// fork tax (always 0 on a 1-CPU machine).
-	TLBShootdowns uint64
 	// CPUBusy is each CPU's busy virtual time (clock minus idle).
 	CPUBusy []time.Duration
 	// CPUUtilization is CPUBusy over VirtualTime, per CPU (0 when
@@ -275,19 +272,12 @@ type Stats struct {
 // Stats snapshots the cost meter, kill counters, and per-CPU
 // scheduler accounting.
 func (s *System) Stats() Stats {
-	m := s.k.Meter()
 	st := Stats{
-		VirtualTime:     time.Duration(s.k.Elapsed()),
-		Instructions:    m.Instructions,
-		Syscalls:        m.Syscalls,
-		PageFaults:      m.PageFaults,
-		PageCopies:      m.PageCopies,
-		ContextSwitches: s.k.ContextSwitches(),
-		OOMKills:        s.k.OOMKills,
-		SegvKills:       s.k.SegvKills,
-
-		NumCPUs:       s.k.NumCPUs(),
-		TLBShootdowns: m.TLBShootdowns,
+		VirtualTime: time.Duration(s.k.Elapsed()),
+		Counters:    s.k.Meter().Counters,
+		OOMKills:    s.k.OOMKills,
+		SegvKills:   s.k.SegvKills,
+		NumCPUs:     s.k.NumCPUs(),
 	}
 	st.CPUBusy = make([]time.Duration, st.NumCPUs)
 	st.CPUUtilization = make([]float64, st.NumCPUs)
